@@ -9,6 +9,7 @@
 mod grid;
 mod host;
 mod metrics;
+mod probe;
 mod replay;
 mod serve;
 mod stats;
@@ -25,7 +26,7 @@ const WORKLOADS: &[&str] = &["stream-table1", "serve-auto-perlink", "paper-grid"
 /// A workload's set-up runs at least `SETUP_MIN_REPS` times and keeps
 /// repeating (up to `SETUP_MAX_REPS`) until the repeats have taken
 /// `SETUP_BUDGET`, so cheap set-ups get enough samples for a steady
-/// median. `setup_s` is the median.
+/// median. `setup_s` is the median, at the reference host speed.
 const SETUP_MIN_REPS: usize = 5;
 const SETUP_MAX_REPS: usize = 50;
 const SETUP_BUDGET: Duration = Duration::from_secs(2);
@@ -46,6 +47,18 @@ pub struct Args {
     pub seconds: Duration,
     /// Per-layer (traced) run instead of the end-to-end run.
     pub trace: bool,
+    /// Threads the host-speed probe runs on before each timed op (as
+    /// many as the workload keeps busy), or `None` for a workload whose
+    /// wall time is steady without it.
+    pub probe_threads: Option<usize>,
+}
+
+impl Args {
+    /// Runs the host-speed probe if the workload uses it; returns the
+    /// factor that scales the next wall time to the reference host speed.
+    fn probe_scale(&self) -> f64 {
+        self.probe_threads.map_or(1.0, probe::scale)
+    }
 }
 
 /// What a workload hands back.
@@ -59,8 +72,9 @@ pub struct Outcome {
     pub metrics: Metrics,
     /// The encode plan each accelerator session resolved.
     pub encode_plans: Vec<String>,
-    /// Informational rates derived from the metrics (e.g. inferences
-    /// per second), printed on a `#` line.
+    /// Informational figures derived from the metrics (e.g. inferences
+    /// per reference second), printed on a `#` line with the median
+    /// probe time.
     pub derived: Vec<(&'static str, f64)>,
 }
 
@@ -76,30 +90,34 @@ impl Outcome {
     }
 }
 
-/// Runs `op` back to back until `seconds` have elapsed (at least once),
-/// returning each call's wall time in milliseconds.
-pub fn timed_loop(seconds: Duration, mut op: impl FnMut()) -> Vec<f64> {
+/// Runs `op` until `seconds` have elapsed (at least once), each call
+/// right after the workload's host-speed probe, returning each call's
+/// wall time in milliseconds at the reference host speed (see `probe`).
+pub fn timed_loop(args: &Args, seconds: Duration, mut op: impl FnMut()) -> Vec<f64> {
     let start = Instant::now();
     let mut samples = Vec::new();
     loop {
+        let scale = args.probe_scale();
         let t0 = Instant::now();
         op();
-        samples.push(t0.elapsed().as_secs_f64() * 1e3);
+        samples.push(t0.elapsed().as_secs_f64() * 1e3 * scale);
         if start.elapsed() >= seconds {
             return samples;
         }
     }
 }
 
-/// Repeats `setup` (see `SETUP_MIN_REPS`), returning the last result and
-/// the median wall time in seconds.
-pub fn repeated_setup<T>(mut setup: impl FnMut() -> T) -> (T, f64) {
+/// Repeats `setup` (see `SETUP_MIN_REPS`), each time right after the
+/// workload's host-speed probe, returning the last result and the median
+/// wall time in seconds at the reference host speed.
+pub fn repeated_setup<T>(args: &Args, mut setup: impl FnMut() -> T) -> (T, f64) {
     let start = Instant::now();
     let mut times = Vec::new();
     loop {
+        let scale = args.probe_scale();
         let t0 = Instant::now();
         let result = setup();
-        times.push(t0.elapsed().as_secs_f64());
+        times.push(t0.elapsed().as_secs_f64() * scale);
         let enough = times.len() >= SETUP_MIN_REPS && start.elapsed() >= SETUP_BUDGET;
         if enough || times.len() >= SETUP_MAX_REPS {
             return (result, stats::median(&times));
@@ -135,11 +153,25 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
+    let workload = workload.ok_or("--workload is required")?;
+    // The stream streams megabytes of flits through memory on the calling
+    // thread; the grid's two cell workers page in a fresh session per
+    // cell. Both follow the host's memory speed. The serve pool's
+    // sessions run on warm, cache-resident state: the probe moves
+    // without it, and scaling its wall times by the probe widened their
+    // run-to-run spread from 0.04-0.09 to 0.13-0.19.
+    let harts = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let probe_threads = match workload {
+        "stream-table1" => Some(1),
+        "paper-grid" => Some(harts),
+        _ => None,
+    };
     Ok(Args {
-        workload: workload.ok_or("--workload is required")?,
+        workload,
         seed,
         seconds: Duration::from_secs(seconds.max(1)),
         trace,
+        probe_threads,
     })
 }
 
@@ -160,17 +192,20 @@ fn main() {
     };
     let stamp = host::stamp(args.workload, args.seed, &outcome.encode_plans);
     println!("# stamp {}", stamp.to_string_compact());
-    if !outcome.derived.is_empty() {
-        let fields = outcome
-            .derived
-            .iter()
-            .map(|&(name, v)| (name, experiments::json::Json::F64(v)))
-            .collect();
-        println!(
-            "# derived {}",
-            experiments::json::Json::obj(fields).to_string_compact()
-        );
+    // The probe's median relates this run's wall times to the reference
+    // host speed the timing metrics are given at.
+    if let Some(ms) = probe::median_ms() {
+        outcome.derived.push(("host_probe_ms_p50", ms));
     }
+    let fields = outcome
+        .derived
+        .iter()
+        .map(|&(name, v)| (name, experiments::json::Json::F64(v)))
+        .collect();
+    println!(
+        "# derived {}",
+        experiments::json::Json::obj(fields).to_string_compact()
+    );
     if args.trace {
         let path = std::path::PathBuf::from(format!(
             "perfbench/out/trace-{}-s{}.json",
@@ -186,7 +221,9 @@ fn main() {
             Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
         }
     } else {
-        outcome.metrics.set("peak_rss_mb", host::peak_rss_mb());
+        outcome
+            .metrics
+            .set("peak_rss_mb", host::peak_rss_mb() - probe::resident_mb());
     }
     let table = if args.trace { PER_LAYER } else { END_TO_END };
     println!(

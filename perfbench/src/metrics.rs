@@ -11,9 +11,9 @@ use experiments::json::Json;
 /// End-to-end metrics: `(name, unit)`.
 pub const END_TO_END: &[(&str, &str)] = &[
     ("setup_s", "s"),
-    ("packets_per_s", "1/s"),
-    ("dispatch_ms_p50", "ms"),
-    ("sim_flit_hops_per_s", "1/s"),
+    ("packets_per_ref_s", "1/s"),
+    ("dispatch_ref_ms_p50", "ms"),
+    ("sim_flit_hops_per_ref_s", "1/s"),
     ("peak_rss_mb", "MB"),
     ("bt_reduction_pct", "%"),
     ("link_bt_per_packet", "count"),

@@ -70,7 +70,7 @@ fn totals(c: &StreamComparison) -> (u64, u64) {
 
 pub fn run(args: &Args, tracer: &mut Tracer) -> Outcome {
     let mut out = Outcome::default();
-    let (s, setup_s) = repeated_setup(|| setup(args.seed, tracer));
+    let (s, setup_s) = repeated_setup(args, || setup(args.seed, tracer));
     for (label, reference) in ["f32", "fx8"].iter().zip(&s.reference) {
         let (base, ord) = totals(reference);
         out.check(ord < base, || {
@@ -110,8 +110,8 @@ pub fn run(args: &Args, tracer: &mut Tracer) -> Outcome {
         trace_breakdown(&s, tracer, &mut m);
         // Tracing overhead: the same loop untraced, then traced.
         let mut off = Tracer::new("stream-table1", false);
-        let untraced = timed_loop(args.seconds / 2, || one_pair(&mut off, &mut out));
-        let traced = timed_loop(args.seconds, || one_pair(tracer, &mut out));
+        let untraced = timed_loop(args, args.seconds / 2, || one_pair(&mut off, &mut out));
+        let traced = timed_loop(args, args.seconds, || one_pair(tracer, &mut out));
         m.set(
             "bench.trace_overhead_pct",
             (stats::median(&traced) / stats::median(&untraced) - 1.0) * 100.0,
@@ -124,17 +124,19 @@ pub fn run(args: &Args, tracer: &mut Tracer) -> Outcome {
         return out;
     }
 
-    // Rates divide one op's work by the median op time, so a transient
-    // stall of the host moves them no more than it moves the median.
-    let samples = timed_loop(args.seconds, || one_pair(tracer, &mut out));
-    let op_s = stats::median(&samples) / 1e3;
+    // Rates divide one op's work by the median op time (at the reference
+    // host speed), so a transient stall moves them no more than it moves
+    // the median.
+    let samples = timed_loop(args, args.seconds, || one_pair(tracer, &mut out));
+    let op_ms = stats::median(&samples);
+    let op_s = op_ms / 1e3;
     let [f, x] = &s.reference;
     let flits_per_pair =
         (f.baseline.flits + f.ordered.flits + x.baseline.flits + x.ordered.flits) as f64;
     m.set("setup_s", setup_s);
-    m.set("packets_per_s", 2.0 * PACKETS as f64 / op_s);
-    m.set("dispatch_ms_p50", stats::median(&samples));
-    m.set("sim_flit_hops_per_s", flits_per_pair / op_s);
+    m.set("packets_per_ref_s", 2.0 * PACKETS as f64 / op_s);
+    m.set("dispatch_ref_ms_p50", op_ms);
+    m.set("sim_flit_hops_per_ref_s", flits_per_pair / op_s);
     m.set(
         "bt_reduction_pct",
         (f.reduction_rate + x.reduction_rate) / 2.0 * 100.0,
