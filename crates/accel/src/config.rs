@@ -10,13 +10,12 @@ use btr_noc::config::NocConfig;
 use btr_noc::fault::{ErrorModel, FaultConfig};
 use serde::{Deserialize, Serialize};
 
-/// How the driver schedules MC-side encoding against the cycle loop.
+/// Which MC-side encode path the driver runs in the cycle loop.
 ///
 /// Both modes are bit-exact with each other (pinned by
 /// `tests/driver_parity.rs`): the injection sequence, per-link bit
 /// transitions, cycle counts and recovered MACs are identical. They only
-/// differ in wall-clock: `Pipelined` runs the ordering unit beside the
-/// memory controller, as the hardware does (Sec. V, Fig. 14).
+/// differ in wall-clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum DriverMode {
     /// The pre-pipeline reference: encode each task inline in the
@@ -25,12 +24,9 @@ pub enum DriverMode {
     /// `btr_noc::legacy`) so the bench trajectory and the parity tests
     /// always have the original behavior to compare against.
     Synchronous,
-    /// The staged pipeline: per-MC encoder threads pre-encode tasks into
-    /// bounded ready-queues — weight permutations cached per kernel,
-    /// scratch buffers reused — while the cycle loop steps the mesh and
-    /// only pops finished packets. On a host without spare hardware
-    /// threads the encoders run inline instead (same cached encode, no
-    /// thread ping-pong); the wire traffic is identical either way.
+    /// The cached encode stage, inline in the cycle loop: weight
+    /// permutations and flit templates cached per kernel group for the
+    /// session's lifetime, scratch buffers reused per layer.
     #[default]
     Pipelined,
 }
@@ -124,22 +120,6 @@ pub struct AccelConfig {
     /// batch's tasks as one phase, so weights are ordered once per kernel
     /// (not once per input) and the mesh stays full across inputs.
     pub batch_size: usize,
-    /// Bounded depth of each MC's encoded-task ready-queue (pipelined
-    /// driver only): how far an encoder may run ahead of injection.
-    pub encode_queue_depth: usize,
-    /// Encoder threads for the pipelined driver: `0` means auto — one
-    /// per MC (the hardware shape — one ordering unit beside each
-    /// memory controller) when the host has more than one hardware
-    /// thread, inline encode otherwise. An explicit value always
-    /// spawns that many threads, multiplexing several MCs' encode
-    /// streams onto each when fewer than the MC count.
-    pub encode_threads: usize,
-    /// Force the pipelined encode stage to run inline (cached encode,
-    /// no encoder threads) regardless of host parallelism. Set by
-    /// callers that already saturate the cores — the parallel sweep
-    /// runner fans one cell out per core, so per-cell encoder threads
-    /// would only contend. Bit-exact either way.
-    pub encode_inline: bool,
 }
 
 impl AccelConfig {
@@ -173,9 +153,6 @@ impl AccelConfig {
             driver: DriverMode::Pipelined,
             engine: EngineMode::Cycle,
             batch_size: 1,
-            encode_queue_depth: 32,
-            encode_threads: 0,
-            encode_inline: false,
         }
     }
 
@@ -345,21 +322,7 @@ impl AccelConfig {
         if self.batch_size == 0 {
             return Err("batch_size must be positive".into());
         }
-        if self.encode_queue_depth == 0 {
-            return Err("encode_queue_depth must be positive".into());
-        }
         Ok(())
-    }
-
-    /// Encoder threads the pipelined driver spawns for `mc_count` memory
-    /// controllers: one per MC unless `encode_threads` caps it lower.
-    #[must_use]
-    pub fn encoder_threads_for(&self, mc_count: usize) -> usize {
-        if self.encode_threads == 0 {
-            mc_count
-        } else {
-            self.encode_threads.clamp(1, mc_count)
-        }
     }
 
     /// PE compute latency for a task of `pairs` operand pairs.

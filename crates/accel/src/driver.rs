@@ -9,18 +9,16 @@
 //! # The staged pipeline
 //!
 //! The paper's ordering unit sits *beside* the memory controller precisely
-//! so that sorting and flitizing never stall the link (Sec. V, Fig. 14).
-//! The driver models the same overlap in software: with
-//! [`DriverMode::Pipelined`] each MC gets an encoder running on its own
-//! thread — building tasks from the layer operands, sorting (with the
-//! weight permutation cached per kernel, so a layer's weights are ordered
-//! once, not once per output pixel or batch element), flitizing and
-//! link-coding into a bounded ready-queue — while the cycle loop steps the
-//! mesh and only pops finished packets. Encoding for packets the prefetch
-//! buffers have not yet requested proceeds concurrently with simulation;
-//! layer *L+1* still waits on layer *L*'s outputs (its activations are a
-//! data dependency), so the overlap window is the thousands of tasks
-//! within each layer.
+//! so that sorting and flitizing never stall the link (Sec. V, Fig. 14);
+//! its cost is hardware area and energy, not a host thread. With
+//! [`DriverMode::Pipelined`] the cycle loop encodes each MC's next task
+//! inline as its prefetch buffer drains — building the task from the
+//! layer operands and dealing its activations into the kernel group's
+//! cached weight template (the weight permutation and flit images are
+//! built once per session, not once per output pixel, batch element or
+//! dispatch), then flitizing and link-coding through reused scratch.
+//! Host parallelism lives one level up, in sweep cells and serve
+//! sessions.
 //!
 //! Both driver modes inject the identical packet sequence, so they are
 //! bit-exact with each other — same per-link bit transitions, cycle
@@ -44,10 +42,8 @@ use btr_noc::analytic::{routes_contention_free, routes_link_disjoint, EngineMode
 use btr_noc::session::{SendError, TaskPort};
 use btr_noc::sim::{DeliveredPacket, InjectError, Simulator};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::{Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
 /// Errors from [`run_inference`].
 #[derive(Debug)]
@@ -69,8 +65,6 @@ pub enum AccelError {
     },
     /// The fixed-16 extension format is not wired into the accelerator.
     UnsupportedFormat(DataFormat),
-    /// A pipelined encoder thread died (panicked) mid-layer.
-    EncoderDied,
     /// A packet kept failing its EDC check until the NI's retry budget
     /// ran out (unreliable-link model).
     Unrecoverable {
@@ -93,9 +87,6 @@ impl std::fmt::Display for AccelError {
             }
             AccelError::UnsupportedFormat(fmt) => {
                 write!(f, "format {fmt} is not supported by the accelerator")
-            }
-            AccelError::EncoderDied => {
-                write!(f, "a pipelined encoder thread panicked mid-layer")
             }
             AccelError::Unrecoverable { layer, retries } => {
                 write!(
@@ -132,10 +123,8 @@ impl From<SendError> for AccelError {
 }
 
 /// Words the accelerator can compute on: defines how a PE encodes its MAC
-/// result into the 32-bit response image. `Send + Sync` because the
-/// pipelined driver encodes tasks of type `W` on the per-MC encoder
-/// threads.
-pub trait AccelWord: DataWord + Send + Sync {
+/// result into the 32-bit response image.
+pub trait AccelWord: DataWord {
     /// Encodes the recovered task's MAC result (32-bit field, LSB-first).
     fn response_bits(rec: &RecoveredTask<Self>) -> u64;
 }
@@ -157,34 +146,18 @@ impl AccelWord for Fx8Word {
     }
 }
 
-/// Whether this host has more than one hardware thread — the condition
-/// under which pipelined encoder threads are an overlap instead of a
-/// context-switch tax. Probed once per process: long-lived serving
-/// sessions must not re-probe per request, and the decision must not
-/// flip mid-stream if the OS changes the process's CPU affinity.
-fn host_parallel() -> bool {
-    static HOST_PARALLEL: OnceLock<bool> = OnceLock::new();
-    *HOST_PARALLEL
-        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get) > 1)
-}
-
-/// How a session schedules MC-side encoding, resolved **once** from an
-/// [`AccelConfig`] at session construction (not per inference call, and
-/// not per layer): the host-parallelism probe behind the
-/// inline-vs-threaded choice runs once per process, so a long-lived
-/// server session answers every request with the same schedule.
-///
-/// All three plans are bit-exact with each other (`tests/driver_parity.rs`).
+/// How a session schedules MC-side encoding, resolved once from an
+/// [`AccelConfig`] at session construction. Both plans encode inline in
+/// the cycle loop and are bit-exact with each other
+/// (`tests/driver_parity.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EncodePlan {
-    /// [`DriverMode::Synchronous`]: uncached slot-level encode,
-    /// serialized with the cycle loop — the legacy-faithful reference.
+    /// [`DriverMode::Synchronous`]: uncached slot-level encode — the
+    /// legacy-faithful reference.
     Reference,
-    /// Pipelined cached encode running inline in the cycle loop (forced
-    /// by `encode_inline`, or the auto fallback on single-hart hosts).
+    /// [`DriverMode::Pipelined`]: cached encode through the session's
+    /// weight templates and reused scratch.
     Inline,
-    /// Pipelined encode on this many per-MC encoder threads.
-    Threads(usize),
 }
 
 impl EncodePlan {
@@ -194,14 +167,7 @@ impl EncodePlan {
     pub fn resolve(config: &AccelConfig) -> Self {
         match config.driver {
             DriverMode::Synchronous => EncodePlan::Reference,
-            DriverMode::Pipelined
-                if config.encode_inline || (config.encode_threads == 0 && !host_parallel()) =>
-            {
-                EncodePlan::Inline
-            }
-            DriverMode::Pipelined => {
-                EncodePlan::Threads(config.encoder_threads_for(config.noc.mc_nodes.len()))
-            }
+            DriverMode::Pipelined => EncodePlan::Inline,
         }
     }
 }
@@ -212,10 +178,10 @@ impl EncodePlan {
 ///
 /// This is the building block of the multi-session service
 /// (`btr_serve`): each pool worker owns one session and answers every
-/// dispatched batch through it — config validation and the
-/// inline-vs-threaded probe happen at pool construction, never on the
-/// request hot path. Each `run` call simulates on a fresh mesh, so the
-/// reported stats cover exactly that call's traffic.
+/// dispatched batch through it — config validation happens at pool
+/// construction, never on the request hot path. Each `run` call
+/// simulates on a fresh mesh, so the reported stats cover exactly that
+/// call's traffic.
 pub struct InferenceSession<'a> {
     ops: &'a [InferenceOp],
     config: AccelConfig,
@@ -223,17 +189,16 @@ pub struct InferenceSession<'a> {
     /// One encode cache per op: the weight permutations and pre-rendered
     /// weight flit templates of each conv/linear layer's kernel groups.
     /// Weights never change within a session, so templates built lazily
-    /// by the first dispatch are shared across the batch dimension,
-    /// across encoder threads, and across every subsequent
-    /// [`run`](InferenceSession::run) call.
+    /// by the first dispatch are shared across the batch dimension and
+    /// across every subsequent [`run`](InferenceSession::run) call.
     caches: Vec<LayerEncodeCache>,
 }
 
 /// Per-layer encode cache: the lazily computed descending weight order
 /// and pre-rendered [`EncodeTemplate`] of every kernel group — the
 /// "weight-side work happens once per session, not once per task"
-/// amortization. Computing an entry twice under a race is harmless: the
-/// build is deterministic, so every thread derives the identical value.
+/// amortization. Each entry is built by the first task that touches its
+/// group.
 #[derive(Debug, Default)]
 struct LayerEncodeCache {
     wperms: Vec<OnceLock<Vec<usize>>>,
@@ -682,8 +647,7 @@ struct WireOverhead {
 
 /// The MC-side encode stage: task construction + ordering + flitization +
 /// link coding, with the weight permutation cached per kernel group. One
-/// instance per layer, shared (`&self`) by every encoder thread and by
-/// the synchronous feed.
+/// instance per layer, borrowed by the layer's task feed.
 struct EncodeStage<'a, W: AccelWord> {
     source: &'a LayerTasks<W>,
     session: CodedTransport,
@@ -691,7 +655,7 @@ struct EncodeStage<'a, W: AccelWord> {
     tiebreak: TieBreak,
     /// The session-lifetime weight-side cache for this layer: descending
     /// weight orders and pre-rendered weight flit templates per kernel
-    /// group, shared by every encoder thread and across dispatches.
+    /// group, shared across the batch and across dispatches.
     cache: &'a LayerEncodeCache,
 }
 
@@ -762,7 +726,7 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
     /// Builds and encodes global task `j` — bit-identical to the plain
     /// `encode_task` path, but through the pre-rendered weight template:
     /// only the activation lanes (and for O2 the input sort + pair index)
-    /// are dealt per task (`input_buf` is the reused per-thread window
+    /// are dealt per task (`input_buf` is the reused per-layer window
     /// buffer).
     fn encode(
         &self,
@@ -777,186 +741,24 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
     }
 }
 
-/// A bounded MPSC hand-off between one MC's encoder and the cycle loop.
-/// Encode errors travel through the queue as values so the consumer
-/// surfaces them in injection order.
-struct ReadyQueue<W> {
-    state: Mutex<VecDeque<Result<EncodedTask<W>, FlitizeError>>>,
-    avail: Condvar,
-    space: Condvar,
-    cap: usize,
-}
-
-impl<W: DataWord> ReadyQueue<W> {
-    fn new(cap: usize) -> Self {
-        Self {
-            state: Mutex::new(VecDeque::with_capacity(cap)),
-            avail: Condvar::new(),
-            space: Condvar::new(),
-            cap,
-        }
-    }
-
-    /// Blocking push; returns `false` if the consumer aborted while this
-    /// producer was waiting for space.
-    fn push(&self, item: Result<EncodedTask<W>, FlitizeError>, abort: &AtomicBool) -> bool {
-        let mut q = self.state.lock().expect("ready-queue poisoned");
-        while q.len() >= self.cap {
-            if abort.load(AtomicOrdering::Acquire) {
-                return false;
-            }
-            // Timed wait so an abort set after the check still wakes us.
-            let (guard, _) = self
-                .space
-                .wait_timeout(q, Duration::from_millis(1))
-                .expect("ready-queue poisoned");
-            q = guard;
-        }
-        q.push_back(item);
-        drop(q);
-        self.avail.notify_one();
-        true
-    }
-
-    /// Non-blocking push for encoder threads multiplexing several MCs.
-    fn try_push(
-        &self,
-        item: Result<EncodedTask<W>, FlitizeError>,
-    ) -> Result<(), Result<EncodedTask<W>, FlitizeError>> {
-        let mut q = self.state.lock().expect("ready-queue poisoned");
-        if q.len() >= self.cap {
-            return Err(item);
-        }
-        q.push_back(item);
-        drop(q);
-        self.avail.notify_one();
-        Ok(())
-    }
-
-    /// Blocking pop (consumer side): the consumer pops exactly as many
-    /// items as the MC has tasks, so a live producer always eventually
-    /// delivers. `producer_died` is the escape for the one case where
-    /// it cannot — an encoder thread panicking mid-layer — turning a
-    /// would-be permanent hang into `None` (the panic itself then
-    /// propagates when the scope joins the dead thread).
-    fn pop(&self, producer_died: &AtomicBool) -> Option<Result<EncodedTask<W>, FlitizeError>> {
-        let mut q = self.state.lock().expect("ready-queue poisoned");
-        loop {
-            if let Some(item) = q.pop_front() {
-                drop(q);
-                self.space.notify_one();
-                return Some(item);
-            }
-            if producer_died.load(AtomicOrdering::Acquire) {
-                return None;
-            }
-            // Timed wait so a death flag set after the check still
-            // wakes us.
-            let (guard, _) = self
-                .avail
-                .wait_timeout(q, Duration::from_millis(1))
-                .expect("ready-queue poisoned");
-            q = guard;
-        }
-    }
-}
-
-/// Encoder-thread body: encodes its MCs' tasks in per-MC order into the
-/// ready-queues until done, an encode error, or a consumer abort.
-fn encoder_loop<W: AccelWord>(
-    stage: &EncodeStage<'_, W>,
-    queues: &[ReadyQueue<W>],
-    per_mc_tasks: &[Vec<usize>],
-    owned: &[usize],
-    abort: &AtomicBool,
-) {
-    let mut scratch = TransportScratch::default();
-    let mut input_buf: Vec<W> = Vec::new();
-    if let [mi] = *owned {
-        // One MC per thread (the default): simple blocking pushes.
-        for &j in &per_mc_tasks[mi] {
-            if abort.load(AtomicOrdering::Acquire) {
-                return;
-            }
-            let item = stage.encode(j, &mut scratch, &mut input_buf);
-            let failed = item.is_err();
-            if !queues[mi].push(item, abort) || failed {
-                return;
-            }
-        }
-        return;
-    }
-    // Multiplexed: round-robin over the owned MCs with one stash slot
-    // each, never blocking on a single full queue (a blocked push here
-    // could starve a sibling MC the consumer is waiting on).
-    let mut cursors = vec![0usize; owned.len()];
-    let mut stash: Vec<Option<Result<EncodedTask<W>, FlitizeError>>> =
-        (0..owned.len()).map(|_| None).collect();
-    loop {
-        if abort.load(AtomicOrdering::Acquire) {
-            return;
-        }
-        let mut progressed = false;
-        let mut done = true;
-        for (k, &mi) in owned.iter().enumerate() {
-            if let Some(item) = stash[k].take() {
-                match queues[mi].try_push(item) {
-                    Ok(()) => progressed = true,
-                    Err(item) => {
-                        stash[k] = Some(item);
-                        done = false;
-                        continue;
-                    }
-                }
-            }
-            if cursors[k] < per_mc_tasks[mi].len() {
-                done = false;
-                let j = per_mc_tasks[mi][cursors[k]];
-                cursors[k] += 1;
-                let item = stage.encode(j, &mut scratch, &mut input_buf);
-                let failed = item.is_err();
-                if let Err(item) = queues[mi].try_push(item) {
-                    stash[k] = Some(item);
-                }
-                if failed {
-                    // Stop this MC's stream; the consumer aborts on pop.
-                    cursors[k] = per_mc_tasks[mi].len();
-                }
-                progressed = true;
-            }
-        }
-        if done {
-            return;
-        }
-        if !progressed {
-            std::thread::park_timeout(Duration::from_micros(100));
-        }
-    }
-}
-
 /// Where the cycle loop gets its next wire-ready packet from.
 enum TaskFeed<'a, W: AccelWord> {
     /// Uncached inline encode, serialized with the simulation — the
     /// legacy-faithful [`DriverMode::Synchronous`] reference.
     Reference { stage: &'a EncodeStage<'a, W> },
-    /// Cached inline encode: the pipelined encode stage without threads,
-    /// used when the host has no spare hardware threads to overlap on.
-    /// The scratch is boxed: it is one allocation per layer and keeps
-    /// the feed enum pointer-sized next to the queue variant.
+    /// Cached inline encode through the session's weight templates and
+    /// per-layer reused scratch — the [`DriverMode::Pipelined`] path.
+    /// The scratch is boxed (one allocation per layer) so the feed stays
+    /// pointer-sized next to the reference variant.
     Inline {
         stage: &'a EncodeStage<'a, W>,
         scratch: Box<TransportScratch>,
         input_buf: Vec<W>,
     },
-    /// Pop from the per-MC encoder ready-queues.
-    Queues {
-        queues: &'a [ReadyQueue<W>],
-        producer_died: &'a AtomicBool,
-    },
 }
 
 impl<W: AccelWord> TaskFeed<'_, W> {
-    fn next(&mut self, mi: usize, j: usize) -> Result<EncodedTask<W>, AccelError> {
+    fn next(&mut self, j: usize) -> Result<EncodedTask<W>, AccelError> {
         match self {
             TaskFeed::Reference { stage } => Ok(stage.encode_reference(j)?),
             TaskFeed::Inline {
@@ -964,13 +766,6 @@ impl<W: AccelWord> TaskFeed<'_, W> {
                 scratch,
                 input_buf,
             } => Ok(stage.encode(j, scratch, input_buf)?),
-            TaskFeed::Queues {
-                queues,
-                producer_died,
-            } => match queues[mi].pop(producer_died) {
-                Some(item) => Ok(item?),
-                None => Err(AccelError::EncoderDied),
-            },
         }
     }
 
@@ -1183,92 +978,25 @@ fn run_layer<W: AccelWord>(
     let engine = LayerEngine::resolve(config, &dests);
 
     // The schedule was resolved once at session construction
-    // ([`EncodePlan::resolve`]); per-layer code never re-probes the host.
-    let run = match plan {
-        EncodePlan::Reference => {
-            let mut feed = TaskFeed::Reference { stage: &stage };
-            drive_layer(
-                engine,
-                op_index,
-                config,
-                sim,
-                &port,
-                &dests,
-                &per_mc_tasks,
-                &mut feed,
-            )
-        }
-        EncodePlan::Inline => {
-            let mut feed = TaskFeed::Inline {
-                stage: &stage,
-                scratch: Box::default(),
-                input_buf: Vec::new(),
-            };
-            drive_layer(
-                engine,
-                op_index,
-                config,
-                sim,
-                &port,
-                &dests,
-                &per_mc_tasks,
-                &mut feed,
-            )
-        }
-        EncodePlan::Threads(threads) => {
-            let queues: Vec<ReadyQueue<W>> = (0..mcs.len())
-                .map(|_| ReadyQueue::new(config.encode_queue_depth))
-                .collect();
-            let abort = AtomicBool::new(false);
-            let producer_died = AtomicBool::new(false);
-            // The schedule is resolved (and clamped) in exactly one
-            // place: EncodePlan::resolve.
-            debug_assert!(threads >= 1 && threads <= mcs.len());
-            let owned_sets: Vec<Vec<usize>> = (0..threads)
-                .map(|t| (0..mcs.len()).filter(|mi| mi % threads == t).collect())
-                .collect();
-            rayon::scope(|s| {
-                for owned in &owned_sets {
-                    let (stage, queues, per_mc_tasks, abort, producer_died) =
-                        (&stage, &queues, &per_mc_tasks, &abort, &producer_died);
-                    s.spawn(move |_| {
-                        // Flag a panicking encoder so the cycle loop's
-                        // pops stop waiting for it; the panic itself
-                        // resurfaces when the scope joins this thread.
-                        struct DeathFlag<'f>(&'f AtomicBool);
-                        impl Drop for DeathFlag<'_> {
-                            fn drop(&mut self) {
-                                if std::thread::panicking() {
-                                    self.0.store(true, AtomicOrdering::Release);
-                                }
-                            }
-                        }
-                        let _flag = DeathFlag(producer_died);
-                        encoder_loop(stage, queues, per_mc_tasks, owned, abort);
-                    });
-                }
-                let mut feed = TaskFeed::Queues {
-                    queues: &queues,
-                    producer_died: &producer_died,
-                };
-                let run = drive_layer(
-                    engine,
-                    op_index,
-                    config,
-                    sim,
-                    &port,
-                    &dests,
-                    &per_mc_tasks,
-                    &mut feed,
-                );
-                // Release any producer still waiting for queue space
-                // (error paths leave tasks unconsumed) before the scope
-                // joins the encoder threads.
-                abort.store(true, AtomicOrdering::Release);
-                run
-            })
-        }
-    }?;
+    // ([`EncodePlan::resolve`]).
+    let mut feed = match plan {
+        EncodePlan::Reference => TaskFeed::Reference { stage: &stage },
+        EncodePlan::Inline => TaskFeed::Inline {
+            stage: &stage,
+            scratch: Box::default(),
+            input_buf: Vec::new(),
+        },
+    };
+    let run = drive_layer(
+        engine,
+        op_index,
+        config,
+        sim,
+        &port,
+        &dests,
+        &per_mc_tasks,
+        &mut feed,
+    )?;
 
     let transitions_after = sim.stats().total_transitions;
     per_layer.push(LayerTrafficReport {
@@ -1339,7 +1067,7 @@ fn cycle_loop<W: AccelWord>(
                     break;
                 };
                 cursors[mi] += 1;
-                let encoded = feed.next(mi, j)?;
+                let encoded = feed.next(j)?;
                 let (pe, mc_node) = dests[j];
                 let sent = port.send_encoded(sim, mc_node, pe, encoded, j as u64)?;
                 run.index_bits += sent.index_overhead_bits;
@@ -1460,9 +1188,9 @@ fn replay_request_phase<W: AccelWord>(
     };
 
     // Request phase: queue every task packet at its MC, then replay.
-    for (mi, tasks) in per_mc_tasks.iter().enumerate() {
+    for tasks in per_mc_tasks {
         for &j in tasks {
-            let encoded = feed.next(mi, j)?;
+            let encoded = feed.next(j)?;
             let (pe, mc_node) = dests[j];
             let sent = port.send_encoded(sim, mc_node, pe, encoded, j as u64)?;
             run.index_bits += sent.index_overhead_bits;
@@ -2004,31 +1732,18 @@ mod tests {
     }
 
     #[test]
-    fn encode_plan_resolves_once_from_config() {
-        let base = config(DataFormat::Fixed8, OrderingMethod::Separated);
-        // Synchronous is always the reference schedule.
-        let mut c = base.clone();
-        c.driver = DriverMode::Synchronous;
-        assert_eq!(EncodePlan::resolve(&c), EncodePlan::Reference);
-        // Forced inline beats every other knob.
-        let mut c = base.clone();
-        c.encode_inline = true;
-        c.encode_threads = 2;
-        assert_eq!(EncodePlan::resolve(&c), EncodePlan::Inline);
-        // An explicit thread count always spawns threads (clamped to the
-        // MC count), regardless of host parallelism.
-        let mut c = base.clone();
-        c.encode_threads = 1;
-        assert_eq!(EncodePlan::resolve(&c), EncodePlan::Threads(1));
-        c.encode_threads = 64;
-        assert_eq!(EncodePlan::resolve(&c), EncodePlan::Threads(2));
-        // Auto resolves from the process-wide host probe: inline on a
-        // single-hart host, one thread per MC otherwise — and the session
-        // pins whichever it was.
-        let auto = EncodePlan::resolve(&base);
-        assert!(matches!(auto, EncodePlan::Inline | EncodePlan::Threads(2)));
-        let session = InferenceSession::new(&[], base).unwrap();
-        assert_eq!(session.plan(), auto);
+    fn encode_plan_resolves_from_the_driver_mode() {
+        // The plan is a pure function of the driver mode, on any host,
+        // and the session pins it at construction.
+        for (driver, plan) in [
+            (DriverMode::Synchronous, EncodePlan::Reference),
+            (DriverMode::Pipelined, EncodePlan::Inline),
+        ] {
+            let mut c = config(DataFormat::Fixed8, OrderingMethod::Separated);
+            c.driver = driver;
+            assert_eq!(EncodePlan::resolve(&c), plan, "{driver}");
+            assert_eq!(InferenceSession::new(&[], c).unwrap().plan(), plan);
+        }
     }
 
     #[test]

@@ -211,9 +211,7 @@ enum LayerInputs<W> {
 /// index. Weight kernels and bias words are materialized **once per
 /// layer** at construction (they are shared by every output pixel and
 /// every batch element), so [`LayerTasks::build`] only extracts the
-/// per-task inputs. `build` is `&self` and the source is `Sync`, so
-/// encoder threads construct tasks concurrently off the cycle-loop
-/// thread.
+/// per-task inputs.
 pub struct LayerTasks<W> {
     inputs: LayerInputs<W>,
     /// Weight words per group (conv: one per output channel; linear: one

@@ -258,7 +258,7 @@ fn radix_pass_descending(
 }
 
 /// Reusable buffers of the ordering kernel: the precomputed keys plus the
-/// LSD radix ping-pong array. One instance per encoder thread (via
+/// LSD radix ping-pong array. One instance per encode stage (via
 /// `TransportScratch`) keeps the per-task sort allocation-free.
 #[derive(Debug, Default)]
 pub struct SortScratch {

@@ -25,7 +25,7 @@
 //!    Group setup (weight sorting, template rendering, task operand
 //!    materialization) runs in `iter_batched` *setup*, so the timed
 //!    region holds per-task encode work only — the quantity the driver's
-//!    encoder threads pay per task of every request.
+//!    inline encode stage pays per task of every request.
 //!
 //! Writes `BENCH_encode.json` / `BENCH_ordering_kernel.json` (schema
 //! `btr-bench-v1`) like every bench group, then reads them back to

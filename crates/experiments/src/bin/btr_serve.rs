@@ -117,11 +117,6 @@ fn main() {
     accel.batch_size = batch;
     accel.driver = driver;
     accel.engine = engine;
-    // A pool of concurrent sessions already claims the host's harts;
-    // per-session encoder threads would only contend with sibling
-    // meshes, so multi-session runs encode inline (bit-exact either
-    // way — the same reasoning as the parallel sweep runner).
-    accel.encode_inline = sessions > 1;
     let config = ServeConfig {
         accel,
         sessions,

@@ -2,14 +2,12 @@
 //!
 //! Three guarantees are pinned here:
 //!
-//! 1. **Driver-mode parity**: the pipelined driver (cached encode,
-//!    per-MC encoder threads or their inline fallback) is bit-exact with
-//!    the legacy-faithful synchronous reference across every
-//!    `OrderingMethod × CodecKind` combination — identical per-link bit
-//!    transitions, total cycles, outputs, and index/codec side-channel
-//!    accounting. The threaded and multiplexed encoder configurations are
-//!    forced explicitly so the parity holds regardless of the host's
-//!    core count.
+//! 1. **Driver-mode parity**: the pipelined driver (cached inline
+//!    encode) is bit-exact with the legacy-faithful synchronous reference
+//!    across every `OrderingMethod × CodecKind` combination — identical
+//!    per-link bit transitions, total cycles, outputs, and index/codec
+//!    side-channel accounting. Each mode resolves one encode plan on
+//!    every host.
 //! 2. **Batch-1 parity**: `run_inference_batch` with one input is the
 //!    single-input driver, bit for bit.
 //! 3. **Batch decomposition**: a batched run's per-element outputs equal
@@ -18,7 +16,7 @@
 //!    interleave in the mesh (property-tested over random models).
 
 use noc_btr::accel::config::{AccelConfig, DriverMode};
-use noc_btr::accel::driver::{run_inference, run_inference_batch};
+use noc_btr::accel::driver::{run_inference, run_inference_batch, EncodePlan, InferenceSession};
 use noc_btr::bits::word::DataFormat;
 use noc_btr::core::codec::{CodecKind, CodecScope};
 use noc_btr::core::OrderingMethod;
@@ -238,27 +236,24 @@ fn per_link_scope_is_lossless_and_bit_exact_across_drivers() {
 }
 
 #[test]
-fn forced_encoder_threads_match_inline_fallback() {
-    // An explicit encode_threads always spawns threads (even on a
-    // single-core host, where encode_threads == 0 would fall back to
-    // inline encode); one thread over two MCs exercises the multiplexed
-    // try-push path. All three schedules must be bit-exact.
+fn sessions_resolve_the_encode_plan_from_the_driver_mode() {
+    // One schedule per driver mode, on any host: the pipelined driver
+    // always encodes inline through the cached stage, the synchronous
+    // driver always runs the uncached reference.
     let model = tiny_model(21);
     let ops = model.inference_ops();
-    let input = tiny_input(22);
-    let base = config(
-        DataFormat::Fixed8,
-        OrderingMethod::Separated,
-        CodecKind::Unencoded,
-        DriverMode::Pipelined,
-    );
-    let auto = run_inference(&ops, &input, &base).unwrap();
-    for (threads, depth) in [(2usize, 32usize), (1, 32), (1, 2), (2, 1)] {
-        let mut c = base.clone();
-        c.encode_threads = threads;
-        c.encode_queue_depth = depth;
-        let forced = run_inference(&ops, &input, &c).unwrap();
-        assert_bit_exact(&auto, &forced, &format!("threads={threads} depth={depth}"));
+    for (driver, plan) in [
+        (DriverMode::Pipelined, EncodePlan::Inline),
+        (DriverMode::Synchronous, EncodePlan::Reference),
+    ] {
+        let c = config(
+            DataFormat::Fixed8,
+            OrderingMethod::Separated,
+            CodecKind::Unencoded,
+            driver,
+        );
+        let session = InferenceSession::new(&ops, c).unwrap();
+        assert_eq!(session.plan(), plan, "{driver}");
     }
 }
 
