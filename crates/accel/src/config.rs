@@ -109,12 +109,10 @@ pub struct AccelConfig {
     pub driver: DriverMode,
     /// Which engine evaluates each layer's traffic phases:
     /// [`EngineMode::Cycle`] steps the full cycle-accurate mesh (the
-    /// reference), [`EngineMode::Analytic`] replays the ordered coded
-    /// stream directly (the paper's pure stream metric; serializes
-    /// contended phases), [`EngineMode::Auto`] takes the analytic fast
-    /// path only when the phase is provably contention-free and is
-    /// always bit-identical to `Cycle` on BTs, codec states and outputs
-    /// (see [`btr_noc::analytic`]).
+    /// reference), [`EngineMode::Auto`] replays a layer's request phase
+    /// analytically only when that is provably invisible and is always
+    /// bit-identical to `Cycle` on BTs, codec states and outputs (see
+    /// [`btr_noc::analytic`]).
     pub engine: EngineMode,
     /// Inputs per traffic phase: every conv/linear layer runs the whole
     /// batch's tasks as one phase, so weights are ordered once per kernel
@@ -286,13 +284,6 @@ impl AccelConfig {
                     fault.frame_wires,
                     self.frame_wires()
                 ));
-            }
-            if fault.injects_errors() && self.engine == EngineMode::Analytic {
-                return Err(
-                    "the analytic engine cannot model error-injected wires; use engine \
-                     cycle (or auto, which resolves to cycle under faults)"
-                        .into(),
-                );
             }
         } else if self.edc != EdcKind::None {
             return Err(format!(

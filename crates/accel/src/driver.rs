@@ -30,11 +30,12 @@ use crate::config::{AccelConfig, DriverMode};
 use crate::report::{BatchInferenceResult, InferenceResult, LayerTrafficReport};
 use crate::tasks::{ConvGeometry, LayerQuantizers, LayerTasks};
 use btr_bits::word::{DataFormat, DataWord, F32Word, Fx8Word};
+use btr_bits::PayloadBits;
 use btr_core::flitize::{EncodeTemplate, FlitizeError};
 use btr_core::ordering::{OrderingMethod, TieBreak};
 use btr_core::task::RecoveredTask;
 use btr_core::transport::{
-    CodedTransport, EncodedTask, TaskWireMeta, TransportConfig, TransportScratch,
+    CodedTransport, EncodedTask, TaskWireMeta, TransportConfig, TransportError, TransportScratch,
 };
 use btr_dnn::model::InferenceOp;
 use btr_dnn::tensor::Tensor;
@@ -741,19 +742,22 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
     }
 }
 
-/// Where the cycle loop gets its next wire-ready packet from.
+/// Where the engine loops get their next wire-ready packet from, and how
+/// they decode a delivered one at its PE.
 enum TaskFeed<'a, W: AccelWord> {
-    /// Uncached inline encode, serialized with the simulation — the
-    /// legacy-faithful [`DriverMode::Synchronous`] reference.
+    /// Uncached inline encode and slot-level decode, serialized with the
+    /// simulation — the legacy-faithful [`DriverMode::Synchronous`]
+    /// reference.
     Reference { stage: &'a EncodeStage<'a, W> },
-    /// Cached inline encode through the session's weight templates and
-    /// per-layer reused scratch — the [`DriverMode::Pipelined`] path.
-    /// The scratch is boxed (one allocation per layer) so the feed stays
-    /// pointer-sized next to the reference variant.
+    /// Cached inline encode through the session's weight templates, and
+    /// the allocation-free decode, both through per-layer reused scratch
+    /// — the [`DriverMode::Pipelined`] path. The scratch is boxed (one
+    /// allocation per layer) to keep the feed small.
     Inline {
         stage: &'a EncodeStage<'a, W>,
         scratch: Box<TransportScratch>,
         input_buf: Vec<W>,
+        recovered: RecoveredTask<W>,
     },
 }
 
@@ -765,18 +769,41 @@ impl<W: AccelWord> TaskFeed<'_, W> {
                 stage,
                 scratch,
                 input_buf,
+                ..
             } => Ok(stage.encode(j, scratch, input_buf)?),
         }
     }
 
-    /// True in the legacy-faithful reference mode, which also decodes
-    /// deliveries through the preserved slot-level path.
-    fn is_reference(&self) -> bool {
-        matches!(self, TaskFeed::Reference { .. })
+    /// Decodes a request delivered at its PE off the wires, recovers the
+    /// pairing and returns the PE's MAC response bits.
+    fn decode(&mut self, wire: &TaskWireMeta, flits: &[PayloadBits]) -> Result<u64, AccelError> {
+        let decode_err = |e: TransportError| AccelError::Decode(e.to_string());
+        match self {
+            TaskFeed::Reference { stage } => {
+                let recovered = stage
+                    .session
+                    .decode_task_reference::<W>(wire, flits)
+                    .map_err(decode_err)?;
+                Ok(W::response_bits(&recovered))
+            }
+            TaskFeed::Inline {
+                stage,
+                scratch,
+                recovered,
+                ..
+            } => {
+                stage
+                    .session
+                    .decode_task_into::<W>(wire, flits, scratch, recovered)
+                    .map_err(decode_err)?;
+                Ok(W::response_bits(recovered))
+            }
+        }
     }
 }
 
-/// Accounting the cycle loop hands back to [`run_layer`].
+/// Accounting the engine loops hand back to [`run_layer`].
+#[derive(Default)]
 struct LayerRun {
     responses: Vec<u64>,
     request_flits: u64,
@@ -790,11 +817,6 @@ struct LayerRun {
 enum LayerEngine {
     /// Step the mesh cycle by cycle ([`cycle_loop`]).
     Cycle,
-    /// Replay the ordered coded streams directly ([`analytic_loop`]).
-    /// `verified` records that the layer's combined route set was proven
-    /// contention-free, making the replay bit-exact with the cycle
-    /// engine (and arming the debug-build cycle oracle).
-    Analytic { verified: bool },
     /// Split engine ([`hybrid_loop`]): the request phase — the bulk of a
     /// layer's flits — replays analytically, the response phase steps
     /// the mesh through the real cycle engine on the closed-form
@@ -809,19 +831,12 @@ impl LayerEngine {
     /// Resolves the engine for one layer from the configured mode and
     /// the layer's static task→destination assignment.
     ///
-    /// `Auto` first classifies the **combined** request *and* response
-    /// route set: in the cycle engine responses inject while later
-    /// requests are still in flight, so the analytic engine's clean
-    /// two-phase split is provably invisible when no two packets of the
-    /// whole layer — MC→PE or PE→MC — share a directed router-output
-    /// link across sources ([`routes_contention_free`], which admits
-    /// same-source FIFO-trailing sharing).
-    ///
-    /// Failing that, it tries the **hybrid split**: if the request route
-    /// set alone is contention-free *and* touches no directed link any
-    /// response route touches ([`routes_link_disjoint`]), then requests
-    /// and responses cannot interact anywhere in the mesh — no shared
-    /// output port, and (since an input port is fed by exactly one
+    /// `Auto` takes the **hybrid split** when the request route set alone
+    /// is contention-free ([`routes_contention_free`], which admits
+    /// same-source FIFO-trailing sharing) *and* touches no directed link
+    /// any response route touches ([`routes_link_disjoint`]). Then
+    /// requests and responses cannot interact anywhere in the mesh — no
+    /// shared output port, and (since an input port is fed by exactly one
     /// directed link) no shared input port — so the fully overlapped
     /// cycle engine factors exactly into "requests as if alone" ×
     /// "responses injected at their compute-ready cycles". The request
@@ -832,44 +847,28 @@ impl LayerEngine {
     /// traffic from many PEs converges on each MC's ejection link, which
     /// no per-link order rule can serialize, while the heavyweight
     /// request fan-out from each MC is naturally single-source per link.
+    /// A layer whose combined request+response route set is
+    /// contention-free always qualifies: PEs and MCs are disjoint node
+    /// sets, so a request and a response never share a source, and no
+    /// cross-source sharing in the union means neither within the
+    /// requests nor between the two phases.
     ///
     /// Error-injected wires (`ber > 0`) are categorically ineligible:
     /// the analytic replay models a perfect stream, so `Auto` resolves
     /// them to the cycle engine regardless of the route set.
     fn resolve(config: &AccelConfig, dests: &[(usize, usize)]) -> Self {
+        let requests = || dests.iter().map(|&(pe, mc)| (mc, pe));
+        let responses = || dests.iter().map(|&(pe, mc)| (pe, mc));
         match config.engine {
-            EngineMode::Cycle => LayerEngine::Cycle,
-            EngineMode::Analytic => LayerEngine::Analytic { verified: false },
-            EngineMode::Auto => {
-                if config.noc.injects_errors() {
-                    return LayerEngine::Cycle;
-                }
-                if routes_contention_free(
-                    &config.noc,
-                    dests.iter().flat_map(|&(pe, mc)| [(mc, pe), (pe, mc)]),
-                ) {
-                    LayerEngine::Analytic { verified: true }
-                } else if routes_contention_free(
-                    &config.noc,
-                    dests.iter().map(|&(pe, mc)| (mc, pe)),
-                ) && routes_link_disjoint(
-                    &config.noc,
-                    dests.iter().map(|&(pe, mc)| (mc, pe)),
-                    dests.iter().map(|&(pe, mc)| (pe, mc)),
-                ) {
-                    LayerEngine::Hybrid
-                } else {
-                    LayerEngine::Cycle
-                }
+            EngineMode::Auto
+                if !config.noc.injects_errors()
+                    && routes_contention_free(&config.noc, requests())
+                    && routes_link_disjoint(&config.noc, requests(), responses()) =>
+            {
+                LayerEngine::Hybrid
             }
+            EngineMode::Cycle | EngineMode::Auto => LayerEngine::Cycle,
         }
-    }
-
-    /// True when the layer's request phase — the bulk of its flits —
-    /// rides the analytic stream replay (fully, or as the hybrid split's
-    /// first half).
-    fn is_analytic(self) -> bool {
-        matches!(self, LayerEngine::Analytic { .. } | LayerEngine::Hybrid)
     }
 }
 
@@ -889,16 +888,6 @@ fn drive_layer<W: AccelWord>(
 ) -> Result<LayerRun, AccelError> {
     match engine {
         LayerEngine::Cycle => cycle_loop(op_index, config, sim, port, dests, per_mc_tasks, feed),
-        LayerEngine::Analytic { verified } => analytic_loop(
-            op_index,
-            config,
-            sim,
-            port,
-            dests,
-            per_mc_tasks,
-            feed,
-            verified,
-        ),
         LayerEngine::Hybrid => hybrid_loop(op_index, config, sim, port, dests, per_mc_tasks, feed),
     }
 }
@@ -914,7 +903,6 @@ fn accept_delivery<W: AccelWord>(
     d: &DeliveredPacket,
     layer: usize,
 ) -> Result<bool, AccelError> {
-    use btr_core::transport::TransportError;
     match port.accept::<W>(sim, d) {
         Ok(Some(_retries)) => Ok(true),
         Ok(None) => Ok(false),
@@ -985,6 +973,10 @@ fn run_layer<W: AccelWord>(
             stage: &stage,
             scratch: Box::default(),
             input_buf: Vec::new(),
+            recovered: RecoveredTask {
+                pairs: Vec::new(),
+                bias: W::from_bits_u64(0),
+            },
         },
     };
     let run = drive_layer(
@@ -1007,7 +999,7 @@ fn run_layer<W: AccelWord>(
         cycles: sim.cycle() - start_cycle,
         transitions: transitions_after - transitions_before,
         pairs_per_task: source.pairs_per_task(),
-        analytic: engine.is_analytic(),
+        analytic: engine == LayerEngine::Hybrid,
     });
     overhead.index_bits += run.index_bits;
     overhead.codec_bits += run.codec_bits;
@@ -1042,21 +1034,9 @@ fn cycle_loop<W: AccelWord>(
     // (ready_cycle, tag, response_bits) min-heap for PE compute latency.
     let mut compute_queue: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
     let mut delivered: Vec<DeliveredPacket> = Vec::new();
-    let mut decode_scratch = TransportScratch::default();
-    // Reused across packets: the fully allocation-free receiver path.
-    let mut recovered = RecoveredTask::<W> {
-        pairs: Vec::new(),
-        bias: W::from_bits_u64(0),
-    };
 
     let start_cycle = sim.cycle();
-    let mut run = LayerRun {
-        responses: Vec::new(),
-        request_flits: 0,
-        index_bits: 0,
-        codec_bits: 0,
-        edc_bits: 0,
-    };
+    let mut run = LayerRun::default();
 
     while remaining > 0 {
         // MC-side: keep each prefetch buffer topped up with ordered
@@ -1103,22 +1083,7 @@ fn cycle_loop<W: AccelWord>(
                 // Request arrived at a PE: decode off the wires, recover
                 // pairing, schedule the MAC result.
                 let wire = wires[j].as_ref().expect("request was sent before delivery");
-                if feed.is_reference() {
-                    recovered = port
-                        .session()
-                        .decode_task_reference::<W>(wire, &d.payload_flits)
-                        .map_err(|e| AccelError::Decode(e.to_string()))?;
-                } else {
-                    port.session()
-                        .decode_task_into::<W>(
-                            wire,
-                            &d.payload_flits,
-                            &mut decode_scratch,
-                            &mut recovered,
-                        )
-                        .map_err(|e| AccelError::Decode(e.to_string()))?;
-                }
-                let bits = W::response_bits(&recovered);
+                let bits = feed.decode(wire, &d.payload_flits)?;
                 let ready = sim.cycle() + config.pe_latency(wire.num_pairs);
                 compute_queue.push(Reverse((ready, j, bits)));
             }
@@ -1156,13 +1121,12 @@ fn cycle_loop<W: AccelWord>(
 /// bits, compute-ready cycle)`.
 type StagedResponse = (usize, u64, u64);
 
-/// The request half of [`analytic_loop`] and [`hybrid_loop`]: every
-/// request is encoded and queued (same per-MC feed order as the cycle
-/// loop's prefetch top-up), replayed via
-/// [`Simulator::replay_queued_analytic`] — straight XOR+popcount passes
-/// over the ordered coded stream, per link, through the bulk codec-lane
-/// kernels on per-link-coded wires — then decoded and computed at the
-/// PEs. Returns the staged responses as `(task, response bits,
+/// The request half of [`hybrid_loop`]: every request is encoded and
+/// queued (same per-MC feed order as the cycle loop's prefetch top-up),
+/// replayed via [`Simulator::replay_queued_analytic`] — straight
+/// XOR+popcount passes over the ordered coded stream, per link, through
+/// the bulk codec-lane kernels on per-link-coded wires — then decoded and
+/// computed at the PEs. Returns the staged responses as `(task, response bits,
 /// compute-ready cycle)` sorted by `(ready, task)` — the exact order the
 /// cycle engine's compute heap would pop them, which is each PE's FIFO
 /// response-injection order.
@@ -1175,17 +1139,10 @@ fn replay_request_phase<W: AccelWord>(
     dests: &[(usize, usize)],
     per_mc_tasks: &[Vec<usize>],
     feed: &mut TaskFeed<'_, W>,
-    verified: bool,
 ) -> Result<(Vec<StagedResponse>, LayerRun), AccelError> {
     let total = dests.len();
     let mut wires: Vec<Option<TaskWireMeta>> = vec![None; total];
-    let mut run = LayerRun {
-        responses: Vec::new(),
-        request_flits: 0,
-        index_bits: 0,
-        codec_bits: 0,
-        edc_bits: 0,
-    };
+    let mut run = LayerRun::default();
 
     // Request phase: queue every task packet at its MC, then replay.
     for tasks in per_mc_tasks {
@@ -1200,19 +1157,13 @@ fn replay_request_phase<W: AccelWord>(
             wires[j] = Some(sent.meta);
         }
     }
-    sim.replay_queued_analytic(verified);
+    sim.replay_queued_analytic(true);
 
     // PE side: decode each delivered request off the wires, recover the
-    // pairing, compute the MAC (the same reused-scratch receiver path as
-    // the cycle loop).
+    // pairing, compute the MAC (the same receiver path as the cycle loop).
     let mut delivered: Vec<DeliveredPacket> = Vec::new();
     sim.drain_all_delivered_into(&mut delivered);
     debug_assert_eq!(delivered.len(), total, "every request delivered");
-    let mut decode_scratch = TransportScratch::default();
-    let mut recovered = RecoveredTask::<W> {
-        pairs: Vec::new(),
-        bias: W::from_bits_u64(0),
-    };
     let mut staged: Vec<(usize, u64, u64)> = Vec::with_capacity(total);
     for d in &delivered {
         // The wires are perfect here (error injection forces the cycle
@@ -1222,17 +1173,7 @@ fn replay_request_phase<W: AccelWord>(
         debug_assert!(accepted, "analytic wires are perfect");
         let j = d.tag as usize;
         let wire = wires[j].as_ref().expect("request was sent before delivery");
-        if feed.is_reference() {
-            recovered = port
-                .session()
-                .decode_task_reference::<W>(wire, &d.payload_flits)
-                .map_err(|e| AccelError::Decode(e.to_string()))?;
-        } else {
-            port.session()
-                .decode_task_into::<W>(wire, &d.payload_flits, &mut decode_scratch, &mut recovered)
-                .map_err(|e| AccelError::Decode(e.to_string()))?;
-        }
-        let bits = W::response_bits(&recovered);
+        let bits = feed.decode(wire, &d.payload_flits)?;
         staged.push((j, bits, d.arrival_cycle + config.pe_latency(wire.num_pairs)));
     }
     // Completion order — ready cycle, then task id: exactly the order
@@ -1276,7 +1217,7 @@ fn hybrid_loop<W: AccelWord>(
 ) -> Result<LayerRun, AccelError> {
     let total = dests.len();
     let (staged, mut run) =
-        replay_request_phase(op_index, config, sim, port, dests, per_mc_tasks, feed, true)?;
+        replay_request_phase(op_index, config, sim, port, dests, per_mc_tasks, feed)?;
 
     // Response phase: drive the cycle engine on the closed-form schedule.
     // `base` anchors the first response at the current clock; offsets
@@ -1321,81 +1262,6 @@ fn hybrid_loop<W: AccelWord>(
                 cycles: sim.cycle() - start_cycle,
             });
         }
-    }
-    run.responses = responses
-        .into_iter()
-        .map(|bits| bits.expect("all responses collected"))
-        .collect();
-    Ok(run)
-}
-
-/// The analytic counterpart of [`cycle_loop`]: one layer as two stream
-/// replays instead of per-cycle mesh stepping. Every request is encoded
-/// and queued (same per-MC feed order as the cycle loop's prefetch
-/// top-up), replayed via [`Simulator::replay_queued_analytic`] — straight
-/// XOR+popcount passes over the ordered coded stream, per link — then
-/// decoded and computed at the PEs; the clock jumps over the closed-form
-/// PE compute interval; finally every response is queued in completion
-/// order and replayed the same way.
-///
-/// With `verified` (the layer's combined route set was proven
-/// contention-free) the result is bit-exact with [`cycle_loop`] on
-/// per-link BTs, codec-lane states, payloads and recovered MACs, and
-/// debug builds run the cycle engine as an oracle inside each replay.
-/// Without it (forced [`EngineMode::Analytic`]) shared links record the
-/// serialized per-packet stream — the paper's pure stream metric — and
-/// cycle counts are closed-form estimates.
-#[allow(clippy::too_many_arguments)]
-fn analytic_loop<W: AccelWord>(
-    op_index: usize,
-    config: &AccelConfig,
-    sim: &mut Simulator,
-    port: &TaskPort<CodedTransport>,
-    dests: &[(usize, usize)],
-    per_mc_tasks: &[Vec<usize>],
-    feed: &mut TaskFeed<'_, W>,
-    verified: bool,
-) -> Result<LayerRun, AccelError> {
-    let total = dests.len();
-    let (staged, mut run) = replay_request_phase(
-        op_index,
-        config,
-        sim,
-        port,
-        dests,
-        per_mc_tasks,
-        feed,
-        verified,
-    )?;
-
-    // Response phase: jump the clock over the PE compute interval the
-    // cycle engine would idle through, queue every response, replay.
-    sim.advance_cycle_to(staged.iter().map(|&(.., ready)| ready).max().unwrap_or(0));
-    for &(j, bits, _) in &staged {
-        let image = port.session().encode_response::<W>(bits);
-        run.codec_bits += u64::from(config.codec.extra_wires());
-        run.edc_bits += u64::from(config.edc.extra_wires());
-        let (pe, mc_node) = dests[j];
-        port.send_flits(sim, pe, mc_node, vec![image], j as u64)?;
-    }
-    sim.replay_queued_analytic(verified);
-
-    // MC side: decode every response off the coded wire.
-    let mut delivered: Vec<DeliveredPacket> = Vec::new();
-    sim.drain_all_delivered_into(&mut delivered);
-    debug_assert_eq!(delivered.len(), total, "every response delivered");
-    let mut responses: Vec<Option<u64>> = vec![None; total];
-    for d in &delivered {
-        let accepted = accept_delivery::<W>(port, sim, d, op_index)?;
-        debug_assert!(accepted, "analytic wires are perfect");
-        let j = d.tag as usize;
-        debug_assert!(config.noc.is_mc(d.dst), "responses terminate at MCs");
-        let bits = port
-            .session()
-            .decode_response::<W>(&d.payload_flits)
-            .map_err(|e| AccelError::Decode(e.to_string()))?;
-        debug_assert!(responses[j].is_none(), "duplicate response for task {j}");
-        responses[j] = Some(bits);
     }
     run.responses = responses
         .into_iter()
@@ -1789,7 +1655,7 @@ mod tests {
         base.engine = EngineMode::Cycle;
         let cycle = run_inference(&ops, &input, &base).unwrap();
         assert_eq!(cycle.analytic_phase_fraction(), 0.0);
-        for engine in [EngineMode::Analytic, EngineMode::Auto] {
+        for engine in EngineMode::ALL {
             let mut c = base.clone();
             c.engine = engine;
             let r = run_inference(&ops, &input, &c).unwrap();
@@ -1800,21 +1666,14 @@ mod tests {
             assert_eq!(r.total_request_flits(), cycle.total_request_flits());
             assert_eq!(r.index_overhead_bits, cycle.index_overhead_bits);
             assert_eq!(r.codec_overhead_bits, cycle.codec_overhead_bits);
-            match engine {
-                // Forced replay evaluates every layer analytically.
-                EngineMode::Analytic => assert_eq!(r.analytic_phase_fraction(), 1.0),
-                // Auto falls back wherever eligibility can't be proven
-                // and must stay BT-identical to the cycle engine.
-                EngineMode::Auto => {
-                    assert_eq!(
-                        r.stats.total_transitions, cycle.stats.total_transitions,
-                        "auto must be bit-identical to cycle"
-                    );
-                    assert_eq!(r.stats.per_link, cycle.stats.per_link);
-                    assert_eq!(r.stats.flit_hops, cycle.stats.flit_hops);
-                }
-                EngineMode::Cycle => unreachable!(),
-            }
+            // Auto falls back wherever eligibility can't be proven and
+            // must stay BT-identical to the cycle engine.
+            assert_eq!(
+                r.stats.total_transitions, cycle.stats.total_transitions,
+                "{engine} must be bit-identical to cycle"
+            );
+            assert_eq!(r.stats.per_link, cycle.stats.per_link);
+            assert_eq!(r.stats.flit_hops, cycle.stats.flit_hops);
         }
     }
 
@@ -1896,11 +1755,6 @@ mod tests {
             0.0,
             "faults force the cycle engine"
         );
-        // Forcing the analytic engine beside error injection is rejected
-        // at validation time.
-        let mut forced = faulty.clone();
-        forced.engine = EngineMode::Analytic;
-        assert!(forced.validate().unwrap_err().contains("analytic"));
     }
 
     #[test]

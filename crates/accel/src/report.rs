@@ -21,12 +21,10 @@ pub struct LayerTrafficReport {
     pub transitions: u64,
     /// Operand pairs per task.
     pub pairs_per_task: usize,
-    /// True when the analytic stream engine evaluated this layer's
-    /// traffic (forced by [`EngineMode::Analytic`], or proven
-    /// contention-free under [`EngineMode::Auto`]); false when the cycle
-    /// engine ran it.
+    /// True when the analytic stream replay evaluated this layer's
+    /// request phase (proven invisible under [`EngineMode::Auto`]);
+    /// false when the cycle engine ran the whole layer.
     ///
-    /// [`EngineMode::Analytic`]: btr_noc::EngineMode::Analytic
     /// [`EngineMode::Auto`]: btr_noc::EngineMode::Auto
     pub analytic: bool,
 }
@@ -60,9 +58,9 @@ pub struct InferenceResult {
 }
 
 /// Fraction of NoC layers (traffic phases) the analytic engine
-/// evaluated: 0.0 under `EngineMode::Cycle`, 1.0 under forced
-/// `EngineMode::Analytic`, and the proven-eligible fraction under
-/// `EngineMode::Auto`. Zero when the inference had no NoC layers.
+/// evaluated: 0.0 under `EngineMode::Cycle` and the proven-eligible
+/// fraction under `EngineMode::Auto`. Zero when the inference had no NoC
+/// layers.
 fn analytic_fraction(per_layer: &[LayerTrafficReport]) -> f64 {
     if per_layer.is_empty() {
         return 0.0;

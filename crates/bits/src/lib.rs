@@ -1,8 +1,8 @@
 //! # btr-bits — bit-level primitives for bit-transition studies
 //!
 //! This crate is the foundation of the `noc-btr` workspace. It provides the
-//! bit-level machinery that both the ordering core ([`btr-core`]) and the NoC
-//! simulator ([`btr-noc`]) are built on:
+//! bit-level machinery that both the ordering core (`btr-core`) and the NoC
+//! simulator (`btr-noc`) are built on:
 //!
 //! * [`word`] — typed data words ([`word::DataWord`]) in the paper's two
 //!   formats, 32-bit IEEE-754 float ([`word::F32Word`]) and 8-bit

@@ -7,10 +7,10 @@
 //! results side by side with the classic encodings the related work section
 //! cites:
 //!
-//! * **Bus-invert coding** (Stan & Burleson [14]): if more than half the
+//! * **Bus-invert coding** (Stan & Burleson \[14\]): if more than half the
 //!   wires would toggle, transmit the inverted flit plus one extra invert
 //!   line. Guarantees ≤ w/2 transitions per flit at the cost of one line.
-//! * **Delta encoding** (after Sarman et al. [11]): transmit the XOR of
+//! * **Delta encoding** (after Sarman et al. \[11\]): transmit the XOR of
 //!   consecutive flits, which concentrates `'1'` bits when the stream is
 //!   correlated. (Decoding needs the running state; overhead-free on wires.)
 

@@ -17,7 +17,7 @@
 //!   of each flit, weights (then bias, then zero padding) in the right half.
 //! * [`task`] — [`task::NeuronTask`], the unit of DNN work transmitted from
 //!   a memory controller to a processing element, and its MAC semantics.
-//! * [`unit`] — a behavioral model of the hardware ordering unit (Fig. 14):
+//! * [`mod@unit`] — a behavioral model of the hardware ordering unit (Fig. 14):
 //!   SWAR popcount followed by a sorting network, with compare-exchange and
 //!   stage accounting for the hardware cost model in `btr-hw`.
 //! * [`transport`] — the shared transport pipeline: the

@@ -15,8 +15,8 @@
 //!   delivered packet back into a [`RecoveredTask`];
 //! * [`CodedTransport`] — the implementation of that contract as an
 //!   `order → flitize → codec` pipeline: the paper's descending-popcount
-//!   ordering per [`TransportConfig`], composed with the
-//!   [`crate::codec::LinkCodec`] selected by [`TransportConfig::codec`]
+//!   ordering per [`TransportConfig`], composed with the link codec
+//!   ([`crate::codec::CodecKind`]) selected by [`TransportConfig::codec`]
 //!   (unencoded, bus-invert, or delta-XOR);
 //! * the packing helpers ([`packet_occupancy`], [`window_occupancy`],
 //!   [`row_major_assignment`], [`pack_values`],
@@ -393,10 +393,8 @@ impl CodedTransport {
 
     /// [`TransportSession::encode_task`] with reusable scratch buffers and
     /// an optional precomputed weight permutation (see
-    /// [`order_task_cached`]). The session itself is `Copy`, so encoder
-    /// threads each take their own handle plus a private scratch and
-    /// encode off the cycle-loop thread; the output is bit-identical to
-    /// the plain encode.
+    /// [`crate::flitize::order_task_cached`]); the output is
+    /// bit-identical to the plain encode.
     ///
     /// # Errors
     ///

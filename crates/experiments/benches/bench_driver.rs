@@ -28,9 +28,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The benchmarked configurations, in reporting order. The engine
-/// column contrasts the cycle-accurate NoC against the analytic stream
-/// engine (and auto classification) on the same driver/batch point.
-const POINTS: [(&str, DriverMode, usize, EngineMode); 7] = [
+/// column contrasts the cycle-accurate NoC against auto classification
+/// (the analytic fast path where it is proven exact) on the same
+/// driver/batch point.
+const POINTS: [(&str, DriverMode, usize, EngineMode); 6] = [
     ("sync_b1", DriverMode::Synchronous, 1, EngineMode::Cycle),
     ("sync_b4", DriverMode::Synchronous, 4, EngineMode::Cycle),
     ("pipelined_b1", DriverMode::Pipelined, 1, EngineMode::Cycle),
@@ -40,12 +41,6 @@ const POINTS: [(&str, DriverMode, usize, EngineMode); 7] = [
         DriverMode::Pipelined,
         16,
         EngineMode::Cycle,
-    ),
-    (
-        "pipelined_b4_analytic",
-        DriverMode::Pipelined,
-        4,
-        EngineMode::Analytic,
     ),
     (
         "pipelined_b4_auto",

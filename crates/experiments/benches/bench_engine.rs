@@ -26,12 +26,12 @@
 //! `BTR_BENCH_ENGINE_SMOKE=1` switches to random weights (no training)
 //! and few samples per point, and **asserts** the fast path's reason to
 //! exist: the analytic replay must push the same packets at least 5x
-//! faster than cycle stepping, and a forced-analytic grid pass must
-//! beat the cycle grid pass end-to-end (gated on paired back-to-back
-//! passes — separately timed windows drift too much on a shared box).
-//! `auto` is reported but not gated — on real layer traffic it proves
-//! few phases eligible and rides the cycle engine (its win is safety,
-//! not speed).
+//! faster than cycle stepping, and an `auto` grid pass must beat the
+//! cycle grid pass end-to-end (gated on paired back-to-back passes —
+//! separately timed windows drift too much on a shared box). On the
+//! smoke grid `auto` resolves every LeNet layer to the hybrid split:
+//! each request phase — the bulk of a layer's flits — replays
+//! analytically, and only the converging responses step the mesh.
 
 use btr_bits::payload::PayloadBits;
 use btr_bits::word::DataFormat;
@@ -319,8 +319,8 @@ fn main() {
         // End-to-end gate. Sweep cells also pay the engine-independent
         // transport pipeline (encode/codec/MAC/assembly), so the grid
         // ratio is Amdahl-bound far below the kernel ratio — but the
-        // analytic grid pass must still clearly win, or the integration
-        // ate the engine's gain. This box's wall clock drifts by tens
+        // auto grid pass must still clearly win, or the integration ate
+        // the engine's gain. This box's wall clock drifts by tens
         // of percent over seconds, which swamps two separately timed
         // bench windows; measure *paired* back-to-back passes and gate
         // the median pair ratio instead.
@@ -330,16 +330,16 @@ fn main() {
                 let c = run_cells(&workloads, engine_grid(EngineMode::Cycle), true);
                 let cycle_s = start.elapsed().as_secs_f64();
                 let start = std::time::Instant::now();
-                let a = run_cells(&workloads, engine_grid(EngineMode::Analytic), true);
-                let analytic_s = start.elapsed().as_secs_f64();
+                let a = run_cells(&workloads, engine_grid(EngineMode::Auto), true);
+                let auto_s = start.elapsed().as_secs_f64();
                 assert!(c.iter().chain(&a).all(|o| o.transitions > 0));
-                cycle_s / analytic_s
+                cycle_s / auto_s
             })
             .collect();
         ratios.sort_by(|x, y| x.partial_cmp(y).expect("finite ratio"));
         let median = ratios[ratios.len() / 2];
         println!(
-            "paired grid passes, cycle/analytic: {} -> median {median:.2}x",
+            "paired grid passes, cycle/auto: {} -> median {median:.2}x",
             ratios
                 .iter()
                 .map(|r| format!("{r:.2}x"))
@@ -348,7 +348,7 @@ fn main() {
         );
         assert!(
             median >= 1.15,
-            "analytic grid pass not clearly faster end-to-end \
+            "auto grid pass not clearly faster end-to-end \
              (median paired ratio {median:.2}x)"
         );
     }

@@ -32,8 +32,8 @@ use rand::SeedableRng;
 
 /// The benchmarked configurations: `sessions == 0` marks the sequential
 /// single-synchronous-session reference. The engine column contrasts
-/// the cycle-accurate NoC against the analytic stream engine on the
-/// same pool shape.
+/// the cycle-accurate NoC against auto classification (the analytic
+/// fast path where it is proven exact) on the same pool shape.
 const POINTS: [(&str, usize, usize, OrderingMethod, EngineMode); 7] = [
     (
         "seq_sync_b1",
@@ -78,11 +78,11 @@ const POINTS: [(&str, usize, usize, OrderingMethod, EngineMode); 7] = [
         EngineMode::Cycle,
     ),
     (
-        "serve_s4_b4_analytic",
+        "serve_s4_b4_auto",
         4,
         4,
         OrderingMethod::Separated,
-        EngineMode::Analytic,
+        EngineMode::Auto,
     ),
 ];
 

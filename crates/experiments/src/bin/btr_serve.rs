@@ -14,7 +14,7 @@
 //!     [--mesh 4x4x2] [--formats... see sweep] [--format f32|fx8] \
 //!     [--ordering O0|O1|O2] [--codec none|bus-invert|delta-xor] \
 //!     [--codec-scope per-packet|per-link] \
-//!     [--driver pipelined|sync] [--engine cycle|analytic|auto] \
+//!     [--driver pipelined|sync] [--engine cycle|auto] \
 //!     [--ber 1e-6] [--edc none|parity|crc8] [--resync reseed|continuous] \
 //!     [--retries 8] [--darknet-width 8] [--seed 42] \
 //!     [--json serve.json]`

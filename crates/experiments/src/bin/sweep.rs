@@ -16,7 +16,7 @@
 //!     [--orderings O0,O1,O2] [--ties stable,value] [--fx8-global] \
 //!     [--codecs none,bus-invert,delta-xor] \
 //!     [--codec-scope per-packet,per-link] [--batch 1,4,16] \
-//!     [--engine cycle,analytic,auto] [--driver pipelined|sync] [--shard 0/4] \
+//!     [--engine cycle,auto] [--driver pipelined|sync] [--shard 0/4] \
 //!     [--ber 0,1e-7,1e-6] [--edc none,parity,crc8] \
 //!     [--resync reseed,continuous] [--fault-mode per-flit,burst] [--fault-armed] \
 //!     [--darknet-width 8] [--sequential] [--json sweep.json]`

@@ -178,8 +178,8 @@ pub struct SweepCell {
     /// Inputs run through each layer as one traffic phase.
     pub batch: usize,
     /// Which engine evaluates the cell's traffic phases: the
-    /// cycle-accurate mesh, the forced analytic stream replay, or
-    /// per-phase classification with cycle fallback.
+    /// cycle-accurate mesh, or per-layer classification with cycle
+    /// fallback.
     pub engine: EngineMode,
     /// Per-directed-link bit-error rate (zero = perfect wires). Stored
     /// as the exact [`BitErrorRate`] threshold so cells stay `Eq`/`Hash`.
@@ -254,8 +254,7 @@ pub struct CellOutcome {
     /// longer cycle; recorded so result files are auditable).
     pub distinct_inputs: u64,
     /// Fraction of NoC layers the analytic engine evaluated (0.0 under
-    /// `cycle`, 1.0 under forced `analytic`, the proven-eligible share
-    /// under `auto`).
+    /// `cycle`, the proven-eligible share under `auto`).
     pub analytic_phase_fraction: f64,
     /// Wall-clock milliseconds the cell took.
     pub wall_ms: u64,
@@ -1251,7 +1250,7 @@ mod tests {
             &[FaultMode::PerFlit],
         );
         let outcomes = run_cells(&workloads, cells, true);
-        assert_eq!(outcomes.len(), 3);
+        assert_eq!(outcomes.len(), 2);
         assert!(outcomes.iter().all(|o| o.error.is_none()));
         let find = |engine| {
             outcomes
@@ -1259,29 +1258,20 @@ mod tests {
                 .find(|o| o.cell.engine == engine)
                 .expect("cell present")
         };
-        let (cycle, analytic, auto) = (
-            find(EngineMode::Cycle),
-            find(EngineMode::Analytic),
-            find(EngineMode::Auto),
-        );
+        let (cycle, auto) = (find(EngineMode::Cycle), find(EngineMode::Auto));
         // Auto is bit-identical to the cycle engine on the wire metrics.
         assert_eq!(auto.transitions, cycle.transitions);
         assert_eq!(auto.flit_hops, cycle.flit_hops);
         assert_eq!(auto.index_overhead_bits, cycle.index_overhead_bits);
         assert_eq!(auto.codec_overhead_bits, cycle.codec_overhead_bits);
+        assert_eq!(auto.request_packets, cycle.request_packets);
         assert_eq!(cycle.analytic_phase_fraction, 0.0);
-        // The forced replay evaluates every layer analytically; traffic
-        // volume is engine-independent.
-        assert_eq!(analytic.analytic_phase_fraction, 1.0);
-        assert_eq!(analytic.request_packets, cycle.request_packets);
-        assert_eq!(analytic.flit_hops, cycle.flit_hops);
-        assert!(analytic.transitions > 0);
+        assert!(auto.analytic_phase_fraction > 0.0);
         // The JSON carries the new axis and metric.
         let text = outcomes_json(&workloads, &outcomes).to_string_compact();
         assert!(text.contains("\"engine\":\"cycle\""));
-        assert!(text.contains("\"engine\":\"analytic\""));
         assert!(text.contains("\"engine\":\"auto\""));
-        assert!(text.contains("\"analytic_phase_fraction\":1"));
+        assert!(text.contains("\"analytic_phase_fraction\":"));
     }
 
     #[test]

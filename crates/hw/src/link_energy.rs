@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 /// Per-transition link energy extracted by the paper's Innovus flow.
 pub const PAPER_LINK_ENERGY_PJ: f64 = 0.173;
-/// Per-transition link energy from Banerjee et al. [6].
+/// Per-transition link energy from Banerjee et al. \[6\].
 pub const BANERJEE_LINK_ENERGY_PJ: f64 = 0.532;
 
 /// A constant-energy-per-transition link power model.

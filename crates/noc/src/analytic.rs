@@ -40,13 +40,14 @@
 //! asserted identical. The `engine_parity` integration tests pin the same
 //! equivalence in release builds.
 //!
-//! Forcing the replay on a *contended* phase is also well-defined — it
-//! models the paper's pure per-packet stream metric, serializing packets
+//! Forcing the replay on a *contended* phase (`verified_eligible =
+//! false`) is also well-defined at this kernel level — it models the
+//! paper's pure per-packet stream metric, serializing packets
 //! (source-major, FIFO per source) instead of interleaving them. Payload
 //! delivery stays lossless; only the per-link interleaving (and thus the
-//! BT totals on shared links) deviates from the cycle engine. That is
-//! [`EngineMode::Analytic`]; [`EngineMode::Auto`] only takes the fast
-//! path when the classifier proves it changes nothing.
+//! BT totals on shared links) deviates from the cycle engine. No public
+//! engine mode forces it: [`EngineMode::Auto`] only takes the fast path
+//! when the classifier proves it changes nothing.
 //!
 //! [`LinkCodecState`]: btr_core::codec::LinkCodecState
 
@@ -62,12 +63,6 @@ pub enum EngineMode {
     /// reference semantics).
     #[default]
     Cycle,
-    /// The analytic stream replay for every phase, eligible or not: the
-    /// paper's pure per-packet stream metric. Bit-exact with `Cycle` on
-    /// contention-free phases; on contended phases packets are serialized
-    /// instead of interleaved, so shared-link BTs (and the estimated
-    /// cycle counts) deviate from the cycle engine.
-    Analytic,
     /// Classify each phase and take the analytic fast path only when
     /// contention-freedom is proven, falling back to the cycle engine
     /// otherwise — always bit-identical to `Cycle` on BTs, codec states
@@ -77,15 +72,13 @@ pub enum EngineMode {
 
 impl EngineMode {
     /// All modes, in ablation order.
-    pub const ALL: [EngineMode; 3] = [EngineMode::Cycle, EngineMode::Analytic, EngineMode::Auto];
+    pub const ALL: [EngineMode; 2] = [EngineMode::Cycle, EngineMode::Auto];
 
-    /// Short label used in tables and JSON (`"cycle"`, `"analytic"`,
-    /// `"auto"`).
+    /// Short label used in tables and JSON (`"cycle"`, `"auto"`).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             EngineMode::Cycle => "cycle",
-            EngineMode::Analytic => "analytic",
             EngineMode::Auto => "auto",
         }
     }
@@ -100,15 +93,12 @@ impl std::fmt::Display for EngineMode {
 impl std::str::FromStr for EngineMode {
     type Err = String;
 
-    /// Parses `"cycle"`, `"analytic"`/`"fast"`, `"auto"`.
+    /// Parses `"cycle"`, `"auto"`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "cycle" => Ok(EngineMode::Cycle),
-            "analytic" | "fast" => Ok(EngineMode::Analytic),
             "auto" => Ok(EngineMode::Auto),
-            other => Err(format!(
-                "unknown engine mode {other:?}; use cycle|analytic|auto"
-            )),
+            other => Err(format!("unknown engine mode {other:?}; use cycle|auto")),
         }
     }
 }
@@ -144,11 +134,10 @@ fn neighbor(config: &NocConfig, cur: NodeId, dir: Direction) -> NodeId {
 ///
 /// This is the planning-time form of
 /// [`Simulator::queued_phase_is_contention_free`]: a driver can prove a
-/// whole layer (requests *and* the responses they will trigger) eligible
-/// before injecting anything, which is what [`EngineMode::Auto`] needs —
-/// in the cycle engine requests and responses overlap in time, so the
-/// combined route set must be contention-free for the phase split to be
-/// provably invisible.
+/// layer's request phase eligible before injecting anything, which is
+/// what [`EngineMode::Auto`] needs — paired with
+/// [`routes_link_disjoint`], since in the cycle engine requests and
+/// responses overlap in time.
 #[must_use]
 pub fn routes_contention_free(
     config: &NocConfig,
@@ -713,8 +702,9 @@ mod tests {
         for mode in EngineMode::ALL {
             assert_eq!(mode.label().parse::<EngineMode>(), Ok(mode));
         }
-        assert_eq!("fast".parse::<EngineMode>(), Ok(EngineMode::Analytic));
-        assert!("warp".parse::<EngineMode>().is_err());
+        for retired in ["analytic", "fast", "warp"] {
+            assert!(retired.parse::<EngineMode>().is_err(), "{retired}");
+        }
         assert_eq!(EngineMode::default(), EngineMode::Cycle);
         assert_eq!(EngineMode::Auto.to_string(), "auto");
     }

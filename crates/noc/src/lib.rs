@@ -1,7 +1,7 @@
 //! # btr-noc — cycle-level 2D-mesh NoC simulator with BT recording
 //!
 //! A from-scratch reimplementation of the simulation substrate the paper
-//! evaluates on (NocDAS [2]): a 2-D mesh with X-Y dimension-order routing,
+//! evaluates on (NocDAS \[2\]): a 2-D mesh with X-Y dimension-order routing,
 //! wormhole switching, 4 virtual channels with 4-flit buffers per VC and
 //! credit-based flow control (Sec. V-B). Every link — injection (NI →
 //! router), inter-router, and ejection (router → NI) — carries a

@@ -27,7 +27,7 @@
 //!
 //! * every packet's flits are serialized **once** at injection into a
 //!   per-packet slab; what moves through rings and link pipelines is an
-//!   8-byte [`FlitRef`], not the 100+-byte flit image;
+//!   8-byte `FlitRef`, not the 100+-byte flit image;
 //! * input VC FIFOs are fixed-capacity rings in one node-major buffer
 //!   (`(node, port, vc)` → ring of `vc_buffer_depth` ref slots);
 //! * route/output-VC decisions, output allocations and credits are dense

@@ -18,7 +18,10 @@
 //! A property test drives the classifier adversarially: random packet
 //! sets, eligible or not. Whenever the classifier says "contention-free"
 //! the replay must match the cycle engine exactly (it never
-//! misclassifies); either way every payload must deliver losslessly.
+//! misclassifies); either way every payload must deliver losslessly. A
+//! second one pins the premise behind `Auto` having a single fast path:
+//! a layer whose combined request+response route set is contention-free
+//! always qualifies for the hybrid request-replay split.
 
 use noc_btr::accel::config::AccelConfig;
 use noc_btr::accel::driver::run_inference_batch;
@@ -29,6 +32,7 @@ use noc_btr::core::OrderingMethod;
 use noc_btr::dnn::layer::{ActKind, Activation, Conv2d, Flatten, Linear, MaxPool2d};
 use noc_btr::dnn::model::{Layer, Sequential};
 use noc_btr::dnn::tensor::Tensor;
+use noc_btr::noc::analytic::{routes_contention_free, routes_link_disjoint};
 use noc_btr::noc::config::NocConfig;
 use noc_btr::noc::packet::Packet;
 use noc_btr::noc::routing::Direction;
@@ -216,10 +220,9 @@ fn per_link_matrix_rides_the_analytic_fast_path() {
     // Per-link codec scope used to be the one configuration that never
     // took the fast path (the bulk replay guards refused persistent
     // lanes). With the bulk codec-lane kernels plus the hybrid
-    // request-phase split, both the forced replay and Auto must report a
-    // nonzero analytic phase fraction on a real multi-PE model under
-    // per-link scope — and Auto must stay bit-identical to the cycle
-    // engine while doing so.
+    // request-phase split, Auto must report a nonzero analytic phase
+    // fraction on a real multi-PE model under per-link scope — and stay
+    // bit-identical to the cycle engine while doing so.
     let model = tiny_model(11);
     let ops = model.inference_ops();
     let inputs = tiny_inputs(12, 1);
@@ -233,13 +236,6 @@ fn per_link_matrix_rides_the_analytic_fast_path() {
                 CodecScope::PerLink,
                 1,
                 EngineMode::Cycle,
-            );
-            let mut forced = cycle.clone();
-            forced.engine = EngineMode::Analytic;
-            let forced_run = run_inference_batch(&ops, &inputs, &forced).unwrap();
-            assert!(
-                forced_run.analytic_phase_fraction() > 0.0,
-                "{what}: forced analytic never replayed a phase"
             );
             let mut auto = cycle.clone();
             auto.engine = EngineMode::Auto;
@@ -424,6 +420,39 @@ proptest! {
             for (sent_flit, got_flit) in payload.iter().zip(&got.payload_flits) {
                 prop_assert_eq!(&got_flit.resized(sent_flit.width()), sent_flit);
             }
+        }
+    }
+
+    /// PEs and MCs are disjoint node sets, so a request never shares a
+    /// source with a response: a layer whose combined request+response
+    /// route set has no cross-source link sharing is already
+    /// request-contention-free *and* link-disjoint from its responses —
+    /// the hybrid split's condition. This is why `Auto` needs no fully
+    /// analytic layer path beside the hybrid one.
+    #[test]
+    fn combined_contention_freedom_implies_the_hybrid_split(
+        seed in 0u64..10_000,
+        tasks in 1usize..5,
+        mesh_idx in 0usize..3,
+    ) {
+        let (side, mcs) = [(4, 2), (8, 4), (8, 8)][mesh_idx];
+        let config = NocConfig::paper_mesh(side, side, mcs, 128);
+        let pes = config.pe_nodes();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dests: Vec<(usize, usize)> = (0..tasks)
+            .map(|_| {
+                let pe = pes[rng.gen_range(0..pes.len())];
+                (pe, config.mc_nodes[rng.gen_range(0..mcs)])
+            })
+            .collect();
+        let requests = || dests.iter().map(|&(pe, mc)| (mc, pe));
+        let responses = || dests.iter().map(|&(pe, mc)| (pe, mc));
+        if routes_contention_free(&config, requests().chain(responses())) {
+            prop_assert!(routes_contention_free(&config, requests()), "seed {}", seed);
+            prop_assert!(
+                routes_link_disjoint(&config, requests(), responses()),
+                "seed {}", seed
+            );
         }
     }
 }

@@ -15,8 +15,7 @@
 //!   bit-identical to the plain path, with no EDC wires and no retries.
 //! * **Auto-engine fallback**: with errors injected, `EngineMode::Auto`
 //!   classifies every phase ineligible for the analytic replay and
-//!   reproduces the cycle engine's run exactly; forcing
-//!   `EngineMode::Analytic` beside a non-zero BER is a config error.
+//!   reproduces the cycle engine's run exactly.
 
 use noc_btr::accel::config::AccelConfig;
 use noc_btr::accel::driver::{run_inference, AccelError};
@@ -197,29 +196,5 @@ proptest! {
                 );
             }
         }
-    }
-}
-
-/// Forcing the analytic engine beside a non-zero BER is a configuration
-/// error, caught before any traffic moves.
-#[test]
-fn forced_analytic_engine_rejects_error_injection() {
-    let model = tiny_model(53);
-    let ops = model.inference_ops();
-    let mut config = base_config(CodecKind::Unencoded, CodecScope::PerPacket).with_fault(
-        ErrorModel {
-            ber: BitErrorRate::from_f64(1e-5),
-            seed: 3,
-            mode: FaultMode::PerFlit,
-        },
-        ResyncPolicy::ReseedOnRetry,
-        8,
-    );
-    config.engine = EngineMode::Analytic;
-    match run_inference(&ops, &tiny_input(59), &config) {
-        Err(AccelError::Config(msg)) => {
-            assert!(msg.contains("analytic"), "{msg}");
-        }
-        other => panic!("expected a config error, got {other:?}"),
     }
 }
