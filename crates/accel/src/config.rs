@@ -8,7 +8,6 @@ use btr_core::OrderingMethod;
 use btr_noc::analytic::EngineMode;
 use btr_noc::config::NocConfig;
 use btr_noc::fault::{ErrorModel, FaultConfig};
-use serde::{Deserialize, Serialize};
 
 /// Which MC-side encode path the driver runs in the cycle loop.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// `tests/driver_parity.rs`): the injection sequence, per-link bit
 /// transitions, cycle counts and recovered MACs are identical. They only
 /// differ in wall-clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DriverMode {
     /// The pre-pipeline reference: encode each task inline in the
     /// prefetch loop — full per-task sort, fresh scratch, serialized
@@ -62,7 +61,7 @@ impl std::str::FromStr for DriverMode {
 }
 
 /// Full configuration of a NOC-DNA run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccelConfig {
     /// The NoC (mesh size, MCs, link width, VCs).
     pub noc: NocConfig,

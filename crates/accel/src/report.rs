@@ -2,10 +2,9 @@
 
 use btr_dnn::tensor::Tensor;
 use btr_noc::stats::NocStats;
-use serde::{Deserialize, Serialize};
 
 /// Traffic summary of one NoC layer (conv / linear).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LayerTrafficReport {
     /// Index into the inference-op list.
     pub op_index: usize,

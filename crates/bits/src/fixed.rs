@@ -12,7 +12,6 @@
 //! on to verify that ordering does not change inference outputs.
 
 use crate::word::{Fx16Word, Fx8Word};
-use serde::{Deserialize, Serialize};
 
 /// Error produced when constructing a [`Quantizer`] with an invalid scale.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +45,7 @@ impl std::error::Error for QuantError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quantizer {
     scale: f32,
     bits: u32,

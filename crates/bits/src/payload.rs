@@ -5,8 +5,6 @@
 //! Hamming distance of their images (Fig. 8). `PayloadBits` stores up to
 //! 1024 bits in `u64` words so that XOR + popcount is cheap.
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum supported link width in bits.
 pub const MAX_WIDTH_BITS: u32 = 1024;
 const WORDS: usize = (MAX_WIDTH_BITS / 64) as usize;
@@ -26,7 +24,7 @@ const WORDS: usize = (MAX_WIDTH_BITS / 64) as usize;
 /// let b = PayloadBits::zero(128);
 /// assert_eq!(a.transitions_to(&b), 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PayloadBits {
     words: [u64; WORDS],
     width: u32,

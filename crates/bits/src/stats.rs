@@ -10,7 +10,6 @@
 //! validation.
 
 use crate::word::DataWord;
-use serde::{Deserialize, Serialize};
 
 /// Per-bit-position `'1'` frequency accumulator over a stream of words.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// float-32 this means position 31 is the sign, 23–30 the exponent and
 /// 0–22 the mantissa; the paper's Fig. 10 x-axis counts from the sign bit,
 /// so the experiment binaries reverse the order when printing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BitPositionStats {
     width: u32,
     ones: Vec<u64>,
@@ -125,7 +124,7 @@ impl BitPositionStats {
 }
 
 /// Histogram of word popcounts (0..=width ones).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PopcountHistogram {
     width: u32,
     counts: Vec<u64>,

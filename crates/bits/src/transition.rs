@@ -8,7 +8,6 @@
 //! popcount of the difference.
 
 use crate::payload::PayloadBits;
-use serde::{Deserialize, Serialize};
 
 /// Bit transitions between two link words given as raw `u64` images.
 #[must_use]
@@ -44,7 +43,7 @@ pub fn stream_transitions(flits: &[PayloadBits]) -> u64 {
 /// The recorder is *measurement-only*: "BT recording is solely for
 /// performance evaluation, and the flit storage and BT summation should not
 /// be considered overheads" (Sec. V).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TransitionRecorder {
     width: u32,
     previous: Option<PayloadBits>,

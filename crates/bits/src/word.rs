@@ -8,14 +8,13 @@
 //! over [`DataWord`].
 
 use crate::swar;
-use serde::{Deserialize, Serialize};
 
 /// Payload data format used by an experiment configuration.
 ///
 /// The format determines the bit width of each value on the link and hence,
 /// for a fixed number of values per flit, the link width (Sec. V-B: 512-bit
 /// links for 16 float-32 values, 128-bit links for 16 fixed-8 values).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataFormat {
     /// 32-bit IEEE-754 floating point (`float-32` in the paper).
     Float32,
@@ -99,7 +98,7 @@ pub trait DataWord: Copy + std::fmt::Debug {
 }
 
 /// A 32-bit IEEE-754 float word (`float-32`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct F32Word(f32);
 
 impl F32Word {
@@ -160,7 +159,7 @@ impl From<f32> for F32Word {
 ///
 /// The numeric interpretation (scale) lives in [`crate::fixed::Quantizer`];
 /// this type is only the 8-bit link image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fx8Word(i8);
 
 impl Fx8Word {
@@ -216,7 +215,7 @@ impl From<i8> for Fx8Word {
 }
 
 /// A 16-bit two's-complement fixed-point word (extension format).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fx16Word(i16);
 
 impl Fx16Word {

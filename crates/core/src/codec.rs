@@ -1,8 +1,12 @@
 //! Pluggable link-coding backends for the transport pipeline.
 //!
 //! The paper positions transmission *ordering* against classic low-power
-//! link coding (bus-invert, delta/XOR). This module holds the one
-//! implementation of those schemes, split into two halves:
+//! link coding: bus-invert (Stan & Burleson \[14\]) and delta/XOR (after
+//! Sarman et al. \[11\]). Those schemes are **not** part of the paper's
+//! method ("our method is not a bus-encoding method and operates without
+//! additional links", Sec. II); they are the related-work baselines the
+//! ablations compare against. This module holds the one implementation
+//! of those schemes, split into two halves:
 //!
 //! * [`CodecKind`] — the **stateless scheme**: which transform runs on the
 //!   wires, how many side-channel wires it adds, and the per-packet stream
@@ -32,11 +36,10 @@
 //! losslessly.
 
 use btr_bits::payload::PayloadBits;
-use serde::{Deserialize, Serialize};
 
 /// Which link-coding backend a transport session applies after ordering
 /// and flitization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CodecKind {
     /// No coding: the ordered flit images are the wire images.
     #[default]
@@ -157,7 +160,7 @@ impl std::str::FromStr for CodecKind {
 }
 
 /// Where link-codec state lives — the ownership axis of the codec stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CodecScope {
     /// Codec state is seeded fresh for every packet by the MC-side
     /// transport: the first flit of each packet re-seeds the scheme, so
@@ -215,7 +218,7 @@ impl std::str::FromStr for CodecScope {
 /// poisons the rx lane, so every later flit decodes wrong and retries
 /// alone cannot converge. The resync axis decides whether the NI is
 /// allowed to repair lane state at a retry boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ResyncPolicy {
     /// On every retry the NI reseeds the tx and rx lanes of all links
     /// together (a lightweight sideband "sync" pulse, as real
@@ -701,6 +704,7 @@ impl LinkCodecState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btr_bits::transition::stream_transitions;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -814,10 +818,7 @@ mod tests {
                     let mut bulk = stepped.clone();
                     let wires: Vec<PayloadBits> =
                         stream.iter().map(|p| stepped.encode_step(p)).collect();
-                    let intra: u64 = wires
-                        .windows(2)
-                        .map(|w| u64::from(w[1].transitions_to(&w[0])))
-                        .sum();
+                    let intra = stream_transitions(&wires);
                     assert_eq!(bulk.transitions_of_run(&stream), intra, "{kind}");
                     let run = bulk.encode_run(&stream).unwrap();
                     assert_eq!(run.first, wires[0], "{kind} n={n} warmup={warmup}");
@@ -871,15 +872,31 @@ mod tests {
             })
             .collect();
         let wire = CodecKind::BusInvert.encode_stream(&stream);
-        let transitions: u64 = wire
-            .windows(2)
-            .map(|w| u64::from(w[1].transitions_to(&w[0])))
-            .sum();
-        assert_eq!(transitions, 9, "one invert-line toggle per boundary");
+        assert_eq!(
+            stream_transitions(&wire),
+            9,
+            "one invert-line toggle per boundary"
+        );
         assert_eq!(
             CodecKind::BusInvert.decode_stream(&wire, 64).unwrap(),
             stream
         );
+    }
+
+    #[test]
+    fn delta_xor_wins_on_slowly_varying_stream() {
+        // Counter-like stream: consecutive flits differ in few bits, so the
+        // XOR images are near-zero and wire transitions collapse.
+        let stream: Vec<PayloadBits> = (0..100u64)
+            .map(|i| {
+                let mut p = PayloadBits::zero(64);
+                p.set_field(0, 64, i);
+                p
+            })
+            .collect();
+        let raw = stream_transitions(&stream);
+        let delta = stream_transitions(&CodecKind::DeltaXor.encode_stream(&stream));
+        assert!(delta < raw, "delta {delta} vs raw {raw}");
     }
 
     #[test]

@@ -24,10 +24,9 @@
 //! control carries separate ECC.
 
 use btr_bits::payload::PayloadBits;
-use serde::{Deserialize, Serialize};
 
 /// Which error-detecting code a transport stamps on each payload flit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EdcKind {
     /// No EDC: the frame is the data image (perfect-wire model).
     #[default]

@@ -19,10 +19,9 @@ use crate::task::{NeuronTask, RecoveredTask};
 use crate::transport::TransportScratch;
 use btr_bits::payload::{PayloadBits, MAX_WIDTH_BITS};
 use btr_bits::word::DataWord;
-use serde::{Deserialize, Serialize};
 
 /// One slot of a flit: which value class occupies a word lane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Slot<W> {
     /// An input (activation) operand.
     Input(W),
@@ -46,7 +45,7 @@ impl<W: DataWord> Slot<W> {
 }
 
 /// One payload flit: `values_per_flit` word lanes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlitRow<W> {
     slots: Vec<Slot<W>>,
 }
@@ -194,7 +193,7 @@ pub fn half_half_layout(n: usize, values_per_flit: usize) -> HalfHalfLayout {
 /// Produced by [`order_task`]; consumed by the NoC layer (via
 /// [`OrderedTask::payload_flits`]) and by the receiving PE (via
 /// [`OrderedTask::recover`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrderedTask<W> {
     method: OrderingMethod,
     values_per_flit: usize,

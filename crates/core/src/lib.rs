@@ -26,11 +26,11 @@
 //!   driver, plus the one copy of the occupancy/packing helpers.
 //! * [`stream`] — the "without NoC" evaluation harness behind Table I and
 //!   Figs. 9–11: packet streams on a single link.
-//! * [`encoding`] — bus-invert and delta-encoding baselines from the related
-//!   work, used for ablation comparisons (not part of the paper's method).
-//! * [`codec`] — those encodings packaged as pluggable backends: the
-//!   stateless scheme ([`codec::CodecKind`]) plus the explicit per-link
-//!   state object ([`codec::LinkCodecState`]), composed with the ordering
+//! * [`codec`] — the bus-invert and delta-XOR baselines from the related
+//!   work, used for ablation comparisons (not part of the paper's method),
+//!   as pluggable link-coding backends: the stateless scheme
+//!   ([`codec::CodecKind`]) plus the explicit per-link state object
+//!   ([`codec::LinkCodecState`]), composed with the ordering
 //!   stage by [`transport::CodedTransport`] (per-packet scope) or owned
 //!   by the NoC links themselves (per-link scope,
 //!   [`codec::CodecScope::PerLink`]) so sweeps can ablate
@@ -65,7 +65,6 @@
 
 pub mod codec;
 pub mod edc;
-pub mod encoding;
 pub mod flitize;
 pub mod ordering;
 pub mod stream;

@@ -19,10 +19,9 @@
 //! optimal interleave `x1 ≥ y1 ≥ x2 ≥ y2 ≥ …` of Sec. III.
 
 use btr_bits::word::DataWord;
-use serde::{Deserialize, Serialize};
 
 /// The three data-transmission configurations evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OrderingMethod {
     /// O0 — no ordering; values keep their natural order.
     Baseline,
@@ -85,7 +84,7 @@ impl std::str::FromStr for OrderingMethod {
 }
 
 /// Tie handling among equal-popcount values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TieBreak {
     /// Keep the original relative order (popcount-only comparator, as in
     /// the hardware unit of Fig. 14).

@@ -27,10 +27,9 @@ use btr_bits::transition::{reduction_rate, TransitionRecorder};
 use btr_bits::word::DataWord;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How sorted values are placed into the window's occupied flit slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Rank `r` goes to flit `r mod k` (Fig. 3's column-major deal):
     /// every flit receives the same *rank profile*, so any two flits in
@@ -43,7 +42,7 @@ pub enum Placement {
 }
 
 /// How flit pairs are selected for BT measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Comparison {
     /// Consecutive flits in stream order.
     Consecutive,
@@ -58,7 +57,7 @@ pub enum Comparison {
 }
 
 /// Configuration of the windowed stream experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowConfig {
     /// Word lanes per flit.
     pub values_per_flit: usize,
@@ -135,7 +134,7 @@ pub fn build_stream_flits<W: DataWord>(
 }
 
 /// Result of streaming one configuration over a link.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamReport {
     /// Number of flits streamed.
     pub flits: u64,
@@ -313,7 +312,7 @@ fn fold_to_word_width(link_probs: &[f64], word_width: u32) -> Vec<f64> {
 
 /// Side-by-side comparison of the baseline and ordered streams over the
 /// same packets — one row of Table I.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamComparison {
     /// Baseline (natural order) stream.
     pub baseline: StreamReport,

@@ -7,7 +7,6 @@
 //! LeNet 5×5 kernel: 25 inputs + 25 weights + 1 bias.
 
 use btr_bits::word::{DataWord, F32Word, Fx8Word};
-use serde::{Deserialize, Serialize};
 
 /// Error returned when constructing an invalid [`NeuronTask`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,7 +42,7 @@ impl std::error::Error for TaskError {}
 /// preserve; the ordering methods in [`crate::flitize`] are free to permute
 /// transmission order precisely because the dot product is order-invariant
 /// over *pairs* (Fig. 5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NeuronTask<W> {
     inputs: Vec<W>,
     weights: Vec<W>,

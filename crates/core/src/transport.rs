@@ -38,12 +38,11 @@ use crate::task::{NeuronTask, RecoveredTask};
 use btr_bits::payload::{PayloadBits, MAX_WIDTH_BITS};
 use btr_bits::transition::TransitionRecorder;
 use btr_bits::word::DataWord;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a transport session: how values are ordered, how many
 /// word lanes each flit carries, and which link codec runs after
 /// flitization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportConfig {
     /// Data transmission ordering (O0/O1/O2).
     pub ordering: OrderingMethod,
@@ -162,7 +161,7 @@ pub struct TransportScratch {
 /// The metadata a packet carries out-of-band of its payload flits: the
 /// extended head-flit fields plus, for separated-ordering, the
 /// minimal-bit-width re-pairing index (Sec. IV-B).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskWireMeta {
     /// Number of (input, weight) pairs in the task.
     pub num_pairs: usize,
@@ -366,7 +365,7 @@ pub trait TransportSession<W: DataWord> {
 /// The `order → flitize → codec` transport pipeline: descending-popcount
 /// ordering at the MC, link coding on the wires, codec decode plus
 /// slot-pairing (O0/O1) or index-lookup (O2) recovery at the PE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CodedTransport {
     config: TransportConfig,
 }

@@ -15,10 +15,9 @@
 //! but the popcount sequence — the only thing BT depends on — matches).
 
 use btr_bits::word::DataWord;
-use serde::{Deserialize, Serialize};
 
 /// Sorting network used by the ordering unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SorterKind {
     /// Odd-even transposition network (the hardware-friendly "bubble sort"
     /// of Fig. 14): `n` stages of alternating odd/even compare-exchanges.
@@ -50,7 +49,7 @@ impl SorterKind {
 }
 
 /// Cost report of one ordering operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnitReport {
     /// Number of compare-exchange operations executed.
     pub compare_exchanges: u64,
@@ -68,7 +67,7 @@ pub struct UnitReport {
 ///
 /// One unit sits next to each memory controller ("near off-chip memory
 /// placement", Sec. IV-C-2); `btr-accel` instantiates one per MC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OrderingUnit {
     sorter: SorterKind,
 }

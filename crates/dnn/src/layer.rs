@@ -7,11 +7,10 @@
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Activation function kinds shared by [`Activation`] and the inference
 /// graph.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ActKind {
     /// Rectified linear unit.
     ReLU,
@@ -70,7 +69,7 @@ fn init_bound(fan_in: usize) -> f32 {
 }
 
 /// 2-D convolution over a `[C_in, H, W]` input.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Conv2d {
     /// Input channel count.
     pub in_channels: usize,
@@ -244,7 +243,7 @@ impl Conv2d {
 }
 
 /// Fully connected layer over a `[N]` vector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Linear {
     /// Input feature count.
     pub in_features: usize,
@@ -343,7 +342,7 @@ impl Linear {
 }
 
 /// Max pooling over non-overlapping (or strided) windows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MaxPool2d {
     /// Window size.
     pub kernel: usize,
@@ -427,7 +426,7 @@ impl MaxPool2d {
 }
 
 /// Average pooling.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AvgPool2d {
     /// Window size.
     pub kernel: usize,
@@ -511,7 +510,7 @@ impl AvgPool2d {
 }
 
 /// Element-wise activation layer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Activation {
     /// The activation function.
     pub kind: ActKind,
@@ -559,7 +558,7 @@ impl Activation {
 }
 
 /// Flattens `[C, H, W]` into `[C·H·W]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Flatten {
     cached_shape: Option<Vec<usize>>,
 }
@@ -609,7 +608,7 @@ impl Default for Flatten {
 /// dimensions of the sample (the `N = H·W` elements per channel); inference
 /// uses the running estimates. The inference graph folds BatchNorm into the
 /// preceding convolution, so the accelerator never sees this layer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchNorm2d {
     /// Channel count.
     pub channels: usize,
@@ -632,7 +631,7 @@ pub struct BatchNorm2d {
     cached: Option<BnCache>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct BnCache {
     input: Tensor,
     mean: Vec<f32>,

@@ -11,10 +11,9 @@ use crate::layer::{
     ActKind, Activation, AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d,
 };
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// One layer of a [`Sequential`] model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Layer {
     /// 2-D convolution.
     Conv2d(Conv2d),
@@ -138,7 +137,7 @@ impl Layer {
 }
 
 /// A feed-forward stack of layers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sequential {
     layers: Vec<Layer>,
 }
@@ -275,7 +274,7 @@ fn fold_batchnorm_into_conv(weight: &mut Tensor, bias: &mut Tensor, bn: &BatchNo
 /// from memory through the network); the rest execute memory-side between
 /// layers ("the layer-level interval effectively hides ordering latency",
 /// Sec. IV-C-3).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum InferenceOp {
     /// Convolution with folded BatchNorm (if any).
     Conv {

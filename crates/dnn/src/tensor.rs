@@ -3,8 +3,6 @@
 //! The substrate only needs single-sample tensors: `[C, H, W]` feature maps
 //! and `[N]` vectors. Indexing is row-major (last dimension fastest).
 
-use serde::{Deserialize, Serialize};
-
 /// Error returned when a shape and a data length disagree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShapeError {
@@ -25,7 +23,7 @@ impl std::fmt::Display for ShapeError {
 impl std::error::Error for ShapeError {}
 
 /// A dense row-major `f32` tensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

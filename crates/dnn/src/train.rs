@@ -6,7 +6,6 @@
 use crate::data::Sample;
 use crate::model::Sequential;
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Numerically stable softmax.
 #[must_use]
@@ -38,7 +37,7 @@ pub fn cross_entropy(logits: &Tensor, label: usize) -> (f32, Tensor) {
 }
 
 /// Training configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TrainConfig {
     /// Number of passes over the dataset.
     pub epochs: usize,
@@ -68,7 +67,7 @@ impl Default for TrainConfig {
 }
 
 /// Summary of a training run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainReport {
     /// Mean loss of each epoch.
     pub epoch_losses: Vec<f32>,

@@ -16,6 +16,12 @@ use std::fmt::Write as _;
 /// `btr-lint`'s schema-coherence rule keeps the copies identical.
 pub const BENCH_SCHEMA: &str = "btr-bench-v1";
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The writers nest
+/// at most a handful of levels (sweep and bench documents 3, `btr-serve-v2`
+/// 6); the cap turns a pathological input into an error instead of a stack
+/// overflow in the recursive parser.
+const MAX_PARSE_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -116,11 +122,12 @@ impl Json {
     /// # Errors
     ///
     /// Returns a one-line description with the byte offset of the first
-    /// syntax error, or of trailing garbage after the document.
+    /// syntax error, of trailing garbage after the document, or of an
+    /// array/object nested deeper than 128 levels.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing characters at byte {pos}"));
@@ -162,10 +169,14 @@ fn expect(bytes: &[u8], pos: &mut usize, what: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// `depth` counts the arrays/objects enclosing the value at `pos`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'[' | b'{') if depth >= MAX_PARSE_DEPTH => Err(format!(
+            "nesting deeper than {MAX_PARSE_DEPTH} at byte {pos}"
+        )),
         Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
@@ -179,7 +190,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -204,7 +215,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                fields.push((key, parse_value(bytes, pos)?));
+                fields.push((key, parse_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -371,9 +382,10 @@ mod tests {
         assert_eq!(Json::F64(f64::INFINITY).to_string_compact(), "null");
     }
 
-    #[test]
-    fn parse_round_trips_writer_output() {
-        let v = Json::obj(vec![
+    /// A writer document exercising every value kind, escapes and
+    /// multi-byte UTF-8.
+    fn round_trip_document() -> Json {
+        Json::obj(vec![
             ("schema", Json::str("example-v2")),
             ("count", Json::U64(2)),
             ("rate", Json::F64(0.5)),
@@ -383,7 +395,12 @@ mod tests {
             ("items", Json::Arr(vec![Json::U64(1), Json::str("a\"b\nπ")])),
             ("empty_arr", Json::Arr(vec![])),
             ("empty_obj", Json::obj(vec![])),
-        ]);
+        ])
+    }
+
+    #[test]
+    fn parse_round_trips_writer_output() {
+        let v = round_trip_document();
         let text = v.to_string_compact();
         assert_eq!(Json::parse(&text).unwrap(), v);
         // Whitespace tolerated.
@@ -401,6 +418,25 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("1 trailing").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_nesting_beyond_the_depth_cap() {
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_PARSE_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_PARSE_DEPTH + 1)).is_err());
+        let objects = format!("{}1{}", "{\"a\":".repeat(100_000), "}".repeat(100_000));
+        assert!(Json::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_every_strict_prefix_of_writer_output() {
+        let text = round_trip_document().to_string_compact();
+        for (end, _) in text.char_indices() {
+            assert!(Json::parse(&text[..end]).is_err(), "prefix {end} parsed");
+        }
     }
 
     #[test]

@@ -8,11 +8,9 @@
 //! computed so the paper's design point reproduces Table II exactly**, and
 //! the model extrapolates from there.
 
-use serde::{Deserialize, Serialize};
-
 /// Technology constants (per-cell gate-equivalents) plus the Table II
 /// calibration targets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Technology {
     /// Process name.
     pub name: &'static str,
@@ -77,7 +75,7 @@ impl Technology {
 }
 
 /// Sorting-network implementation style in the ordering unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SorterNetwork {
     /// One odd-even stage of `N/2` compare-exchange cells reused for `N`
     /// iterations (the area-lean "bubble sort" of Fig. 14).
@@ -132,7 +130,7 @@ fn stages_bitonic(p: usize) -> usize {
 }
 
 /// Parametric ordering-unit design (Fig. 14).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OrderingUnitDesign {
     /// Values sorted per operation (one flit line worth).
     pub values: usize,
@@ -199,7 +197,7 @@ impl OrderingUnitDesign {
 }
 
 /// Parametric VC router design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterDesign {
     /// Port count (5 for a mesh router).
     pub ports: usize,

@@ -5,15 +5,13 @@
 //! `0.173 pJ/bit × 128 bits / 2 × 112 × 125 MHz = 155.008 mW` for our
 //! design and 476.672 mW using Banerjee's link model."
 
-use serde::{Deserialize, Serialize};
-
 /// Per-transition link energy extracted by the paper's Innovus flow.
 pub const PAPER_LINK_ENERGY_PJ: f64 = 0.173;
 /// Per-transition link energy from Banerjee et al. \[6\].
 pub const BANERJEE_LINK_ENERGY_PJ: f64 = 0.532;
 
 /// A constant-energy-per-transition link power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkPowerModel {
     /// Energy per bit transition, picojoules.
     pub energy_per_transition_pj: f64,

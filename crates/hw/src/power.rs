@@ -6,10 +6,9 @@
 //! marginal next to the NoC itself.
 
 use crate::area::{OrderingUnitDesign, RouterDesign, Technology};
-use serde::{Deserialize, Serialize};
 
 /// Power budget of a NoC deployment with ordering units at the MCs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeploymentPower {
     /// Power of one ordering unit (mW).
     pub unit_mw: f64,

@@ -1,10 +1,9 @@
 //! Regenerates Table II: "Synthesis Results of Ordering Unit and Router".
 
 use crate::area::{OrderingUnitDesign, RouterDesign, Technology};
-use serde::{Deserialize, Serialize};
 
 /// The contents of Table II.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2 {
     /// Technology name.
     pub technology: &'static str,

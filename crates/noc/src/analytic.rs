@@ -54,10 +54,9 @@
 use crate::config::{NocConfig, NodeId};
 use crate::routing::{hop_count, route, Direction};
 use crate::sim::{DeliveredPacket, Simulator, NUM_PORTS};
-use serde::{Deserialize, Serialize};
 
 /// Which engine evaluates traffic phases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineMode {
     /// The cycle-accurate flat-array engine for every phase (the
     /// reference semantics).

@@ -2,13 +2,12 @@
 
 use crate::fault::FaultConfig;
 use btr_core::codec::CodecKind;
-use serde::{Deserialize, Serialize};
 
 /// A node (router) index in row-major order: `id = row * width + col`.
 pub type NodeId = usize;
 
 /// Routing algorithm selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoutingAlgorithm {
     /// X-first dimension-order routing (the paper's configuration).
     XY,
@@ -20,7 +19,7 @@ pub enum RoutingAlgorithm {
 ///
 /// Defaults mirror the paper's setup: "X-Y routing, 4 virtual channels
 /// (VCs) with a 4-flit-depth buffer per VC" (Sec. V-B).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NocConfig {
     /// Mesh columns.
     pub width: usize,

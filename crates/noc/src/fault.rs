@@ -18,13 +18,12 @@
 use btr_core::codec::ResyncPolicy;
 use btr_core::edc::EdcKind;
 use rand::{RngCore, SplitMix64};
-use serde::{Deserialize, Serialize};
 
 /// A per-bit error probability stored as a 64-bit integer threshold:
 /// a uniform `u64` draw below `self.0` flips the bit. The integer form
 /// keeps the model `Eq`/`Hash` (usable as a sweep key) and exactly
 /// reproducible across platforms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct BitErrorRate(pub u64);
 
 impl BitErrorRate {
@@ -61,7 +60,7 @@ impl BitErrorRate {
 }
 
 /// How errors arrive on a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FaultMode {
     /// Independent per-bit flips: every frame wire of every payload flit
     /// draws once against the BER. The honest additive-noise model used
@@ -110,7 +109,7 @@ impl std::str::FromStr for FaultMode {
 
 /// The error process on the mesh's wires: rate, mode and the root seed
 /// all link streams split from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ErrorModel {
     /// Per-bit ([`FaultMode::PerFlit`]) or per-flit-event
     /// ([`FaultMode::Burst`]) error probability.
@@ -268,7 +267,7 @@ impl FaultState {
 
 /// The full fault-injection + recovery configuration carried by
 /// [`crate::config::NocConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultConfig {
     /// The wire error process.
     pub errors: ErrorModel,

@@ -2,10 +2,9 @@
 
 use crate::config::NodeId;
 use btr_bits::payload::PayloadBits;
-use serde::{Deserialize, Serialize};
 
 /// Position of a flit within its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlitKind {
     /// First flit; carries routing metadata in its payload image.
     Head,
@@ -32,7 +31,7 @@ impl FlitKind {
 }
 
 /// One flit traversing the NoC.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Flit {
     /// Simulator-global packet id.
     pub packet_id: u64,

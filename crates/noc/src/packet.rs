@@ -3,11 +3,10 @@
 use crate::config::NodeId;
 use crate::flit::{Flit, FlitKind};
 use btr_bits::payload::PayloadBits;
-use serde::{Deserialize, Serialize};
 
 /// A packet awaiting injection: a head flit (metadata) followed by the
 /// payload flits produced by the ordering/flitization layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
     /// Source node.
     pub src: NodeId,

@@ -1,11 +1,10 @@
 //! Dimension-order routing.
 
 use crate::config::{NocConfig, NodeId, RoutingAlgorithm};
-use serde::{Deserialize, Serialize};
 
 /// Router port directions. `Local` connects the NI; the rest connect
 /// neighboring routers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// To/from the attached NI (PE or MC).
     Local,

@@ -4,7 +4,6 @@ use crate::fault::{ErrorModel, FaultState};
 use crate::routing::Direction;
 use btr_bits::payload::PayloadBits;
 use btr_core::codec::{CodecKind, LinkCodecState};
-use serde::{Deserialize, Serialize};
 
 /// Persistent per-link codec endpoints for a slab of links
 /// (`CodecScope::PerLink`): one transmit encoder and one mirrored receive
@@ -423,7 +422,7 @@ impl LinkSlab {
 }
 
 /// Per-link transition summary.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkStat {
     /// Router the link leaves from (or the node, for injection links).
     pub node: usize,
@@ -438,7 +437,7 @@ pub struct LinkStat {
 }
 
 /// Packet latency summary (injection to tail ejection, in cycles).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyStats {
     /// Packets measured.
     pub count: u64,
@@ -480,7 +479,7 @@ impl LatencyStats {
 }
 
 /// Snapshot of all simulator statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NocStats {
     /// Simulated cycles.
     pub cycles: u64,

@@ -9,10 +9,9 @@ use crate::packet::Packet;
 use btr_bits::payload::PayloadBits;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Synthetic traffic pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pattern {
     /// Every source picks destinations uniformly at random.
     UniformRandom,

@@ -1,8 +1,9 @@
-//! Integration tests across the stream harness, hardware models, and
-//! encoding baselines.
+//! Integration tests across the stream harness, hardware models, and the
+//! bus-invert / delta-XOR link-codec baselines.
 
+use noc_btr::bits::transition::stream_transitions;
 use noc_btr::bits::word::Fx8Word;
-use noc_btr::core::encoding::{bus_invert, delta_xor_decode, delta_xor_wire_stream, unencoded};
+use noc_btr::core::codec::CodecKind;
 use noc_btr::core::stream::{
     build_stream_flits, compare_windowed, measure_flits, Comparison, Placement, TieBreak,
     WindowConfig,
@@ -75,9 +76,10 @@ fn ordering_composes_with_bus_invert() {
     let config = WindowConfig::table1();
     let baseline = build_stream_flits(&packets, &config, false);
     let ordered = build_stream_flits(&packets, &config, true);
-    let raw = unencoded(&baseline).transitions;
-    let ord = unencoded(&ordered).transitions;
-    let ord_bi = bus_invert(&ordered).total();
+    let raw = stream_transitions(&baseline);
+    let ord = stream_transitions(&ordered);
+    // The invert line is the wire's top bit: data plus control toggles.
+    let ord_bi = stream_transitions(&CodecKind::BusInvert.encode_stream(&ordered));
     assert!(ord < raw);
     // Bus-invert on top never hurts by more than its invert-line cost.
     assert!(ord_bi <= ord + ordered.len() as u64);
@@ -91,8 +93,12 @@ fn delta_encoding_roundtrips_ordered_streams() {
         ..WindowConfig::table1()
     };
     let ordered = build_stream_flits(&packets, &config, true);
-    let wire = delta_xor_wire_stream(&ordered);
-    assert_eq!(delta_xor_decode(&wire), ordered);
+    let wire = CodecKind::DeltaXor.encode_stream(&ordered);
+    let width = ordered[0].width();
+    assert_eq!(
+        CodecKind::DeltaXor.decode_stream(&wire, width).unwrap(),
+        ordered
+    );
 }
 
 #[test]
@@ -101,7 +107,7 @@ fn measure_flits_consecutive_matches_unencoded_count() {
     let config = WindowConfig::table1();
     let flits = build_stream_flits(&packets, &config, true);
     let report = measure_flits::<Fx8Word>(&flits, 8, Comparison::Consecutive, 0);
-    assert_eq!(report.transitions, unencoded(&flits).transitions);
+    assert_eq!(report.transitions, stream_transitions(&flits));
 }
 
 #[test]
