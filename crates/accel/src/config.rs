@@ -23,9 +23,9 @@ pub enum DriverMode {
     /// `btr_noc::legacy`) so the bench trajectory and the parity tests
     /// always have the original behavior to compare against.
     Synchronous,
-    /// The cached encode stage, inline in the cycle loop: weight
-    /// permutations and flit templates cached per kernel group for the
-    /// session's lifetime, scratch buffers reused per layer.
+    /// The cached encode stage, inline in the cycle loop: weight flit
+    /// templates cached per kernel group for the session's lifetime,
+    /// scratch buffers reused per layer.
     #[default]
     Pipelined,
 }
@@ -44,19 +44,6 @@ impl DriverMode {
 impl std::fmt::Display for DriverMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for DriverMode {
-    type Err = String;
-
-    /// Parses `"sync"`/`"synchronous"` or `"pipelined"`/`"async"`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "sync" | "synchronous" => Ok(DriverMode::Synchronous),
-            "pipelined" | "async" => Ok(DriverMode::Pipelined),
-            other => Err(format!("unknown driver mode {other:?}; use sync|pipelined")),
-        }
     }
 }
 

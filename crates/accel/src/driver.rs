@@ -14,8 +14,8 @@
 //! [`DriverMode::Pipelined`] the cycle loop encodes each MC's next task
 //! inline as its prefetch buffer drains — building the task from the
 //! layer operands and dealing its activations into the kernel group's
-//! cached weight template (the weight permutation and flit images are
-//! built once per session, not once per output pixel, batch element or
+//! cached weight template (the weight order and flit images are built
+//! once per session, not once per output pixel, batch element or
 //! dispatch), then flitizing and link-coding through reused scratch.
 //! Host parallelism lives one level up, in sweep cells and serve
 //! sessions.
@@ -32,7 +32,6 @@ use crate::tasks::{ConvGeometry, LayerQuantizers, LayerTasks};
 use btr_bits::word::{DataFormat, DataWord, F32Word, Fx8Word};
 use btr_bits::PayloadBits;
 use btr_core::flitize::{EncodeTemplate, FlitizeError};
-use btr_core::ordering::{OrderingMethod, TieBreak};
 use btr_core::task::RecoveredTask;
 use btr_core::transport::{
     CodedTransport, EncodedTask, TaskWireMeta, TransportConfig, TransportError, TransportScratch,
@@ -187,29 +186,26 @@ pub struct InferenceSession<'a> {
     ops: &'a [InferenceOp],
     config: AccelConfig,
     plan: EncodePlan,
-    /// One encode cache per op: the weight permutations and pre-rendered
-    /// weight flit templates of each conv/linear layer's kernel groups.
+    /// One encode cache per op: the pre-rendered weight flit templates of
+    /// each conv/linear layer's kernel groups.
     /// Weights never change within a session, so templates built lazily
     /// by the first dispatch are shared across the batch dimension and
     /// across every subsequent [`run`](InferenceSession::run) call.
     caches: Vec<LayerEncodeCache>,
 }
 
-/// Per-layer encode cache: the lazily computed descending weight order
-/// and pre-rendered [`EncodeTemplate`] of every kernel group — the
-/// "weight-side work happens once per session, not once per task"
-/// amortization. Each entry is built by the first task that touches its
-/// group.
+/// Per-layer encode cache: the lazily pre-rendered [`EncodeTemplate`]
+/// of every kernel group — the "weight-side work happens once per
+/// session, not once per task" amortization. Each entry is built by the
+/// first task that touches its group.
 #[derive(Debug, Default)]
 struct LayerEncodeCache {
-    wperms: Vec<OnceLock<Vec<usize>>>,
     templates: Vec<OnceLock<Result<EncodeTemplate, FlitizeError>>>,
 }
 
 impl LayerEncodeCache {
     fn with_groups(groups: usize) -> Self {
         Self {
-            wperms: (0..groups).map(|_| OnceLock::new()).collect(),
             templates: (0..groups).map(|_| OnceLock::new()).collect(),
         }
     }
@@ -647,16 +643,14 @@ struct WireOverhead {
 }
 
 /// The MC-side encode stage: task construction + ordering + flitization +
-/// link coding, with the weight permutation cached per kernel group. One
-/// instance per layer, borrowed by the layer's task feed.
+/// link coding, with the weight flit template cached per kernel group.
+/// One instance per layer, borrowed by the layer's task feed.
 struct EncodeStage<'a, W: AccelWord> {
     source: &'a LayerTasks<W>,
     session: CodedTransport,
-    ordering: OrderingMethod,
-    tiebreak: TieBreak,
-    /// The session-lifetime weight-side cache for this layer: descending
-    /// weight orders and pre-rendered weight flit templates per kernel
-    /// group, shared across the batch and across dispatches.
+    /// The session-lifetime weight-side cache for this layer:
+    /// pre-rendered weight flit templates per kernel group, shared across
+    /// the batch and across dispatches.
     cache: &'a LayerEncodeCache,
 }
 
@@ -677,8 +671,6 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
                 scope: config.codec_scope,
                 edc: config.edc,
             }),
-            ordering: config.ordering,
-            tiebreak: config.tiebreak,
             cache,
         }
     }
@@ -692,14 +684,6 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
         self.session.encode_task_reference(&self.source.build(j))
     }
 
-    /// The group's cached descending weight order, computed on first use.
-    fn wperm(&self, group: usize) -> &[usize] {
-        self.cache.wperms[group].get_or_init(|| {
-            self.tiebreak
-                .descending_order(self.source.group_weights(group))
-        })
-    }
-
     /// The group's cached encode template: ordered weight fields, bias
     /// and O2 index overhead pre-rendered into flit images, built on the
     /// first task that touches the group and reused for every later task
@@ -707,16 +691,10 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
     fn template(&self, group: usize) -> Result<&EncodeTemplate, FlitizeError> {
         self.cache.templates[group]
             .get_or_init(|| {
-                let wperm = match self.ordering {
-                    OrderingMethod::Baseline => None,
-                    OrderingMethod::Affiliated | OrderingMethod::Separated => {
-                        Some(self.wperm(group))
-                    }
-                };
                 self.session.weight_template(
                     self.source.group_weights(group),
                     self.source.bias_word(group),
-                    wperm,
+                    None,
                     &mut TransportScratch::default(),
                 )
             })
@@ -724,8 +702,8 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
             .map_err(Clone::clone)
     }
 
-    /// Builds and encodes global task `j` — bit-identical to the plain
-    /// `encode_task` path, but through the pre-rendered weight template:
+    /// Builds and encodes global task `j` — bit-identical to
+    /// `encode_reference`, but through the pre-rendered weight template:
     /// only the activation lanes (and for O2 the input sort + pair index)
     /// are dealt per task (`input_buf` is the reused per-layer window
     /// buffer).

@@ -376,9 +376,11 @@ impl<W: DataWord> LayerTasks<W> {
     /// The allocation-free view of global task `j`: writes the task's
     /// inputs into `input_buf` (cleared first, capacity reused) and
     /// returns the shared kernel slice plus the bias word. The encode
-    /// stage feeds these straight to
-    /// `CodedTransport::encode_parts_cached`, so per-task construction
-    /// neither clones the kernel nor allocates an input vector.
+    /// stage feeds the inputs straight to
+    /// `CodedTransport::encode_with_template` (the kernel and bias are
+    /// already rendered into the group's template), so per-task
+    /// construction neither clones the kernel nor allocates an input
+    /// vector.
     pub fn operands_into<'s>(&'s self, j: usize, input_buf: &mut Vec<W>) -> (&'s [W], W) {
         let (b, local) = (j / self.per_input, j % self.per_input);
         let group = self.weight_group(j);

@@ -12,7 +12,7 @@
 //! identical except for the transmission order of the same values.
 
 use crate::ordering::{
-    placement_by_original_index_into, round_robin_assignment, round_robin_assignment_into,
+    placement_by_original_index, round_robin_assignment, round_robin_assignment_into,
     OrderingMethod, TieBreak,
 };
 use crate::task::{NeuronTask, RecoveredTask};
@@ -401,6 +401,11 @@ pub fn order_task<W: DataWord>(
 /// [`order_task`] with an explicit popcount-tie rule (see
 /// [`TieBreak`]; `Stable` is the paper's popcount-only comparator).
 ///
+/// This is the slot-level oracle for the template encode path
+/// ([`build_encode_template`] + [`render_images_with_template`]): it sorts
+/// the task's own weights and materializes every slot, so the two share
+/// no code beyond the layout and the ordering kernel.
+///
 /// # Errors
 ///
 /// Same conditions as [`order_task`].
@@ -409,38 +414,6 @@ pub fn order_task_with<W: DataWord>(
     method: OrderingMethod,
     values_per_flit: usize,
     tiebreak: TieBreak,
-) -> Result<OrderedTask<W>, FlitizeError> {
-    order_task_cached(
-        task,
-        method,
-        values_per_flit,
-        tiebreak,
-        None,
-        &mut TransportScratch::default(),
-    )
-}
-
-/// [`order_task_with`] with reusable scratch buffers and an optional
-/// precomputed weight permutation — the accelerator's hot encode path.
-///
-/// `weight_perm`, when given, must equal
-/// `tiebreak.descending_order(task.weights())`; the driver caches it per
-/// weight kernel so a layer's weights are sorted once, not once per task
-/// (the kernel is shared by every output pixel and every batch element).
-/// `scratch` hosts the permutation/assignment buffers so repeated encodes
-/// do not allocate. The produced packet is bit-identical to
-/// [`order_task_with`].
-///
-/// # Errors
-///
-/// Same conditions as [`order_task`].
-pub fn order_task_cached<W: DataWord>(
-    task: &NeuronTask<W>,
-    method: OrderingMethod,
-    values_per_flit: usize,
-    tiebreak: TieBreak,
-    weight_perm: Option<&[usize]>,
-    scratch: &mut TransportScratch,
 ) -> Result<OrderedTask<W>, FlitizeError> {
     if values_per_flit < 2 || !values_per_flit.is_multiple_of(2) {
         return Err(FlitizeError::OddValuesPerFlit(values_per_flit));
@@ -464,21 +437,6 @@ pub fn order_task_cached<W: DataWord>(
     let (bf, bs) = layout.bias_position;
     flits[bf].slots[half + bs] = Slot::Bias(task.bias());
 
-    let TransportScratch {
-        keys,
-        wperm: wperm_buf,
-        iperm,
-        assign,
-        wdest,
-        idest,
-        inv_wperm,
-        plain_buf: _,
-    } = scratch;
-    debug_assert!(
-        weight_perm.is_none_or(|p| p.len() == n),
-        "cached weight permutation does not cover the task"
-    );
-
     let mut pair_index = None;
     match method {
         OrderingMethod::Baseline => {
@@ -491,14 +449,8 @@ pub fn order_task_cached<W: DataWord>(
             }
         }
         OrderingMethod::Affiliated => {
-            let wperm: &[usize] = match weight_perm {
-                Some(p) => p,
-                None => {
-                    tiebreak.descending_order_into(task.weights(), keys, wperm_buf);
-                    wperm_buf
-                }
-            };
-            round_robin_assignment_into(&layout.weight_occupancy, assign);
+            let wperm = tiebreak.descending_order(task.weights());
+            let assign = round_robin_assignment(&layout.weight_occupancy);
             for (rank, &orig) in wperm.iter().enumerate() {
                 let (f, s) = assign[rank];
                 flits[f].slots[half + s] = Slot::Weight(task.weights()[orig]);
@@ -508,26 +460,19 @@ pub fn order_task_cached<W: DataWord>(
             }
         }
         OrderingMethod::Separated => {
-            let wperm: &[usize] = match weight_perm {
-                Some(p) => p,
-                None => {
-                    tiebreak.descending_order_into(task.weights(), keys, wperm_buf);
-                    wperm_buf
-                }
-            };
-            tiebreak.descending_order_into(task.inputs(), keys, iperm);
-            round_robin_assignment_into(&layout.weight_occupancy, assign);
-            placement_by_original_index_into(wperm, assign, wdest);
+            let wperm = tiebreak.descending_order(task.weights());
+            let iperm = tiebreak.descending_order(task.inputs());
+            let assign = round_robin_assignment(&layout.weight_occupancy);
+            let wdest = placement_by_original_index(&wperm, &assign);
             for (orig, &(f, s)) in wdest.iter().enumerate() {
                 flits[f].slots[half + s] = Slot::Weight(task.weights()[orig]);
             }
-            placement_by_original_index_into(iperm, assign, idest);
+            let idest = placement_by_original_index(&iperm, &assign);
             for (orig, &(f, s)) in idest.iter().enumerate() {
                 flits[f].slots[s] = Slot::Input(task.inputs()[orig]);
             }
             // inverse weight permutation: original index -> weight rank.
-            inv_wperm.clear();
-            inv_wperm.resize(n, 0);
+            let mut inv_wperm = vec![0u16; n];
             for (rank, &orig) in wperm.iter().enumerate() {
                 inv_wperm[orig] = rank as u16;
             }
@@ -561,155 +506,6 @@ pub fn index_overhead_bits_for(method: OrderingMethod, num_pairs: usize) -> u64 
     }
 }
 
-/// Orders and renders a task **directly into link images** — the hot
-/// encode path. Produces exactly
-/// `order_task_with(task, method, values_per_flit, tiebreak).payload_flits()`
-/// (pinned by `tests/transport_parity.rs`) plus the O2 pair index, without
-/// materializing the slot-level [`OrderedTask`]: values are written
-/// straight into [`PayloadBits`] lanes, padding stays zero.
-///
-/// `weight_perm` and `scratch` as in [`order_task_cached`].
-///
-/// # Errors
-///
-/// Same conditions as [`order_task`].
-#[allow(clippy::type_complexity)]
-pub fn order_task_images<W: DataWord>(
-    task: &NeuronTask<W>,
-    method: OrderingMethod,
-    values_per_flit: usize,
-    tiebreak: TieBreak,
-    weight_perm: Option<&[usize]>,
-    scratch: &mut TransportScratch,
-) -> Result<(Vec<PayloadBits>, Option<Vec<u16>>), FlitizeError> {
-    order_images_from_parts(
-        task.inputs(),
-        task.weights(),
-        task.bias(),
-        method,
-        values_per_flit,
-        tiebreak,
-        weight_perm,
-        scratch,
-    )
-}
-
-/// [`order_task_images`] over bare operand slices, so hot callers (the
-/// accelerator's encode stage) can feed a reused input buffer and the
-/// layer's shared kernel without materializing a [`NeuronTask`] per task.
-///
-/// # Errors
-///
-/// Same conditions as [`order_task`].
-///
-/// # Panics
-///
-/// Panics if `inputs` and `weights` have different lengths (the
-/// [`NeuronTask`] invariant the task-based entry points establish).
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub fn order_images_from_parts<W: DataWord>(
-    inputs: &[W],
-    weights: &[W],
-    bias: W,
-    method: OrderingMethod,
-    values_per_flit: usize,
-    tiebreak: TieBreak,
-    weight_perm: Option<&[usize]>,
-    scratch: &mut TransportScratch,
-) -> Result<(Vec<PayloadBits>, Option<Vec<u16>>), FlitizeError> {
-    assert_eq!(inputs.len(), weights.len(), "operand slices must pair up");
-    if values_per_flit < 2 || !values_per_flit.is_multiple_of(2) {
-        return Err(FlitizeError::OddValuesPerFlit(values_per_flit));
-    }
-    let width = values_per_flit as u32 * W::WIDTH;
-    if width > MAX_WIDTH_BITS {
-        return Err(FlitizeError::LinkTooWide { requested: width });
-    }
-    let n = inputs.len();
-    if n > usize::from(u16::MAX) {
-        return Err(FlitizeError::TooManyValues(n));
-    }
-
-    let layout = half_half_layout(n, values_per_flit);
-    let half = values_per_flit / 2;
-    let mut flits = vec![PayloadBits::zero(width); layout.num_flits];
-    let lane = |flits: &mut [PayloadBits], f: usize, slot: usize, w: W| {
-        flits[f].set_field(slot as u32 * W::WIDTH, W::WIDTH, w.bits_u64());
-    };
-
-    // Bias keeps its baseline position in all methods.
-    let (bf, bs) = layout.bias_position;
-    lane(&mut flits, bf, half + bs, bias);
-
-    let TransportScratch {
-        keys,
-        wperm: wperm_buf,
-        iperm,
-        assign,
-        wdest,
-        idest,
-        inv_wperm,
-        plain_buf: _,
-    } = scratch;
-    debug_assert!(
-        weight_perm.is_none_or(|p| p.len() == n),
-        "cached weight permutation does not cover the task"
-    );
-
-    let mut pair_index = None;
-    match method {
-        OrderingMethod::Baseline => {
-            for (l, (&input, &weight)) in inputs.iter().zip(weights.iter()).enumerate() {
-                let (f, s) = (l / half, l % half);
-                lane(&mut flits, f, s, input);
-                lane(&mut flits, f, half + s, weight);
-            }
-        }
-        OrderingMethod::Affiliated => {
-            let wperm: &[usize] = match weight_perm {
-                Some(p) => p,
-                None => {
-                    tiebreak.descending_order_into(weights, keys, wperm_buf);
-                    wperm_buf
-                }
-            };
-            round_robin_assignment_into(&layout.weight_occupancy, assign);
-            for (rank, &orig) in wperm.iter().enumerate() {
-                let (f, s) = assign[rank];
-                lane(&mut flits, f, half + s, weights[orig]);
-                lane(&mut flits, f, s, inputs[orig]);
-            }
-        }
-        OrderingMethod::Separated => {
-            let wperm: &[usize] = match weight_perm {
-                Some(p) => p,
-                None => {
-                    tiebreak.descending_order_into(weights, keys, wperm_buf);
-                    wperm_buf
-                }
-            };
-            tiebreak.descending_order_into(inputs, keys, iperm);
-            round_robin_assignment_into(&layout.weight_occupancy, assign);
-            placement_by_original_index_into(wperm, assign, wdest);
-            for (orig, &(f, s)) in wdest.iter().enumerate() {
-                lane(&mut flits, f, half + s, weights[orig]);
-            }
-            placement_by_original_index_into(iperm, assign, idest);
-            for (orig, &(f, s)) in idest.iter().enumerate() {
-                lane(&mut flits, f, s, inputs[orig]);
-            }
-            inv_wperm.clear();
-            inv_wperm.resize(n, 0);
-            for (rank, &orig) in wperm.iter().enumerate() {
-                inv_wperm[orig] = rank as u16;
-            }
-            pair_index = Some(iperm.iter().map(|&orig| inv_wperm[orig]).collect());
-        }
-    }
-
-    Ok((flits, pair_index))
-}
-
 /// Destination of one input lane: the flit index and the lane's bit
 /// offset within that flit.
 #[derive(Debug, Clone, Copy)]
@@ -731,8 +527,9 @@ struct LaneDest {
 /// task by cloning the template flits and OR-ing only the per-request
 /// activation lanes in ([`PayloadBits::or_word_field`] — the input half
 /// of a template is zero, so no read-mask cycle is needed). The result is
-/// bit-identical to [`order_images_from_parts`], which stays as the
-/// untemplated path (pinned by `tests/transport_parity.rs`).
+/// bit-identical to the slot-level oracle [`order_task_with`]'s
+/// [`OrderedTask::payload_flits`] and pair index (pinned by
+/// `tests/transport_parity.rs`).
 #[derive(Debug, Clone)]
 pub struct EncodeTemplate {
     method: OrderingMethod,
@@ -782,9 +579,11 @@ impl EncodeTemplate {
 }
 
 /// Pre-renders the static half of a kernel group's flit images — see
-/// [`EncodeTemplate`]. `weight_perm` and `scratch` as in
-/// [`order_task_cached`]; the build runs once per layer per group, off
-/// the per-task hot path.
+/// [`EncodeTemplate`]. `weight_perm`, when given, must equal
+/// `tiebreak.descending_order(weights)`; `None` sorts the weights here
+/// with the same counting-sort kernel. `scratch` hosts the sort and
+/// assignment buffers. The build runs once per layer per group, off the
+/// per-task hot path.
 ///
 /// # Errors
 ///
@@ -904,7 +703,7 @@ pub fn build_encode_template<W: DataWord>(
 /// [`EncodeTemplate`]: clone the static half, deal the activation lanes,
 /// and (for O2) sort the inputs and emit the re-pairing index off the
 /// cached inverse weight permutation. Bit-identical to
-/// [`order_images_from_parts`] over the template's weights.
+/// [`order_task_with`] over the template's weights.
 ///
 /// # Panics
 ///
@@ -1258,34 +1057,48 @@ mod tests {
     }
 
     #[test]
-    fn direct_image_emission_matches_slot_level_path() {
-        // The hot encode path writes PayloadBits lanes directly; it must
-        // be bit-identical to the slot-level OrderedTask rendering, pair
-        // index included, for every method, tiebreak, and task size.
-        let mut scratch = crate::transport::TransportScratch::default();
+    fn template_emission_matches_slot_level_path() {
+        // The template path writes PayloadBits lanes directly off a
+        // pre-rendered weight half; it must be bit-identical to the
+        // slot-level OrderedTask rendering, pair index included, for every
+        // method, tiebreak and task size, whether the template sorted its
+        // weights itself or was handed the permutation.
+        let mut scratch = TransportScratch::default();
         for n in [1usize, 2, 7, 8, 25, 150] {
             let task = fx_task(n);
             for method in OrderingMethod::ALL {
                 for tiebreak in [TieBreak::Stable, TieBreak::Value] {
                     let slotted = order_task_with(&task, method, 16, tiebreak).unwrap();
-                    let (images, pair_index) =
-                        order_task_images(&task, method, 16, tiebreak, None, &mut scratch).unwrap();
-                    assert_eq!(
-                        images,
-                        slotted.payload_flits(),
-                        "{method:?} {tiebreak:?} n={n}"
-                    );
-                    assert_eq!(
-                        pair_index.as_deref(),
-                        slotted.pair_index(),
-                        "{method:?} {tiebreak:?} n={n}"
-                    );
-                    // A precomputed weight permutation changes nothing.
                     let wperm = tiebreak.descending_order(task.weights());
-                    let (cached, _) =
-                        order_task_images(&task, method, 16, tiebreak, Some(&wperm), &mut scratch)
-                            .unwrap();
-                    assert_eq!(cached, images, "{method:?} {tiebreak:?} n={n} cached");
+                    for perm in [None, Some(wperm.as_slice())] {
+                        let template = build_encode_template(
+                            task.weights(),
+                            task.bias(),
+                            method,
+                            16,
+                            tiebreak,
+                            perm,
+                            &mut scratch,
+                        )
+                        .unwrap();
+                        let (images, pair_index) = render_images_with_template(
+                            &template,
+                            task.inputs(),
+                            tiebreak,
+                            &mut scratch,
+                        );
+                        let ctx = format!(
+                            "{method:?} {tiebreak:?} n={n} given perm {}",
+                            perm.is_some()
+                        );
+                        assert_eq!(images, slotted.payload_flits(), "{ctx}");
+                        assert_eq!(pair_index.as_deref(), slotted.pair_index(), "{ctx}");
+                        assert_eq!(
+                            template.index_overhead_bits(),
+                            slotted.index_overhead_bits(),
+                            "{ctx}"
+                        );
+                    }
                 }
             }
         }

@@ -435,29 +435,13 @@ pub fn placement_by_original_index(
     perm: &[usize],
     assign: &[(usize, usize)],
 ) -> Vec<(usize, usize)> {
-    let mut dest = Vec::new();
-    placement_by_original_index_into(perm, assign, &mut dest);
-    dest
-}
-
-/// [`placement_by_original_index`] into a caller-owned buffer (cleared
-/// first), for allocation-free hot paths.
-///
-/// # Panics
-///
-/// Panics if the two inputs have different lengths.
-pub fn placement_by_original_index_into(
-    perm: &[usize],
-    assign: &[(usize, usize)],
-    dest: &mut Vec<(usize, usize)>,
-) {
     assert_eq!(perm.len(), assign.len(), "perm/assignment length mismatch");
-    dest.clear();
-    dest.resize(perm.len(), (usize::MAX, usize::MAX));
+    let mut dest = vec![(usize::MAX, usize::MAX); perm.len()];
     for (rank, &orig) in perm.iter().enumerate() {
         dest[orig] = assign[rank];
     }
     debug_assert!(dest.iter().all(|&(f, _)| f != usize::MAX));
+    dest
 }
 
 #[cfg(test)]

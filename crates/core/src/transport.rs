@@ -30,8 +30,8 @@
 use crate::codec::{CodecError, CodecKind, CodecScope};
 use crate::edc::EdcKind;
 use crate::flitize::{
-    build_encode_template, index_overhead_bits_for, order_images_from_parts, order_task_with,
-    render_images_with_template, EncodeTemplate, FlitizeError, OrderedTask, RecoverError,
+    build_encode_template, order_task_with, render_images_with_template, EncodeTemplate,
+    FlitizeError, OrderedTask, RecoverError,
 };
 use crate::ordering::{round_robin_assignment, OrderingMethod, SortScratch, TieBreak};
 use crate::task::{NeuronTask, RecoveredTask};
@@ -132,27 +132,22 @@ impl TransportConfig {
     }
 }
 
-/// Reusable scratch buffers for the encode half of the transport
-/// pipeline: the ordering permutations, slot assignments and inverse-index
-/// tables `order → flitize` needs per task. One instance per encoder
-/// thread keeps the per-task encode loop free of scratch allocations
-/// (buffers grow to the largest task seen and are then reused).
+/// Reusable scratch buffers for the template encode and the direct
+/// decode: the ordering permutations and slot assignments they need per
+/// template or task. One instance per layer keeps the per-task loops free
+/// of scratch allocations (buffers grow to the largest task seen and are
+/// then reused).
 #[derive(Debug, Default)]
 pub struct TransportScratch {
     /// Ordering-kernel buffers (keys + radix ping-pong array).
     pub(crate) keys: SortScratch,
-    /// Weight permutation (when not provided precomputed).
+    /// Weight permutation of a template build (when not provided
+    /// precomputed).
     pub(crate) wperm: Vec<usize>,
     /// Input permutation (separated-ordering only).
     pub(crate) iperm: Vec<usize>,
     /// Round-robin `rank → (flit, slot)` assignment.
     pub(crate) assign: Vec<(usize, usize)>,
-    /// Weight destinations by original index.
-    pub(crate) wdest: Vec<(usize, usize)>,
-    /// Input destinations by original index.
-    pub(crate) idest: Vec<(usize, usize)>,
-    /// Inverse weight permutation for the O2 pair index.
-    pub(crate) inv_wperm: Vec<u16>,
     /// Plain images recovered from delivered wire images (per-packet
     /// codec inverse, or the per-link re-alignment narrow).
     pub(crate) plain_buf: Vec<PayloadBits>,
@@ -390,88 +385,12 @@ impl CodedTransport {
         }
     }
 
-    /// [`TransportSession::encode_task`] with reusable scratch buffers and
-    /// an optional precomputed weight permutation (see
-    /// [`crate::flitize::order_task_cached`]); the output is
-    /// bit-identical to the plain encode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlitizeError`] for invalid geometry, like
-    /// [`TransportSession::encode_task`].
-    pub fn encode_task_cached<W: DataWord>(
-        &self,
-        task: &NeuronTask<W>,
-        weight_perm: Option<&[usize]>,
-        scratch: &mut TransportScratch,
-    ) -> Result<EncodedTask<W>, FlitizeError> {
-        self.encode_parts_cached(
-            task.inputs(),
-            task.weights(),
-            task.bias(),
-            weight_perm,
-            scratch,
-        )
-    }
-
-    /// [`CodedTransport::encode_task_cached`] over bare operand slices —
-    /// the innermost encode path, letting the driver's encode stage feed
-    /// a reused input buffer and the layer's shared kernel with no
-    /// per-task `NeuronTask` materialization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlitizeError`] for invalid geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` and `weights` have different lengths.
-    pub fn encode_parts_cached<W: DataWord>(
-        &self,
-        inputs: &[W],
-        weights: &[W],
-        bias: W,
-        weight_perm: Option<&[usize]>,
-        scratch: &mut TransportScratch,
-    ) -> Result<EncodedTask<W>, FlitizeError> {
-        let (mut plain, pair_index) = order_images_from_parts(
-            inputs,
-            weights,
-            bias,
-            self.config.ordering,
-            self.config.values_per_flit,
-            self.config.tiebreak,
-            weight_perm,
-            scratch,
-        )?;
-        self.stamp_frames::<W>(&mut plain);
-        let wire = if self.config.codes_in_transport() {
-            Some(self.config.codec.encode_stream(&plain))
-        } else {
-            // Identity codec, or per-link scope: the plain ordered images
-            // go onto the wire (the links code them with their own state).
-            None
-        };
-        Ok(EncodedTask {
-            meta: TaskWireMeta {
-                num_pairs: inputs.len(),
-                pair_index,
-            },
-            index_overhead_bits: index_overhead_bits_for(self.config.ordering, inputs.len()),
-            plain,
-            wire,
-            codec: self.config.codec,
-            edc: self.config.edc,
-            _word: std::marker::PhantomData,
-        })
-    }
-
     /// Pre-renders one kernel group's [`EncodeTemplate`] for this
     /// session's ordering/lane configuration — the once-per-layer half of
     /// the template encode path (see [`build_encode_template`]).
     /// `weight_perm`, when given, must equal
-    /// `tiebreak.descending_order(weights)` (the driver's cached per-group
-    /// permutation).
+    /// `tiebreak.descending_order(weights)`; `None` sorts the weights
+    /// here.
     ///
     /// # Errors
     ///
@@ -495,18 +414,17 @@ impl CodedTransport {
         )
     }
 
-    /// [`CodedTransport::encode_parts_cached`] off a pre-rendered
+    /// Encodes one task's activations off a pre-rendered
     /// [`EncodeTemplate`] — the per-task half of the template encode
     /// path: clone the static weight half, deal only the activation
     /// lanes, then run the link codec as usual. Bit-identical to
-    /// [`CodedTransport::encode_parts_cached`] (and through it to
-    /// [`CodedTransport::encode_task_reference`]) over the template's
+    /// [`CodedTransport::encode_task_reference`] over the template's
     /// weights — pinned by `tests/transport_parity.rs`.
     ///
     /// # Errors
     ///
     /// Infallible today (geometry was validated when the template was
-    /// built); the `Result` mirrors the untemplated encode entry points.
+    /// built); the `Result` mirrors [`TransportSession::encode_task`].
     ///
     /// # Panics
     ///
@@ -585,8 +503,10 @@ impl CodedTransport {
     /// The pre-pipeline encode path, preserved verbatim as a bit-exact
     /// oracle (the `btr_noc::legacy` idiom): slot-level [`OrderedTask`]
     /// materialization via [`order_task_with`], then the codec over the
-    /// rendered images. [`CodedTransport::encode_task_cached`] must
-    /// produce identical wire images, metadata and accounting — pinned by
+    /// rendered images. The template path
+    /// ([`CodedTransport::encode_with_template`], which
+    /// [`TransportSession::encode_task`] runs) must produce identical
+    /// wire images, metadata and accounting — pinned by
     /// `tests/driver_parity.rs` and `tests/transport_parity.rs`.
     ///
     /// # Errors
@@ -706,29 +626,9 @@ impl CodedTransport {
         Ok(ordered.recover()?)
     }
 
-    /// [`TransportSession::decode_task`] with reusable scratch buffers —
-    /// the receiver's hot path, bit-identical to the plain decode.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TransportSession::decode_task`].
-    pub fn decode_task_cached<W: DataWord>(
-        &self,
-        meta: &TaskWireMeta,
-        flits: &[PayloadBits],
-        scratch: &mut TransportScratch,
-    ) -> Result<RecoveredTask<W>, TransportError> {
-        let mut out = RecoveredTask {
-            pairs: Vec::new(),
-            bias: W::from_bits_u64(0),
-        };
-        self.decode_task_into(meta, flits, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`CodedTransport::decode_task_cached`] into a caller-owned
-    /// [`RecoveredTask`] (pairs buffer reused across packets) — the
-    /// fully allocation-free receiver path.
+    /// [`TransportSession::decode_task`] with reusable scratch buffers,
+    /// into a caller-owned [`RecoveredTask`] (pairs buffer reused across
+    /// packets) — the fully allocation-free receiver path.
     ///
     /// # Errors
     ///
@@ -856,7 +756,9 @@ impl<W: DataWord> TransportSession<W> for CodedTransport {
     }
 
     fn encode_task(&self, task: &NeuronTask<W>) -> Result<EncodedTask<W>, FlitizeError> {
-        self.encode_task_cached(task, None, &mut TransportScratch::default())
+        let mut scratch = TransportScratch::default();
+        let template = self.weight_template(task.weights(), task.bias(), None, &mut scratch)?;
+        self.encode_with_template(&template, task.inputs(), &mut scratch)
     }
 
     fn decode_task(
@@ -864,7 +766,12 @@ impl<W: DataWord> TransportSession<W> for CodedTransport {
         meta: &TaskWireMeta,
         flits: &[PayloadBits],
     ) -> Result<RecoveredTask<W>, TransportError> {
-        self.decode_task_cached(meta, flits, &mut TransportScratch::default())
+        let mut out = RecoveredTask {
+            pairs: Vec::new(),
+            bias: W::from_bits_u64(0),
+        };
+        self.decode_task_into(meta, flits, &mut TransportScratch::default(), &mut out)?;
+        Ok(out)
     }
 
     fn verify_delivered_frames(&self, flits: &[PayloadBits]) -> Result<bool, TransportError> {

@@ -9,21 +9,17 @@
 //!
 //! 2. **`encode`** — the per-task encode stage in the driver's shape:
 //!    one layer of kernel groups (weights/bias fixed, activations vary
-//!    per task), every task encoded through three paths over the *same*
-//!    operands:
+//!    per task), every task encoded through the two encode paths over the
+//!    *same* operands:
 //!    - `reference_*` — `encode_task_reference`: eager slot-level
 //!      materialization with a full per-task weight sort (the
 //!      `DriverMode::Synchronous` oracle);
-//!    - `cached_*` — `encode_parts_cached` with the per-group weight
-//!      permutation precomputed (the pre-template hot path: weights are
-//!      sorted once per layer but still re-rendered into flit images on
-//!      every task);
 //!    - `template_*` — `encode_with_template` off pre-rendered weight
-//!      flit templates (this PR's hot path: clone the static weight
-//!      half, OR-deal only the activation lanes).
+//!      flit templates (the hot path: clone the static weight half,
+//!      OR-deal only the activation lanes).
 //!
-//!    Group setup (weight sorting, template rendering, task operand
-//!    materialization) runs in `iter_batched` *setup*, so the timed
+//!    Group setup (template rendering, task operand materialization)
+//!    runs in `iter_batched` *setup*, so the timed
 //!    region holds per-task encode work only — the quantity the driver's
 //!    inline encode stage pays per task of every request.
 //!
@@ -33,9 +29,8 @@
 //!
 //! `BTR_BENCH_ENCODE_SMOKE=1` shrinks sample counts and **asserts** the
 //! fast paths' reason to exist: the template path must beat the
-//! sorted-baseline (`cached_*`) on every measured point and beat the
-//! pre-template paths ≥3x on the affiliated point, and the counting
-//! sort must not lose to the comparison sort. The gates use `min_ns`
+//! reference on every measured point and by ≥3x on the affiliated
+//! point, and the counting sort must not lose to the comparison sort. The gates use `min_ns`
 //! (the least-interrupted sample) with deliberately conservative
 //! margins — this container's wall clock drifts by tens of percent
 //! under co-tenancy, which swamps mean-based ratios.
@@ -62,13 +57,9 @@ const VPF: usize = 8;
 
 struct LayerFixture {
     session: CodedTransport,
-    /// Per-group weights and bias (request-independent).
-    kernels: Vec<Vec<Fx8Word>>,
-    biases: Vec<Fx8Word>,
     /// Per-task activations (fresh per request).
     activations: Vec<Vec<Fx8Word>>,
     /// Setup products the driver caches per session.
-    wperms: Vec<Vec<usize>>,
     templates: Vec<EncodeTemplate>,
     /// Prebuilt tasks for the reference path (its slot materialization
     /// is part of the timed oracle, but operand assembly is not).
@@ -94,18 +85,12 @@ impl LayerFixture {
             .map(|_| (0..FAN_IN).map(|_| Fx8Word::new(rng.gen())).collect())
             .collect();
         let mut scratch = TransportScratch::default();
-        let wperms: Vec<Vec<usize>> = kernels
-            .iter()
-            .map(|k| tiebreak.descending_order(k))
-            .collect();
         let templates: Vec<EncodeTemplate> = kernels
             .iter()
             .zip(&biases)
-            .zip(&wperms)
-            .map(|((k, &b), p)| {
-                let wperm = (ordering != OrderingMethod::Baseline).then_some(p.as_slice());
+            .map(|(k, &b)| {
                 session
-                    .weight_template(k, b, wperm, &mut scratch)
+                    .weight_template(k, b, None, &mut scratch)
                     .expect("template geometry")
             })
             .collect();
@@ -123,10 +108,7 @@ impl LayerFixture {
             .collect();
         Self {
             session,
-            kernels,
-            biases,
             activations,
-            wperms,
             templates,
             tasks,
         }
@@ -142,16 +124,6 @@ impl LayerFixture {
                     .session
                     .encode_task_reference(&self.tasks[j])
                     .expect("reference encode"),
-                EncodePath::Cached => self
-                    .session
-                    .encode_parts_cached(
-                        inputs,
-                        &self.kernels[g],
-                        self.biases[g],
-                        Some(&self.wperms[g]),
-                        scratch,
-                    )
-                    .expect("cached encode"),
                 EncodePath::Template => self
                     .session
                     .encode_with_template(&self.templates[g], inputs, scratch)
@@ -166,14 +138,12 @@ impl LayerFixture {
 #[derive(Clone, Copy)]
 enum EncodePath {
     Reference,
-    Cached,
     Template,
 }
 
 impl EncodePath {
-    const ALL: [(EncodePath, &'static str); 3] = [
+    const ALL: [(EncodePath, &'static str); 2] = [
         (EncodePath::Reference, "reference"),
-        (EncodePath::Cached, "cached"),
         (EncodePath::Template, "template"),
     ];
 }
@@ -316,44 +286,40 @@ fn report(smoke: bool) {
     let per_task = |name: &str| encode(name, "min_ns") / TASKS as f64;
     for config in ["affiliated", "separated"] {
         let r = per_task(&format!("reference_{config}"));
-        let c = per_task(&format!("cached_{config}"));
         let t = per_task(&format!("template_{config}"));
         println!(
-            "  {config:<11} reference {r:>8.0} ns/task, cached {c:>8.0} ns/task, \
-             template {t:>8.0} ns/task -> {:.2}x vs cached, {:.2}x vs reference",
-            c / t,
+            "  {config:<11} reference {r:>8.0} ns/task, template {t:>8.0} ns/task \
+             -> {:.2}x vs reference",
             r / t
         );
     }
 
     if smoke {
-        // The tentpole's claim lives at the per-task encode: dealing
-        // activations into a pre-rendered weight image must clearly beat
-        // re-rendering the whole image (cached) and the full re-sorting
-        // oracle (reference). The affiliated point carries the ≥3x gate —
-        // it is the pure template win (no per-task sort left); the
-        // separated point still pays the per-task activation sort on
-        // both sides, so its gate is "must win", not a fixed multiple.
+        // The template path's claim lives at the per-task encode:
+        // dealing activations into a pre-rendered weight image must
+        // clearly beat the full re-sorting slot-level oracle (reference).
+        // The affiliated point carries the ≥3x gate — it is the pure
+        // template win (no per-task sort left); the separated point still
+        // pays the per-task activation sort on both sides, so its gate is
+        // "must win", not a fixed multiple.
         for config in ["affiliated", "separated"] {
-            let cached = encode(&format!("cached_{config}"), "min_ns");
+            let reference = encode(&format!("reference_{config}"), "min_ns");
             let template = encode(&format!("template_{config}"), "min_ns");
             assert!(
-                template < cached,
-                "{config}: template path lost to the sorted baseline \
-                 ({template} ns vs {cached} ns)"
+                template < reference,
+                "{config}: template path lost to the reference \
+                 ({template} ns vs {reference} ns)"
             );
         }
         let reference = encode("reference_affiliated", "min_ns");
-        let cached = encode("cached_affiliated", "min_ns");
         let template = encode("template_affiliated", "min_ns");
         assert!(
-            template * 3.0 <= cached && template * 3.0 <= reference,
-            "affiliated encode kernel under 3x the pre-template paths \
-             (template {template} ns, cached {cached} ns, reference {reference} ns)"
+            template * 3.0 <= reference,
+            "affiliated encode kernel under 3x the reference \
+             (template {template} ns, reference {reference} ns)"
         );
         println!(
-            "smoke check: affiliated encode kernel {:.1}x vs cached, {:.1}x vs reference",
-            cached / template,
+            "smoke check: affiliated encode kernel {:.1}x vs reference",
             reference / template
         );
         let counting = kernel("counting_value_n4096", "min_ns");

@@ -11,15 +11,17 @@
 //! `cargo run --release -p experiments --bin btr-serve -- \
 //!     [--sessions 4] [--batch 8] [--requests 64] [--queue-cap 32] \
 //!     [--flush-polls 64] [--model lenet|darknet] [--weights random|trained] \
-//!     [--mesh 4x4x2] [--formats... see sweep] [--format f32|fx8] \
+//!     [--mesh 4x4x2] [--format f32|fx8] \
 //!     [--ordering O0|O1|O2] [--codec none|bus-invert|delta-xor] \
 //!     [--codec-scope per-packet|per-link] \
-//!     [--driver pipelined|sync] [--engine cycle|auto] \
+//!     [--engine cycle|auto] \
 //!     [--ber 1e-6] [--edc none|parity|crc8] [--resync reseed|continuous] \
 //!     [--retries 8] [--darknet-width 8] [--seed 42] \
 //!     [--json serve.json]`
+//!
+//! Any other `--flag` exits 2 with a one-line error.
 
-use btr_accel::config::{AccelConfig, DriverMode};
+use btr_accel::config::AccelConfig;
 use btr_bits::word::DataFormat;
 use btr_core::codec::{CodecKind, CodecScope, ResyncPolicy};
 use btr_core::edc::EdcKind;
@@ -36,7 +38,32 @@ use experiments::workloads::{lenet, WeightSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Every flag `btr-serve` reads; anything else is rejected up front.
+const FLAGS: &[&str] = &[
+    "sessions",
+    "batch",
+    "requests",
+    "queue-cap",
+    "flush-polls",
+    "model",
+    "weights",
+    "mesh",
+    "format",
+    "ordering",
+    "codec",
+    "codec-scope",
+    "engine",
+    "ber",
+    "edc",
+    "resync",
+    "retries",
+    "darknet-width",
+    "seed",
+    "json",
+];
+
 fn main() {
+    cli::reject_unknown_flags(FLAGS);
     let sessions: usize = cli::arg("sessions", 4);
     let batch: usize = cli::arg("batch", 8);
     let requests: usize = cli::arg("requests", 64);
@@ -56,7 +83,6 @@ fn main() {
     let ordering: OrderingMethod = cli::arg("ordering", OrderingMethod::Separated);
     let codec: CodecKind = cli::arg("codec", CodecKind::Unencoded);
     let codec_scope: CodecScope = cli::arg("codec-scope", CodecScope::PerPacket);
-    let driver: DriverMode = cli::arg("driver", DriverMode::Pipelined);
     let engine: EngineMode = cli::arg("engine", EngineMode::Cycle);
     let ber: f64 = cli::arg("ber", 0.0);
     let edc: Option<EdcKind> = cli::opt_arg("edc");
@@ -115,7 +141,6 @@ fn main() {
         );
     }
     accel.batch_size = batch;
-    accel.driver = driver;
     accel.engine = engine;
     let config = ServeConfig {
         accel,
@@ -126,7 +151,7 @@ fn main() {
 
     eprintln!(
         "# btr-serve: {workload_name} on {mesh}, {format} {ordering} {codec} {codec_scope} \
-         ({driver} driver, {engine} engine), {sessions} sessions x window {batch}, \
+         ({engine} engine), {sessions} sessions x window {batch}, \
          queue cap {queue_cap}, {requests} requests"
     );
     let report = match serve(&ops, &config, synthetic_requests(&pool, requests)) {

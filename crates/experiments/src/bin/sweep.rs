@@ -16,7 +16,7 @@
 //!     [--orderings O0,O1,O2] [--ties stable,value] [--fx8-global] \
 //!     [--codecs none,bus-invert,delta-xor] \
 //!     [--codec-scope per-packet,per-link] [--batch 1,4,16] \
-//!     [--engine cycle,auto] [--driver pipelined|sync] [--shard 0/4] \
+//!     [--engine cycle,auto] [--shard 0/4] \
 //!     [--ber 0,1e-7,1e-6] [--edc none,parity,crc8] \
 //!     [--resync reseed,continuous] [--fault-mode per-flit,burst] [--fault-armed] \
 //!     [--darknet-width 8] [--sequential] [--json sweep.json]`
@@ -33,8 +33,8 @@
 //! equivalence of the fault machinery (CI does exactly that).
 //!
 //! `--json` writes the `btr-sweep-v8` schema described in EXPERIMENTS.md.
+//! Any other `--flag` exits 2 with a one-line error.
 
-use btr_accel::config::DriverMode;
 use btr_bits::word::DataFormat;
 use btr_core::codec::{CodecKind, CodecScope, ResyncPolicy};
 use btr_core::edc::EdcKind;
@@ -46,8 +46,8 @@ use btr_noc::EngineMode;
 use experiments::cli;
 use experiments::json::Json;
 use experiments::sweep::{
-    baseline_index, expand_grid, merge_sweep_json, outcomes_json, reduction_vs_baseline,
-    run_cells_with, MeshSpec, Shard, Workload,
+    baseline_index, expand_grid, merge_sweep_json, outcomes_json, reduction_vs_baseline, run_cells,
+    MeshSpec, Shard, Workload,
 };
 use experiments::workloads::{lenet, WeightSource};
 use rand::rngs::StdRng;
@@ -58,6 +58,33 @@ use rand::SeedableRng;
 /// seed), so batched cells never replay an input — `batch_inputs`
 /// errors loudly rather than cycling.
 const INPUT_POOL_MIN: usize = 16;
+
+/// Every flag `sweep` reads; anything else is rejected up front.
+const FLAGS: &[&str] = &[
+    "json",
+    "merge",
+    "preset",
+    "seed",
+    "weights",
+    "darknet-width",
+    "sequential",
+    "shard",
+    "models",
+    "meshes",
+    "formats",
+    "orderings",
+    "ties",
+    "codecs",
+    "codec-scope",
+    "batch",
+    "engine",
+    "ber",
+    "edc",
+    "resync",
+    "fault-mode",
+    "fault-armed",
+    "fx8-global",
+];
 
 /// Axis defaults a `--preset` installs (explicit flags still win).
 struct Preset {
@@ -280,6 +307,7 @@ fn run_merge(inputs: Vec<String>, json_path: Option<String>) -> ! {
 }
 
 fn main() {
+    cli::reject_unknown_flags(FLAGS);
     let json_path: Option<String> = cli::opt_arg("json");
     if let Some(inputs) = cli::opt_arg::<String>("merge") {
         let inputs: Vec<String> = inputs
@@ -298,7 +326,6 @@ fn main() {
     let darknet_width: usize = cli::arg("darknet-width", 8);
     let sequential = cli::flag("sequential");
     let shard: Shard = cli::arg("shard", Shard::WHOLE);
-    let driver: DriverMode = cli::arg("driver", DriverMode::Pipelined);
 
     let models: Vec<String> = cli::list_arg("models", preset.models);
     let meshes: Vec<MeshSpec> = cli::list_arg("meshes", preset.meshes);
@@ -357,7 +384,7 @@ fn main() {
     eprintln!(
         "# sweep [{preset_name}]: {} workloads x {} meshes x {} formats x {} orderings x {} ties \
          x {} codecs x {} scopes x {} batches x {} engines x {} bers x {} edcs x {} resyncs \
-         x {} fault modes = {total} cells (shard {shard}: {} cells, {driver} driver{})",
+         x {} fault modes = {total} cells (shard {shard}: {} cells{})",
         workloads.len(),
         meshes.len(),
         formats.len(),
@@ -378,7 +405,7 @@ fn main() {
             ""
         }
     );
-    let outcomes = run_cells_with(&workloads, cells, sequential, driver);
+    let outcomes = run_cells(&workloads, cells, sequential);
     let baselines = baseline_index(&outcomes);
 
     println!(

@@ -78,6 +78,34 @@ pub fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == flag)
 }
 
+/// The first argument in `args` that looks like a flag (`--…`) but is not
+/// `--name` for any `name` in `known`, or `None` when every flag is known.
+///
+/// Only arguments starting with `--` are flags, so values such as `-1`,
+/// `-` or `1e-7` pass through. `--name=value` is not a supported spelling
+/// and is reported as unknown.
+#[must_use]
+pub fn unknown_flag<'a>(args: &'a [String], known: &[&str]) -> Option<&'a str> {
+    args.iter().map(String::as_str).find(|a| {
+        a.strip_prefix("--")
+            .is_some_and(|name| !known.contains(&name))
+    })
+}
+
+/// Exits with status 2 and a one-line diagnostic if the process arguments
+/// carry a flag outside `known` — so a typo or a retired flag fails
+/// loudly instead of running with defaults.
+pub fn reject_unknown_flags(known: &[&str]) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(bad) = unknown_flag(&args, known) {
+        eprintln!(
+            "error: unknown flag {bad}; known flags: --{}",
+            known.join(", --")
+        );
+        std::process::exit(2);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,6 +116,38 @@ mod tests {
         assert!(!flag("definitely-not-passed"));
         assert_eq!(opt_arg::<u64>("definitely-not-passed"), None);
         assert_eq!(list_arg("definitely-not-passed", vec![1u32, 2]), vec![1, 2]);
+    }
+
+    #[test]
+    fn unknown_flag_names_the_first_stranger() {
+        let known = ["seed", "json", "sequential"];
+        let argv =
+            |items: &[&str]| -> Vec<String> { items.iter().map(|s| s.to_string()).collect() };
+        // Known value flags and a known bare flag pass.
+        assert_eq!(
+            unknown_flag(
+                &argv(&["--seed", "7", "--sequential", "--json", "out.json"]),
+                &known
+            ),
+            None
+        );
+        assert_eq!(unknown_flag(&argv(&[]), &known), None);
+        // Values that start with a single dash are values, not flags.
+        assert_eq!(
+            unknown_flag(&argv(&["--seed", "-1", "--json", "-"]), &known),
+            None
+        );
+        // An unknown value flag, an unknown bare flag, and `=` spelling.
+        assert_eq!(
+            unknown_flag(&argv(&["--seed", "1", "--driver", "sync"]), &known),
+            Some("--driver")
+        );
+        assert_eq!(
+            unknown_flag(&argv(&["--sequentail", "--engines", "auto"]), &known),
+            Some("--sequentail")
+        );
+        assert_eq!(unknown_flag(&argv(&["--seed=3"]), &known), Some("--seed=3"));
+        assert_eq!(unknown_flag(&argv(&["--"]), &known), Some("--"));
     }
 
     #[test]

@@ -882,6 +882,82 @@ mod tests {
     }
 
     #[test]
+    fn merge_rejects_or_preserves_malformed_documents() {
+        // Table-driven malformed inputs: a structurally bad document set
+        // must come back as `Err`, and a well-formed document carrying
+        // cells the reduction pass cannot read must pass those cells
+        // through untouched. Nothing may panic.
+        let doc = |text: &str| Json::parse(&text.replace("SCHEMA", SWEEP_SCHEMA)).unwrap();
+        let rejected: [(&str, Vec<&str>); 8] = [
+            (
+                "cells is an object",
+                vec![r#"{"schema":"SCHEMA","cells":{"a":1}}"#],
+            ),
+            (
+                "cells is a string",
+                vec![r#"{"schema":"SCHEMA","cells":"x"}"#],
+            ),
+            ("cells is null", vec![r#"{"schema":"SCHEMA","cells":null}"#]),
+            ("no cells", vec![r#"{"schema":"SCHEMA"}"#]),
+            ("schema not a string", vec![r#"{"schema":8,"cells":[]}"#]),
+            (
+                "document not an object",
+                vec![r#"[{"schema":"SCHEMA","cells":[]}]"#],
+            ),
+            (
+                "mismatched schemas",
+                vec![
+                    r#"{"schema":"SCHEMA","cells":[]}"#,
+                    r#"{"schema":"other-schema","cells":[]}"#,
+                ],
+            ),
+            (
+                "good then bad",
+                vec![r#"{"schema":"SCHEMA","cells":[]}"#, r#"{"cells":[]}"#],
+            ),
+        ];
+        for (case, texts) in rejected {
+            let docs: Vec<(String, Json)> = texts
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (format!("in{i}.json"), doc(t)))
+                .collect();
+            let err = merge_sweep_json(&docs).expect_err(case);
+            assert!(err.contains(".json"), "{case}: error names no input: {err}");
+        }
+        assert!(merge_sweep_json(&[]).is_err(), "empty input list");
+
+        let untouched = [
+            ("non-object cells", r#"[1,"x",null,[2],true]"#),
+            (
+                "no ordering",
+                r#"[{"transitions":5,"reduction_vs_baseline":"keep"}]"#,
+            ),
+            (
+                "no transitions",
+                r#"[{"ordering":"O2","reduction_vs_baseline":"keep"}]"#,
+            ),
+            (
+                "transitions not a count",
+                r#"[{"ordering":"O2","transitions":"5","reduction_vs_baseline":"keep"}]"#,
+            ),
+            (
+                "ordering not a string",
+                r#"[{"ordering":2,"transitions":5,"reduction_vs_baseline":"keep"}]"#,
+            ),
+            (
+                "no reduction slot",
+                r#"[{"ordering":"O0","transitions":5}]"#,
+            ),
+        ];
+        for (case, cells) in untouched {
+            let input = doc(&format!(r#"{{"schema":"SCHEMA","cells":{cells}}}"#));
+            let merged = merge_sweep_json(&[("in.json".into(), input.clone())]).expect(case);
+            assert_eq!(merged.get("cells"), input.get("cells"), "{case}");
+        }
+    }
+
+    #[test]
     fn merge_recomputes_cross_shard_reductions() {
         // Sharding splits a cell from its O0 baseline: each per-shard
         // file carries `reduction_vs_baseline: null`, and the merge must

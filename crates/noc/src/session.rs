@@ -225,9 +225,9 @@ impl<S> TaskPort<S> {
     }
 
     /// Encodes `task` with the session's ordering and injects it as a
-    /// packet `src → dst`, returning the wire metadata the receiver needs
-    /// (conceptually: the extended head-flit fields plus the O2 index side
-    /// channel).
+    /// packet `src → dst` through [`TaskPort::send_encoded`], returning
+    /// the wire metadata the receiver needs (conceptually: the extended
+    /// head-flit fields plus the O2 index side channel).
     ///
     /// # Errors
     ///
@@ -244,38 +244,12 @@ impl<S> TaskPort<S> {
         S: TransportSession<W>,
     {
         let encoded = self.session.encode_task(task)?;
-        let meta = encoded.wire_meta();
-        let payload = encoded.payload_flits();
-        self.retain(src, dst, tag, &payload);
-        sim.inject(Packet::new(src, dst, payload, tag))?;
-        Ok(meta)
+        Ok(self.send_encoded(sim, src, dst, encoded, tag)?.meta)
     }
 
-    /// Like [`TaskPort::send_task`], additionally reporting the packet's
-    /// flit count (head + payload) and index side-channel overhead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SendError`] if encoding or injection fails.
-    pub fn send_task_accounted<W: DataWord>(
-        &self,
-        sim: &mut Simulator,
-        src: usize,
-        dst: usize,
-        task: &NeuronTask<W>,
-        tag: u64,
-    ) -> Result<SentTask, SendError>
-    where
-        S: TransportSession<W>,
-    {
-        let encoded = self.session.encode_task(task)?;
-        Ok(self.send_encoded(sim, src, dst, encoded, tag)?)
-    }
-
-    /// Injects an already-encoded task (e.g. one popped from a pipelined
-    /// encoder's ready-queue) as a packet `src → dst`, consuming the wire
-    /// images without cloning them. The accounting record is identical to
-    /// what [`TaskPort::send_task_accounted`] reports for the same task.
+    /// Injects an already-encoded task as a packet `src → dst`,
+    /// consuming the wire images without cloning them, and reports the
+    /// packet's flit count (head + payload) and side-channel overheads.
     ///
     /// # Errors
     ///
@@ -419,7 +393,7 @@ impl<S> TaskPort<S> {
     }
 }
 
-/// Accounting record returned by [`TaskPort::send_task_accounted`].
+/// Accounting record returned by [`TaskPort::send_encoded`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SentTask {
     /// Wire metadata the receiver needs to decode the packet.
@@ -503,7 +477,11 @@ mod tests {
             16,
         )));
         let t = task(25);
-        let sent = port.send_task_accounted(&mut sim, 0, 5, &t, 1).unwrap();
+        let send = |port: &TaskPort<CodedTransport>, sim: &mut Simulator| {
+            let encoded = TransportSession::<Fx8Word>::encode_task(port.session(), &t).unwrap();
+            port.send_encoded(sim, 0, 5, encoded, 1).unwrap()
+        };
+        let sent = send(&port, &mut sim);
         // 25 pairs at 8+8 lanes -> 4 payload flits + head.
         assert_eq!(sent.flit_count, 5);
         assert!(sent.index_overhead_bits > 0);
@@ -515,14 +493,14 @@ mod tests {
             .with_edc(btr_core::edc::EdcKind::Crc8);
         let mut sim = Simulator::new(NocConfig::mesh(4, 4, config.link_width_bits::<Fx8Word>()));
         let port = TaskPort::new(CodedTransport::new(config));
-        let sent = port.send_task_accounted(&mut sim, 0, 5, &t, 1).unwrap();
+        let sent = send(&port, &mut sim);
         assert_eq!(sent.edc_overhead_bits, 4 * 8);
         // A bus-invert session reports one side-channel bit per payload flit.
         let mut sim = Simulator::new(NocConfig::mesh(4, 4, 129));
         let port = TaskPort::new(CodedTransport::new(
             TransportConfig::new(OrderingMethod::Separated, 16).with_codec(CodecKind::BusInvert),
         ));
-        let sent = port.send_task_accounted(&mut sim, 0, 5, &t, 1).unwrap();
+        let sent = send(&port, &mut sim);
         assert_eq!(sent.codec_overhead_bits, 4);
     }
 

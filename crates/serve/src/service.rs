@@ -339,7 +339,7 @@ pub fn serve(
 ///
 /// Owning the session (rather than building one per dispatch) is what
 /// lets the driver's per-layer encode caches pay off under load: the
-/// weight permutations and pre-rendered weight flit templates are built
+/// pre-rendered weight flit templates are built
 /// by the worker's first dispatch and reused verbatim by every later
 /// request the worker serves — the weight side of an op never changes
 /// within a service's lifetime.

@@ -316,8 +316,8 @@ fn assert_template_parity<W: DataWord + PartialEq>(
                             edc: EdcKind::None,
                         });
                         let mut scratch = TransportScratch::default();
-                        // The driver hands the template builder its cached
-                        // per-group permutation for non-baseline runs…
+                        // A caller may hand the template builder a
+                        // precomputed per-group permutation…
                         let wperm = match ordering {
                             OrderingMethod::Baseline => None,
                             _ => Some(tiebreak.descending_order(&weights)),
