@@ -19,9 +19,9 @@ use btr_noc::fault::{ErrorModel, FaultConfig};
 pub enum DriverMode {
     /// The pre-pipeline reference: encode each task inline in the
     /// prefetch loop — full per-task sort, fresh scratch, serialized
-    /// with `sim.step()`. Kept legacy-faithful (like
-    /// `btr_noc::legacy`) so the bench trajectory and the parity tests
-    /// always have the original behavior to compare against.
+    /// with `sim.step()`. Kept faithful to the original driver so the
+    /// bench trajectory and the parity tests always have that behavior to
+    /// compare against.
     Synchronous,
     /// The cached encode stage, inline in the cycle loop: weight flit
     /// templates cached per kernel group for the session's lifetime,
@@ -290,6 +290,13 @@ impl AccelConfig {
         if self.noc.pe_nodes().is_empty() {
             return Err("accelerator needs at least one processing element".into());
         }
+        let regions = crate::driver::partition_pes_by_mc(&self.noc);
+        if let Some(mi) = regions.iter().position(Vec::is_empty) {
+            return Err(format!(
+                "memory controller at node {} has no processing element in its region",
+                self.noc.mc_nodes[mi]
+            ));
+        }
         if self.pe_mac_lanes == 0 {
             return Err("pe_mac_lanes must be positive".into());
         }
@@ -364,6 +371,11 @@ mod tests {
         let mut c = AccelConfig::paper(4, 4, 2, DataFormat::Fixed8, OrderingMethod::Baseline);
         c.noc.mc_nodes.clear();
         assert!(c.validate().is_err());
+        // 3x1 MC2: MCs at both ends share the one PE, so the second MC's
+        // region is empty — a typed error, not a divide-by-zero in the
+        // task assignment.
+        let c = AccelConfig::paper(3, 1, 2, DataFormat::Fixed8, OrderingMethod::Baseline);
+        assert!(c.validate().unwrap_err().contains("no processing element"));
     }
 
     #[test]

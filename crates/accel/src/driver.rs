@@ -597,7 +597,7 @@ fn run_noc_layer_fx8(
 /// Each MC serves only its own region, so the average hop count per flit
 /// scales with routers-per-MC — the effect behind Fig. 12's observation
 /// that the 8×8 mesh with 4 MCs accumulates the most BTs.
-fn partition_pes_by_mc(config: &btr_noc::config::NocConfig) -> Vec<Vec<usize>> {
+pub(crate) fn partition_pes_by_mc(config: &btr_noc::config::NocConfig) -> Vec<Vec<usize>> {
     let mcs = &config.mc_nodes;
     let pes = config.pe_nodes();
     let cap = pes.len().div_ceil(mcs.len());

@@ -48,5 +48,5 @@ pub mod word;
 pub use fixed::{QuantError, Quantizer};
 pub use payload::PayloadBits;
 pub use stats::{BitPositionStats, PopcountHistogram};
-pub use transition::{bit_transitions, bit_transitions_u64, TransitionRecorder};
+pub use transition::{bit_transitions, bit_transitions_u64};
 pub use word::{DataFormat, DataWord, F32Word, Fx16Word, Fx8Word};

@@ -187,7 +187,7 @@ impl TieBreak {
 
     /// The pre-counting-sort implementation of
     /// [`TieBreak::descending_order_into`], preserved verbatim as the
-    /// bit-exact oracle (the `btr_noc::legacy` idiom): one precomputed key
+    /// bit-exact oracle: one precomputed key
     /// per value, then a stable `sort_by_key` on
     /// `(Reverse(popcount), Reverse(bits))`. The counting-sort kernel must
     /// produce the identical permutation for every input and both tie

@@ -23,7 +23,7 @@ pub use crate::ordering::TieBreak;
 use crate::transport::{pack_values, row_major_assignment, window_occupancy};
 use btr_bits::payload::PayloadBits;
 use btr_bits::stats::{BitPositionStats, PopcountHistogram};
-use btr_bits::transition::{reduction_rate, TransitionRecorder};
+use btr_bits::transition::reduction_rate;
 use btr_bits::word::DataWord;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -171,57 +171,56 @@ pub fn measure_flits<W: DataWord>(
         .map(|f| flit_popcounts::<W>(f, values_per_flit))
         .collect();
 
+    let pairs = match comparison {
+        Comparison::Consecutive => flits.len().saturating_sub(1),
+        Comparison::RandomPairs { pairs, .. } if flits.len() >= 2 => pairs,
+        Comparison::RandomPairs { .. } => 0,
+    };
+    if pairs == 0 {
+        return StreamReport {
+            flits: flits.len() as u64,
+            transitions: 0,
+            bt_per_flit: 0.0,
+            word_transition_probability: Vec::new(),
+            popcount_grid: grid,
+        };
+    }
+    let mut total = 0u64;
+    let mut per_position = vec![0u64; width as usize];
+    let mut compare = |a: &PayloadBits, b: &PayloadBits| {
+        let diff = a.xor(b);
+        total += u64::from(diff.popcount());
+        // O(popcount), not O(width): only toggling wires count.
+        diff.for_each_set_bit(|i| per_position[i as usize] += 1);
+    };
     match comparison {
         Comparison::Consecutive => {
-            let mut recorder = TransitionRecorder::new(width);
-            for flit in flits {
-                recorder.observe(flit);
-            }
-            let per_link = recorder.per_position_probability();
-            StreamReport {
-                flits: recorder.flits(),
-                transitions: recorder.total(),
-                bt_per_flit: recorder.transitions_per_flit(),
-                word_transition_probability: fold_to_word_width(&per_link, W::WIDTH),
-                popcount_grid: grid,
+            for pair in flits.windows(2) {
+                compare(&pair[1], &pair[0]);
             }
         }
-        Comparison::RandomPairs { pairs, seed } => {
-            if flits.len() < 2 || pairs == 0 {
-                return StreamReport {
-                    flits: flits.len() as u64,
-                    transitions: 0,
-                    bt_per_flit: 0.0,
-                    word_transition_probability: Vec::new(),
-                    popcount_grid: grid,
-                };
-            }
+        Comparison::RandomPairs { seed, .. } => {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut total = 0u64;
-            let mut per_position = vec![0u64; width as usize];
             for _ in 0..pairs {
                 let a = rng.gen_range(0..flits.len());
                 let mut b = rng.gen_range(0..flits.len() - 1);
                 if b >= a {
                     b += 1;
                 }
-                let diff = flits[a].xor(&flits[b]);
-                total += u64::from(diff.popcount());
-                // O(popcount), not O(width): only toggling wires count.
-                diff.for_each_set_bit(|i| per_position[i as usize] += 1);
-            }
-            let probs: Vec<f64> = per_position
-                .iter()
-                .map(|&c| c as f64 / pairs as f64)
-                .collect();
-            StreamReport {
-                flits: flits.len() as u64,
-                transitions: total,
-                bt_per_flit: total as f64 / pairs as f64,
-                word_transition_probability: fold_to_word_width(&probs, W::WIDTH),
-                popcount_grid: grid,
+                compare(&flits[a], &flits[b]);
             }
         }
+    }
+    let probs: Vec<f64> = per_position
+        .iter()
+        .map(|&c| c as f64 / pairs as f64)
+        .collect();
+    StreamReport {
+        flits: flits.len() as u64,
+        transitions: total,
+        bt_per_flit: total as f64 / pairs as f64,
+        word_transition_probability: fold_to_word_width(&probs, W::WIDTH),
+        popcount_grid: grid,
     }
 }
 
@@ -557,6 +556,32 @@ mod tests {
             large > small,
             "window 64 ({large}) should beat window 1 ({small})"
         );
+    }
+
+    #[test]
+    fn consecutive_comparison_counts_per_wire_toggles() {
+        // One fixed-8 lane: wire 0 toggles once (0→1), wire 1 twice
+        // (0→1→0), the rest never.
+        let flits: Vec<btr_bits::PayloadBits> = [0b00u64, 0b11, 0b01]
+            .iter()
+            .map(|&bits| {
+                let mut p = btr_bits::PayloadBits::zero(8);
+                p.set_field(0, 8, bits);
+                p
+            })
+            .collect();
+        let r = measure_flits::<Fx8Word>(&flits, 1, Comparison::Consecutive, 0);
+        assert_eq!((r.flits, r.transitions), (3, 3));
+        assert!((r.bt_per_flit - 1.5).abs() < 1e-12);
+        let probs = &r.word_transition_probability;
+        assert_eq!(probs.len(), 8);
+        assert!((probs[0] - 0.5).abs() < 1e-12);
+        assert!((probs[1] - 1.0).abs() < 1e-12);
+        assert!(probs[2..].iter().all(|&p| p == 0.0));
+        // A single flit has no consecutive pair.
+        let r = measure_flits::<Fx8Word>(&flits[..1], 1, Comparison::Consecutive, 0);
+        assert_eq!((r.flits, r.transitions), (1, 0));
+        assert!(r.word_transition_probability.is_empty());
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The shared transport pipeline: one implementation of the
-//! `OrderedTask → codec → packets → per-link TransitionRecorder`
-//! lifecycle.
+//! `OrderedTask → codec → packets` lifecycle.
 //!
 //! Three harnesses move ordered values over links: the "without NoC"
 //! stream evaluation ([`crate::stream`]), raw NoC injection
@@ -22,10 +21,7 @@
 //!   [`row_major_assignment`], [`pack_values`],
 //!   [`pack_window_with_order`]) — the one copy of the
 //!   "occupancy → permutation → slot assignment → flit images" pipeline
-//!   that both the packet path and the weight-stream path are built on;
-//! * [`link_recorder`] / [`record_stream`] — the measurement end of the
-//!   lifecycle: a per-link [`TransitionRecorder`] observing the encoded
-//!   flits (Fig. 8).
+//!   that both the packet path and the weight-stream path are built on.
 
 use crate::codec::{CodecError, CodecKind, CodecScope};
 use crate::edc::EdcKind;
@@ -36,7 +32,6 @@ use crate::flitize::{
 use crate::ordering::{round_robin_assignment, OrderingMethod, SortScratch, TieBreak};
 use crate::task::{NeuronTask, RecoveredTask};
 use btr_bits::payload::{PayloadBits, MAX_WIDTH_BITS};
-use btr_bits::transition::TransitionRecorder;
 use btr_bits::word::DataWord;
 
 /// Configuration of a transport session: how values are ordered, how many
@@ -349,12 +344,6 @@ pub trait TransportSession<W: DataWord> {
     /// Returns [`TransportError`] when the images do not match the
     /// session's wire geometry at all (a harness bug, not a wire error).
     fn verify_delivered_frames(&self, flits: &[PayloadBits]) -> Result<bool, TransportError>;
-
-    /// A per-link transition recorder matching this session's link width —
-    /// the measurement end of the transport lifecycle (Fig. 8).
-    fn link_recorder(&self) -> TransitionRecorder {
-        TransitionRecorder::total_only(self.transport_config().link_width_bits::<W>())
-    }
 }
 
 /// The `order → flitize → codec` transport pipeline: descending-popcount
@@ -501,7 +490,7 @@ impl CodedTransport {
     }
 
     /// The pre-pipeline encode path, preserved verbatim as a bit-exact
-    /// oracle (the `btr_noc::legacy` idiom): slot-level [`OrderedTask`]
+    /// oracle: slot-level [`OrderedTask`]
     /// materialization via [`order_task_with`], then the codec over the
     /// rendered images. The template path
     /// ([`CodedTransport::encode_with_template`], which
@@ -845,26 +834,6 @@ fn recover_from_images<W: DataWord>(
     let (bf, bs) = layout.bias_position;
     out.bias = lane(bf, half + bs);
     Ok(())
-}
-
-/// A total-only [`TransitionRecorder`] for an *unencoded*
-/// `values_per_flit`-lane link of word type `W` (no codec side-channel
-/// wires; sessions with a codec use
-/// [`TransportSession::link_recorder`], which covers the full wire
-/// width).
-#[must_use]
-pub fn link_recorder<W: DataWord>(values_per_flit: usize) -> TransitionRecorder {
-    TransitionRecorder::total_only(values_per_flit as u32 * W::WIDTH)
-}
-
-/// Streams flit images through a recorder, returning the transitions they
-/// added (the link half of the transport lifecycle).
-pub fn record_stream(recorder: &mut TransitionRecorder, flits: &[PayloadBits]) -> u64 {
-    let before = recorder.total();
-    for flit in flits {
-        recorder.observe(flit);
-    }
-    recorder.total() - before
 }
 
 /// Row-major occupancy of one packet of `len` values over
@@ -1213,19 +1182,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, TransportError::Geometry(_)));
         assert!(err.to_string().contains("decode failed"));
-    }
-
-    #[test]
-    fn recorder_matches_link_width() {
-        let session = CodedTransport::new(TransportConfig::new(OrderingMethod::Separated, 16));
-        let rec = TransportSession::<Fx8Word>::link_recorder(&session);
-        assert_eq!(rec.width(), 128);
-        let task = fx_task(25);
-        let enc = TransportSession::<Fx8Word>::encode_task(&session, &task).unwrap();
-        let mut rec = TransportSession::<Fx8Word>::link_recorder(&session);
-        let added = record_stream(&mut rec, &enc.payload_flits());
-        assert_eq!(added, rec.total());
-        assert!(rec.flits() == 4);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! NoC simulator throughput: uniform-random traffic drained to idle.
 //!
-//! Benchmarks the flat-array engine against the legacy map/deque
-//! reference on identical seeded workloads, so the `BENCH_noc.json`
-//! trajectory (written by the bench harness, see EXPERIMENTS.md) tracks
-//! both absolute cycles/sec and the flat-vs-legacy speedup across
-//! commits.
+//! Benchmarks the flat-array engine on seeded 4×4 and 8×8 workloads, so
+//! the `BENCH_noc.json` trajectory (written by the bench harness, see
+//! EXPERIMENTS.md) tracks absolute cycles/sec across commits. The same
+//! two workloads are pinned bit-exactly by the golden table in
+//! `tests/transport_parity.rs`.
 
 use btr_noc::config::NocConfig;
-use btr_noc::legacy::LegacySimulator;
 use btr_noc::sim::Simulator;
 use btr_noc::traffic::{generate, Pattern};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -24,19 +23,6 @@ fn bench(c: &mut Criterion) {
                 let mut rng = StdRng::seed_from_u64(5);
                 let packets = generate(&config, Pattern::UniformRandom, 200, 4, &mut rng);
                 let mut sim = Simulator::new(config);
-                for p in packets {
-                    sim.inject(p).unwrap();
-                }
-                sim.run_until_idle(1_000_000).unwrap();
-                sim.stats().total_transitions
-            })
-        });
-        group.bench_function(format!("legacy_uniform_200pkts_{w}x{h}"), |b| {
-            b.iter(|| {
-                let config = NocConfig::mesh(w, h, 128);
-                let mut rng = StdRng::seed_from_u64(5);
-                let packets = generate(&config, Pattern::UniformRandom, 200, 4, &mut rng);
-                let mut sim = LegacySimulator::new(config);
                 for p in packets {
                     sim.inject(p).unwrap();
                 }

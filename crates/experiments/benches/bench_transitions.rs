@@ -2,7 +2,6 @@
 //! NoC simulator, Fig. 8).
 
 use btr_bits::payload::PayloadBits;
-use btr_bits::transition::TransitionRecorder;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,24 +33,6 @@ fn bench(c: &mut Criterion) {
                     acc += u64::from(black_box(&pair[1]).transitions_to(&pair[0]));
                 }
                 acc
-            })
-        });
-        group.bench_function(format!("recorder_total_only_w{width}"), |b| {
-            b.iter(|| {
-                let mut rec = TransitionRecorder::total_only(width);
-                for img in &images {
-                    rec.observe(black_box(img));
-                }
-                rec.total()
-            })
-        });
-        group.bench_function(format!("recorder_with_positions_w{width}"), |b| {
-            b.iter(|| {
-                let mut rec = TransitionRecorder::new(width);
-                for img in &images {
-                    rec.observe(black_box(img));
-                }
-                rec.total()
             })
         });
     }

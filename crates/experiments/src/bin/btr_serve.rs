@@ -29,6 +29,7 @@ use btr_core::ordering::OrderingMethod;
 use btr_dnn::data::{SyntheticDigits, SyntheticRgb};
 use btr_dnn::models::darknet;
 use btr_dnn::tensor::Tensor;
+use btr_noc::fault::{BitErrorRate, ErrorModel, FaultMode};
 use btr_noc::EngineMode;
 use btr_serve::{serve, synthetic_requests, ServeConfig};
 use experiments::cli;
@@ -37,6 +38,7 @@ use experiments::sweep::MeshSpec;
 use experiments::workloads::{lenet, WeightSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::num::NonZeroUsize;
 
 /// Every flag `btr-serve` reads; anything else is rejected up front.
 const FLAGS: &[&str] = &[
@@ -84,11 +86,12 @@ fn main() {
     let codec: CodecKind = cli::arg("codec", CodecKind::Unencoded);
     let codec_scope: CodecScope = cli::arg("codec-scope", CodecScope::PerPacket);
     let engine: EngineMode = cli::arg("engine", EngineMode::Cycle);
-    let ber: f64 = cli::arg("ber", 0.0);
+    let ber: BitErrorRate = cli::arg("ber", BitErrorRate::ZERO);
     let edc: Option<EdcKind> = cli::opt_arg("edc");
     let resync: ResyncPolicy = cli::arg("resync", ResyncPolicy::ReseedOnRetry);
     let retries: u32 = cli::arg("retries", 8);
-    let darknet_width: usize = cli::arg("darknet-width", 8);
+    let darknet_width = cli::opt_arg::<NonZeroUsize>("darknet-width")
+        .map_or(darknet::DEFAULT_WIDTH, NonZeroUsize::get);
     let seed: u64 = cli::arg("seed", 42);
     let json_path: Option<String> = cli::opt_arg("json");
 
@@ -127,14 +130,14 @@ fn main() {
     if let Some(edc) = edc {
         accel = accel.with_edc(edc);
     }
-    if ber > 0.0 || edc.is_some() {
+    if !ber.is_zero() || edc.is_some() {
         // `--edc` alone arms the recovery protocol on perfect wires, so
         // pure EDC overhead is measurable; `--ber` flips real bits.
         accel = accel.with_fault(
-            btr_noc::fault::ErrorModel {
-                ber: btr_noc::fault::BitErrorRate::from_f64(ber),
+            ErrorModel {
+                ber,
                 seed,
-                mode: btr_noc::fault::FaultMode::PerFlit,
+                mode: FaultMode::PerFlit,
             },
             resync,
             retries,

@@ -33,7 +33,10 @@
 //! equivalence of the fault machinery (CI does exactly that).
 //!
 //! `--json` writes the `btr-sweep-v8` schema described in EXPERIMENTS.md.
-//! Any other `--flag` exits 2 with a one-line error.
+//! Any other `--flag`, and a malformed flag value, exits 2 with a
+//! one-line error. A failed cell does not stop the grid: every cell runs
+//! and the JSON is written, then the process exits 1 if any cell (or the
+//! JSON write) failed.
 
 use btr_bits::word::DataFormat;
 use btr_core::codec::{CodecKind, CodecScope, ResyncPolicy};
@@ -52,6 +55,7 @@ use experiments::sweep::{
 use experiments::workloads::{lenet, WeightSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::num::NonZeroUsize;
 
 /// Minimum input-pool size per workload. The actual pool is sized to
 /// the largest `--batch` value (distinct samples, deterministic per
@@ -96,7 +100,6 @@ struct Preset {
     tiebreaks: Vec<TieBreak>,
     codecs: Vec<CodecKind>,
     scopes: Vec<CodecScope>,
-    batches: Vec<usize>,
     engines: Vec<EngineMode>,
     bers: Vec<f64>,
     edcs: Vec<EdcKind>,
@@ -115,7 +118,6 @@ impl Preset {
             tiebreaks: vec![TieBreak::Stable],
             codecs: vec![CodecKind::Unencoded],
             scopes: vec![CodecScope::PerPacket],
-            batches: vec![1],
             engines: vec![EngineMode::Cycle],
             bers: vec![0.0],
             edcs: vec![EdcKind::None],
@@ -323,7 +325,8 @@ fn main() {
 
     let seed: u64 = cli::arg("seed", 42);
     let source: WeightSource = cli::arg("weights", preset.weights);
-    let darknet_width: usize = cli::arg("darknet-width", 8);
+    let darknet_width = cli::opt_arg::<NonZeroUsize>("darknet-width")
+        .map_or(darknet::DEFAULT_WIDTH, NonZeroUsize::get);
     let sequential = cli::flag("sequential");
     let shard: Shard = cli::arg("shard", Shard::WHOLE);
 
@@ -334,12 +337,19 @@ fn main() {
     let tiebreaks: Vec<TieBreak> = cli::list_arg("ties", preset.tiebreaks);
     let codecs: Vec<CodecKind> = cli::list_arg("codecs", preset.codecs);
     let scopes: Vec<CodecScope> = cli::list_arg("codec-scope", preset.scopes);
-    let batches: Vec<usize> = cli::list_arg("batch", preset.batches);
-    let engines: Vec<EngineMode> = cli::list_arg("engine", preset.engines);
-    let bers: Vec<BitErrorRate> = cli::list_arg("ber", preset.bers)
+    let batches: Vec<usize> = cli::list_arg("batch", vec![NonZeroUsize::MIN])
         .into_iter()
-        .map(BitErrorRate::from_f64)
+        .map(NonZeroUsize::get)
         .collect();
+    let engines: Vec<EngineMode> = cli::list_arg("engine", preset.engines);
+    let bers: Vec<BitErrorRate> = cli::list_arg(
+        "ber",
+        preset
+            .bers
+            .into_iter()
+            .map(BitErrorRate::from_f64)
+            .collect(),
+    );
     let edcs: Vec<EdcKind> = cli::list_arg("edc", preset.edcs);
     let resyncs: Vec<ResyncPolicy> = cli::list_arg("resync", preset.resyncs);
     let fault_modes: Vec<FaultMode> = cli::list_arg("fault-mode", preset.fault_modes);
@@ -469,8 +479,15 @@ fn main() {
 
     if let Some(path) = json_path {
         let json = outcomes_json(&workloads, &outcomes);
-        experiments::json::write_file(std::path::Path::new(&path), &json)
-            .unwrap_or_else(|e| eprintln!("error: could not write {path}: {e}"));
+        if let Err(e) = experiments::json::write_file(std::path::Path::new(&path), &json) {
+            eprintln!("error: could not write {path}: {e}");
+            std::process::exit(1);
+        }
         println!("# wrote {path}");
+    }
+    let failed = outcomes.iter().filter(|o| o.error.is_some()).count();
+    if failed > 0 {
+        eprintln!("error: {failed} of {} cells failed", outcomes.len());
+        std::process::exit(1);
     }
 }

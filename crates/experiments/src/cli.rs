@@ -168,4 +168,54 @@ mod tests {
         assert_eq!("fx8".parse::<DataFormat>(), Ok(DataFormat::Fixed8));
         assert!("int4".parse::<DataFormat>().is_err());
     }
+
+    #[test]
+    fn malformed_flag_values_are_parse_errors() {
+        use crate::sweep::MeshSpec;
+        use btr_noc::fault::BitErrorRate;
+        use std::num::NonZeroUsize;
+        fn ok<T: std::str::FromStr>(s: &str) -> bool {
+            s.parse::<T>().is_ok()
+        }
+        // (flag, value, parses): every rejected value used to panic
+        // downstream (`BitErrorRate::from_f64`, `NocConfig::paper_mesh`,
+        // `darknet::build_with_width`) or fail every cell at run time.
+        let cases: &[(&str, &str, bool)] = &[
+            ("--ber", "0", true),
+            ("--ber", "1e-6", true),
+            ("--ber", "1", true),
+            ("--ber", "2", false),
+            ("--ber", "-1", false),
+            ("--ber", "nan", false),
+            ("--ber", "inf", false),
+            ("--ber", "lots", false),
+            ("--meshes", "4x4x2", true),
+            ("--meshes", "8x8x8", true),
+            ("--meshes", "2x1x2", true),
+            ("--meshes", "2x2x9", false),
+            ("--meshes", "0x0x1", false),
+            ("--meshes", "1x1x1", false),
+            ("--meshes", "1x2x2", false),
+            ("--meshes", "4x4x0", false),
+            ("--meshes", "4x4x3", false),
+            ("--meshes", "4x1x4", false),
+            ("--meshes", "4x0x2", false),
+            ("--darknet-width", "4", true),
+            ("--darknet-width", "0", false),
+            ("--batch", "1", true),
+            ("--batch", "0", false),
+            ("--batch", "-1", false),
+        ];
+        for &(flag, value, parses) in cases {
+            let got = match flag {
+                "--ber" => ok::<BitErrorRate>(value),
+                "--meshes" => ok::<MeshSpec>(value),
+                _ => ok::<NonZeroUsize>(value),
+            };
+            assert_eq!(got, parses, "{flag} {value}");
+        }
+        // The accepted BER is the same threshold `from_f64` builds.
+        assert_eq!("1e-6".parse(), Ok(BitErrorRate::from_f64(1e-6)));
+        assert_eq!("1".parse(), Ok(BitErrorRate(u64::MAX)));
+    }
 }

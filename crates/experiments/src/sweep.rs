@@ -136,7 +136,9 @@ impl std::fmt::Display for MeshSpec {
 impl std::str::FromStr for MeshSpec {
     type Err = String;
 
-    /// Parses `"WxHxMC"`, e.g. `"8x8x4"`.
+    /// Parses `"WxHxMC"`, e.g. `"8x8x4"`, and rejects geometries the
+    /// paper's edge-pair MC placement cannot build: fewer than 2 columns
+    /// or 1 row, and an MC count that is zero, odd or above `2 × H`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let parts: Vec<&str> = s.split('x').collect();
         if parts.len() != 3 {
@@ -146,11 +148,25 @@ impl std::str::FromStr for MeshSpec {
             part.parse()
                 .map_err(|e| format!("bad {what} in mesh spec {s:?}: {e}"))
         };
-        Ok(MeshSpec {
+        let spec = MeshSpec {
             width: parse(parts[0], "width")?,
             height: parse(parts[1], "height")?,
             mc_count: parse(parts[2], "MC count")?,
-        })
+        };
+        if spec.width < 2 || spec.height == 0 {
+            return Err(format!(
+                "mesh spec {s:?} needs at least 2 columns and 1 row"
+            ));
+        }
+        let pairs_fit = (2..=2 * spec.height).contains(&spec.mc_count);
+        if !pairs_fit || !spec.mc_count.is_multiple_of(2) {
+            return Err(format!(
+                "mesh spec {s:?}: MC count must be even and in 2..={} \
+                 (left/right edge pairs)",
+                2 * spec.height
+            ));
+        }
+        Ok(spec)
     }
 }
 

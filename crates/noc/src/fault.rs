@@ -59,6 +59,24 @@ impl BitErrorRate {
     }
 }
 
+impl std::str::FromStr for BitErrorRate {
+    type Err = String;
+
+    /// Parses a probability in `[0, 1]`, e.g. `"1e-6"`. NaN and values
+    /// outside the interval are errors, not [`BitErrorRate::from_f64`]
+    /// panics.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let p: f64 = s
+            .parse()
+            .map_err(|e| format!("BER {s:?} is not a number: {e}"))?;
+        if (0.0..=1.0).contains(&p) {
+            Ok(Self::from_f64(p))
+        } else {
+            Err(format!("BER {p} outside [0, 1]"))
+        }
+    }
+}
+
 /// How errors arrive on a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FaultMode {

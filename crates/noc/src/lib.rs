@@ -21,8 +21,6 @@
 //! * [`session`] — task injection/decode through the shared
 //!   `btr_core::transport` pipeline;
 //! * [`sim`] — the cycle-driven simulator (flat-array engine);
-//! * [`legacy`] — the original map/deque engine, kept as a bit-exact
-//!   semantics oracle;
 //! * [`stats`] — per-link and aggregate BT, latency, throughput;
 //! * [`traffic`] — synthetic patterns (uniform random, transpose, hotspot)
 //!   for standalone validation of the NoC itself.
@@ -53,7 +51,6 @@ pub mod analytic;
 pub mod config;
 pub mod fault;
 pub mod flit;
-pub mod legacy;
 pub mod packet;
 pub mod routing;
 pub mod session;

@@ -37,10 +37,10 @@
 //!   phase 3 (their round-robin pointers cannot advance without a flit, so
 //!   skipping is semantics-preserving).
 //!
-//! The engine is cycle-for-cycle and bit-for-bit equivalent to the
-//! reference implementation preserved in [`crate::legacy`]; the
-//! `transport_parity` integration tests assert per-link BT equality on
-//! seeded workloads.
+//! The engine is pinned cycle for cycle and bit for bit by golden
+//! per-link BT digests in the `transport_parity` integration tests,
+//! generated once from the original map/deque implementation on seeded
+//! workloads.
 
 use crate::config::{NocConfig, NodeId};
 use crate::flit::Flit;
@@ -1319,46 +1319,5 @@ mod tests {
             coded < raw,
             "carried-over XOR state must collapse the repeat packet: {coded} vs {raw}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "legacy oracle models raw wires")]
-    fn legacy_engine_rejects_per_link_codecs() {
-        use btr_core::codec::CodecKind;
-        let _ = crate::legacy::LegacySimulator::new(
-            NocConfig::mesh(4, 4, 128).with_link_codec(Some(CodecKind::DeltaXor)),
-        );
-    }
-
-    #[test]
-    fn matches_legacy_simulator_bit_exactly() {
-        // Seeded uniform-random workload through both engines: identical
-        // cycle counts, aggregate stats and per-link transition totals.
-        let config = NocConfig::mesh(4, 4, 128);
-        let mut rng = StdRng::seed_from_u64(77);
-        let packets: Vec<Packet> = (0..150u64)
-            .map(|tag| {
-                let src = rng.gen_range(0..16);
-                let dst = rng.gen_range(0..16);
-                let payload: Vec<PayloadBits> = (0..rng.gen_range(1..6))
-                    .map(|_| image(128, rng.gen()))
-                    .collect();
-                Packet::new(src, dst, payload, tag)
-            })
-            .collect();
-        let mut flat = Simulator::new(config.clone());
-        let mut legacy = crate::legacy::LegacySimulator::new(config);
-        for p in &packets {
-            flat.inject(p.clone()).unwrap();
-            legacy.inject(p.clone()).unwrap();
-        }
-        flat.run_until_idle(100_000).unwrap();
-        legacy.run_until_idle(100_000).unwrap();
-        let (fs, ls) = (flat.stats(), legacy.stats());
-        assert_eq!(fs.cycles, ls.cycles);
-        assert_eq!(fs.total_transitions, ls.total_transitions);
-        assert_eq!(fs.flit_hops, ls.flit_hops);
-        assert_eq!(fs.per_link, ls.per_link);
-        assert_eq!(fs.latency, ls.latency);
     }
 }

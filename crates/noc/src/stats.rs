@@ -23,8 +23,8 @@ struct CodecLanes {
 /// links.
 ///
 /// The flat-array simulator attaches one slab to all router output links
-/// and one to all injection links, instead of a `TransitionRecorder`
-/// object per link: the previous-image, transition-total and flit-count
+/// and one to all injection links, instead of a recorder object per
+/// link: the previous-image, transition-total and flit-count
 /// columns live in contiguous index-addressed vectors, so the per-hop
 /// record (XOR + popcount + store, Fig. 8) touches three adjacent slots
 /// rather than chasing per-link allocations.

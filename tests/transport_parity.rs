@@ -8,11 +8,12 @@
 //!    [`TransportSession`] and decoding the delivered wire images
 //!    recovers the exact multiply-accumulate result (integer-exact for
 //!    fixed-8, reassociation-tolerant for float-32).
-//! 2. **Engine parity**: the flat-array simulator reproduces the legacy
-//!    map/deque implementation bit-exactly — identical per-link BT
-//!    totals, cycles, latency and delivered payloads — on seeded 4×4
-//!    mesh workloads, both for raw traffic and for transport-encoded
-//!    task packets.
+//! 2. **Engine golden digests**: the flat-array simulator reproduces,
+//!    bit-exactly, the per-link BT totals, cycles, latency and delivered
+//!    packets that the original map/deque simulator produced on five
+//!    seeded workloads (raw traffic and transport-encoded task packets
+//!    on 4×4, and `bench_noc`'s 4×4 and 8×8 loads). The values were
+//!    generated once from that simulator before it was retired.
 //! 3. **Codec parity**: `CodedTransport` with `CodecKind::Unencoded`
 //!    produces bit-identical wire images, per-link BT totals, cycles
 //!    and recovered tasks to the pre-refactor ordered-transport path
@@ -25,15 +26,15 @@ use noc_btr::core::codec::{CodecKind, CodecScope};
 use noc_btr::core::edc::EdcKind;
 use noc_btr::core::flitize::order_task_with;
 use noc_btr::core::ordering::{OrderingMethod, TieBreak};
-use noc_btr::core::task::NeuronTask;
+use noc_btr::core::task::{NeuronTask, RecoveredTask};
 use noc_btr::core::transport::{
     CodedTransport, TransportConfig, TransportScratch, TransportSession,
 };
 use noc_btr::noc::config::NocConfig;
-use noc_btr::noc::legacy::LegacySimulator;
 use noc_btr::noc::packet::Packet;
 use noc_btr::noc::session::TaskPort;
-use noc_btr::noc::sim::Simulator;
+use noc_btr::noc::sim::{DeliveredPacket, Simulator};
+use noc_btr::noc::traffic::{generate, Pattern};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -111,97 +112,320 @@ fn transport_roundtrip_f32_within_reassociation_tolerance() {
     }
 }
 
-/// Seeded random traffic: the flat engine and the legacy engine must
-/// agree on everything observable, per link.
-#[test]
-fn flat_engine_matches_legacy_on_seeded_traffic() {
-    let config = NocConfig::mesh(4, 4, 128);
-    let mut rng = StdRng::seed_from_u64(2024);
-    let packets: Vec<Packet> = (0..400u64)
+/// The flat engine's observable output on one seeded workload, reduced to
+/// the fields the golden table pins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Golden {
+    cycles: u64,
+    total: u64,
+    inter_router: u64,
+    injection: u64,
+    ejection: u64,
+    flit_hops: u64,
+    /// `(count, min, max, mean.to_bits())`.
+    latency: (u64, u64, u64, u64),
+    /// FNV-1a-64 over every `LinkStat`'s fields, in `per_link` order.
+    per_link: u64,
+    /// FNV-1a-64 over every delivered packet, per destination node in
+    /// node order: `(node, packet_id, src, dst, tag, inject_cycle,
+    /// arrival_cycle, flit count, each payload's width and 64-bit words)`.
+    delivered: u64,
+    /// FNV-1a-64 over every decoded task MAC in tag order (task rows
+    /// only).
+    macs: Option<u64>,
+}
+
+/// A seeded workload of the golden table.
+#[derive(Debug, Clone, Copy)]
+enum Workload {
+    /// `packets` random 4×4 packets, each carrying a payload-flit count
+    /// drawn from `flits.0..flits.1`, with `words` random 64-bit words
+    /// from the bottom of every 128-bit flit.
+    Seeded {
+        seed: u64,
+        packets: u64,
+        flits: (usize, usize),
+        words: u32,
+    },
+    /// `bench_noc`'s load: `generate(UniformRandom, 200, 4)`, seed 5.
+    Uniform200,
+    /// 120 separated-ordering (O2) fx8 tasks of 25 operand pairs sent
+    /// through a `TaskPort`, seed 99.
+    Tasks,
+}
+
+/// FNV-1a-64 over the little-endian bytes of `words`.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for word in words {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+fn payload_words(p: &PayloadBits) -> impl Iterator<Item = u64> + '_ {
+    let width = p.width();
+    std::iter::once(u64::from(width)).chain(
+        (0..width)
+            .step_by(64)
+            .map(move |off| p.field(off, 64.min(width - off))),
+    )
+}
+
+fn seeded_packets(seed: u64, packets: u64, flits: (usize, usize), words: u32) -> Vec<Packet> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..packets)
         .map(|tag| {
             let src = rng.gen_range(0..16);
             let dst = rng.gen_range(0..16);
-            let payload: Vec<PayloadBits> = (0..rng.gen_range(1..8))
+            let payload: Vec<PayloadBits> = (0..rng.gen_range(flits.0..flits.1))
                 .map(|_| {
                     let mut p = PayloadBits::zero(128);
-                    p.set_field(0, 64, rng.gen());
-                    p.set_field(64, 64, rng.gen());
+                    for w in 0..words {
+                        p.set_field(64 * w, 64, rng.gen());
+                    }
                     p
                 })
                 .collect();
             Packet::new(src, dst, payload, tag)
         })
+        .collect()
+}
+
+/// Runs `workload` on a fresh `side × side` flat engine and reduces the
+/// drained run to its golden fields. The task row also decodes every MAC
+/// off the delivered images and checks it against the software MAC.
+fn run_flat(side: usize, workload: Workload) -> Golden {
+    let config = NocConfig::mesh(side, side, 128);
+    let mut sim = Simulator::new(config.clone());
+    let port = TaskPort::new(CodedTransport::new(TransportConfig::new(
+        OrderingMethod::Separated,
+        16,
+    )));
+    let mut tasks = Vec::new();
+    match workload {
+        Workload::Seeded {
+            seed,
+            packets,
+            flits,
+            words,
+        } => {
+            for p in seeded_packets(seed, packets, flits, words) {
+                sim.inject(p).unwrap();
+            }
+        }
+        Workload::Uniform200 => {
+            let mut rng = StdRng::seed_from_u64(5);
+            for p in generate(&config, Pattern::UniformRandom, 200, 4, &mut rng) {
+                sim.inject(p).unwrap();
+            }
+        }
+        Workload::Tasks => {
+            let mut rng = StdRng::seed_from_u64(99);
+            for tag in 0..120u64 {
+                let task = random_fx8_task(&mut rng, 25);
+                let src = rng.gen_range(0..16);
+                let dst = rng.gen_range(0..16);
+                let meta = port.send_task(&mut sim, src, dst, &task, tag).unwrap();
+                tasks.push((task, dst, meta));
+            }
+        }
+    }
+    let cycles = sim.run_until_idle(1_000_000).unwrap();
+    let stats = sim.stats();
+    assert_eq!(cycles, stats.cycles);
+    let delivered: Vec<Vec<DeliveredPacket>> = (0..config.num_nodes())
+        .map(|node| sim.drain_delivered(node))
         .collect();
 
-    let mut flat = Simulator::new(config.clone());
-    let mut legacy = LegacySimulator::new(config);
-    for p in &packets {
-        flat.inject(p.clone()).unwrap();
-        legacy.inject(p.clone()).unwrap();
-    }
-    let flat_cycles = flat.run_until_idle(1_000_000).unwrap();
-    let legacy_cycles = legacy.run_until_idle(1_000_000).unwrap();
-    assert_eq!(flat_cycles, legacy_cycles);
-
-    let (fs, ls) = (flat.stats(), legacy.stats());
-    assert_eq!(fs.total_transitions, ls.total_transitions);
-    assert_eq!(fs.inter_router_transitions, ls.inter_router_transitions);
-    assert_eq!(fs.injection_transitions, ls.injection_transitions);
-    assert_eq!(fs.ejection_transitions, ls.ejection_transitions);
-    assert_eq!(fs.flit_hops, ls.flit_hops);
-    assert_eq!(fs.latency, ls.latency);
-    // The satellite requirement: per-link BT totals, bit-exact.
-    assert_eq!(fs.per_link, ls.per_link);
-
-    // Delivered payloads agree too.
-    for node in 0..16 {
-        let f = flat.drain_delivered(node);
-        let l = legacy.drain_delivered(node);
-        assert_eq!(f, l, "node {node}");
+    let per_link = fnv1a(stats.per_link.iter().flat_map(|l| {
+        [
+            l.node as u64,
+            l.direction.index() as u64,
+            u64::from(l.injection),
+            l.transitions,
+            l.flits,
+        ]
+    }));
+    let delivered_digest = fnv1a(delivered.iter().enumerate().flat_map(|(node, ds)| {
+        ds.iter().flat_map(move |d| {
+            [
+                node as u64,
+                d.packet_id,
+                d.src as u64,
+                d.dst as u64,
+                d.tag,
+                d.inject_cycle,
+                d.arrival_cycle,
+                d.payload_flits.len() as u64,
+            ]
+            .into_iter()
+            .chain(d.payload_flits.iter().flat_map(payload_words))
+        })
+    }));
+    let macs = matches!(workload, Workload::Tasks).then(|| {
+        let mut all: Vec<&DeliveredPacket> = delivered.iter().flatten().collect();
+        all.sort_by_key(|d| d.tag);
+        assert_eq!(all.len(), tasks.len());
+        fnv1a(all.into_iter().map(|d| {
+            let (task, dst, meta) = &tasks[d.tag as usize];
+            assert_eq!(d.dst, *dst);
+            let rec: RecoveredTask<Fx8Word> = port.receive_task(meta, d).unwrap();
+            assert_eq!(rec.mac_i64(), task.mac_i64(), "task {}", d.tag);
+            rec.mac_i64() as u64
+        }))
+    });
+    Golden {
+        cycles: stats.cycles,
+        total: stats.total_transitions,
+        inter_router: stats.inter_router_transitions,
+        injection: stats.injection_transitions,
+        ejection: stats.ejection_transitions,
+        flit_hops: stats.flit_hops,
+        latency: (
+            stats.latency.count,
+            stats.latency.min,
+            stats.latency.max,
+            stats.latency.mean.to_bits(),
+        ),
+        per_link,
+        delivered: delivered_digest,
+        macs,
     }
 }
 
-/// Transport-encoded task packets (the accelerator's traffic shape)
-/// through both engines: per-link BT totals stay bit-exact and every
-/// task decodes to the same MAC on both sides.
+/// The golden table: `(row, mesh side, workload, pinned output)`.
+const GOLDEN: [(&str, usize, Workload, Golden); 5] = [
+    (
+        "seeded traffic, seed 2024, 400 packets",
+        4,
+        Workload::Seeded {
+            seed: 2024,
+            packets: 400,
+            flits: (1, 8),
+            words: 2,
+        },
+        Golden {
+            cycles: 240,
+            total: 575335,
+            inter_router: 321694,
+            injection: 128704,
+            ejection: 124937,
+            flit_hops: 9267,
+            latency: (400, 5, 239, 105.355f64.to_bits()),
+            per_link: 0x125225862724425f,
+            delivered: 0x59807a87e19d1f70,
+            macs: None,
+        },
+    ),
+    (
+        "transport tasks, seed 99, 120 O2 tasks",
+        4,
+        Workload::Tasks,
+        Golden {
+            cycles: 80,
+            total: 135663,
+            inter_router: 75915,
+            injection: 29994,
+            ejection: 29754,
+            flit_hops: 2690,
+            latency: (120, 7, 79, 42.1f64.to_bits()),
+            per_link: 0xe3fd3d34b2adb404,
+            delivered: 0xca23d24fcbbd6308,
+            macs: Some(0x8ce0949e8236b306),
+        },
+    ),
+    (
+        "seeded traffic, seed 77, 150 packets",
+        4,
+        Workload::Seeded {
+            seed: 77,
+            packets: 150,
+            flits: (1, 6),
+            words: 1,
+        },
+        Golden {
+            cycles: 78,
+            total: 82587,
+            inter_router: 45793,
+            injection: 18802,
+            ejection: 17992,
+            flit_hops: 2743,
+            latency: (150, 9, 77, 36.79333333333334f64.to_bits()),
+            per_link: 0x1f064269f20cfaeb,
+            delivered: 0x318de9addf177607,
+            macs: None,
+        },
+    ),
+    (
+        "bench_noc uniform 200 packets, 4x4",
+        4,
+        Workload::Uniform200,
+        Golden {
+            cycles: 113,
+            total: 278028,
+            inter_router: 153665,
+            injection: 63356,
+            ejection: 61007,
+            flit_hops: 4500,
+            latency: (200, 6, 112, 55.23f64.to_bits()),
+            per_link: 0x7c1b7b9e2f418bd5,
+            delivered: 0x280d748a4a88e179,
+            macs: None,
+        },
+    ),
+    (
+        "bench_noc uniform 200 packets, 8x8",
+        8,
+        Workload::Uniform200,
+        Golden {
+            cycles: 72,
+            total: 430767,
+            inter_router: 311727,
+            injection: 60310,
+            ejection: 58730,
+            flit_hops: 7255,
+            latency: (200, 7, 71, 33.555f64.to_bits()),
+            per_link: 0x690ead4ea3b7d035,
+            delivered: 0x031ff466b5e8aab6,
+            macs: None,
+        },
+    ),
+];
+
+/// Checks row `index` of [`GOLDEN`] against a fresh flat-engine run.
+///
+/// The pinned values were generated once from the original map/deque
+/// reference simulator, which the flat engine matched cycle for cycle
+/// and bit for bit, before that reference was retired.
+fn assert_golden_row(index: usize) {
+    let (row, side, workload, want) = GOLDEN[index];
+    assert_eq!(run_flat(side, workload), want, "{row}");
+}
+
+/// Raw seeded traffic (seed 2024, 400 packets, 4×4) matches the legacy
+/// engine's recorded per-link BTs, totals, cycles, latency and deliveries.
+#[test]
+fn flat_engine_matches_legacy_on_seeded_traffic() {
+    assert_golden_row(0);
+}
+
+/// Transport-encoded O2 task packets (seed 99, 120 tasks, 4×4) match the
+/// legacy engine's recorded output, and every delivered MAC decodes exactly.
 #[test]
 fn flat_engine_matches_legacy_on_transport_tasks() {
-    let config = NocConfig::mesh(4, 4, 128);
-    let session = CodedTransport::new(TransportConfig::new(OrderingMethod::Separated, 16));
-    let port = TaskPort::new(session);
-    let mut rng = StdRng::seed_from_u64(99);
+    assert_golden_row(1);
+}
 
-    let mut flat = Simulator::new(config.clone());
-    let mut legacy = LegacySimulator::new(config);
-    let mut tasks = Vec::new();
-    for tag in 0..120u64 {
-        let task = random_fx8_task(&mut rng, 25);
-        let src = rng.gen_range(0..16);
-        let dst = rng.gen_range(0..16);
-        let meta = port.send_task(&mut flat, src, dst, &task, tag).unwrap();
-        // Same wire images into the legacy engine.
-        let enc = port.session().encode_task(&task).unwrap();
-        legacy
-            .inject(Packet::new(src, dst, enc.payload_flits(), tag))
-            .unwrap();
-        tasks.push((task, dst, meta));
-    }
-    flat.run_until_idle(1_000_000).unwrap();
-    legacy.run_until_idle(1_000_000).unwrap();
-
-    let (fs, ls) = (flat.stats(), legacy.stats());
-    assert_eq!(fs.per_link, ls.per_link);
-    assert_eq!(fs.cycles, ls.cycles);
-
-    // Decode every delivery off the flat engine's wires.
-    let mut delivered = flat.drain_all_delivered();
-    delivered.sort_by_key(|d| d.tag);
-    assert_eq!(delivered.len(), tasks.len());
-    for d in delivered {
-        let (task, dst, meta) = &tasks[d.tag as usize];
-        assert_eq!(d.dst, *dst);
-        let rec: noc_btr::core::task::RecoveredTask<Fx8Word> = port.receive_task(meta, &d).unwrap();
-        assert_eq!(rec.mac_i64(), task.mac_i64(), "task {}", d.tag);
+/// The remaining seeded workloads, including `bench_noc`'s 4×4 and 8×8
+/// loads, reproduce their golden digests bit-exactly.
+#[test]
+fn flat_engine_matches_golden_digests() {
+    for index in 2..GOLDEN.len() {
+        assert_golden_row(index);
     }
 }
 
