@@ -95,10 +95,10 @@ pub struct AccelConfig {
     pub driver: DriverMode,
     /// Which engine evaluates each layer's traffic phases:
     /// [`EngineMode::Cycle`] steps the full cycle-accurate mesh (the
-    /// reference), [`EngineMode::Auto`] replays a layer's request phase
-    /// analytically only when that is provably invisible and is always
-    /// bit-identical to `Cycle` on BTs, codec states and outputs (see
-    /// [`btr_noc::analytic`]).
+    /// reference), [`EngineMode::Auto`] streams a layer's request phase
+    /// through the analytic engine only when that is provably invisible
+    /// and is always bit-identical to `Cycle` on BTs, codec states and
+    /// outputs (see [`btr_noc::analytic`]).
     pub engine: EngineMode,
     /// Inputs per traffic phase: every conv/linear layer runs the whole
     /// batch's tasks as one phase, so weights are ordered once per kernel

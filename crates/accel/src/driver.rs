@@ -796,12 +796,12 @@ enum LayerEngine {
     /// Step the mesh cycle by cycle ([`cycle_loop`]).
     Cycle,
     /// Split engine ([`hybrid_loop`]): the request phase — the bulk of a
-    /// layer's flits — replays analytically, the response phase steps
-    /// the mesh through the real cycle engine on the closed-form
-    /// response schedule. Resolved only when that split is provably
-    /// invisible (see [`LayerEngine::resolve`]), so it is bit-identical
-    /// to [`cycle_loop`] on per-link BTs, codec-lane states, overheads
-    /// and delivered payloads.
+    /// layer's flits — streams through the analytic per-packet hop, the
+    /// response phase steps the mesh through the real cycle engine on
+    /// the closed-form response schedule. Resolved only when that split
+    /// is provably invisible (see [`LayerEngine::resolve`]), so it is
+    /// bit-identical to [`cycle_loop`] on per-link BTs, codec-lane
+    /// states, overheads and delivered payloads.
     Hybrid,
 }
 
@@ -818,7 +818,7 @@ impl LayerEngine {
     /// directed link) no shared input port — so the fully overlapped
     /// cycle engine factors exactly into "requests as if alone" ×
     /// "responses injected at their compute-ready cycles". The request
-    /// phase replays analytically (bulk lane kernels), the converging
+    /// phase streams through the analytic per-packet hop, the converging
     /// response phase runs the true cycle engine on the same relative
     /// inject schedule, and every link's flit order is the overlapped
     /// run's. This is the case that matters in practice: DNN response
@@ -884,10 +884,15 @@ fn accept_delivery<W: AccelWord>(
     match port.accept::<W>(sim, d) {
         Ok(Some(_retries)) => Ok(true),
         Ok(None) => Ok(false),
-        Err(TransportError::Unrecoverable { retries }) => {
-            Err(AccelError::Unrecoverable { layer, retries })
-        }
-        Err(e) => Err(AccelError::Decode(e.to_string())),
+        Err(e) => Err(acceptance_error(e, layer)),
+    }
+}
+
+/// Maps a failed NI acceptance check into the driver's error space.
+fn acceptance_error(e: TransportError, layer: usize) -> AccelError {
+    match e {
+        TransportError::Unrecoverable { retries } => AccelError::Unrecoverable { layer, retries },
+        e => AccelError::Decode(e.to_string()),
     }
 }
 
@@ -1099,15 +1104,24 @@ fn cycle_loop<W: AccelWord>(
 /// bits, compute-ready cycle)`.
 type StagedResponse = (usize, u64, u64);
 
-/// The request half of [`hybrid_loop`]: every request is encoded and
-/// queued (same per-MC feed order as the cycle loop's prefetch top-up),
-/// replayed via [`Simulator::replay_queued_analytic`] — straight
-/// XOR+popcount passes over the ordered coded stream, per link, through
-/// the bulk codec-lane kernels on per-link-coded wires — then decoded and
-/// computed at the PEs. Returns the staged responses as `(task, response bits,
-/// compute-ready cycle)` sorted by `(ready, task)` — the exact order the
-/// cycle engine's compute heap would pop them, which is each PE's FIFO
-/// response-injection order.
+/// The request half of [`hybrid_loop`], streamed task by task straight
+/// from the rendered images through [`Simulator::stream_requests`]: each
+/// request is encoded (same per-MC feed order as the cycle loop's
+/// prefetch top-up), walked over its injection link and every link of its
+/// route by the analytic per-packet hop — XOR+popcount passes over the
+/// ordered coded stream, O(1) per hop on raw wires and delta-XOR lanes —
+/// accepted at its PE, decoded and computed, before the next one is
+/// encoded. No packet is queued or interned in the simulator, and only
+/// one packet's images are live at a time. Returns the staged responses
+/// as `(task, response bits, compute-ready cycle)` sorted by `(ready,
+/// task)` — the exact order the cycle engine's compute heap would pop
+/// them, which is each PE's FIFO response-injection order.
+///
+/// This is bit-exact with queueing the phase and running
+/// [`Simulator::replay_queued_analytic`] (its oracle in the
+/// `engine_parity` tests): [`LayerEngine::resolve`] proved the request
+/// routes contention-free, so each request link carries one MC's packets
+/// in that MC's feed order.
 #[allow(clippy::too_many_arguments)]
 fn replay_request_phase<W: AccelWord>(
     op_index: usize,
@@ -1118,42 +1132,34 @@ fn replay_request_phase<W: AccelWord>(
     per_mc_tasks: &[Vec<usize>],
     feed: &mut TaskFeed<'_, W>,
 ) -> Result<(Vec<StagedResponse>, LayerRun), AccelError> {
-    let total = dests.len();
-    let mut wires: Vec<Option<TaskWireMeta>> = vec![None; total];
     let mut run = LayerRun::default();
-
-    // Request phase: queue every task packet at its MC, then replay.
+    let mut staged: Vec<StagedResponse> = Vec::with_capacity(dests.len());
+    let mut stream = sim.stream_requests();
     for tasks in per_mc_tasks {
         for &j in tasks {
-            let encoded = feed.next(j)?;
+            let (wire, payload, index_bits, codec_bits, edc_bits) = feed.next(j)?.into_parts();
+            run.index_bits += index_bits;
+            run.codec_bits += codec_bits;
+            run.edc_bits += edc_bits;
+            run.request_flits += payload.len() as u64 + 1;
             let (pe, mc_node) = dests[j];
-            let sent = port.send_encoded(sim, mc_node, pe, encoded, j as u64)?;
-            run.index_bits += sent.index_overhead_bits;
-            run.codec_bits += sent.codec_overhead_bits;
-            run.edc_bits += sent.edc_overhead_bits;
-            run.request_flits += sent.flit_count as u64;
-            wires[j] = Some(sent.meta);
+            let delivered = stream.deliver(mc_node, pe, j as u64, &payload)?;
+            // The wires are perfect here (error injection forces the
+            // cycle engine), so acceptance always passes — but it must
+            // run, so the EDC verify stays on this path too.
+            port.accept_streamed::<W>(&delivered)
+                .map_err(|e| acceptance_error(e, op_index))?;
+            // PE side: decode off the wires, recover the pairing, compute
+            // the MAC (the same receiver path as the cycle loop).
+            let bits = feed.decode(&wire, delivered.payload_flits)?;
+            staged.push((
+                j,
+                bits,
+                delivered.arrival_cycle + config.pe_latency(wire.num_pairs),
+            ));
         }
     }
-    sim.replay_queued_analytic(true);
-
-    // PE side: decode each delivered request off the wires, recover the
-    // pairing, compute the MAC (the same receiver path as the cycle loop).
-    let mut delivered: Vec<DeliveredPacket> = Vec::new();
-    sim.drain_all_delivered_into(&mut delivered);
-    debug_assert_eq!(delivered.len(), total, "every request delivered");
-    let mut staged: Vec<(usize, u64, u64)> = Vec::with_capacity(total);
-    for d in &delivered {
-        // The wires are perfect here (error injection forces the cycle
-        // engine), so acceptance always passes — but it must run, so the
-        // EDC verify and replay-buffer release stay on this path too.
-        let accepted = accept_delivery::<W>(port, sim, d, op_index)?;
-        debug_assert!(accepted, "analytic wires are perfect");
-        let j = d.tag as usize;
-        let wire = wires[j].as_ref().expect("request was sent before delivery");
-        let bits = feed.decode(wire, &d.payload_flits)?;
-        staged.push((j, bits, d.arrival_cycle + config.pe_latency(wire.num_pairs)));
-    }
+    stream.finish();
     // Completion order — ready cycle, then task id: exactly the order
     // the cycle engine's compute min-heap pops, so each PE's responses
     // inject in its true FIFO order even when a PE holds several tasks
@@ -1165,16 +1171,17 @@ fn replay_request_phase<W: AccelWord>(
 
 /// The split engine behind [`LayerEngine::Hybrid`]: the request phase —
 /// the weight/activation fan-out carrying the bulk of a layer's flits —
-/// replays analytically, then the response phase steps the mesh through
-/// the **real cycle engine**, injecting each PE's response at its
+/// streams through the analytic per-packet hop task by task
+/// ([`replay_request_phase`]), then the response phase steps the mesh
+/// through the **real cycle engine**, injecting each PE's response at its
 /// closed-form compute-ready cycle (shifted by a constant, which cannot
 /// change any link's flit order: the cycle engine's dynamics depend only
 /// on relative inject times).
 ///
 /// Bit-exactness with the fully overlapped [`cycle_loop`] rests on the
 /// split condition [`LayerEngine::resolve`] proved: request routes are
-/// contention-free (so the replay *is* the request phase's true per-link
-/// order and the closed-form ready cycles are exact) and request and
+/// contention-free (so the streamed replay *is* the request phase's true
+/// per-link order and the closed-form ready cycles are exact) and request and
 /// response routes are link-disjoint (so neither phase can stall, delay
 /// or reorder the other anywhere in the mesh, and the phase split is
 /// invisible on every link). Converging response traffic — many PEs

@@ -322,6 +322,54 @@ pub struct WireRun {
     pub count: u64,
 }
 
+/// A plain payload run summarized once for the O(1) delta-XOR hop
+/// ([`LinkCodecState::encode_delta_xor_run`]).
+///
+/// Delta-XOR wires are `w_k = x_k ⊕ x_{k−1}` with `x_{−1}` the lane's
+/// memory `p0`, so consecutive wires differ by `x_k ⊕ x_{k−2}`. From the
+/// third flit on that no longer involves `p0`: the tail of the intra-run
+/// transition sum and the last wire image are the same on every link the
+/// run crosses. They are computed here, once per packet.
+#[derive(Debug, Clone)]
+pub struct DeltaXorRun<'a> {
+    plains: &'a [PayloadBits],
+    /// `Σ_{k≥2} popcount(x_k ⊕ x_{k−2})`.
+    tail: u64,
+    /// `x_{n−1} ⊕ x_{n−2}`, the last wire image when `n ≥ 2`.
+    last_wire: Option<PayloadBits>,
+}
+
+impl<'a> DeltaXorRun<'a> {
+    /// Summarizes `plains` (one XOR+popcount per flit).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run is empty or mixes widths.
+    #[must_use]
+    pub fn new(plains: &'a [PayloadBits]) -> Self {
+        assert!(!plains.is_empty(), "a delta-XOR run cannot be empty");
+        let tail = plains
+            .windows(3)
+            .map(|w| u64::from(w[2].transitions_to(&w[0])))
+            .sum();
+        let last_wire = match plains {
+            [.., a, b] => Some(b.xor(a)),
+            _ => None,
+        };
+        Self {
+            plains,
+            tail,
+            last_wire,
+        }
+    }
+
+    /// The summarized plain images.
+    #[must_use]
+    pub fn plains(&self) -> &'a [PayloadBits] {
+        self.plains
+    }
+}
+
 /// The running state of one link codec endpoint: the wire memory a real
 /// encoder (or its mirrored decoder) holds between flits.
 ///
@@ -634,6 +682,44 @@ impl LinkCodecState {
         }
     }
 
+    /// [`LinkCodecState::encode_run`] over a delta-XOR run summarized by
+    /// [`DeltaXorRun::new`], in O(1) instead of one pass per flit: same
+    /// end state, same [`WireRun`]. Only the first wire `x0 ⊕ p0` and the
+    /// second boundary `popcount(x1 ⊕ p0)` depend on the lane memory
+    /// `p0`; the rest of the run was summed once per packet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the state is not delta-XOR or the run is not
+    /// `data_width` wide.
+    pub fn encode_delta_xor_run(&mut self, run: &DeltaXorRun<'_>) -> WireRun {
+        assert_eq!(
+            self.kind,
+            CodecKind::DeltaXor,
+            "the O(1) run is the delta-XOR telescope"
+        );
+        let (x0, rest) = run
+            .plains
+            .split_first()
+            // btr-lint: allow(panic-in-hot-path, reason = "DeltaXorRun::new rejects empty runs, so a summarized run always has a first flit")
+            .expect("DeltaXorRun is non-empty");
+        self.expect_data_width(x0);
+        let (first, second) = match &self.prev {
+            None => (*x0, rest.first().map_or(0, PayloadBits::popcount)),
+            Some(p0) => (
+                x0.xor(p0),
+                rest.first().map_or(0, |x1| x1.transitions_to(p0)),
+            ),
+        };
+        self.prev = Some(run.plains[run.plains.len() - 1]);
+        WireRun {
+            last: run.last_wire.unwrap_or(first),
+            first,
+            intra: u64::from(second) + run.tail,
+            count: run.plains.len() as u64,
+        }
+    }
+
     /// Width check for the equal-width run kernels (unencoded and
     /// delta-XOR have `wire_width == data_width`, so [`Self::data_image`]
     /// is the identity and the kernels can borrow the inputs directly).
@@ -827,6 +913,25 @@ mod tests {
                     assert_eq!(run.count, n as u64);
                     assert_eq!(bulk, stepped, "{kind}: end-of-run state diverges");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn delta_xor_summarized_run_matches_encode_run() {
+        for n in 1..=6usize {
+            for warmup in [0usize, 2] {
+                let history = random_stream(warmup, 96, n as u64 + 50);
+                let stream = random_stream(n, 96, n as u64);
+                let mut bulk = CodecKind::DeltaXor.seed_state(96);
+                for p in &history {
+                    let _ = bulk.encode_step(p);
+                }
+                let mut summarized = bulk.clone();
+                let want = bulk.encode_run(&stream).unwrap();
+                let got = summarized.encode_delta_xor_run(&DeltaXorRun::new(&stream));
+                assert_eq!(got, want, "n={n} warmup={warmup}");
+                assert_eq!(summarized, bulk, "n={n} warmup={warmup}: end state");
             }
         }
     }

@@ -73,7 +73,7 @@ pub mod theory;
 pub mod transport;
 pub mod unit;
 
-pub use codec::{CodecKind, CodecScope, LinkCodecState, ResyncPolicy};
+pub use codec::{CodecKind, CodecScope, DeltaXorRun, LinkCodecState, ResyncPolicy};
 pub use edc::EdcKind;
 pub use flitize::{order_task, EncodeTemplate, FlitRow, OrderedTask, RecoverError, Slot};
 pub use ordering::OrderingMethod;

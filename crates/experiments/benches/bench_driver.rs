@@ -1,5 +1,5 @@
 //! End-to-end inference throughput of the accelerator driver: the
-//! synchronous reference encode vs the pipelined (cached, inline) encode
+//! synchronous reference encode vs the pipelined (template, inline) encode
 //! at batch 1 / 4 / 16 on LeNet fixed-8 (separated ordering — the
 //! paper's best configuration, and the most encode-heavy one). Both
 //! modes run single-threaded on every host.
@@ -12,7 +12,7 @@
 //! `BTR_BENCH_DRIVER_SMOKE=1` switches to random weights (no training),
 //! two samples per point, and **asserts** that the pipelined driver's
 //! best-case time does not lose to the synchronous driver at the same
-//! batch — the CI guard for the cached encode stage's reason to exist.
+//! batch — the CI guard for the template encode path's reason to exist.
 
 use btr_accel::config::{AccelConfig, DriverMode};
 use btr_accel::driver::run_inference_batch;
@@ -152,13 +152,15 @@ fn report_speedups(smoke: bool) {
         // Best-case (min) times are the most noise-robust on shared CI
         // runners; equal batch isolates the encode path, since both
         // points run one thread and identical mesh traffic on any host.
-        // The cached encode measures ~25-30% faster, so a 10% slack
-        // absorbs scheduler noise without weakening the gate's intent.
+        // The template encode path takes ~35% less time than the
+        // reference encode here (smoke mode on a 2-hart host), so a 10%
+        // slack absorbs scheduler noise without weakening the gate's
+        // intent.
         let sync = metric("sync_b4", "min_ns");
         let pipelined = metric("pipelined_b4", "min_ns");
         assert!(
             pipelined <= sync * 1.1,
-            "cached encode (pipelined) lost to the reference encode (sync) at batch 4: \
+            "template encode (pipelined) lost to the reference encode (sync) at batch 4: \
              {pipelined} ns vs {sync} ns"
         );
         println!(

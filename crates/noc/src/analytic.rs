@@ -13,17 +13,31 @@
 //! stepping is needed to count XOR+popcounts.
 //!
 //! [`Simulator::queued_phase_is_contention_free`] is the (conservative)
-//! classifier for that condition, and
-//! [`Simulator::replay_queued_analytic`] is the kernel: it consumes the
-//! packets queued at the NIs, replays each packet's flit sequence through
-//! the injection link and every router-output link on its dimension-order
-//! path — through the persistent per-link [`LinkCodecState`] tx/rx lanes
-//! when the config owns them — and delivers the decoded payloads, exactly
-//! as the cycle engine would. Cycle and latency numbers are advanced from
-//! the closed-form uncontended wormhole latency (`hops + flits + 1`, plus
-//! the per-source serialization offset) so reports stay populated; they
-//! are exact for contention-free phases under the paper's router
-//! parameters (4 VCs × depth-4 buffers) and estimates otherwise.
+//! classifier for that condition. Both entry points share one per-packet
+//! hop routine: it charges a whole packet on the injection link and on
+//! every router-output link of its dimension-order path
+//! ([`crate::stats::LinkSlab::observe_packet`], through the persistent
+//! per-link [`LinkCodecState`] tx/rx lanes when the config owns them)
+//! and books the packet's closed-form arrival. The per-packet part of
+//! each charge is computed once ([`crate::stats::PacketWires`]), so a
+//! hop is O(1) on raw wires and on delta-XOR lanes, and one bulk
+//! lane-kernel pass on bus-invert lanes.
+//!
+//! * [`Simulator::replay_queued_analytic`] consumes the packets queued at
+//!   the NIs, source-major and FIFO per source, and delivers the decoded
+//!   payloads into the same per-node queues the cycle engine fills.
+//! * [`Simulator::stream_requests`] opens a [`RequestStream`] that takes
+//!   each packet as borrowed images and hands its delivery straight
+//!   back, with nothing queued or interned in the simulator — the
+//!   accelerator driver's request phase. On a contention-free phase it is
+//!   bit-exact with queueing the same packets and replaying them, which
+//!   is its oracle in the `engine_parity` tests.
+//!
+//! Cycle and latency numbers are advanced from the closed-form
+//! uncontended wormhole latency (`hops + flits + 1`, plus the per-source
+//! serialization offset) so reports stay populated; they are exact for
+//! contention-free phases under the paper's router parameters (4 VCs ×
+//! depth-4 buffers) and estimates otherwise.
 //!
 //! Why contention-freedom is required for bit-exactness: with virtual
 //! channels, two packets that temporally overlap on a shared directed
@@ -52,8 +66,11 @@
 //! [`LinkCodecState`]: btr_core::codec::LinkCodecState
 
 use crate::config::{NocConfig, NodeId};
-use crate::routing::{hop_count, route, Direction};
-use crate::sim::{DeliveredPacket, Simulator, NUM_PORTS};
+use crate::packet::{decode_head_payload, encode_head_payload};
+use crate::routing::{route, Direction};
+use crate::sim::{DeliveredPacket, InjectError, Simulator, NUM_PORTS};
+use crate::stats::PacketWires;
+use btr_bits::payload::PayloadBits;
 
 /// Which engine evaluates traffic phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -205,6 +222,28 @@ pub fn routes_link_disjoint(
     })
 }
 
+/// The closed-form clock of one analytic phase.
+#[derive(Debug)]
+struct PhaseClock {
+    /// Per source NI: the first cycle its next packet may start
+    /// injecting (the NI serializes its queue, one packet at a time).
+    cursors: Vec<u64>,
+    /// Latest tail arrival booked so far.
+    max_arrival: u64,
+    /// True once any packet was booked.
+    replayed: bool,
+}
+
+impl PhaseClock {
+    fn new(sim: &Simulator) -> Self {
+        Self {
+            cursors: vec![sim.cycle; sim.config.num_nodes()],
+            max_arrival: 0,
+            replayed: false,
+        }
+    }
+}
+
 impl Simulator {
     /// Classifies the traffic phase currently queued at the NIs: `true`
     /// when its route set is contention-free under the configured
@@ -271,12 +310,9 @@ impl Simulator {
         #[cfg(not(debug_assertions))]
         let _ = verified_eligible;
 
-        let mut max_arrival = 0u64;
-        let mut replayed = 0u64;
+        let codec = self.out_links.link_codec();
+        let mut clock = PhaseClock::new(self);
         for src in 0..self.config.num_nodes() {
-            // The NI serializes its queue: each packet starts injecting
-            // the cycle after the previous one fully left.
-            let mut cursor = self.cycle;
             while let Some(pending) = self.ni_pending[src].pop_front() {
                 assert_eq!(
                     pending.next, 0,
@@ -284,122 +320,49 @@ impl Simulator {
                 );
                 self.ni_pending_total -= 1;
                 let pid = pending.packet as usize;
-                let num_flits = self.packets[pid].flits.len();
-                let dst = self.packets[pid].flits[0].dst;
-
-                // On raw wires the packet's flit sequence is identical on
-                // every link it crosses, so the intra-packet transition
-                // sum is a per-packet constant: compute it once, then each
-                // hop is O(1) (boundary transition + accumulate). Per-link
-                // codec lanes re-image the stream per link, so each hop
-                // instead runs the bulk lane kernel
-                // ([`crate::stats::LinkSlab::observe_payload_run`]): one
-                // XOR+popcount pass advancing the link's persistent tx/rx
-                // lanes, no materialized intermediate wires, no per-flit
-                // decode — the head still travels uncoded through
-                // `observe`, exactly as the cycle engine's walk does.
-                let bulk_inject = !self.inject_links.has_link_codec();
-                let bulk_out = !self.out_links.has_link_codec();
-                let intra: u64 = if bulk_inject || bulk_out {
-                    let flits = &self.packets[pid].flits;
-                    (1..num_flits)
-                        .map(|s| u64::from(flits[s].payload.transitions_to(&flits[s - 1].payload)))
-                        .sum()
-                } else {
-                    0
-                };
+                // Release the interned flit storage; on perfect wires
+                // (faults force the cycle engine) the per-link
+                // decode-and-realign is the identity, so the delivered
+                // payloads are the queued images.
+                let flits = std::mem::take(&mut self.packets[pid].flits);
                 debug_assert!(
-                    self.packets[pid]
-                        .flits
+                    flits
                         .iter()
                         .enumerate()
                         .all(|(seq, f)| f.kind.is_head() == (seq == 0)),
                     "wormhole packets carry exactly one head flit, first"
                 );
+                let head = flits[0].payload;
+                let dst = flits[0].dst;
+                let payload: Vec<PayloadBits> = flits[1..].iter().map(|f| f.payload).collect();
+                let inject_cycle = self.packets[pid].inject_cycle;
+                let arrival = self.replay_packet(
+                    &mut clock,
+                    src,
+                    dst,
+                    inject_cycle,
+                    &PacketWires::new(&head, &payload, codec),
+                );
 
-                // Injection link NI→router, in flit order. Delivered
-                // payloads need no rewrite on either path: the wires are
-                // perfect here (faults force the cycle engine), so the
-                // per-link decode-and-realign is the identity.
-                if bulk_inject {
-                    self.inject_links.observe_run(
-                        src,
-                        &self.packets[pid].flits[0].payload,
-                        &self.packets[pid].flits[num_flits - 1].payload,
-                        intra,
-                        num_flits as u64,
-                    );
-                } else {
-                    let flits = &self.packets[pid].flits;
-                    self.inject_links.observe(src, &flits[0].payload);
-                    self.inject_links
-                        .observe_payload_run(src, flits[1..].iter().map(|f| &f.payload));
-                }
-                // Every router-output link on the dimension-order path,
-                // ejection link (`Local` port at the destination) last.
-                let mut cur = src;
-                loop {
-                    let dir = route(&self.config, cur, dst);
-                    let link = cur * NUM_PORTS + dir.index();
-                    if bulk_out {
-                        self.out_links.observe_run(
-                            link,
-                            &self.packets[pid].flits[0].payload,
-                            &self.packets[pid].flits[num_flits - 1].payload,
-                            intra,
-                            num_flits as u64,
-                        );
-                    } else {
-                        let flits = &self.packets[pid].flits;
-                        self.out_links.observe(link, &flits[0].payload);
-                        self.out_links
-                            .observe_payload_run(link, flits[1..].iter().map(|f| &f.payload));
-                    }
-                    if dir == Direction::Local {
-                        break;
-                    }
-                    cur = neighbor(&self.config, cur, dir);
-                }
-
-                // Closed-form uncontended wormhole latency: one cycle per
-                // injected flit, one per hop, one to land in the router,
-                // one to eject into the NI.
-                let hops = hop_count(&self.config, src, dst) as u64;
-                let start = cursor.max(self.packets[pid].inject_cycle);
-                let arrival = start + num_flits as u64 + hops + 1;
-                cursor = start + num_flits as u64;
-                max_arrival = max_arrival.max(arrival);
-                replayed += 1;
-
-                // Deliver: decode the head exactly like the receiving NI,
-                // release the interned flit storage.
+                // Deliver: decode the head exactly like the receiving NI.
+                let (head_src, _dst, _len, tag) = decode_head_payload(&head);
                 let slot = &mut self.packets[pid];
-                let (head_src, _dst, _len, tag) =
-                    crate::packet::decode_head_payload(&slot.flits[0].payload);
                 slot.src = head_src;
                 slot.tag = tag;
-                let flits = std::mem::take(&mut slot.flits);
-                let delivered = DeliveredPacket {
+                self.ni_delivered[dst].push_back(DeliveredPacket {
                     packet_id: pid as u64,
                     src: head_src,
                     dst,
                     tag,
-                    payload_flits: flits.iter().skip(1).map(|f| f.payload).collect(),
-                    inject_cycle: slot.inject_cycle,
+                    payload_flits: payload,
+                    inject_cycle,
                     arrival_cycle: arrival,
-                };
-                self.latencies.push(delivered.latency());
-                self.ni_delivered[dst].push_back(delivered);
+                });
                 self.delivered_pending += 1;
-                self.flits_delivered += num_flits as u64;
-                self.packets_delivered += 1;
                 self.packets_in_flight -= 1;
             }
         }
-        if replayed > 0 {
-            // The cycle the run_until_idle loop would observe idleness.
-            self.cycle = self.cycle.max(max_arrival + 1);
-        }
+        self.close_phase(&clock);
 
         #[cfg(debug_assertions)]
         if let Some(mut oracle) = oracle {
@@ -408,6 +371,92 @@ impl Simulator {
                 // btr-lint: allow(panic-in-hot-path, reason = "debug-assert oracle: the cfg(debug_assertions) cycle-engine shadow run exists to abort loudly on divergence; release builds compile this block out")
                 .expect("cycle oracle drains");
             self.assert_matches_cycle_oracle(&oracle);
+        }
+    }
+
+    /// Opens a request phase streamed straight from borrowed payload
+    /// images: [`RequestStream::deliver`] walks each packet through the
+    /// same per-packet hop routine as
+    /// [`Simulator::replay_queued_analytic`] the moment it is offered, and
+    /// hands back the delivered images with their closed-form arrival. No
+    /// packet is queued, interned or retained by the simulator.
+    ///
+    /// Every packet counts as offered at the phase's start cycle, and each
+    /// source NI serializes its own packets in the order they are
+    /// delivered. That is bit-exact with queueing the same packets and
+    /// calling [`Simulator::replay_queued_analytic`] whenever every link
+    /// the phase touches carries one source's packets only (a
+    /// contention-free phase, see [`routes_contention_free`]): then each
+    /// link sees its source's packets in that source's order, whatever
+    /// the interleaving across sources.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any packet is in flight (queued at an NI or in the
+    /// network) or the wires have faults armed.
+    pub fn stream_requests(&mut self) -> RequestStream<'_> {
+        assert!(
+            self.is_idle(),
+            "a streamed request phase needs an idle network"
+        );
+        assert!(
+            !self.faults_armed(),
+            "analytic replay cannot model error-injected wires; error-injected phases \
+             must run the cycle engine"
+        );
+        RequestStream {
+            clock: PhaseClock::new(self),
+            sim: self,
+            aligned: Vec::new(),
+        }
+    }
+
+    /// The per-packet hop routine both analytic entry points share:
+    /// charges `packet` on the injection link at `src` and on every
+    /// router-output link of its dimension-order path, ejection link
+    /// (`Local` port at `dst`) last, then books the closed-form
+    /// uncontended wormhole arrival — one cycle per injected flit, one per
+    /// hop, one to land in the router, one to eject into the NI — after
+    /// the source NI's previous packet fully left. Returns the arrival
+    /// cycle.
+    fn replay_packet(
+        &mut self,
+        clock: &mut PhaseClock,
+        src: NodeId,
+        dst: NodeId,
+        inject_cycle: u64,
+        packet: &PacketWires<'_>,
+    ) -> u64 {
+        self.inject_links.observe_packet(src, packet);
+        let mut cur = src;
+        let mut hops = 0u64;
+        loop {
+            let dir = route(&self.config, cur, dst);
+            self.out_links
+                .observe_packet(cur * NUM_PORTS + dir.index(), packet);
+            if dir == Direction::Local {
+                break;
+            }
+            cur = neighbor(&self.config, cur, dir);
+            hops += 1;
+        }
+        let flits = packet.flits();
+        let start = clock.cursors[src].max(inject_cycle);
+        let arrival = start + flits + hops + 1;
+        clock.cursors[src] = start + flits;
+        clock.max_arrival = clock.max_arrival.max(arrival);
+        clock.replayed = true;
+        self.latencies.push(arrival - inject_cycle);
+        self.flits_delivered += flits;
+        self.packets_delivered += 1;
+        arrival
+    }
+
+    /// Advances the clock to the cycle the `run_until_idle` loop would
+    /// observe idleness after the phase `clock` booked.
+    fn close_phase(&mut self, clock: &PhaseClock) {
+        if clock.replayed {
+            self.cycle = self.cycle.max(clock.max_arrival + 1);
         }
     }
 
@@ -465,6 +514,96 @@ impl Simulator {
                 );
             }
         }
+    }
+}
+
+/// A request phase streamed from borrowed images, opened by
+/// [`Simulator::stream_requests`]. [`RequestStream::finish`] closes it
+/// and advances the clock past its last arrival.
+#[derive(Debug)]
+#[must_use = "finish the stream to advance the clock past the phase"]
+pub struct RequestStream<'s> {
+    sim: &'s mut Simulator,
+    clock: PhaseClock,
+    /// The current packet's images re-aligned onto the link width, used
+    /// only when they arrive narrower.
+    aligned: Vec<PayloadBits>,
+}
+
+/// A packet delivered by [`RequestStream::deliver`], borrowing the
+/// payload images the receiving NI holds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StreamedPacket<'a> {
+    /// Payload flit images at the link width, in order.
+    pub payload_flits: &'a [PayloadBits],
+    /// Cycle the tail flit was ejected.
+    pub arrival_cycle: u64,
+}
+
+impl RequestStream<'_> {
+    /// Sends one packet `src → dst` through the phase and delivers it:
+    /// the checks [`Simulator::inject`] makes, the head image and
+    /// re-alignment of narrower images onto the link width as in
+    /// [`crate::packet::Packet::to_flits`], then the per-packet hop walk
+    /// and the closed-form arrival.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InjectError`] if a node is out of range or a payload
+    /// image is wider than the link.
+    pub fn deliver<'a>(
+        &'a mut self,
+        src: NodeId,
+        dst: NodeId,
+        tag: u64,
+        payload: &'a [PayloadBits],
+    ) -> Result<StreamedPacket<'a>, InjectError> {
+        let Self {
+            sim,
+            clock,
+            aligned,
+        } = self;
+        let n = sim.config.num_nodes();
+        for node in [src, dst] {
+            if node >= n {
+                return Err(InjectError::NodeOutOfRange(node));
+            }
+        }
+        let link = sim.config.link_width_bits;
+        if let Some(p) = payload.iter().find(|p| p.width() > link) {
+            return Err(InjectError::PayloadTooWide {
+                width: p.width(),
+                link,
+            });
+        }
+        let payload: &'a [PayloadBits] = if payload.iter().all(|p| p.width() == link) {
+            payload
+        } else {
+            aligned.clear();
+            aligned.extend(payload.iter().map(|p| p.resized(link)));
+            aligned
+        };
+        let head = encode_head_payload(link, src, dst, payload.len() as u32, tag);
+        // Every packet of the phase is offered at its start cycle; the
+        // clock cannot move while the stream borrows the simulator.
+        let (codec, inject_cycle) = (sim.out_links.link_codec(), sim.cycle);
+        let arrival_cycle = sim.replay_packet(
+            clock,
+            src,
+            dst,
+            inject_cycle,
+            &PacketWires::new(&head, payload, codec),
+        );
+        Ok(StreamedPacket {
+            payload_flits: payload,
+            arrival_cycle,
+        })
+    }
+
+    /// Closes the phase: the clock advances to the cycle after its last
+    /// arrival, as [`Simulator::replay_queued_analytic`] leaves it.
+    pub fn finish(self) {
+        self.sim.close_phase(&self.clock);
     }
 }
 
@@ -694,6 +833,42 @@ mod tests {
             (s.total_transitions, s.cycles, s.flit_hops)
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn streamed_phase_checks_like_inject_and_carries_empty_packets() {
+        for codec in [None, Some(CodecKind::DeltaXor), Some(CodecKind::BusInvert)] {
+            let width = 128 + codec.map_or(0, CodecKind::extra_wires);
+            let config = NocConfig::mesh(4, 4, width).with_link_codec(codec);
+            let mut streamed = Simulator::new(config.clone());
+            let mut queued = Simulator::new(config);
+            let mut stream = streamed.stream_requests();
+            assert_eq!(
+                stream.deliver(99, 0, 0, &[]).unwrap_err(),
+                InjectError::NodeOutOfRange(99)
+            );
+            assert_eq!(
+                stream.deliver(0, 16, 0, &[]).unwrap_err(),
+                InjectError::NodeOutOfRange(16)
+            );
+            assert!(matches!(
+                stream.deliver(0, 1, 0, &[image(width + 64, 1)]),
+                Err(InjectError::PayloadTooWide { .. })
+            ));
+            // A head-only packet, then a narrow one-flit packet that must
+            // be re-aligned onto the link, on the same route.
+            let narrow = [image(64, 2)];
+            for (tag, payload) in [(0u64, &[][..]), (1, &narrow[..])] {
+                let d = stream.deliver(2, 13, tag, payload).unwrap();
+                assert!(d.payload_flits.iter().all(|p| p.width() == width));
+                queued
+                    .inject(Packet::new(2, 13, payload.to_vec(), tag))
+                    .unwrap();
+            }
+            stream.finish();
+            queued.replay_queued_analytic(true);
+            assert_eq!(streamed.stats(), queued.stats(), "{codec:?}");
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! sum.
 //!
 //! * [`analytic`] — the analytic fast-path engine: contention-free phase
-//!   classification and direct stream replay, with the cycle engine as
-//!   oracle;
+//!   classification and direct stream replay of queued phases or of
+//!   request phases streamed from borrowed images, with the cycle engine
+//!   as oracle;
 //! * [`config`] — mesh geometry, link width, VC parameters, MC placement;
 //! * [`fault`] — deterministic per-link wire-error injection (seed-split
 //!   RNG streams, per-flit or burst mode) behind the EDC + retransmission

@@ -37,6 +37,7 @@
 //! assert_eq!(recovered.mac_i64(), task.mac_i64());
 //! ```
 
+use crate::analytic::StreamedPacket;
 use crate::fault::FaultConfig;
 use crate::packet::Packet;
 use crate::sim::{DeliveredPacket, InjectError, Simulator};
@@ -373,6 +374,36 @@ impl<S> TaskPort<S> {
         ))
         .expect("replaying a packet the mesh already carried");
         Ok(None)
+    }
+
+    /// The receiving NI's acceptance check for a packet delivered by a
+    /// streamed request phase ([`Simulator::stream_requests`]): the EDC
+    /// verify of [`TaskPort::accept`]. A streamed packet is delivered in
+    /// the same call that sends it, so the sender never needs a replay
+    /// copy: nothing was retained, and there is nothing to release. The
+    /// streamed phase runs on perfect wires only, so every frame verifies
+    /// clean.
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::Unrecoverable`] (with zero retries) if a frame
+    /// fails its EDC check; other [`TransportError`]s if the images do
+    /// not match the session's wire geometry at all.
+    pub fn accept_streamed<W: DataWord>(
+        &self,
+        delivered: &StreamedPacket<'_>,
+    ) -> Result<(), TransportError>
+    where
+        S: TransportSession<W>,
+    {
+        let clean =
+            TransportSession::<W>::verify_delivered_frames(&self.session, delivered.payload_flits)?;
+        debug_assert!(clean, "corrupted delivery on a perfect-wire streamed phase");
+        if clean {
+            Ok(())
+        } else {
+            Err(TransportError::Unrecoverable { retries: 0 })
+        }
     }
 
     /// Decodes a delivered packet's wire images back into paired operands.

@@ -3,7 +3,7 @@
 use crate::fault::{ErrorModel, FaultState};
 use crate::routing::Direction;
 use btr_bits::payload::PayloadBits;
-use btr_core::codec::{CodecKind, LinkCodecState};
+use btr_core::codec::{CodecKind, DeltaXorRun, LinkCodecState};
 
 /// Persistent per-link codec endpoints for a slab of links
 /// (`CodecScope::PerLink`): one transmit encoder and one mirrored receive
@@ -11,6 +11,8 @@ use btr_core::codec::{CodecKind, LinkCodecState};
 /// layers for the slab's lifetime.
 #[derive(Debug, Clone)]
 struct CodecLanes {
+    /// The scheme every lane runs.
+    kind: CodecKind,
     /// Transmit-side state per link (drives the wire images the slab
     /// records).
     tx: Vec<LinkCodecState>,
@@ -89,6 +91,7 @@ impl LinkSlab {
         let data_width = width - codec.extra_wires();
         let mut slab = Self::new(width, links);
         slab.lanes = Some(CodecLanes {
+            kind: codec,
             tx: vec![codec.seed_state(data_width); links],
             rx: vec![codec.seed_state(data_width); links],
         });
@@ -99,6 +102,12 @@ impl LinkSlab {
     #[must_use]
     pub fn has_link_codec(&self) -> bool {
         self.lanes.is_some()
+    }
+
+    /// The codec the per-link lanes run, or `None` on raw wires.
+    #[must_use]
+    pub(crate) fn link_codec(&self) -> Option<CodecKind> {
+        self.lanes.as_ref().map(|l| l.kind)
     }
 
     /// Arms the error process on every link of the slab. Payload flits
@@ -201,9 +210,10 @@ impl LinkSlab {
     /// packet's flit sequence is identical on every link of its path, so
     /// the intra-packet transition sum is computed once per packet and
     /// each hop only adds the link-boundary transition against the wire's
-    /// previous image. Slabs with per-link codec state cannot take this
-    /// path (each link re-images the stream); callers must check
-    /// [`LinkSlab::has_link_codec`] first.
+    /// previous image. Slabs with per-link codec lanes re-image the
+    /// stream per link and panic here; they charge whole packets through
+    /// [`LinkSlab::observe_packet`], which keeps delta-XOR lanes O(1) per
+    /// hop as well.
     ///
     /// # Panics
     ///
@@ -399,6 +409,113 @@ impl LinkSlab {
         self.flits[link] += run.count;
     }
 
+    /// Records one whole packet — head, then its payload run — crossing
+    /// `link` on perfect wires. Exactly equivalent to [`LinkSlab::observe`]
+    /// on the head followed by [`LinkSlab::observe_payload_run`] (coded
+    /// lanes) or [`LinkSlab::observe`] per payload flit (raw wires), at
+    /// the per-hop cost the slab's wires allow:
+    ///
+    /// * raw wires: O(1), one boundary transition plus the packet's
+    ///   precomputed intra sum ([`LinkSlab::observe_run`]);
+    /// * delta-XOR lanes: O(1), three link-dependent terms plus the
+    ///   packet's precomputed telescope tail
+    ///   ([`LinkCodecState::encode_delta_xor_run`]);
+    /// * bus-invert lanes: one bulk lane-kernel pass, since the invert
+    ///   decision depends on the link's wire memory at every flit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `packet` was summarized for a different link codec than
+    /// the slab runs, the slab has faults armed, `link` is out of range,
+    /// or the widths do not match the slab.
+    pub fn observe_packet(&mut self, link: usize, packet: &PacketWires<'_>) {
+        assert_eq!(
+            packet.codec,
+            self.link_codec(),
+            "packet summarized for a different link codec"
+        );
+        match &packet.charge {
+            Charge::Raw { intra } => self.observe_run(
+                link,
+                packet.head,
+                packet.payload.last().unwrap_or(packet.head),
+                *intra,
+                packet.flits(),
+            ),
+            Charge::DeltaXor(run) => self.observe_delta_xor_packet(link, packet.head, run),
+            Charge::Lanes => {
+                self.observe(link, packet.head);
+                self.observe_payload_run(link, packet.payload);
+            }
+        }
+    }
+
+    /// The O(1) delta-XOR hop behind [`LinkSlab::observe_packet`]. Of the
+    /// packet's wire transitions only three depend on the link: the head
+    /// against the link's previous wire image, `popcount(x0 ⊕ p0 ⊕ head)`
+    /// and `popcount(x1 ⊕ p0)`, where `p0` is the lane's last plain flit.
+    /// Both lanes end on `x_{n−1}`, the previous wire image on
+    /// `x_{n−1} ⊕ x_{n−2}` (`x0 ⊕ p0` when n = 1).
+    fn observe_delta_xor_packet(&mut self, link: usize, head: &PayloadBits, run: &DeltaXorRun<'_>) {
+        assert!(
+            self.faults.is_none(),
+            "bulk payload runs cannot traverse error-injected wires"
+        );
+        // Debug oracle: a one-link slab cloned from this link's lane and
+        // wire state walks the packet flit by flit; the O(1) hop must
+        // land on the same transitions, flit count, lanes and last image.
+        #[cfg(debug_assertions)]
+        let walk = {
+            let mut oracle = LinkSlab::new(self.width, 1);
+            oracle.lanes = self.lanes.as_ref().map(|l| CodecLanes {
+                kind: l.kind,
+                tx: vec![l.tx[link].clone()],
+                rx: vec![l.rx[link].clone()],
+            });
+            oracle.prev[0] = self.prev[link];
+            oracle.flits[0] = self.flits[link];
+            oracle.observe(0, head);
+            for flit in run.plains() {
+                let _ = oracle.observe_payload(0, flit);
+            }
+            (oracle, self.transitions[link])
+        };
+        let lanes = self
+            .lanes
+            .as_mut()
+            // btr-lint: allow(panic-in-hot-path, reason = "observe_packet only routes delta-XOR summaries to a slab whose lanes run delta-XOR; lanes are fixed at slab construction")
+            .expect("delta-XOR packets need delta-XOR lanes");
+        let wires = lanes.tx[link].encode_delta_xor_run(run);
+        lanes.rx[link].clone_from(&lanes.tx[link]);
+        assert_eq!(
+            head.width(),
+            self.width,
+            "flit width {} does not match link width {}",
+            head.width(),
+            self.width
+        );
+        if self.flits[link] > 0 {
+            self.transitions[link] += u64::from(head.transitions_to(&self.prev[link]));
+        }
+        self.transitions[link] += u64::from(wires.first.transitions_to(head)) + wires.intra;
+        self.prev[link].clone_used_from(&wires.last);
+        self.flits[link] += 1 + wires.count;
+        #[cfg(debug_assertions)]
+        {
+            let (oracle, before) = &walk;
+            debug_assert_eq!(
+                (self.transitions[link] - before, self.flits[link]),
+                (oracle.transitions[0], oracle.flits[0]),
+                "link {link}: O(1) delta-XOR hop diverges from the per-flit walk"
+            );
+            debug_assert!(
+                self.codec_lane_states(link) == oracle.codec_lane_states(0)
+                    && self.prev[link] == oracle.prev[0],
+                "link {link}: O(1) delta-XOR hop leaves different lane or wire state"
+            );
+        }
+    }
+
     /// Accumulated transitions on `link`.
     #[must_use]
     pub fn transitions(&self, link: usize) -> u64 {
@@ -418,6 +535,67 @@ impl LinkSlab {
     #[must_use]
     pub fn codec_lane_states(&self, link: usize) -> Option<(&LinkCodecState, &LinkCodecState)> {
         self.lanes.as_ref().map(|l| (&l.tx[link], &l.rx[link]))
+    }
+}
+
+/// One whole packet's wire images — the head, then its payload run, all
+/// at the link width — summarized once for the link codec it will cross,
+/// so every hop of its route charges a link through
+/// [`LinkSlab::observe_packet`] without redoing the link-independent part.
+#[derive(Debug, Clone)]
+pub struct PacketWires<'a> {
+    head: &'a PayloadBits,
+    payload: &'a [PayloadBits],
+    codec: Option<CodecKind>,
+    charge: Charge<'a>,
+}
+
+/// The per-packet part of a hop's charge.
+#[derive(Debug, Clone)]
+enum Charge<'a> {
+    /// Raw wires carry the same flit sequence on every link: the sum of
+    /// transitions from the head through the last payload flit.
+    Raw { intra: u64 },
+    /// Delta-XOR lanes: the link-independent tail of the telescope.
+    DeltaXor(DeltaXorRun<'a>),
+    /// Other lanes (and empty payloads): nothing is link-independent.
+    Lanes,
+}
+
+impl<'a> PacketWires<'a> {
+    /// Summarizes a packet for links running `codec` (`None` = raw
+    /// wires), in one XOR+popcount pass over its images at most.
+    #[must_use]
+    pub fn new(
+        head: &'a PayloadBits,
+        payload: &'a [PayloadBits],
+        codec: Option<CodecKind>,
+    ) -> Self {
+        let charge = match codec {
+            None => Charge::Raw {
+                intra: std::iter::once(head)
+                    .chain(payload)
+                    .zip(payload)
+                    .map(|(prev, next)| u64::from(next.transitions_to(prev)))
+                    .sum(),
+            },
+            Some(CodecKind::DeltaXor) if !payload.is_empty() => {
+                Charge::DeltaXor(DeltaXorRun::new(payload))
+            }
+            Some(_) => Charge::Lanes,
+        };
+        Self {
+            head,
+            payload,
+            codec,
+            charge,
+        }
+    }
+
+    /// Flits on the wire (head + payload).
+    #[must_use]
+    pub(crate) fn flits(&self) -> u64 {
+        1 + self.payload.len() as u64
     }
 }
 
@@ -479,7 +657,7 @@ impl LatencyStats {
 }
 
 /// Snapshot of all simulator statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NocStats {
     /// Simulated cycles.
     pub cycles: u64,

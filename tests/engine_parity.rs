@@ -1,5 +1,5 @@
 //! Engine parity: the analytic fast-path engine against the cycle
-//! engine, at both levels it is wired in.
+//! engine, at every level it is wired in.
 //!
 //! 1. **Driver level** — `EngineMode::Auto` must be indistinguishable
 //!    from `EngineMode::Cycle` on every number a run reports (outputs,
@@ -14,6 +14,10 @@
 //!    transitions and flit counts, delivered payloads, closed-form
 //!    cycles/latencies, and — with per-link codec scope — the final
 //!    persistent `LinkCodecState` of every tx/rx lane.
+//! 3. **Streamed request phase** — the driver's request phase streams
+//!    each packet from borrowed images (`Simulator::stream_requests`);
+//!    queueing the same packets and running `replay_queued_analytic` is
+//!    its oracle, on every reported number including the clock.
 //!
 //! A property test drives the classifier adversarially: random packet
 //! sets, eligible or not. Whenever the classifier says "contention-free"
@@ -26,8 +30,11 @@
 use noc_btr::accel::config::AccelConfig;
 use noc_btr::accel::driver::run_inference_batch;
 use noc_btr::bits::payload::PayloadBits;
-use noc_btr::bits::word::DataFormat;
+use noc_btr::bits::word::{DataFormat, Fx8Word};
 use noc_btr::core::codec::{CodecKind, CodecScope};
+use noc_btr::core::edc::EdcKind;
+use noc_btr::core::task::NeuronTask;
+use noc_btr::core::transport::{CodedTransport, TransportConfig, TransportSession};
 use noc_btr::core::OrderingMethod;
 use noc_btr::dnn::layer::{ActKind, Activation, Conv2d, Flatten, Linear, MaxPool2d};
 use noc_btr::dnn::model::{Layer, Sequential};
@@ -36,6 +43,7 @@ use noc_btr::noc::analytic::{routes_contention_free, routes_link_disjoint};
 use noc_btr::noc::config::NocConfig;
 use noc_btr::noc::packet::Packet;
 use noc_btr::noc::routing::Direction;
+use noc_btr::noc::session::TaskPort;
 use noc_btr::noc::sim::{DeliveredPacket, Simulator};
 use noc_btr::noc::EngineMode;
 use proptest::prelude::*;
@@ -355,6 +363,173 @@ fn consecutive_phases_keep_codec_lanes_in_lockstep() {
         fast.replay_queued_analytic(true);
         slow.run_until_idle(100_000).unwrap();
         assert_sims_agree(&mut fast, &mut slow, &format!("phase {phase_seed}"));
+    }
+}
+
+/// One streamed-vs-queued parity row: the transport session that renders
+/// the request images, and how many operand pairs each task carries.
+struct StreamRow {
+    what: &'static str,
+    transport: TransportConfig,
+    pairs: std::ops::RangeInclusive<usize>,
+}
+
+/// Contention-free request traffic from the MCs of a paper 4×4 mesh:
+/// random `(mc, pe)` routes, kept only while the set stays
+/// contention-free, each carrying a real encoded task's images.
+fn streamed_traffic(
+    config: &NocConfig,
+    port: &TaskPort<CodedTransport>,
+    pairs: &std::ops::RangeInclusive<usize>,
+    seed: u64,
+) -> Vec<(usize, usize, u64, Vec<PayloadBits>)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pes = config.pe_nodes();
+    let mut routes: Vec<(usize, usize)> = Vec::new();
+    let mut traffic = Vec::new();
+    for tag in 0..40u64 {
+        let route = (
+            config.mc_nodes[rng.gen_range(0..config.mc_nodes.len())],
+            pes[rng.gen_range(0..pes.len())],
+        );
+        routes.push(route);
+        if !routes_contention_free(config, routes.iter().copied()) {
+            routes.pop();
+            continue;
+        }
+        let n = rng.gen_range(pairs.clone());
+        let word = |rng: &mut StdRng| Fx8Word::new(rng.gen_range(-128i16..128) as i8);
+        let task = NeuronTask::new(
+            (0..n).map(|_| word(&mut rng)).collect(),
+            (0..n).map(|_| word(&mut rng)).collect(),
+            word(&mut rng),
+        )
+        .unwrap();
+        let encoded = TransportSession::<Fx8Word>::encode_task(port.session(), &task).unwrap();
+        let (_meta, payload, ..) = encoded.into_parts();
+        traffic.push((route.0, route.1, tag, payload));
+    }
+    traffic
+}
+
+#[test]
+fn streamed_request_phase_matches_the_queued_replay() {
+    // The hybrid driver streams each request straight from its rendered
+    // images (`Simulator::stream_requests`); its oracle is queueing the
+    // same phase and replaying it with `replay_queued_analytic`. Every
+    // reported number must agree: full stats (clock and latency
+    // included), per-link BTs and flits, both lane families, and each
+    // task's arrival cycle and delivered payload — across three phases on
+    // the same simulators, so lane and wire state carries over.
+    let rows = [
+        StreamRow {
+            what: "raw wires",
+            transport: TransportConfig::new(OrderingMethod::Separated, 16),
+            pairs: 9..=40,
+        },
+        StreamRow {
+            what: "per-link delta-XOR",
+            transport: TransportConfig::new(OrderingMethod::Separated, 16)
+                .with_codec(CodecKind::DeltaXor)
+                .with_scope(CodecScope::PerLink),
+            pairs: 9..=40,
+        },
+        StreamRow {
+            // The frame is one wire narrower than the link: every image
+            // is re-aligned onto the link width.
+            what: "per-link bus-invert",
+            transport: TransportConfig::new(OrderingMethod::Baseline, 16)
+                .with_codec(CodecKind::BusInvert)
+                .with_scope(CodecScope::PerLink),
+            pairs: 9..=40,
+        },
+        StreamRow {
+            what: "EDC parity on per-link delta-XOR",
+            transport: TransportConfig::new(OrderingMethod::Separated, 16)
+                .with_codec(CodecKind::DeltaXor)
+                .with_scope(CodecScope::PerLink)
+                .with_edc(EdcKind::Parity),
+            pairs: 9..=40,
+        },
+        StreamRow {
+            what: "one payload flit per packet",
+            transport: TransportConfig::new(OrderingMethod::Baseline, 16)
+                .with_codec(CodecKind::DeltaXor)
+                .with_scope(CodecScope::PerLink),
+            pairs: 1..=7,
+        },
+    ];
+    for row in rows {
+        let tc = row.transport;
+        let link_codec = (tc.scope == CodecScope::PerLink).then_some(tc.codec);
+        let config = NocConfig::paper_mesh(4, 4, 2, tc.link_width_bits::<Fx8Word>())
+            .with_link_codec(link_codec);
+        let port = TaskPort::new(CodedTransport::new(tc));
+        let mut streamed = Simulator::new(config.clone());
+        let mut queued = Simulator::new(config.clone());
+        for phase in 0..3u64 {
+            let what = format!("{} phase {phase}", row.what);
+            let traffic = streamed_traffic(&config, &port, &row.pairs, 40 + phase);
+            assert!(traffic.len() > 4, "{what}: too little traffic");
+            if row.pairs == (1..=7) {
+                assert!(
+                    traffic.iter().all(|(.., payload)| payload.len() == 1),
+                    "{what}: tasks must fit one payload flit"
+                );
+            }
+            for (src, dst, tag, payload) in &traffic {
+                queued
+                    .inject(Packet::new(*src, *dst, payload.clone(), *tag))
+                    .unwrap();
+            }
+            queued.replay_queued_analytic(true);
+            // The queued replay goes source-major, ascending node ids.
+            // Stream the sources round-robin from the highest id instead
+            // (each in its own order, like the driver's per-MC feed): each
+            // link still sees one source's packets, in order.
+            let mut order: Vec<&(usize, usize, u64, Vec<PayloadBits>)> = traffic.iter().collect();
+            order.sort_by_key(|(src, _, tag, _)| {
+                let rank = traffic
+                    .iter()
+                    .filter(|(s, _, t, _)| s == src && t < tag)
+                    .count();
+                (rank, std::cmp::Reverse(*src))
+            });
+            assert_ne!(order[0].0, order[1].0, "{what}: sources interleave");
+            let mut arrivals = Vec::new();
+            let mut stream = streamed.stream_requests();
+            for (src, dst, tag, payload) in order {
+                let d = stream.deliver(*src, *dst, *tag, payload).unwrap();
+                port.accept_streamed::<Fx8Word>(&d).unwrap();
+                arrivals.push((*tag, d.arrival_cycle, d.payload_flits.to_vec()));
+            }
+            stream.finish();
+            arrivals.sort_by_key(|a| a.0);
+            let mut delivered: Vec<(u64, u64, Vec<PayloadBits>)> = queued
+                .drain_all_delivered()
+                .into_iter()
+                .map(|d| (d.tag, d.arrival_cycle, d.payload_flits))
+                .collect();
+            delivered.sort_by_key(|d| d.0);
+            assert_eq!(arrivals, delivered, "{what}: arrivals and payloads");
+            assert_eq!(streamed.stats(), queued.stats(), "{what}: stats");
+            let nodes = config.num_nodes();
+            for link in 0..nodes * Direction::ALL.len() {
+                assert_eq!(
+                    streamed.out_link_codec_lanes(link),
+                    queued.out_link_codec_lanes(link),
+                    "{what}: out-link {link} lanes"
+                );
+            }
+            for node in 0..nodes {
+                assert_eq!(
+                    streamed.inject_link_codec_lanes(node),
+                    queued.inject_link_codec_lanes(node),
+                    "{what}: injection-link {node} lanes"
+                );
+            }
+            assert!(streamed.is_idle() && queued.is_idle(), "{what}");
+        }
     }
 }
 

@@ -14,13 +14,18 @@
 //!   (tx *and* the mirrored rx) — over the same axes, including a
 //!   pre-existing wire history on the link.
 //!
+//! * `LinkSlab::observe_packet` on delta-XOR lanes — the analytic
+//!   engine's O(1)-per-hop charge of a whole packet — == `observe` on the
+//!   head followed by `observe_payload_run`, on seeded and unseeded lanes,
+//!   with and without a prior packet on the link.
+//!
 //! These pins are what let release builds skip the mirrored per-hop rx
 //! decode and the analytic engine take the fast path on per-link-coded
 //! phases.
 
 use noc_btr::bits::PayloadBits;
 use noc_btr::core::codec::CodecKind;
-use noc_btr::noc::stats::LinkSlab;
+use noc_btr::noc::stats::{LinkSlab, PacketWires};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -134,5 +139,60 @@ proptest! {
         // The untouched link stayed untouched.
         prop_assert_eq!(bulk.transitions(1), 0);
         prop_assert_eq!(bulk.flits(1), 0);
+    }
+
+    /// The O(1) delta-XOR packet hop is the head's `observe` plus the
+    /// payload's `observe_payload_run`: same link BTs and flit count,
+    /// same tx/rx lanes, and the same last wire image (a probe flit
+    /// observed afterwards charges the same boundary transition). Lanes
+    /// start unseeded or seeded by loose payload flits, optionally
+    /// reseeded after a whole prior packet (wire history on an unseeded
+    /// lane, as after a retry resync).
+    #[test]
+    fn delta_xor_packet_hop_is_head_plus_payload_run(
+        seed in 0u64..10_000,
+        width in 1u32..200,
+        warmup in 0usize..3,
+        prior in 0usize..2,
+        reseed in 0usize..2,
+        len in 1usize..13,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut hop = LinkSlab::with_link_codec(width, 2, CodecKind::DeltaXor);
+        let mut walk = LinkSlab::with_link_codec(width, 2, CodecKind::DeltaXor);
+        for flit in images(width, warmup, &mut rng) {
+            let _ = hop.observe_payload(1, &flit);
+            let _ = walk.observe_payload(1, &flit);
+        }
+        if prior == 1 {
+            let head = image(width, &mut rng);
+            let payload = images(width, rng.gen_range(1..5), &mut rng);
+            for slab in [&mut hop, &mut walk] {
+                slab.observe(1, &head);
+                slab.observe_payload_run(1, payload.iter());
+            }
+            if reseed == 1 {
+                hop.reseed_codec_lanes();
+                walk.reseed_codec_lanes();
+            }
+        }
+        let head = image(width, &mut rng);
+        let payload = images(width, len, &mut rng);
+        hop.observe_packet(1, &PacketWires::new(&head, &payload, Some(CodecKind::DeltaXor)));
+        walk.observe(1, &head);
+        walk.observe_payload_run(1, payload.iter());
+        prop_assert_eq!(hop.transitions(1), walk.transitions(1), "link BTs (seed {})", seed);
+        prop_assert_eq!(hop.flits(1), walk.flits(1), "link flit count");
+        prop_assert_eq!(
+            hop.codec_lane_states(1),
+            walk.codec_lane_states(1),
+            "persistent tx/rx lanes (seed {})",
+            seed
+        );
+        let probe = image(width, &mut rng);
+        hop.observe(1, &probe);
+        walk.observe(1, &probe);
+        prop_assert_eq!(hop.transitions(1), walk.transitions(1), "last wire image (seed {})", seed);
+        prop_assert_eq!(hop.flits(0), 0, "the untouched link stayed untouched");
     }
 }
