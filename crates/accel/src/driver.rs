@@ -28,7 +28,7 @@
 
 use crate::config::{AccelConfig, DriverMode};
 use crate::report::{BatchInferenceResult, InferenceResult, LayerTrafficReport};
-use crate::tasks::{ConvGeometry, LayerQuantizers, LayerTasks};
+use crate::tasks::{ConvGeometry, LayerQuantizers, LayerTasks, LayerWords};
 use btr_bits::word::{DataFormat, DataWord, F32Word, Fx8Word};
 use btr_bits::PayloadBits;
 use btr_core::flitize::{EncodeTemplate, FlitizeError};
@@ -122,20 +122,90 @@ impl From<SendError> for AccelError {
     }
 }
 
-/// Words the accelerator can compute on: defines how a PE encodes its MAC
-/// result into the 32-bit response image.
+/// Words the accelerator can compute on: how a layer's operands become
+/// words, how a PE encodes its MAC result into the 32-bit response image,
+/// and how the MC reads that image back as an output value. The driver
+/// picks the word type once per conv/linear op from
+/// [`AccelConfig::format`]; the rest of a NoC layer is format-agnostic.
 pub trait AccelWord: DataWord {
+    /// One batch element's operand scales: `()` for float-32 (the
+    /// identity encoding derives nothing), the element's
+    /// [`LayerQuantizers`] for fixed-8.
+    type Scales: Copy + Send + Sync;
+
+    /// Derives one batch element's scales from its activations and the
+    /// layer's shared weights and bias (`global_weights` as in
+    /// [`LayerQuantizers::derive_with`]).
+    fn scales(input: &Tensor, weight: &Tensor, bias: &Tensor, global_weights: bool)
+        -> Self::Scales;
+
+    /// Maps an activation to a word.
+    fn input_word(scales: Self::Scales, x: f32) -> Self;
+
+    /// Maps a weight to a word.
+    fn weight_word(scales: Self::Scales, w: f32) -> Self;
+
+    /// Maps a bias to a word.
+    fn bias_word(scales: Self::Scales, b: f32) -> Self;
+
     /// Encodes the recovered task's MAC result (32-bit field, LSB-first).
     fn response_bits(rec: &RecoveredTask<Self>) -> u64;
+
+    /// Reads a delivered 32-bit response image back as the task's output
+    /// value; `bias` is the task's bias word.
+    fn response_value(scales: Self::Scales, bits: u64, bias: Self) -> f32;
 }
 
 impl AccelWord for F32Word {
+    type Scales = ();
+
+    fn scales(_: &Tensor, _: &Tensor, _: &Tensor, _: bool) {}
+
+    fn input_word((): (), x: f32) -> Self {
+        F32Word::new(x)
+    }
+
+    fn weight_word((): (), w: f32) -> Self {
+        F32Word::new(w)
+    }
+
+    fn bias_word((): (), b: f32) -> Self {
+        F32Word::new(b)
+    }
+
     fn response_bits(rec: &RecoveredTask<Self>) -> u64 {
         u64::from((rec.mac_f64() as f32).to_bits())
+    }
+
+    fn response_value((): (), bits: u64, _bias: Self) -> f32 {
+        f32::from_bits(bits as u32)
     }
 }
 
 impl AccelWord for Fx8Word {
+    type Scales = LayerQuantizers;
+
+    fn scales(
+        input: &Tensor,
+        weight: &Tensor,
+        bias: &Tensor,
+        global_weights: bool,
+    ) -> Self::Scales {
+        LayerQuantizers::derive_with(input, weight, bias, global_weights)
+    }
+
+    fn input_word(q: LayerQuantizers, x: f32) -> Self {
+        q.input.quantize_fx8(x)
+    }
+
+    fn weight_word(q: LayerQuantizers, w: f32) -> Self {
+        q.weight.quantize_fx8(w)
+    }
+
+    fn bias_word(q: LayerQuantizers, b: f32) -> Self {
+        q.bias.quantize_fx8(b)
+    }
+
     fn response_bits(rec: &RecoveredTask<Self>) -> u64 {
         let mac = rec.mac_i64();
         debug_assert!(
@@ -144,37 +214,17 @@ impl AccelWord for Fx8Word {
         );
         u64::from(mac as i32 as u32)
     }
-}
 
-/// How a session schedules MC-side encoding, resolved once from an
-/// [`AccelConfig`] at session construction. Both plans encode inline in
-/// the cycle loop and are bit-exact with each other
-/// (`tests/driver_parity.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EncodePlan {
-    /// [`DriverMode::Synchronous`]: uncached slot-level encode — the
-    /// legacy-faithful reference.
-    Reference,
-    /// [`DriverMode::Pipelined`]: cached encode through the session's
-    /// weight templates and reused scratch.
-    Inline,
-}
-
-impl EncodePlan {
-    /// Resolves the schedule a session built from `config` will use for
-    /// every inference it serves.
-    #[must_use]
-    pub fn resolve(config: &AccelConfig) -> Self {
-        match config.driver {
-            DriverMode::Synchronous => EncodePlan::Reference,
-            DriverMode::Pipelined => EncodePlan::Inline,
-        }
+    /// The bias code separates the integer dot product from the bias
+    /// during dequantization.
+    fn response_value(q: LayerQuantizers, bits: u64, bias: Self) -> f32 {
+        q.dequantize_response(i64::from(bits as u32 as i32), bias.code())
     }
 }
 
-/// A reusable inference session: one validated [`AccelConfig`] plus the
-/// encode schedule resolved once at construction, serving any number of
-/// [`run`](InferenceSession::run) calls over the same lowered ops.
+/// A reusable inference session: one validated [`AccelConfig`] serving
+/// any number of [`run`](InferenceSession::run) calls over the same
+/// lowered ops.
 ///
 /// This is the building block of the multi-session service
 /// (`btr_serve`): each pool worker owns one session and answers every
@@ -185,7 +235,6 @@ impl EncodePlan {
 pub struct InferenceSession<'a> {
     ops: &'a [InferenceOp],
     config: AccelConfig,
-    plan: EncodePlan,
     /// One encode cache per op: the pre-rendered weight flit templates of
     /// each conv/linear layer's kernel groups.
     /// Weights never change within a session, so templates built lazily
@@ -225,7 +274,7 @@ impl LayerEncodeCache {
 }
 
 impl<'a> InferenceSession<'a> {
-    /// Validates `config` once and resolves the encode schedule.
+    /// Validates `config` once.
     ///
     /// # Errors
     ///
@@ -233,12 +282,10 @@ impl<'a> InferenceSession<'a> {
     /// internally inconsistent.
     pub fn new(ops: &'a [InferenceOp], config: AccelConfig) -> Result<Self, AccelError> {
         config.validate().map_err(AccelError::Config)?;
-        let plan = EncodePlan::resolve(&config);
         let caches = LayerEncodeCache::for_ops(ops);
         Ok(Self {
             ops,
             config,
-            plan,
             caches,
         })
     }
@@ -249,10 +296,11 @@ impl<'a> InferenceSession<'a> {
         &self.config
     }
 
-    /// The encode schedule resolved at construction.
+    /// The driver mode every [`run`](InferenceSession::run) encodes with:
+    /// `config().driver`.
     #[must_use]
-    pub fn plan(&self) -> EncodePlan {
-        self.plan
+    pub fn plan(&self) -> DriverMode {
+        self.config.driver
     }
 
     /// Runs one dispatch of `1..=config.batch_size` inputs as a batched
@@ -262,8 +310,8 @@ impl<'a> InferenceSession<'a> {
     /// # Errors
     ///
     /// Returns [`AccelError`] on an empty or oversized batch, mismatched
-    /// input shapes, flitization failure, a stalled layer, or a decode
-    /// failure.
+    /// input shapes, an unsupported data format, flitization failure, a
+    /// stalled layer, or a decode failure.
     pub fn run(&self, inputs: &[Tensor]) -> Result<BatchInferenceResult, AccelError> {
         if inputs.is_empty() || inputs.len() > self.config.batch_size {
             return Err(AccelError::Config(format!(
@@ -272,7 +320,44 @@ impl<'a> InferenceSession<'a> {
                 inputs.len()
             )));
         }
-        run_batch_resolved(self.ops, inputs, &self.config, self.plan, &self.caches)
+        // Layer geometry and window indexing derive from element 0; a
+        // mismatched tensor would read the wrong pixels silently.
+        if let Some(bad) = inputs.iter().find(|x| x.shape() != inputs[0].shape()) {
+            return Err(AccelError::Config(format!(
+                "batch inputs must share one shape: got {:?} and {:?}",
+                inputs[0].shape(),
+                bad.shape()
+            )));
+        }
+        let mut run = InferenceRun {
+            config: &self.config,
+            sim: Simulator::new(self.config.noc.clone()),
+            per_layer: Vec::new(),
+            overhead: WireOverhead::default(),
+        };
+        let mut xs: Vec<Tensor> = inputs.to_vec();
+        for (op_index, op) in self.ops.iter().enumerate() {
+            let cache = &self.caches[op_index];
+            xs = match self.config.format {
+                // Memory-side ops run between layers (the layer-level interval).
+                _ if !op.is_noc_op() => xs.iter().map(|x| op.execute(x)).collect(),
+                DataFormat::Float32 => run.run_noc_layer::<F32Word>(op_index, op, &xs, cache)?,
+                DataFormat::Fixed8 => run.run_noc_layer::<Fx8Word>(op_index, op, &xs, cache)?,
+                other => return Err(AccelError::UnsupportedFormat(other)),
+            };
+        }
+        let overhead = run.overhead;
+        Ok(BatchInferenceResult {
+            outputs: xs,
+            stats: run.sim.stats(),
+            total_cycles: run.sim.cycle(),
+            per_layer: run.per_layer,
+            index_overhead_bits: overhead.index_bits,
+            codec_overhead_bits: overhead.codec_bits,
+            edc_overhead_bits: overhead.edc_bits,
+            retransmitted_flits: overhead.retransmitted_flits,
+            retried_packets: overhead.retried_packets,
+        })
     }
 }
 
@@ -331,266 +416,6 @@ pub fn run_inference_batch(
     InferenceSession::new(ops, config.clone())?.run(inputs)
 }
 
-/// The per-call body shared by [`InferenceSession::run`] (and through it
-/// every one-shot entry point): `config` is already validated and `plan`
-/// already resolved.
-fn run_batch_resolved(
-    ops: &[InferenceOp],
-    inputs: &[Tensor],
-    config: &AccelConfig,
-    plan: EncodePlan,
-    caches: &[LayerEncodeCache],
-) -> Result<BatchInferenceResult, AccelError> {
-    // Layer geometry and window indexing derive from element 0; a
-    // mismatched tensor would read the wrong pixels silently.
-    if let Some(bad) = inputs.iter().find(|x| x.shape() != inputs[0].shape()) {
-        return Err(AccelError::Config(format!(
-            "batch inputs must share one shape: got {:?} and {:?}",
-            inputs[0].shape(),
-            bad.shape()
-        )));
-    }
-    let mut sim = Simulator::new(config.noc.clone());
-    let mut xs: Vec<Tensor> = inputs.to_vec();
-    let mut per_layer = Vec::new();
-    let mut overhead = WireOverhead::default();
-
-    for (op_index, op) in ops.iter().enumerate() {
-        match op {
-            InferenceOp::Conv {
-                weight,
-                bias,
-                stride,
-                padding,
-            } => {
-                let geo = ConvGeometry::from_shapes(&xs[0], weight, *stride, *padding);
-                let out_shape = [geo.out_channels, geo.out_h, geo.out_w];
-                let values = match config.format {
-                    DataFormat::Float32 => {
-                        let source = LayerTasks::conv(
-                            &xs,
-                            weight,
-                            bias,
-                            geo,
-                            f32_input_mappers(xs.len()),
-                            F32Word::new,
-                            F32Word::new,
-                        );
-                        run_noc_layer_f32(
-                            op_index,
-                            "conv",
-                            &source,
-                            config,
-                            &mut sim,
-                            &mut per_layer,
-                            &mut overhead,
-                            plan,
-                            &caches[op_index],
-                        )?
-                    }
-                    DataFormat::Fixed8 => {
-                        let qs = layer_quantizers(&xs, weight, bias, config);
-                        let q0 = qs[0];
-                        let source = LayerTasks::conv(
-                            &xs,
-                            weight,
-                            bias,
-                            geo,
-                            fx8_input_mappers(&qs),
-                            move |w| q0.weight.quantize_fx8(w),
-                            move |b| q0.bias.quantize_fx8(b),
-                        );
-                        run_noc_layer_fx8(
-                            op_index,
-                            "conv",
-                            &source,
-                            &qs,
-                            config,
-                            &mut sim,
-                            &mut per_layer,
-                            &mut overhead,
-                            plan,
-                            &caches[op_index],
-                        )?
-                    }
-                    other => return Err(AccelError::UnsupportedFormat(other)),
-                };
-                xs = tensors_from(values, &out_shape);
-            }
-            InferenceOp::Linear { weight, bias } => {
-                let out_shape = [weight.shape()[0]];
-                let values = match config.format {
-                    DataFormat::Float32 => {
-                        let source = LayerTasks::linear(
-                            &xs,
-                            weight,
-                            bias,
-                            f32_input_mappers(xs.len()),
-                            F32Word::new,
-                            F32Word::new,
-                        );
-                        run_noc_layer_f32(
-                            op_index,
-                            "linear",
-                            &source,
-                            config,
-                            &mut sim,
-                            &mut per_layer,
-                            &mut overhead,
-                            plan,
-                            &caches[op_index],
-                        )?
-                    }
-                    DataFormat::Fixed8 => {
-                        let qs = layer_quantizers(&xs, weight, bias, config);
-                        let q0 = qs[0];
-                        let source = LayerTasks::linear(
-                            &xs,
-                            weight,
-                            bias,
-                            fx8_input_mappers(&qs),
-                            move |w| q0.weight.quantize_fx8(w),
-                            move |b| q0.bias.quantize_fx8(b),
-                        );
-                        run_noc_layer_fx8(
-                            op_index,
-                            "linear",
-                            &source,
-                            &qs,
-                            config,
-                            &mut sim,
-                            &mut per_layer,
-                            &mut overhead,
-                            plan,
-                            &caches[op_index],
-                        )?
-                    }
-                    other => return Err(AccelError::UnsupportedFormat(other)),
-                };
-                xs = tensors_from(values, &out_shape);
-            }
-            // Memory-side ops run between layers (the layer-level interval).
-            other => xs = xs.iter().map(|x| other.execute(x)).collect(),
-        }
-    }
-
-    Ok(BatchInferenceResult {
-        outputs: xs,
-        stats: sim.stats(),
-        total_cycles: sim.cycle(),
-        per_layer,
-        index_overhead_bits: overhead.index_bits,
-        codec_overhead_bits: overhead.codec_bits,
-        edc_overhead_bits: overhead.edc_bits,
-        retransmitted_flits: overhead.retransmitted_flits,
-        retried_packets: overhead.retried_packets,
-    })
-}
-
-/// One float-32 input mapper per batch element (the identity encoding).
-fn f32_input_mappers<'a>(batch: usize) -> Vec<Box<dyn Fn(f32) -> F32Word + Send + Sync + 'a>> {
-    (0..batch)
-        .map(|_| Box::new(F32Word::new) as Box<dyn Fn(f32) -> F32Word + Send + Sync + 'a>)
-        .collect()
-}
-
-/// One fixed-8 activation mapper per batch element (activation scales are
-/// per-element; weight/bias scales are shared).
-fn fx8_input_mappers<'a>(
-    qs: &[LayerQuantizers],
-) -> Vec<Box<dyn Fn(f32) -> Fx8Word + Send + Sync + 'a>> {
-    qs.iter()
-        .map(|&q| {
-            Box::new(move |x| q.input.quantize_fx8(x))
-                as Box<dyn Fn(f32) -> Fx8Word + Send + Sync + 'a>
-        })
-        .collect()
-}
-
-/// Per-batch-element quantizers for one fixed-8 layer: activation scales
-/// derive from each element's own tensor, weight/bias scales from the
-/// shared parameters.
-fn layer_quantizers(
-    xs: &[Tensor],
-    weight: &Tensor,
-    bias: &Tensor,
-    config: &AccelConfig,
-) -> Vec<LayerQuantizers> {
-    xs.iter()
-        .map(|x| LayerQuantizers::derive_with(x, weight, bias, config.global_fx8_weights))
-        .collect()
-}
-
-/// Reassembles per-element value vectors into output tensors.
-fn tensors_from(values: Vec<Vec<f32>>, shape: &[usize]) -> Vec<Tensor> {
-    values
-        .into_iter()
-        .map(|v| Tensor::from_vec(shape, v).expect("task count matches shape"))
-        .collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_noc_layer_f32(
-    op_index: usize,
-    op_name: &'static str,
-    source: &LayerTasks<F32Word>,
-    config: &AccelConfig,
-    sim: &mut Simulator,
-    per_layer: &mut Vec<LayerTrafficReport>,
-    overhead: &mut WireOverhead,
-    plan: EncodePlan,
-    cache: &LayerEncodeCache,
-) -> Result<Vec<Vec<f32>>, AccelError> {
-    let responses = run_layer(
-        op_index, op_name, source, config, sim, per_layer, overhead, plan, cache,
-    )?;
-    Ok(responses
-        .chunks(source.per_input())
-        .map(|chunk| {
-            chunk
-                .iter()
-                .map(|&bits| f32::from_bits(bits as u32))
-                .collect()
-        })
-        .collect())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_noc_layer_fx8(
-    op_index: usize,
-    op_name: &'static str,
-    source: &LayerTasks<Fx8Word>,
-    qs: &[LayerQuantizers],
-    config: &AccelConfig,
-    sim: &mut Simulator,
-    per_layer: &mut Vec<LayerTrafficReport>,
-    overhead: &mut WireOverhead,
-    plan: EncodePlan,
-    cache: &LayerEncodeCache,
-) -> Result<Vec<Vec<f32>>, AccelError> {
-    let responses = run_layer(
-        op_index, op_name, source, config, sim, per_layer, overhead, plan, cache,
-    )?;
-    // The bias code separates the integer dot product from the bias
-    // during dequantization; it is per weight group, shared across the
-    // batch.
-    Ok(responses
-        .chunks(source.per_input())
-        .enumerate()
-        .map(|(b, chunk)| {
-            chunk
-                .iter()
-                .enumerate()
-                .map(|(local, &bits)| {
-                    let mac = i64::from(bits as u32 as i32);
-                    let bias_code = source.bias_word(source.weight_group(local)).code();
-                    qs[b].dequantize_response(mac, bias_code)
-                })
-                .collect()
-        })
-        .collect())
-}
-
 /// Partitions the PEs into one balanced region per MC, each PE joining the
 /// nearest non-full MC (Manhattan distance, greedy in node order).
 ///
@@ -640,6 +465,167 @@ struct WireOverhead {
     edc_bits: u64,
     retransmitted_flits: u64,
     retried_packets: u64,
+}
+
+/// One dispatch's state across its layers: the mesh (one simulator for
+/// the whole inference, so link recorders accumulate every layer's bit
+/// transitions), the per-layer traffic reports and the side-channel
+/// overheads.
+struct InferenceRun<'a> {
+    config: &'a AccelConfig,
+    sim: Simulator,
+    per_layer: Vec<LayerTrafficReport>,
+    overhead: WireOverhead,
+}
+
+impl InferenceRun<'_> {
+    /// Runs one conv or linear op over the NoC with words of type `W`:
+    /// maps the batch's operands to words ([`LayerWords`]), sends its
+    /// tasks as one traffic phase ([`InferenceRun::run_layer`]) and reads
+    /// the responses back as the op's output tensors.
+    fn run_noc_layer<W: AccelWord>(
+        &mut self,
+        op_index: usize,
+        op: &InferenceOp,
+        xs: &[Tensor],
+        cache: &LayerEncodeCache,
+    ) -> Result<Vec<Tensor>, AccelError> {
+        let (weight, bias) = match op {
+            InferenceOp::Conv { weight, bias, .. } | InferenceOp::Linear { weight, bias } => {
+                (weight, bias)
+            }
+            _ => {
+                return Err(AccelError::Config(format!(
+                    "op {op_index} is not a conv or linear layer"
+                )))
+            }
+        };
+        let words = LayerWords::<W>::derive(xs, weight, bias, self.config.global_fx8_weights);
+        let (inputs, to_weight, to_bias) = words.mappers();
+        let (op_name, source, out_shape) = match *op {
+            InferenceOp::Conv {
+                stride, padding, ..
+            } => {
+                let geo = ConvGeometry::from_shapes(&xs[0], weight, stride, padding);
+                let source = LayerTasks::conv(xs, weight, bias, geo, inputs, to_weight, to_bias);
+                ("conv", source, vec![geo.out_channels, geo.out_h, geo.out_w])
+            }
+            _ => {
+                let source = LayerTasks::linear(xs, weight, bias, inputs, to_weight, to_bias);
+                ("linear", source, vec![weight.shape()[0]])
+            }
+        };
+        let responses = self.run_layer(op_index, op_name, &source, cache)?;
+        Ok(responses
+            .chunks(source.per_input())
+            .enumerate()
+            .map(|(b, chunk)| {
+                let values = chunk
+                    .iter()
+                    .enumerate()
+                    .map(|(local, &bits)| {
+                        words.output(b, bits, source.bias_word(source.weight_group(local)))
+                    })
+                    .collect();
+                Tensor::from_vec(&out_shape, values).expect("task count matches shape")
+            })
+            .collect())
+    }
+
+    /// Runs one conv/linear layer's batch of traffic to completion through
+    /// the engine [`LayerEngine::resolve`] picks, and books its report and
+    /// overheads. Returns the 32-bit response images indexed by global
+    /// task id (batch-major, then flat output index).
+    fn run_layer<W: AccelWord>(
+        &mut self,
+        op_index: usize,
+        op_name: &'static str,
+        source: &LayerTasks<W>,
+        cache: &LayerEncodeCache,
+    ) -> Result<Vec<u64>, AccelError> {
+        let config = self.config;
+        let mcs = &config.noc.mc_nodes;
+        let regions = partition_pes_by_mc(&config.noc);
+        let total = source.total();
+
+        // Static assignment: task j -> MC round-robin, then round-robin over
+        // that MC's own PE region. O0/O1/O2 runs, both driver modes and every
+        // batch element use identical assignments, so BT comparisons are
+        // apples-to-apples.
+        let dests: Vec<(usize, usize)> = (0..total)
+            .map(|j| {
+                let mi = j % mcs.len();
+                let region = &regions[mi];
+                (region[(j / mcs.len()) % region.len()], mcs[mi])
+            })
+            .collect();
+        let mut per_mc_tasks: Vec<Vec<usize>> = vec![Vec::new(); mcs.len()];
+        for j in 0..total {
+            per_mc_tasks[j % mcs.len()].push(j);
+        }
+
+        // The MC-side ordering unit, the link codec and PE-side recovery all
+        // live in the shared transport session; the NoC port binds it to the
+        // simulator, so both the request and response paths ride the coded
+        // wire.
+        let stage = EncodeStage::new(source, config, cache);
+        // Arm the NI recovery protocol whenever a fault config exists — even
+        // at ber = 0, so the EDC verify stays on the receive path and
+        // zero-BER equivalence is measured, not assumed.
+        let port = match &config.noc.fault {
+            Some(fault) => TaskPort::with_recovery(stage.session, fault),
+            None => TaskPort::new(stage.session),
+        };
+        let layer = LayerTraffic {
+            op_index,
+            config,
+            port,
+            dests,
+            per_mc_tasks,
+        };
+
+        let sim = &mut self.sim;
+        let start_cycle = sim.cycle();
+        let transitions_before = sim.stats().total_transitions;
+        let engine = LayerEngine::resolve(config, &layer.dests);
+        let mut feed = match config.driver {
+            DriverMode::Synchronous => TaskFeed::Reference { stage: &stage },
+            DriverMode::Pipelined => TaskFeed::Inline {
+                stage: &stage,
+                scratch: Box::default(),
+                input_buf: Vec::new(),
+                recovered: RecoveredTask {
+                    pairs: Vec::new(),
+                    bias: W::from_bits_u64(0),
+                },
+            },
+        };
+        let run = match engine {
+            LayerEngine::Cycle => cycle_loop(&layer, sim, &mut feed)?,
+            LayerEngine::Hybrid => hybrid_loop(&layer, sim, &mut feed)?,
+        };
+
+        let transitions_after = sim.stats().total_transitions;
+        self.per_layer.push(LayerTrafficReport {
+            op_index,
+            op_name,
+            request_packets: total as u64,
+            request_flits: run.request_flits,
+            cycles: sim.cycle() - start_cycle,
+            transitions: transitions_after - transitions_before,
+            pairs_per_task: source.pairs_per_task(),
+            analytic: engine == LayerEngine::Hybrid,
+        });
+        let overhead = &mut self.overhead;
+        overhead.index_bits += run.index_bits;
+        overhead.codec_bits += run.codec_bits;
+        overhead.edc_bits += run.edc_bits;
+        let fault_stats = layer.port.take_fault_stats();
+        debug_assert_eq!(fault_stats.failed_packets, 0, "failures surface as errors");
+        overhead.retransmitted_flits += fault_stats.retransmitted_flits;
+        overhead.retried_packets += fault_stats.recovered_packets;
+        Ok(run.into_responses())
+    }
 }
 
 /// The MC-side encode stage: task construction + ordering + flitization +
@@ -780,17 +766,135 @@ impl<W: AccelWord> TaskFeed<'_, W> {
     }
 }
 
-/// Accounting the engine loops hand back to [`run_layer`].
+/// One layer's fixed traffic inputs, borrowed by whichever engine loop
+/// [`LayerEngine::resolve`] picks. Both loops consume the same feed in the
+/// same per-MC order and hand back the same [`LayerRun`] accounting.
+struct LayerTraffic<'a> {
+    op_index: usize,
+    config: &'a AccelConfig,
+    /// The NI port binding the layer's transport session to the mesh.
+    port: TaskPort<CodedTransport>,
+    /// Per global task: its `(pe, mc)` pair.
+    dests: Vec<(usize, usize)>,
+    /// Per MC: its tasks in feed order.
+    per_mc_tasks: Vec<Vec<usize>>,
+}
+
+impl LayerTraffic<'_> {
+    /// Runs the NI acceptance check on one delivery, mapping the typed
+    /// protocol outcomes into the driver's error space. `Ok(true)` means
+    /// the delivery verified clean and should be processed; `Ok(false)`
+    /// means it was NACKed and its retained original is already
+    /// re-injected — skip it and keep stepping the mesh.
+    fn accept<W: AccelWord>(
+        &self,
+        sim: &mut Simulator,
+        d: &DeliveredPacket,
+    ) -> Result<bool, AccelError> {
+        match self.port.accept::<W>(sim, d) {
+            Ok(Some(_retries)) => Ok(true),
+            Ok(None) => Ok(false),
+            Err(e) => Err(acceptance_error(e, self.op_index)),
+        }
+    }
+
+    /// The stall guard: fails the layer once it has spent more than the
+    /// configured cycle budget since `start_cycle`.
+    fn check_stall(&self, sim: &Simulator, start_cycle: u64) -> Result<(), AccelError> {
+        let cycles = sim.cycle() - start_cycle;
+        if cycles > self.config.max_cycles_per_layer {
+            return Err(AccelError::Stall {
+                layer: self.op_index,
+                cycles,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Maps a failed NI acceptance check into the driver's error space.
+fn acceptance_error(e: TransportError, layer: usize) -> AccelError {
+    match e {
+        TransportError::Unrecoverable { retries } => AccelError::Unrecoverable { layer, retries },
+        e => AccelError::Decode(e.to_string()),
+    }
+}
+
+/// What the engine loops accumulate for [`InferenceRun::run_layer`]: the
+/// request-side wire accounting, plus the response side both loops share
+/// (inject a computed response, decode it at its MC, collect it).
 #[derive(Default)]
 struct LayerRun {
-    responses: Vec<u64>,
+    /// Per global task: its response bits once decoded at the MC.
+    responses: Vec<Option<u64>>,
+    /// Responses not yet collected.
+    remaining: usize,
     request_flits: u64,
     index_bits: u64,
     codec_bits: u64,
     edc_bits: u64,
 }
 
-/// Which engine [`run_layer`] resolved for one layer's traffic phase.
+impl LayerRun {
+    fn new(total: usize) -> Self {
+        Self {
+            responses: vec![None; total],
+            remaining: total,
+            ..Self::default()
+        }
+    }
+
+    /// PE side: encodes task `j`'s computed response onto the coded wire,
+    /// accounts its side-channel wires and injects it toward its MC.
+    fn send_response<W: AccelWord>(
+        &mut self,
+        layer: &LayerTraffic,
+        sim: &mut Simulator,
+        j: usize,
+        bits: u64,
+    ) -> Result<(), AccelError> {
+        let image = layer.port.session().encode_response::<W>(bits);
+        self.codec_bits += u64::from(layer.config.codec.extra_wires());
+        self.edc_bits += u64::from(layer.config.edc.extra_wires());
+        let (pe, mc_node) = layer.dests[j];
+        layer
+            .port
+            .send_flits(sim, pe, mc_node, vec![image], j as u64)?;
+        Ok(())
+    }
+
+    /// MC side: decodes a response delivered back at its MC off the coded
+    /// wire, through the same session.
+    fn receive_response<W: AccelWord>(
+        &mut self,
+        layer: &LayerTraffic,
+        d: &DeliveredPacket,
+    ) -> Result<(), AccelError> {
+        let j = d.tag as usize;
+        let bits = layer
+            .port
+            .session()
+            .decode_response::<W>(&d.payload_flits)
+            .map_err(|e| AccelError::Decode(e.to_string()))?;
+        debug_assert!(
+            self.responses[j].is_none(),
+            "duplicate response for task {j}"
+        );
+        self.responses[j] = Some(bits);
+        self.remaining -= 1;
+        Ok(())
+    }
+
+    /// The collected 32-bit response images, indexed by global task id.
+    fn into_responses(self) -> Vec<u64> {
+        self.responses
+            .into_iter()
+            .map(|bits| bits.expect("all responses collected"))
+            .collect()
+    }
+}
+
+/// Which engine [`InferenceRun::run_layer`] resolved for one layer's traffic phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LayerEngine {
     /// Step the mesh cycle by cycle ([`cycle_loop`]).
@@ -850,189 +954,42 @@ impl LayerEngine {
     }
 }
 
-/// Runs one layer's traffic through the resolved engine. Both engines
-/// consume the same feed in the same per-MC order and hand back the same
-/// accounting; [`LayerEngine::resolve`] decides which one a layer gets.
-#[allow(clippy::too_many_arguments)]
-fn drive_layer<W: AccelWord>(
-    engine: LayerEngine,
-    op_index: usize,
-    config: &AccelConfig,
-    sim: &mut Simulator,
-    port: &TaskPort<CodedTransport>,
-    dests: &[(usize, usize)],
-    per_mc_tasks: &[Vec<usize>],
-    feed: &mut TaskFeed<'_, W>,
-) -> Result<LayerRun, AccelError> {
-    match engine {
-        LayerEngine::Cycle => cycle_loop(op_index, config, sim, port, dests, per_mc_tasks, feed),
-        LayerEngine::Hybrid => hybrid_loop(op_index, config, sim, port, dests, per_mc_tasks, feed),
-    }
-}
-
-/// Runs the NI acceptance check on one delivery, mapping the typed
-/// protocol outcomes into the driver's error space. `Ok(true)` means the
-/// delivery verified clean and should be processed; `Ok(false)` means it
-/// was NACKed and its retained original is already re-injected — skip it
-/// and keep stepping the mesh.
-fn accept_delivery<W: AccelWord>(
-    port: &TaskPort<CodedTransport>,
-    sim: &mut Simulator,
-    d: &DeliveredPacket,
-    layer: usize,
-) -> Result<bool, AccelError> {
-    match port.accept::<W>(sim, d) {
-        Ok(Some(_retries)) => Ok(true),
-        Ok(None) => Ok(false),
-        Err(e) => Err(acceptance_error(e, layer)),
-    }
-}
-
-/// Maps a failed NI acceptance check into the driver's error space.
-fn acceptance_error(e: TransportError, layer: usize) -> AccelError {
-    match e {
-        TransportError::Unrecoverable { retries } => AccelError::Unrecoverable { layer, retries },
-        e => AccelError::Decode(e.to_string()),
-    }
-}
-
-/// Runs one conv/linear layer's batch of traffic to completion. Returns
-/// the 32-bit response images indexed by global task id (batch-major,
-/// then flat output index).
-#[allow(clippy::too_many_arguments)]
-fn run_layer<W: AccelWord>(
-    op_index: usize,
-    op_name: &'static str,
-    source: &LayerTasks<W>,
-    config: &AccelConfig,
-    sim: &mut Simulator,
-    per_layer: &mut Vec<LayerTrafficReport>,
-    overhead: &mut WireOverhead,
-    plan: EncodePlan,
-    cache: &LayerEncodeCache,
-) -> Result<Vec<u64>, AccelError> {
-    let mcs = &config.noc.mc_nodes;
-    let regions = partition_pes_by_mc(&config.noc);
-    let total = source.total();
-
-    // Static assignment: task j -> MC round-robin, then round-robin over
-    // that MC's own PE region. O0/O1/O2 runs, both driver modes and every
-    // batch element use identical assignments, so BT comparisons are
-    // apples-to-apples.
-    let dests: Vec<(usize, usize)> = (0..total)
-        .map(|j| {
-            let mi = j % mcs.len();
-            let region = &regions[mi];
-            (region[(j / mcs.len()) % region.len()], mcs[mi])
-        })
-        .collect();
-    let mut per_mc_tasks: Vec<Vec<usize>> = vec![Vec::new(); mcs.len()];
-    for j in 0..total {
-        per_mc_tasks[j % mcs.len()].push(j);
-    }
-
-    // The MC-side ordering unit, the link codec and PE-side recovery all
-    // live in the shared transport session; the NoC port binds it to the
-    // simulator, so both the request and response paths ride the coded
-    // wire.
-    let stage = EncodeStage::new(source, config, cache);
-    // Arm the NI recovery protocol whenever a fault config exists — even
-    // at ber = 0, so the EDC verify stays on the receive path and
-    // zero-BER equivalence is measured, not assumed.
-    let port = match &config.noc.fault {
-        Some(fault) => TaskPort::with_recovery(stage.session, fault),
-        None => TaskPort::new(stage.session),
-    };
-
-    let start_cycle = sim.cycle();
-    let transitions_before = sim.stats().total_transitions;
-    let engine = LayerEngine::resolve(config, &dests);
-
-    // The schedule was resolved once at session construction
-    // ([`EncodePlan::resolve`]).
-    let mut feed = match plan {
-        EncodePlan::Reference => TaskFeed::Reference { stage: &stage },
-        EncodePlan::Inline => TaskFeed::Inline {
-            stage: &stage,
-            scratch: Box::default(),
-            input_buf: Vec::new(),
-            recovered: RecoveredTask {
-                pairs: Vec::new(),
-                bias: W::from_bits_u64(0),
-            },
-        },
-    };
-    let run = drive_layer(
-        engine,
-        op_index,
-        config,
-        sim,
-        &port,
-        &dests,
-        &per_mc_tasks,
-        &mut feed,
-    )?;
-
-    let transitions_after = sim.stats().total_transitions;
-    per_layer.push(LayerTrafficReport {
-        op_index,
-        op_name,
-        request_packets: total as u64,
-        request_flits: run.request_flits,
-        cycles: sim.cycle() - start_cycle,
-        transitions: transitions_after - transitions_before,
-        pairs_per_task: source.pairs_per_task(),
-        analytic: engine == LayerEngine::Hybrid,
-    });
-    overhead.index_bits += run.index_bits;
-    overhead.codec_bits += run.codec_bits;
-    overhead.edc_bits += run.edc_bits;
-    let fault_stats = port.take_fault_stats();
-    debug_assert_eq!(fault_stats.failed_packets, 0, "failures surface as errors");
-    overhead.retransmitted_flits += fault_stats.retransmitted_flits;
-    overhead.retried_packets += fault_stats.recovered_packets;
-    Ok(run.responses)
-}
-
 /// The per-cycle half of a layer: keep the MC prefetch buffers topped up
 /// from the feed, step the mesh, decode deliveries, inject PE responses.
-/// Allocation-free per cycle: deliveries drain into one reused buffer and
-/// the synchronous feed encodes through reused scratch.
-#[allow(clippy::too_many_arguments)]
+/// Allocation-free per cycle: deliveries drain into one reused buffer, and
+/// the pipelined feed ([`TaskFeed::Inline`]) encodes and decodes through
+/// reused scratch.
 fn cycle_loop<W: AccelWord>(
-    op_index: usize,
-    config: &AccelConfig,
+    layer: &LayerTraffic,
     sim: &mut Simulator,
-    port: &TaskPort<CodedTransport>,
-    dests: &[(usize, usize)],
-    per_mc_tasks: &[Vec<usize>],
     feed: &mut TaskFeed<'_, W>,
 ) -> Result<LayerRun, AccelError> {
+    let config = layer.config;
     let mcs = &config.noc.mc_nodes;
-    let total = dests.len();
+    let total = layer.dests.len();
     let mut cursors = vec![0usize; mcs.len()];
     let mut wires: Vec<Option<TaskWireMeta>> = vec![None; total];
-    let mut responses: Vec<Option<u64>> = vec![None; total];
-    let mut remaining = total;
     // (ready_cycle, tag, response_bits) min-heap for PE compute latency.
     let mut compute_queue: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
     let mut delivered: Vec<DeliveredPacket> = Vec::new();
 
     let start_cycle = sim.cycle();
-    let mut run = LayerRun::default();
+    let mut run = LayerRun::new(total);
 
-    while remaining > 0 {
+    while run.remaining > 0 {
         // MC-side: keep each prefetch buffer topped up with ordered
         // packets from the feed.
         for (mi, &mc) in mcs.iter().enumerate() {
             while sim.pending_at(mc) < config.mc_prefetch_packets {
-                let Some(&j) = per_mc_tasks[mi].get(cursors[mi]) else {
+                let Some(&j) = layer.per_mc_tasks[mi].get(cursors[mi]) else {
                     break;
                 };
                 cursors[mi] += 1;
                 let encoded = feed.next(j)?;
-                let (pe, mc_node) = dests[j];
-                let sent = port.send_encoded(sim, mc_node, pe, encoded, j as u64)?;
+                let (pe, mc_node) = layer.dests[j];
+                let sent = layer
+                    .port
+                    .send_encoded(sim, mc_node, pe, encoded, j as u64)?;
                 run.index_bits += sent.index_overhead_bits;
                 run.codec_bits += sent.codec_overhead_bits;
                 run.edc_bits += sent.edc_overhead_bits;
@@ -1048,23 +1005,15 @@ fn cycle_loop<W: AccelWord>(
         // here and arrives again after its retransmission.
         sim.drain_all_delivered_into(&mut delivered);
         for d in &delivered {
-            if !accept_delivery::<W>(port, sim, d, op_index)? {
+            if !layer.accept::<W>(sim, d)? {
                 continue;
             }
-            let j = d.tag as usize;
             if config.noc.is_mc(d.dst) {
-                // Response arrived back at its MC: decode off the coded
-                // wire through the same session.
-                let bits = port
-                    .session()
-                    .decode_response::<W>(&d.payload_flits)
-                    .map_err(|e| AccelError::Decode(e.to_string()))?;
-                debug_assert!(responses[j].is_none(), "duplicate response for task {j}");
-                responses[j] = Some(bits);
-                remaining -= 1;
+                run.receive_response::<W>(layer, d)?;
             } else {
                 // Request arrived at a PE: decode off the wires, recover
                 // pairing, schedule the MAC result.
+                let j = d.tag as usize;
                 let wire = wires[j].as_ref().expect("request was sent before delivery");
                 let bits = feed.decode(wire, &d.payload_flits)?;
                 let ready = sim.cycle() + config.pe_latency(wire.num_pairs);
@@ -1078,25 +1027,11 @@ fn cycle_loop<W: AccelWord>(
                 break;
             }
             compute_queue.pop();
-            let image = port.session().encode_response::<W>(bits);
-            run.codec_bits += u64::from(config.codec.extra_wires());
-            run.edc_bits += u64::from(config.edc.extra_wires());
-            let (pe, mc_node) = dests[j];
-            port.send_flits(sim, pe, mc_node, vec![image], j as u64)?;
+            run.send_response::<W>(layer, sim, j, bits)?;
         }
 
-        if sim.cycle() - start_cycle > config.max_cycles_per_layer {
-            return Err(AccelError::Stall {
-                layer: op_index,
-                cycles: sim.cycle() - start_cycle,
-            });
-        }
+        layer.check_stall(sim, start_cycle)?;
     }
-
-    run.responses = responses
-        .into_iter()
-        .map(|bits| bits.expect("all responses collected"))
-        .collect();
     Ok(run)
 }
 
@@ -1122,40 +1057,37 @@ type StagedResponse = (usize, u64, u64);
 /// `engine_parity` tests): [`LayerEngine::resolve`] proved the request
 /// routes contention-free, so each request link carries one MC's packets
 /// in that MC's feed order.
-#[allow(clippy::too_many_arguments)]
 fn replay_request_phase<W: AccelWord>(
-    op_index: usize,
-    config: &AccelConfig,
+    layer: &LayerTraffic,
     sim: &mut Simulator,
-    port: &TaskPort<CodedTransport>,
-    dests: &[(usize, usize)],
-    per_mc_tasks: &[Vec<usize>],
     feed: &mut TaskFeed<'_, W>,
 ) -> Result<(Vec<StagedResponse>, LayerRun), AccelError> {
-    let mut run = LayerRun::default();
-    let mut staged: Vec<StagedResponse> = Vec::with_capacity(dests.len());
+    let mut run = LayerRun::new(layer.dests.len());
+    let mut staged: Vec<StagedResponse> = Vec::with_capacity(layer.dests.len());
     let mut stream = sim.stream_requests();
-    for tasks in per_mc_tasks {
+    for tasks in &layer.per_mc_tasks {
         for &j in tasks {
             let (wire, payload, index_bits, codec_bits, edc_bits) = feed.next(j)?.into_parts();
             run.index_bits += index_bits;
             run.codec_bits += codec_bits;
             run.edc_bits += edc_bits;
             run.request_flits += payload.len() as u64 + 1;
-            let (pe, mc_node) = dests[j];
+            let (pe, mc_node) = layer.dests[j];
             let delivered = stream.deliver(mc_node, pe, j as u64, &payload)?;
             // The wires are perfect here (error injection forces the
             // cycle engine), so acceptance always passes — but it must
             // run, so the EDC verify stays on this path too.
-            port.accept_streamed::<W>(&delivered)
-                .map_err(|e| acceptance_error(e, op_index))?;
+            layer
+                .port
+                .accept_streamed::<W>(&delivered)
+                .map_err(|e| acceptance_error(e, layer.op_index))?;
             // PE side: decode off the wires, recover the pairing, compute
             // the MAC (the same receiver path as the cycle loop).
             let bits = feed.decode(&wire, delivered.payload_flits)?;
             staged.push((
                 j,
                 bits,
-                delivered.arrival_cycle + config.pe_latency(wire.num_pairs),
+                delivered.arrival_cycle + layer.config.pe_latency(wire.num_pairs),
             ));
         }
     }
@@ -1190,68 +1122,38 @@ fn replay_request_phase<W: AccelWord>(
 /// faithfully: the cycle engine itself. Timing fields are the one
 /// deviation: the layer's cycle count composes the request makespan and
 /// the response phase instead of their overlap.
-#[allow(clippy::too_many_arguments)]
 fn hybrid_loop<W: AccelWord>(
-    op_index: usize,
-    config: &AccelConfig,
+    layer: &LayerTraffic,
     sim: &mut Simulator,
-    port: &TaskPort<CodedTransport>,
-    dests: &[(usize, usize)],
-    per_mc_tasks: &[Vec<usize>],
     feed: &mut TaskFeed<'_, W>,
 ) -> Result<LayerRun, AccelError> {
-    let total = dests.len();
-    let (staged, mut run) =
-        replay_request_phase(op_index, config, sim, port, dests, per_mc_tasks, feed)?;
+    let (staged, mut run) = replay_request_phase(layer, sim, feed)?;
 
     // Response phase: drive the cycle engine on the closed-form schedule.
     // `base` anchors the first response at the current clock; offsets
     // between responses are preserved exactly.
     let base = sim.cycle();
     let ready0 = staged.first().map_or(0, |&(.., ready)| ready);
-    let mut responses: Vec<Option<u64>> = vec![None; total];
-    let mut remaining = total;
     let mut delivered: Vec<DeliveredPacket> = Vec::new();
     let mut idx = 0;
-    let start_cycle = sim.cycle();
-    while remaining > 0 {
+    while run.remaining > 0 {
         while let Some(&(j, bits, ready)) = staged.get(idx) {
             if base + (ready - ready0) > sim.cycle() {
                 break;
             }
-            let image = port.session().encode_response::<W>(bits);
-            run.codec_bits += u64::from(config.codec.extra_wires());
-            run.edc_bits += u64::from(config.edc.extra_wires());
-            let (pe, mc_node) = dests[j];
-            port.send_flits(sim, pe, mc_node, vec![image], j as u64)?;
+            run.send_response::<W>(layer, sim, j, bits)?;
             idx += 1;
         }
         sim.step();
         sim.drain_all_delivered_into(&mut delivered);
         for d in &delivered {
-            let accepted = accept_delivery::<W>(port, sim, d, op_index)?;
+            let accepted = layer.accept::<W>(sim, d)?;
             debug_assert!(accepted, "hybrid wires are perfect");
-            let j = d.tag as usize;
-            debug_assert!(config.noc.is_mc(d.dst), "responses terminate at MCs");
-            let bits = port
-                .session()
-                .decode_response::<W>(&d.payload_flits)
-                .map_err(|e| AccelError::Decode(e.to_string()))?;
-            debug_assert!(responses[j].is_none(), "duplicate response for task {j}");
-            responses[j] = Some(bits);
-            remaining -= 1;
+            debug_assert!(layer.config.noc.is_mc(d.dst), "responses terminate at MCs");
+            run.receive_response::<W>(layer, d)?;
         }
-        if sim.cycle() - start_cycle > config.max_cycles_per_layer {
-            return Err(AccelError::Stall {
-                layer: op_index,
-                cycles: sim.cycle() - start_cycle,
-            });
-        }
+        layer.check_stall(sim, base)?;
     }
-    run.responses = responses
-        .into_iter()
-        .map(|bits| bits.expect("all responses collected"))
-        .collect();
     Ok(run)
 }
 
@@ -1512,6 +1414,67 @@ mod tests {
     }
 
     #[test]
+    fn each_format_picks_its_word_type_for_conv_and_linear_first_models() {
+        // The word type is chosen once per conv/linear op, so pin that
+        // choice for a model opening with each op kind.
+        let mut rng = StdRng::seed_from_u64(82);
+        let linear_first = Sequential::new(vec![
+            Layer::Flatten(Flatten::new()),
+            Layer::Linear(Linear::new(64, 6, &mut rng)),
+            Layer::Activation(Activation::new(ActKind::ReLU)),
+            Layer::Linear(Linear::new(6, 3, &mut rng)),
+        ]);
+        let input = tiny_input(83);
+        for (name, model) in [
+            ("conv-first", tiny_model(81)),
+            ("linear-first", linear_first),
+        ] {
+            let ops = model.inference_ops();
+            for format in [DataFormat::Float32, DataFormat::Fixed8, DataFormat::Fixed16] {
+                let run = |driver| {
+                    let mut c = config(format, OrderingMethod::Separated);
+                    c.driver = driver;
+                    if format == DataFormat::Fixed16 {
+                        c.noc.link_width_bits = 256; // 16 fixed-16 lanes
+                    }
+                    run_inference(&ops, &input, &c)
+                };
+                let sync = run(DriverMode::Synchronous);
+                let piped = run(DriverMode::Pipelined);
+                match format {
+                    DataFormat::Float32 => {
+                        let want = model.infer(&input);
+                        for result in [sync.unwrap(), piped.unwrap()] {
+                            let got = result.output;
+                            assert_eq!(got.shape(), want.shape(), "{name}");
+                            for (g, w) in got.data().iter().zip(want.data()) {
+                                assert!(
+                                    (g - w).abs() < 1e-3 * (1.0 + w.abs()),
+                                    "{name}: {g} vs {w}"
+                                );
+                            }
+                        }
+                    }
+                    DataFormat::Fixed8 => {
+                        let bits = |r: InferenceResult| -> Vec<u32> {
+                            r.output.data().iter().map(|v| v.to_bits()).collect()
+                        };
+                        assert_eq!(bits(sync.unwrap()), bits(piped.unwrap()), "{name}");
+                    }
+                    _ => {
+                        for err in [sync.unwrap_err(), piped.unwrap_err()] {
+                            assert!(
+                                matches!(err, AccelError::UnsupportedFormat(DataFormat::Fixed16)),
+                                "{name}: {err}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn sensitivity_options_increase_fx8_reduction() {
         // Value tiebreak + global fixed-8 weights should push the fixed-8
         // separated-ordering reduction beyond the strictly-as-described
@@ -1579,21 +1542,6 @@ mod tests {
                 };
                 assert!(avg(&config, &regions) > avg(&c8, &r8));
             }
-        }
-    }
-
-    #[test]
-    fn encode_plan_resolves_from_the_driver_mode() {
-        // The plan is a pure function of the driver mode, on any host,
-        // and the session pins it at construction.
-        for (driver, plan) in [
-            (DriverMode::Synchronous, EncodePlan::Reference),
-            (DriverMode::Pipelined, EncodePlan::Inline),
-        ] {
-            let mut c = config(DataFormat::Fixed8, OrderingMethod::Separated);
-            c.driver = driver;
-            assert_eq!(EncodePlan::resolve(&c), plan, "{driver}");
-            assert_eq!(InferenceSession::new(&[], c).unwrap().plan(), plan);
         }
     }
 

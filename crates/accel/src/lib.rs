@@ -43,5 +43,5 @@ pub mod report;
 pub mod tasks;
 
 pub use config::AccelConfig;
-pub use driver::{run_inference, AccelError, EncodePlan, InferenceSession};
+pub use driver::{run_inference, AccelError, InferenceSession};
 pub use report::{InferenceResult, LayerTrafficReport};

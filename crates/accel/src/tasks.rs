@@ -6,7 +6,8 @@
 //! `(ic, kh, kw)` row-major — the "natural" memory order that the baseline
 //! (O0) transmits unmodified.
 
-use btr_bits::word::{DataWord, F32Word, Fx8Word};
+use crate::driver::AccelWord;
+use btr_bits::word::DataWord;
 use btr_bits::Quantizer;
 use btr_core::task::NeuronTask;
 use btr_dnn::tensor::Tensor;
@@ -32,18 +33,9 @@ pub struct LayerQuantizers {
 }
 
 impl LayerQuantizers {
-    /// Derives per-tensor scales from the layer operands.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any operand contains non-finite values.
-    #[must_use]
-    pub fn derive(input: &Tensor, weight: &Tensor, bias: &Tensor) -> Self {
-        Self::derive_with(input, weight, bias, false)
-    }
-
-    /// [`LayerQuantizers::derive`] with an optional global Q0.7 weight
-    /// scale (the sensitivity variant; weights beyond ±1 saturate).
+    /// Derives per-tensor scales from the layer operands; with
+    /// `global_weights`, weights share one global Q0.7 scale instead (the
+    /// sensitivity variant; weights beyond ±1 saturate).
     ///
     /// # Panics
     ///
@@ -77,6 +69,70 @@ impl LayerQuantizers {
         let prod_scale = (self.input.scale() * self.weight.scale())
             / (self.input.q_max() as f32 * self.weight.q_max() as f32);
         dot as f32 * prod_scale + self.bias.dequantize_i32(i32::from(bias_code))
+    }
+}
+
+/// One batch element's activation mapper, as [`LayerTasks::conv`] and
+/// [`LayerTasks::linear`] take it.
+pub type InputMapper<'a, W> = Box<dyn Fn(f32) -> W + Send + Sync + 'a>;
+
+/// The word mappers of one conv/linear layer over a batch, for any
+/// [`AccelWord`]: activations map with each batch element's own scales,
+/// weights and biases with element 0's (their scales derive from the
+/// shared parameters alone, so every element agrees), and
+/// [`LayerWords::output`] reads a PE's 32-bit response back as an f32.
+/// Float-32 derives no scales at all; fixed-8 derives one
+/// [`LayerQuantizers`] per element.
+pub struct LayerWords<W: AccelWord> {
+    /// One entry per batch element.
+    scales: Vec<W::Scales>,
+}
+
+impl<W: AccelWord> LayerWords<W> {
+    /// Derives the scales of every batch element in `xs`
+    /// (`global_weights` as in [`LayerQuantizers::derive_with`]).
+    #[must_use]
+    pub fn derive(xs: &[Tensor], weight: &Tensor, bias: &Tensor, global_weights: bool) -> Self {
+        Self {
+            scales: xs
+                .iter()
+                .map(|x| W::scales(x, weight, bias, global_weights))
+                .collect(),
+        }
+    }
+
+    /// The `(inputs, weight, bias)` mappers [`LayerTasks::conv`] and
+    /// [`LayerTasks::linear`] take: one activation mapper per batch
+    /// element, then the shared weight and bias mappers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch is empty.
+    pub fn mappers(
+        &self,
+    ) -> (
+        Vec<InputMapper<'_, W>>,
+        impl Fn(f32) -> W,
+        impl Fn(f32) -> W,
+    ) {
+        let shared = self.scales[0];
+        let inputs = self
+            .scales
+            .iter()
+            .map(|&s| Box::new(move |x| W::input_word(s, x)) as InputMapper<'_, W>)
+            .collect();
+        (
+            inputs,
+            move |w| W::weight_word(shared, w),
+            move |b| W::bias_word(shared, b),
+        )
+    }
+
+    /// Reads batch element `b`'s 32-bit response image back as an output
+    /// value; `bias` is the task's bias word.
+    #[must_use]
+    pub fn output(&self, b: usize, bits: u64, bias: W) -> f32 {
+        W::response_value(self.scales[b], bits, bias)
     }
 }
 
@@ -232,7 +288,7 @@ impl<W: DataWord> LayerTasks<W> {
         weight: &Tensor,
         bias: &Tensor,
         geo: ConvGeometry,
-        input_mappers: Vec<Box<dyn Fn(f32) -> W + Send + Sync + 'a>>,
+        input_mappers: Vec<InputMapper<'a, W>>,
         to_weight: impl Fn(f32) -> W,
         to_bias: impl Fn(f32) -> W,
     ) -> Self {
@@ -271,7 +327,7 @@ impl<W: DataWord> LayerTasks<W> {
         xs: &[Tensor],
         weight: &Tensor,
         bias: &Tensor,
-        input_mappers: Vec<Box<dyn Fn(f32) -> W + Send + Sync + 'a>>,
+        input_mappers: Vec<InputMapper<'a, W>>,
         to_weight: impl Fn(f32) -> W,
         to_bias: impl Fn(f32) -> W,
     ) -> Self {
@@ -468,33 +524,10 @@ pub fn linear_tasks<'a, W: DataWord>(
         .collect()
 }
 
-/// Float-32 word mappers (identity encoding).
-pub fn f32_mappers() -> (
-    impl Fn(f32) -> F32Word,
-    impl Fn(f32) -> F32Word,
-    impl Fn(f32) -> F32Word,
-) {
-    (F32Word::new, F32Word::new, F32Word::new)
-}
-
-/// Fixed-8 word mappers from per-layer quantizers.
-pub fn fx8_mappers(
-    q: LayerQuantizers,
-) -> (
-    impl Fn(f32) -> Fx8Word,
-    impl Fn(f32) -> Fx8Word,
-    impl Fn(f32) -> Fx8Word,
-) {
-    (
-        move |x| q.input.quantize_fx8(x),
-        move |x| q.weight.quantize_fx8(x),
-        move |x| q.bias.quantize_fx8(x),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btr_bits::word::{F32Word, Fx8Word};
     use btr_dnn::model::conv_forward;
 
     fn sample_conv() -> (Tensor, Tensor, Tensor, ConvGeometry) {
@@ -582,12 +615,13 @@ mod tests {
     fn fx8_dequantized_response_approximates_float() {
         let (input, weight, bias, geo) = sample_conv();
         let reference = conv_forward(&input, &weight, &bias, 1, 1);
-        let q = LayerQuantizers::derive(&input, &weight, &bias);
-        let (ti, tw, tb) = fx8_mappers(q);
-        let tasks = conv_tasks(&input, &weight, &bias, &geo, ti, tw, tb);
+        let words =
+            LayerWords::<Fx8Word>::derive(std::slice::from_ref(&input), &weight, &bias, false);
+        let (mut inputs, tw, tb) = words.mappers();
+        let tasks = conv_tasks(&input, &weight, &bias, &geo, inputs.remove(0), tw, tb);
         for t in &tasks {
-            let mac = t.task.mac_i64();
-            let got = q.dequantize_response(mac, t.task.bias().code());
+            let bits = u64::from(t.task.mac_i64() as i32 as u32);
+            let got = words.output(0, bits, t.task.bias());
             let want = reference.data()[t.out_index];
             // 8-bit quantization error over an 18-element dot product.
             assert!(

@@ -21,7 +21,7 @@
 //!   SWAR popcount followed by a sorting network, with compare-exchange and
 //!   stage accounting for the hardware cost model in `btr-hw`.
 //! * [`transport`] — the shared transport pipeline: the
-//!   [`transport::TransportSession`] encode/decode contract consumed by
+//!   [`transport::CodedTransport`] encode/decode contract consumed by
 //!   the stream harness, the NoC injection layer and the accelerator
 //!   driver, plus the one copy of the occupancy/packing helpers.
 //! * [`stream`] — the "without NoC" evaluation harness behind Table I and
@@ -78,6 +78,4 @@ pub use edc::EdcKind;
 pub use flitize::{order_task, EncodeTemplate, FlitRow, OrderedTask, RecoverError, Slot};
 pub use ordering::OrderingMethod;
 pub use task::NeuronTask;
-pub use transport::{
-    CodedTransport, EncodedTask, TaskWireMeta, TransportConfig, TransportError, TransportSession,
-};
+pub use transport::{CodedTransport, EncodedTask, TaskWireMeta, TransportConfig, TransportError};

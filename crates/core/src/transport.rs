@@ -8,13 +8,12 @@
 //! flitization, ordering and recovery calls; this module is now the single
 //! place that logic lives:
 //!
-//! * [`TransportSession`] — the MC/PE contract: encode a
-//!   [`NeuronTask`] into wire images plus the [`TaskWireMeta`] a head
-//!   flit (and, for O2, the index side channel) carries, and decode a
-//!   delivered packet back into a [`RecoveredTask`];
-//! * [`CodedTransport`] — the implementation of that contract as an
-//!   `order → flitize → codec` pipeline: the paper's descending-popcount
-//!   ordering per [`TransportConfig`], composed with the link codec
+//! * [`CodedTransport`] — the MC/PE contract as one
+//!   `order → flitize → codec` pipeline: encode a [`NeuronTask`] into
+//!   wire images plus the [`TaskWireMeta`] a head flit (and, for O2, the
+//!   index side channel) carries, and decode a delivered packet back into
+//!   a [`RecoveredTask`]. It runs the paper's descending-popcount ordering
+//!   per [`TransportConfig`], composed with the link codec
 //!   ([`crate::codec::CodecKind`]) selected by [`TransportConfig::codec`]
 //!   (unencoded, bus-invert, or delta-XOR);
 //! * the packing helpers ([`packet_occupancy`], [`window_occupancy`],
@@ -303,49 +302,6 @@ impl From<RecoverError> for TransportError {
     }
 }
 
-/// The transport contract between a memory controller and a processing
-/// element: `NeuronTask → OrderedTask → packets` on the sending side,
-/// `packets → RecoveredTask` on the receiving side.
-///
-/// Implementations must round-trip: for any valid task,
-/// `decode_task(encode_task(t).wire_meta(), encode_task(t).payload_flits())`
-/// recovers a pairing with the same multiply-accumulate result.
-pub trait TransportSession<W: DataWord> {
-    /// The session configuration.
-    fn transport_config(&self) -> &TransportConfig;
-
-    /// Orders and flitizes a task for transmission.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlitizeError`] for invalid geometry (odd lane count, link
-    /// too wide, oversized task).
-    fn encode_task(&self, task: &NeuronTask<W>) -> Result<EncodedTask<W>, FlitizeError>;
-
-    /// Decodes delivered payload flits back into paired operands.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError`] if the flit images do not match the
-    /// layout implied by `meta` or recovery fails.
-    fn decode_task(
-        &self,
-        meta: &TaskWireMeta,
-        flits: &[PayloadBits],
-    ) -> Result<RecoveredTask<W>, TransportError>;
-
-    /// Checks every delivered payload flit's EDC field — the receiving
-    /// NI's detection step, run *before* decode. `Ok(false)` is the NACK
-    /// that triggers a retransmission; sessions without an EDC verify
-    /// trivially.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError`] when the images do not match the
-    /// session's wire geometry at all (a harness bug, not a wire error).
-    fn verify_delivered_frames(&self, flits: &[PayloadBits]) -> Result<bool, TransportError>;
-}
-
 /// The `order → flitize → codec` transport pipeline: descending-popcount
 /// ordering at the MC, link coding on the wires, codec decode plus
 /// slot-pairing (O0/O1) or index-lookup (O2) recovery at the PE.
@@ -374,6 +330,46 @@ impl CodedTransport {
         }
     }
 
+    /// Orders and flitizes a task for transmission: builds the task's
+    /// weight template and encodes its activations off it.
+    ///
+    /// Round-trips with [`CodedTransport::decode_task`]: for any valid
+    /// task, decoding `encode_task(t)`'s wire images against its
+    /// [`EncodedTask::wire_meta`] recovers a pairing with the same
+    /// multiply-accumulate result.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlitizeError`] for invalid geometry (odd lane count, link
+    /// too wide, oversized task).
+    pub fn encode_task<W: DataWord>(
+        &self,
+        task: &NeuronTask<W>,
+    ) -> Result<EncodedTask<W>, FlitizeError> {
+        let mut scratch = TransportScratch::default();
+        let template = self.weight_template(task.weights(), task.bias(), None, &mut scratch)?;
+        self.encode_with_template(&template, task.inputs(), &mut scratch)
+    }
+
+    /// Decodes delivered payload flits back into paired operands.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransportError`] if the flit images do not match the
+    /// layout implied by `meta` or recovery fails.
+    pub fn decode_task<W: DataWord>(
+        &self,
+        meta: &TaskWireMeta,
+        flits: &[PayloadBits],
+    ) -> Result<RecoveredTask<W>, TransportError> {
+        let mut out = RecoveredTask {
+            pairs: Vec::new(),
+            bias: W::from_bits_u64(0),
+        };
+        self.decode_task_into(meta, flits, &mut TransportScratch::default(), &mut out)?;
+        Ok(out)
+    }
+
     /// Pre-renders one kernel group's [`EncodeTemplate`] for this
     /// session's ordering/lane configuration — the once-per-layer half of
     /// the template encode path (see [`build_encode_template`]).
@@ -384,7 +380,7 @@ impl CodedTransport {
     /// # Errors
     ///
     /// Returns [`FlitizeError`] for invalid geometry, like
-    /// [`TransportSession::encode_task`].
+    /// [`CodedTransport::encode_task`].
     pub fn weight_template<W: DataWord>(
         &self,
         weights: &[W],
@@ -413,7 +409,7 @@ impl CodedTransport {
     /// # Errors
     ///
     /// Infallible today (geometry was validated when the template was
-    /// built); the `Result` mirrors [`TransportSession::encode_task`].
+    /// built); the `Result` mirrors [`CodedTransport::encode_task`].
     ///
     /// # Panics
     ///
@@ -494,7 +490,7 @@ impl CodedTransport {
     /// materialization via [`order_task_with`], then the codec over the
     /// rendered images. The template path
     /// ([`CodedTransport::encode_with_template`], which
-    /// [`TransportSession::encode_task`] runs) must produce identical
+    /// [`CodedTransport::encode_task`] runs) must produce identical
     /// wire images, metadata and accounting — pinned by
     /// `tests/driver_parity.rs` and `tests/transport_parity.rs`.
     ///
@@ -590,12 +586,12 @@ impl CodedTransport {
     /// oracle: codec inverse, slot-level
     /// [`OrderedTask::from_payload_flits`] reconstruction, then
     /// [`OrderedTask::recover`]. Produces the identical pairing (same
-    /// pair order) as [`TransportSession::decode_task`]'s direct path.
+    /// pair order) as [`CodedTransport::decode_task`]'s direct path.
     ///
     /// # Errors
     ///
     /// Returns [`TransportError`] under the same conditions as
-    /// [`TransportSession::decode_task`].
+    /// [`CodedTransport::decode_task`].
     pub fn decode_task_reference<W: DataWord>(
         &self,
         meta: &TaskWireMeta,
@@ -615,13 +611,13 @@ impl CodedTransport {
         Ok(ordered.recover()?)
     }
 
-    /// [`TransportSession::decode_task`] with reusable scratch buffers,
+    /// [`CodedTransport::decode_task`] with reusable scratch buffers,
     /// into a caller-owned [`RecoveredTask`] (pairs buffer reused across
     /// packets) — the fully allocation-free receiver path.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`TransportSession::decode_task`].
+    /// Same conditions as [`CodedTransport::decode_task`].
     pub fn decode_task_into<W: DataWord>(
         &self,
         meta: &TaskWireMeta,
@@ -736,35 +732,6 @@ impl CodedTransport {
             }
         }
         Ok(true)
-    }
-}
-
-impl<W: DataWord> TransportSession<W> for CodedTransport {
-    fn transport_config(&self) -> &TransportConfig {
-        &self.config
-    }
-
-    fn encode_task(&self, task: &NeuronTask<W>) -> Result<EncodedTask<W>, FlitizeError> {
-        let mut scratch = TransportScratch::default();
-        let template = self.weight_template(task.weights(), task.bias(), None, &mut scratch)?;
-        self.encode_with_template(&template, task.inputs(), &mut scratch)
-    }
-
-    fn decode_task(
-        &self,
-        meta: &TaskWireMeta,
-        flits: &[PayloadBits],
-    ) -> Result<RecoveredTask<W>, TransportError> {
-        let mut out = RecoveredTask {
-            pairs: Vec::new(),
-            bias: W::from_bits_u64(0),
-        };
-        self.decode_task_into(meta, flits, &mut TransportScratch::default(), &mut out)?;
-        Ok(out)
-    }
-
-    fn verify_delivered_frames(&self, flits: &[PayloadBits]) -> Result<bool, TransportError> {
-        CodedTransport::verify_delivered_frames::<W>(self, flits)
     }
 }
 
@@ -1011,7 +978,7 @@ mod tests {
                 for codec in CodecKind::ALL {
                     let session =
                         CodedTransport::new(TransportConfig::new(ordering, 16).with_codec(codec));
-                    let fast = TransportSession::<Fx8Word>::encode_task(&session, &task).unwrap();
+                    let fast = session.encode_task(&task).unwrap();
                     let reference = session.encode_task_reference::<Fx8Word>(&task).unwrap();
                     assert_eq!(fast, reference, "{ordering} {codec} n={n}");
                     let rec_fast: RecoveredTask<Fx8Word> = session
@@ -1033,8 +1000,8 @@ mod tests {
         let config = TransportConfig::new(OrderingMethod::Affiliated, 16);
         let plain = CodedTransport::new(config);
         let coded = CodedTransport::new(config.with_codec(CodecKind::BusInvert));
-        let enc_plain = TransportSession::<Fx8Word>::encode_task(&plain, &task).unwrap();
-        let enc_coded = TransportSession::<Fx8Word>::encode_task(&coded, &task).unwrap();
+        let enc_plain = plain.encode_task(&task).unwrap();
+        let enc_coded = coded.encode_task(&task).unwrap();
         // Same flit count, one extra invert-line wire per flit.
         assert_eq!(
             enc_plain.payload_flits().len(),
@@ -1059,7 +1026,7 @@ mod tests {
         );
         // Delta-XOR adds no wires and no side-channel bits.
         let xor = CodedTransport::new(config.with_codec(CodecKind::DeltaXor));
-        let enc_xor = TransportSession::<Fx8Word>::encode_task(&xor, &task).unwrap();
+        let enc_xor = xor.encode_task(&task).unwrap();
         assert!(enc_xor.payload_flits().iter().all(|f| f.width() == 128));
         assert_eq!(enc_xor.codec_overhead_bits(), 0);
     }
@@ -1072,8 +1039,8 @@ mod tests {
             let per_packet = CodedTransport::new(config.with_codec(codec));
             let per_link =
                 CodedTransport::new(config.with_codec(codec).with_scope(CodecScope::PerLink));
-            let pp = TransportSession::<Fx8Word>::encode_task(&per_packet, &task).unwrap();
-            let pl = TransportSession::<Fx8Word>::encode_task(&per_link, &task).unwrap();
+            let pp = per_packet.encode_task(&task).unwrap();
+            let pl = per_link.encode_task(&task).unwrap();
             // Per-link sessions put the plain ordered images on the wire
             // (the links code them with their own persistent state)...
             assert_eq!(pl.payload_flits(), pl.plain_flits(), "{codec}");
@@ -1120,14 +1087,11 @@ mod tests {
         let coded = CodedTransport::new(
             TransportConfig::new(OrderingMethod::Baseline, 8).with_codec(CodecKind::BusInvert),
         );
-        let enc = TransportSession::<Fx8Word>::encode_task(&plain, &task).unwrap();
+        let enc = plain.encode_task(&task).unwrap();
         // Unencoded wire images (64-bit) into a bus-invert session (65-bit).
-        let err = TransportSession::<Fx8Word>::decode_task(
-            &coded,
-            &enc.wire_meta(),
-            &enc.payload_flits(),
-        )
-        .unwrap_err();
+        let err = coded
+            .decode_task::<Fx8Word>(&enc.wire_meta(), &enc.payload_flits())
+            .unwrap_err();
         assert!(matches!(err, TransportError::Codec(_)));
         assert!(err.to_string().contains("link decode failed"));
     }
@@ -1156,7 +1120,7 @@ mod tests {
         let task = fx_task(9);
         let enc = |m| {
             let s = CodedTransport::new(TransportConfig::new(m, 8));
-            TransportSession::<Fx8Word>::encode_task(&s, &task).unwrap()
+            s.encode_task(&task).unwrap()
         };
         assert!(enc(OrderingMethod::Baseline)
             .wire_meta()
@@ -1175,10 +1139,11 @@ mod tests {
     fn decode_rejects_bad_geometry() {
         let session = CodedTransport::new(TransportConfig::new(OrderingMethod::Baseline, 8));
         let task = fx_task(9);
-        let enc = TransportSession::<Fx8Word>::encode_task(&session, &task).unwrap();
+        let enc = session.encode_task(&task).unwrap();
         let flits = enc.payload_flits();
         let short = &flits[..1];
-        let err = TransportSession::<Fx8Word>::decode_task(&session, &enc.wire_meta(), short)
+        let err = session
+            .decode_task::<Fx8Word>(&enc.wire_meta(), short)
             .unwrap_err();
         assert!(matches!(err, TransportError::Geometry(_)));
         assert!(err.to_string().contains("decode failed"));

@@ -1,6 +1,6 @@
 //! NoC injection over the shared transport pipeline.
 //!
-//! [`TaskPort`] binds a [`TransportSession`] (the MC-side ordering unit +
+//! [`TaskPort`] binds a [`CodedTransport`] (the MC-side ordering unit +
 //! link codec + PE-side recovery logic from `btr_core::transport`) to the
 //! mesh simulator: tasks are encoded once by the session, injected as
 //! [`Packet`]s carrying the *coded* wire images — so every per-link
@@ -46,7 +46,7 @@ use btr_bits::word::DataWord;
 use btr_core::codec::ResyncPolicy;
 use btr_core::flitize::FlitizeError;
 use btr_core::task::{NeuronTask, RecoveredTask};
-use btr_core::transport::{TaskWireMeta, TransportError, TransportSession};
+use btr_core::transport::{CodedTransport, TaskWireMeta, TransportError};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -116,8 +116,7 @@ struct RecoveryState {
     resync: ResyncPolicy,
     max_retries: u32,
     /// Interior-mutable: `accept` borrows the port immutably (the driver
-    /// holds it alongside the mesh, and shares it across encode threads)
-    /// but must book-keep retries.
+    /// holds it alongside the mesh) but must book-keep retries.
     inner: Mutex<RecoveryInner>,
 }
 
@@ -140,7 +139,7 @@ struct RecoveryInner {
 }
 
 /// A task-granularity port onto the mesh: encode-inject on one side,
-/// decode-recover on the other, both through one [`TransportSession`].
+/// decode-recover on the other, both through one [`CodedTransport`].
 ///
 /// With [`TaskPort::with_recovery`] the port additionally runs the NI
 /// half of the unreliable-link protocol: every injected packet is
@@ -188,12 +187,6 @@ impl<S> TaskPort<S> {
         &self.session
     }
 
-    /// True when the NI recovery protocol is armed.
-    #[must_use]
-    pub fn recovery_armed(&self) -> bool {
-        self.recovery.is_some()
-    }
-
     /// Drains the recovery-protocol counters (they reset to zero).
     pub fn take_fault_stats(&self) -> PortFaultStats {
         self.recovery
@@ -224,7 +217,9 @@ impl<S> TaskPort<S> {
             );
         }
     }
+}
 
+impl TaskPort<CodedTransport> {
     /// Encodes `task` with the session's ordering and injects it as a
     /// packet `src → dst` through [`TaskPort::send_encoded`], returning
     /// the wire metadata the receiver needs (conceptually: the extended
@@ -240,10 +235,7 @@ impl<S> TaskPort<S> {
         dst: usize,
         task: &NeuronTask<W>,
         tag: u64,
-    ) -> Result<TaskWireMeta, SendError>
-    where
-        S: TransportSession<W>,
-    {
+    ) -> Result<TaskWireMeta, SendError> {
         let encoded = self.session.encode_task(task)?;
         Ok(self.send_encoded(sim, src, dst, encoded, tag)?.meta)
     }
@@ -319,14 +311,10 @@ impl<S> TaskPort<S> {
         &self,
         sim: &mut Simulator,
         delivered: &DeliveredPacket,
-    ) -> Result<Option<u32>, TransportError>
-    where
-        S: TransportSession<W>,
-    {
-        let clean = TransportSession::<W>::verify_delivered_frames(
-            &self.session,
-            &delivered.payload_flits,
-        )?;
+    ) -> Result<Option<u32>, TransportError> {
+        let clean = self
+            .session
+            .verify_delivered_frames::<W>(&delivered.payload_flits)?;
         let Some(recovery) = &self.recovery else {
             debug_assert!(clean, "corrupted delivery with no recovery protocol armed");
             return Ok(Some(0));
@@ -392,12 +380,10 @@ impl<S> TaskPort<S> {
     pub fn accept_streamed<W: DataWord>(
         &self,
         delivered: &StreamedPacket<'_>,
-    ) -> Result<(), TransportError>
-    where
-        S: TransportSession<W>,
-    {
-        let clean =
-            TransportSession::<W>::verify_delivered_frames(&self.session, delivered.payload_flits)?;
+    ) -> Result<(), TransportError> {
+        let clean = self
+            .session
+            .verify_delivered_frames::<W>(delivered.payload_flits)?;
         debug_assert!(clean, "corrupted delivery on a perfect-wire streamed phase");
         if clean {
             Ok(())
@@ -416,10 +402,7 @@ impl<S> TaskPort<S> {
         &self,
         meta: &TaskWireMeta,
         delivered: &DeliveredPacket,
-    ) -> Result<RecoveredTask<W>, TransportError>
-    where
-        S: TransportSession<W>,
-    {
+    ) -> Result<RecoveredTask<W>, TransportError> {
         self.session.decode_task(meta, &delivered.payload_flits)
     }
 }
@@ -448,7 +431,7 @@ mod tests {
     use btr_bits::word::Fx8Word;
     use btr_core::codec::CodecKind;
     use btr_core::ordering::OrderingMethod;
-    use btr_core::transport::{CodedTransport, TransportConfig};
+    use btr_core::transport::TransportConfig;
 
     fn task(n: usize) -> NeuronTask<Fx8Word> {
         let inputs: Vec<Fx8Word> = (0..n).map(|i| Fx8Word::new(i as i8)).collect();
@@ -509,7 +492,7 @@ mod tests {
         )));
         let t = task(25);
         let send = |port: &TaskPort<CodedTransport>, sim: &mut Simulator| {
-            let encoded = TransportSession::<Fx8Word>::encode_task(port.session(), &t).unwrap();
+            let encoded = port.session().encode_task(&t).unwrap();
             port.send_encoded(sim, 0, 5, encoded, 1).unwrap()
         };
         let sent = send(&port, &mut sim);

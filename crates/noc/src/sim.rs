@@ -387,15 +387,6 @@ impl Simulator {
         self.cycle
     }
 
-    /// Advances the clock to at least `cycle` without stepping the mesh
-    /// (no-op when the clock is already past it). The analytic engine
-    /// uses this to account for off-network latency — e.g. PE compute
-    /// time between a delivered request and its response — that the
-    /// cycle engine would otherwise spend in idle `step`s.
-    pub fn advance_cycle_to(&mut self, cycle: u64) {
-        self.cycle = self.cycle.max(cycle);
-    }
-
     /// The persistent tx/rx codec-lane state pair of the router-output
     /// link `node * NUM_PORTS + port`, or `None` on raw wires (no
     /// per-link codec configured). Engine-parity harnesses compare these

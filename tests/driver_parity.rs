@@ -6,8 +6,7 @@
 //!    encode) is bit-exact with the legacy-faithful synchronous reference
 //!    across every `OrderingMethod × CodecKind` combination — identical
 //!    per-link bit transitions, total cycles, outputs, and index/codec
-//!    side-channel accounting. Each mode resolves one encode plan on
-//!    every host.
+//!    side-channel accounting.
 //! 2. **Batch-1 parity**: `run_inference_batch` with one input is the
 //!    single-input driver, bit for bit.
 //! 3. **Batch decomposition**: a batched run's per-element outputs equal
@@ -16,7 +15,7 @@
 //!    interleave in the mesh (property-tested over random models).
 
 use noc_btr::accel::config::{AccelConfig, DriverMode};
-use noc_btr::accel::driver::{run_inference, run_inference_batch, EncodePlan, InferenceSession};
+use noc_btr::accel::driver::{run_inference, run_inference_batch};
 use noc_btr::bits::word::DataFormat;
 use noc_btr::core::codec::{CodecKind, CodecScope};
 use noc_btr::core::OrderingMethod;
@@ -232,28 +231,6 @@ fn per_link_scope_is_lossless_and_bit_exact_across_drivers() {
                 ),
             }
         }
-    }
-}
-
-#[test]
-fn sessions_resolve_the_encode_plan_from_the_driver_mode() {
-    // One schedule per driver mode, on any host: the pipelined driver
-    // always encodes inline through the cached stage, the synchronous
-    // driver always runs the uncached reference.
-    let model = tiny_model(21);
-    let ops = model.inference_ops();
-    for (driver, plan) in [
-        (DriverMode::Pipelined, EncodePlan::Inline),
-        (DriverMode::Synchronous, EncodePlan::Reference),
-    ] {
-        let c = config(
-            DataFormat::Fixed8,
-            OrderingMethod::Separated,
-            CodecKind::Unencoded,
-            driver,
-        );
-        let session = InferenceSession::new(&ops, c).unwrap();
-        assert_eq!(session.plan(), plan, "{driver}");
     }
 }
 

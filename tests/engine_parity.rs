@@ -34,7 +34,7 @@ use noc_btr::bits::word::{DataFormat, Fx8Word};
 use noc_btr::core::codec::{CodecKind, CodecScope};
 use noc_btr::core::edc::EdcKind;
 use noc_btr::core::task::NeuronTask;
-use noc_btr::core::transport::{CodedTransport, TransportConfig, TransportSession};
+use noc_btr::core::transport::{CodedTransport, TransportConfig};
 use noc_btr::core::OrderingMethod;
 use noc_btr::dnn::layer::{ActKind, Activation, Conv2d, Flatten, Linear, MaxPool2d};
 use noc_btr::dnn::model::{Layer, Sequential};
@@ -405,7 +405,7 @@ fn streamed_traffic(
             word(&mut rng),
         )
         .unwrap();
-        let encoded = TransportSession::<Fx8Word>::encode_task(port.session(), &task).unwrap();
+        let encoded = port.session().encode_task(&task).unwrap();
         let (_meta, payload, ..) = encoded.into_parts();
         traffic.push((route.0, route.1, tag, payload));
     }

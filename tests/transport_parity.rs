@@ -5,7 +5,7 @@
 //!
 //! 1. **Transport round-trip**: for every `OrderingMethod × TieBreak`
 //!    combination, encoding a task through the shared
-//!    [`TransportSession`] and decoding the delivered wire images
+//!    `CodedTransport` and decoding the delivered wire images
 //!    recovers the exact multiply-accumulate result (integer-exact for
 //!    fixed-8, reassociation-tolerant for float-32).
 //! 2. **Engine golden digests**: the flat-array simulator reproduces,
@@ -27,9 +27,7 @@ use noc_btr::core::edc::EdcKind;
 use noc_btr::core::flitize::order_task_with;
 use noc_btr::core::ordering::{OrderingMethod, TieBreak};
 use noc_btr::core::task::{NeuronTask, RecoveredTask};
-use noc_btr::core::transport::{
-    CodedTransport, TransportConfig, TransportScratch, TransportSession,
-};
+use noc_btr::core::transport::{CodedTransport, TransportConfig, TransportScratch};
 use noc_btr::noc::config::NocConfig;
 use noc_btr::noc::packet::Packet;
 use noc_btr::noc::session::TaskPort;
