@@ -27,7 +27,7 @@
 //! N inputs through each layer as one traffic phase on the same mesh.
 
 use crate::config::{AccelConfig, DriverMode};
-use crate::report::{BatchInferenceResult, InferenceResult, LayerTrafficReport};
+use crate::report::{BatchInferenceResult, InferenceResult, LayerTrafficReport, ResponsePhase};
 use crate::tasks::{ConvGeometry, LayerQuantizers, LayerTasks, LayerWords};
 use btr_bits::word::{DataFormat, DataWord, F32Word, Fx8Word};
 use btr_bits::PayloadBits;
@@ -38,12 +38,15 @@ use btr_core::transport::{
 };
 use btr_dnn::model::InferenceOp;
 use btr_dnn::tensor::Tensor;
-use btr_noc::analytic::{routes_contention_free, routes_link_disjoint, EngineMode};
+use btr_noc::analytic::{
+    routes_contention_free, routes_link_disjoint, EngineMode, PhaseRecorder, PhaseRecording,
+    ScheduledPacket, StreamedPacket,
+};
 use btr_noc::session::{SendError, TaskPort};
 use btr_noc::sim::{DeliveredPacket, InjectError, Simulator};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Errors from [`run_inference`].
 #[derive(Debug)]
@@ -236,7 +239,8 @@ pub struct InferenceSession<'a> {
     ops: &'a [InferenceOp],
     config: AccelConfig,
     /// One encode cache per op: the pre-rendered weight flit templates of
-    /// each conv/linear layer's kernel groups.
+    /// each conv/linear layer's kernel groups, and its recorded response
+    /// phases.
     /// Weights never change within a session, so templates built lazily
     /// by the first dispatch are shared across the batch dimension and
     /// across every subsequent [`run`](InferenceSession::run) call.
@@ -247,15 +251,43 @@ pub struct InferenceSession<'a> {
 /// of every kernel group — the "weight-side work happens once per
 /// session, not once per task" amortization. Each entry is built by the
 /// first task that touches its group.
+///
+/// It also keeps the layer's last stepped response phase per batch size
+/// (keyed by the layer's task count), which [`hybrid_loop`] replays on
+/// later dispatches instead of stepping the mesh again.
 #[derive(Debug, Default)]
 struct LayerEncodeCache {
     templates: Vec<OnceLock<Result<EncodeTemplate, FlitizeError>>>,
+    response_phases: Mutex<Vec<(usize, PhaseRecording)>>,
 }
 
 impl LayerEncodeCache {
     fn with_groups(groups: usize) -> Self {
         Self {
             templates: (0..groups).map(|_| OnceLock::new()).collect(),
+            // Room for one batch size, so storing the first recording
+            // allocates nothing.
+            response_phases: Mutex::new(Vec::with_capacity(1)),
+        }
+    }
+
+    /// The recorded response phases, keyed by task count. A dispatch
+    /// that panicked while holding them left every entry whole (entries
+    /// are only read, or replaced in one move), so a poisoned lock is
+    /// recovered.
+    fn response_phases(&self) -> MutexGuard<'_, Vec<(usize, PhaseRecording)>> {
+        self.response_phases
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Keeps `recording` as the response phase of a `tasks`-task
+    /// dispatch, replacing an older one.
+    fn store_response_phase(&self, tasks: usize, recording: PhaseRecording) {
+        let mut phases = self.response_phases();
+        match phases.iter_mut().find(|(key, _)| *key == tasks) {
+            Some(entry) => entry.1 = recording,
+            None => phases.push((tasks, recording)),
         }
     }
 
@@ -559,6 +591,13 @@ impl InferenceRun<'_> {
                 (region[(j / mcs.len()) % region.len()], mcs[mi])
             })
             .collect();
+        let engine = LayerEngine::resolve(config, &dests);
+        // A hybrid layer without a recorded response phase records one:
+        // its storage is reserved before the layer's traffic state, which
+        // it outlives.
+        let recorded = || cache.response_phases().iter().any(|(key, _)| *key == total);
+        let recorder = (engine == LayerEngine::Hybrid && !recorded())
+            .then(|| PhaseRecorder::reserve(&config.noc, dests.iter().copied()));
         let mut per_mc_tasks: Vec<Vec<usize>> = vec![Vec::new(); mcs.len()];
         for j in 0..total {
             per_mc_tasks[j % mcs.len()].push(j);
@@ -587,7 +626,6 @@ impl InferenceRun<'_> {
         let sim = &mut self.sim;
         let start_cycle = sim.cycle();
         let transitions_before = sim.stats().total_transitions;
-        let engine = LayerEngine::resolve(config, &layer.dests);
         let mut feed = match config.driver {
             DriverMode::Synchronous => TaskFeed::Reference { stage: &stage },
             DriverMode::Pipelined => TaskFeed::Inline {
@@ -600,9 +638,9 @@ impl InferenceRun<'_> {
                 },
             },
         };
-        let run = match engine {
-            LayerEngine::Cycle => cycle_loop(&layer, sim, &mut feed)?,
-            LayerEngine::Hybrid => hybrid_loop(&layer, sim, &mut feed)?,
+        let (run, response_phase) = match engine {
+            LayerEngine::Cycle => (cycle_loop(&layer, sim, &mut feed)?, ResponsePhase::Stepped),
+            LayerEngine::Hybrid => hybrid_loop(&layer, sim, &mut feed, cache, recorder)?,
         };
 
         let transitions_after = sim.stats().total_transitions;
@@ -615,6 +653,7 @@ impl InferenceRun<'_> {
             transitions: transitions_after - transitions_before,
             pairs_per_task: source.pairs_per_task(),
             analytic: engine == LayerEngine::Hybrid,
+            response_phase,
         });
         let overhead = &mut self.overhead;
         overhead.index_bits += run.index_bits;
@@ -844,8 +883,16 @@ impl LayerRun {
         }
     }
 
-    /// PE side: encodes task `j`'s computed response onto the coded wire,
-    /// accounts its side-channel wires and injects it toward its MC.
+    /// PE side: encodes a computed response onto the coded wire and
+    /// accounts its side-channel wires.
+    fn encode_response<W: AccelWord>(&mut self, layer: &LayerTraffic, bits: u64) -> PayloadBits {
+        self.codec_bits += u64::from(layer.config.codec.extra_wires());
+        self.edc_bits += u64::from(layer.config.edc.extra_wires());
+        layer.port.session().encode_response::<W>(bits)
+    }
+
+    /// PE side: encodes task `j`'s computed response and injects it
+    /// toward its MC.
     fn send_response<W: AccelWord>(
         &mut self,
         layer: &LayerTraffic,
@@ -853,9 +900,7 @@ impl LayerRun {
         j: usize,
         bits: u64,
     ) -> Result<(), AccelError> {
-        let image = layer.port.session().encode_response::<W>(bits);
-        self.codec_bits += u64::from(layer.config.codec.extra_wires());
-        self.edc_bits += u64::from(layer.config.edc.extra_wires());
+        let image = self.encode_response::<W>(layer, bits);
         let (pe, mc_node) = layer.dests[j];
         layer
             .port
@@ -863,18 +908,18 @@ impl LayerRun {
         Ok(())
     }
 
-    /// MC side: decodes a response delivered back at its MC off the coded
-    /// wire, through the same session.
+    /// MC side: decodes task `j`'s response delivered back at its MC off
+    /// the coded wire, through the same session.
     fn receive_response<W: AccelWord>(
         &mut self,
         layer: &LayerTraffic,
-        d: &DeliveredPacket,
+        j: usize,
+        payload: &[PayloadBits],
     ) -> Result<(), AccelError> {
-        let j = d.tag as usize;
         let bits = layer
             .port
             .session()
-            .decode_response::<W>(&d.payload_flits)
+            .decode_response::<W>(payload)
             .map_err(|e| AccelError::Decode(e.to_string()))?;
         debug_assert!(
             self.responses[j].is_none(),
@@ -902,10 +947,12 @@ enum LayerEngine {
     /// Split engine ([`hybrid_loop`]): the request phase — the bulk of a
     /// layer's flits — streams through the analytic per-packet hop, the
     /// response phase steps the mesh through the real cycle engine on
-    /// the closed-form response schedule. Resolved only when that split
-    /// is provably invisible (see [`LayerEngine::resolve`]), so it is
-    /// bit-identical to [`cycle_loop`] on per-link BTs, codec-lane
-    /// states, overheads and delivered payloads.
+    /// the closed-form response schedule, or replays the session's
+    /// recording of that very phase when its start pointers and schedule
+    /// are unchanged. Resolved only when the split is provably invisible
+    /// (see [`LayerEngine::resolve`]), so it is bit-identical to
+    /// [`cycle_loop`] on per-link BTs, codec-lane states, overheads and
+    /// delivered payloads.
     Hybrid,
 }
 
@@ -1009,7 +1056,7 @@ fn cycle_loop<W: AccelWord>(
                 continue;
             }
             if config.noc.is_mc(d.dst) {
-                run.receive_response::<W>(layer, d)?;
+                run.receive_response::<W>(layer, d.tag as usize, &d.payload_flits)?;
             } else {
                 // Request arrived at a PE: decode off the wires, recover
                 // pairing, schedule the MAC result.
@@ -1104,8 +1151,8 @@ fn replay_request_phase<W: AccelWord>(
 /// The split engine behind [`LayerEngine::Hybrid`]: the request phase —
 /// the weight/activation fan-out carrying the bulk of a layer's flits —
 /// streams through the analytic per-packet hop task by task
-/// ([`replay_request_phase`]), then the response phase steps the mesh
-/// through the **real cycle engine**, injecting each PE's response at its
+/// ([`replay_request_phase`]), then the response phase runs on the
+/// **real cycle engine's** dynamics, each PE's response injected at its
 /// closed-form compute-ready cycle (shifted by a constant, which cannot
 /// change any link's flit order: the cycle engine's dynamics depend only
 /// on relative inject times).
@@ -1122,18 +1169,62 @@ fn replay_request_phase<W: AccelWord>(
 /// faithfully: the cycle engine itself. Timing fields are the one
 /// deviation: the layer's cycle count composes the request makespan and
 /// the response phase instead of their overlap.
+///
+/// # Recorded response phases
+///
+/// The accelerator's dataflow is fixed, so every dispatch of a layer
+/// sends the same responses between the same PEs and MCs on the same
+/// schedule; only the payload bits change. A response phase starts on a
+/// drained mesh, and there its dynamics depend only on the round-robin
+/// arbitration pointers and the injection schedule — `(pe, mc, ready
+/// offset)` per response, in injection order — never on payload bits.
+/// The first dispatch of each batch size steps the phase and records it
+/// ([`Simulator::record_phase`]) in the session's [`LayerEncodeCache`].
+/// A later dispatch replays the recording ([`replay_response_phase`])
+/// only when the mesh is drained, the start pointers equal the recorded
+/// ones and the staged schedule equals the recorded one
+/// ([`PhaseRecording::replays`]); otherwise it steps the mesh and records
+/// the phase afresh. The guard compares exactly the phase's inputs, so a
+/// replay is bit-exact by construction, and the cycle engine stays the
+/// one implementation of the mesh (and, in debug builds, the replay's
+/// oracle).
 fn hybrid_loop<W: AccelWord>(
     layer: &LayerTraffic,
     sim: &mut Simulator,
     feed: &mut TaskFeed<'_, W>,
-) -> Result<LayerRun, AccelError> {
+    cache: &LayerEncodeCache,
+    recorder: Option<PhaseRecorder>,
+) -> Result<(LayerRun, ResponsePhase), AccelError> {
     let (staged, mut run) = replay_request_phase(layer, sim, feed)?;
 
-    // Response phase: drive the cycle engine on the closed-form schedule.
-    // `base` anchors the first response at the current clock; offsets
-    // between responses are preserved exactly.
+    // Response phase on the closed-form schedule. `base` anchors the
+    // first response at the current clock; offsets between responses are
+    // preserved exactly.
     let base = sim.cycle();
     let ready0 = staged.first().map_or(0, |&(.., ready)| ready);
+    let schedule = staged.iter().map(|&(j, _, ready)| {
+        let (pe, mc) = layer.dests[j];
+        ScheduledPacket {
+            src: pe,
+            dst: mc,
+            offset: ready - ready0,
+        }
+    });
+    let phases = cache.response_phases();
+    let recorded = phases
+        .iter()
+        .find(|(key, _)| *key == staged.len())
+        .filter(|(_, recording)| recording.replays(sim, schedule));
+    if let Some((_, recording)) = recorded {
+        replay_response_phase::<W>(layer, sim, &staged, recording, &mut run)?;
+        return Ok((run, ResponsePhase::Replayed));
+    }
+    drop(phases);
+    sim.record_phase(
+        recorder.unwrap_or_else(|| {
+            PhaseRecorder::reserve(&layer.config.noc, layer.dests.iter().copied())
+        }),
+    );
     let mut delivered: Vec<DeliveredPacket> = Vec::new();
     let mut idx = 0;
     while run.remaining > 0 {
@@ -1150,11 +1241,54 @@ fn hybrid_loop<W: AccelWord>(
             let accepted = layer.accept::<W>(sim, d)?;
             debug_assert!(accepted, "hybrid wires are perfect");
             debug_assert!(layer.config.noc.is_mc(d.dst), "responses terminate at MCs");
-            run.receive_response::<W>(layer, d)?;
+            run.receive_response::<W>(layer, d.tag as usize, &d.payload_flits)?;
         }
         layer.check_stall(sim, base)?;
     }
-    Ok(run)
+    if let Some(recording) = sim.finish_recording() {
+        cache.store_response_phase(staged.len(), recording);
+    }
+    Ok((run, ResponsePhase::Stepped))
+}
+
+/// The replayed response phase of [`hybrid_loop`]: the mesh side through
+/// [`Simulator::replay_phase`] — each link's recorded flit order walked
+/// through its slab with this dispatch's response images — then, per
+/// response, the PE-side encode, the MC's EDC acceptance and the decode
+/// the stepped phase runs on delivery.
+fn replay_response_phase<W: AccelWord>(
+    layer: &LayerTraffic,
+    sim: &mut Simulator,
+    staged: &[StagedResponse],
+    recording: &PhaseRecording,
+    run: &mut LayerRun,
+) -> Result<(), AccelError> {
+    let base = sim.cycle();
+    let session = layer.port.session();
+    sim.replay_phase(
+        recording,
+        |i| staged[i].0 as u64,
+        |i| session.encode_response::<W>(staged[i].1),
+    )?;
+    let link = layer.config.noc.link_width_bits;
+    for (&(j, bits, _), arrival_cycle) in staged.iter().zip(recording.arrivals(base)) {
+        // Delivered images sit on the full link width, like an injected
+        // packet's.
+        let mut image = run.encode_response::<W>(layer, bits);
+        if image.width() != link {
+            image = image.resized(link);
+        }
+        let delivered = StreamedPacket {
+            payload_flits: std::slice::from_ref(&image),
+            arrival_cycle,
+        };
+        layer
+            .port
+            .accept_streamed::<W>(&delivered)
+            .map_err(|e| acceptance_error(e, layer.op_index))?;
+        run.receive_response::<W>(layer, j, delivered.payload_flits)?;
+    }
+    layer.check_stall(sim, base)
 }
 
 #[cfg(test)]
@@ -1575,6 +1709,59 @@ mod tests {
         let five: Vec<Tensor> = (0..5).map(|i| tiny_input(80 + i)).collect();
         let err = session.run(&five).unwrap_err();
         assert!(err.to_string().contains("1..=4"), "{err}");
+    }
+
+    #[test]
+    fn a_recording_of_another_schedule_is_stepped_not_replayed() {
+        // Plant a batch-2 dispatch's recorded response phase under the
+        // batch-1 key: the guard sees another schedule, so the batch-1
+        // dispatch steps (and records its own) instead of replaying, and
+        // still equals a fresh session's.
+        use btr_core::codec::{CodecKind, CodecScope};
+        let model = tiny_model(91);
+        let ops = model.inference_ops();
+        let inputs = [tiny_input(92), tiny_input(93)];
+        let mut c = config(DataFormat::Fixed8, OrderingMethod::Separated)
+            .with_codec(CodecKind::DeltaXor)
+            .with_codec_scope(CodecScope::PerLink);
+        c.engine = EngineMode::Auto;
+        c.batch_size = 2;
+        let session = InferenceSession::new(&ops, c.clone()).unwrap();
+        let pair = session.run(&inputs).unwrap();
+        let hybrid: Vec<usize> = pair
+            .per_layer
+            .iter()
+            .filter(|l| l.analytic)
+            .map(|l| l.op_index)
+            .collect();
+        assert!(!hybrid.is_empty());
+        for &op in &hybrid {
+            let cache = &session.caches[op];
+            let planted = {
+                let phases = cache.response_phases();
+                assert_eq!(phases.len(), 1, "one recording per batch size");
+                phases[0].clone()
+            };
+            cache.store_response_phase(planted.0 / 2, planted.1);
+        }
+        let single = session.run(&inputs[..1]).unwrap();
+        let fresh = InferenceSession::new(&ops, c)
+            .unwrap()
+            .run(&inputs[..1])
+            .unwrap();
+        for layer in single.per_layer.iter().filter(|l| l.analytic) {
+            assert_eq!(layer.response_phase, ResponsePhase::Stepped);
+        }
+        assert_eq!(single.outputs[0].data(), fresh.outputs[0].data());
+        assert_eq!(single.stats, fresh.stats);
+        assert_eq!(single.total_cycles, fresh.total_cycles);
+        // The stepped dispatch replaced the planted recordings, so the
+        // next batch-1 dispatch replays.
+        let again = session.run(&inputs[..1]).unwrap();
+        for layer in again.per_layer.iter().filter(|l| l.analytic) {
+            assert_eq!(layer.response_phase, ResponsePhase::Replayed);
+        }
+        assert_eq!(again.stats, fresh.stats);
     }
 
     #[test]

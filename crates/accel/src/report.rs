@@ -26,6 +26,23 @@ pub struct LayerTrafficReport {
     ///
     /// [`EngineMode::Auto`]: btr_noc::EngineMode::Auto
     pub analytic: bool,
+    /// Whether the response phase was stepped or replayed from the
+    /// session's recording. Which dispatch of a pool records depends on
+    /// which worker won it, so this stays out of the sweep and serve
+    /// JSON.
+    pub response_phase: ResponsePhase,
+}
+
+/// How a NoC layer's response phase ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResponsePhase {
+    /// The cycle engine stepped it: every cycle-engine layer, and a
+    /// hybrid layer whose session held no matching recording (it is
+    /// recorded for the next dispatch).
+    Stepped,
+    /// Replayed from the session's recording of the same phase (same
+    /// start pointers and schedule), bit-exact with stepping it.
+    Replayed,
 }
 
 /// Result of a full accelerated inference.

@@ -281,6 +281,34 @@ impl PayloadBits {
         out
     }
 
+    /// Overwrites this image with `a ⊕ b` over the words their width
+    /// covers and returns the bit transitions from the image it replaces,
+    /// `popcount(self ⊕ a ⊕ b)` — a delta-XOR link hop (encode, charge,
+    /// store the new wire) in one pass with no intermediate image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three widths differ.
+    #[inline]
+    pub fn replace_with_xor(&mut self, a: &PayloadBits, b: &PayloadBits) -> u32 {
+        assert!(
+            a.width == b.width && a.width == self.width,
+            "cannot XOR payloads of different widths"
+        );
+        let used = self.words_used();
+        let mut toggled = 0;
+        for ((w, x), y) in self.words[..used]
+            .iter_mut()
+            .zip(&a.words[..used])
+            .zip(&b.words[..used])
+        {
+            let next = x ^ y;
+            toggled += (next ^ *w).count_ones();
+            *w = next;
+        }
+        toggled
+    }
+
     /// Bitwise NOT within the payload width (used by bus-invert coding).
     #[inline]
     #[must_use]
@@ -419,6 +447,24 @@ mod tests {
         let a = PayloadBits::zero(128);
         let b = PayloadBits::zero(512);
         let _ = a.transitions_to(&b);
+    }
+
+    #[test]
+    fn replace_with_xor_counts_against_the_replaced_image() {
+        let (mut a, mut b, mut wire) = (
+            PayloadBits::zero(200),
+            PayloadBits::zero(200),
+            PayloadBits::zero(200),
+        );
+        a.set_field(0, 64, 0xdead_beef_0123_4567);
+        a.set_field(130, 60, 0x0fff_0000_ffff_0000);
+        b.set_field(60, 20, 0xabcde);
+        wire.set_field(120, 40, 0xff_ffff_ffff);
+        let want = a.xor(&b);
+        let toggled = want.transitions_to(&wire);
+        assert!(toggled > 0);
+        assert_eq!(wire.replace_with_xor(&a, &b), toggled);
+        assert_eq!(wire, want);
     }
 
     #[test]

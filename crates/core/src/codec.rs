@@ -524,6 +524,93 @@ impl LinkCodecState {
         }
     }
 
+    /// [`LinkCodecState::encode_step`] written onto `wire`, the link's
+    /// last wire image, in place: `wire` becomes the new wire image and
+    /// the return value is the number of wires that toggled. A delta-XOR
+    /// lane whose plain images fill the wire runs one pass over the used
+    /// words with no intermediate image; other lanes encode a step and
+    /// copy the used words over.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the width conditions of
+    /// [`LinkCodecState::encode_step`], or if `wire` is not
+    /// [`LinkCodecState::wire_width`] bits wide.
+    pub fn encode_step_onto(&mut self, plain: &PayloadBits, wire: &mut PayloadBits) -> u32 {
+        if let (CodecKind::DeltaXor, Some(prev)) = (self.kind, self.prev.as_mut()) {
+            if plain.width() == self.data_width {
+                let toggled = wire.replace_with_xor(plain, prev);
+                prev.clone_used_from(plain);
+                return toggled;
+            }
+        }
+        let next = self.encode_step(plain);
+        let toggled = next.transitions_to(wire);
+        wire.clone_used_from(&next);
+        toggled
+    }
+
+    /// [`LinkCodecState::encode_run`] written onto `wire`, the link's last
+    /// wire image, in place: `wire` ends on the run's last wire image,
+    /// and the return value is `(boundary, intra, count)` — the wires that
+    /// toggled from `wire`'s old image to the run's first wire, the
+    /// intra-run transition sum and the flit count. A seeded delta-XOR
+    /// lane whose plain images fill the wire reads the run by reference
+    /// and stores only the two images it must; other lanes go through
+    /// [`LinkCodecState::encode_run`]. `None` for an empty run (nothing
+    /// changes).
+    ///
+    /// # Panics
+    ///
+    /// Panics under the conditions of [`LinkCodecState::encode_run`], or
+    /// if `wire` is not [`LinkCodecState::wire_width`] bits wide.
+    pub fn encode_run_onto<'a>(
+        &mut self,
+        plains: impl IntoIterator<Item = &'a PayloadBits>,
+        wire: &mut PayloadBits,
+    ) -> Option<(u32, u64, u64)> {
+        let mut plains = plains.into_iter();
+        let first = plains.next()?;
+        if let (CodecKind::DeltaXor, Some(p0)) = (self.kind, &self.prev) {
+            if first.width() == self.data_width {
+                // The delta-XOR telescope of `encode_run`, with the wire
+                // register as the only image written besides the lane.
+                let boundary = wire.replace_with_xor(first, p0);
+                let (mut intra, mut count) = (0u64, 1u64);
+                let (mut back2, mut back1, mut last) = (p0, first, first);
+                for plain in plains {
+                    self.expect_data_width(plain);
+                    intra += u64::from(plain.transitions_to(back2));
+                    (back2, back1, last) = (back1, plain, plain);
+                    count += 1;
+                }
+                wire.replace_with_xor(back1, back2);
+                if let Some(prev) = &mut self.prev {
+                    prev.clone_used_from(last);
+                }
+                return Some((boundary, intra, count));
+            }
+        }
+        let run = self.encode_run(std::iter::once(first).chain(plains))?;
+        let boundary = run.first.transitions_to(wire);
+        wire.clone_used_from(&run.last);
+        Some((boundary, run.intra, run.count))
+    }
+
+    /// Copies `other`'s wire memory into this state over the used words —
+    /// how a receive lane follows its transmit lane on perfect wires,
+    /// where the mirrored decode provably lands on the same state.
+    pub fn mirror_from(&mut self, other: &LinkCodecState) {
+        debug_assert!(
+            self.kind == other.kind && self.data_width == other.data_width,
+            "mirrored lanes run one codec over one width"
+        );
+        match (self.prev.as_mut(), other.prev.as_ref()) {
+            (Some(mine), Some(theirs)) => mine.clone_used_from(theirs),
+            _ => self.prev = other.prev,
+        }
+    }
+
     /// Advances the transmit side over a whole uninterrupted run of plain
     /// flits in one pass — the word-parallel bulk kernel behind the
     /// analytic engine's per-link fast path. The state ends exactly where
@@ -932,6 +1019,56 @@ mod tests {
                 let got = summarized.encode_delta_xor_run(&DeltaXorRun::new(&stream));
                 assert_eq!(got, want, "n={n} warmup={warmup}");
                 assert_eq!(summarized, bulk, "n={n} warmup={warmup}: end state");
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_step_matches_encode_step() {
+        // The in-place hop leaves the lane, the wire register and the
+        // toggle count exactly where encode_step plus a Hamming distance
+        // does, and a mirrored lane follows it.
+        for kind in CodecKind::ALL {
+            let stream = random_stream(5, 128, 21);
+            let mut stepped = kind.seed_state(128);
+            let mut in_place = kind.seed_state(128);
+            let mut mirror = kind.seed_state(128);
+            let mut wire = PayloadBits::zero(stepped.wire_width());
+            for plain in &stream {
+                let next = stepped.encode_step(plain);
+                let want = next.transitions_to(&wire);
+                assert_eq!(in_place.encode_step_onto(plain, &mut wire), want, "{kind}");
+                assert_eq!(wire, next, "{kind}");
+                assert_eq!(in_place, stepped, "{kind}");
+                mirror.mirror_from(&in_place);
+                assert_eq!(mirror, in_place, "{kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_run_matches_encode_run() {
+        // Seeded and unseeded lanes, runs of one to five flits: the wire
+        // register ends on the run's last wire, the boundary is charged
+        // against its old image, and the lane lands where encode_run's.
+        for kind in CodecKind::ALL {
+            for n in 1..=5usize {
+                for seeded in [false, true] {
+                    let stream = random_stream(n + 1, 128, 40 + n as u64);
+                    let mut bulk = kind.seed_state(128);
+                    if seeded {
+                        let _ = bulk.encode_step(&stream[0]);
+                    }
+                    let mut onto = bulk.clone();
+                    let run = bulk.encode_run(&stream[1..]).unwrap();
+                    let old = random_stream(1, bulk.wire_width(), 9).remove(0);
+                    let mut wire = old;
+                    let got = onto.encode_run_onto(&stream[1..], &mut wire).unwrap();
+                    let want = (run.first.transitions_to(&old), run.intra, run.count);
+                    assert_eq!(got, want, "{kind} n={n} seeded={seeded}");
+                    assert_eq!(wire, run.last, "{kind}");
+                    assert_eq!(onto, bulk, "{kind}");
+                }
             }
         }
     }

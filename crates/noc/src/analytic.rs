@@ -33,6 +33,19 @@
 //!   bit-exact with queueing the same packets and replaying them, which
 //!   is its oracle in the `engine_parity` tests.
 //!
+//! Contended phases have a fast path too, when they repeat. A phase that
+//! starts on a drained mesh is a pure function of the round-robin
+//! arbitration pointers and its injection schedule, never of the payload
+//! bits. [`Simulator::record_phase`] has the cycle engine record what it
+//! made of them — each link's flit order, every arrival, the phase length
+//! and end pointers — into a [`PhaseRecording`]; while
+//! [`PhaseRecording::replays`] finds the pointers and schedule unchanged,
+//! [`Simulator::replay_phase`] walks each link's recorded order through
+//! its slab with new payloads, bit for bit (clock included) what stepping
+//! them would do. Debug builds step the phase alongside as the oracle.
+//! The accelerator driver records each layer's converging response phase
+//! once per session and batch size and replays it on later dispatches.
+//!
 //! Cycle and latency numbers are advanced from the closed-form
 //! uncontended wormhole latency (`hops + flits + 1`, plus the per-source
 //! serialization offset) so reports stay populated; they are exact for
@@ -66,11 +79,12 @@
 //! [`LinkCodecState`]: btr_core::codec::LinkCodecState
 
 use crate::config::{NocConfig, NodeId};
-use crate::packet::{decode_head_payload, encode_head_payload};
+use crate::packet::{decode_head_payload, encode_head_payload, write_head_fields, Packet};
 use crate::routing::{route, Direction};
-use crate::sim::{DeliveredPacket, InjectError, Simulator, NUM_PORTS};
-use crate::stats::PacketWires;
+use crate::sim::{Arbitration, DeliveredPacket, InjectError, Simulator, NUM_PORTS};
+use crate::stats::{LatencyTotals, PacketWires};
 use btr_bits::payload::PayloadBits;
+use std::cmp::Ordering;
 
 /// Which engine evaluates traffic phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -446,7 +460,7 @@ impl Simulator {
         clock.cursors[src] = start + flits;
         clock.max_arrival = clock.max_arrival.max(arrival);
         clock.replayed = true;
-        self.latencies.push(arrival - inject_cycle);
+        self.latencies.record(arrival - inject_cycle);
         self.flits_delivered += flits;
         self.packets_delivered += 1;
         arrival
@@ -467,6 +481,30 @@ impl Simulator {
     /// analytic clock is a closed-form estimate.
     #[cfg(debug_assertions)]
     fn assert_matches_cycle_oracle(&self, oracle: &Simulator) {
+        self.assert_links_match(oracle);
+        for node in 0..self.config.num_nodes() {
+            // Compare delivered contents (payloads, addressing, tags) but
+            // not arrival cycles; order per node is tag-normalized.
+            let key = |d: &DeliveredPacket| (d.tag, d.src, d.packet_id);
+            let mut mine: Vec<&DeliveredPacket> = self.ni_delivered[node].iter().collect();
+            let mut theirs: Vec<&DeliveredPacket> = oracle.ni_delivered[node].iter().collect();
+            mine.sort_by_key(|d| key(d));
+            theirs.sort_by_key(|d| key(d));
+            assert_eq!(mine.len(), theirs.len(), "deliveries at node {node}");
+            for (m, t) in mine.iter().zip(theirs.iter()) {
+                assert_eq!(
+                    (m.src, m.dst, m.tag, &m.payload_flits),
+                    (t.src, t.dst, t.tag, &t.payload_flits),
+                    "delivered packet diverges from the cycle oracle at node {node}"
+                );
+            }
+        }
+    }
+
+    /// Debug-oracle comparison of every link's transitions, flit count
+    /// and codec-lane states.
+    #[cfg(debug_assertions)]
+    fn assert_links_match(&self, oracle: &Simulator) {
         let n = self.config.num_nodes();
         for link in 0..n * NUM_PORTS {
             assert_eq!(
@@ -494,25 +532,15 @@ impl Simulator {
                 "injection-link {node} BTs diverge from the cycle oracle"
             );
             assert_eq!(
+                self.inject_links.flits(node),
+                oracle.inject_links.flits(node),
+                "injection-link {node} flit count diverges from the cycle oracle"
+            );
+            assert_eq!(
                 self.inject_links.codec_lane_states(node),
                 oracle.inject_links.codec_lane_states(node),
                 "injection-link {node} codec lanes diverge from the cycle oracle"
             );
-            // Compare delivered contents (payloads, addressing, tags) but
-            // not arrival cycles; order per node is tag-normalized.
-            let key = |d: &DeliveredPacket| (d.tag, d.src, d.packet_id);
-            let mut mine: Vec<&DeliveredPacket> = self.ni_delivered[node].iter().collect();
-            let mut theirs: Vec<&DeliveredPacket> = oracle.ni_delivered[node].iter().collect();
-            mine.sort_by_key(|d| key(d));
-            theirs.sort_by_key(|d| key(d));
-            assert_eq!(mine.len(), theirs.len(), "deliveries at node {node}");
-            for (m, t) in mine.iter().zip(theirs.iter()) {
-                assert_eq!(
-                    (m.src, m.dst, m.tag, &m.payload_flits),
-                    (t.src, t.dst, t.tag, &t.payload_flits),
-                    "delivered packet diverges from the cycle oracle at node {node}"
-                );
-            }
         }
     }
 }
@@ -604,6 +632,467 @@ impl RequestStream<'_> {
     /// arrival, as [`Simulator::replay_queued_analytic`] leaves it.
     pub fn finish(self) {
         self.sim.close_phase(&self.clock);
+    }
+}
+
+/// One packet of a scheduled phase of single-payload-flit packets, in
+/// injection order — what a [`PhaseRecording`] compares before it
+/// replays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScheduledPacket {
+    /// Source NI.
+    pub src: NodeId,
+    /// Destination NI.
+    pub dst: NodeId,
+    /// Cycles after the phase start at which the packet is queued at its
+    /// source NI.
+    pub offset: u64,
+}
+
+/// Appends `value` as a LEB128 varint (7 bits per byte, low first).
+fn push_varint(bytes: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        bytes.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    bytes.push(value as u8);
+}
+
+/// Reads the LEB128 varint at `*at` and advances past it.
+fn read_varint(bytes: &[u8], at: &mut usize) -> u64 {
+    let mut value = 0;
+    let mut shift = 0;
+    loop {
+        let byte = bytes[*at];
+        *at += 1;
+        value |= u64::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            return value;
+        }
+        shift += 7;
+    }
+}
+
+/// Kind bits of a recorded link event `index << 2 | kind`: the packet's
+/// head crossed the link, its payload flit did, or both back to back.
+const HEAD_EVENT: i64 = 1;
+const PAYLOAD_EVENT: i64 = 2;
+
+/// Maps a signed delta onto an unsigned varint (zigzag: 0, -1, 1, -2, …).
+fn zigzag(delta: i64) -> u64 {
+    ((delta << 1) ^ (delta >> 63)) as u64
+}
+
+fn unzigzag(value: u64) -> i64 {
+    (value >> 1) as i64 ^ -((value & 1) as i64)
+}
+
+/// Every directed link `(src, dst)`'s packet crosses, as recording link
+/// ids: its injection link (`nodes * 5 + src`), then each router output
+/// (`node * 5 + port`), ejection last.
+fn route_links(config: &NocConfig, src: NodeId, dst: NodeId) -> impl Iterator<Item = usize> + '_ {
+    let mut cur = Some(src);
+    std::iter::once(config.num_nodes() * NUM_PORTS + src).chain(std::iter::from_fn(move || {
+        let node = cur?;
+        let dir = route(config, node, dst);
+        cur = (dir != Direction::Local).then(|| neighbor(config, node, dir));
+        Some(node * NUM_PORTS + dir.index())
+    }))
+}
+
+/// A [`PhaseRecording`] being written while the cycle engine steps the
+/// phase ([`Simulator::record_phase`]).
+///
+/// [`PhaseRecorder::reserve`] allocates all of the recording up front,
+/// sized from the phase's routes, and finishing it allocates nothing. A
+/// recording outlives the dispatch that steps it, so allocating it before
+/// any of the phase's traffic state keeps it below that dispatch's
+/// short-lived buffers instead of pinning them in the heap.
+#[derive(Debug, Clone)]
+pub struct PhaseRecorder {
+    recording: PhaseRecording,
+    start_cycle: u64,
+    first_packet: u32,
+    last_offset: u64,
+    /// Per packet: its tail's arrival, in cycles from the phase start.
+    arrivals: Vec<u32>,
+    /// Per link id: its last written event, and a head still waiting to
+    /// learn whether its payload flit follows right behind it.
+    tails: Vec<(i64, Option<u32>)>,
+    /// Set when the phase does not fit a recording: a packet without
+    /// exactly one payload flit, node ids beyond 16 bits, or arrivals
+    /// beyond 32 bits.
+    unfit: bool,
+}
+
+impl PhaseRecorder {
+    /// A recorder for a phase on a `config` mesh of one
+    /// single-payload-flit packet per `(src, dst)` of `routes`, with exact
+    /// room for the packets and an upper bound for each link's events.
+    /// Routes it was not sized for still record, growing the storage.
+    #[must_use]
+    pub fn reserve(config: &NocConfig, routes: impl IntoIterator<Item = (NodeId, NodeId)>) -> Self {
+        let links = config.num_nodes() * (NUM_PORTS + 1);
+        let mut packets = vec![0usize; links];
+        let mut total = 0usize;
+        for (src, dst) in routes {
+            total += 1;
+            for link in route_links(config, src, dst) {
+                packets[link] += 1;
+            }
+        }
+        // Event deltas on a link are below 4 * (total + 1) in magnitude;
+        // offsets mostly step by a few cycles.
+        let delta_bytes =
+            (u64::BITS - (8 * (total as u64 + 1)).leading_zeros()).div_ceil(7) as usize;
+        let pointers = Arbitration::new(config);
+        Self {
+            recording: PhaseRecording {
+                config: config.clone(),
+                start: pointers.clone(),
+                end: pointers,
+                endpoints: Vec::with_capacity(total),
+                offsets: Vec::with_capacity(2 * total),
+                // Latencies below 2^21 cycles take at most three bytes.
+                latencies: Vec::with_capacity(3 * total),
+                links: packets
+                    .into_iter()
+                    .map(|n| Vec::with_capacity(2 * n * delta_bytes))
+                    .collect(),
+                latency_totals: LatencyTotals::default(),
+                length: 0,
+            },
+            start_cycle: 0,
+            first_packet: 0,
+            last_offset: 0,
+            arrivals: Vec::with_capacity(total),
+            tails: vec![(0, None); links],
+            unfit: false,
+        }
+    }
+
+    /// Books a packet queued at its source NI at `cycle`.
+    pub(crate) fn queued(&mut self, packet: &Packet, cycle: u64) {
+        let (src, dst) = (u16::try_from(packet.src), u16::try_from(packet.dst));
+        self.unfit |= src.is_err() || dst.is_err() || packet.payload_flits.len() != 1;
+        let recording = &mut self.recording;
+        recording
+            .endpoints
+            .push([src.unwrap_or_default(), dst.unwrap_or_default()]);
+        let offset = cycle - self.start_cycle;
+        push_varint(
+            &mut recording.offsets,
+            zigzag(offset as i64 - self.last_offset as i64),
+        );
+        self.last_offset = offset;
+        self.arrivals.push(0);
+    }
+
+    /// Books flit `seq` of `packet` crossing `link`. Events are written
+    /// as zigzag varint deltas to the link's last event, and a head the
+    /// payload flit follows directly shares one event with it.
+    pub(crate) fn hop(&mut self, link: usize, packet: u32, seq: u32) {
+        let index = packet - self.first_packet;
+        let (last, pending) = &mut self.tails[link];
+        let events = &mut self.recording.links[link];
+        let mut push = |index: u32, kind: i64| {
+            let event = (i64::from(index) << 2) | kind;
+            push_varint(events, zigzag(event - *last));
+            *last = event;
+        };
+        if seq > 0 && *pending == Some(index) {
+            *pending = None;
+            push(index, HEAD_EVENT | PAYLOAD_EVENT);
+            return;
+        }
+        if let Some(head) = pending.take() {
+            push(head, HEAD_EVENT);
+        }
+        if seq == 0 {
+            *pending = Some(index);
+        } else {
+            push(index, PAYLOAD_EVENT);
+        }
+    }
+
+    /// Books `packet`'s tail ejected at `cycle` after `latency` cycles.
+    pub(crate) fn arrived(&mut self, packet: u32, cycle: u64, latency: u64) {
+        self.recording.latency_totals.record(latency);
+        match u32::try_from(cycle - self.start_cycle) {
+            Ok(arrival) => self.arrivals[(packet - self.first_packet) as usize] = arrival,
+            Err(_) => self.unfit = true,
+        }
+    }
+}
+
+/// One traffic phase of single-payload-flit packets (the accelerator's
+/// responses) as the cycle engine stepped it, recorded for replay.
+///
+/// A phase that starts on a drained mesh is a pure function of the
+/// round-robin arbitration pointers and of its injection schedule —
+/// `(src, dst, offset)` per packet, in injection order — never of the
+/// payload bits. The recording keeps both, plus what the stepped run made
+/// of them: per directed link (injection links and router outputs) the
+/// order of its flit events as (packet, head, payload or both back to
+/// back), every packet's arrival, the phase length and the end pointers.
+/// [`Simulator::replay_phase`] applies it to new payloads, bit for bit
+/// what stepping them would do, whenever [`PhaseRecording::replays`]
+/// finds those inputs unchanged.
+///
+/// Link events, offsets and latencies are stored as varints: on the
+/// accelerator's response phases about one byte per packet per link
+/// (half a byte per flit-hop) plus six per packet.
+#[derive(Debug, Clone)]
+pub struct PhaseRecording {
+    config: NocConfig,
+    start: Arbitration,
+    end: Arbitration,
+    /// Per packet: `(src, dst)`.
+    endpoints: Vec<[u16; 2]>,
+    /// Per packet: the zigzag varint delta of its offset to the previous
+    /// packet's.
+    offsets: Vec<u8>,
+    /// Per packet: the varint of its latency (arrival minus offset).
+    latencies: Vec<u8>,
+    /// Per link id (router outputs `node * 5 + port`, then injection
+    /// links `nodes * 5 + node`): its events (see [`PhaseRecorder::hop`]).
+    links: Vec<Vec<u8>>,
+    latency_totals: LatencyTotals,
+    /// Cycles from the phase start to the cycle after its last arrival.
+    length: u64,
+}
+
+impl PhaseRecording {
+    /// The recorded injection schedule, in injection order.
+    pub fn schedule(&self) -> impl Iterator<Item = ScheduledPacket> + '_ {
+        let (mut at, mut offset) = (0, 0i64);
+        self.endpoints.iter().map(move |&[src, dst]| {
+            offset += unzigzag(read_varint(&self.offsets, &mut at));
+            ScheduledPacket {
+                src: NodeId::from(src),
+                dst: NodeId::from(dst),
+                offset: offset as u64,
+            }
+        })
+    }
+
+    /// Every packet's arrival cycle when the phase starts at cycle
+    /// `start`, in schedule order.
+    pub fn arrivals(&self, start: u64) -> impl Iterator<Item = u64> + '_ {
+        let mut at = 0;
+        self.schedule()
+            .map(move |p| start + p.offset + read_varint(&self.latencies, &mut at))
+    }
+
+    /// True when stepping `schedule` on `sim` would repeat this
+    /// recording exactly, so [`Simulator::replay_phase`] may stand in for
+    /// it: the same mesh configuration, an idle mesh on perfect wires,
+    /// the recorded start pointers and the recorded schedule.
+    pub fn replays(
+        &self,
+        sim: &Simulator,
+        schedule: impl IntoIterator<Item = ScheduledPacket>,
+    ) -> bool {
+        self.admits(sim) && self.schedule().eq(schedule)
+    }
+
+    /// The simulator-state half of [`PhaseRecording::replays`].
+    fn admits(&self, sim: &Simulator) -> bool {
+        sim.config == self.config
+            && sim.is_idle()
+            && sim.recorder.is_none()
+            && !sim.faults_armed()
+            && sim.arbitration_is(&self.start)
+    }
+}
+
+impl Simulator {
+    /// Starts recording the phase about to run into `recorder`: from now
+    /// on the cycle engine books every injected packet's schedule entry,
+    /// every flit it moves over a link and every arrival, until
+    /// [`Simulator::finish_recording`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a packet is in flight (a recorded phase starts on a
+    /// drained mesh), the wires have faults armed, or `recorder` was
+    /// reserved for another mesh configuration.
+    pub fn record_phase(&mut self, mut recorder: PhaseRecorder) {
+        assert!(self.is_idle(), "a recorded phase starts on a drained mesh");
+        assert!(
+            !self.faults_armed(),
+            "error-injected phases depend on their flips and cannot be replayed"
+        );
+        assert!(
+            recorder.recording.config == self.config,
+            "recorder reserved for another mesh configuration"
+        );
+        recorder.start_cycle = self.cycle;
+        recorder.first_packet = self.packets.len() as u32;
+        recorder.unfit |= self.packets.len() >= u32::MAX as usize;
+        self.save_arbitration(&mut recorder.recording.start);
+        self.recorder = Some(Box::new(recorder));
+    }
+
+    /// Ends the recording [`Simulator::record_phase`] started. Returns
+    /// `None` when none was started, or when the phase does not fit a
+    /// recording: a packet without exactly one payload flit, node ids
+    /// beyond 16 bits, or a phase beyond 2³² cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a packet is still in flight.
+    pub fn finish_recording(&mut self) -> Option<PhaseRecording> {
+        let recorder = self.recorder.take()?;
+        assert!(self.is_idle(), "a recorded phase ends on a drained mesh");
+        if recorder.unfit {
+            return None;
+        }
+        // Every head's payload flit crossed each link behind it.
+        debug_assert!(recorder.tails.iter().all(|(_, pending)| pending.is_none()));
+        let mut recording = recorder.recording;
+        let (mut at, mut offset) = (0, 0i64);
+        for &arrival in &recorder.arrivals {
+            offset += unzigzag(read_varint(&recording.offsets, &mut at));
+            push_varint(&mut recording.latencies, u64::from(arrival) - offset as u64);
+        }
+        // Shrinking in place only gives back the reserved tails.
+        recording.latencies.shrink_to_fit();
+        recording.offsets.shrink_to_fit();
+        for events in &mut recording.links {
+            events.shrink_to_fit();
+        }
+        self.save_arbitration(&mut recording.end);
+        recording.length = self.cycle - recorder.start_cycle;
+        Some(recording)
+    }
+
+    /// Replays `recording` on new payloads: each link's recorded flit
+    /// events walk through its [`crate::stats::LinkSlab`] in order —
+    /// [`LinkSlab::observe`] for heads, the per-link codec hop
+    /// [`LinkSlab::observe_payload_hop`] for payload flits — then the
+    /// phase's latencies and delivered counters are booked, the clock
+    /// advances by the phase length and the arbitration pointers take
+    /// their recorded end values. No packet is queued, interned or
+    /// delivered into the NI queues: packet `i` (schedule order) carries
+    /// tag `tag(i)` and the payload image `payload(i)`, and arrives at its
+    /// [`PhaseRecording::arrivals`] cycle.
+    ///
+    /// Bit-exact with stepping the same schedule through the cycle engine
+    /// whenever [`PhaseRecording::replays`] holds; debug builds step a
+    /// clone of the simulator and assert it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InjectError::PayloadTooWide`] if a payload image is
+    /// wider than the link; the simulator is then left mid-phase.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator is not in a state the recording replays
+    /// on (see [`PhaseRecording::replays`]).
+    ///
+    /// [`LinkSlab::observe`]: crate::stats::LinkSlab::observe
+    /// [`LinkSlab::observe_payload_hop`]: crate::stats::LinkSlab::observe_payload_hop
+    pub fn replay_phase(
+        &mut self,
+        recording: &PhaseRecording,
+        tag: impl Fn(usize) -> u64,
+        payload: impl Fn(usize) -> PayloadBits,
+    ) -> Result<(), InjectError> {
+        assert!(
+            recording.admits(self),
+            "a phase replays only on the mesh state it was recorded from"
+        );
+        #[cfg(debug_assertions)]
+        let oracle = self.clone();
+        let width = self.config.link_width_bits;
+        let out_links = self.config.num_nodes() * NUM_PORTS;
+        let mut head = PayloadBits::zero(width);
+        for (link, bytes) in recording.links.iter().enumerate() {
+            let (slab, link) = match link.checked_sub(out_links) {
+                None => (&mut self.out_links, link),
+                Some(node) => (&mut self.inject_links, node),
+            };
+            let (mut at, mut event) = (0, 0i64);
+            while at < bytes.len() {
+                event += unzigzag(read_varint(bytes, &mut at));
+                let index = (event >> 2) as usize;
+                if event & HEAD_EVENT != 0 {
+                    let [src, dst] = recording.endpoints[index];
+                    let (src, dst) = (NodeId::from(src), NodeId::from(dst));
+                    write_head_fields(&mut head, src, dst, 1, tag(index));
+                    slab.observe(link, &head);
+                }
+                if event & PAYLOAD_EVENT == 0 {
+                    continue;
+                }
+                let image = payload(index);
+                match image.width().cmp(&width) {
+                    Ordering::Equal => slab.observe_payload_hop(link, &image),
+                    Ordering::Less => slab.observe_payload_hop(link, &image.resized(width)),
+                    Ordering::Greater => {
+                        return Err(InjectError::PayloadTooWide {
+                            width: image.width(),
+                            link: width,
+                        })
+                    }
+                }
+            }
+        }
+        let packets = recording.endpoints.len() as u64;
+        self.latencies.merge(&recording.latency_totals);
+        self.packets_delivered += packets;
+        self.flits_delivered += 2 * packets;
+        self.cycle += recording.length;
+        self.restore_arbitration(&recording.end);
+        #[cfg(debug_assertions)]
+        self.assert_matches_stepped_phase(oracle, recording, &tag, &payload);
+        Ok(())
+    }
+
+    /// Debug oracle of [`Simulator::replay_phase`]: `oracle`, the
+    /// simulator as it was before the replay, steps the recorded
+    /// schedule through the cycle engine and must land on the same
+    /// per-link accounting, codec lanes, clock, latencies, counters and
+    /// arbitration pointers.
+    #[cfg(debug_assertions)]
+    fn assert_matches_stepped_phase(
+        &self,
+        mut oracle: Simulator,
+        recording: &PhaseRecording,
+        tag: impl Fn(usize) -> u64,
+        payload: impl Fn(usize) -> PayloadBits,
+    ) {
+        let start = oracle.cycle;
+        let schedule: Vec<ScheduledPacket> = recording.schedule().collect();
+        let mut next = 0;
+        while next < schedule.len() || !oracle.is_idle() {
+            while let Some(p) = schedule.get(next) {
+                if start + p.offset > oracle.cycle {
+                    break;
+                }
+                oracle
+                    .inject(Packet::new(p.src, p.dst, vec![payload(next)], tag(next)))
+                    // btr-lint: allow(panic-in-hot-path, reason = "debug-assert oracle: the replay already accepted these packets; release builds compile this block out")
+                    .expect("the replayed schedule injects");
+                next += 1;
+            }
+            oracle.step();
+        }
+        oracle.drain_all_delivered();
+        self.assert_links_match(&oracle);
+        assert_eq!(self.cycle, oracle.cycle, "replayed phase length");
+        assert_eq!(
+            (self.packets_delivered, self.flits_delivered),
+            (oracle.packets_delivered, oracle.flits_delivered),
+            "replayed delivery counters"
+        );
+        assert_eq!(self.latencies, oracle.latencies, "replayed latencies");
+        assert!(
+            self.arbitration_is(&oracle.arbitration()),
+            "replayed end pointers"
+        );
     }
 }
 
@@ -869,6 +1358,161 @@ mod tests {
             queued.replay_queued_analytic(true);
             assert_eq!(streamed.stats(), queued.stats(), "{codec:?}");
         }
+    }
+
+    /// A converging phase: the other nodes send single-payload-flit
+    /// packets to nodes 5 and 10 at staggered offsets.
+    fn converging_schedule(seed: u64) -> Vec<ScheduledPacket> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sources: Vec<usize> = (0..16).filter(|n| ![5, 10].contains(n)).collect();
+        let mut offset = 0;
+        (0..60)
+            .map(|_| {
+                offset += rng.gen_range(0..3);
+                ScheduledPacket {
+                    src: sources[rng.gen_range(0..sources.len())],
+                    dst: [5, 10][rng.gen_range(0..2)],
+                    offset,
+                }
+            })
+            .collect()
+    }
+
+    /// Packet `i`'s payload image in payload set `set` (data width 128,
+    /// so bus-invert links re-align it).
+    fn phase_image(set: u64, i: usize) -> PayloadBits {
+        image(128, set * 10_000 + i as u64)
+    }
+
+    /// Steps `schedule` through the cycle engine the way the accelerator
+    /// driver steps a response phase; returns `(tag, arrival)` per packet.
+    fn step_schedule(
+        sim: &mut Simulator,
+        schedule: &[ScheduledPacket],
+        set: u64,
+    ) -> Vec<(u64, u64)> {
+        let start = sim.cycle();
+        let mut next = 0;
+        let mut arrivals = Vec::new();
+        while arrivals.len() < schedule.len() {
+            while let Some(p) = schedule.get(next) {
+                if start + p.offset > sim.cycle() {
+                    break;
+                }
+                let images = vec![phase_image(set, next)];
+                sim.inject(Packet::new(p.src, p.dst, images, 100 + next as u64))
+                    .unwrap();
+                next += 1;
+            }
+            sim.step();
+            let delivered = sim.drain_all_delivered();
+            arrivals.extend(delivered.iter().map(|d| (d.tag, d.arrival_cycle)));
+        }
+        arrivals.sort_unstable();
+        arrivals
+    }
+
+    /// Replays `recording` with payload set `set`; returns `(tag,
+    /// arrival)` per packet.
+    fn replay_schedule(
+        sim: &mut Simulator,
+        recording: &PhaseRecording,
+        set: u64,
+    ) -> Vec<(u64, u64)> {
+        let start = sim.cycle();
+        sim.replay_phase(recording, |i| 100 + i as u64, |i| phase_image(set, i))
+            .unwrap();
+        (100..).zip(recording.arrivals(start)).collect()
+    }
+
+    #[test]
+    fn recorded_phases_replay_bit_exactly_on_new_payloads() {
+        // Two consecutive converging phases are recorded while stepping
+        // payload set 1, then replayed on a fresh mesh with payload set
+        // 2: every reported number — stats with cycles and latency,
+        // per-link BTs and flits, both lane families, arrivals and end
+        // pointers — must equal stepping set 2 from scratch.
+        for codec in [None, Some(CodecKind::DeltaXor), Some(CodecKind::BusInvert)] {
+            let width = 128 + codec.map_or(0, CodecKind::extra_wires);
+            let config = NocConfig::mesh(4, 4, width).with_link_codec(codec);
+            let phases = [converging_schedule(1), converging_schedule(2)];
+            let mut recorder = Simulator::new(config.clone());
+            let recordings: Vec<PhaseRecording> = phases
+                .iter()
+                .map(|schedule| {
+                    let routes = schedule.iter().map(|p| (p.src, p.dst));
+                    recorder.record_phase(PhaseRecorder::reserve(recorder.config(), routes));
+                    step_schedule(&mut recorder, schedule, 1);
+                    let recording = recorder.finish_recording().unwrap();
+                    assert!(recording.schedule().eq(schedule.iter().copied()));
+                    recording
+                })
+                .collect();
+            let mut stepped = Simulator::new(config.clone());
+            let mut replayed = Simulator::new(config);
+            for (schedule, recording) in phases.iter().zip(&recordings) {
+                assert!(recording.replays(&replayed, schedule.iter().copied()));
+                let want = step_schedule(&mut stepped, schedule, 2);
+                let got = replay_schedule(&mut replayed, recording, 2);
+                assert_eq!(got, want, "{codec:?}");
+                assert_eq!(replayed.stats(), stepped.stats(), "{codec:?}");
+                assert!(replayed.arbitration_is(&stepped.arbitration()), "{codec:?}");
+                for link in 0..16 * NUM_PORTS {
+                    assert_eq!(
+                        replayed.out_link_codec_lanes(link),
+                        stepped.out_link_codec_lanes(link)
+                    );
+                }
+                for node in 0..16 {
+                    assert_eq!(
+                        replayed.inject_link_codec_lanes(node),
+                        stepped.inject_link_codec_lanes(node)
+                    );
+                }
+            }
+            assert!(replayed.is_idle() && replayed.packets.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_changed_schedule_or_start_state_refuses_the_replay() {
+        let schedule = converging_schedule(3);
+        let mut sim = Simulator::new(NocConfig::mesh(4, 4, 128));
+        sim.record_phase(PhaseRecorder::reserve(sim.config(), []));
+        step_schedule(&mut sim, &schedule, 1);
+        let recording = sim.finish_recording().unwrap();
+        let fresh = Simulator::new(NocConfig::mesh(4, 4, 128));
+        assert!(recording.replays(&fresh, schedule.iter().copied()));
+        // One packet one cycle later, or one packet fewer.
+        let mut later = schedule.clone();
+        later[7].offset += 1;
+        assert!(!recording.replays(&fresh, later));
+        assert!(!recording.replays(&fresh, schedule[1..].iter().copied()));
+        // The recording mesh ends with moved pointers.
+        assert!(!sim.arbitration_is(&fresh.arbitration()));
+        assert!(!recording.replays(&sim, schedule.iter().copied()));
+        // A packet in flight, or another mesh configuration.
+        let mut busy = fresh.clone();
+        busy.inject(Packet::new(0, 1, vec![image(128, 1)], 0))
+            .unwrap();
+        assert!(!recording.replays(&busy, schedule.iter().copied()));
+        let coded = NocConfig::mesh(4, 4, 128).with_link_codec(Some(CodecKind::DeltaXor));
+        assert!(!recording.replays(&Simulator::new(coded), schedule.iter().copied()));
+    }
+
+    #[test]
+    fn only_single_payload_flit_phases_record() {
+        for payload in [vec![], vec![image(128, 1), image(128, 2)]] {
+            let mut sim = Simulator::new(NocConfig::mesh(4, 4, 128));
+            sim.record_phase(PhaseRecorder::reserve(sim.config(), [(0, 5)]));
+            sim.inject(Packet::new(0, 5, payload, 0)).unwrap();
+            sim.run_until_idle(1_000).unwrap();
+            assert!(sim.finish_recording().is_none());
+        }
+        // Without a recording in progress there is nothing to finish.
+        assert!(Simulator::new(NocConfig::mesh(4, 4, 128))
+            .finish_recording()
+            .is_none());
     }
 
     #[test]

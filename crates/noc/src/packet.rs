@@ -117,14 +117,28 @@ pub fn encode_head_payload(
     tag: u64,
 ) -> PayloadBits {
     let mut p = PayloadBits::zero(link_width_bits);
+    write_head_fields(&mut p, src, dst, num_payload_flits, tag);
+    p
+}
+
+/// Writes the head-flit metadata fields of [`encode_head_payload`] into
+/// `p`. Every field is overwritten in full, so on an image that is zero
+/// outside them (a previous head at the same width) the result is the
+/// encoded head, with no fresh image to zero.
+pub(crate) fn write_head_fields(
+    p: &mut PayloadBits,
+    src: NodeId,
+    dst: NodeId,
+    num_payload_flits: u32,
+    tag: u64,
+) {
     p.set_field(0, 16, src as u64);
     p.set_field(16, 16, dst as u64);
     p.set_field(32, 16, u64::from(num_payload_flits));
-    let tag_bits = 64.min(link_width_bits.saturating_sub(48));
+    let tag_bits = 64.min(p.width().saturating_sub(48));
     if tag_bits > 0 {
         p.set_field(48, tag_bits, tag);
     }
-    p
 }
 
 /// Decodes the head-flit metadata fields (inverse of

@@ -42,11 +42,12 @@
 //! generated once from the original map/deque implementation on seeded
 //! workloads.
 
+use crate::analytic::PhaseRecorder;
 use crate::config::{NocConfig, NodeId};
 use crate::flit::Flit;
 use crate::packet::Packet;
 use crate::routing::{route, Direction};
-use crate::stats::{LatencyStats, LinkSlab, LinkStat, NocStats};
+use crate::stats::{LatencyTotals, LinkSlab, LinkStat, NocStats};
 use btr_bits::payload::PayloadBits;
 use std::collections::VecDeque;
 
@@ -249,7 +250,8 @@ pub struct Simulator {
 
     /// Per-packet slab indexed by packet id.
     pub(crate) packets: Vec<PacketSlot>,
-    pub(crate) latencies: Vec<u64>,
+    /// Latency totals over every delivered packet.
+    pub(crate) latencies: LatencyTotals,
     pub(crate) cycle: u64,
     pub(crate) packets_in_flight: u64,
     pub(crate) packets_delivered: u64,
@@ -257,6 +259,33 @@ pub struct Simulator {
     /// Count of delivered packets not yet drained (fast-path check for
     /// `drain_all_delivered`).
     pub(crate) delivered_pending: u64,
+    /// The phase being recorded for replay, if any
+    /// ([`Simulator::record_phase`]).
+    pub(crate) recorder: Option<Box<PhaseRecorder>>,
+}
+
+/// The round-robin arbitration pointers of a simulator: per router
+/// output port the switch (`sw_rr`) and output-VC (`vc_rr`) pointers,
+/// per NI the injection-VC pointer (`ni_vc_rr`). On a drained mesh they
+/// are the only state a phase's dynamics depend on besides its
+/// injection schedule.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Arbitration {
+    sw_rr: Vec<usize>,
+    vc_rr: Vec<usize>,
+    ni_vc_rr: Vec<usize>,
+}
+
+impl Arbitration {
+    /// Pointers of a fresh `config` mesh (all zero).
+    pub(crate) fn new(config: &NocConfig) -> Self {
+        let n = config.num_nodes();
+        Self {
+            sw_rr: vec![0; n * NUM_PORTS],
+            vc_rr: vec![0; n * NUM_PORTS],
+            ni_vc_rr: vec![0; n],
+        }
+    }
 }
 
 impl Simulator {
@@ -359,12 +388,13 @@ impl Simulator {
             out_links,
             inject_links,
             packets: Vec::new(),
-            latencies: Vec::new(),
+            latencies: LatencyTotals::default(),
             cycle: 0,
             packets_in_flight: 0,
             packets_delivered: 0,
             flits_delivered: 0,
             delivered_pending: 0,
+            recorder: None,
             config,
         }
     }
@@ -464,6 +494,9 @@ impl Simulator {
             }
         }
         let id = self.packets.len() as u64;
+        if let Some(recorder) = self.recorder.as_deref_mut() {
+            recorder.queued(&packet, self.cycle);
+        }
         let flits = packet.to_flits(id, self.config.link_width_bits);
         self.ni_pending[packet.src].push_back(PendingPacket {
             packet: id as u32,
@@ -495,6 +528,36 @@ impl Simulator {
         self.link_inflight.is_empty()
             && self.eject_inflight.is_empty()
             && self.active_vcs.iter().all(|&m| m == 0)
+    }
+
+    /// A snapshot of the round-robin arbitration pointers.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn arbitration(&self) -> Arbitration {
+        let mut snapshot = Arbitration::new(&self.config);
+        self.save_arbitration(&mut snapshot);
+        snapshot
+    }
+
+    /// Copies the round-robin arbitration pointers into `snapshot`
+    /// (sized for this mesh, so nothing is allocated).
+    pub(crate) fn save_arbitration(&self, snapshot: &mut Arbitration) {
+        snapshot.sw_rr.clone_from(&self.sw_rr);
+        snapshot.vc_rr.clone_from(&self.vc_rr);
+        snapshot.ni_vc_rr.clone_from(&self.ni_vc_rr);
+    }
+
+    /// True when the arbitration pointers equal `snapshot`.
+    pub(crate) fn arbitration_is(&self, snapshot: &Arbitration) -> bool {
+        self.sw_rr == snapshot.sw_rr
+            && self.vc_rr == snapshot.vc_rr
+            && self.ni_vc_rr == snapshot.ni_vc_rr
+    }
+
+    /// Sets the arbitration pointers to `snapshot`.
+    pub(crate) fn restore_arbitration(&mut self, snapshot: &Arbitration) {
+        self.sw_rr.clone_from(&snapshot.sw_rr);
+        self.vc_rr.clone_from(&snapshot.vc_rr);
+        self.ni_vc_rr.clone_from(&snapshot.ni_vc_rr);
     }
 
     /// Packets currently in flight (queued, buffered, or on links).
@@ -646,21 +709,25 @@ impl Simulator {
             self.ni_credits[node * self.num_vcs + vc] -= 1;
             let pid = fref.packet as usize;
             let seq = fref.seq as usize;
-            if (self.inject_links.has_link_codec() || self.inject_links.faults_armed())
-                && !self.packets[pid].flits[seq].kind.is_head()
-            {
-                // Per-link scope: the injection link encodes the payload
-                // flit against its persistent wire memory, the slab
-                // records the coded image, and the router-side decode's
-                // plain image is what travels onward. Fault-armed raw
-                // wires take the same path so flips land in the image the
-                // downstream hop actually carries.
-                let plain = self.packets[pid].flits[seq].payload;
-                self.packets[pid].flits[seq].payload =
-                    self.inject_links.observe_payload(node, &plain);
+            let flit = &mut self.packets[pid].flits[seq];
+            if flit.kind.is_head() {
+                self.inject_links.observe(node, &flit.payload);
+            } else if self.inject_links.faults_armed() {
+                // Error-injected wires: flips land in the image the
+                // downstream hop actually carries, so it is written back.
+                flit.payload = self.inject_links.observe_payload(node, &flit.payload);
             } else {
-                self.inject_links
-                    .observe(node, &self.packets[pid].flits[seq].payload);
+                // Perfect wires (per-link scope: encoded against the
+                // link's persistent wire memory) carry the plain image
+                // onward unchanged.
+                self.inject_links.observe_payload_hop(node, &flit.payload);
+            }
+            if let Some(recorder) = self.recorder.as_deref_mut() {
+                recorder.hop(
+                    self.config.num_nodes() * NUM_PORTS + node,
+                    fref.packet,
+                    fref.seq,
+                );
             }
             self.link_inflight.push(LinkArrival {
                 node: node as u32,
@@ -821,25 +888,23 @@ impl Simulator {
                     self.routed_to[r * NUM_PORTS + op] &= !(1u64 << idx);
                 }
                 // Transmit on the link + record transitions (Fig. 8).
-                if (self.out_links.has_link_codec() || self.out_links.faults_armed())
-                    && !kind.is_head()
-                {
-                    // Per-link scope: encode against this link's
-                    // persistent wire memory, record the coded image,
-                    // carry the receiving end's decoded plain image
-                    // onward (ejection links deliver it to the NI).
-                    // Fault-armed raw wires take the same path so flips
-                    // propagate in the carried image.
-                    let pid = fref.packet as usize;
-                    let seq = fref.seq as usize;
-                    let plain = self.packets[pid].flits[seq].payload;
-                    self.packets[pid].flits[seq].payload =
-                        self.out_links.observe_payload(r * NUM_PORTS + op, &plain);
+                let link = r * NUM_PORTS + op;
+                let flit = &mut self.packets[fref.packet as usize].flits[fref.seq as usize];
+                if kind.is_head() {
+                    self.out_links.observe(link, &flit.payload);
+                } else if self.out_links.faults_armed() {
+                    // Error-injected wires: the receiving end's decode of
+                    // the flipped wire is what travels onward (ejection
+                    // links deliver it to the NI), so it is written back.
+                    flit.payload = self.out_links.observe_payload(link, &flit.payload);
                 } else {
-                    self.out_links.observe(
-                        r * NUM_PORTS + op,
-                        &self.packets[fref.packet as usize].flits[fref.seq as usize].payload,
-                    );
+                    // Perfect wires (per-link scope: encoded against the
+                    // link's persistent wire memory) carry the plain
+                    // image onward unchanged.
+                    self.out_links.observe_payload_hop(link, &flit.payload);
+                }
+                if let Some(recorder) = self.recorder.as_deref_mut() {
+                    recorder.hop(link, fref.packet, fref.seq);
                 }
                 if op == LOCAL {
                     self.eject_inflight.push((r as u32, fref));
@@ -895,7 +960,10 @@ impl Simulator {
                 inject_cycle: slot.inject_cycle,
                 arrival_cycle: self.cycle,
             };
-            self.latencies.push(delivered.latency());
+            self.latencies.record(delivered.latency());
+            if let Some(recorder) = self.recorder.as_deref_mut() {
+                recorder.arrived(fref.packet, self.cycle, delivered.latency());
+            }
             self.ni_delivered[node].push_back(delivered);
             self.delivered_pending += 1;
             self.packets_in_flight -= 1;
@@ -955,7 +1023,7 @@ impl Simulator {
             flit_hops: hops,
             packets_delivered: self.packets_delivered,
             flits_delivered: self.flits_delivered,
-            latency: LatencyStats::from_samples(&self.latencies),
+            latency: self.latencies.stats(),
             per_link,
         }
     }

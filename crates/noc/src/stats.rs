@@ -98,12 +98,6 @@ impl LinkSlab {
         slab
     }
 
-    /// True when the links own per-link codec state.
-    #[must_use]
-    pub fn has_link_codec(&self) -> bool {
-        self.lanes.is_some()
-    }
-
     /// The codec the per-link lanes run, or `None` on raw wires.
     #[must_use]
     pub(crate) fn link_codec(&self) -> Option<CodecKind> {
@@ -273,42 +267,71 @@ impl LinkSlab {
     /// transmitted plain image (a codec implementation bug).
     #[must_use]
     pub fn observe_payload(&mut self, link: usize, flit: &PayloadBits) -> PayloadBits {
+        let Some(faults) = self.faults.as_mut() else {
+            self.observe_payload_hop(link, flit);
+            return flit.resized(self.width);
+        };
         let Some(lanes) = self.lanes.as_mut() else {
             // Raw wires: a glitch corrupts the image itself; the recorder
             // sees (and charges) the corrupted wire, and the downstream
             // hop carries it onward.
             let mut wire = *flit;
-            if let Some(faults) = self.faults.as_mut() {
-                faults.corrupt(link, &mut wire);
-            }
+            faults.corrupt(link, &mut wire);
             self.observe(link, &wire);
             return wire;
         };
+        // Faulty wires keep the full walk: the flip lands between the tx
+        // encode and the rx decode, the decode really is corrupted (and
+        // on a stateful codec the rx lane is poisoned for later flits
+        // too), and detection belongs to the EDC at the receiving NI —
+        // so the mirrored decode must actually run.
         let mut wire = lanes.tx[link].encode_step(flit);
-        if let Some(faults) = self.faults.as_mut() {
-            // Faulty wires keep the full walk: the flip lands between the
-            // tx encode and the rx decode, the decode really is corrupted
-            // (and on a stateful codec the rx lane is poisoned for later
-            // flits too), and detection belongs to the EDC at the
-            // receiving NI — so the mirrored decode must actually run.
-            faults.corrupt(link, &mut wire);
-            let plain = lanes.rx[link]
-                .decode_step(&wire)
-                // btr-lint: allow(panic-in-hot-path, reason = "tx/rx lanes are built as a mirrored pair over the same wire width; a decode failure here is codec-lane construction corruption, not a data condition")
-                .expect("mirrored decoder consumes the wire it was built for");
-            self.observe(link, &wire);
-            return plain.resized(self.width);
+        faults.corrupt(link, &mut wire);
+        let plain = lanes.rx[link]
+            .decode_step(&wire)
+            // btr-lint: allow(panic-in-hot-path, reason = "tx/rx lanes are built as a mirrored pair over the same wire width; a decode failure here is codec-lane construction corruption, not a data condition")
+            .expect("mirrored decoder consumes the wire it was built for");
+        self.observe(link, &wire);
+        plain.resized(self.width)
+    }
+
+    /// The perfect-wire payload hop: exactly [`LinkSlab::observe_payload`]
+    /// on a slab without faults, minus the returned image — on perfect
+    /// wires the downstream hop carries the plain image unchanged. Raw
+    /// wires take [`LinkSlab::observe`]; codec lanes encode in place onto
+    /// the link's last wire image ([`LinkCodecState::encode_step_onto`])
+    /// and the rx lane follows the tx lane over the used words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slab has faults armed (a flip must land between
+    /// encode and decode, so faulty wires keep
+    /// [`LinkSlab::observe_payload`]), `link` is out of range, or the
+    /// widths do not fit the slab.
+    #[inline]
+    pub fn observe_payload_hop(&mut self, link: usize, flit: &PayloadBits) {
+        assert!(
+            self.faults.is_none(),
+            "error-injected wires take observe_payload"
+        );
+        let Some(lanes) = self.lanes.as_mut() else {
+            self.observe(link, flit);
+            return;
+        };
+        let toggled = lanes.tx[link].encode_step_onto(flit, &mut self.prev[link]);
+        if self.flits[link] > 0 {
+            self.transitions[link] += u64::from(toggled);
         }
-        // Perfect wires: the mirrored decode provably returns the
-        // transmitted plain image and leaves the rx lane equal to the tx
-        // lane (delta-XOR keeps the plain image on both ends, bus-invert
-        // the post-inversion wire data). Debug builds keep the full
-        // decode as the per-flit oracle; release builds advance the rx
-        // lane by mirroring and skip the decode — it was pure overhead.
+        self.flits[link] += 1;
+        // The mirrored decode provably returns the transmitted plain
+        // image and leaves the rx lane equal to the tx lane (delta-XOR
+        // keeps the plain image on both ends, bus-invert the
+        // post-inversion wire data). Debug builds keep the full decode as
+        // the per-flit oracle; release builds mirror the lane.
         #[cfg(debug_assertions)]
         {
             let plain = lanes.rx[link]
-                .decode_step(&wire)
+                .decode_step(&self.prev[link])
                 // btr-lint: allow(panic-in-hot-path, reason = "cfg(debug_assertions) oracle; its purpose is to abort loudly if the mirrored decode ever fails on perfect wires")
                 .expect("mirrored decoder consumes the wire it was built for");
             debug_assert!(
@@ -321,9 +344,7 @@ impl LinkSlab {
             );
         }
         #[cfg(not(debug_assertions))]
-        lanes.rx[link].clone_from(&lanes.tx[link]);
-        self.observe(link, &wire);
-        flit.resized(self.width)
+        lanes.rx[link].mirror_from(&lanes.tx[link]);
     }
 
     /// Records an uninterrupted run of *payload* flits traversing `link`
@@ -331,8 +352,9 @@ impl LinkSlab {
     /// exactly equivalent to calling [`LinkSlab::observe_payload`] on
     /// each flit of the run in order, without materializing any
     /// intermediate wire image: the tx lane advances through
-    /// [`LinkCodecState::encode_run`], the accumulator charges the run's
-    /// boundary + intra transitions, and the rx lane is mirrored from the
+    /// [`LinkCodecState::encode_run_onto`] straight onto the link's last
+    /// wire image, the accumulator charges the run's boundary + intra
+    /// transitions, and the rx lane is mirrored from the
     /// tx lane (on perfect wires the mirrored decode provably lands
     /// there; debug builds re-derive it flit by flit as the oracle).
     ///
@@ -354,59 +376,74 @@ impl LinkSlab {
         link: usize,
         flits: impl IntoIterator<Item = &'a PayloadBits> + Clone,
     ) {
+        assert!(
+            self.faults.is_none(),
+            "bulk payload runs cannot traverse error-injected wires"
+        );
+        #[cfg(debug_assertions)]
+        let walk = self.walk_oracle(link, None, flits.clone());
         let lanes = self
             .lanes
             .as_mut()
             // btr-lint: allow(panic-in-hot-path, reason = "documented `# Panics` contract: callers route raw-wire slabs to observe_run; lanes are fixed at slab construction, not a data condition")
             .expect("bulk payload runs need per-link codec lanes; use observe_run for raw wires");
-        assert!(
-            self.faults.is_none(),
-            "bulk payload runs cannot traverse error-injected wires"
-        );
-        // Debug oracle: the bulk kernel must agree with the per-flit
-        // walk — same wires observed, same end-of-run lane states.
-        #[cfg(debug_assertions)]
-        let walk = {
-            let mut tx = lanes.tx[link].clone();
-            let mut rx = lanes.rx[link].clone();
-            let mut wires: Vec<PayloadBits> = Vec::new();
-            for flit in flits.clone() {
-                let wire = tx.encode_step(flit);
-                // btr-lint: allow(panic-in-hot-path, reason = "cfg(debug_assertions) oracle walk; aborting loudly on divergence is its job")
-                let plain = rx.decode_step(&wire).expect("mirrored decode");
-                debug_assert!(plain == flit.resized(plain.width()), "link {link} lane");
-                wires.push(wire);
-            }
-            (tx, rx, wires)
-        };
-        let Some(run) = lanes.tx[link].encode_run(flits) else {
+        let Some((boundary, intra, count)) =
+            lanes.tx[link].encode_run_onto(flits, &mut self.prev[link])
+        else {
             return;
         };
-        #[cfg(debug_assertions)]
-        {
-            let (tx, rx, wires) = &walk;
-            debug_assert!(&lanes.tx[link] == tx, "link {link}: bulk tx state diverges");
-            debug_assert!(tx == rx, "link {link}: mirrored lanes diverged");
-            // btr-lint: allow(panic-in-hot-path, reason = "cfg(debug_assertions) oracle; the run is non-empty here so the walk produced at least one wire")
-            debug_assert!(run.first == wires[0] && run.last == *wires.last().unwrap());
-            debug_assert!(
-                run.intra
-                    == wires
-                        .windows(2)
-                        .map(|w| u64::from(w[1].transitions_to(&w[0])))
-                        .sum::<u64>(),
-                "link {link}: bulk intra sum diverges from the walk"
-            );
-        }
-        lanes.rx[link].clone_from(&lanes.tx[link]);
-        let first = run.first.resized(self.width);
-        let last = run.last.resized(self.width);
+        lanes.rx[link].mirror_from(&lanes.tx[link]);
         if self.flits[link] > 0 {
-            self.transitions[link] += u64::from(first.transitions_to(&self.prev[link]));
+            self.transitions[link] += u64::from(boundary);
         }
-        self.transitions[link] += run.intra;
-        self.prev[link].clone_used_from(&last);
-        self.flits[link] += run.count;
+        self.transitions[link] += intra;
+        self.flits[link] += count;
+        #[cfg(debug_assertions)]
+        self.assert_matches_walk(link, &walk, "bulk lane run");
+    }
+
+    /// Debug oracle of the bulk kernels: a one-link slab cloned from
+    /// `link`'s lane and wire state walks `head` (if any) and the payload
+    /// `plains` flit by flit. Returns it with `link`'s transitions so far.
+    #[cfg(debug_assertions)]
+    fn walk_oracle<'a>(
+        &self,
+        link: usize,
+        head: Option<&PayloadBits>,
+        plains: impl IntoIterator<Item = &'a PayloadBits>,
+    ) -> (LinkSlab, u64) {
+        let mut oracle = LinkSlab::new(self.width, 1);
+        oracle.lanes = self.lanes.as_ref().map(|l| CodecLanes {
+            kind: l.kind,
+            tx: vec![l.tx[link].clone()],
+            rx: vec![l.rx[link].clone()],
+        });
+        oracle.prev[0] = self.prev[link];
+        oracle.flits[0] = self.flits[link];
+        if let Some(head) = head {
+            oracle.observe(0, head);
+        }
+        for flit in plains {
+            let _ = oracle.observe_payload(0, flit);
+        }
+        (oracle, self.transitions[link])
+    }
+
+    /// Debug oracle check: `link` landed on the same transitions, flit
+    /// count, lanes and last wire image as the flit-by-flit `walk`.
+    #[cfg(debug_assertions)]
+    fn assert_matches_walk(&self, link: usize, walk: &(LinkSlab, u64), kernel: &str) {
+        let (oracle, before) = walk;
+        debug_assert_eq!(
+            (self.transitions[link] - before, self.flits[link]),
+            (oracle.transitions[0], oracle.flits[0]),
+            "link {link}: {kernel} diverges from the per-flit walk"
+        );
+        debug_assert!(
+            self.codec_lane_states(link) == oracle.codec_lane_states(0)
+                && self.prev[link] == oracle.prev[0],
+            "link {link}: {kernel} leaves different lane or wire state"
+        );
     }
 
     /// Records one whole packet — head, then its payload run — crossing
@@ -461,25 +498,8 @@ impl LinkSlab {
             self.faults.is_none(),
             "bulk payload runs cannot traverse error-injected wires"
         );
-        // Debug oracle: a one-link slab cloned from this link's lane and
-        // wire state walks the packet flit by flit; the O(1) hop must
-        // land on the same transitions, flit count, lanes and last image.
         #[cfg(debug_assertions)]
-        let walk = {
-            let mut oracle = LinkSlab::new(self.width, 1);
-            oracle.lanes = self.lanes.as_ref().map(|l| CodecLanes {
-                kind: l.kind,
-                tx: vec![l.tx[link].clone()],
-                rx: vec![l.rx[link].clone()],
-            });
-            oracle.prev[0] = self.prev[link];
-            oracle.flits[0] = self.flits[link];
-            oracle.observe(0, head);
-            for flit in run.plains() {
-                let _ = oracle.observe_payload(0, flit);
-            }
-            (oracle, self.transitions[link])
-        };
+        let walk = self.walk_oracle(link, Some(head), run.plains());
         let lanes = self
             .lanes
             .as_mut()
@@ -501,19 +521,7 @@ impl LinkSlab {
         self.prev[link].clone_used_from(&wires.last);
         self.flits[link] += 1 + wires.count;
         #[cfg(debug_assertions)]
-        {
-            let (oracle, before) = &walk;
-            debug_assert_eq!(
-                (self.transitions[link] - before, self.flits[link]),
-                (oracle.transitions[0], oracle.flits[0]),
-                "link {link}: O(1) delta-XOR hop diverges from the per-flit walk"
-            );
-            debug_assert!(
-                self.codec_lane_states(link) == oracle.codec_lane_states(0)
-                    && self.prev[link] == oracle.prev[0],
-                "link {link}: O(1) delta-XOR hop leaves different lane or wire state"
-            );
-        }
+        self.assert_matches_walk(link, &walk, "O(1) delta-XOR hop");
     }
 
     /// Accumulated transitions on `link`.
@@ -631,27 +639,62 @@ impl LatencyStats {
     /// Builds a summary from raw samples.
     #[must_use]
     pub fn from_samples(samples: &[u64]) -> Self {
-        if samples.is_empty() {
-            return Self {
-                count: 0,
-                min: 0,
-                max: 0,
-                mean: 0.0,
-            };
-        }
-        let mut sum: u128 = 0;
-        let mut min = u64::MAX;
-        let mut max = 0u64;
+        let mut totals = LatencyTotals::default();
         for &s in samples {
-            sum += u128::from(s);
-            min = min.min(s);
-            max = max.max(s);
+            totals.record(s);
         }
-        Self {
-            count: samples.len() as u64,
-            min,
-            max,
-            mean: sum as f64 / samples.len() as f64,
+        totals.stats()
+    }
+}
+
+/// Running latency totals — everything [`LatencyStats`] summarizes,
+/// without keeping the samples.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct LatencyTotals {
+    count: u64,
+    min: u64,
+    max: u64,
+    sum: u128,
+}
+
+impl LatencyTotals {
+    /// Adds one sample.
+    pub(crate) fn record(&mut self, latency: u64) {
+        self.min = if self.count == 0 {
+            latency
+        } else {
+            self.min.min(latency)
+        };
+        self.max = self.max.max(latency);
+        self.sum += u128::from(latency);
+        self.count += 1;
+    }
+
+    /// Adds every sample `other` holds.
+    pub(crate) fn merge(&mut self, other: &LatencyTotals) {
+        if other.count > 0 {
+            self.min = if self.count == 0 {
+                other.min
+            } else {
+                self.min.min(other.min)
+            };
+            self.max = self.max.max(other.max);
+            self.sum += other.sum;
+            self.count += other.count;
+        }
+    }
+
+    /// The summary of the samples so far.
+    pub(crate) fn stats(&self) -> LatencyStats {
+        LatencyStats {
+            count: self.count,
+            min: self.min,
+            max: self.max,
+            mean: if self.count == 0 {
+                0.0
+            } else {
+                self.sum as f64 / self.count as f64
+            },
         }
     }
 }

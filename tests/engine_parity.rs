@@ -18,6 +18,11 @@
 //!    each packet from borrowed images (`Simulator::stream_requests`);
 //!    queueing the same packets and running `replay_queued_analytic` is
 //!    its oracle, on every reported number including the clock.
+//! 4. **Replayed response phases** — a session records each hybrid
+//!    layer's stepped response phase per batch size and replays it on
+//!    later dispatches; every dispatch must equal a fresh session's on
+//!    every reported number, clock included, and zero-BER armed ≡ plain
+//!    must hold across replays.
 //!
 //! A property test drives the classifier adversarially: random packet
 //! sets, eligible or not. Whenever the classifier says "contention-free"
@@ -28,10 +33,11 @@
 //! always qualifies for the hybrid request-replay split.
 
 use noc_btr::accel::config::AccelConfig;
-use noc_btr::accel::driver::run_inference_batch;
+use noc_btr::accel::driver::{run_inference_batch, InferenceSession};
+use noc_btr::accel::report::{BatchInferenceResult, ResponsePhase};
 use noc_btr::bits::payload::PayloadBits;
 use noc_btr::bits::word::{DataFormat, Fx8Word};
-use noc_btr::core::codec::{CodecKind, CodecScope};
+use noc_btr::core::codec::{CodecKind, CodecScope, ResyncPolicy};
 use noc_btr::core::edc::EdcKind;
 use noc_btr::core::task::NeuronTask;
 use noc_btr::core::transport::{CodedTransport, TransportConfig};
@@ -41,6 +47,7 @@ use noc_btr::dnn::model::{Layer, Sequential};
 use noc_btr::dnn::tensor::Tensor;
 use noc_btr::noc::analytic::{routes_contention_free, routes_link_disjoint};
 use noc_btr::noc::config::NocConfig;
+use noc_btr::noc::fault::ErrorModel;
 use noc_btr::noc::packet::Packet;
 use noc_btr::noc::routing::Direction;
 use noc_btr::noc::session::TaskPort;
@@ -253,6 +260,147 @@ fn per_link_matrix_rides_the_analytic_fast_path() {
                 "{what}: Auto fell back to the cycle engine on every layer"
             );
             assert_engines_agree(&ops, &inputs, &cycle, &auto, &what);
+        }
+    }
+}
+
+/// Asserts two dispatches report identical numbers: outputs, full NoC
+/// stats (clock and latency included), side-channel overheads and the
+/// per-layer traffic reports, except how each response phase ran.
+fn assert_dispatches_agree(a: &BatchInferenceResult, b: &BatchInferenceResult, what: &str) {
+    for (i, (oa, ob)) in a.outputs.iter().zip(&b.outputs).enumerate() {
+        assert_eq!(oa.data(), ob.data(), "{what}: output {i}");
+    }
+    assert_eq!(a.outputs.len(), b.outputs.len(), "{what}: outputs");
+    assert_eq!(a.stats, b.stats, "{what}: stats");
+    assert_eq!(a.total_cycles, b.total_cycles, "{what}: cycles");
+    assert_eq!(
+        (
+            a.index_overhead_bits,
+            a.codec_overhead_bits,
+            a.edc_overhead_bits
+        ),
+        (
+            b.index_overhead_bits,
+            b.codec_overhead_bits,
+            b.edc_overhead_bits
+        ),
+        "{what}: overheads"
+    );
+    let layer = |r: &BatchInferenceResult| -> Vec<(u64, u64, u64, u64, bool)> {
+        r.per_layer
+            .iter()
+            .map(|l| {
+                let counts = (l.request_packets, l.request_flits, l.cycles);
+                (counts.0, counts.1, counts.2, l.transitions, l.analytic)
+            })
+            .collect()
+    };
+    assert_eq!(layer(a), layer(b), "{what}: per-layer reports");
+}
+
+/// How each hybrid layer's response phase ran, and whether every
+/// cycle-engine layer stepped.
+fn response_phases(r: &BatchInferenceResult) -> Vec<ResponsePhase> {
+    assert!(r
+        .per_layer
+        .iter()
+        .all(|l| l.analytic || l.response_phase == ResponsePhase::Stepped));
+    r.per_layer
+        .iter()
+        .filter(|l| l.analytic)
+        .map(|l| l.response_phase)
+        .collect()
+}
+
+/// The per-link configurations the replay rows run: raw wires, per-link
+/// delta-XOR and per-link bus-invert.
+const REPLAY_WIRES: [(CodecKind, CodecScope); 3] = [
+    (CodecKind::Unencoded, CodecScope::PerPacket),
+    (CodecKind::DeltaXor, CodecScope::PerLink),
+    (CodecKind::BusInvert, CodecScope::PerLink),
+];
+
+#[test]
+fn session_replays_match_fresh_sessions() {
+    // One session dispatches the same batch three times, with a batch-1
+    // run in between. The first dispatch of each batch size steps every
+    // hybrid layer's response phase and records it; later ones replay
+    // it. Each dispatch must equal a fresh session's.
+    let model = tiny_model(11);
+    let ops = model.inference_ops();
+    let batch = tiny_inputs(12, 2);
+    let single = tiny_inputs(13, 1);
+    for (codec, scope) in REPLAY_WIRES {
+        let what = format!("{codec} {scope}");
+        let config = config(
+            DataFormat::Fixed8,
+            OrderingMethod::Separated,
+            codec,
+            scope,
+            2,
+            EngineMode::Auto,
+        );
+        let session = InferenceSession::new(&ops, config.clone()).unwrap();
+        let dispatches = [
+            (&batch, false),
+            (&batch, true),
+            (&single, false),
+            (&batch, true),
+        ];
+        for (k, (inputs, replays)) in dispatches.into_iter().enumerate() {
+            let got = session.run(inputs).unwrap();
+            let fresh = InferenceSession::new(&ops, config.clone())
+                .unwrap()
+                .run(inputs)
+                .unwrap();
+            assert_dispatches_agree(&got, &fresh, &format!("{what}, dispatch {k}"));
+            let phases = response_phases(&got);
+            assert!(!phases.is_empty(), "{what}: no hybrid layer");
+            let want = if replays {
+                ResponsePhase::Replayed
+            } else {
+                ResponsePhase::Stepped
+            };
+            assert!(phases.iter().all(|&p| p == want), "{what}, dispatch {k}");
+        }
+    }
+}
+
+#[test]
+fn zero_ber_armed_replays_equal_plain() {
+    // Arming the fault model at ber = 0 keeps the hybrid engine (no
+    // error is ever drawn), so its sessions record and replay too: every
+    // dispatch, replayed or not, must stay bit-identical to plain wires.
+    let model = tiny_model(21);
+    let ops = model.inference_ops();
+    let inputs = tiny_inputs(22, 2);
+    for (codec, scope) in REPLAY_WIRES {
+        let what = format!("{codec} {scope}");
+        let plain = config(
+            DataFormat::Fixed8,
+            OrderingMethod::Separated,
+            codec,
+            scope,
+            2,
+            EngineMode::Auto,
+        );
+        let armed =
+            plain
+                .clone()
+                .with_fault(ErrorModel::perfect(5), ResyncPolicy::ReseedOnRetry, 8);
+        let plain = InferenceSession::new(&ops, plain).unwrap();
+        let armed = InferenceSession::new(&ops, armed).unwrap();
+        for k in 0..3 {
+            let (p, a) = (plain.run(&inputs).unwrap(), armed.run(&inputs).unwrap());
+            assert_dispatches_agree(&a, &p, &format!("{what}, dispatch {k}"));
+            assert_eq!((a.retransmitted_flits, a.retried_packets), (0, 0));
+            assert_eq!(response_phases(&a), response_phases(&p), "{what}");
+            assert_eq!(
+                response_phases(&a).contains(&ResponsePhase::Replayed),
+                k > 0,
+                "{what}, dispatch {k}"
+            );
         }
     }
 }
