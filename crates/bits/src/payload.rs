@@ -122,22 +122,6 @@ impl PayloadBits {
         self.words[(offset / 64) as usize] |= value << (offset % 64);
     }
 
-    /// Calls `f` with the position of every `'1'` bit, LSB-first — the
-    /// O(popcount) alternative to testing all `width` bits one by one
-    /// (`trailing_zeros` + clear-lowest-set per word). Profile paths
-    /// accumulating per-wire transition counts from an XOR image use
-    /// this, so a sparse diff costs its popcount, not the link width.
-    #[inline]
-    pub fn for_each_set_bit(&self, mut f: impl FnMut(u32)) {
-        for (wi, &word) in self.words[..self.words_used()].iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                f(wi as u32 * 64 + w.trailing_zeros());
-                w &= w - 1;
-            }
-        }
-    }
-
     /// Reads a `len`-bit field starting at `offset` (LSB-first).
     ///
     /// # Panics
@@ -191,6 +175,16 @@ impl PayloadBits {
     #[must_use]
     fn words_used(&self) -> usize {
         self.width.div_ceil(64) as usize
+    }
+
+    /// The `u64` words the payload width covers, LSB-first: wire `i` is
+    /// bit `i % 64` of word `i / 64`. Bits at or above the width are
+    /// zero. Word-parallel kernels (per-wire transition counters, EDC
+    /// tables) read the image through this instead of field by field.
+    #[inline]
+    #[must_use]
+    pub fn used_words(&self) -> &[u64] {
+        &self.words[..self.words_used()]
     }
 
     /// Overwrites this image with `other`, copying only the words

@@ -25,6 +25,33 @@
 
 use btr_bits::payload::PayloadBits;
 
+/// CRC-8 generator polynomial `x^8 + x^2 + x + 1` without its `x^8` term.
+const CRC8_POLY: u8 = 0x07;
+
+/// One bit-serial CRC-8 step: shifts `bit` into the MSB-first register.
+const fn crc8_step(crc: u8, bit: u8) -> u8 {
+    let feedback = (crc >> 7) ^ bit;
+    (crc << 1) ^ if feedback != 0 { CRC8_POLY } else { 0 }
+}
+
+/// `CRC8_TABLE[x]` is the register after eight zero-input steps from `x`:
+/// one table lookup advances the CRC by a whole (MSB-first) byte.
+const CRC8_TABLE: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut x = 0;
+    while x < 256 {
+        let mut crc = x as u8;
+        let mut step = 0;
+        while step < 8 {
+            crc = crc8_step(crc, 0);
+            step += 1;
+        }
+        table[x] = crc;
+        x += 1;
+    }
+    table
+};
+
 /// Which error-detecting code a transport stamps on each payload flit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EdcKind {
@@ -91,17 +118,19 @@ impl EdcKind {
                 u64::from(ones & 1)
             }
             EdcKind::Crc8 => {
-                // Bitwise CRC-8, data bits LSB-first. Bit-serial is fine
-                // here: frames are narrow and the check runs once per
-                // flit at NI speed, not per hop.
+                // CRC-8 over the data bits LSB-first, a byte per table
+                // step: the register shifts MSB-first, so each byte is
+                // fed bit-reversed (its lowest wire enters first). A tail
+                // shorter than a byte goes bit by bit.
                 let mut crc = 0u8;
-                for i in 0..data_width {
-                    let bit = u8::from(image.bit(i));
-                    let top = crc >> 7;
-                    crc <<= 1;
-                    if top ^ bit != 0 {
-                        crc ^= 0x07;
-                    }
+                let words = image.used_words();
+                let bytes = data_width / 8;
+                for k in 0..bytes {
+                    let byte = (words[(k / 8) as usize] >> (8 * (k % 8))) as u8;
+                    crc = CRC8_TABLE[usize::from(crc ^ byte.reverse_bits())];
+                }
+                for i in bytes * 8..data_width {
+                    crc = crc8_step(crc, u8::from(image.bit(i)));
                 }
                 // Store the remainder bit-reversed: frame position
                 // data_width + k then carries remainder coefficient
@@ -194,6 +223,38 @@ mod tests {
             off += len;
         }
         p
+    }
+
+    /// Bit-serial CRC-8, the oracle for the table-driven kernel: data
+    /// bits LSB-first through the MSB-first register, remainder stored
+    /// bit-reversed.
+    fn crc8_bitwise(image: &PayloadBits, data_width: u32) -> u64 {
+        let mut crc = 0u8;
+        for i in 0..data_width {
+            let bit = u8::from(image.bit(i));
+            let top = crc >> 7;
+            crc <<= 1;
+            if top ^ bit != 0 {
+                crc ^= 0x07;
+            }
+        }
+        u64::from(crc.reverse_bits())
+    }
+
+    #[test]
+    fn crc8_table_matches_the_bitwise_oracle() {
+        for width in [1, 7, 8, 9, 63, 64, 65, 104, 128, 200, 256, 512, 1024] {
+            for seed in 0..16 {
+                let image = random_image(width, seed * 1000 + u64::from(width));
+                for data_width in [width, width / 2, width.saturating_sub(3)] {
+                    assert_eq!(
+                        EdcKind::Crc8.compute(&image, data_width),
+                        crc8_bitwise(&image, data_width),
+                        "width {width}, data width {data_width}, seed {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,10 +17,8 @@
 //! Padded zeros keep their slots ("we do not order the padded zeros",
 //! Sec. IV-A), so baseline and ordered streams have identical flit counts.
 
-use crate::flitize::flitize_values;
-use crate::ordering::round_robin_assignment;
 pub use crate::ordering::TieBreak;
-use crate::transport::{pack_values, row_major_assignment, window_occupancy};
+use crate::transport::{deal_lane, lane_link_width, WindowPacker};
 use btr_bits::payload::PayloadBits;
 use btr_bits::stats::{BitPositionStats, PopcountHistogram};
 use btr_bits::transition::reduction_rate;
@@ -90,45 +88,59 @@ impl WindowConfig {
 /// Builds the flit stream for `packets`, optionally ordered per window.
 ///
 /// Baseline (`ordered == false`): each packet is flitized row-major with
-/// zero padding in its tail flit. Ordered: the values of each
-/// `window_packets`-packet group are pooled, sorted descending by
-/// popcount, and dealt into the **occupied** slots of the window's flits
-/// (padding slots stay zero in place), per the configured placement.
+/// zero padding in its tail flit (an empty packet sends no flit). Ordered:
+/// the values of each `window_packets`-packet group are pooled, sorted
+/// descending by popcount, and dealt into the **occupied** slots of the
+/// window's flits (padding slots stay zero in place; an empty packet
+/// keeps one all-padding flit), per the configured placement.
+///
+/// The stream buffer is sized once and every window is rendered into it
+/// in place by one reused packer: no per-packet allocation, no image
+/// copies.
 ///
 /// # Panics
 ///
-/// Panics if `values_per_flit == 0` or `window_packets == 0`.
+/// Panics if `values_per_flit == 0`, `window_packets == 0`, or the link
+/// would exceed [`btr_bits::payload::MAX_WIDTH_BITS`].
 #[must_use]
 pub fn build_stream_flits<W: DataWord>(
     packets: &[Vec<W>],
     config: &WindowConfig,
     ordered: bool,
 ) -> Vec<PayloadBits> {
-    assert!(
-        config.values_per_flit > 0,
-        "values_per_flit must be positive"
-    );
     assert!(config.window_packets > 0, "window_packets must be positive");
     let vpf = config.values_per_flit;
-    let mut flits = Vec::new();
-    for window in packets.chunks(config.window_packets) {
-        if !ordered {
-            for packet in window {
-                flits.extend(flitize_values(packet, vpf, false));
+    let link_width = lane_link_width::<W>(vpf);
+    let min_flits = usize::from(ordered);
+    let total = packets
+        .iter()
+        .map(|p| p.len().div_ceil(vpf).max(min_flits))
+        .sum();
+    let mut flits = Vec::with_capacity(total);
+    if !ordered {
+        for packet in packets {
+            let base = flits.len();
+            flits.resize(
+                base + packet.len().div_ceil(vpf),
+                PayloadBits::zero(link_width),
+            );
+            for (flit, lanes) in flits[base..].iter_mut().zip(packet.chunks(vpf)) {
+                for (slot, &value) in lanes.iter().enumerate() {
+                    deal_lane(flit, slot, value);
+                }
             }
-            continue;
         }
-        // Occupied-slot layout of the window: per-packet row-major shape,
-        // padding at each packet's tail flit ("we do not order the padded
-        // zeros"); packing shared with the rest of the transport pipeline.
-        let occupancy = window_occupancy(window.iter().map(Vec::len), vpf);
-        let values: Vec<W> = window.iter().flatten().copied().collect();
-        let perm = config.tiebreak.descending_order(&values);
-        let assign: Vec<(usize, usize)> = match config.placement {
-            Placement::RoundRobin => round_robin_assignment(&occupancy),
-            Placement::RowMajor => row_major_assignment(&occupancy),
-        };
-        flits.extend(pack_values(&values, &occupancy, &assign, &perm, vpf));
+        return flits;
+    }
+    let mut packer = WindowPacker::default();
+    for window in packets.chunks(config.window_packets) {
+        packer.pack(
+            window,
+            vpf,
+            config.placement,
+            |values, sort, perm| config.tiebreak.descending_order_into(values, sort, perm),
+            &mut flits,
+        );
     }
     flits
 }
@@ -157,6 +169,10 @@ pub struct StreamReport {
 /// pair accumulate (Fig. 8 recorder); with [`Comparison::RandomPairs`]
 /// uniformly sampled pairs are compared and `bt_per_flit` is the mean BT
 /// per sampled pair.
+///
+/// # Panics
+///
+/// Panics if two compared flits differ in width.
 #[must_use]
 pub fn measure_flits<W: DataWord>(
     flits: &[PayloadBits],
@@ -185,18 +201,12 @@ pub fn measure_flits<W: DataWord>(
             popcount_grid: grid,
         };
     }
-    let mut total = 0u64;
     let mut per_position = vec![0u64; width as usize];
-    let mut compare = |a: &PayloadBits, b: &PayloadBits| {
-        let diff = a.xor(b);
-        total += u64::from(diff.popcount());
-        // O(popcount), not O(width): only toggling wires count.
-        diff.for_each_set_bit(|i| per_position[i as usize] += 1);
-    };
+    let mut counters = WireCounters::new(flits[0].used_words().len());
     match comparison {
         Comparison::Consecutive => {
             for pair in flits.windows(2) {
-                compare(&pair[1], &pair[0]);
+                counters.add_pair(&pair[1], &pair[0], &mut per_position);
             }
         }
         Comparison::RandomPairs { seed, .. } => {
@@ -207,10 +217,14 @@ pub fn measure_flits<W: DataWord>(
                 if b >= a {
                     b += 1;
                 }
-                compare(&flits[a], &flits[b]);
+                counters.add_pair(&flits[a], &flits[b], &mut per_position);
             }
         }
     }
+    counters.flush(&mut per_position);
+    // Every toggle lands on exactly one wire, so the wire counts sum to
+    // the link total.
+    let total: u64 = per_position.iter().sum();
     let probs: Vec<f64> = per_position
         .iter()
         .map(|&c| c as f64 / pairs as f64)
@@ -221,6 +235,125 @@ pub fn measure_flits<W: DataWord>(
         bt_per_flit: total as f64 / pairs as f64,
         word_transition_probability: fold_to_word_width(&probs, W::WIDTH),
         popcount_grid: grid,
+    }
+}
+
+/// Bit planes per counter word: each wire counts up to `2^16 - 1`
+/// toggles between flushes.
+const COUNTER_PLANES: usize = 16;
+
+/// Compared pairs summed by one carry-save pass.
+const BATCH: usize = 16;
+
+/// Per-wire toggle counters, bit-sliced: plane `k` of word `w` holds bit
+/// `k` of the counters of wires `64w .. 64w + 64`, so word-wide logic
+/// counts 64 wires at once. The XOR words of [`BATCH`] compared pairs are
+/// summed by a carry-save adder tree (Harley–Seal) into planes 0–3, and
+/// the weight-16 carry it leaves ripples into the upper planes: about
+/// five word operations per compared word, none per toggling wire. The
+/// planes are flushed into exact `u64` wire counts before any counter
+/// can overflow.
+struct WireCounters {
+    words: usize,
+    /// XOR words of the pairs awaiting the next pass, pair-major.
+    batch: Vec<u64>,
+    batched: usize,
+    planes: Vec<[u64; COUNTER_PLANES]>,
+    pending: u32,
+}
+
+/// Full adder over 64 bit lanes: `(carry, sum)` of `a + b + c`.
+#[inline]
+fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let u = a ^ b;
+    ((a & b) | (u & c), u ^ c)
+}
+
+impl WireCounters {
+    /// Pairs that fit the planes between flushes.
+    const FLUSH_EVERY: u32 = (1 << COUNTER_PLANES) - 1;
+
+    fn new(words: usize) -> Self {
+        Self {
+            words,
+            batch: vec![0; BATCH * words],
+            batched: 0,
+            planes: vec![[0; COUNTER_PLANES]; words],
+            pending: 0,
+        }
+    }
+
+    /// Counts the wires toggling between `a` and `b`.
+    #[inline]
+    fn add_pair(&mut self, a: &PayloadBits, b: &PayloadBits, per_position: &mut [u64]) {
+        assert_eq!(
+            a.width(),
+            b.width(),
+            "cannot compare payloads of different widths"
+        );
+        let row = &mut self.batch[self.batched * self.words..][..self.words];
+        for ((r, &x), &y) in row.iter_mut().zip(a.used_words()).zip(b.used_words()) {
+            *r = x ^ y;
+        }
+        self.batched += 1;
+        if self.batched == BATCH {
+            self.sum_batch();
+        }
+        self.pending += 1;
+        if self.pending == Self::FLUSH_EVERY {
+            self.flush(per_position);
+        }
+    }
+
+    /// Adds the batched XOR words into the planes (rows not yet filled
+    /// count as zero) and empties the batch.
+    fn sum_batch(&mut self) {
+        let words = self.words;
+        self.batch[self.batched * words..].fill(0);
+        for (w, planes) in self.planes.iter_mut().enumerate() {
+            let d = |i: usize| self.batch[i * words + w];
+            let [mut ones, mut twos, mut fours, mut eights] =
+                [planes[0], planes[1], planes[2], planes[3]];
+            // Every `csa` keeps ones + 2·twos + 4·fours + 8·eights plus
+            // the carries it emits equal to the planes plus the inputs
+            // consumed so far.
+            let mut eights_in = [0; 2];
+            for (half, eights_carry) in eights_in.iter_mut().enumerate() {
+                let mut fours_in = [0; 2];
+                for (quarter, fours_carry) in fours_in.iter_mut().enumerate() {
+                    let i = 8 * half + 4 * quarter;
+                    let (twos_a, sum) = csa(ones, d(i), d(i + 1));
+                    let (twos_b, sum) = csa(sum, d(i + 2), d(i + 3));
+                    ones = sum;
+                    (*fours_carry, twos) = csa(twos, twos_a, twos_b);
+                }
+                (*eights_carry, fours) = csa(fours, fours_in[0], fours_in[1]);
+            }
+            let (mut carry, sum) = csa(eights, eights_in[0], eights_in[1]);
+            eights = sum;
+            planes[..4].copy_from_slice(&[ones, twos, fours, eights]);
+            for plane in &mut planes[4..] {
+                let next = *plane & carry;
+                *plane ^= carry;
+                carry = next;
+            }
+        }
+        self.batched = 0;
+    }
+
+    /// Adds the counts to `per_position` and clears the planes.
+    fn flush(&mut self, per_position: &mut [u64]) {
+        self.sum_batch();
+        for (w, planes) in self.planes.iter_mut().enumerate() {
+            for (k, plane) in planes.iter_mut().enumerate() {
+                let mut bits = std::mem::take(plane);
+                while bits != 0 {
+                    per_position[w * 64 + bits.trailing_zeros() as usize] += 1 << k;
+                    bits &= bits - 1;
+                }
+            }
+        }
+        self.pending = 0;
     }
 }
 

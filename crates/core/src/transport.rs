@@ -16,9 +16,9 @@
 //!   per [`TransportConfig`], composed with the link codec
 //!   ([`crate::codec::CodecKind`]) selected by [`TransportConfig::codec`]
 //!   (unencoded, bus-invert, or delta-XOR);
-//! * the packing helpers ([`packet_occupancy`], [`window_occupancy`],
-//!   [`row_major_assignment`], [`pack_values`],
-//!   [`pack_window_with_order`]) — the one copy of the
+//! * the packing helpers ([`packet_occupancy`], [`row_major_assignment`],
+//!   [`pack_values`], [`pack_window_with_order`]) and the in-place window
+//!   packer behind [`crate::stream::build_stream_flits`] — the
 //!   "occupancy → permutation → slot assignment → flit images" pipeline
 //!   that both the packet path and the weight-stream path are built on.
 
@@ -28,7 +28,8 @@ use crate::flitize::{
     build_encode_template, order_task_with, render_images_with_template, EncodeTemplate,
     FlitizeError, OrderedTask, RecoverError,
 };
-use crate::ordering::{round_robin_assignment, OrderingMethod, SortScratch, TieBreak};
+use crate::ordering::{round_robin_assignment_into, OrderingMethod, SortScratch, TieBreak};
+use crate::stream::Placement;
 use crate::task::{NeuronTask, RecoveredTask};
 use btr_bits::payload::{PayloadBits, MAX_WIDTH_BITS};
 use btr_bits::word::DataWord;
@@ -749,7 +750,6 @@ fn recover_from_images<W: DataWord>(
     out: &mut RecoveredTask<W>,
 ) -> Result<(), TransportError> {
     use crate::flitize::half_half_layout;
-    use crate::ordering::round_robin_assignment_into;
     let n = meta.num_pairs;
     if values_per_flit < 2 || !values_per_flit.is_multiple_of(2) {
         return Err(FlitizeError::OddValuesPerFlit(values_per_flit).into());
@@ -815,28 +815,13 @@ fn recover_from_images<W: DataWord>(
 #[must_use]
 pub fn packet_occupancy(len: usize, values_per_flit: usize) -> Vec<usize> {
     assert!(values_per_flit > 0, "values_per_flit must be positive");
-    let num_flits = len.div_ceil(values_per_flit).max(1);
-    (0..num_flits)
-        .map(|f| len.saturating_sub(f * values_per_flit).min(values_per_flit))
-        .collect()
+    occupancy_slots(len, values_per_flit).collect()
 }
 
-/// Occupancy of a window of packets: each packet keeps its own row-major
-/// block (padding at each packet's tail flit), concatenated in order.
-///
-/// # Panics
-///
-/// Panics if `values_per_flit == 0`.
-#[must_use]
-pub fn window_occupancy(
-    lens: impl IntoIterator<Item = usize>,
-    values_per_flit: usize,
-) -> Vec<usize> {
-    let mut occupancy = Vec::new();
-    for len in lens {
-        occupancy.extend(packet_occupancy(len, values_per_flit));
-    }
-    occupancy
+/// [`packet_occupancy`] as an iterator, for packing without a buffer.
+fn occupancy_slots(len: usize, values_per_flit: usize) -> impl Iterator<Item = usize> {
+    let num_flits = len.div_ceil(values_per_flit).max(1);
+    (0..num_flits).map(move |f| len.saturating_sub(f * values_per_flit).min(values_per_flit))
 }
 
 /// Row-major slot assignment over an occupancy: rank `r` goes to the
@@ -869,11 +854,139 @@ pub fn pack_window_with_order<W: DataWord>(
     values_per_flit: usize,
     order: impl Fn(&[W]) -> Vec<usize>,
 ) -> Vec<PayloadBits> {
-    let occupancy = window_occupancy(packets.iter().map(Vec::len), values_per_flit);
-    let values: Vec<W> = packets.iter().flatten().copied().collect();
-    let perm = order(&values);
-    let assign = round_robin_assignment(&occupancy);
-    pack_values(&values, &occupancy, &assign, &perm, values_per_flit)
+    let mut flits = Vec::new();
+    WindowPacker::default().pack(
+        packets,
+        values_per_flit,
+        Placement::RoundRobin,
+        |values, _, perm| *perm = order(values),
+        &mut flits,
+    );
+    flits
+}
+
+/// Link width of `values_per_flit` lanes of `W`.
+///
+/// # Panics
+///
+/// Panics if `values_per_flit == 0` or the link would exceed
+/// [`MAX_WIDTH_BITS`].
+pub(crate) fn lane_link_width<W: DataWord>(values_per_flit: usize) -> u32 {
+    assert!(values_per_flit > 0, "values_per_flit must be positive");
+    let link_width = values_per_flit as u32 * W::WIDTH;
+    assert!(
+        link_width <= MAX_WIDTH_BITS,
+        "link width {link_width} exceeds maximum {MAX_WIDTH_BITS}"
+    );
+    link_width
+}
+
+/// Writes `value` into lane `slot` of a flit whose lane is still zero:
+/// one shifted OR when word widths divide 64 (every lane sits inside one
+/// `u64`), a masked field write otherwise.
+#[inline]
+pub(crate) fn deal_lane<W: DataWord>(flit: &mut PayloadBits, slot: usize, value: W) {
+    let offset = slot as u32 * W::WIDTH;
+    if 64 % W::WIDTH == 0 {
+        flit.or_word_field(offset, W::WIDTH, value.bits_u64());
+    } else {
+        flit.set_field(offset, W::WIDTH, value.bits_u64());
+    }
+}
+
+/// The in-place window packer: renders an ordered window straight into
+/// the caller's flit buffer. Occupancy, pooled values and permutation
+/// live in scratch that is reused window after window, and ranks are
+/// dealt while walking the occupied slots in placement order, so packing
+/// a stream allocates nothing per window and copies no flit image. Its
+/// output equals the allocating
+/// `packet_occupancy → order → assignment → pack_values` chain
+/// (pinned by `tests/stream_kernels.rs`).
+#[derive(Debug)]
+pub(crate) struct WindowPacker<W> {
+    occupancy: Vec<usize>,
+    values: Vec<W>,
+    perm: Vec<usize>,
+    sort: SortScratch,
+}
+
+impl<W> Default for WindowPacker<W> {
+    fn default() -> Self {
+        Self {
+            occupancy: Vec::new(),
+            values: Vec::new(),
+            perm: Vec::new(),
+            sort: SortScratch::default(),
+        }
+    }
+}
+
+impl<W: DataWord> WindowPacker<W> {
+    /// Appends the flits of one window to `out`. Each packet keeps its own
+    /// row-major block of flits (padding at its tail flit; an empty packet
+    /// keeps one all-padding flit); the pooled values are permuted by
+    /// `order` (`perm[rank] = pooled index`, written into the cleared
+    /// buffer it is handed) and dealt per `placement` into the occupied
+    /// slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values_per_flit == 0`, the link would exceed
+    /// [`MAX_WIDTH_BITS`], or `order` yields a permutation of the wrong
+    /// length.
+    pub(crate) fn pack(
+        &mut self,
+        window: &[Vec<W>],
+        values_per_flit: usize,
+        placement: Placement,
+        order: impl FnOnce(&[W], &mut SortScratch, &mut Vec<usize>),
+        out: &mut Vec<PayloadBits>,
+    ) {
+        let link_width = lane_link_width::<W>(values_per_flit);
+        self.occupancy.clear();
+        self.values.clear();
+        for packet in window {
+            self.occupancy
+                .extend(occupancy_slots(packet.len(), values_per_flit));
+            self.values.extend_from_slice(packet);
+        }
+        self.perm.clear();
+        order(&self.values, &mut self.sort, &mut self.perm);
+        assert_eq!(
+            self.perm.len(),
+            self.values.len(),
+            "permutation must cover the values"
+        );
+        let base = out.len();
+        out.resize(base + self.occupancy.len(), PayloadBits::zero(link_width));
+        let flits = &mut out[base..];
+        // Walk the occupied slots in placement order (the order of
+        // `round_robin_assignment` / `row_major_assignment`), dealing
+        // ranks as they come.
+        let mut rank = 0;
+        let mut deal = |flit: &mut PayloadBits, slot: usize| {
+            deal_lane(flit, slot, self.values[self.perm[rank]]);
+            rank += 1;
+        };
+        match placement {
+            Placement::RoundRobin => {
+                for slot in 0..values_per_flit {
+                    for (flit, &occ) in flits.iter_mut().zip(&self.occupancy) {
+                        if slot < occ {
+                            deal(flit, slot);
+                        }
+                    }
+                }
+            }
+            Placement::RowMajor => {
+                for (flit, &occ) in flits.iter_mut().zip(&self.occupancy) {
+                    for slot in 0..occ {
+                        deal(flit, slot);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Renders values into flit images of `values_per_flit` word lanes: rank
@@ -905,12 +1018,7 @@ pub fn pack_values<W: DataWord>(
         values.len(),
         "assignment must cover the values"
     );
-    assert!(values_per_flit > 0, "values_per_flit must be positive");
-    let link_width = values_per_flit as u32 * W::WIDTH;
-    assert!(
-        link_width <= MAX_WIDTH_BITS,
-        "link width {link_width} exceeds maximum {MAX_WIDTH_BITS}"
-    );
+    let link_width = lane_link_width::<W>(values_per_flit);
     let mut flits: Vec<PayloadBits> = (0..occupancy.len())
         .map(|_| PayloadBits::zero(link_width))
         .collect();
@@ -1154,7 +1262,6 @@ mod tests {
         assert_eq!(packet_occupancy(25, 8), vec![8, 8, 8, 1]);
         assert_eq!(packet_occupancy(0, 8), vec![0]);
         assert_eq!(packet_occupancy(8, 8), vec![8]);
-        assert_eq!(window_occupancy([3, 0, 9], 4), vec![3, 0, 4, 4, 1]);
     }
 
     #[test]

@@ -246,11 +246,20 @@ impl FaultState {
         let mut flipped = 0u32;
         match mode {
             FaultMode::PerFlit => {
-                for bit in 0..frame_wires {
-                    if ber.hit(lane.rng.next_u64()) {
-                        flit.set_field(bit, 1, u64::from(!flit.bit(bit)));
-                        flipped += 1;
+                // One draw per frame wire, LSB-first, gathered into a
+                // flip mask per 64-wire word and XORed in once.
+                let mut offset = 0;
+                while offset < frame_wires {
+                    let len = 64.min(frame_wires - offset);
+                    let mut mask = 0u64;
+                    for bit in 0..len {
+                        mask |= u64::from(ber.hit(lane.rng.next_u64())) << bit;
                     }
+                    if mask != 0 {
+                        flit.set_field(offset, len, flit.field(offset, len) ^ mask);
+                        flipped += mask.count_ones();
+                    }
+                    offset += len;
                 }
             }
             FaultMode::Burst => {
@@ -444,6 +453,42 @@ mod tests {
         }
         assert!(a.total_flipped_bits() > 0, "5% BER over 9600 draws");
         assert_eq!(a.total_flipped_bits(), b.total_flipped_bits());
+    }
+
+    #[test]
+    fn per_flit_masks_match_the_per_bit_draw_loop() {
+        for p in [1e-2, 0.5] {
+            let model = ErrorModel {
+                ber: BitErrorRate::from_f64(p),
+                seed: 11,
+                mode: FaultMode::PerFlit,
+            };
+            for frame in [1, 63, 64, 65, 104, 200] {
+                let mut state = FaultState::new(model, 5, 2, frame);
+                let mut oracle = model.link_stream(5, 1);
+                let mut want_flipped = 0u64;
+                for round in 0..40u64 {
+                    let mut base = PayloadBits::zero(256);
+                    base.set_field(0, 64, round.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                    base.set_field(150, 64, !round);
+                    // Oracle: one draw and one single-bit write per frame
+                    // wire.
+                    let mut want = base;
+                    for bit in 0..frame {
+                        if model.ber.hit(oracle.next_u64()) {
+                            want.set_field(bit, 1, u64::from(!want.bit(bit)));
+                            want_flipped += 1;
+                        }
+                    }
+                    let mut got = base;
+                    let flipped = state.corrupt(1, &mut got);
+                    assert_eq!(got, want, "ber {p}, frame {frame}, round {round}");
+                    assert_eq!(flipped, want.transitions_to(&base));
+                }
+                assert_eq!(state.total_flipped_bits(), want_flipped);
+                assert!(want_flipped > 0, "ber {p}, frame {frame}");
+            }
+        }
     }
 
     #[test]

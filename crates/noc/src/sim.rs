@@ -594,10 +594,18 @@ impl Simulator {
         if self.delivered_pending == 0 {
             return;
         }
-        self.delivered_pending = 0;
+        let pending = std::mem::take(&mut self.delivered_pending) as usize;
+        // Most NIs are idle on a given cycle: skip empty queues, and stop
+        // once every pending packet has been taken.
         for ni in &mut self.ni_delivered {
-            out.extend(ni.drain(..));
+            if !ni.is_empty() {
+                out.extend(ni.drain(..));
+                if out.len() == pending {
+                    break;
+                }
+            }
         }
+        debug_assert_eq!(out.len(), pending, "delivered count out of sync");
     }
 
     /// Number of packets queued at `node`'s NI that have not finished
