@@ -11,6 +11,8 @@
 //! * [`fixed`] — symmetric per-tensor fixed-point quantization;
 //! * [`payload`] — [`payload::PayloadBits`], a fixed-capacity bit container
 //!   representing the image of a flit on the physical link wires;
+//! * [`slab`] — [`slab::FlitSlab`], a stream of equal-width flit images
+//!   packed as dense `u64` rows (the stream kernels' buffer);
 //! * [`transition`] — bit-transition (BT) counting between consecutive link
 //!   images, the paper's core metric;
 //! * [`stats`] — per-bit-position `'1'`-probability and
@@ -40,6 +42,7 @@
 
 pub mod fixed;
 pub mod payload;
+pub mod slab;
 pub mod stats;
 pub mod swar;
 pub mod transition;
@@ -47,6 +50,7 @@ pub mod word;
 
 pub use fixed::{QuantError, Quantizer};
 pub use payload::PayloadBits;
+pub use slab::FlitSlab;
 pub use stats::{BitPositionStats, PopcountHistogram};
 pub use transition::{bit_transitions, bit_transitions_u64};
 pub use word::{DataFormat, DataWord, F32Word, Fx16Word, Fx8Word};

@@ -15,11 +15,17 @@
 //! packets are pooled into one descending-sort window; Fig. 9's
 //! many-flit monotone grid corresponds to such a multi-packet window.
 //! Padded zeros keep their slots ("we do not order the padded zeros",
-//! Sec. IV-A), so baseline and ordered streams have identical flit counts.
+//! Sec. IV-A), so baseline and ordered streams have identical flit counts
+//! except for empty packets: the baseline sends no flit for one, the
+//! ordered stream keeps one all-padding flit.
+//!
+//! Streams are built into and measured from a [`FlitSlab`], one dense
+//! row of `u64` words per flit ([`build_stream_slab`], [`measure_slab`]).
 
 pub use crate::ordering::TieBreak;
-use crate::transport::{deal_lane, lane_link_width, WindowPacker};
+use crate::transport::{lane_link_width, WindowPacker};
 use btr_bits::payload::PayloadBits;
+use btr_bits::slab::{row_field, FlitSlab};
 use btr_bits::stats::{BitPositionStats, PopcountHistogram};
 use btr_bits::transition::reduction_rate;
 use btr_bits::word::DataWord;
@@ -44,8 +50,9 @@ pub enum Placement {
 pub enum Comparison {
     /// Consecutive flits in stream order.
     Consecutive,
-    /// `pairs` uniformly random flit pairs (seeded; the same pair indices
-    /// are used for baseline and ordered streams).
+    /// `pairs` uniformly random flit pairs (seeded; baseline and ordered
+    /// streams draw the same pair indices when their flit counts agree,
+    /// which an empty packet breaks).
     RandomPairs {
         /// Number of sampled pairs.
         pairs: usize,
@@ -94,20 +101,19 @@ impl WindowConfig {
 /// window's flits (padding slots stay zero in place; an empty packet
 /// keeps one all-padding flit), per the configured placement.
 ///
-/// The stream buffer is sized once and every window is rendered into it
-/// in place by one reused packer: no per-packet allocation, no image
-/// copies.
+/// The slab is sized once and every window is rendered into its rows in
+/// place by one reused packer: no per-packet allocation, no image copies.
 ///
 /// # Panics
 ///
 /// Panics if `values_per_flit == 0`, `window_packets == 0`, or the link
 /// would exceed [`btr_bits::payload::MAX_WIDTH_BITS`].
 #[must_use]
-pub fn build_stream_flits<W: DataWord>(
+pub fn build_stream_slab<W: DataWord>(
     packets: &[Vec<W>],
     config: &WindowConfig,
     ordered: bool,
-) -> Vec<PayloadBits> {
+) -> FlitSlab {
     assert!(config.window_packets > 0, "window_packets must be positive");
     let vpf = config.values_per_flit;
     let link_width = lane_link_width::<W>(vpf);
@@ -116,21 +122,23 @@ pub fn build_stream_flits<W: DataWord>(
         .iter()
         .map(|p| p.len().div_ceil(vpf).max(min_flits))
         .sum();
-    let mut flits = Vec::with_capacity(total);
+    let mut slab = FlitSlab::with_capacity(link_width, total);
     if !ordered {
         for packet in packets {
-            let base = flits.len();
-            flits.resize(
-                base + packet.len().div_ceil(vpf),
-                PayloadBits::zero(link_width),
-            );
-            for (flit, lanes) in flits[base..].iter_mut().zip(packet.chunks(vpf)) {
-                for (slot, &value) in lanes.iter().enumerate() {
-                    deal_lane(flit, slot, value);
+            let base = slab.len();
+            slab.push_zeroed(packet.len().div_ceil(vpf));
+            for (flit, lanes) in packet.chunks(vpf).enumerate() {
+                for (slot, value) in lanes.iter().enumerate() {
+                    slab.set_lane(
+                        base + flit,
+                        slot as u32 * W::WIDTH,
+                        W::WIDTH,
+                        value.bits_u64(),
+                    );
                 }
             }
         }
-        return flits;
+        return slab;
     }
     let mut packer = WindowPacker::default();
     for window in packets.chunks(config.window_packets) {
@@ -139,10 +147,26 @@ pub fn build_stream_flits<W: DataWord>(
             vpf,
             config.placement,
             |values, sort, perm| config.tiebreak.descending_order_into(values, sort, perm),
-            &mut flits,
+            &mut slab,
         );
     }
-    flits
+    slab
+}
+
+/// [`build_stream_slab`] expanded into one [`PayloadBits`] image per
+/// flit. Kept for perfbench's stage breakdown, which times it as the
+/// stream build; every in-repo stream path uses the slab.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`build_stream_slab`].
+#[must_use]
+pub fn build_stream_flits<W: DataWord>(
+    packets: &[Vec<W>],
+    config: &WindowConfig,
+    ordered: bool,
+) -> Vec<PayloadBits> {
+    build_stream_slab(packets, config, ordered).to_payloads()
 }
 
 /// Result of streaming one configuration over a link.
@@ -172,7 +196,34 @@ pub struct StreamReport {
 ///
 /// # Panics
 ///
-/// Panics if two compared flits differ in width.
+/// Panics if the slab is not `values_per_flit × W::WIDTH` bits wide.
+#[must_use]
+pub fn measure_slab<W: DataWord>(
+    slab: &FlitSlab,
+    values_per_flit: usize,
+    comparison: Comparison,
+    grid_rows: usize,
+) -> StreamReport {
+    let width = values_per_flit as u32 * W::WIDTH;
+    assert_eq!(slab.width(), width, "slab width must match the link");
+    measure_rows::<W>(
+        slab.len(),
+        slab.words_per_flit(),
+        |i| slab.flit(i),
+        values_per_flit,
+        comparison,
+        grid_rows,
+    )
+}
+
+/// [`measure_slab`] over [`PayloadBits`] images, reading each image's
+/// used words in place (no copy). Kept for perfbench's stage breakdown,
+/// which times it as the pair measurement.
+///
+/// # Panics
+///
+/// Panics if a measured flit is not `values_per_flit × W::WIDTH` bits
+/// wide.
 #[must_use]
 pub fn measure_flits<W: DataWord>(
     flits: &[PayloadBits],
@@ -181,20 +232,43 @@ pub fn measure_flits<W: DataWord>(
     grid_rows: usize,
 ) -> StreamReport {
     let width = values_per_flit as u32 * W::WIDTH;
-    let grid: Vec<Vec<u32>> = flits
-        .iter()
-        .take(grid_rows)
-        .map(|f| flit_popcounts::<W>(f, values_per_flit))
+    measure_rows::<W>(
+        flits.len(),
+        width.div_ceil(64) as usize,
+        |i| {
+            let flit = &flits[i];
+            assert_eq!(flit.width(), width, "flit width must match the link");
+            flit.used_words()
+        },
+        values_per_flit,
+        comparison,
+        grid_rows,
+    )
+}
+
+/// The measure kernel: `row(i)` is flit `i`'s `words` `u64` words out of
+/// `flits`.
+fn measure_rows<'a, W: DataWord>(
+    flits: usize,
+    words: usize,
+    row: impl Fn(usize) -> &'a [u64],
+    values_per_flit: usize,
+    comparison: Comparison,
+    grid_rows: usize,
+) -> StreamReport {
+    let width = values_per_flit as u32 * W::WIDTH;
+    let grid: Vec<Vec<u32>> = (0..flits.min(grid_rows))
+        .map(|i| lane_popcounts::<W>(row(i), values_per_flit))
         .collect();
 
     let pairs = match comparison {
-        Comparison::Consecutive => flits.len().saturating_sub(1),
-        Comparison::RandomPairs { pairs, .. } if flits.len() >= 2 => pairs,
+        Comparison::Consecutive => flits.saturating_sub(1),
+        Comparison::RandomPairs { pairs, .. } if flits >= 2 => pairs,
         Comparison::RandomPairs { .. } => 0,
     };
     if pairs == 0 {
         return StreamReport {
-            flits: flits.len() as u64,
+            flits: flits as u64,
             transitions: 0,
             bt_per_flit: 0.0,
             word_transition_probability: Vec::new(),
@@ -202,22 +276,22 @@ pub fn measure_flits<W: DataWord>(
         };
     }
     let mut per_position = vec![0u64; width as usize];
-    let mut counters = WireCounters::new(flits[0].used_words().len());
+    let mut counters = WireCounters::new(words);
     match comparison {
         Comparison::Consecutive => {
-            for pair in flits.windows(2) {
-                counters.add_pair(&pair[1], &pair[0], &mut per_position);
+            for i in 1..flits {
+                counters.add_pair(row(i), row(i - 1), &mut per_position);
             }
         }
         Comparison::RandomPairs { seed, .. } => {
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..pairs {
-                let a = rng.gen_range(0..flits.len());
-                let mut b = rng.gen_range(0..flits.len() - 1);
+                let a = rng.gen_range(0..flits);
+                let mut b = rng.gen_range(0..flits - 1);
                 if b >= a {
                     b += 1;
                 }
-                counters.add_pair(&flits[a], &flits[b], &mut per_position);
+                counters.add_pair(row(a), row(b), &mut per_position);
             }
         }
     }
@@ -230,7 +304,7 @@ pub fn measure_flits<W: DataWord>(
         .map(|&c| c as f64 / pairs as f64)
         .collect();
     StreamReport {
-        flits: flits.len() as u64,
+        flits: flits as u64,
         transitions: total,
         bt_per_flit: total as f64 / pairs as f64,
         word_transition_probability: fold_to_word_width(&probs, W::WIDTH),
@@ -283,16 +357,12 @@ impl WireCounters {
         }
     }
 
-    /// Counts the wires toggling between `a` and `b`.
+    /// Counts the wires toggling between flit rows `a` and `b`.
     #[inline]
-    fn add_pair(&mut self, a: &PayloadBits, b: &PayloadBits, per_position: &mut [u64]) {
-        assert_eq!(
-            a.width(),
-            b.width(),
-            "cannot compare payloads of different widths"
-        );
+    fn add_pair(&mut self, a: &[u64], b: &[u64], per_position: &mut [u64]) {
+        debug_assert!(a.len() == self.words && b.len() == self.words);
         let row = &mut self.batch[self.batched * self.words..][..self.words];
-        for ((r, &x), &y) in row.iter_mut().zip(a.used_words()).zip(b.used_words()) {
+        for ((r, &x), &y) in row.iter_mut().zip(a).zip(b) {
             *r = x ^ y;
         }
         self.batched += 1;
@@ -366,12 +436,14 @@ pub fn evaluate_windowed<W: DataWord>(
     comparison: Comparison,
     grid_rows: usize,
 ) -> StreamReport {
-    let flits = build_stream_flits(packets, config, ordered);
-    measure_flits::<W>(&flits, config.values_per_flit, comparison, grid_rows)
+    let slab = build_stream_slab(packets, config, ordered);
+    measure_slab::<W>(&slab, config.values_per_flit, comparison, grid_rows)
 }
 
 /// Runs baseline and ordered configurations over the same packets and
-/// comparison pairs (one Table I row).
+/// comparison (one Table I row). Random pairs are drawn from the same
+/// seed, so both streams compare the same flit indices unless an empty
+/// packet makes their flit counts differ.
 #[must_use]
 pub fn compare_windowed<W: DataWord>(
     packets: &[Vec<W>],
@@ -418,10 +490,10 @@ pub fn evaluate_stream<W: DataWord>(
     )
 }
 
-/// Popcount of each value lane in a flit image.
-fn flit_popcounts<W: DataWord>(flit: &PayloadBits, values_per_flit: usize) -> Vec<u32> {
+/// Popcount of each value lane in a flit row.
+fn lane_popcounts<W: DataWord>(row: &[u64], values_per_flit: usize) -> Vec<u32> {
     (0..values_per_flit)
-        .map(|s| flit.field(s as u32 * W::WIDTH, W::WIDTH).count_ones())
+        .map(|s| row_field(row, s as u32 * W::WIDTH, W::WIDTH).count_ones())
         .collect()
 }
 
@@ -605,12 +677,15 @@ mod tests {
                 placement,
                 tiebreak: TieBreak::Stable,
             };
-            let base = build_stream_flits(&packets, &config, false);
-            let ord = build_stream_flits(&packets, &config, true);
+            let base = build_stream_slab(&packets, &config, false);
+            let ord = build_stream_slab(&packets, &config, true);
             assert_eq!(base.len(), ord.len(), "{placement:?}");
             // Same value multiset: total popcount is invariant.
-            let pc = |fs: &[btr_bits::PayloadBits]| -> u64 {
-                fs.iter().map(|f| u64::from(f.popcount())).sum()
+            let pc = |slab: &FlitSlab| -> u32 {
+                (0..slab.len())
+                    .flat_map(|f| slab.flit(f))
+                    .map(|w| w.count_ones())
+                    .sum()
             };
             assert_eq!(pc(&base), pc(&ord), "{placement:?}");
         }
@@ -625,14 +700,37 @@ mod tests {
             placement: Placement::RowMajor,
             tiebreak: TieBreak::Stable,
         };
-        let flits = build_stream_flits(&packets, &config, true);
+        let slab = build_stream_slab(&packets, &config, true);
         let mut prev = u32::MAX;
-        for f in &flits {
+        for f in 0..slab.len() {
             for s in 0..8u32 {
-                let pc = (f.field(s * 8, 8) as u8).count_ones();
+                let pc = row_field(slab.flit(f), s * 8, 8).count_ones();
                 assert!(pc <= prev, "global descending order violated");
                 prev = pc;
             }
+        }
+    }
+
+    #[test]
+    fn each_empty_packet_adds_one_ordered_flit() {
+        // The baseline sends no flit for an empty packet; the ordered
+        // stream keeps its all-padding flit, so the random pairs of the
+        // two streams are drawn over different index ranges.
+        let mut packets = random_packets(20, 25, 9);
+        for i in [0, 7, 8, 19] {
+            packets[i].clear();
+        }
+        for window_packets in [1, 8, 64] {
+            let config = WindowConfig {
+                window_packets,
+                ..WindowConfig::table1()
+            };
+            let base = build_stream_slab(&packets, &config, false);
+            let ord = build_stream_slab(&packets, &config, true);
+            assert_eq!(base.len(), 16 * 4, "window {window_packets}");
+            assert_eq!(ord.len(), base.len() + 4, "window {window_packets}");
+            let cmp = compare_windowed(&packets, &config, Comparison::Consecutive, 0);
+            assert_eq!(cmp.ordered.flits, cmp.baseline.flits + 4);
         }
     }
 

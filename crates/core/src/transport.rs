@@ -18,7 +18,7 @@
 //!   (unencoded, bus-invert, or delta-XOR);
 //! * the packing helpers ([`packet_occupancy`], [`row_major_assignment`],
 //!   [`pack_values`], [`pack_window_with_order`]) and the in-place window
-//!   packer behind [`crate::stream::build_stream_flits`] — the
+//!   packer behind [`crate::stream::build_stream_slab`] — the
 //!   "occupancy → permutation → slot assignment → flit images" pipeline
 //!   that both the packet path and the weight-stream path are built on.
 
@@ -32,6 +32,7 @@ use crate::ordering::{round_robin_assignment_into, OrderingMethod, SortScratch, 
 use crate::stream::Placement;
 use crate::task::{NeuronTask, RecoveredTask};
 use btr_bits::payload::{PayloadBits, MAX_WIDTH_BITS};
+use btr_bits::slab::FlitSlab;
 use btr_bits::word::DataWord;
 
 /// Configuration of a transport session: how values are ordered, how many
@@ -806,8 +807,8 @@ fn recover_from_images<W: DataWord>(
 /// Row-major occupancy of one packet of `len` values over
 /// `values_per_flit`-lane flits: `occupancy[f]` occupied slots in flit
 /// `f`, padding in the tail flit. An empty packet still occupies one
-/// (all-padding) flit, so baseline and ordered streams keep identical
-/// flit counts.
+/// (all-padding) flit, where the baseline stream of
+/// [`crate::stream::build_stream_slab`] sends none.
 ///
 /// # Panics
 ///
@@ -838,31 +839,31 @@ pub fn row_major_assignment(occupancy: &[usize]) -> Vec<(usize, usize)> {
     assign
 }
 
-/// Packs one window of packets with an arbitrary ordering rule: the
-/// window's values are pooled, permuted by `order`, and dealt round-robin
-/// into the occupied slots of the window's flits (padding stays in
-/// place). This is the shared engine behind
-/// [`crate::stream::build_stream_flits`] and the ordering-rule ablations.
+/// Packs one window of packets with an arbitrary ordering rule and
+/// appends its flits to `out`: the window's values are pooled, permuted
+/// by `order`, and dealt round-robin into the occupied slots of the
+/// window's flits (padding stays in place). This is the shared engine
+/// behind [`crate::stream::build_stream_slab`] and the ordering-rule
+/// ablations.
 ///
 /// # Panics
 ///
-/// Panics if `values_per_flit == 0` or `order` returns a permutation of
-/// the wrong length.
-#[must_use]
+/// Panics if `values_per_flit == 0`, `out` is not
+/// `values_per_flit × W::WIDTH` bits wide, or `order` returns a
+/// permutation of the wrong length.
 pub fn pack_window_with_order<W: DataWord>(
     packets: &[Vec<W>],
     values_per_flit: usize,
     order: impl Fn(&[W]) -> Vec<usize>,
-) -> Vec<PayloadBits> {
-    let mut flits = Vec::new();
+    out: &mut FlitSlab,
+) {
     WindowPacker::default().pack(
         packets,
         values_per_flit,
         Placement::RoundRobin,
         |values, _, perm| *perm = order(values),
-        &mut flits,
+        out,
     );
-    flits
 }
 
 /// Link width of `values_per_flit` lanes of `W`.
@@ -881,25 +882,12 @@ pub(crate) fn lane_link_width<W: DataWord>(values_per_flit: usize) -> u32 {
     link_width
 }
 
-/// Writes `value` into lane `slot` of a flit whose lane is still zero:
-/// one shifted OR when word widths divide 64 (every lane sits inside one
-/// `u64`), a masked field write otherwise.
-#[inline]
-pub(crate) fn deal_lane<W: DataWord>(flit: &mut PayloadBits, slot: usize, value: W) {
-    let offset = slot as u32 * W::WIDTH;
-    if 64 % W::WIDTH == 0 {
-        flit.or_word_field(offset, W::WIDTH, value.bits_u64());
-    } else {
-        flit.set_field(offset, W::WIDTH, value.bits_u64());
-    }
-}
-
 /// The in-place window packer: renders an ordered window straight into
-/// the caller's flit buffer. Occupancy, pooled values and permutation
-/// live in scratch that is reused window after window, and ranks are
-/// dealt while walking the occupied slots in placement order, so packing
-/// a stream allocates nothing per window and copies no flit image. Its
-/// output equals the allocating
+/// the rows of the caller's flit slab. Occupancy, pooled values and
+/// permutation live in scratch that is reused window after window, and
+/// ranks are dealt while walking the occupied slots in placement order,
+/// so packing a stream allocates nothing per window and copies no flit
+/// image. Its output equals the allocating
 /// `packet_occupancy → order → assignment → pack_values` chain
 /// (pinned by `tests/stream_kernels.rs`).
 #[derive(Debug)]
@@ -932,17 +920,18 @@ impl<W: DataWord> WindowPacker<W> {
     /// # Panics
     ///
     /// Panics if `values_per_flit == 0`, the link would exceed
-    /// [`MAX_WIDTH_BITS`], or `order` yields a permutation of the wrong
-    /// length.
+    /// [`MAX_WIDTH_BITS`], `out` is not that link's width, or `order`
+    /// yields a permutation of the wrong length.
     pub(crate) fn pack(
         &mut self,
         window: &[Vec<W>],
         values_per_flit: usize,
         placement: Placement,
         order: impl FnOnce(&[W], &mut SortScratch, &mut Vec<usize>),
-        out: &mut Vec<PayloadBits>,
+        out: &mut FlitSlab,
     ) {
         let link_width = lane_link_width::<W>(values_per_flit);
+        assert_eq!(out.width(), link_width, "slab width must match the link");
         self.occupancy.clear();
         self.values.clear();
         for packet in window {
@@ -958,20 +947,20 @@ impl<W: DataWord> WindowPacker<W> {
             "permutation must cover the values"
         );
         let base = out.len();
-        out.resize(base + self.occupancy.len(), PayloadBits::zero(link_width));
-        let flits = &mut out[base..];
+        out.push_zeroed(self.occupancy.len());
         // Walk the occupied slots in placement order (the order of
         // `round_robin_assignment` / `row_major_assignment`), dealing
         // ranks as they come.
         let mut rank = 0;
-        let mut deal = |flit: &mut PayloadBits, slot: usize| {
-            deal_lane(flit, slot, self.values[self.perm[rank]]);
+        let mut deal = |flit: usize, slot: usize| {
+            let value = self.values[self.perm[rank]].bits_u64();
+            out.set_lane(base + flit, slot as u32 * W::WIDTH, W::WIDTH, value);
             rank += 1;
         };
         match placement {
             Placement::RoundRobin => {
                 for slot in 0..values_per_flit {
-                    for (flit, &occ) in flits.iter_mut().zip(&self.occupancy) {
+                    for (flit, &occ) in self.occupancy.iter().enumerate() {
                         if slot < occ {
                             deal(flit, slot);
                         }
@@ -979,7 +968,7 @@ impl<W: DataWord> WindowPacker<W> {
                 }
             }
             Placement::RowMajor => {
-                for (flit, &occ) in flits.iter_mut().zip(&self.occupancy) {
+                for (flit, &occ) in self.occupancy.iter().enumerate() {
                     for slot in 0..occ {
                         deal(flit, slot);
                     }
@@ -1276,11 +1265,15 @@ mod tests {
             (0..5).map(|i| Fx8Word::new(i as i8 * 3)).collect(),
             (0..3).map(|i| Fx8Word::new(-(i as i8) - 1)).collect(),
         ];
-        let flits = pack_window_with_order(&packets, 4, descending_popcount_order);
+        let mut flits = FlitSlab::new(4 * Fx8Word::WIDTH);
+        pack_window_with_order(&packets, 4, descending_popcount_order, &mut flits);
         // 5 values -> 2 flits, 3 values -> 1 flit.
         assert_eq!(flits.len(), 3);
         // Total popcount preserved (same multiset of values).
-        let total: u32 = flits.iter().map(PayloadBits::popcount).sum();
+        let total: u32 = (0..flits.len())
+            .flat_map(|f| flits.flit(f))
+            .map(|w| w.count_ones())
+            .sum();
         let expect: u32 = packets.iter().flatten().map(|w| w.popcount()).sum();
         assert_eq!(total, expect);
     }

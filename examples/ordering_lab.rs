@@ -4,27 +4,27 @@
 //! Run with: `cargo run --release --example ordering_lab`
 
 use noc_btr::bits::transition::stream_transitions;
-use noc_btr::bits::word::Fx8Word;
-use noc_btr::bits::PayloadBits;
+use noc_btr::bits::word::{DataWord, Fx8Word};
+use noc_btr::bits::FlitSlab;
 use noc_btr::core::codec::CodecKind;
 use noc_btr::core::ordering::{ascending_popcount_order, greedy_nearest_order};
 use noc_btr::core::stream::{
-    build_stream_flits, measure_flits, Comparison, Placement, TieBreak, WindowConfig,
+    build_stream_slab, measure_slab, Comparison, Placement, TieBreak, WindowConfig,
 };
 use noc_btr::core::transport::pack_window_with_order;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Packs the stream with an arbitrary per-window permutation rule (the
-/// ablation counterpart of `build_stream_flits`).
+/// ablation counterpart of `build_stream_slab`).
 fn flits_with_order(
     packets: &[Vec<Fx8Word>],
     window: usize,
     order: impl Fn(&[Fx8Word]) -> Vec<usize> + Copy,
-) -> Vec<PayloadBits> {
-    let mut flits = Vec::new();
+) -> FlitSlab {
+    let mut flits = FlitSlab::new(8 * Fx8Word::WIDTH);
     for group in packets.chunks(window) {
-        flits.extend(pack_window_with_order(group, 8, order));
+        pack_window_with_order(group, 8, order, &mut flits);
     }
     flits
 }
@@ -51,8 +51,9 @@ fn main() {
         tiebreak: TieBreak::Value,
     };
 
-    let baseline = build_stream_flits(&packets, &config, false);
-    let base_bt = measure_flits::<Fx8Word>(&baseline, 8, comparison, 0).transitions;
+    let measure = |flits: &FlitSlab| measure_slab::<Fx8Word>(flits, 8, comparison, 0).transitions;
+    let baseline = build_stream_slab(&packets, &config, false);
+    let base_bt = measure(&baseline);
 
     println!(
         "one stream, many transmitters ({} flits):\n",
@@ -76,8 +77,7 @@ fn main() {
     // The paper's ordering at several window sizes.
     for window in [1usize, 16, 64] {
         config.window_packets = window;
-        let flits = build_stream_flits(&packets, &config, true);
-        let bt = measure_flits::<Fx8Word>(&flits, 8, comparison, 0).transitions;
+        let bt = measure(&build_stream_slab(&packets, &config, true));
         show(
             &format!("descending popcount ordering (window {window})"),
             bt,
@@ -88,21 +88,21 @@ fn main() {
     // heavy values next to the zero-padded packet tails; greedy
     // nearest-popcount ties descending, showing popcount adjacency is
     // what matters.
-    let measure = |flits: &[PayloadBits]| measure_flits::<Fx8Word>(flits, 8, comparison, 0);
     show(
         "ascending popcount (window 64)",
-        measure(&flits_with_order(&packets, 64, ascending_popcount_order)).transitions,
+        measure(&flits_with_order(&packets, 64, ascending_popcount_order)),
     );
     show(
         "greedy nearest-popcount (window 64)",
-        measure(&flits_with_order(&packets, 64, greedy_nearest_order)).transitions,
+        measure(&flits_with_order(&packets, 64, greedy_nearest_order)),
     );
 
     // Classic link encodings over the *unordered* stream. Transitions are
     // counted on the full wire image, so bus-invert's extra invert line
     // (the wire's top bit) is charged too.
-    let coded =
-        |kind: CodecKind, flits: &[PayloadBits]| stream_transitions(&kind.encode_stream(flits));
+    let coded = |kind: CodecKind, flits: &FlitSlab| {
+        stream_transitions(&kind.encode_stream(&flits.to_payloads()))
+    };
     show(
         "bus-invert coding [Stan & Burleson]",
         coded(CodecKind::BusInvert, &baseline),
@@ -114,7 +114,7 @@ fn main() {
 
     // Ordering and bus-invert compose: encode the ordered stream.
     config.window_packets = 64;
-    let ordered = build_stream_flits(&packets, &config, true);
+    let ordered = build_stream_slab(&packets, &config, true);
     show(
         "ordering (64) + bus-invert",
         coded(CodecKind::BusInvert, &ordered),

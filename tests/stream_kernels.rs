@@ -1,17 +1,23 @@
 //! The Table I stream kernels against oracles that live here.
 //!
-//! `build_stream_flits` renders windows in place with one reused packer;
-//! its oracle is the allocating `packet_occupancy → order → assignment →
-//! pack_values` chain (and `flitize_values` for baseline packets).
-//! `measure_flits` counts per-wire toggles with bit-sliced counters; its
-//! oracle walks every wire of every compared pair one bit at a time.
+//! `build_stream_slab` renders windows into slab rows in place with one
+//! reused packer; its oracle is the allocating `packet_occupancy → order
+//! → assignment → pack_values` chain (and `flitize_values` for baseline
+//! packets). `measure_slab` counts per-wire toggles with bit-sliced
+//! counters; its oracle walks every wire of every compared pair one bit
+//! at a time. The `PayloadBits` adapters `build_stream_flits` and
+//! `measure_flits` run through the same oracles.
 
+use experiments::workloads::{
+    f32_kernel_packets, fx8_kernel_packets_scheme, lenet_random, sample_packets, Fx8Scheme,
+};
 use noc_btr::bits::word::{DataWord, F32Word, Fx8Word};
-use noc_btr::bits::PayloadBits;
+use noc_btr::bits::{FlitSlab, PayloadBits};
 use noc_btr::core::flitize::flitize_values;
 use noc_btr::core::ordering::round_robin_assignment;
 use noc_btr::core::stream::{
-    build_stream_flits, measure_flits, Comparison, Placement, TieBreak, WindowConfig,
+    build_stream_flits, build_stream_slab, compare_windowed, measure_flits, measure_slab,
+    Comparison, Placement, StreamComparison, StreamReport, TieBreak, WindowConfig,
 };
 use noc_btr::core::transport::{pack_values, packet_occupancy, row_major_assignment};
 use rand::rngs::StdRng;
@@ -118,13 +124,40 @@ fn oracle_counts(flits: &[PayloadBits], comparison: Comparison) -> (Vec<u64>, us
     (counts, pairs)
 }
 
+/// The images as a slab, one word at a time.
+fn slab_of(flits: &[PayloadBits], width: u32) -> FlitSlab {
+    let mut slab = FlitSlab::new(width);
+    slab.push_zeroed(flits.len());
+    for (f, flit) in flits.iter().enumerate() {
+        for (k, &word) in flit.used_words().iter().enumerate() {
+            let offset = 64 * k as u32;
+            slab.set_lane(f, offset, (width - offset).min(64), word);
+        }
+    }
+    slab
+}
+
+/// `measure_slab` and the `measure_flits` adapter against the oracle.
 fn assert_measure_matches<W: DataWord>(
     flits: &[PayloadBits],
     vpf: usize,
     comparison: Comparison,
     label: &str,
 ) {
-    let got = measure_flits::<W>(flits, vpf, comparison, 5);
+    let slab = slab_of(flits, vpf as u32 * W::WIDTH);
+    let got = measure_slab::<W>(&slab, vpf, comparison, 5);
+    assert_report_matches::<W>(&got, flits, vpf, comparison, label);
+    let adapter = measure_flits::<W>(flits, vpf, comparison, 5);
+    assert_report_matches::<W>(&adapter, flits, vpf, comparison, label);
+}
+
+fn assert_report_matches<W: DataWord>(
+    got: &StreamReport,
+    flits: &[PayloadBits],
+    vpf: usize,
+    comparison: Comparison,
+    label: &str,
+) {
     let (counts, pairs) = oracle_counts(flits, comparison);
     let total: u64 = counts.iter().sum();
     assert_eq!(got.flits, flits.len() as u64, "{label}");
@@ -158,6 +191,29 @@ fn assert_measure_matches<W: DataWord>(
     assert_eq!(got.word_transition_probability, folded, "{label}");
 }
 
+/// `build_stream_slab` and the `build_stream_flits` adapter against the
+/// oracle's images.
+fn assert_builds_match<W: DataWord>(
+    packets: &[Vec<W>],
+    config: &WindowConfig,
+    ordered: bool,
+    oracle: &[PayloadBits],
+    label: &str,
+) {
+    let slab = build_stream_slab(packets, config, ordered);
+    assert_eq!(slab.width(), 8 * W::WIDTH, "{label}");
+    assert_eq!(slab.len(), oracle.len(), "{label}");
+    for (f, flit) in oracle.iter().enumerate() {
+        assert_eq!(slab.flit(f), flit.used_words(), "{label} flit {f}");
+    }
+    assert_eq!(slab.to_payloads(), oracle, "{label}");
+    assert_eq!(
+        build_stream_flits(packets, config, ordered),
+        oracle,
+        "{label}"
+    );
+}
+
 fn check_format<W: DataWord>(packets: &[Vec<W>], format: &str) {
     for window_packets in [1, 64, 7] {
         for tiebreak in [TieBreak::Stable, TieBreak::Value] {
@@ -170,8 +226,8 @@ fn check_format<W: DataWord>(packets: &[Vec<W>], format: &str) {
                 };
                 for ordered in [false, true] {
                     let label = format!("{format} {config:?} ordered={ordered}");
-                    let flits = build_stream_flits(packets, &config, ordered);
-                    assert_eq!(flits, oracle_stream(packets, &config, ordered), "{label}");
+                    let flits = oracle_stream(packets, &config, ordered);
+                    assert_builds_match(packets, &config, ordered, &flits, &label);
                     for comparison in [
                         Comparison::Consecutive,
                         Comparison::RandomPairs {
@@ -209,12 +265,9 @@ fn degenerate_packets_match_oracles() {
     ];
     for packets in &cases {
         for ordered in [false, true] {
-            let flits = build_stream_flits(packets, &config, ordered);
-            assert_eq!(
-                flits,
-                oracle_stream(packets, &config, ordered),
-                "{packets:?} ordered={ordered}"
-            );
+            let flits = oracle_stream(packets, &config, ordered);
+            let label = format!("{packets:?} ordered={ordered}");
+            assert_builds_match(packets, &config, ordered, &flits, &label);
             for comparison in [
                 Comparison::Consecutive,
                 Comparison::RandomPairs { pairs: 10, seed: 3 },
@@ -278,5 +331,36 @@ fn counters_stay_exact_across_flushes() {
             seed: 5,
         },
         "f32 random pairs",
+    );
+}
+
+/// Table I's benchmark setup (perfbench's `stream-table1` op at seed 42)
+/// reproduces its pinned link totals.
+#[test]
+fn table1_benchmark_totals_are_pinned() {
+    const PACKETS: usize = 10_000;
+    let model = lenet_random(42);
+    let mut rng = StdRng::seed_from_u64(42);
+    let f32 = sample_packets(&f32_kernel_packets(&model, 25), PACKETS, &mut rng);
+    let fx8 = sample_packets(
+        &fx8_kernel_packets_scheme(&model, 25, Fx8Scheme::PerTensor),
+        PACKETS,
+        &mut rng,
+    );
+    let comparison = Comparison::RandomPairs {
+        pairs: 40_000,
+        seed: 42,
+    };
+    let config = WindowConfig::table1();
+    let totals = |c: StreamComparison| (c.baseline.transitions, c.ordered.transitions);
+    assert_eq!(
+        totals(compare_windowed(&f32, &config, comparison, 0)),
+        (4_342_507, 4_160_655),
+        "f32"
+    );
+    assert_eq!(
+        totals(compare_windowed(&fx8, &config, comparison, 0)),
+        (1_208_405, 1_069_642),
+        "fx8"
     );
 }

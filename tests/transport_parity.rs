@@ -431,6 +431,7 @@ fn flat_engine_matches_golden_digests() {
 /// (single packet) is the window packing with a window of one.
 #[test]
 fn stream_and_transport_packing_agree() {
+    use noc_btr::bits::FlitSlab;
     use noc_btr::core::flitize::flitize_values;
     use noc_btr::core::ordering::descending_popcount_order;
     use noc_btr::core::transport::pack_window_with_order;
@@ -439,8 +440,14 @@ fn stream_and_transport_packing_agree() {
         let n = rng.gen_range(1..64usize);
         let values: Vec<Fx8Word> = (0..n).map(|_| Fx8Word::new(rng.gen())).collect();
         let a = flitize_values(&values, 8, true);
-        let b = pack_window_with_order(std::slice::from_ref(&values), 8, descending_popcount_order);
-        assert_eq!(a, b, "n={n}");
+        let mut b = FlitSlab::new(8 * Fx8Word::WIDTH);
+        pack_window_with_order(
+            std::slice::from_ref(&values),
+            8,
+            descending_popcount_order,
+            &mut b,
+        );
+        assert_eq!(a, b.to_payloads(), "n={n}");
         // Multiset preserved: popcounts match the raw values.
         let total: u32 = a.iter().map(PayloadBits::popcount).sum();
         let expect: u32 = values.iter().map(|w| w.popcount()).sum();
