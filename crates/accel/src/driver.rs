@@ -30,8 +30,10 @@ use crate::config::{AccelConfig, DriverMode};
 use crate::report::{BatchInferenceResult, InferenceResult, LayerTrafficReport, ResponsePhase};
 use crate::tasks::{ConvGeometry, LayerQuantizers, LayerTasks, LayerWords};
 use btr_bits::word::{DataFormat, DataWord, F32Word, Fx8Word};
-use btr_bits::PayloadBits;
+use btr_bits::{FlitRows, FlitSlab, PayloadBits};
 use btr_core::flitize::{EncodeTemplate, FlitizeError};
+use btr_core::ordering::OrderingMethod;
+use btr_core::plan::LanePlan;
 use btr_core::task::RecoveredTask;
 use btr_core::transport::{
     CodedTransport, EncodedTask, TaskWireMeta, TransportConfig, TransportError, TransportScratch,
@@ -154,6 +156,23 @@ pub trait AccelWord: DataWord {
     /// Encodes the recovered task's MAC result (32-bit field, LSB-first).
     fn response_bits(rec: &RecoveredTask<Self>) -> u64;
 
+    /// The PE's MAC accumulator: `f64` for float-32, `i64` for fixed-8.
+    type Acc: Copy;
+
+    /// The empty accumulator — `-0.0` for float-32, where
+    /// `Iterator::sum` starts, so a dot product of `-0.0` products keeps
+    /// its sign.
+    const ACC_ZERO: Self::Acc;
+
+    /// Folds one recovered (input, weight) product into the accumulator.
+    fn mac(acc: Self::Acc, input: Self, weight: Self) -> Self::Acc;
+
+    /// Adds the bias last and encodes the 32-bit response image: folded
+    /// with [`AccelWord::mac`] from [`AccelWord::ACC_ZERO`] over a task's
+    /// pairs in recovered order, this is [`AccelWord::response_bits`] of
+    /// the recovered task.
+    fn finish(acc: Self::Acc, bias: Self) -> u64;
+
     /// Reads a delivered 32-bit response image back as the task's output
     /// value; `bias` is the task's bias word.
     fn response_value(scales: Self::Scales, bits: u64, bias: Self) -> f32;
@@ -178,6 +197,18 @@ impl AccelWord for F32Word {
 
     fn response_bits(rec: &RecoveredTask<Self>) -> u64 {
         u64::from((rec.mac_f64() as f32).to_bits())
+    }
+
+    type Acc = f64;
+
+    const ACC_ZERO: f64 = -0.0;
+
+    fn mac(acc: f64, input: Self, weight: Self) -> f64 {
+        acc + f64::from(input.value()) * f64::from(weight.value())
+    }
+
+    fn finish(acc: f64, bias: Self) -> u64 {
+        u64::from(((acc + f64::from(bias.value())) as f32).to_bits())
     }
 
     fn response_value((): (), bits: u64, _bias: Self) -> f32 {
@@ -218,6 +249,23 @@ impl AccelWord for Fx8Word {
         u64::from(mac as i32 as u32)
     }
 
+    type Acc = i64;
+
+    const ACC_ZERO: i64 = 0;
+
+    fn mac(acc: i64, input: Self, weight: Self) -> i64 {
+        acc + i64::from(input.code()) * i64::from(weight.code())
+    }
+
+    fn finish(acc: i64, bias: Self) -> u64 {
+        let mac = acc + i64::from(bias.code());
+        debug_assert!(
+            i64::from(mac as i32) == mac,
+            "integer MAC overflowed the 32-bit response field"
+        );
+        u64::from(mac as i32 as u32)
+    }
+
     /// The bias code separates the integer dot product from the bias
     /// during dequantization.
     fn response_value(q: LayerQuantizers, bits: u64, bias: Self) -> f32 {
@@ -249,8 +297,9 @@ pub struct InferenceSession<'a> {
 
 /// Per-layer encode cache: the lazily pre-rendered [`EncodeTemplate`]
 /// of every kernel group — the "weight-side work happens once per
-/// session, not once per task" amortization. Each entry is built by the
-/// first task that touches its group.
+/// session, not once per task" amortization — and the layer's
+/// [`LanePlan`], which the PE decode folds through. Each entry is built
+/// by the first task that needs it.
 ///
 /// It also keeps the layer's last stepped response phase per batch size
 /// (keyed by the layer's task count), which [`hybrid_loop`] replays on
@@ -258,6 +307,7 @@ pub struct InferenceSession<'a> {
 #[derive(Debug, Default)]
 struct LayerEncodeCache {
     templates: Vec<OnceLock<Result<EncodeTemplate, FlitizeError>>>,
+    plan: OnceLock<Result<LanePlan, FlitizeError>>,
     response_phases: Mutex<Vec<(usize, PhaseRecording)>>,
 }
 
@@ -265,6 +315,7 @@ impl LayerEncodeCache {
     fn with_groups(groups: usize) -> Self {
         Self {
             templates: (0..groups).map(|_| OnceLock::new()).collect(),
+            plan: OnceLock::new(),
             // Room for one batch size, so storing the first recording
             // allocates nothing.
             response_phases: Mutex::new(Vec::with_capacity(1)),
@@ -626,18 +677,7 @@ impl InferenceRun<'_> {
         let sim = &mut self.sim;
         let start_cycle = sim.cycle();
         let transitions_before = sim.stats().total_transitions;
-        let mut feed = match config.driver {
-            DriverMode::Synchronous => TaskFeed::Reference { stage: &stage },
-            DriverMode::Pipelined => TaskFeed::Inline {
-                stage: &stage,
-                scratch: Box::default(),
-                input_buf: Vec::new(),
-                recovered: RecoveredTask {
-                    pairs: Vec::new(),
-                    bias: W::from_bits_u64(0),
-                },
-            },
-        };
+        let mut feed = TaskFeed::new(&stage, config.driver);
         let (run, response_phase) = match engine {
             LayerEngine::Cycle => (cycle_loop(&layer, sim, &mut feed)?, ResponsePhase::Stepped),
             LayerEngine::Hybrid => hybrid_loop(&layer, sim, &mut feed, cache, recorder)?,
@@ -673,8 +713,10 @@ impl InferenceRun<'_> {
 struct EncodeStage<'a, W: AccelWord> {
     source: &'a LayerTasks<W>,
     session: CodedTransport,
-    /// The session-lifetime weight-side cache for this layer:
-    /// pre-rendered weight flit templates per kernel group, shared across
+    ordering: OrderingMethod,
+    values_per_flit: usize,
+    /// The session-lifetime cache for this layer: pre-rendered weight
+    /// flit templates per kernel group and the lane plan, shared across
     /// the batch and across dispatches.
     cache: &'a LayerEncodeCache,
 }
@@ -696,6 +738,8 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
                 scope: config.codec_scope,
                 edc: config.edc,
             }),
+            ordering: config.ordering,
+            values_per_flit: config.values_per_flit,
             cache,
         }
     }
@@ -710,7 +754,7 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
     }
 
     /// The group's cached encode template: ordered weight fields, bias
-    /// and O2 index overhead pre-rendered into flit images, built on the
+    /// and O2 index overhead pre-rendered into flit rows, built on the
     /// first task that touches the group and reused for every later task
     /// in the batch — and in later dispatches of the same session.
     fn template(&self, group: usize) -> Result<&EncodeTemplate, FlitizeError> {
@@ -727,81 +771,123 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
             .map_err(Clone::clone)
     }
 
-    /// Builds and encodes global task `j` — bit-identical to
+    /// The layer's cached lane plan: every task of a layer has the same
+    /// pair count, so one plan decodes them all.
+    fn plan(&self) -> Result<&LanePlan, FlitizeError> {
+        self.cache
+            .plan
+            .get_or_init(|| {
+                LanePlan::for_word::<W>(
+                    self.ordering,
+                    self.source.pairs_per_task(),
+                    self.values_per_flit,
+                )
+            })
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    /// Builds and encodes global task `j` into `out` — bit-identical to
     /// `encode_reference`, but through the pre-rendered weight template:
     /// only the activation lanes (and for O2 the input sort + pair index)
-    /// are dealt per task (`input_buf` is the reused per-layer window
-    /// buffer).
-    fn encode(
+    /// are dealt per task, into buffers reused task after task
+    /// (`input_buf` is the per-layer window buffer).
+    fn encode_into(
         &self,
         j: usize,
         scratch: &mut TransportScratch,
         input_buf: &mut Vec<W>,
-    ) -> Result<EncodedTask<W>, FlitizeError> {
+        out: &mut EncodedTask<W>,
+    ) -> Result<(), FlitizeError> {
         let (_weights, _bias) = self.source.operands_into(j, input_buf);
         let template = self.template(self.source.weight_group(j))?;
         self.session
-            .encode_with_template(template, input_buf, scratch)
+            .encode_with_template_into(template, input_buf, scratch, out);
+        Ok(())
     }
 }
 
 /// Where the engine loops get their next wire-ready packet from, and how
 /// they decode a delivered one at its PE.
-enum TaskFeed<'a, W: AccelWord> {
-    /// Uncached inline encode and slot-level decode, serialized with the
-    /// simulation — the legacy-faithful [`DriverMode::Synchronous`]
-    /// reference.
-    Reference { stage: &'a EncodeStage<'a, W> },
-    /// Cached inline encode through the session's weight templates, and
-    /// the allocation-free decode, both through per-layer reused scratch
-    /// — the [`DriverMode::Pipelined`] path. The scratch is boxed (one
-    /// allocation per layer) to keep the feed small.
-    Inline {
-        stage: &'a EncodeStage<'a, W>,
-        scratch: Box<TransportScratch>,
-        input_buf: Vec<W>,
-        recovered: RecoveredTask<W>,
-    },
+///
+/// With [`DriverMode::Pipelined`] a task is encoded through the session's
+/// weight templates into [`TaskFeed::encoded`], whose rows and O2 index
+/// buffer are reused task after task, and decoded by the plan kernel
+/// folding straight into the MAC; with [`DriverMode::Synchronous`] both
+/// ends run the uncached slot-level reference.
+struct TaskFeed<'a, W: AccelWord> {
+    stage: &'a EncodeStage<'a, W>,
+    reference: bool,
+    /// The last encoded task: what the engine loops send.
+    encoded: EncodedTask<W>,
+    input_buf: Vec<W>,
+    /// Encode scratch, boxed (one allocation per layer) to keep the feed
+    /// small.
+    scratch: Box<TransportScratch>,
+    /// The PE side.
+    pe: PeDecoder<'a, W>,
 }
 
-impl<W: AccelWord> TaskFeed<'_, W> {
-    fn next(&mut self, j: usize) -> Result<EncodedTask<W>, AccelError> {
-        match self {
-            TaskFeed::Reference { stage } => Ok(stage.encode_reference(j)?),
-            TaskFeed::Inline {
+impl<'a, W: AccelWord> TaskFeed<'a, W> {
+    fn new(stage: &'a EncodeStage<'a, W>, mode: DriverMode) -> Self {
+        let reference = mode == DriverMode::Synchronous;
+        Self {
+            stage,
+            reference,
+            encoded: stage.session.task_buffer(),
+            input_buf: Vec::new(),
+            scratch: Box::default(),
+            pe: PeDecoder {
                 stage,
-                scratch,
-                input_buf,
-                ..
-            } => Ok(stage.encode(j, scratch, input_buf)?),
+                reference,
+                scratch: Box::default(),
+            },
         }
     }
 
+    /// Encodes global task `j` into [`TaskFeed::encoded`].
+    fn encode(&mut self, j: usize) -> Result<(), AccelError> {
+        if self.reference {
+            self.encoded = self.stage.encode_reference(j)?;
+        } else {
+            self.stage
+                .encode_into(j, &mut self.scratch, &mut self.input_buf, &mut self.encoded)?;
+        }
+        Ok(())
+    }
+}
+
+/// The PE side of a [`TaskFeed`]: decodes a delivered request and
+/// computes its MAC response.
+struct PeDecoder<'a, W: AccelWord> {
+    stage: &'a EncodeStage<'a, W>,
+    reference: bool,
+    scratch: Box<TransportScratch>,
+}
+
+impl<W: AccelWord> PeDecoder<'_, W> {
     /// Decodes a request delivered at its PE off the wires, recovers the
     /// pairing and returns the PE's MAC response bits.
-    fn decode(&mut self, wire: &TaskWireMeta, flits: &[PayloadBits]) -> Result<u64, AccelError> {
+    fn decode(
+        &mut self,
+        wire: &TaskWireMeta,
+        flits: &(impl FlitRows + ?Sized),
+    ) -> Result<u64, AccelError> {
         let decode_err = |e: TransportError| AccelError::Decode(e.to_string());
-        match self {
-            TaskFeed::Reference { stage } => {
-                let recovered = stage
-                    .session
-                    .decode_task_reference::<W>(wire, flits)
-                    .map_err(decode_err)?;
-                Ok(W::response_bits(&recovered))
-            }
-            TaskFeed::Inline {
-                stage,
-                scratch,
-                recovered,
-                ..
-            } => {
-                stage
-                    .session
-                    .decode_task_into::<W>(wire, flits, scratch, recovered)
-                    .map_err(decode_err)?;
-                Ok(W::response_bits(recovered))
-            }
+        let session = &self.stage.session;
+        if self.reference {
+            let images: Vec<PayloadBits> =
+                (0..flits.flit_count()).map(|i| flits.image(i)).collect();
+            let recovered = session
+                .decode_task_reference::<W>(wire, &images)
+                .map_err(decode_err)?;
+            return Ok(W::response_bits(&recovered));
         }
+        let plan = self.stage.plan()?;
+        let (acc, bias) = session
+            .decode_fold(plan, wire, flits, &mut self.scratch, W::ACC_ZERO, W::mac)
+            .map_err(decode_err)?;
+        Ok(W::finish(acc, bias))
     }
 }
 
@@ -1004,8 +1090,9 @@ impl LayerEngine {
 /// The per-cycle half of a layer: keep the MC prefetch buffers topped up
 /// from the feed, step the mesh, decode deliveries, inject PE responses.
 /// Allocation-free per cycle: deliveries drain into one reused buffer, and
-/// the pipelined feed ([`TaskFeed::Inline`]) encodes and decodes through
-/// reused scratch.
+/// the pipelined feed ([`TaskFeed`]) encodes into a reused task buffer
+/// and decodes through the layer's lane plan; the packet a request
+/// becomes owns the one copy of its images.
 fn cycle_loop<W: AccelWord>(
     layer: &LayerTraffic,
     sim: &mut Simulator,
@@ -1032,11 +1119,11 @@ fn cycle_loop<W: AccelWord>(
                     break;
                 };
                 cursors[mi] += 1;
-                let encoded = feed.next(j)?;
+                feed.encode(j)?;
                 let (pe, mc_node) = layer.dests[j];
                 let sent = layer
                     .port
-                    .send_encoded(sim, mc_node, pe, encoded, j as u64)?;
+                    .send_encoded(sim, mc_node, pe, &feed.encoded, j as u64)?;
                 run.index_bits += sent.index_overhead_bits;
                 run.codec_bits += sent.codec_overhead_bits;
                 run.edc_bits += sent.edc_overhead_bits;
@@ -1062,7 +1149,7 @@ fn cycle_loop<W: AccelWord>(
                 // pairing, schedule the MAC result.
                 let j = d.tag as usize;
                 let wire = wires[j].as_ref().expect("request was sent before delivery");
-                let bits = feed.decode(wire, &d.payload_flits)?;
+                let bits = feed.pe.decode(wire, d.payload_flits.as_slice())?;
                 let ready = sim.cycle() + config.pe_latency(wire.num_pairs);
                 compute_queue.push(Reverse((ready, j, bits)));
             }
@@ -1114,13 +1201,15 @@ fn replay_request_phase<W: AccelWord>(
     let mut stream = sim.stream_requests();
     for tasks in &layer.per_mc_tasks {
         for &j in tasks {
-            let (wire, payload, index_bits, codec_bits, edc_bits) = feed.next(j)?.into_parts();
-            run.index_bits += index_bits;
-            run.codec_bits += codec_bits;
-            run.edc_bits += edc_bits;
+            feed.encode(j)?;
+            let encoded = &feed.encoded;
+            run.index_bits += encoded.index_overhead_bits();
+            run.codec_bits += encoded.codec_overhead_bits();
+            run.edc_bits += encoded.edc_overhead_bits();
+            let payload = encoded.wire_rows();
             run.request_flits += payload.len() as u64 + 1;
             let (pe, mc_node) = layer.dests[j];
-            let delivered = stream.deliver(mc_node, pe, j as u64, &payload)?;
+            let delivered = stream.deliver(mc_node, pe, j as u64, payload)?;
             // The wires are perfect here (error injection forces the
             // cycle engine), so acceptance always passes — but it must
             // run, so the EDC verify stays on this path too.
@@ -1130,11 +1219,11 @@ fn replay_request_phase<W: AccelWord>(
                 .map_err(|e| acceptance_error(e, layer.op_index))?;
             // PE side: decode off the wires, recover the pairing, compute
             // the MAC (the same receiver path as the cycle loop).
-            let bits = feed.decode(&wire, delivered.payload_flits)?;
+            let bits = feed.pe.decode(encoded.meta(), delivered.payload_flits)?;
             staged.push((
                 j,
                 bits,
-                delivered.arrival_cycle + layer.config.pe_latency(wire.num_pairs),
+                delivered.arrival_cycle + layer.config.pe_latency(encoded.meta().num_pairs),
             ));
         }
     }
@@ -1271,6 +1360,7 @@ fn replay_response_phase<W: AccelWord>(
         |i| session.encode_response::<W>(staged[i].1),
     )?;
     let link = layer.config.noc.link_width_bits;
+    let mut rows = FlitSlab::new(link);
     for (&(j, bits, _), arrival_cycle) in staged.iter().zip(recording.arrivals(base)) {
         // Delivered images sit on the full link width, like an injected
         // packet's.
@@ -1278,15 +1368,17 @@ fn replay_response_phase<W: AccelWord>(
         if image.width() != link {
             image = image.resized(link);
         }
+        rows.reset(link);
+        rows.push_row(image.used_words());
         let delivered = StreamedPacket {
-            payload_flits: std::slice::from_ref(&image),
+            payload_flits: &rows,
             arrival_cycle,
         };
         layer
             .port
             .accept_streamed::<W>(&delivered)
             .map_err(|e| acceptance_error(e, layer.op_index))?;
-        run.receive_response::<W>(layer, j, delivered.payload_flits)?;
+        run.receive_response::<W>(layer, j, std::slice::from_ref(&image))?;
     }
     layer.check_stall(sim, base)
 }

@@ -20,6 +20,7 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/core/src/codec.rs",
     "crates/core/src/transport.rs",
     "crates/core/src/flitize.rs",
+    "crates/core/src/plan.rs",
     "crates/core/src/edc.rs",
     "crates/bits/",
 ];

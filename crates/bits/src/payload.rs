@@ -96,32 +96,6 @@ impl PayloadBits {
         }
     }
 
-    /// ORs a word-contained `len`-bit field into the image — the
-    /// template-fill fast path: the encode templates pre-render the
-    /// static (weight) half of each flit and leave the activation lanes
-    /// zero, so dealing a lane is a single shift-OR with no read-mask
-    /// cycle. Callers guarantee the field does not straddle a `u64`
-    /// boundary (every `W`-bit lane with `64 % W == 0` is contained) and
-    /// that `value` has no bits at or above `len`; both are
-    /// debug-asserted.
-    #[inline]
-    pub fn or_word_field(&mut self, offset: u32, len: u32, value: u64) {
-        debug_assert!(len > 0 && len <= 64, "field length must be in 1..=64");
-        debug_assert!(
-            offset + len <= self.width,
-            "field [{offset}, {}) exceeds payload width {}",
-            offset + len,
-            self.width
-        );
-        debug_assert!(
-            offset % 64 + len <= 64,
-            "field [{offset}, {}) straddles a word boundary",
-            offset + len
-        );
-        debug_assert!(len == 64 || value >> len == 0, "value wider than the field");
-        self.words[(offset / 64) as usize] |= value << (offset % 64);
-    }
-
     /// Reads a `len`-bit field starting at `offset` (LSB-first).
     ///
     /// # Panics
@@ -185,6 +159,49 @@ impl PayloadBits {
     #[must_use]
     pub fn used_words(&self) -> &[u64] {
         &self.words[..self.words_used()]
+    }
+
+    /// The `width`-bit image whose used words are `row` (a
+    /// [`crate::FlitSlab::flit`] row or another image's
+    /// [`PayloadBits::used_words`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is 0 or exceeds [`MAX_WIDTH_BITS`], or `row` is
+    /// not exactly the words `width` covers.
+    #[must_use]
+    pub fn from_row(width: u32, row: &[u64]) -> Self {
+        let mut image = Self::zero(width);
+        image.assign_row(width, row);
+        image
+    }
+
+    /// Overwrites this image with the `width`-bit row `row`, copying only
+    /// the row's words — [`PayloadBits::clone_used_from`] for a dense
+    /// row. The words above the row must already be zero, as for
+    /// `clone_used_from`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not exactly the words `width` covers.
+    #[inline]
+    pub fn assign_row(&mut self, width: u32, row: &[u64]) {
+        assert_eq!(
+            row.len(),
+            width.div_ceil(64) as usize,
+            "a {width}-bit row covers {} words",
+            width.div_ceil(64)
+        );
+        debug_assert!(
+            self.words[row.len()..].iter().all(|&w| w == 0),
+            "stale high words would survive a partial copy"
+        );
+        debug_assert!(
+            width.is_multiple_of(64) || row[row.len() - 1] >> (width % 64) == 0,
+            "row bits above the width"
+        );
+        self.words[..row.len()].copy_from_slice(row);
+        self.width = width;
     }
 
     /// Overwrites this image with `other`, copying only the words
@@ -300,6 +317,35 @@ impl PayloadBits {
             toggled += (next ^ *w).count_ones();
             *w = next;
         }
+        toggled
+    }
+
+    /// Overwrites this image with the `width`-bit rows' XOR `a ⊕ b` and
+    /// returns the bit transitions from the image it replaces — the
+    /// dense-row form of [`PayloadBits::replace_with_xor`]. The words
+    /// above the rows must already be zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is not exactly the words `width` covers.
+    #[inline]
+    pub fn replace_with_row_xor(&mut self, width: u32, a: &[u64], b: &[u64]) -> u32 {
+        let used = width.div_ceil(64) as usize;
+        assert!(
+            a.len() == used && b.len() == used,
+            "a {width}-bit row covers {used} words"
+        );
+        debug_assert!(
+            self.words[used..].iter().all(|&w| w == 0),
+            "stale high words would survive a partial copy"
+        );
+        let mut toggled = 0;
+        for ((w, x), y) in self.words[..used].iter_mut().zip(a).zip(b) {
+            let next = x ^ y;
+            toggled += (next ^ *w).count_ones();
+            *w = next;
+        }
+        self.width = width;
         toggled
     }
 

@@ -87,6 +87,28 @@ impl FlitSlab {
         self.words.is_empty()
     }
 
+    /// Every row back to back: flit `i` is
+    /// `words()[i * words_per_flit()..][..words_per_flit()]`.
+    #[inline]
+    #[must_use]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Bit transitions between each flit and the flit `lag` places
+    /// before it, summed over the slab:
+    /// `Σ_{k ≥ lag} popcount(flit(k) ⊕ flit(k − lag))` in one pass over
+    /// the words.
+    #[must_use]
+    pub fn lagged_transitions(&self, lag: usize) -> u64 {
+        let later = self.words.get(lag * self.words_per_flit..).unwrap_or(&[]);
+        later
+            .iter()
+            .zip(&self.words)
+            .map(|(a, b)| u64::from((a ^ b).count_ones()))
+            .sum()
+    }
+
     /// The row of flit `i`.
     ///
     /// # Panics
@@ -134,6 +156,139 @@ impl FlitSlab {
         }
     }
 
+    /// A slab holding `images`, each `width` bits wide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is 0 or exceeds [`MAX_WIDTH_BITS`], or an image
+    /// is not `width` bits wide.
+    #[must_use]
+    pub fn from_images(width: u32, images: &[PayloadBits]) -> Self {
+        let mut slab = Self::with_capacity(width, images.len());
+        for image in images {
+            assert_eq!(image.width(), width, "image width differs from the slab's");
+            slab.push_row(image.used_words());
+        }
+        slab
+    }
+
+    /// Drops every flit and re-widths the slab to `width`, keeping its
+    /// capacity — how a buffer reused across packets starts the next one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is 0 or exceeds [`MAX_WIDTH_BITS`].
+    pub fn reset(&mut self, width: u32) {
+        assert!(
+            width > 0 && width <= MAX_WIDTH_BITS,
+            "flit width must be in 1..={MAX_WIDTH_BITS}, got {width}"
+        );
+        self.width = width;
+        self.words_per_flit = width.div_ceil(64) as usize;
+        self.words.clear();
+    }
+
+    /// Appends one flit given as its row of words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not [`FlitSlab::words_per_flit`] words long.
+    #[inline]
+    pub fn push_row(&mut self, row: &[u64]) {
+        assert_eq!(
+            row.len(),
+            self.words_per_flit,
+            "row length differs from the slab's"
+        );
+        debug_assert!(
+            self.width.is_multiple_of(64) || row[row.len() - 1] >> (self.width % 64) == 0,
+            "row bits above the width"
+        );
+        self.words.extend_from_slice(row);
+    }
+
+    /// Appends every flit of `other`, zero-extended onto this slab's
+    /// width (the re-alignment of a narrower image onto a wider link).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` is wider than this slab.
+    pub fn extend_from(&mut self, other: &FlitSlab) {
+        assert!(
+            other.width <= self.width,
+            "cannot narrow {}-bit flits onto {} bits",
+            other.width,
+            self.width
+        );
+        if other.words_per_flit == self.words_per_flit {
+            self.words.extend_from_slice(&other.words);
+            return;
+        }
+        for i in 0..other.len() {
+            self.words.extend_from_slice(other.flit(i));
+            self.words.resize(
+                self.words.len() + self.words_per_flit - other.words_per_flit,
+                0,
+            );
+        }
+    }
+
+    /// ORs `bits` into the slab at bit `offset` of its rows laid back to
+    /// back (`offset / 64` indexes [`FlitSlab::words`]) — the template
+    /// fill's lane write: the lane is still zero and lies within one
+    /// word, so no read-mask cycle is needed. Both are the caller's
+    /// contract and are debug-asserted, as is `bits` staying below the
+    /// width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the offset lies outside the slab.
+    #[inline]
+    pub fn or_bits(&mut self, offset: u32, bits: u64) {
+        let shift = offset % 64;
+        debug_assert!(
+            shift == 0 || bits >> (64 - shift) == 0,
+            "lane straddles a word boundary"
+        );
+        let index = (offset / 64) as usize;
+        let cell = &mut self.words[index];
+        debug_assert!(*cell & (bits << shift) == 0, "lane is not blank");
+        *cell |= bits << shift;
+        debug_assert!(
+            (index % self.words_per_flit) as u32 * 64 + 64 <= self.width
+                || *cell >> (self.width % 64) == 0,
+            "lane past the width"
+        );
+    }
+
+    /// Re-widths every flit to `width` in place, zero-extending each row
+    /// (the frame's EDC field above the data wires starts blank).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is narrower than the slab or exceeds
+    /// [`MAX_WIDTH_BITS`].
+    pub fn widen(&mut self, width: u32) {
+        assert!(
+            width >= self.width && width <= MAX_WIDTH_BITS,
+            "cannot widen {}-bit flits to {width} bits",
+            self.width
+        );
+        let (from, to) = (self.words_per_flit, width.div_ceil(64) as usize);
+        let flits = self.len();
+        self.width = width;
+        self.words_per_flit = to;
+        if to == from {
+            return;
+        }
+        self.words.resize(flits * to, 0);
+        // Back to front, so no row is overwritten before it moves.
+        for i in (0..flits).rev() {
+            self.words.copy_within(i * from..(i + 1) * from, i * to);
+            self.words[i * to + from..(i + 1) * to].fill(0);
+        }
+    }
+
     /// Every flit as a [`PayloadBits`] image, in order.
     #[must_use]
     pub fn to_payloads(&self) -> Vec<PayloadBits> {
@@ -148,6 +303,104 @@ impl FlitSlab {
             })
             .collect()
     }
+}
+
+/// Read access to a packet's flits as dense rows of `u64` words (wire
+/// `k` is bit `k % 64` of word `k / 64`), whether they sit in a
+/// [`FlitSlab`] or in [`PayloadBits`] images — so one kernel serves the
+/// streamed request path (slab rows) and the cycle engine's delivered
+/// images.
+pub trait FlitRows {
+    /// Number of flits.
+    fn flit_count(&self) -> usize;
+
+    /// Width of flit `flit` in bits.
+    fn flit_width(&self, flit: usize) -> u32;
+
+    /// The words flit `flit`'s width covers.
+    fn row(&self, flit: usize) -> &[u64];
+
+    /// Word `word` of flit `flit`'s row — `self.row(flit)[word]`, which
+    /// row sources may compute without forming the row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word lies outside the row.
+    #[inline]
+    fn word(&self, flit: usize, word: usize) -> u64 {
+        self.row(flit)[word]
+    }
+
+    /// Every row back to back in one word slice, when the rows are
+    /// stored densely at `row_words` words each; `None` otherwise (the
+    /// default).
+    fn dense(&self, row_words: usize) -> Option<&[u64]> {
+        let _ = row_words;
+        None
+    }
+
+    /// Flit `flit` as a [`PayloadBits`] image (for the per-image codec
+    /// and EDC paths).
+    fn image(&self, flit: usize) -> PayloadBits {
+        PayloadBits::from_row(self.flit_width(flit), self.row(flit))
+    }
+}
+
+impl FlitRows for FlitSlab {
+    fn flit_count(&self) -> usize {
+        self.len()
+    }
+
+    fn flit_width(&self, _flit: usize) -> u32 {
+        self.width
+    }
+
+    #[inline]
+    fn row(&self, flit: usize) -> &[u64] {
+        self.flit(flit)
+    }
+
+    #[inline]
+    fn word(&self, flit: usize, word: usize) -> u64 {
+        assert!(word < self.words_per_flit, "word {word} past the row");
+        self.words[flit * self.words_per_flit + word]
+    }
+
+    fn dense(&self, row_words: usize) -> Option<&[u64]> {
+        (row_words == self.words_per_flit).then_some(&self.words[..])
+    }
+}
+
+impl FlitRows for [PayloadBits] {
+    fn flit_count(&self) -> usize {
+        self.len()
+    }
+
+    fn flit_width(&self, flit: usize) -> u32 {
+        self[flit].width()
+    }
+
+    #[inline]
+    fn row(&self, flit: usize) -> &[u64] {
+        self[flit].used_words()
+    }
+
+    fn image(&self, flit: usize) -> PayloadBits {
+        self[flit]
+    }
+}
+
+/// Bit transitions between two rows of equal length:
+/// `popcount(a XOR b)` ([`PayloadBits::transitions_to`] on rows).
+///
+/// # Panics
+///
+/// Panics if the rows differ in length.
+#[inline]
+#[must_use]
+pub fn row_transitions(a: &[u64], b: &[u64]) -> u32 {
+    assert_eq!(a.len(), b.len(), "cannot compare rows of different lengths");
+    a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
 }
 
 /// Reads a `len`-bit field (`len <= 64`) starting at bit `offset` of a
@@ -238,6 +491,59 @@ mod tests {
                 assert_eq!(row_field(slab.flit(f), 3, 40), image.field(3, 40));
             }
         }
+    }
+
+    #[test]
+    fn reused_slabs_rewidth_append_and_widen_rows() {
+        let images: Vec<PayloadBits> = (0..3u64)
+            .map(|i| {
+                let mut image = PayloadBits::zero(100);
+                image.set_field(0, 64, 0x0123_4567_89ab_cdef ^ i);
+                image.set_field(64, 36, 0xf_ffff_fff0 | i);
+                image
+            })
+            .collect();
+        let mut slab = FlitSlab::from_images(100, &images);
+        assert_eq!(slab.to_payloads(), images);
+        // Widening keeps every row's bits and zeroes the new wires.
+        slab.widen(136);
+        let wide: Vec<PayloadBits> = images.iter().map(|p| p.resized(136)).collect();
+        assert_eq!(slab.to_payloads(), wide);
+        // A reset slab reuses its buffer at another width; appending a
+        // narrower slab zero-extends its rows.
+        slab.reset(136);
+        assert!(slab.is_empty());
+        slab.extend_from(&FlitSlab::from_images(100, &images));
+        assert_eq!(slab.to_payloads(), wide);
+        // Lane ORs address the rows back to back.
+        let mut slab = FlitSlab::new(128);
+        slab.push_zeroed(2);
+        slab.or_bits(128 + 72, 0xab);
+        assert_eq!(slab.flit(1), &[0, 0xab00]);
+        assert_eq!(FlitRows::word(&slab, 1, 1), 0xab00);
+    }
+
+    #[test]
+    fn lagged_transitions_sum_row_distances() {
+        let images: Vec<PayloadBits> = (0..5u64)
+            .map(|i| {
+                let mut image = PayloadBits::zero(70);
+                image.set_field(0, 64, i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                image.set_field(64, 6, i * 11);
+                image
+            })
+            .collect();
+        let slab = FlitSlab::from_images(70, &images);
+        for lag in 0..7 {
+            let want: u64 = (lag..images.len())
+                .map(|k| u64::from(images[k].transitions_to(&images[k - lag])))
+                .sum();
+            assert_eq!(slab.lagged_transitions(lag), want, "lag {lag}");
+        }
+        assert_eq!(
+            row_transitions(slab.flit(0), slab.flit(3)),
+            images[0].transitions_to(&images[3])
+        );
     }
 
     #[test]

@@ -36,6 +36,7 @@
 //! losslessly.
 
 use btr_bits::payload::PayloadBits;
+use btr_bits::slab::{row_transitions, FlitSlab};
 
 /// Which link-coding backend a transport session applies after ordering
 /// and flitization.
@@ -323,20 +324,20 @@ pub struct WireRun {
 }
 
 /// A plain payload run summarized once for the O(1) delta-XOR hop
-/// ([`LinkCodecState::encode_delta_xor_run`]).
+/// ([`LinkCodecState::encode_delta_xor_run_onto`]), read off the packet's
+/// dense rows.
 ///
 /// Delta-XOR wires are `w_k = x_k ⊕ x_{k−1}` with `x_{−1}` the lane's
 /// memory `p0`, so consecutive wires differ by `x_k ⊕ x_{k−2}`. From the
 /// third flit on that no longer involves `p0`: the tail of the intra-run
-/// transition sum and the last wire image are the same on every link the
-/// run crosses. They are computed here, once per packet.
+/// transition sum is the same on every link the run crosses, and so is
+/// the last wire `x_{n−1} ⊕ x_{n−2}`. The tail is summed here, once per
+/// packet.
 #[derive(Debug, Clone)]
 pub struct DeltaXorRun<'a> {
-    plains: &'a [PayloadBits],
+    plains: &'a FlitSlab,
     /// `Σ_{k≥2} popcount(x_k ⊕ x_{k−2})`.
     tail: u64,
-    /// `x_{n−1} ⊕ x_{n−2}`, the last wire image when `n ≥ 2`.
-    last_wire: Option<PayloadBits>,
 }
 
 impl<'a> DeltaXorRun<'a> {
@@ -344,28 +345,19 @@ impl<'a> DeltaXorRun<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the run is empty or mixes widths.
+    /// Panics if the run is empty.
     #[must_use]
-    pub fn new(plains: &'a [PayloadBits]) -> Self {
+    pub fn new(plains: &'a FlitSlab) -> Self {
         assert!(!plains.is_empty(), "a delta-XOR run cannot be empty");
-        let tail = plains
-            .windows(3)
-            .map(|w| u64::from(w[2].transitions_to(&w[0])))
-            .sum();
-        let last_wire = match plains {
-            [.., a, b] => Some(b.xor(a)),
-            _ => None,
-        };
         Self {
             plains,
-            tail,
-            last_wire,
+            tail: plains.lagged_transitions(2),
         }
     }
 
-    /// The summarized plain images.
+    /// The summarized plain rows.
     #[must_use]
-    pub fn plains(&self) -> &'a [PayloadBits] {
+    pub fn plains(&self) -> &'a FlitSlab {
         self.plains
     }
 }
@@ -769,42 +761,64 @@ impl LinkCodecState {
         }
     }
 
-    /// [`LinkCodecState::encode_run`] over a delta-XOR run summarized by
-    /// [`DeltaXorRun::new`], in O(1) instead of one pass per flit: same
-    /// end state, same [`WireRun`]. Only the first wire `x0 ⊕ p0` and the
-    /// second boundary `popcount(x1 ⊕ p0)` depend on the lane memory
-    /// `p0`; the rest of the run was summed once per packet.
+    /// A delta-XOR run summarized by [`DeltaXorRun::new`] driven onto a
+    /// link right after `head`, in O(words) instead of one pass per flit:
+    /// the lane ends where [`LinkCodecState::encode_run`] over the run's
+    /// rows leaves it, `wire` (the link's wire register) ends on the
+    /// run's last wire, and the return value is the transitions of the
+    /// wire sequence `head, w_0, …, w_{n−1}`. Only the first wire
+    /// `x0 ⊕ p0` and the second boundary `popcount(x1 ⊕ p0)` depend on
+    /// the lane memory `p0`; the rest of the run was summed once per
+    /// packet.
     ///
     /// # Panics
     ///
-    /// Panics if the state is not delta-XOR or the run is not
-    /// `data_width` wide.
-    pub fn encode_delta_xor_run(&mut self, run: &DeltaXorRun<'_>) -> WireRun {
+    /// Panics if the state is not delta-XOR, or the run, `head` or
+    /// `wire` is not `data_width` wide.
+    pub fn encode_delta_xor_run_onto(
+        &mut self,
+        run: &DeltaXorRun<'_>,
+        head: &PayloadBits,
+        wire: &mut PayloadBits,
+    ) -> u64 {
         assert_eq!(
             self.kind,
             CodecKind::DeltaXor,
             "the O(1) run is the delta-XOR telescope"
         );
-        let (x0, rest) = run
-            .plains
-            .split_first()
-            // btr-lint: allow(panic-in-hot-path, reason = "DeltaXorRun::new rejects empty runs, so a summarized run always has a first flit")
-            .expect("DeltaXorRun is non-empty");
-        self.expect_data_width(x0);
-        let (first, second) = match &self.prev {
-            None => (*x0, rest.first().map_or(0, PayloadBits::popcount)),
-            Some(p0) => (
-                x0.xor(p0),
-                rest.first().map_or(0, |x1| x1.transitions_to(p0)),
-            ),
+        let (width, rows) = (self.data_width, run.plains);
+        assert!(
+            rows.width() == width && head.width() == width,
+            "run or head width does not match the {width} data wires"
+        );
+        let (x0, n) = (rows.flit(0), rows.len());
+        // An unseeded lane is a zero memory (`x ⊕ 0 = x`).
+        const ZERO_ROW: [u64; (btr_bits::payload::MAX_WIDTH_BITS / 64) as usize] =
+            [0; (btr_bits::payload::MAX_WIDTH_BITS / 64) as usize];
+        let p0 = match &self.prev {
+            Some(prev) => prev.used_words(),
+            None => &ZERO_ROW[..x0.len()],
         };
-        self.prev = Some(run.plains[run.plains.len() - 1]);
-        WireRun {
-            last: run.last_wire.unwrap_or(first),
-            first,
-            intra: u64::from(second) + run.tail,
-            count: run.plains.len() as u64,
+        // The first wire `x0 ⊕ p0` against the head, then `x1 ⊕ p0`.
+        let mut toggled = head
+            .used_words()
+            .iter()
+            .zip(x0)
+            .zip(p0)
+            .map(|((h, x), p)| (h ^ x ^ p).count_ones())
+            .sum::<u32>();
+        if n >= 2 {
+            toggled += row_transitions(rows.flit(1), p0);
+            wire.replace_with_row_xor(width, rows.flit(n - 1), rows.flit(n - 2));
+        } else {
+            wire.replace_with_row_xor(width, x0, p0);
         }
+        let last = rows.flit(n - 1);
+        match &mut self.prev {
+            Some(prev) => prev.assign_row(width, last),
+            None => self.prev = Some(PayloadBits::from_row(width, last)),
+        }
+        u64::from(toggled) + run.tail
     }
 
     /// Width check for the equal-width run kernels (unencoded and
@@ -1015,10 +1029,23 @@ mod tests {
                     let _ = bulk.encode_step(p);
                 }
                 let mut summarized = bulk.clone();
+                let head = random_stream(1, 96, n as u64 + 90)[0];
                 let want = bulk.encode_run(&stream).unwrap();
-                let got = summarized.encode_delta_xor_run(&DeltaXorRun::new(&stream));
-                assert_eq!(got, want, "n={n} warmup={warmup}");
-                assert_eq!(summarized, bulk, "n={n} warmup={warmup}: end state");
+                let rows = FlitSlab::from_images(96, &stream);
+                let mut wire = PayloadBits::zero(96);
+                let got = summarized.encode_delta_xor_run_onto(
+                    &DeltaXorRun::new(&rows),
+                    &head,
+                    &mut wire,
+                );
+                let ctx = format!("n={n} warmup={warmup}");
+                assert_eq!(
+                    got,
+                    u64::from(want.first.transitions_to(&head)) + want.intra,
+                    "{ctx}"
+                );
+                assert_eq!(wire, want.last, "{ctx}: last wire");
+                assert_eq!(summarized, bulk, "{ctx}: end state");
             }
         }
     }

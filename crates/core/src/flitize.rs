@@ -12,12 +12,13 @@
 //! identical except for the transmission order of the same values.
 
 use crate::ordering::{
-    placement_by_original_index, round_robin_assignment, round_robin_assignment_into,
-    OrderingMethod, TieBreak,
+    placement_by_original_index, round_robin_assignment, OrderingMethod, TieBreak,
 };
+use crate::plan::LanePlan;
 use crate::task::{NeuronTask, RecoveredTask};
 use crate::transport::TransportScratch;
 use btr_bits::payload::{PayloadBits, MAX_WIDTH_BITS};
+use btr_bits::slab::FlitSlab;
 use btr_bits::word::DataWord;
 
 /// One slot of a flit: which value class occupies a word lane.
@@ -126,6 +127,20 @@ pub enum RecoverError {
     },
     /// Separated-ordering packet arrived without its pair index.
     MissingPairIndex,
+    /// The O2 pair index does not pair up the packet's ranks: its length
+    /// differs from the pair count, or a partner rank is out of range.
+    BadPairIndex {
+        /// Entries in the index.
+        len: usize,
+        /// Pairs the head flit announced.
+        num_pairs: usize,
+    },
+    /// The packet's pair count is not the one the layer's lane plan was
+    /// built for.
+    PlanMismatch {
+        /// Pairs the head flit announced.
+        num_pairs: usize,
+    },
 }
 
 impl std::fmt::Display for RecoverError {
@@ -140,6 +155,14 @@ impl std::fmt::Display for RecoverError {
                     "separated-ordering packet is missing its pair index side channel"
                 )
             }
+            RecoverError::PlanMismatch { num_pairs } => write!(
+                f,
+                "a {num_pairs}-pair packet does not fit the layer's lane plan"
+            ),
+            RecoverError::BadPairIndex { len, num_pairs } => write!(
+                f,
+                "pair index of {len} entries does not pair up {num_pairs} ranks"
+            ),
         }
     }
 }
@@ -297,6 +320,14 @@ impl<W: DataWord> OrderedTask<W> {
                     .pair_index
                     .as_ref()
                     .ok_or(RecoverError::MissingPairIndex)?;
+                if index.len() != self.num_pairs
+                    || index.iter().any(|&p| usize::from(p) >= self.num_pairs)
+                {
+                    return Err(RecoverError::BadPairIndex {
+                        len: index.len(),
+                        num_pairs: self.num_pairs,
+                    });
+                }
                 for (rank, &partner) in index.iter().enumerate() {
                     pairs.push((input_at(rank)?, weight_at(partner as usize)?));
                 }
@@ -402,7 +433,7 @@ pub fn order_task<W: DataWord>(
 /// [`TieBreak`]; `Stable` is the paper's popcount-only comparator).
 ///
 /// This is the slot-level oracle for the template encode path
-/// ([`build_encode_template`] + [`render_images_with_template`]): it sorts
+/// ([`build_encode_template`] + [`render_with_template`]): it sorts
 /// the task's own weights and materializes every slot, so the two share
 /// no code beyond the layout and the ordering kernel.
 ///
@@ -506,27 +537,19 @@ pub fn index_overhead_bits_for(method: OrderingMethod, num_pairs: usize) -> u64 
     }
 }
 
-/// Destination of one input lane: the flit index and the lane's bit
-/// offset within that flit.
-#[derive(Debug, Clone, Copy)]
-struct LaneDest {
-    flit: u32,
-    offset: u32,
-}
-
 /// A per-kernel-group encode template: the static (weight-side) half of
-/// every flit image pre-rendered once, plus the input-lane placement plan
-/// — everything about a task's wire image that does not depend on the
+/// every flit row pre-rendered once, plus the input-lane placement —
+/// everything about a task's wire image that does not depend on the
 /// activations.
 ///
 /// Weights never change within a session, so their descending-popcount
-/// order, their round-robin slot assignment, the bias lane, the O2
+/// order, their lanes in the layer's [`LanePlan`], the bias lane, the O2
 /// inverse weight permutation and the index-overhead accounting are all
 /// functions of the kernel group alone. [`build_encode_template`] renders
-/// them once per layer; [`render_images_with_template`] then encodes each
-/// task by cloning the template flits and OR-ing only the per-request
-/// activation lanes in ([`PayloadBits::or_word_field`] — the input half
-/// of a template is zero, so no read-mask cycle is needed). The result is
+/// them once per layer; [`render_with_template`] then encodes each task
+/// by copying the template rows into a reused [`FlitSlab`] and OR-ing
+/// only the per-request activation lanes in (the input half of a
+/// template is zero, so no read-mask cycle is needed). The result is
 /// bit-identical to the slot-level oracle [`order_task_with`]'s
 /// [`OrderedTask::payload_flits`] and pair index (pinned by
 /// `tests/transport_parity.rs`).
@@ -535,17 +558,13 @@ pub struct EncodeTemplate {
     method: OrderingMethod,
     values_per_flit: usize,
     num_pairs: usize,
-    word_width_bits: u32,
-    /// Every `W`-bit lane sits inside one `u64` word when `64 % W == 0`
-    /// (true for all supported words); the fill loop falls back to
-    /// [`PayloadBits::set_field`] otherwise.
-    word_aligned: bool,
     /// Bias + ordered weight half rendered; input lanes zero.
-    flits: Vec<PayloadBits>,
-    /// Input-lane destinations: indexed by **original input index** for
-    /// O0/O1 (inputs keep / follow the weight placement) and by **input
-    /// rank** for O2 (inputs are placed by their own popcount order).
-    input_dests: Vec<LaneDest>,
+    rows: FlitSlab,
+    /// Input-lane bit offsets into the rows ([`LanePlan::rank_offsets`]):
+    /// indexed by **original input index** for O0/O1 (inputs keep /
+    /// follow the weight placement) and by **input rank** for O2 (inputs
+    /// are placed by their own popcount order).
+    input_lanes: Vec<u32>,
     /// O2 only: original index → weight rank, the cached half of the
     /// re-pairing index (`pair_index[input_rank] = inv_wperm[orig]`).
     inv_wperm: Vec<u16>,
@@ -578,16 +597,16 @@ impl EncodeTemplate {
     }
 }
 
-/// Pre-renders the static half of a kernel group's flit images — see
+/// Pre-renders the static half of a kernel group's flit rows — see
 /// [`EncodeTemplate`]. `weight_perm`, when given, must equal
 /// `tiebreak.descending_order(weights)`; `None` sorts the weights here
-/// with the same counting-sort kernel. `scratch` hosts the sort and
-/// assignment buffers. The build runs once per layer per group, off the
-/// per-task hot path.
+/// with the same counting-sort kernel. `scratch` hosts the sort
+/// buffers. The build runs once per layer per group, off the per-task
+/// hot path.
 ///
 /// # Errors
 ///
-/// Same conditions as [`order_task`].
+/// Same conditions as [`LanePlan::new`].
 pub fn build_encode_template<W: DataWord>(
     weights: &[W],
     bias: W,
@@ -597,92 +616,60 @@ pub fn build_encode_template<W: DataWord>(
     weight_perm: Option<&[usize]>,
     scratch: &mut TransportScratch,
 ) -> Result<EncodeTemplate, FlitizeError> {
-    if values_per_flit < 2 || !values_per_flit.is_multiple_of(2) {
-        return Err(FlitizeError::OddValuesPerFlit(values_per_flit));
-    }
-    let width = values_per_flit as u32 * W::WIDTH;
-    if width > MAX_WIDTH_BITS {
-        return Err(FlitizeError::LinkTooWide { requested: width });
-    }
     let n = weights.len();
-    if n > usize::from(u16::MAX) {
-        return Err(FlitizeError::TooManyValues(n));
-    }
-
-    let layout = half_half_layout(n, values_per_flit);
-    let half = values_per_flit / 2;
-    let mut flits = vec![PayloadBits::zero(width); layout.num_flits];
-    let lane = |flits: &mut [PayloadBits], f: usize, slot: usize, w: W| {
-        flits[f].set_field(slot as u32 * W::WIDTH, W::WIDTH, w.bits_u64());
-    };
-    let dest = |f: usize, slot: usize| LaneDest {
-        flit: f as u32,
-        offset: slot as u32 * W::WIDTH,
-    };
-
+    let plan = LanePlan::for_word::<W>(method, n, values_per_flit)?;
+    let mut rows = FlitSlab::with_capacity(values_per_flit as u32 * W::WIDTH, plan.num_flits());
+    rows.push_zeroed(plan.num_flits());
     // Bias keeps its baseline position in all methods.
-    let (bf, bs) = layout.bias_position;
-    lane(&mut flits, bf, half + bs, bias);
+    rows.or_bits(plan.bias_offset(), bias.bits_u64());
 
     let TransportScratch {
         keys,
         wperm: wperm_buf,
-        assign,
         ..
     } = scratch;
     debug_assert!(
         weight_perm.is_none_or(|p| p.len() == n),
         "cached weight permutation does not cover the group"
     );
+    let wperm: &[usize] = match (method, weight_perm) {
+        (OrderingMethod::Baseline, _) => &[],
+        (_, Some(p)) => p,
+        (_, None) => {
+            tiebreak.descending_order_into(weights, keys, wperm_buf);
+            wperm_buf
+        }
+    };
 
-    let mut input_dests = vec![LaneDest { flit: 0, offset: 0 }; n];
+    let mut input_lanes = Vec::with_capacity(n);
     let mut inv_wperm = Vec::new();
     match method {
         OrderingMethod::Baseline => {
-            for (l, (&weight, d)) in weights.iter().zip(input_dests.iter_mut()).enumerate() {
-                let (f, s) = (l / half, l % half);
-                lane(&mut flits, f, half + s, weight);
-                *d = dest(f, s);
+            for (rank, &weight) in weights.iter().enumerate() {
+                let [input, lane] = plan.rank_offsets(rank);
+                rows.or_bits(lane, weight.bits_u64());
+                input_lanes.push(input);
             }
         }
         OrderingMethod::Affiliated => {
-            let wperm: &[usize] = match weight_perm {
-                Some(p) => p,
-                None => {
-                    tiebreak.descending_order_into(weights, keys, wperm_buf);
-                    wperm_buf
-                }
-            };
-            round_robin_assignment_into(&layout.weight_occupancy, assign);
+            input_lanes.resize(n, 0);
             for (rank, &orig) in wperm.iter().enumerate() {
-                let (f, s) = assign[rank];
-                lane(&mut flits, f, half + s, weights[orig]);
+                let [input, lane] = plan.rank_offsets(rank);
+                rows.or_bits(lane, weights[orig].bits_u64());
                 // The input of the same original pair rides the same
                 // flit, same relative slot in the input half.
-                input_dests[orig] = dest(f, s);
+                input_lanes[orig] = input;
             }
         }
         OrderingMethod::Separated => {
-            let wperm: &[usize] = match weight_perm {
-                Some(p) => p,
-                None => {
-                    tiebreak.descending_order_into(weights, keys, wperm_buf);
-                    wperm_buf
-                }
-            };
-            round_robin_assignment_into(&layout.weight_occupancy, assign);
             inv_wperm.resize(n, 0);
             for (rank, &orig) in wperm.iter().enumerate() {
-                let (f, s) = assign[rank];
-                lane(&mut flits, f, half + s, weights[orig]);
+                rows.or_bits(plan.rank_offsets(rank)[1], weights[orig].bits_u64());
                 inv_wperm[orig] = rank as u16;
             }
             // Inputs are placed by their own per-task rank; the rank →
-            // slot map is static (the same round-robin assignment).
-            for (rank, d) in input_dests.iter_mut().enumerate() {
-                let (f, s) = assign[rank];
-                *d = dest(f, s);
-            }
+            // lane map is static.
+            input_lanes.extend((0..n).map(|rank| plan.rank_offsets(rank)[0]));
         }
     }
 
@@ -690,69 +677,59 @@ pub fn build_encode_template<W: DataWord>(
         method,
         values_per_flit,
         num_pairs: n,
-        word_width_bits: W::WIDTH,
-        word_aligned: 64 % W::WIDTH == 0,
-        flits,
-        input_dests,
+        rows,
+        input_lanes,
         inv_wperm,
         index_overhead_bits: index_overhead_bits_for(method, n),
     })
 }
 
-/// Encodes one task's ordered flit images off a pre-rendered
-/// [`EncodeTemplate`]: clone the static half, deal the activation lanes,
-/// and (for O2) sort the inputs and emit the re-pairing index off the
-/// cached inverse weight permutation. Bit-identical to
-/// [`order_task_with`] over the template's weights.
+/// Encodes one task's ordered flit rows off a pre-rendered
+/// [`EncodeTemplate`] into `out` (reset to the data width first): copies
+/// the template rows, deals the activation lanes, and for O2 sorts the
+/// inputs and writes the re-pairing index into `pair_index` (cleared
+/// first) off the cached inverse weight permutation. Nothing is
+/// allocated once `out` and `pair_index` have grown to a task's size.
+/// Bit-identical to [`order_task_with`] over the template's weights.
 ///
 /// # Panics
 ///
 /// Panics if `inputs` does not pair up with the template's weights or the
 /// word type differs from the one the template was built for.
-#[allow(clippy::type_complexity)]
-pub fn render_images_with_template<W: DataWord>(
+pub fn render_with_template<W: DataWord>(
     template: &EncodeTemplate,
     inputs: &[W],
     tiebreak: TieBreak,
     scratch: &mut TransportScratch,
-) -> (Vec<PayloadBits>, Option<Vec<u16>>) {
+    out: &mut FlitSlab,
+    pair_index: &mut Vec<u16>,
+) {
     assert_eq!(
         inputs.len(),
         template.num_pairs,
         "operand slices must pair up"
     );
     assert_eq!(
-        W::WIDTH,
-        template.word_width_bits,
+        template.values_per_flit as u32 * W::WIDTH,
+        template.rows.width(),
         "word type differs from the template's"
     );
-    let n = inputs.len();
-    let mut flits = template.flits.clone();
-    // The template's input lanes are zero, so dealing a lane is a single
-    // OR of the (invariantly masked) word bits at a precomputed offset.
-    let fill = |flits: &mut [PayloadBits], d: LaneDest, w: W| {
-        if template.word_aligned {
-            flits[d.flit as usize].or_word_field(d.offset, W::WIDTH, w.bits_u64());
-        } else {
-            flits[d.flit as usize].set_field(d.offset, W::WIDTH, w.bits_u64());
-        }
-    };
+    out.reset(template.rows.width());
+    out.extend_from(&template.rows);
+    pair_index.clear();
     match template.method {
         OrderingMethod::Baseline | OrderingMethod::Affiliated => {
-            for (&input, &d) in inputs.iter().zip(template.input_dests.iter()) {
-                fill(&mut flits, d, input);
+            for (&input, &lane) in inputs.iter().zip(&template.input_lanes) {
+                out.or_bits(lane, input.bits_u64());
             }
-            (flits, None)
         }
         OrderingMethod::Separated => {
             let TransportScratch { keys, iperm, .. } = scratch;
             tiebreak.descending_order_into(inputs, keys, iperm);
-            let mut pair_index = Vec::with_capacity(n);
-            for (rank, &orig) in iperm.iter().enumerate() {
-                fill(&mut flits, template.input_dests[rank], inputs[orig]);
-                pair_index.push(template.inv_wperm[orig]);
+            for (&orig, &lane) in iperm.iter().zip(&template.input_lanes) {
+                out.or_bits(lane, inputs[orig].bits_u64());
             }
-            (flits, Some(pair_index))
+            pair_index.extend(iperm.iter().map(|&orig| template.inv_wperm[orig]));
         }
     }
 }
@@ -1058,7 +1035,7 @@ mod tests {
 
     #[test]
     fn template_emission_matches_slot_level_path() {
-        // The template path writes PayloadBits lanes directly off a
+        // The template path writes slab lanes directly off a
         // pre-rendered weight half; it must be bit-identical to the
         // slot-level OrderedTask rendering, pair index included, for every
         // method, tiebreak and task size, whether the template sorted its
@@ -1081,18 +1058,24 @@ mod tests {
                             &mut scratch,
                         )
                         .unwrap();
-                        let (images, pair_index) = render_images_with_template(
+                        let mut rows = FlitSlab::new(64);
+                        let mut pair_index = Vec::new();
+                        render_with_template(
                             &template,
                             task.inputs(),
                             tiebreak,
                             &mut scratch,
+                            &mut rows,
+                            &mut pair_index,
                         );
                         let ctx = format!(
                             "{method:?} {tiebreak:?} n={n} given perm {}",
                             perm.is_some()
                         );
-                        assert_eq!(images, slotted.payload_flits(), "{ctx}");
-                        assert_eq!(pair_index.as_deref(), slotted.pair_index(), "{ctx}");
+                        assert_eq!(rows.to_payloads(), slotted.payload_flits(), "{ctx}");
+                        let index =
+                            (method == OrderingMethod::Separated).then_some(&pair_index[..]);
+                        assert_eq!(index, slotted.pair_index(), "{ctx}");
                         assert_eq!(
                             template.index_overhead_bits(),
                             slotted.index_overhead_bits(),

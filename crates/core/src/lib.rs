@@ -67,6 +67,7 @@ pub mod codec;
 pub mod edc;
 pub mod flitize;
 pub mod ordering;
+pub mod plan;
 pub mod stream;
 pub mod task;
 pub mod theory;
@@ -77,5 +78,6 @@ pub use codec::{CodecKind, CodecScope, DeltaXorRun, LinkCodecState, ResyncPolicy
 pub use edc::EdcKind;
 pub use flitize::{order_task, EncodeTemplate, FlitRow, OrderedTask, RecoverError, Slot};
 pub use ordering::OrderingMethod;
+pub use plan::LanePlan;
 pub use task::NeuronTask;
 pub use transport::{CodedTransport, EncodedTask, TaskWireMeta, TransportConfig, TransportError};

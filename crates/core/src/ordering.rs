@@ -146,14 +146,19 @@ impl TieBreak {
             TieBreak::Stable => {
                 // One stable counting pass over popcount buckets, emitted
                 // high→low: ties keep their original (insertion) order.
+                // Each popcount is computed once, into the scratch bytes
+                // both passes read.
+                let pops = &mut scratch.pops;
+                pops.clear();
+                pops.extend(values.iter().map(|v| v.popcount() as u8));
                 let mut offsets = [0usize; POPCOUNT_BUCKETS];
-                for v in values {
-                    offsets[v.popcount() as usize] += 1;
+                for &p in pops.iter() {
+                    offsets[usize::from(p)] += 1;
                 }
                 descending_prefix_offsets(&mut offsets[..=w]);
                 out.resize(n, 0);
-                for (i, v) in values.iter().enumerate() {
-                    let slot = &mut offsets[v.popcount() as usize];
+                for (i, &p) in pops.iter().enumerate() {
+                    let slot = &mut offsets[usize::from(p)];
                     out[*slot] = i;
                     *slot += 1;
                 }
@@ -164,7 +169,7 @@ impl TieBreak {
                 // last (most significant). Every pass is a stable
                 // descending counting sort, so the result is the stable
                 // descending lexicographic (popcount, bits) order.
-                let SortScratch { keys, swap } = scratch;
+                let SortScratch { keys, swap, .. } = scratch;
                 keys.clear();
                 keys.extend(values.iter().enumerate().map(|(i, v)| SortKey {
                     popcount: v.popcount(),
@@ -257,12 +262,15 @@ fn radix_pass_descending(
 }
 
 /// Reusable buffers of the ordering kernel: the precomputed keys plus the
-/// LSD radix ping-pong array. One instance per encode stage (via
+/// LSD radix ping-pong array of the value rule, and the popcount bytes of
+/// the stable rule. One instance per encode stage (via
 /// `TransportScratch`) keeps the per-task sort allocation-free.
 #[derive(Debug, Default)]
 pub struct SortScratch {
     keys: Vec<SortKey>,
     swap: Vec<SortKey>,
+    /// Per-value popcounts of the stable rule's counting pass.
+    pops: Vec<u8>,
 }
 
 /// Precomputed comparison key of one value: popcount, (optional) raw bit

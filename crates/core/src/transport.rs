@@ -25,14 +25,15 @@
 use crate::codec::{CodecError, CodecKind, CodecScope};
 use crate::edc::EdcKind;
 use crate::flitize::{
-    build_encode_template, order_task_with, render_images_with_template, EncodeTemplate,
-    FlitizeError, OrderedTask, RecoverError,
+    build_encode_template, order_task_with, render_with_template, EncodeTemplate, FlitizeError,
+    OrderedTask, RecoverError,
 };
-use crate::ordering::{round_robin_assignment_into, OrderingMethod, SortScratch, TieBreak};
+use crate::ordering::{OrderingMethod, SortScratch, TieBreak};
+use crate::plan::LanePlan;
 use crate::stream::Placement;
 use crate::task::{NeuronTask, RecoveredTask};
 use btr_bits::payload::{PayloadBits, MAX_WIDTH_BITS};
-use btr_bits::slab::FlitSlab;
+use btr_bits::slab::{row_field, FlitRows, FlitSlab};
 use btr_bits::word::DataWord;
 
 /// Configuration of a transport session: how values are ordered, how many
@@ -128,11 +129,12 @@ impl TransportConfig {
     }
 }
 
-/// Reusable scratch buffers for the template encode and the direct
-/// decode: the ordering permutations and slot assignments they need per
-/// template or task. One instance per layer keeps the per-task loops free
-/// of scratch allocations (buffers grow to the largest task seen and are
-/// then reused).
+/// Reusable scratch buffers for the template encode and the plan
+/// decode: the ordering permutations they need per template or task, the
+/// plain images a per-packet codec decodes into, and the lane plan of
+/// the last packet shape decoded. One instance per layer keeps the
+/// per-task loops free of scratch allocations (buffers grow to the
+/// largest task seen and are then reused).
 #[derive(Debug, Default)]
 pub struct TransportScratch {
     /// Ordering-kernel buffers (keys + radix ping-pong array).
@@ -142,11 +144,12 @@ pub struct TransportScratch {
     pub(crate) wperm: Vec<usize>,
     /// Input permutation (separated-ordering only).
     pub(crate) iperm: Vec<usize>,
-    /// Round-robin `rank → (flit, slot)` assignment.
-    pub(crate) assign: Vec<(usize, usize)>,
-    /// Plain images recovered from delivered wire images (per-packet
-    /// codec inverse, or the per-link re-alignment narrow).
+    /// Plain images decoded off per-packet-coded wire images.
     pub(crate) plain_buf: Vec<PayloadBits>,
+    /// The lane plan [`CodedTransport::decode_task_into`] decoded the
+    /// last packet with; rebuilt only when a packet of another shape
+    /// arrives.
+    pub(crate) plan: Option<LanePlan>,
 }
 
 /// The metadata a packet carries out-of-band of its payload flits: the
@@ -160,38 +163,53 @@ pub struct TaskWireMeta {
     pub pair_index: Option<Vec<u16>>,
 }
 
-/// A task encoded for transmission: the coded wire images plus wire
-/// metadata and side-channel accounting.
+/// A task encoded for transmission: the coded wire rows plus wire
+/// metadata and side-channel accounting. The rows are dense
+/// ([`FlitSlab`]), and a buffer made by [`CodedTransport::task_buffer`]
+/// can be re-encoded task after task
+/// ([`CodedTransport::encode_with_template_into`]) without allocating.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncodedTask<W> {
     meta: TaskWireMeta,
     index_overhead_bits: u64,
-    /// The ordered flit images before link coding (the codec input).
-    plain: Vec<PayloadBits>,
+    /// The ordered frames before link coding (the codec input).
+    plain: FlitSlab,
     /// The codec output — `None` when the codec is the identity, so the
-    /// unencoded pipeline stores (and moves) one image vector, not two.
-    wire: Option<Vec<PayloadBits>>,
+    /// unencoded pipeline renders one slab, not two.
+    wire: Option<FlitSlab>,
     codec: CodecKind,
     edc: EdcKind,
     _word: std::marker::PhantomData<W>,
 }
 
 impl<W: DataWord> EncodedTask<W> {
-    /// The wire images in transmission order (ordered, flitized, and
+    /// The wire rows in transmission order (ordered, flitized, and
     /// link-coded — these are what the NoC's per-link transition
     /// recorders observe).
     #[must_use]
+    pub fn wire_rows(&self) -> &FlitSlab {
+        self.wire.as_ref().unwrap_or(&self.plain)
+    }
+
+    /// The wire rows as [`PayloadBits`] images.
+    #[must_use]
     pub fn payload_flits(&self) -> Vec<PayloadBits> {
-        self.wire.as_ref().unwrap_or(&self.plain).clone()
+        self.wire_rows().to_payloads()
     }
 
     /// The ordered flit images *before* link coding (the codec input).
     #[must_use]
     pub fn plain_flits(&self) -> Vec<PayloadBits> {
-        self.plain.clone()
+        self.plain.to_payloads()
     }
 
     /// The metadata the receiver needs to decode the packet.
+    #[must_use]
+    pub fn meta(&self) -> &TaskWireMeta {
+        &self.meta
+    }
+
+    /// An owned copy of [`EncodedTask::meta`].
     #[must_use]
     pub fn wire_meta(&self) -> TaskWireMeta {
         self.meta.clone()
@@ -208,8 +226,7 @@ impl<W: DataWord> EncodedTask<W> {
     /// delta-XOR).
     #[must_use]
     pub fn codec_overhead_bits(&self) -> u64 {
-        let wire_flits = self.wire.as_ref().unwrap_or(&self.plain).len() as u64;
-        u64::from(self.codec.extra_wires()) * wire_flits
+        u64::from(self.codec.extra_wires()) * self.wire_rows().len() as u64
     }
 
     /// Side-channel overhead of the per-flit EDC in bits: the check-field
@@ -217,34 +234,7 @@ impl<W: DataWord> EncodedTask<W> {
     /// [`EncodedTask::codec_overhead_bits`].
     #[must_use]
     pub fn edc_overhead_bits(&self) -> u64 {
-        let wire_flits = self.wire.as_ref().unwrap_or(&self.plain).len() as u64;
-        u64::from(self.edc.extra_wires()) * wire_flits
-    }
-
-    /// Consumes the encoded task into its wire images without cloning —
-    /// the injection path hands these straight to the packet.
-    #[must_use]
-    pub fn into_wire_flits(self) -> Vec<PayloadBits> {
-        self.wire.unwrap_or(self.plain)
-    }
-
-    /// Consumes the encoded task into `(wire metadata, wire images,
-    /// index overhead bits, codec overhead bits, EDC overhead bits)` —
-    /// everything the injection path needs, with no clone of the images
-    /// or the O2 pair index.
-    #[must_use]
-    pub fn into_parts(self) -> (TaskWireMeta, Vec<PayloadBits>, u64, u64, u64) {
-        let index_overhead_bits = self.index_overhead_bits;
-        let codec_overhead_bits = self.codec_overhead_bits();
-        let edc_overhead_bits = self.edc_overhead_bits();
-        let wire = self.wire.unwrap_or(self.plain);
-        (
-            self.meta,
-            wire,
-            index_overhead_bits,
-            codec_overhead_bits,
-            edc_overhead_bits,
-        )
+        u64::from(self.edc.extra_wires()) * self.wire_rows().len() as u64
     }
 }
 
@@ -320,8 +310,9 @@ impl CodedTransport {
     }
 
     /// Widens a stream of plain `data_width` images into EDC-stamped
-    /// frames, in place. No-op (and no width change) without an EDC, so
-    /// the perfect-wire pipeline is untouched.
+    /// frames, in place (the reference encode's image-level stamp). No-op
+    /// (and no width change) without an EDC, so the perfect-wire pipeline
+    /// is untouched.
     fn stamp_frames<W: DataWord>(&self, plain: &mut [PayloadBits]) {
         if self.config.edc == EdcKind::None {
             return;
@@ -329,6 +320,50 @@ impl CodedTransport {
         let data_width = self.config.data_width_bits::<W>();
         for image in plain {
             *image = self.config.edc.stamp(image, data_width);
+        }
+    }
+
+    /// Widens the plain `data_width` rows into frames and writes their
+    /// EDC field, in place — the fast encode's stamp. No-op (and no width
+    /// change) without an EDC.
+    fn stamp_rows<W: DataWord>(&self, rows: &mut FlitSlab) {
+        let edc = self.config.edc;
+        if edc == EdcKind::None {
+            return;
+        }
+        rows.widen(self.config.frame_width_bits::<W>());
+        let data_width = self.config.data_width_bits::<W>();
+        for i in 0..rows.len() {
+            let check = edc.compute(&rows.image(i), data_width);
+            rows.set_lane(i, data_width, edc.extra_wires(), check);
+        }
+    }
+
+    /// Runs the per-packet link codec over `plain` into `wire` (reset
+    /// first): a fresh codec state, one encode step per frame.
+    fn code_rows<W: DataWord>(&self, plain: &FlitSlab, wire: &mut FlitSlab) {
+        wire.reset(self.config.link_width_bits::<W>());
+        let mut state = self.config.codec.seed_state(plain.width());
+        for i in 0..plain.len() {
+            wire.push_row(state.encode_step(&plain.image(i)).used_words());
+        }
+    }
+
+    /// An empty [`EncodedTask`] buffer for
+    /// [`CodedTransport::encode_with_template_into`].
+    #[must_use]
+    pub fn task_buffer<W: DataWord>(&self) -> EncodedTask<W> {
+        EncodedTask {
+            meta: TaskWireMeta {
+                num_pairs: 0,
+                pair_index: None,
+            },
+            index_overhead_bits: 0,
+            plain: FlitSlab::new(self.config.frame_width_bits::<W>()),
+            wire: None,
+            codec: self.config.codec,
+            edc: self.config.edc,
+            _word: std::marker::PhantomData,
         }
     }
 
@@ -402,11 +437,8 @@ impl CodedTransport {
     }
 
     /// Encodes one task's activations off a pre-rendered
-    /// [`EncodeTemplate`] — the per-task half of the template encode
-    /// path: clone the static weight half, deal only the activation
-    /// lanes, then run the link codec as usual. Bit-identical to
-    /// [`CodedTransport::encode_task_reference`] over the template's
-    /// weights — pinned by `tests/transport_parity.rs`.
+    /// [`EncodeTemplate`] into a fresh buffer — see
+    /// [`CodedTransport::encode_with_template_into`].
     ///
     /// # Errors
     ///
@@ -415,16 +447,40 @@ impl CodedTransport {
     ///
     /// # Panics
     ///
-    /// Panics if `inputs` does not pair up with the template's weights,
-    /// the word type differs from the one the template was built for, or
-    /// (debug only) the template's ordering/lane configuration is not
-    /// this session's.
+    /// As [`CodedTransport::encode_with_template_into`].
     pub fn encode_with_template<W: DataWord>(
         &self,
         template: &EncodeTemplate,
         inputs: &[W],
         scratch: &mut TransportScratch,
     ) -> Result<EncodedTask<W>, FlitizeError> {
+        let mut out = self.task_buffer();
+        self.encode_with_template_into(template, inputs, scratch, &mut out);
+        Ok(out)
+    }
+
+    /// Encodes one task's activations off a pre-rendered
+    /// [`EncodeTemplate`] into `out`, reusing its rows and pair-index
+    /// buffer — the per-task half of the template encode path: copy the
+    /// static weight rows, deal only the activation lanes, stamp the EDC
+    /// field, then run the link codec as usual. A task allocates nothing
+    /// once `out` has held one of its size. Bit-identical to
+    /// [`CodedTransport::encode_task_reference`] over the template's
+    /// weights — pinned by `tests/transport_parity.rs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` does not pair up with the template's weights,
+    /// the word type differs from the one the template was built for, or
+    /// (debug only) the template's ordering/lane configuration is not
+    /// this session's.
+    pub fn encode_with_template_into<W: DataWord>(
+        &self,
+        template: &EncodeTemplate,
+        inputs: &[W],
+        scratch: &mut TransportScratch,
+        out: &mut EncodedTask<W>,
+    ) {
         debug_assert_eq!(
             template.method(),
             self.config.ordering,
@@ -435,26 +491,29 @@ impl CodedTransport {
             self.config.values_per_flit,
             "template was rendered for a different lane count"
         );
-        let (mut plain, pair_index) =
-            render_images_with_template(template, inputs, self.config.tiebreak, scratch);
-        self.stamp_frames::<W>(&mut plain);
-        let wire = if self.config.codes_in_transport() {
-            Some(self.config.codec.encode_stream(&plain))
+        let mut index = out.meta.pair_index.take().unwrap_or_default();
+        render_with_template(
+            template,
+            inputs,
+            self.config.tiebreak,
+            scratch,
+            &mut out.plain,
+            &mut index,
+        );
+        self.stamp_rows::<W>(&mut out.plain);
+        if self.config.codes_in_transport() {
+            let wire = out
+                .wire
+                .get_or_insert_with(|| FlitSlab::new(out.plain.width()));
+            self.code_rows::<W>(&out.plain, wire);
         } else {
-            None
-        };
-        Ok(EncodedTask {
-            meta: TaskWireMeta {
-                num_pairs: inputs.len(),
-                pair_index,
-            },
-            index_overhead_bits: template.index_overhead_bits(),
-            plain,
-            wire,
-            codec: self.config.codec,
-            edc: self.config.edc,
-            _word: std::marker::PhantomData,
-        })
+            out.wire = None;
+        }
+        out.meta.num_pairs = inputs.len();
+        out.meta.pair_index = (template.method() == OrderingMethod::Separated).then_some(index);
+        out.index_overhead_bits = template.index_overhead_bits();
+        out.codec = self.config.codec;
+        out.edc = self.config.edc;
     }
 
     /// Encodes a PE's 32-bit MAC response into the wire image of a
@@ -511,18 +570,19 @@ impl CodedTransport {
         )?;
         let mut plain = ordered.payload_flits();
         self.stamp_frames::<W>(&mut plain);
-        let wire = if self.config.codes_in_transport() {
-            Some(self.config.codec.encode_stream(&plain))
-        } else {
-            None
-        };
+        let wire = self.config.codes_in_transport().then(|| {
+            FlitSlab::from_images(
+                self.config.link_width_bits::<W>(),
+                &self.config.codec.encode_stream(&plain),
+            )
+        });
         Ok(EncodedTask {
             meta: TaskWireMeta {
                 num_pairs: ordered.num_pairs(),
                 pair_index: ordered.pair_index().map(<[u16]>::to_vec),
             },
             index_overhead_bits: ordered.index_overhead_bits(),
-            plain,
+            plain: FlitSlab::from_images(self.config.frame_width_bits::<W>(), &plain),
             wire,
             codec: self.config.codec,
             edc: self.config.edc,
@@ -530,65 +590,58 @@ impl CodedTransport {
         })
     }
 
-    /// Recovers the plain flit images from what the mesh delivered, per
-    /// the session's codec scope. Per-packet scope runs the codec
-    /// inverse; per-link scope receives images the links already decoded,
-    /// possibly re-aligned onto the full link width with the side-channel
-    /// wires zeroed (the NoC widens narrower payload images at
-    /// injection). Returns `false` when `flits` already are the plain
-    /// `frame_width` images (data + EDC field) and can be borrowed
-    /// as-is; `true` when the plain images were written into `buf`
-    /// (cleared first; capacity is reused across packets, keeping the
-    /// receiver path allocation-free in steady state).
-    fn plain_images_into(
+    /// Recovers the plain frames from what the mesh delivered, per the
+    /// session's codec scope. Per-packet scope runs the codec inverse
+    /// into `buf` (cleared first; capacity is reused across packets,
+    /// keeping the receiver path allocation-free in steady state).
+    /// Per-link scope receives frames the links already decoded, possibly
+    /// re-aligned onto the full link width with the side-channel wires
+    /// zeroed (the NoC widens narrower payload images at injection):
+    /// those are checked in place and read as delivered, like plain
+    /// `frame_width` frames.
+    fn plain_rows<'r, R: FlitRows + ?Sized>(
         &self,
-        flits: &[PayloadBits],
+        flits: &'r R,
         frame_width: u32,
-        buf: &mut Vec<PayloadBits>,
-    ) -> Result<bool, CodecError> {
+        buf: &'r mut Vec<PayloadBits>,
+    ) -> Result<PlainRows<'r, R>, CodecError> {
+        let n = flits.flit_count();
         if self.config.codes_in_transport() {
             buf.clear();
-            buf.reserve(flits.len());
+            buf.reserve(n);
             let mut state = self.config.codec.seed_state(frame_width);
-            for wire in flits {
-                buf.push(state.decode_step(wire)?);
+            for i in 0..n {
+                buf.push(state.decode_step(&flits.image(i))?);
             }
-            return Ok(true);
+            return Ok(PlainRows::Decoded(buf));
         }
         let extra = match self.config.scope {
             CodecScope::PerLink => self.config.codec.extra_wires(),
             CodecScope::PerPacket => 0, // identity codec
         };
-        if extra > 0 && flits.iter().all(|f| f.width() == frame_width + extra) {
-            // Link-aligned plain images: drop the side-channel wires the
-            // mesh padded in — refusing images whose side channel is not
-            // zero (those are coded wires, not plain images).
-            buf.clear();
-            buf.reserve(flits.len());
-            for (i, flit) in flits.iter().enumerate() {
-                if flit.field(frame_width, extra) != 0 {
-                    return Err(CodecError::SideChannel { flit: i });
-                }
-                buf.push(flit.resized(frame_width));
+        if extra > 0 && (0..n).all(|i| flits.flit_width(i) == frame_width + extra) {
+            // Link-aligned plain frames: refuse images whose side
+            // channel is not zero (those are coded wires, not plain
+            // frames).
+            if let Some(flit) = (0..n).find(|&i| row_field(flits.row(i), frame_width, extra) != 0) {
+                return Err(CodecError::SideChannel { flit });
             }
-            return Ok(true);
+            return Ok(PlainRows::Delivered(flits));
         }
-        for flit in flits {
-            if flit.width() != frame_width {
-                return Err(CodecError::WireWidth {
-                    got: flit.width(),
-                    want: frame_width,
-                });
-            }
+        if let Some(i) = (0..n).find(|&i| flits.flit_width(i) != frame_width) {
+            return Err(CodecError::WireWidth {
+                got: flits.flit_width(i),
+                want: frame_width,
+            });
         }
-        Ok(false)
+        Ok(PlainRows::Delivered(flits))
     }
 
     /// The pre-pipeline decode path, preserved verbatim as a bit-exact
     /// oracle: codec inverse, slot-level
     /// [`OrderedTask::from_payload_flits`] reconstruction, then
     /// [`OrderedTask::recover`]. Produces the identical pairing (same
-    /// pair order) as [`CodedTransport::decode_task`]'s direct path.
+    /// pair order) as [`CodedTransport::decode_task`]'s plan kernel.
     ///
     /// # Errors
     ///
@@ -601,8 +654,9 @@ impl CodedTransport {
     ) -> Result<RecoveredTask<W>, TransportError> {
         let frame_width = self.config.frame_width_bits::<W>();
         let mut buf = Vec::new();
-        let decoded = self.plain_images_into(flits, frame_width, &mut buf)?;
-        let plain: &[PayloadBits] = if decoded { &buf } else { flits };
+        let plain = match self.plain_rows(flits, frame_width, &mut buf)? {
+            PlainRows::Delivered(plain) | PlainRows::Decoded(plain) => plain,
+        };
         let ordered = OrderedTask::<W>::from_payload_flits(
             self.config.ordering,
             meta.num_pairs,
@@ -615,7 +669,9 @@ impl CodedTransport {
 
     /// [`CodedTransport::decode_task`] with reusable scratch buffers,
     /// into a caller-owned [`RecoveredTask`] (pairs buffer reused across
-    /// packets) — the fully allocation-free receiver path.
+    /// packets): the plan kernel ([`CodedTransport::decode_fold`])
+    /// pushing the pairs, with the lane plan cached in `scratch` across
+    /// packets of one shape — the allocation-free receiver path.
     ///
     /// # Errors
     ///
@@ -627,19 +683,62 @@ impl CodedTransport {
         scratch: &mut TransportScratch,
         out: &mut RecoveredTask<W>,
     ) -> Result<(), TransportError> {
+        let (method, vpf) = (self.config.ordering, self.config.values_per_flit);
+        let plan = match scratch.plan.take() {
+            Some(plan) if plan.fits(method, meta.num_pairs, vpf, W::WIDTH) => plan,
+            _ => LanePlan::for_word::<W>(method, meta.num_pairs, vpf)?,
+        };
+        out.pairs.clear();
+        let pairs = &mut out.pairs;
+        let decoded = self.decode_fold(&plan, meta, flits, scratch, (), |(), input, weight| {
+            pairs.push((input, weight));
+        });
+        scratch.plan = Some(plan);
+        out.bias = decoded?.1;
+        Ok(())
+    }
+
+    /// The PE's decode: recovers the plain frames off the delivered wire
+    /// rows ([`FlitSlab`] rows on the streamed path, [`PayloadBits`]
+    /// images off the cycle engine) and folds `f` over the task's
+    /// (input, weight) pairs in recovered rank order through the layer's
+    /// [`LanePlan`] ([`LanePlan::fold`]), returning the fold and the
+    /// bias. The accelerator folds straight into its MAC; nothing is
+    /// allocated per packet.
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::Codec`] when the rows do not match the
+    /// session's wire geometry, [`RecoverError::PlanMismatch`] when the
+    /// packet's pair count is not the plan's, and the errors of
+    /// [`LanePlan::fold`].
+    pub fn decode_fold<W: DataWord, A>(
+        &self,
+        plan: &LanePlan,
+        meta: &TaskWireMeta,
+        flits: &(impl FlitRows + ?Sized),
+        scratch: &mut TransportScratch,
+        init: A,
+        f: impl FnMut(A, W, W) -> A,
+    ) -> Result<(A, W), TransportError> {
         let frame_width = self.config.frame_width_bits::<W>();
-        // Field-disjoint scratch borrows: the plain-image buffer is
-        // filled here, the assignment buffer inside the recovery.
-        let decoded = self.plain_images_into(flits, frame_width, &mut scratch.plain_buf)?;
-        let plain: &[PayloadBits] = if decoded { &scratch.plain_buf } else { flits };
-        recover_from_images(
+        let plain = self.plain_rows(flits, frame_width, &mut scratch.plain_buf)?;
+        if !plan.fits(
             self.config.ordering,
-            meta,
+            meta.num_pairs,
             self.config.values_per_flit,
-            plain,
-            &mut scratch.assign,
-            out,
-        )
+            W::WIDTH,
+        ) {
+            return Err(RecoverError::PlanMismatch {
+                num_pairs: meta.num_pairs,
+            }
+            .into());
+        }
+        let index = meta.pair_index.as_deref();
+        match plain {
+            PlainRows::Delivered(rows) => plan.fold(rows, index, init, f),
+            PlainRows::Decoded(rows) => plan.fold(rows, index, init, f),
+        }
     }
 
     /// Decodes a delivered response packet's wire images back into the
@@ -703,7 +802,7 @@ impl CodedTransport {
     /// session's wire geometry at all (a harness bug, not a wire error).
     pub fn verify_delivered_frames<W: DataWord>(
         &self,
-        flits: &[PayloadBits],
+        flits: &(impl FlitRows + ?Sized),
     ) -> Result<bool, TransportError> {
         let edc = self.config.edc;
         if edc == EdcKind::None {
@@ -713,23 +812,24 @@ impl CodedTransport {
         let frame_width = self.config.frame_width_bits::<W>();
         if self.config.codes_in_transport() {
             let mut state = self.config.codec.seed_state(frame_width);
-            for wire in flits {
-                let frame = state.decode_step(wire)?;
+            for i in 0..flits.flit_count() {
+                let frame = state.decode_step(&flits.image(i))?;
                 if !edc.verify(&frame, data_width) {
                     return Ok(false);
                 }
             }
             return Ok(true);
         }
-        for flit in flits {
-            if flit.width() < frame_width {
+        for i in 0..flits.flit_count() {
+            let width = flits.flit_width(i);
+            if width < frame_width {
                 return Err(CodecError::WireWidth {
-                    got: flit.width(),
+                    got: width,
                     want: frame_width,
                 }
                 .into());
             }
-            if !edc.verify(flit, data_width) {
+            if !edc.verify(&flits.image(i), data_width) {
                 return Ok(false);
             }
         }
@@ -737,71 +837,11 @@ impl CodedTransport {
     }
 }
 
-/// The receiver's hot decode path: re-types the occupied lanes straight
-/// off the plain flit images, producing the identical pairing (same pair
-/// *order*, so float MACs re-associate identically) as
-/// [`OrderedTask::from_payload_flits`] + [`OrderedTask::recover`],
-/// without materializing the slot-level task.
-fn recover_from_images<W: DataWord>(
-    method: OrderingMethod,
-    meta: &TaskWireMeta,
-    values_per_flit: usize,
-    plain: &[PayloadBits],
-    assign_scratch: &mut Vec<(usize, usize)>,
-    out: &mut RecoveredTask<W>,
-) -> Result<(), TransportError> {
-    use crate::flitize::half_half_layout;
-    let n = meta.num_pairs;
-    if values_per_flit < 2 || !values_per_flit.is_multiple_of(2) {
-        return Err(FlitizeError::OddValuesPerFlit(values_per_flit).into());
-    }
-    if n == 0 || n > usize::from(u16::MAX) {
-        return Err(FlitizeError::TooManyValues(n).into());
-    }
-    let layout = half_half_layout(n, values_per_flit);
-    if plain.len() != layout.num_flits {
-        return Err(FlitizeError::TooManyValues(plain.len()).into());
-    }
-    let half = values_per_flit / 2;
-    let lane = |f: usize, s: usize| -> W {
-        W::from_bits_u64(plain[f].field(s as u32 * W::WIDTH, W::WIDTH))
-    };
-
-    // Occupied-slot geometry is fully determined by (num_pairs, lanes):
-    // the same assignment the sender used.
-    let pairs = &mut out.pairs;
-    pairs.clear();
-    pairs.reserve(n);
-    match method {
-        OrderingMethod::Baseline => {
-            for rank in 0..n {
-                let (f, s) = (rank / half, rank % half);
-                pairs.push((lane(f, s), lane(f, half + s)));
-            }
-        }
-        OrderingMethod::Affiliated => {
-            round_robin_assignment_into(&layout.weight_occupancy, assign_scratch);
-            for &(f, s) in assign_scratch.iter().take(n) {
-                pairs.push((lane(f, s), lane(f, half + s)));
-            }
-        }
-        OrderingMethod::Separated => {
-            let index = meta
-                .pair_index
-                .as_ref()
-                .ok_or(RecoverError::MissingPairIndex)?;
-            round_robin_assignment_into(&layout.weight_occupancy, assign_scratch);
-            for (rank, &partner) in index.iter().enumerate() {
-                let (inf, ins) = assign_scratch[rank];
-                let (wf, ws) = assign_scratch[partner as usize];
-                pairs.push((lane(inf, ins), lane(wf, half + ws)));
-            }
-        }
-    }
-
-    let (bf, bs) = layout.bias_position;
-    out.bias = lane(bf, half + bs);
-    Ok(())
+/// The plain frames a decode reads: the delivered rows themselves, or
+/// the images a per-packet codec decoded into the scratch buffer.
+enum PlainRows<'r, R: ?Sized> {
+    Delivered(&'r R),
+    Decoded(&'r [PayloadBits]),
 }
 
 /// Row-major occupancy of one packet of `len` values over
@@ -1244,6 +1284,39 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, TransportError::Geometry(_)));
         assert!(err.to_string().contains("decode failed"));
+    }
+
+    /// Decodes `meta` with a tampered O2 index through the plan kernel
+    /// and the reference; both must refuse it as a bad pair index.
+    fn assert_bad_pair_index(tamper: impl Fn(&mut Vec<u16>)) {
+        let session = CodedTransport::new(TransportConfig::new(OrderingMethod::Separated, 16));
+        let enc = session.encode_task(&fx_task(25)).unwrap();
+        let mut meta = enc.wire_meta();
+        tamper(meta.pair_index.as_mut().unwrap());
+        let len = meta.pair_index.as_ref().unwrap().len();
+        let want = TransportError::Recover(RecoverError::BadPairIndex { len, num_pairs: 25 });
+        let flits = enc.payload_flits();
+        assert_eq!(
+            session.decode_task::<Fx8Word>(&meta, &flits),
+            Err(want.clone())
+        );
+        assert_eq!(
+            session.decode_task_reference::<Fx8Word>(&meta, &flits),
+            Err(want)
+        );
+    }
+
+    #[test]
+    fn short_pair_index_is_a_typed_error() {
+        // A 10-entry index on a 25-pair packet used to recover 10 pairs
+        // and report success.
+        assert_bad_pair_index(|index| index.truncate(10));
+    }
+
+    #[test]
+    fn out_of_range_partner_is_a_typed_error() {
+        // A partner rank past the pair count used to index out of bounds.
+        assert_bad_pair_index(|index| index[3] = 25);
     }
 
     #[test]

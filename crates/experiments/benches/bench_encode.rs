@@ -128,7 +128,7 @@ impl LayerFixture {
                     .encode_with_template(&self.templates[g], inputs, scratch)
                     .expect("template encode"),
             };
-            flits += enc.into_wire_flits().len();
+            flits += enc.wire_rows().len();
         }
         flits
     }

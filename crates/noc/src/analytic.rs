@@ -80,10 +80,11 @@
 
 use crate::config::{NocConfig, NodeId};
 use crate::packet::{decode_head_payload, encode_head_payload, write_head_fields, Packet};
-use crate::routing::{route, Direction};
+use crate::routing::{route, route_between, Direction};
 use crate::sim::{Arbitration, DeliveredPacket, InjectError, Simulator, NUM_PORTS};
 use crate::stats::{LatencyTotals, PacketWires};
 use btr_bits::payload::PayloadBits;
+use btr_bits::slab::FlitSlab;
 use std::cmp::Ordering;
 
 /// Which engine evaluates traffic phases.
@@ -135,13 +136,18 @@ impl std::str::FromStr for EngineMode {
 
 /// The node one hop from `cur` in direction `dir`.
 fn neighbor(config: &NocConfig, cur: NodeId, dir: Direction) -> NodeId {
-    let (row, col) = config.position(cur);
+    let (row, col) = step(config.position(cur), dir);
+    config.node_at(row, col)
+}
+
+/// The `(row, col)` position one hop from `(row, col)` toward `dir`.
+fn step((row, col): (usize, usize), dir: Direction) -> (usize, usize) {
     match dir {
-        Direction::North => config.node_at(row - 1, col),
-        Direction::South => config.node_at(row + 1, col),
-        Direction::East => config.node_at(row, col + 1),
-        Direction::West => config.node_at(row, col - 1),
-        Direction::Local => cur,
+        Direction::North => (row - 1, col),
+        Direction::South => (row + 1, col),
+        Direction::East => (row, col + 1),
+        Direction::West => (row, col - 1),
+        Direction::Local => (row, col),
     }
 }
 
@@ -349,13 +355,14 @@ impl Simulator {
                 let head = flits[0].payload;
                 let dst = flits[0].dst;
                 let payload: Vec<PayloadBits> = flits[1..].iter().map(|f| f.payload).collect();
+                let rows = FlitSlab::from_images(head.width(), &payload);
                 let inject_cycle = self.packets[pid].inject_cycle;
                 let arrival = self.replay_packet(
                     &mut clock,
                     src,
                     dst,
                     inject_cycle,
-                    &PacketWires::new(&head, &payload, codec),
+                    &PacketWires::new(&head, &rows, codec),
                 );
 
                 // Deliver: decode the head exactly like the receiving NI.
@@ -389,7 +396,7 @@ impl Simulator {
     }
 
     /// Opens a request phase streamed straight from borrowed payload
-    /// images: [`RequestStream::deliver`] walks each packet through the
+    /// rows: [`RequestStream::deliver`] walks each packet through the
     /// same per-packet hop routine as
     /// [`Simulator::replay_queued_analytic`] the moment it is offered, and
     /// hands back the delivered images with their closed-form arrival. No
@@ -420,8 +427,8 @@ impl Simulator {
         );
         RequestStream {
             clock: PhaseClock::new(self),
+            aligned: FlitSlab::new(self.config.link_width_bits),
             sim: self,
-            aligned: Vec::new(),
         }
     }
 
@@ -442,16 +449,19 @@ impl Simulator {
         packet: &PacketWires<'_>,
     ) -> u64 {
         self.inject_links.observe_packet(src, packet);
-        let mut cur = src;
+        // Walk the route on (row, col) positions: no division per hop.
+        let (mut cur, mut at) = (src, self.config.position(src));
+        let to = self.config.position(dst);
         let mut hops = 0u64;
         loop {
-            let dir = route(&self.config, cur, dst);
+            let dir = route_between(self.config.routing, at, to);
             self.out_links
                 .observe_packet(cur * NUM_PORTS + dir.index(), packet);
             if dir == Direction::Local {
                 break;
             }
-            cur = neighbor(&self.config, cur, dir);
+            at = step(at, dir);
+            cur = self.config.node_at(at.0, at.1);
             hops += 1;
         }
         let flits = packet.flits();
@@ -545,7 +555,7 @@ impl Simulator {
     }
 }
 
-/// A request phase streamed from borrowed images, opened by
+/// A request phase streamed from borrowed dense rows, opened by
 /// [`Simulator::stream_requests`]. [`RequestStream::finish`] closes it
 /// and advances the clock past its last arrival.
 #[derive(Debug)]
@@ -553,17 +563,18 @@ impl Simulator {
 pub struct RequestStream<'s> {
     sim: &'s mut Simulator,
     clock: PhaseClock,
-    /// The current packet's images re-aligned onto the link width, used
+    /// The current packet's rows re-aligned onto the link width, used
     /// only when they arrive narrower.
-    aligned: Vec<PayloadBits>,
+    aligned: FlitSlab,
 }
 
 /// A packet delivered by [`RequestStream::deliver`], borrowing the
-/// payload images the receiving NI holds.
+/// payload rows the receiving NI holds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamedPacket<'a> {
-    /// Payload flit images at the link width, in order.
-    pub payload_flits: &'a [PayloadBits],
+    /// Payload flit rows, in order; at the link width unless the packet
+    /// carries none.
+    pub payload_flits: &'a FlitSlab,
     /// Cycle the tail flit was ejected.
     pub arrival_cycle: u64,
 }
@@ -571,20 +582,20 @@ pub struct StreamedPacket<'a> {
 impl RequestStream<'_> {
     /// Sends one packet `src → dst` through the phase and delivers it:
     /// the checks [`Simulator::inject`] makes, the head image and
-    /// re-alignment of narrower images onto the link width as in
+    /// re-alignment of narrower rows onto the link width as in
     /// [`crate::packet::Packet::to_flits`], then the per-packet hop walk
     /// and the closed-form arrival.
     ///
     /// # Errors
     ///
-    /// Returns [`InjectError`] if a node is out of range or a payload
-    /// image is wider than the link.
+    /// Returns [`InjectError`] if a node is out of range or the payload
+    /// rows are wider than the link.
     pub fn deliver<'a>(
         &'a mut self,
         src: NodeId,
         dst: NodeId,
         tag: u64,
-        payload: &'a [PayloadBits],
+        payload: &'a FlitSlab,
     ) -> Result<StreamedPacket<'a>, InjectError> {
         let Self {
             sim,
@@ -598,17 +609,17 @@ impl RequestStream<'_> {
             }
         }
         let link = sim.config.link_width_bits;
-        if let Some(p) = payload.iter().find(|p| p.width() > link) {
+        if !payload.is_empty() && payload.width() > link {
             return Err(InjectError::PayloadTooWide {
-                width: p.width(),
+                width: payload.width(),
                 link,
             });
         }
-        let payload: &'a [PayloadBits] = if payload.iter().all(|p| p.width() == link) {
+        let payload: &'a FlitSlab = if payload.is_empty() || payload.width() == link {
             payload
         } else {
-            aligned.clear();
-            aligned.extend(payload.iter().map(|p| p.resized(link)));
+            aligned.reset(link);
+            aligned.extend_from(payload);
             aligned
         };
         let head = encode_head_payload(link, src, dst, payload.len() as u32, tag);
@@ -1331,25 +1342,29 @@ mod tests {
             let config = NocConfig::mesh(4, 4, width).with_link_codec(codec);
             let mut streamed = Simulator::new(config.clone());
             let mut queued = Simulator::new(config);
+            let empty = FlitSlab::new(width);
             let mut stream = streamed.stream_requests();
             assert_eq!(
-                stream.deliver(99, 0, 0, &[]).unwrap_err(),
+                stream.deliver(99, 0, 0, &empty).unwrap_err(),
                 InjectError::NodeOutOfRange(99)
             );
             assert_eq!(
-                stream.deliver(0, 16, 0, &[]).unwrap_err(),
+                stream.deliver(0, 16, 0, &empty).unwrap_err(),
                 InjectError::NodeOutOfRange(16)
             );
+            let wide = FlitSlab::from_images(width + 64, &[image(width + 64, 1)]);
             assert!(matches!(
-                stream.deliver(0, 1, 0, &[image(width + 64, 1)]),
+                stream.deliver(0, 1, 0, &wide),
                 Err(InjectError::PayloadTooWide { .. })
             ));
             // A head-only packet, then a narrow one-flit packet that must
             // be re-aligned onto the link, on the same route.
             let narrow = [image(64, 2)];
             for (tag, payload) in [(0u64, &[][..]), (1, &narrow[..])] {
-                let d = stream.deliver(2, 13, tag, payload).unwrap();
-                assert!(d.payload_flits.iter().all(|p| p.width() == width));
+                let rows = FlitSlab::from_images(64, payload);
+                let d = stream.deliver(2, 13, tag, &rows).unwrap();
+                assert!(d.payload_flits.is_empty() || d.payload_flits.width() == width);
+                assert_eq!(d.payload_flits.len(), payload.len());
                 queued
                     .inject(Packet::new(2, 13, payload.to_vec(), tag))
                     .unwrap();

@@ -62,9 +62,23 @@ impl Direction {
 /// flit has arrived.
 #[must_use]
 pub fn route(config: &NocConfig, current: NodeId, dst: NodeId) -> Direction {
-    let (cr, cc) = config.position(current);
-    let (dr, dc) = config.position(dst);
-    match config.routing {
+    route_between(
+        config.routing,
+        config.position(current),
+        config.position(dst),
+    )
+}
+
+/// [`route`] on `(row, col)` positions: the dimension-order step from
+/// `current` toward `dst` — for walks that track their position instead
+/// of re-deriving it from node ids at every hop.
+#[must_use]
+pub fn route_between(
+    routing: RoutingAlgorithm,
+    (cr, cc): (usize, usize),
+    (dr, dc): (usize, usize),
+) -> Direction {
+    match routing {
         RoutingAlgorithm::XY => {
             if cc < dc {
                 Direction::East

@@ -46,7 +46,8 @@ use btr_bits::word::DataWord;
 use btr_core::codec::ResyncPolicy;
 use btr_core::flitize::FlitizeError;
 use btr_core::task::{NeuronTask, RecoveredTask};
-use btr_core::transport::{CodedTransport, TaskWireMeta, TransportError};
+use btr_core::transport::{CodedTransport, EncodedTask, TaskWireMeta, TransportError};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -240,9 +241,10 @@ impl TaskPort<CodedTransport> {
         Ok(self.send_encoded(sim, src, dst, encoded, tag)?.meta)
     }
 
-    /// Injects an already-encoded task as a packet `src → dst`,
-    /// consuming the wire images without cloning them, and reports the
-    /// packet's flit count (head + payload) and side-channel overheads.
+    /// Injects an already-encoded task (owned, or a borrowed buffer the
+    /// caller re-encodes into) as a packet `src → dst`, and reports the
+    /// packet's flit count (head + payload), wire metadata and
+    /// side-channel overheads.
     ///
     /// # Errors
     ///
@@ -252,20 +254,22 @@ impl TaskPort<CodedTransport> {
         sim: &mut Simulator,
         src: usize,
         dst: usize,
-        encoded: btr_core::transport::EncodedTask<W>,
+        encoded: impl Borrow<EncodedTask<W>>,
         tag: u64,
     ) -> Result<SentTask, InjectError> {
-        let (meta, payload, index_overhead_bits, codec_overhead_bits, edc_overhead_bits) =
-            encoded.into_parts();
+        let encoded = encoded.borrow();
+        // The packet's own images: the one copy of the task's rows the
+        // cycle engine interns.
+        let payload = encoded.wire_rows().to_payloads();
         let flit_count = payload.len() + 1;
         self.retain(src, dst, tag, &payload);
         sim.inject(Packet::new(src, dst, payload, tag))?;
         Ok(SentTask {
-            meta,
+            meta: encoded.wire_meta(),
             flit_count,
-            index_overhead_bits,
-            codec_overhead_bits,
-            edc_overhead_bits,
+            index_overhead_bits: encoded.index_overhead_bits(),
+            codec_overhead_bits: encoded.codec_overhead_bits(),
+            edc_overhead_bits: encoded.edc_overhead_bits(),
         })
     }
 
@@ -314,7 +318,7 @@ impl TaskPort<CodedTransport> {
     ) -> Result<Option<u32>, TransportError> {
         let clean = self
             .session
-            .verify_delivered_frames::<W>(&delivered.payload_flits)?;
+            .verify_delivered_frames::<W>(delivered.payload_flits.as_slice())?;
         let Some(recovery) = &self.recovery else {
             debug_assert!(clean, "corrupted delivery with no recovery protocol armed");
             return Ok(Some(0));

@@ -3,6 +3,7 @@
 use crate::fault::{ErrorModel, FaultState};
 use crate::routing::Direction;
 use btr_bits::payload::PayloadBits;
+use btr_bits::slab::{row_transitions, FlitSlab};
 use btr_core::codec::{CodecKind, DeltaXorRun, LinkCodecState};
 
 /// Persistent per-link codec endpoints for a slab of links
@@ -446,17 +447,17 @@ impl LinkSlab {
         );
     }
 
-    /// Records one whole packet — head, then its payload run — crossing
+    /// Records one whole packet — head, then its payload rows — crossing
     /// `link` on perfect wires. Exactly equivalent to [`LinkSlab::observe`]
     /// on the head followed by [`LinkSlab::observe_payload_run`] (coded
     /// lanes) or [`LinkSlab::observe`] per payload flit (raw wires), at
     /// the per-hop cost the slab's wires allow:
     ///
     /// * raw wires: O(1), one boundary transition plus the packet's
-    ///   precomputed intra sum ([`LinkSlab::observe_run`]);
+    ///   precomputed intra sum;
     /// * delta-XOR lanes: O(1), three link-dependent terms plus the
     ///   packet's precomputed telescope tail
-    ///   ([`LinkCodecState::encode_delta_xor_run`]);
+    ///   ([`LinkCodecState::encode_delta_xor_run_onto`]);
     /// * bus-invert lanes: one bulk lane-kernel pass, since the invert
     ///   decision depends on the link's wire memory at every flit.
     ///
@@ -472,19 +473,40 @@ impl LinkSlab {
             "packet summarized for a different link codec"
         );
         match &packet.charge {
-            Charge::Raw { intra } => self.observe_run(
-                link,
-                packet.head,
-                packet.payload.last().unwrap_or(packet.head),
-                *intra,
-                packet.flits(),
-            ),
+            Charge::Raw { intra } => self.observe_raw_packet(link, packet, *intra),
             Charge::DeltaXor(run) => self.observe_delta_xor_packet(link, packet.head, run),
-            Charge::Lanes => {
+            Charge::Lanes(images) => {
                 self.observe(link, packet.head);
-                self.observe_payload_run(link, packet.payload);
+                self.observe_payload_run(link, images);
             }
         }
+    }
+
+    /// The O(1) raw-wire hop behind [`LinkSlab::observe_packet`]: the
+    /// head against the link's previous image plus the packet's intra
+    /// sum ([`LinkSlab::observe_run`] with the last payload row).
+    fn observe_raw_packet(&mut self, link: usize, packet: &PacketWires<'_>, intra: u64) {
+        assert!(
+            self.lanes.is_none() && self.faults.is_none(),
+            "raw packet hops need perfect raw wires"
+        );
+        let head = packet.head;
+        assert_eq!(
+            head.width(),
+            self.width,
+            "flit width {} does not match link width {}",
+            head.width(),
+            self.width
+        );
+        if self.flits[link] > 0 {
+            self.transitions[link] += u64::from(head.transitions_to(&self.prev[link]));
+        }
+        self.transitions[link] += intra;
+        match packet.payload.len() {
+            0 => self.prev[link].clone_used_from(head),
+            n => self.prev[link].assign_row(self.width, packet.payload.flit(n - 1)),
+        }
+        self.flits[link] += packet.flits();
     }
 
     /// The O(1) delta-XOR hop behind [`LinkSlab::observe_packet`]. Of the
@@ -499,14 +521,12 @@ impl LinkSlab {
             "bulk payload runs cannot traverse error-injected wires"
         );
         #[cfg(debug_assertions)]
-        let walk = self.walk_oracle(link, Some(head), run.plains());
+        let walk = self.walk_oracle(link, Some(head), &run.plains().to_payloads());
         let lanes = self
             .lanes
             .as_mut()
             // btr-lint: allow(panic-in-hot-path, reason = "observe_packet only routes delta-XOR summaries to a slab whose lanes run delta-XOR; lanes are fixed at slab construction")
             .expect("delta-XOR packets need delta-XOR lanes");
-        let wires = lanes.tx[link].encode_delta_xor_run(run);
-        lanes.rx[link].clone_from(&lanes.tx[link]);
         assert_eq!(
             head.width(),
             self.width,
@@ -517,9 +537,10 @@ impl LinkSlab {
         if self.flits[link] > 0 {
             self.transitions[link] += u64::from(head.transitions_to(&self.prev[link]));
         }
-        self.transitions[link] += u64::from(wires.first.transitions_to(head)) + wires.intra;
-        self.prev[link].clone_used_from(&wires.last);
-        self.flits[link] += 1 + wires.count;
+        self.transitions[link] +=
+            lanes.tx[link].encode_delta_xor_run_onto(run, head, &mut self.prev[link]);
+        lanes.rx[link].mirror_from(&lanes.tx[link]);
+        self.flits[link] += 1 + run.plains().len() as u64;
         #[cfg(debug_assertions)]
         self.assert_matches_walk(link, &walk, "O(1) delta-XOR hop");
     }
@@ -546,14 +567,14 @@ impl LinkSlab {
     }
 }
 
-/// One whole packet's wire images — the head, then its payload run, all
+/// One whole packet's wire images — the head, then its payload rows, all
 /// at the link width — summarized once for the link codec it will cross,
 /// so every hop of its route charges a link through
 /// [`LinkSlab::observe_packet`] without redoing the link-independent part.
 #[derive(Debug, Clone)]
 pub struct PacketWires<'a> {
     head: &'a PayloadBits,
-    payload: &'a [PayloadBits],
+    payload: &'a FlitSlab,
     codec: Option<CodecKind>,
     charge: Charge<'a>,
 }
@@ -566,31 +587,40 @@ enum Charge<'a> {
     Raw { intra: u64 },
     /// Delta-XOR lanes: the link-independent tail of the telescope.
     DeltaXor(DeltaXorRun<'a>),
-    /// Other lanes (and empty payloads): nothing is link-independent.
-    Lanes,
+    /// Other lanes (and empty payloads): nothing is link-independent; the
+    /// payload as images for the per-flit lane kernels.
+    Lanes(Vec<PayloadBits>),
 }
 
 impl<'a> PacketWires<'a> {
     /// Summarizes a packet for links running `codec` (`None` = raw
-    /// wires), in one XOR+popcount pass over its images at most.
+    /// wires), in one XOR+popcount pass over its rows at most.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload is not empty and its width differs from the
+    /// head's.
     #[must_use]
-    pub fn new(
-        head: &'a PayloadBits,
-        payload: &'a [PayloadBits],
-        codec: Option<CodecKind>,
-    ) -> Self {
+    pub fn new(head: &'a PayloadBits, payload: &'a FlitSlab, codec: Option<CodecKind>) -> Self {
+        assert!(
+            payload.is_empty() || payload.width() == head.width(),
+            "payload rows are {} bits wide, the head {}",
+            payload.width(),
+            head.width()
+        );
         let charge = match codec {
             None => Charge::Raw {
-                intra: std::iter::once(head)
-                    .chain(payload)
-                    .zip(payload)
-                    .map(|(prev, next)| u64::from(next.transitions_to(prev)))
-                    .sum(),
+                intra: if payload.is_empty() {
+                    0
+                } else {
+                    u64::from(row_transitions(head.used_words(), payload.flit(0)))
+                        + payload.lagged_transitions(1)
+                },
             },
             Some(CodecKind::DeltaXor) if !payload.is_empty() => {
                 Charge::DeltaXor(DeltaXorRun::new(payload))
             }
-            Some(_) => Charge::Lanes,
+            Some(_) => Charge::Lanes(payload.to_payloads()),
         };
         Self {
             head,

@@ -37,6 +37,7 @@ use noc_btr::accel::driver::{run_inference_batch, InferenceSession};
 use noc_btr::accel::report::{BatchInferenceResult, ResponsePhase};
 use noc_btr::bits::payload::PayloadBits;
 use noc_btr::bits::word::{DataFormat, Fx8Word};
+use noc_btr::bits::FlitSlab;
 use noc_btr::core::codec::{CodecKind, CodecScope, ResyncPolicy};
 use noc_btr::core::edc::EdcKind;
 use noc_btr::core::task::NeuronTask;
@@ -530,7 +531,7 @@ fn streamed_traffic(
     port: &TaskPort<CodedTransport>,
     pairs: &std::ops::RangeInclusive<usize>,
     seed: u64,
-) -> Vec<(usize, usize, u64, Vec<PayloadBits>)> {
+) -> Vec<(usize, usize, u64, FlitSlab)> {
     let mut rng = StdRng::seed_from_u64(seed);
     let pes = config.pe_nodes();
     let mut routes: Vec<(usize, usize)> = Vec::new();
@@ -554,8 +555,7 @@ fn streamed_traffic(
         )
         .unwrap();
         let encoded = port.session().encode_task(&task).unwrap();
-        let (_meta, payload, ..) = encoded.into_parts();
-        traffic.push((route.0, route.1, tag, payload));
+        traffic.push((route.0, route.1, tag, encoded.wire_rows().clone()));
     }
     traffic
 }
@@ -627,7 +627,7 @@ fn streamed_request_phase_matches_the_queued_replay() {
             }
             for (src, dst, tag, payload) in &traffic {
                 queued
-                    .inject(Packet::new(*src, *dst, payload.clone(), *tag))
+                    .inject(Packet::new(*src, *dst, payload.to_payloads(), *tag))
                     .unwrap();
             }
             queued.replay_queued_analytic(true);
@@ -635,7 +635,7 @@ fn streamed_request_phase_matches_the_queued_replay() {
             // Stream the sources round-robin from the highest id instead
             // (each in its own order, like the driver's per-MC feed): each
             // link still sees one source's packets, in order.
-            let mut order: Vec<&(usize, usize, u64, Vec<PayloadBits>)> = traffic.iter().collect();
+            let mut order: Vec<&(usize, usize, u64, FlitSlab)> = traffic.iter().collect();
             order.sort_by_key(|(src, _, tag, _)| {
                 let rank = traffic
                     .iter()
@@ -649,7 +649,7 @@ fn streamed_request_phase_matches_the_queued_replay() {
             for (src, dst, tag, payload) in order {
                 let d = stream.deliver(*src, *dst, *tag, payload).unwrap();
                 port.accept_streamed::<Fx8Word>(&d).unwrap();
-                arrivals.push((*tag, d.arrival_cycle, d.payload_flits.to_vec()));
+                arrivals.push((*tag, d.arrival_cycle, d.payload_flits.to_payloads()));
             }
             stream.finish();
             arrivals.sort_by_key(|a| a.0);

@@ -23,7 +23,7 @@
 //! decode and the analytic engine take the fast path on per-link-coded
 //! phases.
 
-use noc_btr::bits::PayloadBits;
+use noc_btr::bits::{FlitSlab, PayloadBits};
 use noc_btr::core::codec::CodecKind;
 use noc_btr::noc::stats::{LinkSlab, PacketWires};
 use proptest::prelude::*;
@@ -178,7 +178,8 @@ proptest! {
         }
         let head = image(width, &mut rng);
         let payload = images(width, len, &mut rng);
-        hop.observe_packet(1, &PacketWires::new(&head, &payload, Some(CodecKind::DeltaXor)));
+        let rows = FlitSlab::from_images(width, &payload);
+        hop.observe_packet(1, &PacketWires::new(&head, &rows, Some(CodecKind::DeltaXor)));
         walk.observe(1, &head);
         walk.observe_payload_run(1, payload.iter());
         prop_assert_eq!(hop.transitions(1), walk.transitions(1), "link BTs (seed {})", seed);

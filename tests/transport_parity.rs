@@ -21,19 +21,22 @@
 //!    (ordering + flitization with no codec stage), and both coded
 //!    backends are lossless at the PE across the mesh.
 
+use noc_btr::accel::driver::AccelWord;
 use noc_btr::bits::word::{DataWord, F32Word, Fx8Word};
-use noc_btr::bits::PayloadBits;
+use noc_btr::bits::{FlitSlab, PayloadBits};
 use noc_btr::core::codec::{CodecKind, CodecScope};
 use noc_btr::core::edc::EdcKind;
 use noc_btr::core::flitize::order_task_with;
 use noc_btr::core::ordering::{OrderingMethod, TieBreak};
+use noc_btr::core::plan::LanePlan;
 use noc_btr::core::task::{NeuronTask, RecoveredTask};
-use noc_btr::core::transport::{CodedTransport, TransportConfig, TransportScratch};
+use noc_btr::core::transport::{CodedTransport, EncodedTask, TransportConfig, TransportScratch};
 use noc_btr::noc::config::NocConfig;
 use noc_btr::noc::packet::Packet;
 use noc_btr::noc::session::TaskPort;
 use noc_btr::noc::sim::{DeliveredPacket, Simulator};
 use noc_btr::noc::traffic::{generate, Pattern};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -680,5 +683,144 @@ fn coded_backends_are_lossless_at_the_pe() {
                 port.receive_task(meta, &d).unwrap();
             assert_eq!(rec.mac_i64(), task.mac_i64(), "{codec} task {}", d.tag);
         }
+    }
+}
+
+/// Decodes `enc`'s delivered images both ways — the plan kernel (pairs
+/// through `decode_task_into`, the fused MAC through `decode_fold`, off
+/// images and off dense rows) and the slot-level reference — and pins
+/// them equal. Returns the fused response bits.
+fn assert_plan_decode_is_the_reference<W: AccelWord + PartialEq>(
+    session: &CodedTransport,
+    plan: &LanePlan,
+    enc: &EncodedTask<W>,
+    images: &[PayloadBits],
+    ctx: &str,
+) -> u64 {
+    let meta = enc.meta();
+    let want = session.decode_task_reference::<W>(meta, images).unwrap();
+    let mut scratch = TransportScratch::default();
+    let mut got = RecoveredTask {
+        pairs: Vec::new(),
+        bias: W::from_bits_u64(0),
+    };
+    session
+        .decode_task_into(meta, images, &mut scratch, &mut got)
+        .unwrap();
+    assert!(got == want, "{ctx}: recovered pairs");
+    let bits = W::response_bits(&want);
+    let rows = FlitSlab::from_images(images[0].width(), images);
+    for fused in [
+        session.decode_fold(plan, meta, images, &mut scratch, W::ACC_ZERO, W::mac),
+        session.decode_fold(plan, meta, &rows, &mut scratch, W::ACC_ZERO, W::mac),
+    ] {
+        let (acc, bias) = fused.unwrap();
+        assert_eq!(W::finish(acc, bias), bits, "{ctx}: fused response bits");
+    }
+    bits
+}
+
+/// The plan decode is the reference decode: for every ordering, word,
+/// codec, codec scope and EDC, and pair counts around the flit-half
+/// boundaries up to a 400-pair linear fan-in, the plan kernel recovers
+/// the reference's pairs in the reference's order and folds them into
+/// the same response bits — off the delivered images (link-aligned ones
+/// too) and off dense rows. One task buffer is re-encoded across every
+/// shape and must match the reference encode each time.
+fn assert_plan_decode_parity<W: AccelWord + PartialEq>(
+    seed: u64,
+    mut next_word: impl FnMut(&mut StdRng) -> W,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for n in [1usize, 7, 8, 9, 16, 25, 150, 400] {
+        let task = NeuronTask::new(
+            (0..n).map(|_| next_word(&mut rng)).collect(),
+            (0..n).map(|_| next_word(&mut rng)).collect(),
+            next_word(&mut rng),
+        )
+        .unwrap();
+        for ordering in OrderingMethod::ALL {
+            let plan = LanePlan::for_word::<W>(ordering, n, 16).unwrap();
+            for codec in CodecKind::ALL {
+                for scope in [CodecScope::PerPacket, CodecScope::PerLink] {
+                    for edc in [EdcKind::None, EdcKind::Crc8] {
+                        let tc = TransportConfig::new(ordering, 16)
+                            .with_codec(codec)
+                            .with_scope(scope)
+                            .with_edc(edc);
+                        let session = CodedTransport::new(tc);
+                        let ctx = format!("n={n} {ordering} {codec} {scope:?} {edc}");
+                        let enc = session.encode_task_reference(&task).unwrap();
+                        let mut scratch = TransportScratch::default();
+                        let mut reused = session.task_buffer::<W>();
+                        let template = session
+                            .weight_template(task.weights(), task.bias(), None, &mut scratch)
+                            .unwrap();
+                        session.encode_with_template_into(
+                            &template,
+                            task.inputs(),
+                            &mut scratch,
+                            &mut reused,
+                        );
+                        assert!(reused == enc, "{ctx}: reused task buffer");
+                        let images = enc.payload_flits();
+                        assert_plan_decode_is_the_reference(&session, &plan, &enc, &images, &ctx);
+                        let link = tc.link_width_bits::<W>();
+                        if scope == CodecScope::PerLink && images[0].width() != link {
+                            // Plain frames the mesh re-aligned onto the link.
+                            let aligned: Vec<PayloadBits> =
+                                images.iter().map(|f| f.resized(link)).collect();
+                            assert_plan_decode_is_the_reference(
+                                &session, &plan, &enc, &aligned, &ctx,
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn plan_decode_matches_the_reference_fx8(seed in 0u64..1_000_000) {
+        assert_plan_decode_parity(seed, |rng| Fx8Word::new(rng.gen()));
+    }
+
+    #[test]
+    fn plan_decode_matches_the_reference_f32(seed in 0u64..1_000_000) {
+        assert_plan_decode_parity(seed, |rng| {
+            F32Word::new(match rng.gen_range(0..8) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-100.0..100.0),
+            })
+        });
+    }
+}
+
+#[test]
+fn plan_fold_keeps_the_sign_of_an_all_negative_zero_mac() {
+    // Every product is -0.0 and so is the bias: `Iterator::sum` starts at
+    // -0.0, so the reference MAC is -0.0 — a fold starting at +0.0 would
+    // answer +0.0.
+    let task = NeuronTask::new(
+        vec![F32Word::new(0.0); 25],
+        vec![F32Word::new(-0.0); 25],
+        F32Word::new(-0.0),
+    )
+    .unwrap();
+    for ordering in OrderingMethod::ALL {
+        let session = CodedTransport::new(TransportConfig::new(ordering, 16));
+        let plan = LanePlan::for_word::<F32Word>(ordering, 25, 16).unwrap();
+        let enc = session.encode_task(&task).unwrap();
+        let bits = assert_plan_decode_is_the_reference(
+            &session,
+            &plan,
+            &enc,
+            &enc.payload_flits(),
+            &format!("{ordering}"),
+        );
+        assert_eq!(bits, u64::from((-0.0f32).to_bits()), "{ordering}");
     }
 }
