@@ -11,6 +11,7 @@ use btr_core::theory::{expected_bt_32, monte_carlo_bt};
 use experiments::cli;
 
 fn main() {
+    cli::reject_bad_args(&["samples", "seed"], &[]);
     let samples: u32 = cli::arg("samples", 20_000);
     let seed: u64 = cli::arg("seed", 42);
 

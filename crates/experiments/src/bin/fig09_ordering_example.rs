@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
+    cli::reject_bad_args(&["rows", "seed", "weights"], &[]);
     let rows: usize = cli::arg("rows", 16);
     let seed: u64 = cli::arg("seed", 42);
     let source: WeightSource = cli::arg("weights", WeightSource::Trained);

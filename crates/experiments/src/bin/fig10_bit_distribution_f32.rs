@@ -21,6 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
+    cli::reject_bad_args(&["packets", "seed"], &[]);
     let packets: usize = cli::arg("packets", 10_000);
     let seed: u64 = cli::arg("seed", 42);
 

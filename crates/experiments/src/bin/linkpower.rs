@@ -11,6 +11,7 @@ use btr_hw::link_energy::LinkPowerModel;
 use experiments::cli;
 
 fn main() {
+    cli::reject_bad_args(&["reduction", "links", "width", "freq"], &[]);
     let reduction: f64 = cli::arg("reduction", 0.4085);
     let links: usize = cli::arg("links", 112);
     let width: u32 = cli::arg("width", 128);

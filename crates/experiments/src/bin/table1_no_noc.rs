@@ -30,6 +30,7 @@ use rand::SeedableRng;
 const KERNEL_CHUNK: usize = 25;
 
 fn main() {
+    cli::reject_bad_args(&["packets", "seed", "train-samples", "epochs"], &[]);
     let packets: usize = cli::arg("packets", 10_000);
     let seed: u64 = cli::arg("seed", 42);
     let train_samples: usize = cli::arg(

@@ -9,8 +9,10 @@
 use btr_hw::area::{OrderingUnitDesign, RouterDesign, SorterNetwork, Technology};
 use btr_hw::power::DeploymentPower;
 use btr_hw::table2::Table2;
+use experiments::cli;
 
 fn main() {
+    cli::reject_bad_args(&[], &[]);
     let tech = Technology::tsmc90();
     println!("{}", Table2::generate(&tech));
 

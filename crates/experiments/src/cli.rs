@@ -132,10 +132,14 @@ pub fn malformed_arg(args: &[String], bare: &[&str]) -> Option<String> {
 pub fn reject_bad_args(known: &[&str], bare: &[&str]) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(bad) = unknown_flag(&args, known) {
-        eprintln!(
-            "error: unknown flag {bad}; known flags: --{}",
-            known.join(", --")
-        );
+        if known.is_empty() {
+            eprintln!("error: unknown flag {bad}; this program takes no flags");
+        } else {
+            eprintln!(
+                "error: unknown flag {bad}; known flags: --{}",
+                known.join(", --")
+            );
+        }
         std::process::exit(2);
     }
     if let Some(e) = malformed_arg(&args, bare) {
