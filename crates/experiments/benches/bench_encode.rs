@@ -15,32 +15,46 @@
 //!      materialization with a full per-task weight sort (the
 //!      `DriverMode::Synchronous` oracle);
 //!    - `template_*` — `encode_with_template` off pre-rendered weight
-//!      flit templates (the hot path: clone the static weight half,
+//!      flit templates (the hot path: copy the static weight rows,
 //!      OR-deal only the activation lanes).
 //!
 //!    Group setup (template rendering, task operand materialization)
 //!    runs once before timing, so the timed region holds per-task encode work only — the quantity the driver's
 //!    inline encode stage pays per task of every request.
 //!
+//! 3. **`decode`** — the PE side of the same tasks (fx8 O2, 25- and
+//!    150-pair tasks, LeNet conv1 and conv2): `reference_decode_*`
+//!    recovers the pairs slot by slot (`decode_task_reference`) and
+//!    computes the response off them; `plan_decode_*` folds the pairs
+//!    straight off the task's dense rows into the MAC through the
+//!    layer's `LanePlan` (`decode_fold`), as the driver does.
+//!
 //! Each reference/fast pair runs on the paired-ratio harness (`common`)
-//! and writes `BENCH_ordering_kernel.json` / `BENCH_encode.json` (schema
-//! `btr-bench-v1`).
+//! and writes `BENCH_ordering_kernel.json` / `BENCH_encode.json` /
+//! `BENCH_decode.json` (schema `btr-bench-v1`).
 //!
 //! `BTR_BENCH_ENCODE_SMOKE=1` takes 5 pairs per point and **asserts**
 //! the fast paths' reason to exist on the lower quartile of the paired
 //! reference/fast time ratios: the template path beats the reference on
-//! both configurations and by ≥ 3x on the affiliated one, and the
-//! counting sort does not lose to the comparison sort on n4096/value.
+//! both configurations and by ≥ 3x on the affiliated one, the counting
+//! sort does not lose to the comparison sort on n4096/value, and the
+//! plan decode is at least [`PLAN_DECODE_MIN`] times the reference on
+//! both task sizes.
 
 mod common;
 
+use btr_accel::driver::AccelWord;
 use btr_bits::word::Fx8Word;
+use btr_bits::{FlitSlab, PayloadBits};
 use btr_core::codec::{CodecKind, CodecScope};
 use btr_core::edc::EdcKind;
 use btr_core::flitize::EncodeTemplate;
 use btr_core::ordering::{OrderingMethod, SortScratch, TieBreak};
+use btr_core::plan::LanePlan;
 use btr_core::task::NeuronTask;
-use btr_core::transport::{CodedTransport, TransportConfig, TransportScratch};
+use btr_core::transport::{
+    CodedTransport, EncodedTask, TaskWireMeta, TransportConfig, TransportScratch,
+};
 use common::{iter_batched, Group, SMOKE_PAIRS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -140,6 +154,79 @@ enum EncodePath {
     Template,
 }
 
+/// The smoke gate's floor on the paired reference/plan decode ratio.
+/// Ten smoke runs on a 2-hart Xeon host measured lower quartiles of at
+/// least 5.3x (`taskset -c 0`) and 6.3x (both harts) on either size.
+const PLAN_DECODE_MIN: f64 = 3.0;
+
+/// One layer's delivered requests in the driver's decode shape: fx8 O2
+/// tasks of `n` pairs over 16-lane flits, each held both as the images
+/// the reference decodes and as the dense rows the plan kernel reads.
+struct DecodeFixture {
+    session: CodedTransport,
+    plan: LanePlan,
+    tasks: Vec<(TaskWireMeta, Vec<PayloadBits>, FlitSlab)>,
+}
+
+impl DecodeFixture {
+    fn new(n: usize, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let session = CodedTransport::new(TransportConfig::new(OrderingMethod::Separated, 16));
+        let mut word = || Fx8Word::new(rng.gen());
+        let tasks = (0..TASKS / 4)
+            .map(|_| {
+                let task = NeuronTask::new(
+                    (0..n).map(|_| word()).collect(),
+                    (0..n).map(|_| word()).collect(),
+                    word(),
+                )
+                .expect("task geometry");
+                let enc: EncodedTask<Fx8Word> = session.encode_task(&task).expect("encode");
+                (
+                    enc.wire_meta(),
+                    enc.payload_flits(),
+                    enc.wire_rows().clone(),
+                )
+            })
+            .collect();
+        Self {
+            session,
+            plan: LanePlan::for_word::<Fx8Word>(OrderingMethod::Separated, n, 16)
+                .expect("plan geometry"),
+            tasks,
+        }
+    }
+
+    /// XOR of every task's response bits, decoding slot by slot.
+    fn reference(&self) -> u64 {
+        self.tasks.iter().fold(0, |acc, (meta, images, _)| {
+            let rec = self
+                .session
+                .decode_task_reference::<Fx8Word>(meta, images)
+                .expect("reference decode");
+            acc ^ Fx8Word::response_bits(&rec)
+        })
+    }
+
+    /// XOR of every task's response bits, folding through the plan.
+    fn plan(&self, scratch: &mut TransportScratch) -> u64 {
+        self.tasks.iter().fold(0, |acc, (meta, _, rows)| {
+            let (mac, bias) = self
+                .session
+                .decode_fold(
+                    &self.plan,
+                    meta,
+                    rows,
+                    scratch,
+                    Fx8Word::ACC_ZERO,
+                    Fx8Word::mac,
+                )
+                .expect("plan decode");
+            acc ^ Fx8Word::finish(mac, bias)
+        })
+    }
+}
+
 fn main() {
     let smoke = std::env::var("BTR_BENCH_ENCODE_SMOKE").is_ok();
     let seed = 42u64;
@@ -219,7 +306,41 @@ fn main() {
     }
     group.finish();
 
+    // The PE decode of LeNet conv1- and conv2-sized O2 tasks.
+    let mut group = Group::new("decode", if smoke { SMOKE_PAIRS } else { 20 });
+    let mut decode_ratios = Vec::new();
+    for n in [25usize, 150] {
+        let fixture = DecodeFixture::new(n, seed);
+        assert_eq!(
+            fixture.plan(&mut TransportScratch::default()),
+            fixture.reference(),
+            "n{n}: both decodes answer the same responses"
+        );
+        let ratio = group.pair(
+            &format!("reference_decode_n{n}"),
+            common::iter(|| fixture.reference()),
+            &format!("plan_decode_n{n}"),
+            iter_batched(TransportScratch::default, |mut scratch| {
+                fixture.plan(&mut scratch)
+            }),
+        );
+        let per_task = |name: &str| group.point(name).median_ns() / fixture.tasks.len() as f64;
+        println!(
+            "  n{n:<4} reference {:>8.0} ns/task, plan {:>8.0} ns/task (median)",
+            per_task(&format!("reference_decode_n{n}")),
+            per_task(&format!("plan_decode_n{n}"))
+        );
+        decode_ratios.push((n, ratio));
+    }
+    group.finish();
+
     if smoke {
+        for (n, ratio) in decode_ratios {
+            assert!(
+                ratio >= PLAN_DECODE_MIN,
+                "n{n}: plan decode under {PLAN_DECODE_MIN}x the reference ({ratio:.2}x)"
+            );
+        }
         // Dealing activations into a pre-rendered weight image must
         // clearly beat the full re-sorting slot-level oracle. The
         // affiliated point carries the 3x gate: it is the pure template
@@ -245,7 +366,8 @@ fn main() {
         );
         println!(
             "smoke check: template > reference on both configs and >= 3x affiliated, \
-             counting sort >= comparison sort ({counting_value_n4096:.2}x)"
+             counting sort >= comparison sort ({counting_value_n4096:.2}x), \
+             plan decode >= {PLAN_DECODE_MIN}x reference"
         );
     }
 }
