@@ -80,7 +80,13 @@ impl Json {
             }
             Json::F64(v) => {
                 if v.is_finite() {
+                    let start = out.len();
                     let _ = write!(out, "{v}");
+                    // `Display` never writes an exponent, so a whole value
+                    // has no `.` and would read back as an integer.
+                    if !out[start..].contains('.') {
+                        out.push_str(".0");
+                    }
                 } else {
                     out.push_str("null");
                 }
@@ -408,6 +414,20 @@ mod tests {
             Json::parse(" { \"a\" : [ 1 , 2 ] } ").unwrap(),
             Json::obj(vec![("a", Json::Arr(vec![Json::U64(1), Json::U64(2)]))])
         );
+    }
+
+    #[test]
+    fn whole_floats_round_trip_as_floats() {
+        for v in [2_688_210.0, 1.0, 0.0, -0.0, -3.0, 1e21, 0.5, 9.9e-7] {
+            let text = Json::F64(v).to_string_compact();
+            assert!(!text.contains(['e', 'E']), "{text}");
+            match Json::parse(&text) {
+                Ok(Json::F64(back)) => assert_eq!(back.to_bits(), v.to_bits(), "{text}"),
+                other => panic!("{text} read back as {other:?}"),
+            }
+        }
+        assert_eq!(Json::F64(2_688_210.0).to_string_compact(), "2688210.0");
+        assert_eq!(Json::F64(9.9e-7).to_string_compact(), "0.00000099");
     }
 
     #[test]
