@@ -32,7 +32,6 @@ use crate::tasks::{ConvGeometry, LayerQuantizers, LayerTasks, LayerWords};
 use btr_bits::word::{DataFormat, DataWord, F32Word, Fx8Word};
 use btr_bits::{FlitRows, FlitSlab, PayloadBits};
 use btr_core::flitize::{EncodeTemplate, FlitizeError};
-use btr_core::ordering::OrderingMethod;
 use btr_core::plan::LanePlan;
 use btr_core::task::RecoveredTask;
 use btr_core::transport::{
@@ -713,11 +712,13 @@ impl InferenceRun<'_> {
 struct EncodeStage<'a, W: AccelWord> {
     source: &'a LayerTasks<W>,
     session: CodedTransport,
-    ordering: OrderingMethod,
-    values_per_flit: usize,
+    /// The layer's lane plan: every task of a layer has the same pair
+    /// count, so one plan (built by the session's first dispatch)
+    /// decodes them all.
+    plan: &'a Result<LanePlan, FlitizeError>,
     /// The session-lifetime cache for this layer: pre-rendered weight
-    /// flit templates per kernel group and the lane plan, shared across
-    /// the batch and across dispatches.
+    /// flit templates per kernel group, shared across the batch and
+    /// across dispatches.
     cache: &'a LayerEncodeCache,
 }
 
@@ -738,8 +739,13 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
                 scope: config.codec_scope,
                 edc: config.edc,
             }),
-            ordering: config.ordering,
-            values_per_flit: config.values_per_flit,
+            plan: cache.plan.get_or_init(|| {
+                LanePlan::for_word::<W>(
+                    config.ordering,
+                    source.pairs_per_task(),
+                    config.values_per_flit,
+                )
+            }),
             cache,
         }
     }
@@ -765,22 +771,6 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
                     self.source.bias_word(group),
                     None,
                     &mut TransportScratch::default(),
-                )
-            })
-            .as_ref()
-            .map_err(Clone::clone)
-    }
-
-    /// The layer's cached lane plan: every task of a layer has the same
-    /// pair count, so one plan decodes them all.
-    fn plan(&self) -> Result<&LanePlan, FlitizeError> {
-        self.cache
-            .plan
-            .get_or_init(|| {
-                LanePlan::for_word::<W>(
-                    self.ordering,
-                    self.source.pairs_per_task(),
-                    self.values_per_flit,
                 )
             })
             .as_ref()
@@ -883,7 +873,7 @@ impl<W: AccelWord> PeDecoder<'_, W> {
                 .map_err(decode_err)?;
             return Ok(W::response_bits(&recovered));
         }
-        let plan = self.stage.plan()?;
+        let plan = self.stage.plan.as_ref().map_err(Clone::clone)?;
         let (acc, bias) = session
             .decode_fold(plan, wire, flits, &mut self.scratch, W::ACC_ZERO, W::mac)
             .map_err(decode_err)?;

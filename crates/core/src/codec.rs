@@ -621,8 +621,8 @@ impl LinkCodecState {
     ///   transition count (`data_width − t` when the inversion wins), so
     ///   the intra sum needs no second pass, and the inverted image is
     ///   materialized only when it wins.
-    /// * **Unencoded degenerates** to the raw-wire run
-    ///   (`LinkSlab::observe_run` semantics): wires are the plains.
+    /// * **Unencoded degenerates** to a raw-wire run: wires are the
+    ///   plains.
     ///
     /// Returns `None` for an empty run (the state is untouched).
     ///

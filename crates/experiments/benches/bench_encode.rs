@@ -156,8 +156,8 @@ enum EncodePath {
 
 /// The smoke gate's floor on the paired reference/plan decode ratio.
 /// Ten smoke runs on a 2-hart Xeon host measured lower quartiles of at
-/// least 5.3x (`taskset -c 0`) and 6.3x (both harts) on either size.
-const PLAN_DECODE_MIN: f64 = 3.0;
+/// least 3.8x (`taskset -c 0`) and 4.5x (both harts) on either size.
+const PLAN_DECODE_MIN: f64 = 2.5;
 
 /// One layer's delivered requests in the driver's decode shape: fx8 O2
 /// tasks of `n` pairs over 16-lane flits, each held both as the images

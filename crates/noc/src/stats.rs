@@ -195,59 +195,6 @@ impl LinkSlab {
         self.flits[link] += 1;
     }
 
-    /// Records an uninterrupted run of `count` flits traversing `link` in
-    /// one step — exactly equivalent to calling [`LinkSlab::observe`] on
-    /// each flit of the run in order, given the run's first image, last
-    /// image, and the precomputed sum of Hamming distances between its
-    /// consecutive flits (`intra_transitions`).
-    ///
-    /// This is the analytic engine's O(1)-per-hop kernel: on raw wires a
-    /// packet's flit sequence is identical on every link of its path, so
-    /// the intra-packet transition sum is computed once per packet and
-    /// each hop only adds the link-boundary transition against the wire's
-    /// previous image. Slabs with per-link codec lanes re-image the
-    /// stream per link and panic here; they charge whole packets through
-    /// [`LinkSlab::observe_packet`], which keeps delta-XOR lanes O(1) per
-    /// hop as well.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slab owns per-link codec state, `count` is zero,
-    /// `link` is out of range, or the image widths differ from the slab
-    /// width.
-    pub fn observe_run(
-        &mut self,
-        link: usize,
-        first: &PayloadBits,
-        last: &PayloadBits,
-        intra_transitions: u64,
-        count: u64,
-    ) {
-        assert!(
-            self.lanes.is_none(),
-            "bulk runs cannot traverse per-link codec lanes"
-        );
-        assert!(
-            self.faults.is_none(),
-            "bulk runs cannot traverse error-injected wires"
-        );
-        assert!(count > 0, "a flit run cannot be empty");
-        assert_eq!(
-            first.width(),
-            self.width,
-            "flit width {} does not match link width {}",
-            first.width(),
-            self.width
-        );
-        assert_eq!(last.width(), self.width, "run mixes flit widths");
-        if self.flits[link] > 0 {
-            self.transitions[link] += u64::from(first.transitions_to(&self.prev[link]));
-        }
-        self.transitions[link] += intra_transitions;
-        self.prev[link].clone_used_from(last);
-        self.flits[link] += count;
-    }
-
     /// Records a *payload* flit traversing `link` through the link's
     /// persistent codec state: the plain image is encoded against the
     /// link's wire memory, the **coded** wire image is what the
@@ -367,8 +314,8 @@ impl LinkSlab {
     ///
     /// # Panics
     ///
-    /// Panics if the slab has no codec lanes (use [`LinkSlab::observe_run`])
-    /// or has faults armed (a flip must land between encode and decode,
+    /// Panics if the slab has no codec lanes (raw wires take
+    /// [`LinkSlab::observe`] per flit) or has faults armed (a flip must land between encode and decode,
     /// so faulty wires keep the per-flit walk), if `link` is out of
     /// range, or if a flit width matches neither the data wires nor the
     /// link width.
@@ -386,8 +333,8 @@ impl LinkSlab {
         let lanes = self
             .lanes
             .as_mut()
-            // btr-lint: allow(panic-in-hot-path, reason = "documented `# Panics` contract: callers route raw-wire slabs to observe_run; lanes are fixed at slab construction, not a data condition")
-            .expect("bulk payload runs need per-link codec lanes; use observe_run for raw wires");
+            // btr-lint: allow(panic-in-hot-path, reason = "documented `# Panics` contract: callers route raw-wire slabs to observe; lanes are fixed at slab construction, not a data condition")
+            .expect("bulk payload runs need per-link codec lanes; raw wires take observe");
         let Some((boundary, intra, count)) =
             lanes.tx[link].encode_run_onto(flits, &mut self.prev[link])
         else {
@@ -482,9 +429,12 @@ impl LinkSlab {
         }
     }
 
-    /// The O(1) raw-wire hop behind [`LinkSlab::observe_packet`]: the
-    /// head against the link's previous image plus the packet's intra
-    /// sum ([`LinkSlab::observe_run`] with the last payload row).
+    /// The O(1) raw-wire hop behind [`LinkSlab::observe_packet`]: on raw
+    /// wires a packet's flit sequence is the same on every link of its
+    /// path, so the hop charges the head against the link's previous
+    /// image plus the packet's precomputed intra sum, and the last
+    /// payload row becomes the link's previous image — exactly
+    /// [`LinkSlab::observe`] on each flit in order.
     fn observe_raw_packet(&mut self, link: usize, packet: &PacketWires<'_>, intra: u64) {
         assert!(
             self.lanes.is_none() && self.faults.is_none(),
