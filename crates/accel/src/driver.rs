@@ -12,11 +12,12 @@
 //! so that sorting and flitizing never stall the link (Sec. V, Fig. 14);
 //! its cost is hardware area and energy, not a host thread. With
 //! [`DriverMode::Pipelined`] the cycle loop encodes each MC's next task
-//! inline as its prefetch buffer drains — building the task from the
-//! layer operands and dealing its activations into the kernel group's
+//! inline as its prefetch buffer drains — combining the kernel group's
 //! cached weight template (the weight order and flit images are built
 //! once per session, not once per output pixel, batch element or
-//! dispatch), then flitizing and link-coding through reused scratch.
+//! dispatch) with the task's activation window (gathered, sorted and
+//! rendered once per dispatch, not once per output channel), then
+//! link-coding through reused buffers.
 //! Host parallelism lives one level up, in sweep cells and serve
 //! sessions.
 //!
@@ -31,7 +32,8 @@ use crate::report::{BatchInferenceResult, InferenceResult, LayerTrafficReport, R
 use crate::tasks::{ConvGeometry, LayerQuantizers, LayerTasks, LayerWords};
 use btr_bits::word::{DataFormat, DataWord, F32Word, Fx8Word};
 use btr_bits::{FlitRows, FlitSlab, PayloadBits};
-use btr_core::flitize::{EncodeTemplate, FlitizeError};
+use btr_core::flitize::{EncodeTemplate, FlitizeError, WindowTable};
+use btr_core::ordering::SortScratch;
 use btr_core::plan::LanePlan;
 use btr_core::task::RecoveredTask;
 use btr_core::transport::{
@@ -41,7 +43,7 @@ use btr_dnn::model::InferenceOp;
 use btr_dnn::tensor::Tensor;
 use btr_noc::analytic::{
     routes_contention_free, routes_link_disjoint, EngineMode, PhaseRecorder, PhaseRecording,
-    ScheduledPacket, StreamedPacket,
+    ScheduledPacket,
 };
 use btr_noc::session::{SendError, TaskPort};
 use btr_noc::sim::{DeliveredPacket, InjectError, Simulator};
@@ -296,9 +298,10 @@ pub struct InferenceSession<'a> {
 
 /// Per-layer encode cache: the lazily pre-rendered [`EncodeTemplate`]
 /// of every kernel group — the "weight-side work happens once per
-/// session, not once per task" amortization — and the layer's
-/// [`LanePlan`], which the PE decode folds through. Each entry is built
-/// by the first task that needs it.
+/// session, not once per task" amortization, the kernel-side twin of the
+/// per-dispatch [`WindowTable`] the [`EncodeStage`] prepares — and the
+/// layer's [`LanePlan`], which the PE decode folds through. Each entry is
+/// built by the first dispatch that needs it.
 ///
 /// It also keeps the layer's last stepped response phase per batch size
 /// (keyed by the layer's task count), which [`hybrid_loop`] replays on
@@ -339,6 +342,28 @@ impl LayerEncodeCache {
             Some(entry) => entry.1 = recording,
             None => phases.push((tasks, recording)),
         }
+    }
+
+    /// Kernel group `group`'s template, built on the first call that
+    /// touches the group and reused for every later task in the batch —
+    /// and in later dispatches of the same session.
+    fn template<W: AccelWord>(
+        &self,
+        group: usize,
+        session: &CodedTransport,
+        source: &LayerTasks<W>,
+    ) -> Result<&EncodeTemplate, FlitizeError> {
+        self.templates[group]
+            .get_or_init(|| {
+                session.weight_template(
+                    source.group_weights(group),
+                    source.bias_word(group),
+                    None,
+                    &mut TransportScratch::default(),
+                )
+            })
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// One cache per op, sized by the op's kernel-group count (conv: one
@@ -416,6 +441,8 @@ impl<'a> InferenceSession<'a> {
             sim: Simulator::new(self.config.noc.clone()),
             per_layer: Vec::new(),
             overhead: WireOverhead::default(),
+            windows: WindowTable::default(),
+            responses: FlitSlab::new(self.config.noc.link_width_bits),
         };
         let mut xs: Vec<Tensor> = inputs.to_vec();
         for (op_index, op) in self.ops.iter().enumerate() {
@@ -552,12 +579,15 @@ struct WireOverhead {
 /// One dispatch's state across its layers: the mesh (one simulator for
 /// the whole inference, so link recorders accumulate every layer's bit
 /// transitions), the per-layer traffic reports and the side-channel
-/// overheads.
+/// overheads, plus the buffers each layer refills: its activation
+/// windows and its replayed responses' wire rows.
 struct InferenceRun<'a> {
     config: &'a AccelConfig,
     sim: Simulator,
     per_layer: Vec<LayerTrafficReport>,
     overhead: WireOverhead,
+    windows: WindowTable,
+    responses: FlitSlab,
 }
 
 impl InferenceRun<'_> {
@@ -626,38 +656,25 @@ impl InferenceRun<'_> {
         cache: &LayerEncodeCache,
     ) -> Result<Vec<u64>, AccelError> {
         let config = self.config;
-        let mcs = &config.noc.mc_nodes;
-        let regions = partition_pes_by_mc(&config.noc);
         let total = source.total();
-
-        // Static assignment: task j -> MC round-robin, then round-robin over
-        // that MC's own PE region. O0/O1/O2 runs, both driver modes and every
-        // batch element use identical assignments, so BT comparisons are
-        // apples-to-apples.
-        let dests: Vec<(usize, usize)> = (0..total)
-            .map(|j| {
-                let mi = j % mcs.len();
-                let region = &regions[mi];
-                (region[(j / mcs.len()) % region.len()], mcs[mi])
-            })
-            .collect();
-        let engine = LayerEngine::resolve(config, &dests);
+        let tasks = TaskAssignment {
+            mcs: &config.noc.mc_nodes,
+            regions: partition_pes_by_mc(&config.noc),
+            total,
+        };
+        let engine = LayerEngine::resolve(config, tasks.dests());
         // A hybrid layer without a recorded response phase records one:
         // its storage is reserved before the layer's traffic state, which
         // it outlives.
         let recorded = || cache.response_phases().iter().any(|(key, _)| *key == total);
         let recorder = (engine == LayerEngine::Hybrid && !recorded())
-            .then(|| PhaseRecorder::reserve(&config.noc, dests.iter().copied()));
-        let mut per_mc_tasks: Vec<Vec<usize>> = vec![Vec::new(); mcs.len()];
-        for j in 0..total {
-            per_mc_tasks[j % mcs.len()].push(j);
-        }
+            .then(|| PhaseRecorder::reserve(&config.noc, tasks.dests()));
 
         // The MC-side ordering unit, the link codec and PE-side recovery all
         // live in the shared transport session; the NoC port binds it to the
         // simulator, so both the request and response paths ride the coded
         // wire.
-        let stage = EncodeStage::new(source, config, cache);
+        let stage = EncodeStage::new(source, config, cache, &mut self.windows)?;
         // Arm the NI recovery protocol whenever a fault config exists — even
         // at ber = 0, so the EDC verify stays on the receive path and
         // zero-BER equivalence is measured, not assumed.
@@ -669,8 +686,7 @@ impl InferenceRun<'_> {
             op_index,
             config,
             port,
-            dests,
-            per_mc_tasks,
+            tasks,
         };
 
         let sim = &mut self.sim;
@@ -679,7 +695,9 @@ impl InferenceRun<'_> {
         let mut feed = TaskFeed::new(&stage, config.driver);
         let (run, response_phase) = match engine {
             LayerEngine::Cycle => (cycle_loop(&layer, sim, &mut feed)?, ResponsePhase::Stepped),
-            LayerEngine::Hybrid => hybrid_loop(&layer, sim, &mut feed, cache, recorder)?,
+            LayerEngine::Hybrid => {
+                hybrid_loop(&layer, sim, &mut feed, cache, recorder, &mut self.responses)?
+            }
         };
 
         let transitions_after = sim.stats().total_transitions;
@@ -707,8 +725,15 @@ impl InferenceRun<'_> {
 }
 
 /// The MC-side encode stage: task construction + ordering + flitization +
-/// link coding, with the weight flit template cached per kernel group.
+/// link coding, with the weight flit template cached per kernel group and
+/// the activation windows prepared once per layer dispatch.
 /// One instance per layer, borrowed by the layer's task feed.
+///
+/// A task is its group's template (built once per session) combined with
+/// its activation window (prepared once per dispatch): every output
+/// channel of a conv pixel, and every neuron of a linear layer, reads the
+/// same window, so the stage gathers and (under O2) sorts each window
+/// once into a [`WindowTable`] instead of once per task.
 struct EncodeStage<'a, W: AccelWord> {
     source: &'a LayerTasks<W>,
     session: CodedTransport,
@@ -720,25 +745,49 @@ struct EncodeStage<'a, W: AccelWord> {
     /// flit templates per kernel group, shared across the batch and
     /// across dispatches.
     cache: &'a LayerEncodeCache,
+    /// This dispatch's activation windows, one per batch element and
+    /// output pixel (conv) or batch element (linear), in
+    /// [`LayerTasks::window_of`] order; empty under
+    /// [`DriverMode::Synchronous`], whose reference encode gathers per
+    /// task.
+    windows: &'a WindowTable,
 }
 
 impl<'a, W: AccelWord> EncodeStage<'a, W> {
-    fn new(source: &'a LayerTasks<W>, config: &AccelConfig, cache: &'a LayerEncodeCache) -> Self {
+    /// The stage of one layer dispatch; under [`DriverMode::Pipelined`]
+    /// it gathers, sorts and renders every activation window of the
+    /// batch into `windows` (emptied first, its buffers reused).
+    fn new(
+        source: &'a LayerTasks<W>,
+        config: &AccelConfig,
+        cache: &'a LayerEncodeCache,
+        windows: &'a mut WindowTable,
+    ) -> Result<Self, FlitizeError> {
         debug_assert_eq!(
             cache.templates.len(),
             source.group_count(),
             "layer cache sized for a different kernel-group count"
         );
-        Self {
+        let session = CodedTransport::new(TransportConfig {
+            ordering: config.ordering,
+            tiebreak: config.tiebreak,
+            values_per_flit: config.values_per_flit,
+            codec: config.codec,
+            scope: config.codec_scope,
+            edc: config.edc,
+        });
+        if config.driver == DriverMode::Pipelined {
+            // Every group's template shares the window layout.
+            windows.reset(cache.template(0, &session, source)?, source.window_count());
+            let (mut sort, mut perm, mut inputs) = (SortScratch::default(), Vec::new(), Vec::new());
+            for window in 0..source.window_count() {
+                source.window_into(window, &mut inputs);
+                windows.push(&inputs, config.tiebreak, &mut sort, &mut perm);
+            }
+        }
+        Ok(Self {
             source,
-            session: CodedTransport::new(TransportConfig {
-                ordering: config.ordering,
-                tiebreak: config.tiebreak,
-                values_per_flit: config.values_per_flit,
-                codec: config.codec,
-                scope: config.codec_scope,
-                edc: config.edc,
-            }),
+            session,
             plan: cache.plan.get_or_init(|| {
                 LanePlan::for_word::<W>(
                     config.ordering,
@@ -747,52 +796,31 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
                 )
             }),
             cache,
-        }
+            windows,
+        })
     }
 
     /// Builds and encodes global task `j` the pre-pipeline way: eager
     /// slot-level materialization, full per-task sort, fresh scratch —
     /// the [`DriverMode::Synchronous`] reference the bench trajectory
     /// measures the pipeline against. Deliberately bypasses the template
-    /// cache so it stays an independent oracle for the fast path.
+    /// cache and the window table so it stays an independent oracle for
+    /// the fast path.
     fn encode_reference(&self, j: usize) -> Result<EncodedTask<W>, FlitizeError> {
         self.session.encode_task_reference(&self.source.build(j))
     }
 
-    /// The group's cached encode template: ordered weight fields, bias
-    /// and O2 index overhead pre-rendered into flit rows, built on the
-    /// first task that touches the group and reused for every later task
-    /// in the batch — and in later dispatches of the same session.
-    fn template(&self, group: usize) -> Result<&EncodeTemplate, FlitizeError> {
-        self.cache.templates[group]
-            .get_or_init(|| {
-                self.session.weight_template(
-                    self.source.group_weights(group),
-                    self.source.bias_word(group),
-                    None,
-                    &mut TransportScratch::default(),
-                )
-            })
-            .as_ref()
-            .map_err(Clone::clone)
-    }
-
-    /// Builds and encodes global task `j` into `out` — bit-identical to
-    /// `encode_reference`, but through the pre-rendered weight template:
-    /// only the activation lanes (and for O2 the input sort + pair index)
-    /// are dealt per task, into buffers reused task after task
-    /// (`input_buf` is the per-layer window buffer).
-    fn encode_into(
-        &self,
-        j: usize,
-        scratch: &mut TransportScratch,
-        input_buf: &mut Vec<W>,
-        out: &mut EncodedTask<W>,
-    ) -> Result<(), FlitizeError> {
-        let (_weights, _bias) = self.source.operands_into(j, input_buf);
-        let template = self.template(self.source.weight_group(j))?;
-        self.session
-            .encode_with_template_into(template, input_buf, scratch, out);
+    /// Encodes global task `j` into `out` — bit-identical to
+    /// `encode_reference`, but as its group's cached template combined
+    /// with its prepared activation window: two row copies and, for O2,
+    /// the pair index off the cached permutations, into buffers reused
+    /// task after task.
+    fn encode_into(&self, j: usize, out: &mut EncodedTask<W>) -> Result<(), FlitizeError> {
+        let template =
+            self.cache
+                .template(self.source.weight_group(j), &self.session, self.source)?;
+        let window = self.windows.window(self.source.window_of(j));
+        self.session.encode_window_into(template, window, out);
         Ok(())
     }
 }
@@ -800,20 +828,17 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
 /// Where the engine loops get their next wire-ready packet from, and how
 /// they decode a delivered one at its PE.
 ///
-/// With [`DriverMode::Pipelined`] a task is encoded through the session's
-/// weight templates into [`TaskFeed::encoded`], whose rows and O2 index
-/// buffer are reused task after task, and decoded by the plan kernel
-/// folding straight into the MAC; with [`DriverMode::Synchronous`] both
-/// ends run the uncached slot-level reference.
+/// With [`DriverMode::Pipelined`] a task is encoded from the session's
+/// weight templates and the dispatch's activation windows into
+/// [`TaskFeed::encoded`], whose rows and O2 index buffer are reused task
+/// after task, and decoded by the plan kernel folding straight into the
+/// MAC; with [`DriverMode::Synchronous`] both ends run the uncached
+/// slot-level reference.
 struct TaskFeed<'a, W: AccelWord> {
     stage: &'a EncodeStage<'a, W>,
     reference: bool,
     /// The last encoded task: what the engine loops send.
     encoded: EncodedTask<W>,
-    input_buf: Vec<W>,
-    /// Encode scratch, boxed (one allocation per layer) to keep the feed
-    /// small.
-    scratch: Box<TransportScratch>,
     /// The PE side.
     pe: PeDecoder<'a, W>,
 }
@@ -825,8 +850,6 @@ impl<'a, W: AccelWord> TaskFeed<'a, W> {
             stage,
             reference,
             encoded: stage.session.task_buffer(),
-            input_buf: Vec::new(),
-            scratch: Box::default(),
             pe: PeDecoder {
                 stage,
                 reference,
@@ -840,8 +863,7 @@ impl<'a, W: AccelWord> TaskFeed<'a, W> {
         if self.reference {
             self.encoded = self.stage.encode_reference(j)?;
         } else {
-            self.stage
-                .encode_into(j, &mut self.scratch, &mut self.input_buf, &mut self.encoded)?;
+            self.stage.encode_into(j, &mut self.encoded)?;
         }
         Ok(())
     }
@@ -889,10 +911,37 @@ struct LayerTraffic<'a> {
     config: &'a AccelConfig,
     /// The NI port binding the layer's transport session to the mesh.
     port: TaskPort<CodedTransport>,
-    /// Per global task: its `(pe, mc)` pair.
-    dests: Vec<(usize, usize)>,
-    /// Per MC: its tasks in feed order.
-    per_mc_tasks: Vec<Vec<usize>>,
+    tasks: TaskAssignment<'a>,
+}
+
+/// One layer's static task assignment: task `j` goes to MC `j % mcs`
+/// round-robin, then round-robin over that MC's own PE region. O0/O1/O2
+/// runs, both driver modes and every batch element use identical
+/// assignments, so BT comparisons are apples-to-apples.
+struct TaskAssignment<'a> {
+    mcs: &'a [usize],
+    /// Per MC: its PE region ([`partition_pes_by_mc`]).
+    regions: Vec<Vec<usize>>,
+    total: usize,
+}
+
+impl TaskAssignment<'_> {
+    /// Task `j`'s `(pe, mc)` pair.
+    fn dest(&self, j: usize) -> (usize, usize) {
+        let mi = j % self.mcs.len();
+        let region = &self.regions[mi];
+        (region[(j / self.mcs.len()) % region.len()], self.mcs[mi])
+    }
+
+    /// Every task's `(pe, mc)` pair, in task order.
+    fn dests(&self) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
+        (0..self.total).map(|j| self.dest(j))
+    }
+
+    /// MC `mi`'s tasks, in feed order.
+    fn mc_tasks(&self, mi: usize) -> impl Iterator<Item = usize> {
+        (mi..self.total).step_by(self.mcs.len())
+    }
 }
 
 impl LayerTraffic<'_> {
@@ -977,7 +1026,7 @@ impl LayerRun {
         bits: u64,
     ) -> Result<(), AccelError> {
         let image = self.encode_response::<W>(layer, bits);
-        let (pe, mc_node) = layer.dests[j];
+        let (pe, mc_node) = layer.tasks.dest(j);
         layer
             .port
             .send_flits(sim, pe, mc_node, vec![image], j as u64)?;
@@ -990,12 +1039,12 @@ impl LayerRun {
         &mut self,
         layer: &LayerTraffic,
         j: usize,
-        payload: &[PayloadBits],
+        payload: &(impl FlitRows + ?Sized),
     ) -> Result<(), AccelError> {
         let bits = layer
             .port
             .session()
-            .decode_response::<W>(payload)
+            .decode_response_rows::<W>(payload)
             .map_err(|e| AccelError::Decode(e.to_string()))?;
         debug_assert!(
             self.responses[j].is_none(),
@@ -1061,9 +1110,9 @@ impl LayerEngine {
     /// Error-injected wires (`ber > 0`) are categorically ineligible:
     /// the analytic replay models a perfect stream, so `Auto` resolves
     /// them to the cycle engine regardless of the route set.
-    fn resolve(config: &AccelConfig, dests: &[(usize, usize)]) -> Self {
-        let requests = || dests.iter().map(|&(pe, mc)| (mc, pe));
-        let responses = || dests.iter().map(|&(pe, mc)| (pe, mc));
+    fn resolve(config: &AccelConfig, dests: impl Iterator<Item = (usize, usize)> + Clone) -> Self {
+        let requests = || dests.clone().map(|(pe, mc)| (mc, pe));
+        let responses = || dests.clone();
         match config.engine {
             EngineMode::Auto
                 if !config.noc.injects_errors()
@@ -1090,8 +1139,8 @@ fn cycle_loop<W: AccelWord>(
 ) -> Result<LayerRun, AccelError> {
     let config = layer.config;
     let mcs = &config.noc.mc_nodes;
-    let total = layer.dests.len();
-    let mut cursors = vec![0usize; mcs.len()];
+    let total = layer.tasks.total;
+    let mut feeds: Vec<_> = (0..mcs.len()).map(|mi| layer.tasks.mc_tasks(mi)).collect();
     let mut wires: Vec<Option<TaskWireMeta>> = vec![None; total];
     // (ready_cycle, tag, response_bits) min-heap for PE compute latency.
     let mut compute_queue: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
@@ -1105,12 +1154,11 @@ fn cycle_loop<W: AccelWord>(
         // packets from the feed.
         for (mi, &mc) in mcs.iter().enumerate() {
             while sim.pending_at(mc) < config.mc_prefetch_packets {
-                let Some(&j) = layer.per_mc_tasks[mi].get(cursors[mi]) else {
+                let Some(j) = feeds[mi].next() else {
                     break;
                 };
-                cursors[mi] += 1;
                 feed.encode(j)?;
-                let (pe, mc_node) = layer.dests[j];
+                let (pe, mc_node) = layer.tasks.dest(j);
                 let sent = layer
                     .port
                     .send_encoded(sim, mc_node, pe, &feed.encoded, j as u64)?;
@@ -1133,13 +1181,15 @@ fn cycle_loop<W: AccelWord>(
                 continue;
             }
             if config.noc.is_mc(d.dst) {
-                run.receive_response::<W>(layer, d.tag as usize, &d.payload_flits)?;
+                run.receive_response::<W>(layer, d.tag as usize, d.payload_flits.as_slice())?;
             } else {
                 // Request arrived at a PE: decode off the wires, recover
                 // pairing, schedule the MAC result.
+                // The wire metadata is done with once its request is
+                // decoded, so only in-flight requests hold an O2 index.
                 let j = d.tag as usize;
-                let wire = wires[j].as_ref().expect("request was sent before delivery");
-                let bits = feed.pe.decode(wire, d.payload_flits.as_slice())?;
+                let wire = wires[j].take().expect("request was sent before delivery");
+                let bits = feed.pe.decode(&wire, d.payload_flits.as_slice())?;
                 let ready = sim.cycle() + config.pe_latency(wire.num_pairs);
                 compute_queue.push(Reverse((ready, j, bits)));
             }
@@ -1186,11 +1236,11 @@ fn replay_request_phase<W: AccelWord>(
     sim: &mut Simulator,
     feed: &mut TaskFeed<'_, W>,
 ) -> Result<(Vec<StagedResponse>, LayerRun), AccelError> {
-    let mut run = LayerRun::new(layer.dests.len());
-    let mut staged: Vec<StagedResponse> = Vec::with_capacity(layer.dests.len());
+    let mut run = LayerRun::new(layer.tasks.total);
+    let mut staged: Vec<StagedResponse> = Vec::with_capacity(layer.tasks.total);
     let mut stream = sim.stream_requests();
-    for tasks in &layer.per_mc_tasks {
-        for &j in tasks {
+    for mi in 0..layer.tasks.mcs.len() {
+        for j in layer.tasks.mc_tasks(mi) {
             feed.encode(j)?;
             let encoded = &feed.encoded;
             run.index_bits += encoded.index_overhead_bits();
@@ -1198,14 +1248,14 @@ fn replay_request_phase<W: AccelWord>(
             run.edc_bits += encoded.edc_overhead_bits();
             let payload = encoded.wire_rows();
             run.request_flits += payload.len() as u64 + 1;
-            let (pe, mc_node) = layer.dests[j];
+            let (pe, mc_node) = layer.tasks.dest(j);
             let delivered = stream.deliver(mc_node, pe, j as u64, payload)?;
             // The wires are perfect here (error injection forces the
             // cycle engine), so acceptance always passes — but it must
             // run, so the EDC verify stays on this path too.
             layer
                 .port
-                .accept_streamed::<W>(&delivered)
+                .accept_streamed::<W>(delivered.payload_flits)
                 .map_err(|e| acceptance_error(e, layer.op_index))?;
             // PE side: decode off the wires, recover the pairing, compute
             // the MAC (the same receiver path as the cycle loop).
@@ -1273,6 +1323,7 @@ fn hybrid_loop<W: AccelWord>(
     feed: &mut TaskFeed<'_, W>,
     cache: &LayerEncodeCache,
     recorder: Option<PhaseRecorder>,
+    response_rows: &mut FlitSlab,
 ) -> Result<(LayerRun, ResponsePhase), AccelError> {
     let (staged, mut run) = replay_request_phase(layer, sim, feed)?;
 
@@ -1282,7 +1333,7 @@ fn hybrid_loop<W: AccelWord>(
     let base = sim.cycle();
     let ready0 = staged.first().map_or(0, |&(.., ready)| ready);
     let schedule = staged.iter().map(|&(j, _, ready)| {
-        let (pe, mc) = layer.dests[j];
+        let (pe, mc) = layer.tasks.dest(j);
         ScheduledPacket {
             src: pe,
             dst: mc,
@@ -1295,14 +1346,12 @@ fn hybrid_loop<W: AccelWord>(
         .find(|(key, _)| *key == staged.len())
         .filter(|(_, recording)| recording.replays(sim, schedule));
     if let Some((_, recording)) = recorded {
-        replay_response_phase::<W>(layer, sim, &staged, recording, &mut run)?;
+        replay_response_phase::<W>(layer, sim, &staged, recording, &mut run, response_rows)?;
         return Ok((run, ResponsePhase::Replayed));
     }
     drop(phases);
     sim.record_phase(
-        recorder.unwrap_or_else(|| {
-            PhaseRecorder::reserve(&layer.config.noc, layer.dests.iter().copied())
-        }),
+        recorder.unwrap_or_else(|| PhaseRecorder::reserve(&layer.config.noc, layer.tasks.dests())),
     );
     let mut delivered: Vec<DeliveredPacket> = Vec::new();
     let mut idx = 0;
@@ -1320,7 +1369,7 @@ fn hybrid_loop<W: AccelWord>(
             let accepted = layer.accept::<W>(sim, d)?;
             debug_assert!(accepted, "hybrid wires are perfect");
             debug_assert!(layer.config.noc.is_mc(d.dst), "responses terminate at MCs");
-            run.receive_response::<W>(layer, d.tag as usize, &d.payload_flits)?;
+            run.receive_response::<W>(layer, d.tag as usize, d.payload_flits.as_slice())?;
         }
         layer.check_stall(sim, base)?;
     }
@@ -1330,45 +1379,46 @@ fn hybrid_loop<W: AccelWord>(
     Ok((run, ResponsePhase::Stepped))
 }
 
-/// The replayed response phase of [`hybrid_loop`]: the mesh side through
-/// [`Simulator::replay_phase`] — each link's recorded flit order walked
-/// through its slab with this dispatch's response images — then, per
-/// response, the PE-side encode, the MC's EDC acceptance and the decode
-/// the stepped phase runs on delivery.
+/// The replayed response phase of [`hybrid_loop`]: every staged
+/// response is encoded once at its PE, into one link-width row of `rows`
+/// (emptied first, its buffer reused layer after layer); the mesh side
+/// walks those rows through [`Simulator::replay_phase`] — each link's
+/// recorded flit order through its slab — and the MC's EDC acceptance
+/// and decode read the same rows, as the stepped phase runs them on
+/// delivery.
 fn replay_response_phase<W: AccelWord>(
     layer: &LayerTraffic,
     sim: &mut Simulator,
     staged: &[StagedResponse],
     recording: &PhaseRecording,
     run: &mut LayerRun,
+    rows: &mut FlitSlab,
 ) -> Result<(), AccelError> {
     let base = sim.cycle();
-    let session = layer.port.session();
-    sim.replay_phase(
-        recording,
-        |i| staged[i].0 as u64,
-        |i| session.encode_response::<W>(staged[i].1),
-    )?;
+    // Delivered images sit on the full link width, like an injected
+    // packet's.
     let link = layer.config.noc.link_width_bits;
-    let mut rows = FlitSlab::new(link);
-    for (&(j, bits, _), arrival_cycle) in staged.iter().zip(recording.arrivals(base)) {
-        // Delivered images sit on the full link width, like an injected
-        // packet's.
-        let mut image = run.encode_response::<W>(layer, bits);
-        if image.width() != link {
-            image = image.resized(link);
+    rows.reset(link);
+    rows.reserve(staged.len());
+    for &(_, bits, _) in staged {
+        let image = run.encode_response::<W>(layer, bits);
+        if image.width() > link {
+            return Err(InjectError::PayloadTooWide {
+                width: image.width(),
+                link,
+            }
+            .into());
         }
-        rows.reset(link);
-        rows.push_row(image.used_words());
-        let delivered = StreamedPacket {
-            payload_flits: &rows,
-            arrival_cycle,
-        };
+        rows.push_row(image.resized(link).used_words());
+    }
+    sim.replay_phase(recording, |i| staged[i].0 as u64, rows)?;
+    for (i, &(j, ..)) in staged.iter().enumerate() {
+        let delivered = rows.rows(i..i + 1);
         layer
             .port
             .accept_streamed::<W>(&delivered)
             .map_err(|e| acceptance_error(e, layer.op_index))?;
-        run.receive_response::<W>(layer, j, std::slice::from_ref(&image))?;
+        run.receive_response::<W>(layer, j, &delivered)?;
     }
     layer.check_stall(sim, base)
 }

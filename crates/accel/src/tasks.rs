@@ -240,8 +240,8 @@ fn conv_kernel<W: DataWord>(
 /// up to `k²` overlapping windows, so mapping at window-extraction time
 /// would quantize the same value `k²` times.
 enum LayerInputs<W> {
-    /// Conv windows are gathered lazily per task (deferred to the encode
-    /// stage) from the pre-mapped word tensors.
+    /// Conv windows are gathered on demand (once per window by the
+    /// encode stage) from the pre-mapped word tensors.
     Conv {
         /// Per batch element: the input tensor as words, `(ic, iy, ix)`
         /// row-major.
@@ -431,12 +431,11 @@ impl<W: DataWord> LayerTasks<W> {
 
     /// The allocation-free view of global task `j`: writes the task's
     /// inputs into `input_buf` (cleared first, capacity reused) and
-    /// returns the shared kernel slice plus the bias word. The encode
-    /// stage feeds the inputs straight to
-    /// `CodedTransport::encode_with_template` (the kernel and bias are
-    /// already rendered into the group's template), so per-task
-    /// construction neither clones the kernel nor allocates an input
-    /// vector.
+    /// returns the shared kernel slice plus the bias word. This is the
+    /// per-task gather of [`LayerTasks::build`], the reference encode's
+    /// task source; it computes the task's window on its own, apart from
+    /// the [`LayerTasks::window_of`] numbering the encode stage's shared
+    /// windows use.
     pub fn operands_into<'s>(&'s self, j: usize, input_buf: &mut Vec<W>) -> (&'s [W], W) {
         let (b, local) = (j / self.per_input, j % self.per_input);
         let group = self.weight_group(j);
@@ -465,6 +464,64 @@ impl<W: DataWord> LayerTasks<W> {
             LayerInputs::Linear { words } => input_buf.extend_from_slice(&words[b]),
         }
         (&self.kernels[group], self.bias_words[group])
+    }
+
+    /// Distinct activation windows across the batch: one per batch
+    /// element and output pixel (conv) or per batch element (linear).
+    /// Every kernel group reads each window.
+    #[must_use]
+    pub fn window_count(&self) -> usize {
+        match &self.inputs {
+            LayerInputs::Conv { geo, .. } => self.batch * geo.out_h * geo.out_w,
+            LayerInputs::Linear { .. } => self.batch,
+        }
+    }
+
+    /// The activation window global task `j` reads: its batch element's
+    /// output pixel (conv) or its batch element (linear), numbered
+    /// batch-major like the tasks.
+    #[must_use]
+    pub fn window_of(&self, j: usize) -> usize {
+        let (b, local) = (j / self.per_input, j % self.per_input);
+        match &self.inputs {
+            LayerInputs::Conv { geo, .. } => {
+                let pixels = geo.out_h * geo.out_w;
+                b * pixels + local % pixels
+            }
+            LayerInputs::Linear { .. } => b,
+        }
+    }
+
+    /// Writes the inputs of activation window `window` (see
+    /// [`LayerTasks::window_of`]) into `input_buf` (cleared first,
+    /// capacity reused), in the tasks' `(ic, kh, kw)` order; conv padding
+    /// reads the batch element's own image of `0.0`.
+    pub fn window_into(&self, window: usize, input_buf: &mut Vec<W>) {
+        input_buf.clear();
+        match &self.inputs {
+            LayerInputs::Conv {
+                words,
+                in_h,
+                in_w,
+                geo,
+                zero_words,
+            } => {
+                let pixels = geo.out_h * geo.out_w;
+                let (b, pixel) = (window / pixels, window % pixels);
+                let (oy, ox) = (pixel / geo.out_w, pixel % geo.out_w);
+                gather_window(
+                    &words[b],
+                    *in_h,
+                    *in_w,
+                    geo,
+                    oy,
+                    ox,
+                    zero_words[b],
+                    input_buf,
+                );
+            }
+            LayerInputs::Linear { words } => input_buf.extend_from_slice(&words[window]),
+        }
     }
 }
 

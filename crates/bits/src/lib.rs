@@ -50,7 +50,7 @@ pub mod word;
 
 pub use fixed::{QuantError, Quantizer};
 pub use payload::PayloadBits;
-pub use slab::{FlitRows, FlitSlab};
+pub use slab::{FlitRows, FlitSlab, SlabRows};
 pub use stats::{BitPositionStats, PopcountHistogram};
 pub use transition::{bit_transitions, bit_transitions_u64};
 pub use word::{DataFormat, DataWord, F32Word, Fx16Word, Fx8Word};

@@ -180,6 +180,11 @@ impl FlitSlab {
         self.words.clear();
     }
 
+    /// Reserves room for exactly `flits` more flits.
+    pub fn reserve(&mut self, flits: usize) {
+        self.words.reserve_exact(flits * self.words_per_flit);
+    }
+
     /// Appends one flit given as its row of words.
     ///
     /// # Panics
@@ -253,6 +258,33 @@ impl FlitSlab {
         );
     }
 
+    /// ORs `prefixes` into the leading words of the rows: row `i` takes
+    /// `prefixes[i * words..][..words]` into its first `words` words — a
+    /// whole run of pre-rendered lanes merged word by word. The caller
+    /// keeps the prefixes' bits below the width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is 0 or exceeds [`FlitSlab::words_per_flit`], or
+    /// `prefixes` does not hold `words` words per row.
+    pub fn or_row_prefixes(&mut self, prefixes: &[u64], words: usize) {
+        assert!(
+            words > 0 && words <= self.words_per_flit,
+            "a row prefix of {words} words does not fit {}-word rows",
+            self.words_per_flit
+        );
+        assert_eq!(prefixes.len(), self.len() * words, "one prefix per row");
+        for (row, prefix) in self
+            .words
+            .chunks_exact_mut(self.words_per_flit)
+            .zip(prefixes.chunks_exact(words))
+        {
+            for (cell, &bits) in row.iter_mut().zip(prefix) {
+                *cell |= bits;
+            }
+        }
+    }
+
     /// Re-widths every flit to `width` in place, zero-extending each row
     /// (the frame's EDC field above the data wires starts blank).
     ///
@@ -278,6 +310,22 @@ impl FlitSlab {
         for i in (0..flits).rev() {
             self.words.copy_within(i * from..(i + 1) * from, i * to);
             self.words[i * to + from..(i + 1) * to].fill(0);
+        }
+    }
+
+    /// Flits `range` as a borrowed [`FlitRows`] view: one packet's rows
+    /// out of a slab that holds many packets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past the slab.
+    #[must_use]
+    pub fn rows(&self, range: std::ops::Range<usize>) -> SlabRows<'_> {
+        let wpf = self.words_per_flit;
+        SlabRows {
+            width: self.width,
+            words_per_flit: wpf,
+            words: &self.words[range.start * wpf..range.end * wpf],
         }
     }
 
@@ -360,6 +408,33 @@ impl FlitRows for FlitSlab {
 
     fn dense(&self, row_words: usize) -> Option<&[u64]> {
         (row_words == self.words_per_flit).then_some(&self.words[..])
+    }
+}
+
+/// Consecutive flits of a [`FlitSlab`], borrowed ([`FlitSlab::rows`]).
+#[derive(Debug, Clone, Copy)]
+pub struct SlabRows<'a> {
+    width: u32,
+    words_per_flit: usize,
+    words: &'a [u64],
+}
+
+impl FlitRows for SlabRows<'_> {
+    fn flit_count(&self) -> usize {
+        self.words.len() / self.words_per_flit
+    }
+
+    fn flit_width(&self, _flit: usize) -> u32 {
+        self.width
+    }
+
+    #[inline]
+    fn row(&self, flit: usize) -> &[u64] {
+        &self.words[flit * self.words_per_flit..][..self.words_per_flit]
+    }
+
+    fn dense(&self, row_words: usize) -> Option<&[u64]> {
+        (row_words == self.words_per_flit).then_some(self.words)
     }
 }
 
@@ -513,6 +588,16 @@ mod tests {
         slab.or_bits(128 + 72, 0xab);
         assert_eq!(slab.flit(1), &[0, 0xab00]);
         assert_eq!(FlitRows::word(&slab, 1, 1), 0xab00);
+        // Row prefixes OR into each row's leading words.
+        slab.or_row_prefixes(&[0x1, 0x2], 1);
+        assert_eq!(slab.flit(0), &[0x1, 0]);
+        assert_eq!(slab.flit(1), &[0x2, 0xab00]);
+        // A row view reads the same words.
+        let tail = slab.rows(1..2);
+        assert_eq!(tail.flit_count(), 1);
+        assert_eq!(tail.flit_width(0), 128);
+        assert_eq!(tail.row(0), slab.flit(1));
+        assert_eq!(tail.dense(2), Some(slab.flit(1)));
     }
 
     #[test]

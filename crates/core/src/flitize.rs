@@ -12,7 +12,7 @@
 //! identical except for the transmission order of the same values.
 
 use crate::ordering::{
-    placement_by_original_index, round_robin_assignment, OrderingMethod, TieBreak,
+    placement_by_original_index, round_robin_assignment, OrderingMethod, SortScratch, TieBreak,
 };
 use crate::plan::LanePlan;
 use crate::task::{NeuronTask, RecoveredTask};
@@ -546,13 +546,13 @@ pub fn index_overhead_bits_for(method: OrderingMethod, num_pairs: usize) -> u64 
 /// order, their lanes in the layer's [`LanePlan`], the bias lane, the O2
 /// inverse weight permutation and the index-overhead accounting are all
 /// functions of the kernel group alone. [`build_encode_template`] renders
-/// them once per layer; [`render_with_template`] then encodes each task
-/// by copying the template rows into a reused [`FlitSlab`] and OR-ing
-/// only the per-request activation lanes in (the input half of a
-/// template is zero, so no read-mask cycle is needed). The result is
-/// bit-identical to the slot-level oracle [`order_task_with`]'s
-/// [`OrderedTask::payload_flits`] and pair index (pinned by
-/// `tests/transport_parity.rs`).
+/// them once per layer; [`render_window`] then encodes each task by
+/// copying the template rows into a reused [`FlitSlab`] and OR-ing in
+/// the activation half its [`WindowTable`] prepared once per window (the
+/// input half of a template is zero, so no read-mask cycle is needed).
+/// The result is bit-identical to the slot-level oracle
+/// [`order_task_with`]'s [`OrderedTask::payload_flits`] and pair index
+/// (pinned by `tests/transport_parity.rs`).
 #[derive(Debug, Clone)]
 pub struct EncodeTemplate {
     method: OrderingMethod,
@@ -684,13 +684,231 @@ pub fn build_encode_template<W: DataWord>(
     })
 }
 
+/// The activation half of a layer's task rows, prepared once per
+/// activation window and shared by every kernel group that reads the
+/// window — each output channel of a conv pixel, each neuron of a
+/// linear layer.
+///
+/// The separated ordering (O2) sorts the inputs on their own, so a
+/// window's popcount order depends on the window alone, and under O0 and
+/// O2 an input's lane depends only on its rank (its original index under
+/// O0, its place in that order under O2), never on the kernel. So
+/// [`WindowTable::push`] renders such a window's input lanes once —
+/// compactly, only the words of each flit's input half — and keeps the
+/// O2 rank order for the re-pairing index; a task's rows are then its
+/// group's template rows OR the window's ([`render_window`]). O1 inputs
+/// follow each kernel's weight permutation, so an O1 window keeps only
+/// its gathered words, which the render deals lane by lane.
+///
+/// Buffers are kept across [`WindowTable::reset`], so a table reused
+/// layer after layer allocates only when a layer needs more room.
+#[derive(Debug, Default)]
+pub struct WindowTable {
+    /// The [`WindowLayout`] of the templates the table renders for;
+    /// `None` before the first reset.
+    layout: Option<WindowLayout>,
+    /// Words of one flit's input half: what a window keeps per flit.
+    input_words: usize,
+    num_flits: usize,
+    /// O0/O2: per rank, the bit offset of its input lane in a window's
+    /// compact rows (the flits' input halves laid back to back).
+    lanes: Vec<u32>,
+    /// O1: per window, its inputs' bits in original order.
+    words: Vec<u64>,
+    /// O2: per window, its inputs' original indices in rank order.
+    order: Vec<u16>,
+    /// O0/O2: per window, `num_flits × input_words` words holding every
+    /// input lane.
+    rows: Vec<u64>,
+    len: usize,
+}
+
+/// What a window's preparation depends on in a template: `(method,
+/// pairs, values per flit, data width)`.
+type WindowLayout = (OrderingMethod, usize, usize, u32);
+
+impl EncodeTemplate {
+    fn window_layout(&self) -> WindowLayout {
+        (
+            self.method,
+            self.num_pairs,
+            self.values_per_flit,
+            self.rows.width(),
+        )
+    }
+}
+
+/// One prepared window of a [`WindowTable`], as [`render_window`] takes
+/// it.
+#[derive(Debug, Clone, Copy)]
+pub struct Window<'a> {
+    table: &'a WindowTable,
+    index: usize,
+}
+
+impl WindowTable {
+    /// Empties the table and lays it out for `windows` windows of tasks
+    /// of `template`'s shape, reserving exactly their room. Every kernel
+    /// group of a layer shares that shape (O0/O2 input lanes are static
+    /// per rank), so any one of the layer's templates sets it.
+    pub fn reset(&mut self, template: &EncodeTemplate, windows: usize) {
+        self.words.clear();
+        self.order.clear();
+        self.rows.clear();
+        self.len = 0;
+        let layout = template.window_layout();
+        if self.layout != Some(layout) {
+            self.layout = Some(layout);
+            let (method, _, values_per_flit, width) = layout;
+            self.num_flits = template.rows.len();
+            let word_width = width / values_per_flit as u32;
+            self.input_words = (values_per_flit as u32 / 2 * word_width).div_ceil(64) as usize;
+            self.lanes.clear();
+            if method != OrderingMethod::Affiliated {
+                // Template lanes address full rows; a window keeps only
+                // the input half of each.
+                let row_bits = template.rows.words_per_flit() as u32 * 64;
+                let compact_bits = self.input_words as u32 * 64;
+                self.lanes.extend(
+                    template
+                        .input_lanes
+                        .iter()
+                        .map(|&lane| lane / row_bits * compact_bits + lane % row_bits),
+                );
+            }
+        }
+        let n = template.num_pairs;
+        match template.method {
+            OrderingMethod::Baseline => {}
+            OrderingMethod::Affiliated => self.words.reserve_exact(windows * n),
+            OrderingMethod::Separated => self.order.reserve_exact(windows * n),
+        }
+        if template.method != OrderingMethod::Affiliated {
+            self.rows
+                .reserve_exact(windows * self.num_flits * self.input_words);
+        }
+    }
+
+    /// Prepares the next window from its gathered `inputs` (original
+    /// order) and returns its index: under O2 sorts them with `tiebreak`
+    /// (`sort` and `perm` host the kernel), under O0/O2 renders their
+    /// lanes, under O1 keeps their bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table was never reset, `inputs` does not pair up
+    /// with the table's templates, or the word type differs from theirs.
+    pub fn push<W: DataWord>(
+        &mut self,
+        inputs: &[W],
+        tiebreak: TieBreak,
+        sort: &mut SortScratch,
+        perm: &mut Vec<usize>,
+    ) -> usize {
+        // A table never reset has no pairs, so the pairing check below
+        // refuses every window.
+        let (method, num_pairs, values_per_flit, width) =
+            self.layout.unwrap_or((OrderingMethod::Baseline, 0, 0, 0));
+        assert_eq!(inputs.len(), num_pairs, "operand slices must pair up");
+        assert_eq!(
+            values_per_flit as u32 * W::WIDTH,
+            width,
+            "word type differs from the template's"
+        );
+        match method {
+            OrderingMethod::Baseline => self.render(inputs.iter().copied()),
+            OrderingMethod::Affiliated => self.words.extend(inputs.iter().map(|w| w.bits_u64())),
+            OrderingMethod::Separated => {
+                tiebreak.descending_order_into(inputs, sort, perm);
+                self.order.extend(perm.iter().map(|&orig| orig as u16));
+                self.render(perm.iter().map(|&orig| inputs[orig]));
+            }
+        }
+        self.len += 1;
+        self.len - 1
+    }
+
+    /// Appends one window's compact rows with `ranked[r]` in rank `r`'s
+    /// lane.
+    fn render<W: DataWord>(&mut self, ranked: impl Iterator<Item = W>) {
+        let base = self.rows.len();
+        self.rows
+            .resize(base + self.num_flits * self.input_words, 0);
+        let rows = &mut self.rows[base..];
+        for (value, &lane) in ranked.zip(&self.lanes) {
+            rows[(lane / 64) as usize] |= value.bits_u64() << (lane % 64);
+        }
+    }
+
+    /// Window `index`, as [`WindowTable::push`] numbered it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no window `index` was pushed since the last reset.
+    #[must_use]
+    pub fn window(&self, index: usize) -> Window<'_> {
+        assert!(index < self.len, "window {index} was never prepared");
+        Window { table: self, index }
+    }
+}
+
+/// Encodes one task's ordered flit rows off its group's pre-rendered
+/// [`EncodeTemplate`] and its prepared activation [`Window`] into `out`
+/// (reset to the data width first): the template rows OR the window's
+/// compact rows word by word under O0/O2, the window's words dealt into
+/// the template's input lanes under O1. For O2 it writes the re-pairing
+/// index into `pair_index` (cleared first) as
+/// `pair_index[r] = inv_wperm[iperm[r]]`. Nothing is allocated once
+/// `out` and `pair_index` have grown to a task's size. Bit-identical to
+/// [`order_task_with`] over the template's weights and the window's
+/// inputs.
+///
+/// # Panics
+///
+/// Panics if the window was prepared for another template shape.
+pub fn render_window(
+    template: &EncodeTemplate,
+    window: Window<'_>,
+    out: &mut FlitSlab,
+    pair_index: &mut Vec<u16>,
+) {
+    let Window { table, index } = window;
+    let n = template.num_pairs;
+    assert!(
+        table.layout == Some(template.window_layout()),
+        "window prepared for another template shape"
+    );
+    out.reset(template.rows.width());
+    out.extend_from(&template.rows);
+    pair_index.clear();
+    if template.method == OrderingMethod::Affiliated {
+        for (&bits, &lane) in table.words[index * n..][..n]
+            .iter()
+            .zip(&template.input_lanes)
+        {
+            out.or_bits(lane, bits);
+        }
+        return;
+    }
+    let words = table.num_flits * table.input_words;
+    out.or_row_prefixes(&table.rows[index * words..][..words], table.input_words);
+    if template.method == OrderingMethod::Separated {
+        pair_index.extend(
+            table.order[index * n..][..n]
+                .iter()
+                .map(|&orig| template.inv_wperm[usize::from(orig)]),
+        );
+    }
+}
+
 /// Encodes one task's ordered flit rows off a pre-rendered
-/// [`EncodeTemplate`] into `out` (reset to the data width first): copies
-/// the template rows, deals the activation lanes, and for O2 sorts the
-/// inputs and writes the re-pairing index into `pair_index` (cleared
-/// first) off the cached inverse weight permutation. Nothing is
-/// allocated once `out` and `pair_index` have grown to a task's size.
-/// Bit-identical to [`order_task_with`] over the template's weights.
+/// [`EncodeTemplate`] into `out`: prepares `inputs` as a one-window
+/// [`WindowTable`] held in `scratch` (for O2, sorting them with
+/// `tiebreak`), then combines it with the template ([`render_window`]),
+/// writing the O2 re-pairing index into `pair_index`. Nothing is
+/// allocated once the scratch, `out` and `pair_index` have grown to a
+/// task's size. Bit-identical to [`order_task_with`] over the template's
+/// weights.
 ///
 /// # Panics
 ///
@@ -704,34 +922,8 @@ pub fn render_with_template<W: DataWord>(
     out: &mut FlitSlab,
     pair_index: &mut Vec<u16>,
 ) {
-    assert_eq!(
-        inputs.len(),
-        template.num_pairs,
-        "operand slices must pair up"
-    );
-    assert_eq!(
-        template.values_per_flit as u32 * W::WIDTH,
-        template.rows.width(),
-        "word type differs from the template's"
-    );
-    out.reset(template.rows.width());
-    out.extend_from(&template.rows);
-    pair_index.clear();
-    match template.method {
-        OrderingMethod::Baseline | OrderingMethod::Affiliated => {
-            for (&input, &lane) in inputs.iter().zip(&template.input_lanes) {
-                out.or_bits(lane, input.bits_u64());
-            }
-        }
-        OrderingMethod::Separated => {
-            let TransportScratch { keys, iperm, .. } = scratch;
-            tiebreak.descending_order_into(inputs, keys, iperm);
-            for (&orig, &lane) in iperm.iter().zip(&template.input_lanes) {
-                out.or_bits(lane, inputs[orig].bits_u64());
-            }
-            pair_index.extend(iperm.iter().map(|&orig| template.inv_wperm[orig]));
-        }
-    }
+    let window = scratch.prepare_window(template, inputs, tiebreak);
+    render_window(template, window, out, pair_index);
 }
 
 /// Flitizes a flat value stream (weights-only packets, as in the "without

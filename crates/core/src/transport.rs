@@ -25,8 +25,8 @@
 use crate::codec::{CodecError, CodecKind, CodecScope};
 use crate::edc::EdcKind;
 use crate::flitize::{
-    build_encode_template, order_task_with, render_with_template, EncodeTemplate, FlitizeError,
-    OrderedTask, RecoverError,
+    build_encode_template, order_task_with, render_window, EncodeTemplate, FlitizeError,
+    OrderedTask, RecoverError, Window, WindowTable,
 };
 use crate::ordering::{OrderingMethod, SortScratch, TieBreak};
 use crate::plan::LanePlan;
@@ -150,6 +150,30 @@ pub struct TransportScratch {
     /// last packet with; rebuilt only when a packet of another shape
     /// arrives.
     pub(crate) plan: Option<LanePlan>,
+    /// The one-window table a per-task template encode prepares its
+    /// activations in.
+    pub(crate) window: WindowTable,
+}
+
+impl TransportScratch {
+    /// Prepares `inputs` as the only window of the scratch table, laid
+    /// out for `template` (for O2, sorted with `tiebreak`).
+    pub(crate) fn prepare_window<W: DataWord>(
+        &mut self,
+        template: &EncodeTemplate,
+        inputs: &[W],
+        tiebreak: TieBreak,
+    ) -> Window<'_> {
+        let Self {
+            keys,
+            iperm,
+            window,
+            ..
+        } = self;
+        window.reset(template, 1);
+        let index = window.push(inputs, tiebreak, keys, iperm);
+        window.window(index)
+    }
 }
 
 /// The metadata a packet carries out-of-band of its payload flits: the
@@ -461,10 +485,10 @@ impl CodedTransport {
 
     /// Encodes one task's activations off a pre-rendered
     /// [`EncodeTemplate`] into `out`, reusing its rows and pair-index
-    /// buffer — the per-task half of the template encode path: copy the
-    /// static weight rows, deal only the activation lanes, stamp the EDC
-    /// field, then run the link codec as usual. A task allocates nothing
-    /// once `out` has held one of its size. Bit-identical to
+    /// buffer: prepares `inputs` as a one-window [`WindowTable`] in
+    /// `scratch`, then runs [`CodedTransport::encode_window_into`]. A
+    /// task allocates nothing once `out` and `scratch` have held one of
+    /// its size. Bit-identical to
     /// [`CodedTransport::encode_task_reference`] over the template's
     /// weights — pinned by `tests/transport_parity.rs`.
     ///
@@ -481,6 +505,29 @@ impl CodedTransport {
         scratch: &mut TransportScratch,
         out: &mut EncodedTask<W>,
     ) {
+        let window = scratch.prepare_window(template, inputs, self.config.tiebreak);
+        self.encode_window_into(template, window, out);
+    }
+
+    /// Encodes one task off its group's pre-rendered [`EncodeTemplate`]
+    /// and its activation [`Window`] (prepared once per window with this
+    /// session's tiebreak, and shared by every group reading it) into
+    /// `out`, reusing its rows and pair-index buffer — the per-task half
+    /// of the template encode path: combine the template and window rows
+    /// ([`render_window`]), stamp the EDC field, then run the link codec
+    /// as usual. Allocation-free once `out` has held a task of its size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window was prepared for another template shape, or
+    /// (debug only) the template's ordering/lane configuration is not
+    /// this session's.
+    pub fn encode_window_into<W: DataWord>(
+        &self,
+        template: &EncodeTemplate,
+        window: Window<'_>,
+        out: &mut EncodedTask<W>,
+    ) {
         debug_assert_eq!(
             template.method(),
             self.config.ordering,
@@ -492,14 +539,7 @@ impl CodedTransport {
             "template was rendered for a different lane count"
         );
         let mut index = out.meta.pair_index.take().unwrap_or_default();
-        render_with_template(
-            template,
-            inputs,
-            self.config.tiebreak,
-            scratch,
-            &mut out.plain,
-            &mut index,
-        );
+        render_window(template, window, &mut out.plain, &mut index);
         self.stamp_rows::<W>(&mut out.plain);
         if self.config.codes_in_transport() {
             let wire = out
@@ -509,7 +549,7 @@ impl CodedTransport {
         } else {
             out.wire = None;
         }
-        out.meta.num_pairs = inputs.len();
+        out.meta.num_pairs = template.num_pairs();
         out.meta.pair_index = (template.method() == OrderingMethod::Separated).then_some(index);
         out.index_overhead_bits = template.index_overhead_bits();
         out.codec = self.config.codec;
@@ -742,47 +782,65 @@ impl CodedTransport {
     }
 
     /// Decodes a delivered response packet's wire images back into the
-    /// 32-bit MAC response (inverse of [`CodedTransport::encode_response`]).
+    /// 32-bit MAC response (inverse of [`CodedTransport::encode_response`])
+    /// — [`CodedTransport::decode_response_rows`] over the images.
     ///
     /// # Errors
     ///
-    /// Returns [`TransportError::Codec`] if the wire images do not match
-    /// the session's link width, or [`TransportError::EmptyResponse`] if
-    /// the packet carried no payload flits.
+    /// As [`CodedTransport::decode_response_rows`].
     pub fn decode_response<W: DataWord>(
         &self,
         wire: &[PayloadBits],
     ) -> Result<u64, TransportError> {
+        self.decode_response_rows::<W>(wire)
+    }
+
+    /// Decodes a delivered response packet's wire rows (a [`FlitSlab`]
+    /// row on the replayed response phase, [`PayloadBits`] images off the
+    /// cycle engine) back into the 32-bit MAC response.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransportError::Codec`] if the wire rows do not match
+    /// the session's link width, or [`TransportError::EmptyResponse`] if
+    /// the packet carried no payload flits.
+    pub fn decode_response_rows<W: DataWord>(
+        &self,
+        wire: &(impl FlitRows + ?Sized),
+    ) -> Result<u64, TransportError> {
         let frame_width = self.config.frame_width_bits::<W>();
-        let image = wire.first().ok_or(TransportError::EmptyResponse)?;
+        if wire.flit_count() == 0 {
+            return Err(TransportError::EmptyResponse);
+        }
         if self.config.codes_in_transport() {
             // Responses are single-flit packets, so decoding the first
             // wire image against a fresh (per-packet) state is the whole
             // codec inverse.
             let mut state = self.config.codec.seed_state(frame_width);
-            return Ok(state.decode_step(image)?.field(0, 32));
+            return Ok(state.decode_step(&wire.image(0))?.field(0, 32));
         }
-        // Plain image (identity codec, or per-link scope where the links
+        // Plain row (identity codec, or per-link scope where the links
         // already decoded the wire): read the 32-bit field in place —
         // hot path, one response per task, no allocation.
+        let (row, width) = (wire.row(0), wire.flit_width(0));
         let extra = match self.config.scope {
             CodecScope::PerLink => self.config.codec.extra_wires(),
             CodecScope::PerPacket => 0,
         };
-        if extra > 0 && image.width() == frame_width + extra {
-            if image.field(frame_width, extra) != 0 {
+        if extra > 0 && width == frame_width + extra {
+            if row_field(row, frame_width, extra) != 0 {
                 return Err(CodecError::SideChannel { flit: 0 }.into());
             }
-            return Ok(image.field(0, 32));
+            return Ok(row_field(row, 0, 32));
         }
-        if image.width() != frame_width {
+        if width != frame_width {
             return Err(CodecError::WireWidth {
-                got: image.width(),
+                got: width,
                 want: frame_width,
             }
             .into());
         }
-        Ok(image.field(0, 32))
+        Ok(row_field(row, 0, 32))
     }
 
     /// Checks every delivered payload flit's EDC field against its data

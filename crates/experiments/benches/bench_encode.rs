@@ -22,7 +22,16 @@
 //!    runs once before timing, so the timed region holds per-task encode work only — the quantity the driver's
 //!    inline encode stage pays per task of every request.
 //!
-//! 3. **`decode`** — the PE side of the same tasks (fx8 O2, 25- and
+//! 3. **`window`** — one LeNet conv2 output pixel's 16 channel tasks
+//!    (fx8 O2, 150 pairs, 16-lane flits), all reading one activation
+//!    window: `per_task_render_conv2` gathers, sorts and renders the
+//!    window for every task (`operands_into` +
+//!    `encode_with_template_into`); `window_render_conv2` gathers and
+//!    sorts it once into a `WindowTable` and
+//!    combines it with each channel's template (`encode_window_into`),
+//!    as the driver's encode stage does.
+//!
+//! 4. **`decode`** — the PE side of the same tasks (fx8 O2, 25- and
 //!    150-pair tasks, LeNet conv1 and conv2): `reference_decode_*`
 //!    recovers the pairs slot by slot (`decode_task_reference`) and
 //!    computes the response off them; `plan_decode_*` folds the pairs
@@ -31,30 +40,33 @@
 //!
 //! Each reference/fast pair runs on the paired-ratio harness (`common`)
 //! and writes `BENCH_ordering_kernel.json` / `BENCH_encode.json` /
-//! `BENCH_decode.json` (schema `btr-bench-v1`).
+//! `BENCH_window.json` / `BENCH_decode.json` (schema `btr-bench-v1`).
 //!
 //! `BTR_BENCH_ENCODE_SMOKE=1` takes 5 pairs per point and **asserts**
 //! the fast paths' reason to exist on the lower quartile of the paired
 //! reference/fast time ratios: the template path beats the reference on
 //! both configurations and by ≥ 3x on the affiliated one, the counting
-//! sort does not lose to the comparison sort on n4096/value, and the
-//! plan decode is at least [`PLAN_DECODE_MIN`] times the reference on
-//! both task sizes.
+//! sort does not lose to the comparison sort on n4096/value, the window
+//! render is at least [`WINDOW_RENDER_MIN`] times the per-task render,
+//! and the plan decode is at least [`PLAN_DECODE_MIN`] times the
+//! reference on both task sizes.
 
 mod common;
 
 use btr_accel::driver::AccelWord;
+use btr_accel::tasks::{ConvGeometry, LayerTasks, LayerWords};
 use btr_bits::word::Fx8Word;
 use btr_bits::{FlitSlab, PayloadBits};
 use btr_core::codec::{CodecKind, CodecScope};
 use btr_core::edc::EdcKind;
-use btr_core::flitize::EncodeTemplate;
+use btr_core::flitize::{EncodeTemplate, WindowTable};
 use btr_core::ordering::{OrderingMethod, SortScratch, TieBreak};
 use btr_core::plan::LanePlan;
 use btr_core::task::NeuronTask;
 use btr_core::transport::{
     CodedTransport, EncodedTask, TaskWireMeta, TransportConfig, TransportScratch,
 };
+use btr_dnn::Tensor;
 use common::{iter_batched, Group, SMOKE_PAIRS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -153,6 +165,107 @@ enum EncodePath {
     Reference,
     Template,
 }
+
+/// The smoke gate's floor on the paired per-task/window render ratio.
+/// Ten smoke runs on a 2-hart Xeon host measured lower quartiles of at
+/// least 5.0x (`taskset -c 0`) and 4.7x (both harts).
+const WINDOW_RENDER_MIN: f64 = 3.0;
+
+/// One LeNet conv2 output pixel in the driver's encode shape: the layer's
+/// 16 channel templates (fx8 O2, 6x5x5 = 150 pairs, 16-lane flits) and
+/// the layer's task source over one random 6x14x14 input.
+struct WindowFixture {
+    session: CodedTransport,
+    source: LayerTasks<Fx8Word>,
+    templates: Vec<EncodeTemplate>,
+    /// The pixel's tasks, one per output channel.
+    tasks: Vec<usize>,
+}
+
+impl WindowFixture {
+    fn new(seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tensor = |shape: &[usize]| {
+            let len = shape.iter().product();
+            Tensor::from_vec(shape, (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect())
+                .expect("tensor shape")
+        };
+        let (input, weight, bias) = (tensor(&[6, 14, 14]), tensor(&[16, 6, 5, 5]), tensor(&[16]));
+        let xs = std::slice::from_ref(&input);
+        let words = LayerWords::<Fx8Word>::derive(xs, &weight, &bias, false);
+        let (inputs, to_weight, to_bias) = words.mappers();
+        let geo = ConvGeometry::from_shapes(&input, &weight, 1, 0);
+        let source = LayerTasks::conv(xs, &weight, &bias, geo, inputs, to_weight, to_bias);
+        let session = CodedTransport::new(TransportConfig::new(OrderingMethod::Separated, 16));
+        let mut scratch = TransportScratch::default();
+        let templates = (0..source.group_count())
+            .map(|g| {
+                session
+                    .weight_template(
+                        source.group_weights(g),
+                        source.bias_word(g),
+                        None,
+                        &mut scratch,
+                    )
+                    .expect("template geometry")
+            })
+            .collect();
+        // A pixel in the middle of the 10x10 output.
+        let (pixels, pixel) = (geo.out_h * geo.out_w, 55);
+        Self {
+            session,
+            tasks: (0..geo.out_channels)
+                .map(|oc| oc * pixels + pixel)
+                .collect(),
+            source,
+            templates,
+        }
+    }
+
+    /// Encodes every task of the pixel the per-task way, handing each to
+    /// `sink`.
+    fn per_task(
+        &self,
+        (scratch, inputs, out): &mut (TransportScratch, Vec<Fx8Word>, EncodedTask<Fx8Word>),
+        mut sink: impl FnMut(&EncodedTask<Fx8Word>),
+    ) {
+        for &j in &self.tasks {
+            self.source.operands_into(j, inputs);
+            let template = &self.templates[self.source.weight_group(j)];
+            self.session
+                .encode_with_template_into(template, inputs, scratch, out);
+            sink(out);
+        }
+    }
+
+    /// Encodes every task of the pixel off one prepared window, handing
+    /// each to `sink`.
+    fn shared_window(
+        &self,
+        (table, sort, perm, inputs, out): &mut WindowScratch,
+        mut sink: impl FnMut(&EncodedTask<Fx8Word>),
+    ) {
+        let window = self.source.window_of(self.tasks[0]);
+        self.source.window_into(window, inputs);
+        table.reset(&self.templates[0], 1);
+        let index = table.push(inputs, TieBreak::Stable, sort, perm);
+        for &j in &self.tasks {
+            let template = &self.templates[self.source.weight_group(j)];
+            self.session
+                .encode_window_into(template, table.window(index), out);
+            sink(out);
+        }
+    }
+}
+
+/// The buffers [`WindowFixture::shared_window`] reuses.
+type WindowScratch = (
+    WindowTable,
+    SortScratch,
+    Vec<usize>,
+    Vec<Fx8Word>,
+    EncodedTask<Fx8Word>,
+);
 
 /// The smoke gate's floor on the paired reference/plan decode ratio.
 /// Ten smoke runs on a 2-hart Xeon host measured lower quartiles of at
@@ -306,6 +419,53 @@ fn main() {
     }
     group.finish();
 
+    // One conv2 pixel's channel tasks: per-task render vs one shared
+    // window.
+    let fixture = WindowFixture::new(seed);
+    let per_task_buffers = || {
+        (
+            TransportScratch::default(),
+            Vec::new(),
+            fixture.session.task_buffer(),
+        )
+    };
+    let window_buffers = || -> WindowScratch {
+        (
+            WindowTable::default(),
+            SortScratch::default(),
+            Vec::new(),
+            Vec::new(),
+            fixture.session.task_buffer(),
+        )
+    };
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    fixture.per_task(&mut per_task_buffers(), |t| want.push(t.clone()));
+    fixture.shared_window(&mut window_buffers(), |t| got.push(t.clone()));
+    assert!(want == got, "both renders encode the same tasks");
+    let mut group = Group::new("window", if smoke { SMOKE_PAIRS } else { 20 });
+    let (mut per_task, mut shared) = (per_task_buffers(), window_buffers());
+    let window_ratio = group.pair(
+        "per_task_render_conv2",
+        common::iter(|| {
+            let mut flits = 0;
+            fixture.per_task(&mut per_task, |t| flits += t.wire_rows().len());
+            flits
+        }),
+        "window_render_conv2",
+        common::iter(|| {
+            let mut flits = 0;
+            fixture.shared_window(&mut shared, |t| flits += t.wire_rows().len());
+            flits
+        }),
+    );
+    let per_pixel = |name: &str| group.point(name).median_ns() / 1e3;
+    println!(
+        "  conv2 pixel (16 tasks): per-task {:>6.2} us, window {:>6.2} us (median)",
+        per_pixel("per_task_render_conv2"),
+        per_pixel("window_render_conv2")
+    );
+    group.finish();
+
     // The PE decode of LeNet conv1- and conv2-sized O2 tasks.
     let mut group = Group::new("decode", if smoke { SMOKE_PAIRS } else { 20 });
     let mut decode_ratios = Vec::new();
@@ -335,6 +495,10 @@ fn main() {
     group.finish();
 
     if smoke {
+        assert!(
+            window_ratio >= WINDOW_RENDER_MIN,
+            "window render under {WINDOW_RENDER_MIN}x the per-task render ({window_ratio:.2}x)"
+        );
         for (n, ratio) in decode_ratios {
             assert!(
                 ratio >= PLAN_DECODE_MIN,
@@ -367,6 +531,7 @@ fn main() {
         println!(
             "smoke check: template > reference on both configs and >= 3x affiliated, \
              counting sort >= comparison sort ({counting_value_n4096:.2}x), \
+             window render >= {WINDOW_RENDER_MIN}x per-task, \
              plan decode >= {PLAN_DECODE_MIN}x reference"
         );
     }

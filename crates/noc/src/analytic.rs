@@ -725,14 +725,11 @@ pub struct PhaseRecorder {
     start_cycle: u64,
     first_packet: u32,
     last_offset: u64,
-    /// Per packet: its tail's arrival, in cycles from the phase start.
-    arrivals: Vec<u32>,
     /// Per link id: its last written event, and a head still waiting to
     /// learn whether its payload flit follows right behind it.
     tails: Vec<(i64, Option<u32>)>,
     /// Set when the phase does not fit a recording: a packet without
-    /// exactly one payload flit, node ids beyond 16 bits, or arrivals
-    /// beyond 32 bits.
+    /// exactly one payload flit, or node ids beyond 16 bits.
     unfit: bool,
 }
 
@@ -764,8 +761,6 @@ impl PhaseRecorder {
                 end: pointers,
                 endpoints: Vec::with_capacity(total),
                 offsets: Vec::with_capacity(2 * total),
-                // Latencies below 2^21 cycles take at most three bytes.
-                latencies: Vec::with_capacity(3 * total),
                 links: packets
                     .into_iter()
                     .map(|n| Vec::with_capacity(2 * n * delta_bytes))
@@ -776,7 +771,6 @@ impl PhaseRecorder {
             start_cycle: 0,
             first_packet: 0,
             last_offset: 0,
-            arrivals: Vec::with_capacity(total),
             tails: vec![(0, None); links],
             unfit: false,
         }
@@ -796,7 +790,6 @@ impl PhaseRecorder {
             zigzag(offset as i64 - self.last_offset as i64),
         );
         self.last_offset = offset;
-        self.arrivals.push(0);
     }
 
     /// Books flit `seq` of `packet` crossing `link`. Events are written
@@ -826,13 +819,9 @@ impl PhaseRecorder {
         }
     }
 
-    /// Books `packet`'s tail ejected at `cycle` after `latency` cycles.
-    pub(crate) fn arrived(&mut self, packet: u32, cycle: u64, latency: u64) {
+    /// Books a packet's tail ejected after `latency` cycles.
+    pub(crate) fn arrived(&mut self, latency: u64) {
         self.recording.latency_totals.record(latency);
-        match u32::try_from(cycle - self.start_cycle) {
-            Ok(arrival) => self.arrivals[(packet - self.first_packet) as usize] = arrival,
-            Err(_) => self.unfit = true,
-        }
     }
 }
 
@@ -845,14 +834,15 @@ impl PhaseRecorder {
 /// payload bits. The recording keeps both, plus what the stepped run made
 /// of them: per directed link (injection links and router outputs) the
 /// order of its flit events as (packet, head, payload or both back to
-/// back), every packet's arrival, the phase length and the end pointers.
+/// back), the packets' latency totals, the phase length and the end
+/// pointers.
 /// [`Simulator::replay_phase`] applies it to new payloads, bit for bit
 /// what stepping them would do, whenever [`PhaseRecording::replays`]
 /// finds those inputs unchanged.
 ///
-/// Link events, offsets and latencies are stored as varints: on the
-/// accelerator's response phases about one byte per packet per link
-/// (half a byte per flit-hop) plus six per packet.
+/// Link events and offsets are stored as varints: on the accelerator's
+/// response phases about one byte per packet per link (half a byte per
+/// flit-hop) plus five per packet.
 #[derive(Debug, Clone)]
 pub struct PhaseRecording {
     config: NocConfig,
@@ -863,8 +853,6 @@ pub struct PhaseRecording {
     /// Per packet: the zigzag varint delta of its offset to the previous
     /// packet's.
     offsets: Vec<u8>,
-    /// Per packet: the varint of its latency (arrival minus offset).
-    latencies: Vec<u8>,
     /// Per link id (router outputs `node * 5 + port`, then injection
     /// links `nodes * 5 + node`): its events (see [`PhaseRecorder::hop`]).
     links: Vec<Vec<u8>>,
@@ -885,14 +873,6 @@ impl PhaseRecording {
                 offset: offset as u64,
             }
         })
-    }
-
-    /// Every packet's arrival cycle when the phase starts at cycle
-    /// `start`, in schedule order.
-    pub fn arrivals(&self, start: u64) -> impl Iterator<Item = u64> + '_ {
-        let mut at = 0;
-        self.schedule()
-            .map(move |p| start + p.offset + read_varint(&self.latencies, &mut at))
     }
 
     /// True when stepping `schedule` on `sim` would repeat this
@@ -947,8 +927,8 @@ impl Simulator {
 
     /// Ends the recording [`Simulator::record_phase`] started. Returns
     /// `None` when none was started, or when the phase does not fit a
-    /// recording: a packet without exactly one payload flit, node ids
-    /// beyond 16 bits, or a phase beyond 2³² cycles.
+    /// recording: a packet without exactly one payload flit, or node ids
+    /// beyond 16 bits.
     ///
     /// # Panics
     ///
@@ -962,13 +942,7 @@ impl Simulator {
         // Every head's payload flit crossed each link behind it.
         debug_assert!(recorder.tails.iter().all(|(_, pending)| pending.is_none()));
         let mut recording = recorder.recording;
-        let (mut at, mut offset) = (0, 0i64);
-        for &arrival in &recorder.arrivals {
-            offset += unzigzag(read_varint(&recording.offsets, &mut at));
-            push_varint(&mut recording.latencies, u64::from(arrival) - offset as u64);
-        }
         // Shrinking in place only gives back the reserved tails.
-        recording.latencies.shrink_to_fit();
         recording.offsets.shrink_to_fit();
         for events in &mut recording.links {
             events.shrink_to_fit();
@@ -986,8 +960,9 @@ impl Simulator {
     /// advances by the phase length and the arbitration pointers take
     /// their recorded end values. No packet is queued, interned or
     /// delivered into the NI queues: packet `i` (schedule order) carries
-    /// tag `tag(i)` and the payload image `payload(i)`, and arrives at its
-    /// [`PhaseRecording::arrivals`] cycle.
+    /// tag `tag(i)` and the payload image in row `i` of `payload`
+    /// (zero-extended onto the link width when narrower). Each packet's
+    /// payload is rendered once, however many links it crosses.
     ///
     /// Bit-exact with stepping the same schedule through the cycle engine
     /// whenever [`PhaseRecording::replays`] holds; debug builds step a
@@ -995,13 +970,14 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`InjectError::PayloadTooWide`] if a payload image is
-    /// wider than the link; the simulator is then left mid-phase.
+    /// Returns [`InjectError::PayloadTooWide`], before touching the
+    /// simulator, if the payload rows are wider than the link.
     ///
     /// # Panics
     ///
     /// Panics if the simulator is not in a state the recording replays
-    /// on (see [`PhaseRecording::replays`]).
+    /// on (see [`PhaseRecording::replays`]), or `payload` does not hold
+    /// one row per packet.
     ///
     /// [`LinkSlab::observe`]: crate::stats::LinkSlab::observe
     /// [`LinkSlab::observe_payload_hop`]: crate::stats::LinkSlab::observe_payload_hop
@@ -1009,17 +985,39 @@ impl Simulator {
         &mut self,
         recording: &PhaseRecording,
         tag: impl Fn(usize) -> u64,
-        payload: impl Fn(usize) -> PayloadBits,
+        payload: &FlitSlab,
     ) -> Result<(), InjectError> {
         assert!(
             recording.admits(self),
             "a phase replays only on the mesh state it was recorded from"
         );
+        assert_eq!(
+            payload.len(),
+            recording.endpoints.len(),
+            "one payload row per packet"
+        );
+        let width = self.config.link_width_bits;
+        let widened;
+        let payload = match payload.width().cmp(&width) {
+            Ordering::Equal => payload,
+            Ordering::Less => {
+                let mut rows = FlitSlab::with_capacity(width, payload.len());
+                rows.extend_from(payload);
+                widened = rows;
+                &widened
+            }
+            Ordering::Greater => {
+                return Err(InjectError::PayloadTooWide {
+                    width: payload.width(),
+                    link: width,
+                })
+            }
+        };
         #[cfg(debug_assertions)]
         let oracle = self.clone();
-        let width = self.config.link_width_bits;
         let out_links = self.config.num_nodes() * NUM_PORTS;
         let mut head = PayloadBits::zero(width);
+        let mut image = PayloadBits::zero(width);
         for (link, bytes) in recording.links.iter().enumerate() {
             let (slab, link) = match link.checked_sub(out_links) {
                 None => (&mut self.out_links, link),
@@ -1035,19 +1033,9 @@ impl Simulator {
                     write_head_fields(&mut head, src, dst, 1, tag(index));
                     slab.observe(link, &head);
                 }
-                if event & PAYLOAD_EVENT == 0 {
-                    continue;
-                }
-                let image = payload(index);
-                match image.width().cmp(&width) {
-                    Ordering::Equal => slab.observe_payload_hop(link, &image),
-                    Ordering::Less => slab.observe_payload_hop(link, &image.resized(width)),
-                    Ordering::Greater => {
-                        return Err(InjectError::PayloadTooWide {
-                            width: image.width(),
-                            link: width,
-                        })
-                    }
+                if event & PAYLOAD_EVENT != 0 {
+                    image.assign_row(width, payload.flit(index));
+                    slab.observe_payload_hop(link, &image);
                 }
             }
         }
@@ -1058,7 +1046,7 @@ impl Simulator {
         self.cycle += recording.length;
         self.restore_arbitration(&recording.end);
         #[cfg(debug_assertions)]
-        self.assert_matches_stepped_phase(oracle, recording, &tag, &payload);
+        self.assert_matches_stepped_phase(oracle, recording, &tag, payload);
         Ok(())
     }
 
@@ -1073,7 +1061,7 @@ impl Simulator {
         mut oracle: Simulator,
         recording: &PhaseRecording,
         tag: impl Fn(usize) -> u64,
-        payload: impl Fn(usize) -> PayloadBits,
+        payload: &FlitSlab,
     ) {
         let start = oracle.cycle;
         let schedule: Vec<ScheduledPacket> = recording.schedule().collect();
@@ -1084,7 +1072,12 @@ impl Simulator {
                     break;
                 }
                 oracle
-                    .inject(Packet::new(p.src, p.dst, vec![payload(next)], tag(next)))
+                    .inject(Packet::new(
+                        p.src,
+                        p.dst,
+                        vec![PayloadBits::from_row(payload.width(), payload.flit(next))],
+                        tag(next),
+                    ))
                     // btr-lint: allow(panic-in-hot-path, reason = "debug-assert oracle: the replay already accepted these packets; release builds compile this block out")
                     .expect("the replayed schedule injects");
                 next += 1;
@@ -1400,16 +1393,12 @@ mod tests {
     }
 
     /// Steps `schedule` through the cycle engine the way the accelerator
-    /// driver steps a response phase; returns `(tag, arrival)` per packet.
-    fn step_schedule(
-        sim: &mut Simulator,
-        schedule: &[ScheduledPacket],
-        set: u64,
-    ) -> Vec<(u64, u64)> {
+    /// driver steps a response phase.
+    fn step_schedule(sim: &mut Simulator, schedule: &[ScheduledPacket], set: u64) {
         let start = sim.cycle();
         let mut next = 0;
-        let mut arrivals = Vec::new();
-        while arrivals.len() < schedule.len() {
+        let mut arrived = 0;
+        while arrived < schedule.len() {
             while let Some(p) = schedule.get(next) {
                 if start + p.offset > sim.cycle() {
                     break;
@@ -1420,24 +1409,18 @@ mod tests {
                 next += 1;
             }
             sim.step();
-            let delivered = sim.drain_all_delivered();
-            arrivals.extend(delivered.iter().map(|d| (d.tag, d.arrival_cycle)));
+            arrived += sim.drain_all_delivered().len();
         }
-        arrivals.sort_unstable();
-        arrivals
     }
 
-    /// Replays `recording` with payload set `set`; returns `(tag,
-    /// arrival)` per packet.
-    fn replay_schedule(
-        sim: &mut Simulator,
-        recording: &PhaseRecording,
-        set: u64,
-    ) -> Vec<(u64, u64)> {
-        let start = sim.cycle();
-        sim.replay_phase(recording, |i| 100 + i as u64, |i| phase_image(set, i))
+    /// Replays `recording` with payload set `set`.
+    fn replay_schedule(sim: &mut Simulator, recording: &PhaseRecording, set: u64) {
+        let images: Vec<PayloadBits> = (0..recording.schedule().count())
+            .map(|i| phase_image(set, i))
+            .collect();
+        let rows = FlitSlab::from_images(128, &images);
+        sim.replay_phase(recording, |i| 100 + i as u64, &rows)
             .unwrap();
-        (100..).zip(recording.arrivals(start)).collect()
     }
 
     #[test]
@@ -1445,8 +1428,8 @@ mod tests {
         // Two consecutive converging phases are recorded while stepping
         // payload set 1, then replayed on a fresh mesh with payload set
         // 2: every reported number — stats with cycles and latency,
-        // per-link BTs and flits, both lane families, arrivals and end
-        // pointers — must equal stepping set 2 from scratch.
+        // per-link BTs and flits, both lane families and end pointers —
+        // must equal stepping set 2 from scratch.
         for codec in [None, Some(CodecKind::DeltaXor), Some(CodecKind::BusInvert)] {
             let width = 128 + codec.map_or(0, CodecKind::extra_wires);
             let config = NocConfig::mesh(4, 4, width).with_link_codec(codec);
@@ -1467,9 +1450,8 @@ mod tests {
             let mut replayed = Simulator::new(config);
             for (schedule, recording) in phases.iter().zip(&recordings) {
                 assert!(recording.replays(&replayed, schedule.iter().copied()));
-                let want = step_schedule(&mut stepped, schedule, 2);
-                let got = replay_schedule(&mut replayed, recording, 2);
-                assert_eq!(got, want, "{codec:?}");
+                step_schedule(&mut stepped, schedule, 2);
+                replay_schedule(&mut replayed, recording, 2);
                 assert_eq!(replayed.stats(), stepped.stats(), "{codec:?}");
                 assert!(replayed.arbitration_is(&stepped.arbitration()), "{codec:?}");
                 for link in 0..16 * NUM_PORTS {

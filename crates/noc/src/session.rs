@@ -37,11 +37,11 @@
 //! assert_eq!(recovered.mac_i64(), task.mac_i64());
 //! ```
 
-use crate::analytic::StreamedPacket;
 use crate::fault::FaultConfig;
 use crate::packet::Packet;
 use crate::sim::{DeliveredPacket, InjectError, Simulator};
 use btr_bits::payload::PayloadBits;
+use btr_bits::slab::FlitRows;
 use btr_bits::word::DataWord;
 use btr_core::codec::ResyncPolicy;
 use btr_core::flitize::FlitizeError;
@@ -368,26 +368,26 @@ impl TaskPort<CodedTransport> {
         Ok(None)
     }
 
-    /// The receiving NI's acceptance check for a packet delivered by a
-    /// streamed request phase ([`Simulator::stream_requests`]): the EDC
-    /// verify of [`TaskPort::accept`]. A streamed packet is delivered in
-    /// the same call that sends it, so the sender never needs a replay
+    /// The receiving NI's acceptance check for a packet the analytic
+    /// engine delivered without queueing it — a streamed request
+    /// ([`Simulator::stream_requests`]) or a replayed response
+    /// ([`Simulator::replay_phase`]) — given its delivered payload rows:
+    /// the EDC verify of [`TaskPort::accept`]. Such a packet is delivered
+    /// in the same call that sends it, so the sender never needs a replay
     /// copy: nothing was retained, and there is nothing to release. The
-    /// streamed phase runs on perfect wires only, so every frame verifies
-    /// clean.
+    /// analytic engine runs on perfect wires only, so every frame
+    /// verifies clean.
     ///
     /// # Errors
     ///
     /// [`TransportError::Unrecoverable`] (with zero retries) if a frame
-    /// fails its EDC check; other [`TransportError`]s if the images do
-    /// not match the session's wire geometry at all.
+    /// fails its EDC check; other [`TransportError`]s if the rows do not
+    /// match the session's wire geometry at all.
     pub fn accept_streamed<W: DataWord>(
         &self,
-        delivered: &StreamedPacket<'_>,
+        payload_flits: &(impl FlitRows + ?Sized),
     ) -> Result<(), TransportError> {
-        let clean = self
-            .session
-            .verify_delivered_frames::<W>(delivered.payload_flits)?;
+        let clean = self.session.verify_delivered_frames::<W>(payload_flits)?;
         debug_assert!(clean, "corrupted delivery on a perfect-wire streamed phase");
         if clean {
             Ok(())

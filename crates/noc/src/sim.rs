@@ -970,7 +970,7 @@ impl Simulator {
             };
             self.latencies.record(delivered.latency());
             if let Some(recorder) = self.recorder.as_deref_mut() {
-                recorder.arrived(fref.packet, self.cycle, delivered.latency());
+                recorder.arrived(delivered.latency());
             }
             self.ni_delivered[node].push_back(delivered);
             self.delivered_pending += 1;

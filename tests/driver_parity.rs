@@ -15,13 +15,16 @@
 //!    interleave in the mesh (property-tested over random models).
 
 use noc_btr::accel::config::{AccelConfig, DriverMode};
-use noc_btr::accel::driver::{run_inference, run_inference_batch};
+use noc_btr::accel::driver::{run_inference, run_inference_batch, InferenceSession};
+use noc_btr::accel::report::ResponsePhase;
+use noc_btr::accel::tasks::LayerQuantizers;
 use noc_btr::bits::word::DataFormat;
 use noc_btr::core::codec::{CodecKind, CodecScope};
 use noc_btr::core::OrderingMethod;
 use noc_btr::dnn::layer::{ActKind, Activation, Conv2d, Flatten, Linear, MaxPool2d};
-use noc_btr::dnn::model::{Layer, Sequential};
+use noc_btr::dnn::model::{InferenceOp, Layer, Sequential};
 use noc_btr::dnn::tensor::Tensor;
+use noc_btr::noc::analytic::EngineMode;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -296,6 +299,83 @@ fn batched_runs_match_sequential_outputs_fx8() {
         })
         .sum();
     assert_eq!(batched.total_request_packets(), singles_packets);
+}
+
+/// The pipelined driver prepares each activation window once per
+/// dispatch and shares it across output channels; the synchronous
+/// reference gathers and sorts per task. A strided, padded conv at batch
+/// 2, whose elements quantize on different fx8 scales (padding reads each
+/// element's own image of `0.0`), must give identical outputs, per-link
+/// BTs and overheads under both drivers, for every ordering and both
+/// engines — on a session's second dispatch, so `auto` also replays its
+/// recorded response phases.
+#[test]
+fn strided_padded_batch_matches_the_reference_under_both_engines() {
+    let mut rng = StdRng::seed_from_u64(71);
+    let model = Sequential::new(vec![
+        // 8x8 input, kernel 3, stride 2, padding 1: a 4x4 output.
+        Layer::Conv2d(Conv2d::new(2, 4, 3, 2, 1, &mut rng)),
+        Layer::Activation(Activation::new(ActKind::ReLU)),
+        Layer::Flatten(Flatten::new()),
+        Layer::Linear(Linear::new(4 * 4 * 4, 3, &mut rng)),
+    ]);
+    let ops = model.inference_ops();
+    let input = |seed, range: f32| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Tensor::from_vec(
+            &[2, 8, 8],
+            (0..128).map(|_| rng.gen_range(-range..range)).collect(),
+        )
+        .unwrap()
+    };
+    let inputs = [input(72, 1.0), input(73, 6.0)];
+    let InferenceOp::Conv { weight, bias, .. } = &ops[0] else {
+        panic!("the model opens with a conv");
+    };
+    let scale = |x| {
+        LayerQuantizers::derive_with(x, weight, bias, false)
+            .input
+            .scale()
+    };
+    assert_ne!(scale(&inputs[0]), scale(&inputs[1]), "per-element scales");
+    for ordering in OrderingMethod::ALL {
+        for engine in [EngineMode::Cycle, EngineMode::Auto] {
+            let run = |driver| {
+                let mut c = config(DataFormat::Fixed8, ordering, CodecKind::DeltaXor, driver)
+                    .with_codec_scope(CodecScope::PerLink);
+                c.engine = engine;
+                c.batch_size = inputs.len();
+                let session = InferenceSession::new(&ops, c).unwrap();
+                session.run(&inputs).unwrap();
+                session.run(&inputs).unwrap()
+            };
+            let sync = run(DriverMode::Synchronous);
+            let piped = run(DriverMode::Pipelined);
+            let what = format!("{ordering} {engine}");
+            for (a, b) in sync.outputs.iter().zip(&piped.outputs) {
+                assert_eq!(a.data(), b.data(), "{what}: outputs");
+            }
+            assert_eq!(
+                sync.stats.per_link, piped.stats.per_link,
+                "{what}: per-link BTs"
+            );
+            assert_eq!(sync.stats, piped.stats, "{what}: stats");
+            assert_eq!(sync.total_cycles, piped.total_cycles, "{what}: cycles");
+            assert_eq!(
+                sync.index_overhead_bits, piped.index_overhead_bits,
+                "{what}: index overhead"
+            );
+            if engine == EngineMode::Auto {
+                assert!(
+                    piped
+                        .per_layer
+                        .iter()
+                        .any(|l| l.response_phase == ResponsePhase::Replayed),
+                    "{what}: a response phase replays"
+                );
+            }
+        }
+    }
 }
 
 #[test]

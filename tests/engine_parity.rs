@@ -648,7 +648,7 @@ fn streamed_request_phase_matches_the_queued_replay() {
             let mut stream = streamed.stream_requests();
             for (src, dst, tag, payload) in order {
                 let d = stream.deliver(*src, *dst, *tag, payload).unwrap();
-                port.accept_streamed::<Fx8Word>(&d).unwrap();
+                port.accept_streamed::<Fx8Word>(d.payload_flits).unwrap();
                 arrivals.push((*tag, d.arrival_cycle, d.payload_flits.to_payloads()));
             }
             stream.finish();

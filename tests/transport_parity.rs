@@ -26,8 +26,8 @@ use noc_btr::bits::word::{DataWord, F32Word, Fx8Word};
 use noc_btr::bits::{FlitSlab, PayloadBits};
 use noc_btr::core::codec::{CodecKind, CodecScope};
 use noc_btr::core::edc::EdcKind;
-use noc_btr::core::flitize::order_task_with;
-use noc_btr::core::ordering::{OrderingMethod, TieBreak};
+use noc_btr::core::flitize::{order_task_with, WindowTable};
+use noc_btr::core::ordering::{OrderingMethod, SortScratch, TieBreak};
 use noc_btr::core::plan::LanePlan;
 use noc_btr::core::task::{NeuronTask, RecoveredTask};
 use noc_btr::core::transport::{CodedTransport, EncodedTask, TransportConfig, TransportScratch};
@@ -796,6 +796,120 @@ proptest! {
                 _ => rng.gen_range(-100.0..100.0),
             })
         });
+    }
+}
+
+/// The window-table encode is the per-task template encode is the
+/// reference encode. A layer of kernel groups shares its activation
+/// windows (as every output channel of a conv pixel does): each window is
+/// prepared once into a [`WindowTable`] and combined with every group's
+/// template, and each such task must equal `encode_with_template` over
+/// the window's inputs and `encode_task_reference` over the whole task —
+/// plain rows, wire rows, pair index and every overhead — for every
+/// ordering, tiebreak, codec, codec scope and EDC. Windows draw from a
+/// few repeated words half the time, so popcount ties (where the two
+/// tiebreaks differ) are common. One table and one task buffer are
+/// reused across every configuration.
+fn assert_window_table_parity<W: DataWord + PartialEq>(
+    seed: u64,
+    mut next_word: impl FnMut(&mut StdRng) -> W,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = [1usize, 7, 8, 9, 25, 150][rng.gen_range(0..6)];
+    let mut draw = |rng: &mut StdRng, count: usize| -> Vec<W> {
+        let pool: Vec<W> = (0..3).map(|_| next_word(rng)).collect();
+        let tied = rng.gen_range(0..2) == 0;
+        (0..count)
+            .map(|_| {
+                if tied {
+                    pool[rng.gen_range(0..pool.len())]
+                } else {
+                    next_word(rng)
+                }
+            })
+            .collect()
+    };
+    let kernels: Vec<Vec<W>> = (0..3).map(|_| draw(&mut rng, n)).collect();
+    let biases = draw(&mut rng, kernels.len());
+    let windows: Vec<Vec<W>> = (0..4).map(|_| draw(&mut rng, n)).collect();
+    let mut table = WindowTable::default();
+    let (mut sort, mut perm) = (SortScratch::default(), Vec::new());
+    let mut scratch = TransportScratch::default();
+    for ordering in OrderingMethod::ALL {
+        for tiebreak in [TieBreak::Stable, TieBreak::Value] {
+            for codec in CodecKind::ALL {
+                for scope in [CodecScope::PerPacket, CodecScope::PerLink] {
+                    for edc in [EdcKind::None, EdcKind::Crc8] {
+                        let session = CodedTransport::new(TransportConfig {
+                            ordering,
+                            tiebreak,
+                            values_per_flit: 16,
+                            codec,
+                            scope,
+                            edc,
+                        });
+                        let templates: Vec<_> = kernels
+                            .iter()
+                            .zip(&biases)
+                            .map(|(k, &b)| session.weight_template(k, b, None, &mut scratch))
+                            .collect::<Result<_, _>>()
+                            .unwrap();
+                        table.reset(&templates[0], windows.len());
+                        for inputs in &windows {
+                            table.push(inputs, tiebreak, &mut sort, &mut perm);
+                        }
+                        let mut shared = session.task_buffer::<W>();
+                        for (w, inputs) in windows.iter().enumerate() {
+                            for (g, template) in templates.iter().enumerate() {
+                                let ctx = format!(
+                                    "n={n} {ordering} {tiebreak:?} {codec} {scope:?} {edc} \
+                                     window {w} group {g}"
+                                );
+                                let task =
+                                    NeuronTask::new(inputs.clone(), kernels[g].clone(), biases[g])
+                                        .unwrap();
+                                let want = session.encode_task_reference(&task).unwrap();
+                                let per_task = session
+                                    .encode_with_template(template, inputs, &mut scratch)
+                                    .unwrap();
+                                session.encode_window_into(template, table.window(w), &mut shared);
+                                for got in [&per_task, &shared] {
+                                    assert_eq!(got.plain_flits(), want.plain_flits(), "{ctx}");
+                                    assert_eq!(got.payload_flits(), want.payload_flits(), "{ctx}");
+                                    assert_eq!(got.meta(), want.meta(), "{ctx}: pair index");
+                                    assert_eq!(
+                                        [
+                                            got.index_overhead_bits(),
+                                            got.codec_overhead_bits(),
+                                            got.edc_overhead_bits()
+                                        ],
+                                        [
+                                            want.index_overhead_bits(),
+                                            want.codec_overhead_bits(),
+                                            want.edc_overhead_bits()
+                                        ],
+                                        "{ctx}: overheads"
+                                    );
+                                    assert!(*got == want, "{ctx}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn window_table_encode_matches_per_task_and_reference_fx8(seed in 0u64..1_000_000) {
+        assert_window_table_parity(seed, |rng| Fx8Word::new(rng.gen()));
+    }
+
+    #[test]
+    fn window_table_encode_matches_per_task_and_reference_f32(seed in 0u64..1_000_000) {
+        assert_window_table_parity(seed, |rng| F32Word::new(rng.gen_range(-100.0..100.0)));
     }
 }
 
