@@ -1220,7 +1220,7 @@ type StagedResponse = (usize, u64, u64);
 /// route by the analytic per-packet hop — XOR+popcount passes over the
 /// ordered coded stream, O(1) per hop on raw wires and delta-XOR lanes —
 /// accepted at its PE, decoded and computed, before the next one is
-/// encoded. No packet is queued or interned in the simulator, and only
+/// encoded. No packet is queued or stored in the simulator, and only
 /// one packet's images are live at a time. Returns the staged responses
 /// as `(task, response bits, compute-ready cycle)` sorted by `(ready,
 /// task)` — the exact order the cycle engine's compute heap would pop

@@ -560,10 +560,11 @@ pub struct EncodeTemplate {
     num_pairs: usize,
     /// Bias + ordered weight half rendered; input lanes zero.
     rows: FlitSlab,
-    /// Input-lane bit offsets into the rows ([`LanePlan::rank_offsets`]):
-    /// indexed by **original input index** for O0/O1 (inputs keep /
-    /// follow the weight placement) and by **input rank** for O2 (inputs
-    /// are placed by their own popcount order).
+    /// O1 only: input-lane bit offsets into the rows
+    /// ([`LanePlan::rank_offsets`]) by **original input index** — inputs
+    /// follow the group's weight placement. O0/O2 input lanes depend on
+    /// the rank alone, the same for every group of a layer, so the
+    /// layer's [`WindowTable`] holds them once instead.
     input_lanes: Vec<u32>,
     /// O2 only: original index → weight rank, the cached half of the
     /// re-pairing index (`pair_index[input_rank] = inv_wperm[orig]`).
@@ -641,14 +642,12 @@ pub fn build_encode_template<W: DataWord>(
         }
     };
 
-    let mut input_lanes = Vec::with_capacity(n);
+    let mut input_lanes = Vec::new();
     let mut inv_wperm = Vec::new();
     match method {
         OrderingMethod::Baseline => {
             for (rank, &weight) in weights.iter().enumerate() {
-                let [input, lane] = plan.rank_offsets(rank);
-                rows.or_bits(lane, weight.bits_u64());
-                input_lanes.push(input);
+                rows.or_bits(plan.rank_offsets(rank)[1], weight.bits_u64());
             }
         }
         OrderingMethod::Affiliated => {
@@ -668,8 +667,7 @@ pub fn build_encode_template<W: DataWord>(
                 inv_wperm[orig] = rank as u16;
             }
             // Inputs are placed by their own per-task rank; the rank →
-            // lane map is static.
-            input_lanes.extend((0..n).map(|rank| plan.rank_offsets(rank)[0]));
+            // lane map is static and lives in the layer's window table.
         }
     }
 
@@ -711,7 +709,8 @@ pub struct WindowTable {
     input_words: usize,
     num_flits: usize,
     /// O0/O2: per rank, the bit offset of its input lane in a window's
-    /// compact rows (the flits' input halves laid back to back).
+    /// compact rows (the flits' input halves laid back to back) — the
+    /// one copy of the layer's input lanes.
     lanes: Vec<u32>,
     /// O1: per window, its inputs' bits in original order.
     words: Vec<u64>,
@@ -750,7 +749,8 @@ impl WindowTable {
     /// Empties the table and lays it out for `windows` windows of tasks
     /// of `template`'s shape, reserving exactly their room. Every kernel
     /// group of a layer shares that shape (O0/O2 input lanes are static
-    /// per rank), so any one of the layer's templates sets it.
+    /// per rank), so any one of the layer's templates sets it; a new
+    /// shape derives the O0/O2 input lanes from its [`LanePlan`].
     pub fn reset(&mut self, template: &EncodeTemplate, windows: usize) {
         self.words.clear();
         self.order.clear();
@@ -758,24 +758,29 @@ impl WindowTable {
         self.len = 0;
         let layout = template.window_layout();
         if self.layout != Some(layout) {
-            self.layout = Some(layout);
-            let (method, _, values_per_flit, width) = layout;
+            let (method, num_pairs, values_per_flit, width) = layout;
             self.num_flits = template.rows.len();
             let word_width = width / values_per_flit as u32;
             self.input_words = (values_per_flit as u32 / 2 * word_width).div_ceil(64) as usize;
             self.lanes.clear();
             if method != OrderingMethod::Affiliated {
-                // Template lanes address full rows; a window keeps only
-                // the input half of each.
+                // The template's plan built with this layout, so this
+                // one does too; were it to fail, the table stays without
+                // a layout and refuses every window.
+                let Ok(plan) = LanePlan::new(method, num_pairs, values_per_flit, word_width) else {
+                    self.layout = None;
+                    return;
+                };
+                // Plan lanes address full rows; a window keeps only the
+                // input half of each.
                 let row_bits = template.rows.words_per_flit() as u32 * 64;
                 let compact_bits = self.input_words as u32 * 64;
-                self.lanes.extend(
-                    template
-                        .input_lanes
-                        .iter()
-                        .map(|&lane| lane / row_bits * compact_bits + lane % row_bits),
-                );
+                self.lanes.extend((0..num_pairs).map(|rank| {
+                    let lane = plan.rank_offsets(rank)[0];
+                    lane / row_bits * compact_bits + lane % row_bits
+                }));
             }
+            self.layout = Some(layout);
         }
         let n = template.num_pairs;
         match template.method {

@@ -28,7 +28,7 @@
 //!   payloads into the same per-node queues the cycle engine fills.
 //! * [`Simulator::stream_requests`] opens a [`RequestStream`] that takes
 //!   each packet as borrowed images and hands its delivery straight
-//!   back, with nothing queued or interned in the simulator — the
+//!   back, with nothing queued or stored in the simulator — the
 //!   accelerator driver's request phase. On a contention-free phase it is
 //!   bit-exact with queueing the same packets and replaying them, which
 //!   is its oracle in the `engine_parity` tests.
@@ -289,7 +289,7 @@ impl Simulator {
             self.ni_pending.iter().enumerate().flat_map(|(src, queue)| {
                 queue
                     .iter()
-                    .map(move |p| (src, self.packets[p.packet as usize].flits[0].dst))
+                    .map(move |p| (src, self.slots[p.slot as usize].dst))
             }),
         )
     }
@@ -338,25 +338,17 @@ impl Simulator {
                     pending.next, 0,
                     "analytic replay needs fully queued packets, not partially injected ones"
                 );
-                self.ni_pending_total -= 1;
-                let pid = pending.packet as usize;
-                // Release the interned flit storage; on perfect wires
-                // (faults force the cycle engine) the per-link
-                // decode-and-realign is the identity, so the delivered
-                // payloads are the queued images.
-                let flits = std::mem::take(&mut self.packets[pid].flits);
-                debug_assert!(
-                    flits
-                        .iter()
-                        .enumerate()
-                        .all(|(seq, f)| f.kind.is_head() == (seq == 0)),
-                    "wormhole packets carry exactly one head flit, first"
-                );
-                let head = flits[0].payload;
-                let dst = flits[0].dst;
-                let payload: Vec<PayloadBits> = flits[1..].iter().map(|f| f.payload).collect();
+                // Free the slot; its payload images move straight into
+                // the delivery. On perfect wires (faults force the cycle
+                // engine) the per-link decode-and-realign is the
+                // identity, so the delivered payloads are the queued
+                // images.
+                let slot = &mut self.slots[pending.slot as usize];
+                let payload = std::mem::take(&mut slot.payload);
+                let (id, head, dst, inject_cycle) =
+                    (slot.id, slot.head, slot.dst, slot.inject_cycle);
+                self.free_slots.push(pending.slot);
                 let rows = FlitSlab::from_images(head.width(), &payload);
-                let inject_cycle = self.packets[pid].inject_cycle;
                 let arrival = self.replay_packet(
                     &mut clock,
                     src,
@@ -367,11 +359,8 @@ impl Simulator {
 
                 // Deliver: decode the head exactly like the receiving NI.
                 let (head_src, _dst, _len, tag) = decode_head_payload(&head);
-                let slot = &mut self.packets[pid];
-                slot.src = head_src;
-                slot.tag = tag;
                 self.ni_delivered[dst].push_back(DeliveredPacket {
-                    packet_id: pid as u64,
+                    packet_id: id,
                     src: head_src,
                     dst,
                     tag,
@@ -383,6 +372,7 @@ impl Simulator {
                 self.packets_in_flight -= 1;
             }
         }
+        self.busy_nis.fill(0);
         self.close_phase(&clock);
 
         #[cfg(debug_assertions)]
@@ -400,7 +390,7 @@ impl Simulator {
     /// same per-packet hop routine as
     /// [`Simulator::replay_queued_analytic`] the moment it is offered, and
     /// hands back the delivered images with their closed-form arrival. No
-    /// packet is queued, interned or retained by the simulator.
+    /// packet is queued, stored or retained by the simulator.
     ///
     /// Every packet counts as offered at the phase's start cycle, and each
     /// source NI serializes its own packets in the order they are
@@ -582,8 +572,8 @@ pub struct StreamedPacket<'a> {
 impl RequestStream<'_> {
     /// Sends one packet `src → dst` through the phase and delivers it:
     /// the checks [`Simulator::inject`] makes, the head image and
-    /// re-alignment of narrower rows onto the link width as in
-    /// [`crate::packet::Packet::to_flits`], then the per-packet hop walk
+    /// re-alignment of narrower rows onto the link width as
+    /// [`Simulator::inject`] stores them, then the per-packet hop walk
     /// and the closed-form arrival.
     ///
     /// # Errors
@@ -723,13 +713,16 @@ fn route_links(config: &NocConfig, src: NodeId, dst: NodeId) -> impl Iterator<It
 pub struct PhaseRecorder {
     recording: PhaseRecording,
     start_cycle: u64,
-    first_packet: u32,
+    /// Id of the phase's first packet: a packet's index in the recording
+    /// is its id less this one.
+    first_packet: u64,
     last_offset: u64,
     /// Per link id: its last written event, and a head still waiting to
     /// learn whether its payload flit follows right behind it.
     tails: Vec<(i64, Option<u32>)>,
     /// Set when the phase does not fit a recording: a packet without
-    /// exactly one payload flit, or node ids beyond 16 bits.
+    /// exactly one payload flit, node ids beyond 16 bits, or more than
+    /// `u32::MAX` packets.
     unfit: bool,
 }
 
@@ -779,8 +772,11 @@ impl PhaseRecorder {
     /// Books a packet queued at its source NI at `cycle`.
     pub(crate) fn queued(&mut self, packet: &Packet, cycle: u64) {
         let (src, dst) = (u16::try_from(packet.src), u16::try_from(packet.dst));
-        self.unfit |= src.is_err() || dst.is_err() || packet.payload_flits.len() != 1;
         let recording = &mut self.recording;
+        self.unfit |= src.is_err()
+            || dst.is_err()
+            || packet.payload_flits.len() != 1
+            || recording.endpoints.len() >= u32::MAX as usize;
         recording
             .endpoints
             .push([src.unwrap_or_default(), dst.unwrap_or_default()]);
@@ -792,11 +788,13 @@ impl PhaseRecorder {
         self.last_offset = offset;
     }
 
-    /// Books flit `seq` of `packet` crossing `link`. Events are written
-    /// as zigzag varint deltas to the link's last event, and a head the
-    /// payload flit follows directly shares one event with it.
-    pub(crate) fn hop(&mut self, link: usize, packet: u32, seq: u32) {
-        let index = packet - self.first_packet;
+    /// Books flit `seq` of packet `id` crossing `link`. Events are
+    /// written as zigzag varint deltas to the link's last event, and a
+    /// head the payload flit follows directly shares one event with it.
+    pub(crate) fn hop(&mut self, link: usize, id: u64, seq: u32) {
+        // A phase of more than `u32::MAX` packets is unfit and never
+        // finishes as a recording, so truncation cannot be observed.
+        let index = (id - self.first_packet) as u32;
         let (last, pending) = &mut self.tails[link];
         let events = &mut self.recording.links[link];
         let mut push = |index: u32, kind: i64| {
@@ -919,16 +917,15 @@ impl Simulator {
             "recorder reserved for another mesh configuration"
         );
         recorder.start_cycle = self.cycle;
-        recorder.first_packet = self.packets.len() as u32;
-        recorder.unfit |= self.packets.len() >= u32::MAX as usize;
+        recorder.first_packet = self.next_packet_id;
         self.save_arbitration(&mut recorder.recording.start);
         self.recorder = Some(Box::new(recorder));
     }
 
     /// Ends the recording [`Simulator::record_phase`] started. Returns
     /// `None` when none was started, or when the phase does not fit a
-    /// recording: a packet without exactly one payload flit, or node ids
-    /// beyond 16 bits.
+    /// recording: a packet without exactly one payload flit, node ids
+    /// beyond 16 bits, or more than `u32::MAX` packets.
     ///
     /// # Panics
     ///
@@ -958,7 +955,7 @@ impl Simulator {
     /// [`LinkSlab::observe_payload_hop`] for payload flits — then the
     /// phase's latencies and delivered counters are booked, the clock
     /// advances by the phase length and the arbitration pointers take
-    /// their recorded end values. No packet is queued, interned or
+    /// their recorded end values. No packet is queued, stored or
     /// delivered into the NI queues: packet `i` (schedule order) carries
     /// tag `tag(i)` and the payload image in row `i` of `payload`
     /// (zero-extended onto the link width when narrower). Each packet's
@@ -1467,7 +1464,66 @@ mod tests {
                     );
                 }
             }
-            assert!(replayed.is_idle() && replayed.packets.is_empty());
+            assert!(replayed.is_idle() && replayed.slots.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_phase_recorded_after_reused_slots_replays_bit_exactly() {
+        // Seeded warm-up traffic runs hundreds of packets through a
+        // handful of recycled slots before the phase is recorded, so the
+        // recording indexes packets by id less the phase's first id, not
+        // by slot. Replayed with new payloads after the same warm-up, it
+        // must equal stepping them.
+        let warm_up = |sim: &mut Simulator| {
+            let mut rng = StdRng::seed_from_u64(77);
+            for tag in 0..400u64 {
+                let (src, dst) = (rng.gen_range(0..16), rng.gen_range(0..16));
+                let payload = (0..rng.gen_range(0..4))
+                    .map(|_| image(128, rng.gen()))
+                    .collect();
+                sim.inject(Packet::new(src, dst, payload, tag)).unwrap();
+                if tag % 8 == 7 {
+                    sim.run_until_idle(100_000).unwrap();
+                }
+            }
+            sim.run_until_idle(100_000).unwrap();
+            sim.drain_all_delivered();
+        };
+        for codec in [None, Some(CodecKind::DeltaXor), Some(CodecKind::BusInvert)] {
+            let width = 128 + codec.map_or(0, CodecKind::extra_wires);
+            let config = NocConfig::mesh(4, 4, width).with_link_codec(codec);
+            let schedule = converging_schedule(4);
+            let mut recorder = Simulator::new(config.clone());
+            warm_up(&mut recorder);
+            assert!(recorder.slots.len() < 100 && recorder.next_packet_id == 400);
+            let routes = schedule.iter().map(|p| (p.src, p.dst));
+            recorder.record_phase(PhaseRecorder::reserve(recorder.config(), routes));
+            step_schedule(&mut recorder, &schedule, 1);
+            let recording = recorder.finish_recording().unwrap();
+            assert!(recording.schedule().eq(schedule.iter().copied()));
+
+            let mut stepped = Simulator::new(config.clone());
+            let mut replayed = Simulator::new(config);
+            warm_up(&mut stepped);
+            warm_up(&mut replayed);
+            assert!(recording.replays(&replayed, schedule.iter().copied()));
+            step_schedule(&mut stepped, &schedule, 2);
+            replay_schedule(&mut replayed, &recording, 2);
+            assert_eq!(replayed.stats(), stepped.stats(), "{codec:?}");
+            assert!(replayed.arbitration_is(&stepped.arbitration()), "{codec:?}");
+            for link in 0..16 * NUM_PORTS {
+                assert_eq!(
+                    replayed.out_link_codec_lanes(link),
+                    stepped.out_link_codec_lanes(link)
+                );
+            }
+            for node in 0..16 {
+                assert_eq!(
+                    replayed.inject_link_codec_lanes(node),
+                    stepped.inject_link_codec_lanes(node)
+                );
+            }
         }
     }
 

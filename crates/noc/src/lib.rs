@@ -17,7 +17,8 @@
 //! * [`fault`] — deterministic per-link wire-error injection (seed-split
 //!   RNG streams, per-flit or burst mode) behind the EDC + retransmission
 //!   recovery protocol in [`session`];
-//! * [`flit`] / [`packet`] — the wire units and packet→flit serialization;
+//! * [`flit`] / [`packet`] — flit kinds, packets and their head-flit
+//!   addressing image;
 //! * [`routing`] — X-Y (and Y-X ablation) dimension-order routing;
 //! * [`session`] — task injection/decode through the shared
 //!   `btr_core::transport` pipeline;
@@ -62,7 +63,7 @@ pub mod traffic;
 pub use analytic::EngineMode;
 pub use config::{NocConfig, NodeId};
 pub use fault::{BitErrorRate, ErrorModel, FaultConfig, FaultMode};
-pub use flit::{Flit, FlitKind};
+pub use flit::FlitKind;
 pub use packet::Packet;
 pub use sim::{DeliveredPacket, Simulator};
 pub use stats::NocStats;

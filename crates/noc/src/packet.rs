@@ -1,7 +1,6 @@
-//! Packets and packet → flit serialization.
+//! Packets and the head-flit image that carries their addressing.
 
 use crate::config::NodeId;
-use crate::flit::{Flit, FlitKind};
 use btr_bits::payload::PayloadBits;
 
 /// A packet awaiting injection: a head flit (metadata) followed by the
@@ -35,74 +34,6 @@ impl Packet {
     #[must_use]
     pub fn flit_count(&self) -> usize {
         1 + self.payload_flits.len()
-    }
-
-    /// Serializes into flits for a link of `link_width_bits`.
-    ///
-    /// The head flit's payload image encodes `(src, dst, length, tag)` the
-    /// way a real head flit carries addressing on the data wires, so head
-    /// flits contribute realistic bit transitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any payload flit is wider than the link.
-    #[must_use]
-    pub fn to_flits(&self, packet_id: u64, link_width_bits: u32) -> Vec<Flit> {
-        let mut flits = Vec::with_capacity(self.flit_count());
-        let head_payload = encode_head_payload(
-            link_width_bits,
-            self.src,
-            self.dst,
-            self.payload_flits.len() as u32,
-            self.tag,
-        );
-        let last = self.payload_flits.len();
-        let head_kind = if last == 0 {
-            FlitKind::HeadTail
-        } else {
-            FlitKind::Head
-        };
-        flits.push(Flit {
-            packet_id,
-            kind: head_kind,
-            src: self.src,
-            dst: self.dst,
-            seq: 0,
-            payload: head_payload,
-        });
-        for (i, image) in self.payload_flits.iter().enumerate() {
-            assert!(
-                image.width() <= link_width_bits,
-                "payload flit width {} exceeds link width {link_width_bits}",
-                image.width()
-            );
-            // Re-align narrower images onto the full link width.
-            let payload = if image.width() == link_width_bits {
-                *image
-            } else {
-                let mut p = PayloadBits::zero(link_width_bits);
-                let mut off = 0;
-                while off < image.width() {
-                    let len = 64.min(image.width() - off);
-                    p.set_field(off, len, image.field(off, len));
-                    off += len;
-                }
-                p
-            };
-            flits.push(Flit {
-                packet_id,
-                kind: if i + 1 == last {
-                    FlitKind::Tail
-                } else {
-                    FlitKind::Body
-                },
-                src: self.src,
-                dst: self.dst,
-                seq: (i + 1) as u32,
-                payload,
-            });
-        }
-        flits
     }
 }
 
@@ -161,53 +92,10 @@ pub fn decode_head_payload(p: &PayloadBits) -> (NodeId, NodeId, u32, u64) {
 mod tests {
     use super::*;
 
-    fn image(width: u32, fill: u64) -> PayloadBits {
-        let mut p = PayloadBits::zero(width);
-        p.set_field(0, 64.min(width), fill);
-        p
-    }
-
-    #[test]
-    fn serialization_marks_kinds() {
-        let p = Packet::new(1, 14, vec![image(128, 0xaa), image(128, 0xbb)], 9);
-        let flits = p.to_flits(100, 128);
-        assert_eq!(flits.len(), 3);
-        assert_eq!(flits[0].kind, FlitKind::Head);
-        assert_eq!(flits[1].kind, FlitKind::Body);
-        assert_eq!(flits[2].kind, FlitKind::Tail);
-        assert!(flits
-            .iter()
-            .all(|f| f.packet_id == 100 && f.src == 1 && f.dst == 14));
-        assert_eq!(flits[2].seq, 2);
-    }
-
-    #[test]
-    fn empty_payload_is_headtail() {
-        let p = Packet::new(0, 3, Vec::new(), 1);
-        let flits = p.to_flits(0, 64);
-        assert_eq!(flits.len(), 1);
-        assert_eq!(flits[0].kind, FlitKind::HeadTail);
-    }
-
     #[test]
     fn head_metadata_roundtrips() {
         let head = encode_head_payload(128, 12, 63, 51, 0xdead_beef);
         let (src, dst, len, tag) = decode_head_payload(&head);
         assert_eq!((src, dst, len, tag), (12, 63, 51, 0xdead_beef));
-    }
-
-    #[test]
-    fn narrow_payloads_are_realigned() {
-        let p = Packet::new(0, 1, vec![image(64, u64::MAX)], 0);
-        let flits = p.to_flits(0, 128);
-        assert_eq!(flits[1].payload.width(), 128);
-        assert_eq!(flits[1].payload.popcount(), 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds link width")]
-    fn oversize_payload_rejected() {
-        let p = Packet::new(0, 1, vec![image(256, 1)], 0);
-        let _ = p.to_flits(0, 128);
     }
 }

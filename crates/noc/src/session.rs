@@ -259,7 +259,7 @@ impl TaskPort<CodedTransport> {
     ) -> Result<SentTask, InjectError> {
         let encoded = encoded.borrow();
         // The packet's own images: the one copy of the task's rows the
-        // cycle engine interns.
+        // cycle engine carries, moved through to the delivery.
         let payload = encoded.wire_rows().to_payloads();
         let flit_count = payload.len() + 1;
         self.retain(src, dst, tag, &payload);

@@ -25,17 +25,26 @@
 //! vectors instead of nested `Vec<Vec<_>>` / `VecDeque` / `HashMap`
 //! structures:
 //!
-//! * every packet's flits are serialized **once** at injection into a
-//!   per-packet slab; what moves through rings and link pipelines is an
-//!   8-byte `FlitRef`, not the 100+-byte flit image;
+//! * each packet in flight holds one recycled slot of the packet store:
+//!   its head image, the payload images moved in from the [`Packet`]
+//!   (narrower rows re-aligned in place), its destination, inject cycle
+//!   and id. At the tail the payload `Vec` moves out into the
+//!   [`DeliveredPacket`] and the slot returns to a free list, so the store
+//!   only ever holds the peak number of packets in flight. Packet ids stay
+//!   a monotonic per-simulator count kept in the slot, not the slot
+//!   index. What moves through rings and link pipelines is a 12-byte
+//!   `FlitRef` (slot, sequence number, flit kind), not the 136-byte
+//!   image;
 //! * input VC FIFOs are fixed-capacity rings in one node-major buffer
 //!   (`(node, port, vc)` → ring of `vc_buffer_depth` ref slots);
 //! * route/output-VC decisions, output allocations and credits are dense
 //!   sentinel-coded vectors addressed by the same indices;
 //! * per-link transition totals live in [`LinkSlab`] columns;
-//! * routers whose input buffers hold no flits are skipped wholesale in
-//!   phase 3 (their round-robin pointers cannot advance without a flit, so
-//!   skipping is semantics-preserving).
+//! * phase 2 visits only NIs with queued packets and phase 3 only routers
+//!   with buffered flits, through bitmasks walked in ascending node order
+//!   — the order of a full scan, so every link sees its flits in the same
+//!   order. An idle router's round-robin pointers cannot advance without
+//!   a flit, so skipping it is semantics-preserving.
 //!
 //! The engine is pinned cycle for cycle and bit for bit by golden
 //! per-link BT digests in the `transport_parity` integration tests,
@@ -44,8 +53,8 @@
 
 use crate::analytic::PhaseRecorder;
 use crate::config::{NocConfig, NodeId};
-use crate::flit::Flit;
-use crate::packet::Packet;
+use crate::flit::FlitKind;
+use crate::packet::{decode_head_payload, encode_head_payload, Packet};
 use crate::routing::{route, Direction};
 use crate::stats::{LatencyTotals, LinkSlab, LinkStat, NocStats};
 use btr_bits::payload::PayloadBits;
@@ -131,13 +140,16 @@ impl DeliveredPacket {
     }
 }
 
-/// 8-byte handle to a flit interned in the packet slab.
+/// 12-byte handle to one flit of a packet held in the slot store.
 #[derive(Debug, Clone, Copy)]
 struct FlitRef {
-    /// Packet id (slab index).
-    packet: u32,
+    /// Slot index in the packet store.
+    slot: u32,
     /// Flit sequence number within the packet (0 = head).
     seq: u32,
+    /// The flit's position in its packet, so routing and allocation
+    /// never read the slot to learn it.
+    kind: FlitKind,
 }
 
 /// A flit in transit on a link, landing at `(node, port, vc)` next cycle.
@@ -149,27 +161,43 @@ struct LinkArrival {
     fref: FlitRef,
 }
 
-/// Slab entry per injected packet: the interned flits, inject metadata and
-/// receive-side decode state. The flit storage — the bulk of a packet's
-/// footprint — is released when the packet is delivered; the fixed-size
-/// slot header (~56 bytes) persists for the simulator's lifetime so
-/// packet ids stay direct slab indices.
+/// Slot of the packet store per packet in flight: the images it drives
+/// onto the wires, inject metadata and its id. Nothing persists past
+/// delivery: the payload `Vec` moves out into the [`DeliveredPacket`] at
+/// the tail and the slot is recycled for the next injected packet.
 #[derive(Debug, Clone)]
 pub(crate) struct PacketSlot {
+    /// Monotonic per-simulator packet id ([`Simulator::inject`]'s return
+    /// value); independent of the slot index.
+    pub(crate) id: u64,
     pub(crate) inject_cycle: u64,
-    /// The packet's flits in wire order (freed on delivery).
-    pub(crate) flits: Vec<Flit>,
-    /// Source decoded from the head flit image (like a real NI would).
-    pub(crate) src: NodeId,
-    /// Tag decoded from the head flit image.
-    pub(crate) tag: u64,
+    pub(crate) dst: NodeId,
+    /// The head flit image: addressing, length and tag. The receiving NI
+    /// decodes source and tag from it.
+    pub(crate) head: PayloadBits,
+    /// Payload images at the link width, in wire order. Faulty wires
+    /// write each hop's received image back, so the tail delivers what
+    /// the last link carried.
+    pub(crate) payload: Vec<PayloadBits>,
 }
 
 /// A packet queued at its source NI, consumed flit by flit.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PendingPacket {
-    pub(crate) packet: u32,
+    pub(crate) slot: u32,
     pub(crate) next: u32,
+}
+
+/// Sets bit `index` of a multi-word bitmask.
+#[inline]
+fn set_bit(mask: &mut [u64], index: usize) {
+    mask[index / 64] |= 1u64 << (index % 64);
+}
+
+/// Clears bit `index` of a multi-word bitmask.
+#[inline]
+fn clear_bit(mask: &mut [u64], index: usize) {
+    mask[index / 64] &= !(1u64 << (index % 64));
 }
 
 /// The cycle-driven mesh simulator (flat-array engine; see module docs).
@@ -205,9 +233,12 @@ pub struct Simulator {
     vc_rr: Vec<usize>,
 
     /// Per-router bitmask of input VCs holding at least one flit (bit
-    /// `port * num_vcs + vc`). Routers with a zero mask are skipped in
-    /// phase 3, and the allocation/arbitration loops visit only set bits.
+    /// `port * num_vcs + vc`). The allocation/arbitration loops visit
+    /// only set bits.
     active_vcs: Vec<u64>,
+    /// Bitmask over routers (bit `node`) of the nonzero `active_vcs`
+    /// masks: phase 3 visits only these routers.
+    busy_routers: Vec<u64>,
 
     /// Per-`(router, output port)` bitmask of the input VCs whose
     /// head-of-line packet is routed to that port (bit
@@ -230,8 +261,9 @@ pub struct Simulator {
 
     // --- NI state ---
     pub(crate) ni_pending: Vec<VecDeque<PendingPacket>>,
-    /// Packets queued across all NIs (fast-path skip for phase 2).
-    pub(crate) ni_pending_total: u64,
+    /// Bitmask over NIs (bit `node`) of the nonempty `ni_pending` queues:
+    /// phase 2 visits only these NIs.
+    pub(crate) busy_nis: Vec<u64>,
     ni_current_vc: Vec<usize>,
     ni_vc_rr: Vec<usize>,
     /// Credits toward the router's local input VCs: `node * num_vcs + vc`.
@@ -248,8 +280,13 @@ pub struct Simulator {
     /// One column per injection link.
     pub(crate) inject_links: LinkSlab,
 
-    /// Per-packet slab indexed by packet id.
-    pub(crate) packets: Vec<PacketSlot>,
+    /// The packet store: one slot per packet in flight, indexed by
+    /// `FlitRef::slot` and recycled through `free_slots`.
+    pub(crate) slots: Vec<PacketSlot>,
+    /// Slots whose packet was delivered, reused before the store grows.
+    pub(crate) free_slots: Vec<u32>,
+    /// Id of the next injected packet.
+    pub(crate) next_packet_id: u64,
     /// Latency totals over every delivered packet.
     pub(crate) latencies: LatencyTotals,
     pub(crate) cycle: u64,
@@ -362,7 +399,14 @@ impl Simulator {
         Self {
             num_vcs,
             depth,
-            fifo: vec![FlitRef { packet: 0, seq: 0 }; total_vcs * depth],
+            fifo: vec![
+                FlitRef {
+                    slot: 0,
+                    seq: 0,
+                    kind: FlitKind::HeadTail,
+                };
+                total_vcs * depth
+            ],
             fifo_head: vec![0; total_vcs],
             fifo_len: vec![0; total_vcs],
             route_port: vec![UNSET; total_vcs],
@@ -372,12 +416,13 @@ impl Simulator {
             sw_rr: vec![0; n * NUM_PORTS],
             vc_rr: vec![0; n * NUM_PORTS],
             active_vcs: vec![0; n],
+            busy_routers: vec![0; n.div_ceil(64)],
             routed_to: vec![0; n * NUM_PORTS],
             port_of: (0..NUM_PORTS * num_vcs)
                 .map(|k| (k / num_vcs) as u8)
                 .collect(),
             ni_pending: (0..n).map(|_| VecDeque::new()).collect(),
-            ni_pending_total: 0,
+            busy_nis: vec![0; n.div_ceil(64)],
             ni_current_vc: vec![0; n],
             ni_vc_rr: vec![0; n],
             ni_credits: vec![depth; n * num_vcs],
@@ -387,7 +432,9 @@ impl Simulator {
             eject_inflight: Vec::new(),
             out_links,
             inject_links,
-            packets: Vec::new(),
+            slots: Vec::new(),
+            free_slots: Vec::new(),
+            next_packet_id: 0,
             latencies: LatencyTotals::default(),
             cycle: 0,
             packets_in_flight: 0,
@@ -493,22 +540,42 @@ impl Simulator {
                 });
             }
         }
-        let id = self.packets.len() as u64;
+        let id = self.next_packet_id;
+        self.next_packet_id += 1;
         if let Some(recorder) = self.recorder.as_deref_mut() {
             recorder.queued(&packet, self.cycle);
         }
-        let flits = packet.to_flits(id, self.config.link_width_bits);
-        self.ni_pending[packet.src].push_back(PendingPacket {
-            packet: id as u32,
-            next: 0,
-        });
-        self.ni_pending_total += 1;
-        self.packets.push(PacketSlot {
+        let Packet {
+            src,
+            dst,
+            payload_flits: mut payload,
+            tag,
+        } = packet;
+        // Re-align narrower images onto the full link width, in place.
+        let width = self.config.link_width_bits;
+        for image in payload.iter_mut().filter(|image| image.width() != width) {
+            *image = image.resized(width);
+        }
+        let head = encode_head_payload(width, src, dst, payload.len() as u32, tag);
+        let slot = PacketSlot {
+            id,
             inject_cycle: self.cycle,
-            flits,
-            src: 0,
-            tag: 0,
-        });
+            dst,
+            head,
+            payload,
+        };
+        let slot = match self.free_slots.pop() {
+            Some(free) => {
+                self.slots[free as usize] = slot;
+                free
+            }
+            None => {
+                self.slots.push(slot);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.ni_pending[src].push_back(PendingPacket { slot, next: 0 });
+        set_bit(&mut self.busy_nis, src);
         self.packets_in_flight += 1;
         Ok(id)
     }
@@ -527,7 +594,7 @@ impl Simulator {
     pub(crate) fn network_drained(&self) -> bool {
         self.link_inflight.is_empty()
             && self.eject_inflight.is_empty()
-            && self.active_vcs.iter().all(|&m| m == 0)
+            && self.busy_routers.iter().all(|&m| m == 0)
     }
 
     /// A snapshot of the round-robin arbitration pointers.
@@ -668,6 +735,7 @@ impl Simulator {
             self.fifo_len[vi] += 1;
             self.active_vcs[a.node as usize] |=
                 1u64 << (a.port as usize * self.num_vcs + a.vc as usize);
+            set_bit(&mut self.busy_routers, a.node as usize);
         }
         // Return the (empty) buffer so its capacity is reused next cycle.
         self.link_inflight = arrivals;
@@ -680,303 +748,322 @@ impl Simulator {
         self.eject_inflight = ejections;
     }
 
-    /// Phase 2: each NI pushes at most one flit into its router.
+    /// Phase 2: each NI with a queued packet pushes at most one flit into
+    /// its router, in ascending node order.
     fn inject_from_nis(&mut self) {
-        if self.ni_pending_total == 0 {
+        for word in 0..self.busy_nis.len() {
+            // Bits only clear while the NIs inject, so a snapshot of the
+            // word visits every NI that was busy at the start.
+            let mut bits = self.busy_nis[word];
+            while bits != 0 {
+                let node = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.inject_at(node);
+            }
+        }
+    }
+
+    /// Phase 2 at one NI whose queue holds a packet.
+    fn inject_at(&mut self, node: usize) {
+        let Some(front) = self.ni_pending[node].front_mut() else {
+            // Unreachable: the NI's busy bit says its queue is nonempty.
+            return;
+        };
+        // Start the next packet when the current one has fully left.
+        if front.next == 0 {
+            self.ni_current_vc[node] = self.ni_vc_rr[node];
+            self.ni_vc_rr[node] += 1;
+            if self.ni_vc_rr[node] == self.num_vcs {
+                self.ni_vc_rr[node] = 0;
+            }
+        }
+        let vc = self.ni_current_vc[node];
+        if self.ni_credits[node * self.num_vcs + vc] == 0 {
             return;
         }
-        for node in 0..self.config.num_nodes() {
-            let Some(front) = self.ni_pending[node].front().copied() else {
-                continue;
-            };
-            // Start the next packet when the current one has fully left.
-            if front.next == 0 {
-                self.ni_current_vc[node] = self.ni_vc_rr[node];
-                self.ni_vc_rr[node] += 1;
-                if self.ni_vc_rr[node] == self.num_vcs {
-                    self.ni_vc_rr[node] = 0;
-                }
+        self.ni_credits[node * self.num_vcs + vc] -= 1;
+        let slot = &mut self.slots[front.slot as usize];
+        let flits = slot.payload.len() as u32 + 1;
+        let fref = FlitRef {
+            slot: front.slot,
+            seq: front.next,
+            kind: FlitKind::at(front.next, flits),
+        };
+        front.next += 1;
+        if fref.kind.is_tail() {
+            self.ni_pending[node].pop_front();
+            if self.ni_pending[node].is_empty() {
+                clear_bit(&mut self.busy_nis, node);
             }
-            let vc = self.ni_current_vc[node];
-            if self.ni_credits[node * self.num_vcs + vc] == 0 {
-                continue;
-            }
-            let fref = FlitRef {
-                packet: front.packet,
-                seq: front.next,
-            };
-            let Some(queue) = self.ni_pending[node].front_mut() else {
-                // Unreachable: `front` above came from this same queue.
-                continue;
-            };
-            queue.next += 1;
-            if queue.next as usize == self.packets[front.packet as usize].flits.len() {
-                self.ni_pending[node].pop_front();
-                self.ni_pending_total -= 1;
-            }
-            self.ni_credits[node * self.num_vcs + vc] -= 1;
-            let pid = fref.packet as usize;
-            let seq = fref.seq as usize;
-            let flit = &mut self.packets[pid].flits[seq];
-            if flit.kind.is_head() {
-                self.inject_links.observe(node, &flit.payload);
-            } else if self.inject_links.faults_armed() {
+        }
+        if fref.kind.is_head() {
+            self.inject_links.observe(node, &slot.head);
+        } else {
+            let image = &mut slot.payload[fref.seq as usize - 1];
+            if self.inject_links.faults_armed() {
                 // Error-injected wires: flips land in the image the
                 // downstream hop actually carries, so it is written back.
-                flit.payload = self.inject_links.observe_payload(node, &flit.payload);
+                *image = self.inject_links.observe_payload(node, image);
             } else {
                 // Perfect wires (per-link scope: encoded against the
                 // link's persistent wire memory) carry the plain image
                 // onward unchanged.
-                self.inject_links.observe_payload_hop(node, &flit.payload);
+                self.inject_links.observe_payload_hop(node, image);
             }
-            if let Some(recorder) = self.recorder.as_deref_mut() {
-                recorder.hop(
-                    self.config.num_nodes() * NUM_PORTS + node,
-                    fref.packet,
-                    fref.seq,
-                );
+        }
+        if let Some(recorder) = self.recorder.as_deref_mut() {
+            recorder.hop(
+                self.config.num_nodes() * NUM_PORTS + node,
+                slot.id,
+                fref.seq,
+            );
+        }
+        self.link_inflight.push(LinkArrival {
+            node: node as u32,
+            port: LOCAL as u8,
+            vc: vc as u8,
+            fref,
+        });
+    }
+
+    /// Phase 3: route computation, VC allocation, switch allocation and
+    /// link traversal at every router with buffered flits, in ascending
+    /// node order.
+    fn route_and_switch(&mut self) {
+        for word in 0..self.busy_routers.len() {
+            // An idle router (no buffered flits) cannot route, allocate or
+            // forward anything, and its round-robin pointers only move on
+            // a grant — skipping it is exactly what the reference
+            // implementation's no-op iteration does. Routers only drain
+            // during phase 3 (forwarded flits land next cycle), so a
+            // snapshot of the word visits every busy router.
+            let mut bits = self.busy_routers[word];
+            while bits != 0 {
+                let r = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.switch_router(r);
             }
-            self.link_inflight.push(LinkArrival {
-                node: node as u32,
-                port: LOCAL as u8,
-                vc: vc as u8,
-                fref,
-            });
         }
     }
 
-    /// Phase 3: per-router route computation, VC allocation, switch
-    /// allocation and link traversal.
-    fn route_and_switch(&mut self) {
+    /// Phase 3 at router `r`, which holds at least one flit.
+    fn switch_router(&mut self, r: usize) {
         let num_vcs = self.num_vcs;
-        for r in 0..self.config.num_nodes() {
-            // An idle router (no buffered flits) cannot route, allocate or
-            // forward anything, and its round-robin pointers only move on a
-            // grant — skipping it is exactly what the reference
-            // implementation's no-op iteration does. The same argument
-            // lets every loop below visit only the occupied VCs (set bits),
-            // in the same ascending / round-robin order as a full scan.
-            let active = self.active_vcs[r];
-            if active == 0 {
-                continue;
+        // An empty VC cannot route, allocate or forward anything, so
+        // every loop below visits only the occupied VCs (set bits), in
+        // the same ascending / round-robin order as a full scan.
+        let active = self.active_vcs[r];
+        let vbase = r * NUM_PORTS * num_vcs;
+        let rbase = r * NUM_PORTS;
+        // Union of the per-port candidate masks: exactly the VCs
+        // whose head-of-line packet already holds a route.
+        let routed_union = self.routed_to[rbase]
+            | self.routed_to[rbase + 1]
+            | self.routed_to[rbase + 2]
+            | self.routed_to[rbase + 3]
+            | self.routed_to[rbase + 4];
+        // 3a. Route computation for fresh head flits — only occupied
+        // VCs without a route can need one.
+        let mut m = active & !routed_union;
+        while m != 0 {
+            let k = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let vi = vbase + k;
+            debug_assert_eq!(self.route_port[vi], UNSET, "routed_to mask out of sync");
+            let fref = self.fifo[vi * self.depth + self.fifo_head[vi]];
+            if fref.kind.is_head() {
+                let dst = self.slots[fref.slot as usize].dst;
+                let op = route(&self.config, r, dst).index();
+                self.route_port[vi] = op;
+                self.routed_to[rbase + op] |= 1u64 << k;
             }
-            let vbase = r * NUM_PORTS * num_vcs;
-            let rbase = r * NUM_PORTS;
-            // Union of the per-port candidate masks: exactly the VCs
-            // whose head-of-line packet already holds a route.
-            let routed_union = self.routed_to[rbase]
+        }
+        // 3b. Output-VC allocation for routed heads without a VC
+        // (a routed head-of-line flit *is* a head: routes are
+        // computed at heads and cleared at tails).
+        let mut m = active
+            & (self.routed_to[rbase]
                 | self.routed_to[rbase + 1]
                 | self.routed_to[rbase + 2]
                 | self.routed_to[rbase + 3]
-                | self.routed_to[rbase + 4];
-            // 3a. Route computation for fresh head flits — only occupied
-            // VCs without a route can need one.
-            let mut m = active & !routed_union;
-            while m != 0 {
-                let k = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let vi = vbase + k;
-                debug_assert_eq!(self.route_port[vi], UNSET, "routed_to mask out of sync");
-                let fref = self.fifo[vi * self.depth + self.fifo_head[vi]];
-                let front = &self.packets[fref.packet as usize].flits[fref.seq as usize];
-                if front.kind.is_head() {
-                    let op = route(&self.config, r, front.dst).index();
-                    self.route_port[vi] = op;
-                    self.routed_to[rbase + op] |= 1u64 << k;
+                | self.routed_to[rbase + 4]);
+        while m != 0 {
+            let k = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let vi = vbase + k;
+            if self.out_vc[vi] != UNSET {
+                continue;
+            }
+            if !self.fifo[vi * self.depth + self.fifo_head[vi]]
+                .kind
+                .is_head()
+            {
+                continue;
+            }
+            let op = self.route_port[vi];
+            debug_assert_ne!(op, UNSET, "candidate without a route");
+            let obase = (r * NUM_PORTS + op) * num_vcs;
+            let mut ovc = self.vc_rr[r * NUM_PORTS + op];
+            for _ in 0..num_vcs {
+                if self.out_alloc[obase + ovc] == UNSET {
+                    self.out_alloc[obase + ovc] = k;
+                    self.out_vc[vi] = ovc;
+                    let mut next = ovc + 1;
+                    if next == num_vcs {
+                        next = 0;
+                    }
+                    self.vc_rr[r * NUM_PORTS + op] = next;
+                    break;
+                }
+                ovc += 1;
+                if ovc == num_vcs {
+                    ovc = 0;
                 }
             }
-            // 3b. Output-VC allocation for routed heads without a VC
-            // (a routed head-of-line flit *is* a head: routes are
-            // computed at heads and cleared at tails).
-            let mut m = active
-                & (self.routed_to[rbase]
-                    | self.routed_to[rbase + 1]
-                    | self.routed_to[rbase + 2]
-                    | self.routed_to[rbase + 3]
-                    | self.routed_to[rbase + 4]);
-            while m != 0 {
-                let k = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let vi = vbase + k;
-                if self.out_vc[vi] != UNSET {
-                    continue;
-                }
-                let fref = self.fifo[vi * self.depth + self.fifo_head[vi]];
-                let front = &self.packets[fref.packet as usize].flits[fref.seq as usize];
-                if !front.kind.is_head() {
-                    continue;
-                }
-                let op = self.route_port[vi];
-                debug_assert_ne!(op, UNSET, "candidate without a route");
-                let obase = (r * NUM_PORTS + op) * num_vcs;
-                let mut ovc = self.vc_rr[r * NUM_PORTS + op];
-                for _ in 0..num_vcs {
-                    if self.out_alloc[obase + ovc] == UNSET {
-                        self.out_alloc[obase + ovc] = k;
-                        self.out_vc[vi] = ovc;
-                        let mut next = ovc + 1;
-                        if next == num_vcs {
-                            next = 0;
-                        }
-                        self.vc_rr[r * NUM_PORTS + op] = next;
-                        break;
+        }
+        // 3c. Switch allocation per output port (round-robin) and
+        // traversal.
+        let mut input_port_used = [false; NUM_PORTS];
+        for op in 0..NUM_PORTS {
+            // Only VCs whose head-of-line packet is routed to this
+            // output are candidates; the route filter below becomes
+            // an invariant instead of a per-bit miss.
+            let candidates = active & self.routed_to[r * NUM_PORTS + op];
+            if candidates == 0 {
+                continue;
+            }
+            let obase = (r * NUM_PORTS + op) * num_vcs;
+            let start = self.sw_rr[r * NUM_PORTS + op];
+            // Visit candidate VCs in round-robin order from `start`:
+            // first the set bits at positions >= start, then the
+            // wrapped-around set bits below it.
+            let start_mask = !0u64 << start;
+            let mut winner = None;
+            'search: for part in [candidates & start_mask, candidates & !start_mask] {
+                let mut m = part;
+                while m != 0 {
+                    let k = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    let vi = vbase + k;
+                    debug_assert_eq!(self.route_port[vi], op, "routed_to mask out of sync");
+                    let p = self.port_of[k] as usize;
+                    if input_port_used[p] {
+                        continue;
                     }
-                    ovc += 1;
-                    if ovc == num_vcs {
-                        ovc = 0;
+                    let ovc = self.out_vc[vi];
+                    if ovc == UNSET {
+                        continue;
                     }
+                    if op != LOCAL && self.credits[obase + ovc] == 0 {
+                        continue;
+                    }
+                    winner = Some((p, k - p * num_vcs, ovc, k));
+                    break 'search;
                 }
             }
-            // 3c. Switch allocation per output port (round-robin) and
-            // traversal.
-            let mut input_port_used = [false; NUM_PORTS];
-            for op in 0..NUM_PORTS {
-                // Only VCs whose head-of-line packet is routed to this
-                // output are candidates; the route filter below becomes
-                // an invariant instead of a per-bit miss.
-                let candidates = active & self.routed_to[r * NUM_PORTS + op];
-                if candidates == 0 {
-                    continue;
+            let Some((p, v, ovc, idx)) = winner else {
+                continue;
+            };
+            input_port_used[p] = true;
+            let mut next = idx + 1;
+            if next == NUM_PORTS * num_vcs {
+                next = 0;
+            }
+            self.sw_rr[r * NUM_PORTS + op] = next;
+            let vi = vbase + idx;
+            let fref = self.fifo[vi * self.depth + self.fifo_head[vi]];
+            let mut head = self.fifo_head[vi] + 1;
+            if head == self.depth {
+                head = 0;
+            }
+            self.fifo_head[vi] = head;
+            self.fifo_len[vi] -= 1;
+            if self.fifo_len[vi] == 0 {
+                self.active_vcs[r] &= !(1u64 << idx);
+                if self.active_vcs[r] == 0 {
+                    clear_bit(&mut self.busy_routers, r);
                 }
-                let obase = (r * NUM_PORTS + op) * num_vcs;
-                let start = self.sw_rr[r * NUM_PORTS + op];
-                // Visit candidate VCs in round-robin order from `start`:
-                // first the set bits at positions >= start, then the
-                // wrapped-around set bits below it.
-                let start_mask = !0u64 << start;
-                let mut winner = None;
-                'search: for part in [candidates & start_mask, candidates & !start_mask] {
-                    let mut m = part;
-                    while m != 0 {
-                        let k = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        let vi = vbase + k;
-                        debug_assert_eq!(self.route_port[vi], op, "routed_to mask out of sync");
-                        let p = self.port_of[k] as usize;
-                        if input_port_used[p] {
-                            continue;
-                        }
-                        let ovc = self.out_vc[vi];
-                        if ovc == UNSET {
-                            continue;
-                        }
-                        if op != LOCAL && self.credits[obase + ovc] == 0 {
-                            continue;
-                        }
-                        winner = Some((p, k - p * num_vcs, ovc, k));
-                        break 'search;
-                    }
-                }
-                let Some((p, v, ovc, idx)) = winner else {
-                    continue;
-                };
-                input_port_used[p] = true;
-                let mut next = idx + 1;
-                if next == NUM_PORTS * num_vcs {
-                    next = 0;
-                }
-                self.sw_rr[r * NUM_PORTS + op] = next;
-                let vi = vbase + idx;
-                let fref = self.fifo[vi * self.depth + self.fifo_head[vi]];
-                let mut head = self.fifo_head[vi] + 1;
-                if head == self.depth {
-                    head = 0;
-                }
-                self.fifo_head[vi] = head;
-                self.fifo_len[vi] -= 1;
-                if self.fifo_len[vi] == 0 {
-                    self.active_vcs[r] &= !(1u64 << idx);
-                }
-                let kind = self.packets[fref.packet as usize].flits[fref.seq as usize].kind;
-                if kind.is_tail() {
-                    self.out_alloc[obase + ovc] = UNSET;
-                    self.route_port[vi] = UNSET;
-                    self.out_vc[vi] = UNSET;
-                    self.routed_to[r * NUM_PORTS + op] &= !(1u64 << idx);
-                }
-                // Transmit on the link + record transitions (Fig. 8).
-                let link = r * NUM_PORTS + op;
-                let flit = &mut self.packets[fref.packet as usize].flits[fref.seq as usize];
-                if kind.is_head() {
-                    self.out_links.observe(link, &flit.payload);
-                } else if self.out_links.faults_armed() {
-                    // Error-injected wires: the receiving end's decode of
-                    // the flipped wire is what travels onward (ejection
-                    // links deliver it to the NI), so it is written back.
-                    flit.payload = self.out_links.observe_payload(link, &flit.payload);
+            }
+            if fref.kind.is_tail() {
+                self.out_alloc[obase + ovc] = UNSET;
+                self.route_port[vi] = UNSET;
+                self.out_vc[vi] = UNSET;
+                self.routed_to[r * NUM_PORTS + op] &= !(1u64 << idx);
+            }
+            // Transmit on the link + record transitions (Fig. 8).
+            let link = r * NUM_PORTS + op;
+            let slot = &mut self.slots[fref.slot as usize];
+            if fref.kind.is_head() {
+                self.out_links.observe(link, &slot.head);
+            } else {
+                let image = &mut slot.payload[fref.seq as usize - 1];
+                if self.out_links.faults_armed() {
+                    // Error-injected wires: the receiving end's decode
+                    // of the flipped wire is what travels onward
+                    // (ejection links deliver it to the NI), so it is
+                    // written back.
+                    *image = self.out_links.observe_payload(link, image);
                 } else {
-                    // Perfect wires (per-link scope: encoded against the
-                    // link's persistent wire memory) carry the plain
-                    // image onward unchanged.
-                    self.out_links.observe_payload_hop(link, &flit.payload);
+                    // Perfect wires (per-link scope: encoded against
+                    // the link's persistent wire memory) carry the
+                    // plain image onward unchanged.
+                    self.out_links.observe_payload_hop(link, image);
                 }
-                if let Some(recorder) = self.recorder.as_deref_mut() {
-                    recorder.hop(link, fref.packet, fref.seq);
-                }
-                if op == LOCAL {
-                    self.eject_inflight.push((r as u32, fref));
-                } else {
-                    self.credits[obase + ovc] -= 1;
-                    let (nr, np) = self.adjacency_tbl[r * NUM_PORTS + op];
-                    self.link_inflight.push(LinkArrival {
-                        node: nr,
-                        port: np,
-                        vc: ovc as u8,
-                        fref,
-                    });
-                }
-                // Credit return to the upstream hop for the freed slot.
-                if p == LOCAL {
-                    self.ni_credits[r * num_vcs + v] += 1;
-                } else {
-                    let (ur, u_op) = self.adjacency_tbl[r * NUM_PORTS + p];
-                    self.credits[(ur as usize * NUM_PORTS + u_op as usize) * num_vcs + v] += 1;
-                }
+            }
+            if let Some(recorder) = self.recorder.as_deref_mut() {
+                recorder.hop(link, slot.id, fref.seq);
+            }
+            if op == LOCAL {
+                self.eject_inflight.push((r as u32, fref));
+            } else {
+                self.credits[obase + ovc] -= 1;
+                let (nr, np) = self.adjacency_tbl[r * NUM_PORTS + op];
+                self.link_inflight.push(LinkArrival {
+                    node: nr,
+                    port: np,
+                    vc: ovc as u8,
+                    fref,
+                });
+            }
+            // Credit return to the upstream hop for the freed slot.
+            if p == LOCAL {
+                self.ni_credits[r * num_vcs + v] += 1;
+            } else {
+                let (ur, u_op) = self.adjacency_tbl[r * NUM_PORTS + p];
+                self.credits[(ur as usize * NUM_PORTS + u_op as usize) * num_vcs + v] += 1;
             }
         }
     }
 
-    /// Accepts a flit at the destination NI, reassembling packets.
+    /// Accepts a flit at the destination NI. At the tail the packet is
+    /// delivered: source and tag are decoded from the head image (like a
+    /// real NI would), the payload images move out of the slot — exactly
+    /// what traversed the wires — and the slot is recycled.
     fn receive_at_ni(&mut self, node: usize, fref: FlitRef) {
         self.flits_delivered += 1;
-        let pid = fref.packet as usize;
-        let (kind, src_field) = {
-            let flit = &self.packets[pid].flits[fref.seq as usize];
-            (flit.kind, flit.src)
+        if !fref.kind.is_tail() {
+            return;
+        }
+        let slot = &mut self.slots[fref.slot as usize];
+        let (src, _dst, _len, tag) = decode_head_payload(&slot.head);
+        let delivered = DeliveredPacket {
+            packet_id: slot.id,
+            src,
+            dst: node,
+            tag,
+            payload_flits: std::mem::take(&mut slot.payload),
+            inject_cycle: slot.inject_cycle,
+            arrival_cycle: self.cycle,
         };
-        if kind.is_head() {
-            let (src, _dst, _len, tag) = crate::packet::decode_head_payload(
-                &self.packets[pid].flits[fref.seq as usize].payload,
-            );
-            let slot = &mut self.packets[pid];
-            slot.src = src;
-            slot.tag = tag;
-            debug_assert_eq!(src, src_field, "head metadata corrupted");
+        self.free_slots.push(fref.slot);
+        self.latencies.record(delivered.latency());
+        if let Some(recorder) = self.recorder.as_deref_mut() {
+            recorder.arrived(delivered.latency());
         }
-        if kind.is_tail() {
-            let slot = &mut self.packets[pid];
-            // Release the interned flit storage; the payload images are
-            // exactly what traversed the wires.
-            let flits = std::mem::take(&mut slot.flits);
-            let delivered = DeliveredPacket {
-                packet_id: fref.packet as u64,
-                src: slot.src,
-                dst: node,
-                tag: slot.tag,
-                payload_flits: flits.iter().skip(1).map(|f| f.payload).collect(),
-                inject_cycle: slot.inject_cycle,
-                arrival_cycle: self.cycle,
-            };
-            self.latencies.record(delivered.latency());
-            if let Some(recorder) = self.recorder.as_deref_mut() {
-                recorder.arrived(delivered.latency());
-            }
-            self.ni_delivered[node].push_back(delivered);
-            self.delivered_pending += 1;
-            self.packets_in_flight -= 1;
-            self.packets_delivered += 1;
-        }
+        self.ni_delivered[node].push_back(delivered);
+        self.delivered_pending += 1;
+        self.packets_in_flight -= 1;
+        self.packets_delivered += 1;
     }
 
     /// Builds a statistics snapshot.
@@ -1176,6 +1263,113 @@ mod tests {
         );
         assert!(stats.flit_hops >= 15);
         assert!(stats.transitions_per_flit_hop() > 0.0);
+    }
+
+    #[test]
+    fn empty_payload_travels_as_one_headtail_flit() {
+        let mut sim = small_sim();
+        sim.inject(Packet::new(0, 3, Vec::new(), 11)).unwrap();
+        sim.run_until_idle(100).unwrap();
+        let got = sim.drain_delivered(3);
+        assert_eq!(got.len(), 1);
+        assert_eq!((got[0].src, got[0].tag), (0, 11));
+        assert!(got[0].payload_flits.is_empty());
+        let stats = sim.stats();
+        assert_eq!(stats.flits_delivered, 1);
+        // Injection, three hops east, ejection.
+        assert_eq!(stats.flit_hops, 5);
+    }
+
+    #[test]
+    fn narrow_payloads_are_realigned_onto_the_link() {
+        // Images narrower than the link are zero-extended field by field
+        // onto its width, as a per-flit serializer would: delivered
+        // images and every link's transitions equal those of the same
+        // images pre-widened by that serializer.
+        let mut rng = StdRng::seed_from_u64(5);
+        let narrow: Vec<PayloadBits> = [64u32, 100, 128, 1, 72]
+            .iter()
+            .map(|&width| {
+                let mut p = PayloadBits::zero(width);
+                let mut off = 0;
+                while off < width {
+                    let len = 64.min(width - off);
+                    p.set_field(off, len, rng.gen::<u64>() & (u64::MAX >> (64 - len)));
+                    off += len;
+                }
+                p
+            })
+            .collect();
+        let widened: Vec<PayloadBits> = narrow
+            .iter()
+            .map(|image| {
+                let mut p = PayloadBits::zero(128);
+                let mut off = 0;
+                while off < image.width() {
+                    let len = 64.min(image.width() - off);
+                    p.set_field(off, len, image.field(off, len));
+                    off += len;
+                }
+                p
+            })
+            .collect();
+        let run = |payload: Vec<PayloadBits>| {
+            let mut sim = small_sim();
+            sim.inject(Packet::new(1, 14, payload, 3)).unwrap();
+            sim.run_until_idle(1000).unwrap();
+            (sim.drain_delivered(14), sim.stats())
+        };
+        let (got, stats) = run(narrow);
+        let (want, want_stats) = run(widened.clone());
+        assert_eq!(got[0].payload_flits, widened);
+        assert_eq!(got, want);
+        assert_eq!(stats, want_stats);
+        assert!(got[0].payload_flits.iter().all(|p| p.width() == 128));
+    }
+
+    #[test]
+    fn slot_store_holds_only_the_peak_in_flight_and_ids_count_up() {
+        // A long seeded run that injects while it steps: the packet store
+        // never holds more slots than the most packets ever in flight at
+        // once, while ids count up across reused slots and each delivery
+        // reports the id its injection returned.
+        let mut sim = small_sim();
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut ids = Vec::new();
+        let mut delivered = Vec::new();
+        let mut peak = 0;
+        for _ in 0..6_000 {
+            if rng.gen_range(0..3) == 0 {
+                let (src, dst) = (rng.gen_range(0..16), rng.gen_range(0..16));
+                let payload: Vec<PayloadBits> = (0..rng.gen_range(0..6))
+                    .map(|_| image(128, rng.gen()))
+                    .collect();
+                let tag = ids.len() as u64;
+                ids.push(sim.inject(Packet::new(src, dst, payload, tag)).unwrap());
+            }
+            peak = peak.max(sim.in_flight());
+            sim.step();
+            delivered.extend(sim.drain_all_delivered());
+            assert!(sim.slots.len() as u64 <= peak, "store outgrew the peak");
+        }
+        sim.run_until_idle(100_000).unwrap();
+        delivered.extend(sim.drain_all_delivered());
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids are monotonic");
+        assert_eq!(ids, (0..ids.len() as u64).collect::<Vec<_>>());
+        assert_eq!(delivered.len(), ids.len());
+        for d in &delivered {
+            assert_eq!(d.packet_id, ids[d.tag as usize], "tag {}", d.tag);
+        }
+        let mut seen: Vec<u64> = delivered.iter().map(|d| d.packet_id).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, ids, "every id delivered exactly once");
+        // The slots really were reused.
+        assert!(
+            sim.slots.len() * 10 < ids.len(),
+            "{} slots",
+            sim.slots.len()
+        );
+        assert_eq!(sim.free_slots.len(), sim.slots.len());
     }
 
     #[test]
