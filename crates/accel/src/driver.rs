@@ -1029,7 +1029,7 @@ impl LayerRun {
         let (pe, mc_node) = layer.tasks.dest(j);
         layer
             .port
-            .send_flits(sim, pe, mc_node, vec![image], j as u64)?;
+            .send_rows(sim, pe, mc_node, std::slice::from_ref(&image), j as u64)?;
         Ok(())
     }
 
@@ -1044,7 +1044,7 @@ impl LayerRun {
         let bits = layer
             .port
             .session()
-            .decode_response_rows::<W>(payload)
+            .decode_response::<W>(payload)
             .map_err(|e| AccelError::Decode(e.to_string()))?;
         debug_assert!(
             self.responses[j].is_none(),
@@ -1181,7 +1181,7 @@ fn cycle_loop<W: AccelWord>(
                 continue;
             }
             if config.noc.is_mc(d.dst) {
-                run.receive_response::<W>(layer, d.tag as usize, d.payload_flits.as_slice())?;
+                run.receive_response::<W>(layer, d.tag as usize, &d.payload_flits)?;
             } else {
                 // Request arrived at a PE: decode off the wires, recover
                 // pairing, schedule the MAC result.
@@ -1189,7 +1189,7 @@ fn cycle_loop<W: AccelWord>(
                 // decoded, so only in-flight requests hold an O2 index.
                 let j = d.tag as usize;
                 let wire = wires[j].take().expect("request was sent before delivery");
-                let bits = feed.pe.decode(&wire, d.payload_flits.as_slice())?;
+                let bits = feed.pe.decode(&wire, &d.payload_flits)?;
                 let ready = sim.cycle() + config.pe_latency(wire.num_pairs);
                 compute_queue.push(Reverse((ready, j, bits)));
             }
@@ -1369,7 +1369,7 @@ fn hybrid_loop<W: AccelWord>(
             let accepted = layer.accept::<W>(sim, d)?;
             debug_assert!(accepted, "hybrid wires are perfect");
             debug_assert!(layer.config.noc.is_mc(d.dst), "responses terminate at MCs");
-            run.receive_response::<W>(layer, d.tag as usize, d.payload_flits.as_slice())?;
+            run.receive_response::<W>(layer, d.tag as usize, &d.payload_flits)?;
         }
         layer.check_stall(sim, base)?;
     }
@@ -1395,7 +1395,7 @@ fn replay_response_phase<W: AccelWord>(
     rows: &mut FlitSlab,
 ) -> Result<(), AccelError> {
     let base = sim.cycle();
-    // Delivered images sit on the full link width, like an injected
+    // Delivered rows sit on the full link width, like an injected
     // packet's.
     let link = layer.config.noc.link_width_bits;
     rows.reset(link);
@@ -1409,7 +1409,7 @@ fn replay_response_phase<W: AccelWord>(
             }
             .into());
         }
-        rows.push_row(image.resized(link).used_words());
+        rows.push_row_padded(image.used_words());
     }
     sim.replay_phase(recording, |i| staged[i].0 as u64, rows)?;
     for (i, &(j, ..)) in staged.iter().enumerate() {

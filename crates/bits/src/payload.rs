@@ -292,63 +292,6 @@ impl PayloadBits {
         out
     }
 
-    /// Overwrites this image with `a ⊕ b` over the words their width
-    /// covers and returns the bit transitions from the image it replaces,
-    /// `popcount(self ⊕ a ⊕ b)` — a delta-XOR link hop (encode, charge,
-    /// store the new wire) in one pass with no intermediate image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three widths differ.
-    #[inline]
-    pub fn replace_with_xor(&mut self, a: &PayloadBits, b: &PayloadBits) -> u32 {
-        assert!(
-            a.width == b.width && a.width == self.width,
-            "cannot XOR payloads of different widths"
-        );
-        let used = self.words_used();
-        let mut toggled = 0;
-        for ((w, x), y) in self.words[..used]
-            .iter_mut()
-            .zip(&a.words[..used])
-            .zip(&b.words[..used])
-        {
-            let next = x ^ y;
-            toggled += (next ^ *w).count_ones();
-            *w = next;
-        }
-        toggled
-    }
-
-    /// Overwrites this image with the `width`-bit rows' XOR `a ⊕ b` and
-    /// returns the bit transitions from the image it replaces — the
-    /// dense-row form of [`PayloadBits::replace_with_xor`]. The words
-    /// above the rows must already be zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a row is not exactly the words `width` covers.
-    #[inline]
-    pub fn replace_with_row_xor(&mut self, width: u32, a: &[u64], b: &[u64]) -> u32 {
-        let used = width.div_ceil(64) as usize;
-        assert!(
-            a.len() == used && b.len() == used,
-            "a {width}-bit row covers {used} words"
-        );
-        debug_assert!(
-            self.words[used..].iter().all(|&w| w == 0),
-            "stale high words would survive a partial copy"
-        );
-        let mut toggled = 0;
-        for ((w, x), y) in self.words[..used].iter_mut().zip(a).zip(b) {
-            let next = x ^ y;
-            toggled += (next ^ *w).count_ones();
-            *w = next;
-        }
-        self.width = width;
-        toggled
-    }
-
     /// Bitwise NOT within the payload width (used by bus-invert coding).
     #[inline]
     #[must_use]
@@ -487,24 +430,6 @@ mod tests {
         let a = PayloadBits::zero(128);
         let b = PayloadBits::zero(512);
         let _ = a.transitions_to(&b);
-    }
-
-    #[test]
-    fn replace_with_xor_counts_against_the_replaced_image() {
-        let (mut a, mut b, mut wire) = (
-            PayloadBits::zero(200),
-            PayloadBits::zero(200),
-            PayloadBits::zero(200),
-        );
-        a.set_field(0, 64, 0xdead_beef_0123_4567);
-        a.set_field(130, 60, 0x0fff_0000_ffff_0000);
-        b.set_field(60, 20, 0xabcde);
-        wire.set_field(120, 40, 0xff_ffff_ffff);
-        let want = a.xor(&b);
-        let toggled = want.transitions_to(&wire);
-        assert!(toggled > 0);
-        assert_eq!(wire.replace_with_xor(&a, &b), toggled);
-        assert_eq!(wire, want);
     }
 
     #[test]

@@ -9,6 +9,10 @@
 
 use crate::payload::{PayloadBits, MAX_WIDTH_BITS};
 
+/// `u64` words of the widest flit row ([`MAX_WIDTH_BITS`]): the size of
+/// a stack buffer that holds any row.
+pub const MAX_ROW_WORDS: usize = (MAX_WIDTH_BITS / 64) as usize;
+
 /// Equal-width flit images stored as dense `u64` rows.
 ///
 /// Row `i` holds flit `i` LSB-first (wire `k` is bit `k % 64` of word
@@ -136,16 +140,12 @@ impl FlitSlab {
             offset + len,
             self.width
         );
-        let mask = u64::MAX >> (64 - len);
-        let value = value & mask;
-        let row = &mut self.words[flit * self.words_per_flit..][..self.words_per_flit];
-        let (word, bit) = ((offset / 64) as usize, offset % 64);
-        row[word] = (row[word] & !(mask << bit)) | (value << bit);
-        if bit + len > 64 {
-            // The lane straddles a word boundary.
-            let low = 64 - bit;
-            row[word + 1] = (row[word + 1] & !(mask >> low)) | (value >> low);
-        }
+        set_row_field(
+            &mut self.words[flit * self.words_per_flit..][..self.words_per_flit],
+            offset,
+            len,
+            value,
+        );
     }
 
     /// A slab holding `images`, each `width` bits wide.
@@ -204,29 +204,62 @@ impl FlitSlab {
         self.words.extend_from_slice(row);
     }
 
-    /// Appends every flit of `other`, zero-extended onto this slab's
-    /// width (the re-alignment of a narrower image onto a wider link).
+    /// Appends one flit given as a row of at most
+    /// [`FlitSlab::words_per_flit`] words, zero-extended onto this slab's
+    /// width (the re-alignment of a narrower row onto a wider link). The
+    /// row keeps its bits below its own width, so they stay below this
+    /// slab's.
     ///
     /// # Panics
     ///
-    /// Panics if `other` is wider than this slab.
-    pub fn extend_from(&mut self, other: &FlitSlab) {
+    /// Panics if `row` is longer than [`FlitSlab::words_per_flit`].
+    #[inline]
+    pub fn push_row_padded(&mut self, row: &[u64]) {
         assert!(
-            other.width <= self.width,
-            "cannot narrow {}-bit flits onto {} bits",
-            other.width,
-            self.width
+            row.len() <= self.words_per_flit,
+            "a {}-word row does not fit {}-word flits",
+            row.len(),
+            self.words_per_flit
         );
-        if other.words_per_flit == self.words_per_flit {
-            self.words.extend_from_slice(&other.words);
-            return;
-        }
-        for i in 0..other.len() {
-            self.words.extend_from_slice(other.flit(i));
-            self.words.resize(
-                self.words.len() + self.words_per_flit - other.words_per_flit,
-                0,
-            );
+        self.words.extend_from_slice(row);
+        self.words
+            .resize(self.words.len() + self.words_per_flit - row.len(), 0);
+    }
+
+    /// The row of flit `i`, writable. The caller keeps the bits at or
+    /// above the width zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    #[inline]
+    pub fn flit_mut(&mut self, i: usize) -> &mut [u64] {
+        &mut self.words[i * self.words_per_flit..][..self.words_per_flit]
+    }
+
+    /// Appends every flit of `rows`, zero-extended onto this slab's
+    /// width (the re-alignment of narrower rows onto a wider link) — one
+    /// bulk copy when the rows are stored densely at this slab's row
+    /// length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a flit of `rows` is wider than this slab.
+    pub fn extend_rows(&mut self, rows: &(impl FlitRows + ?Sized)) {
+        let (n, width) = (rows.flit_count(), self.width);
+        let fits = |i| rows.flit_width(i) <= width;
+        match rows.dense(self.words_per_flit) {
+            // Dense rows share one width.
+            Some(words) => {
+                assert!(n == 0 || fits(0), "cannot narrow flits onto {width} bits");
+                self.words.extend_from_slice(words);
+            }
+            None => {
+                for i in 0..n {
+                    assert!(fits(i), "cannot narrow flits onto {width} bits");
+                    self.push_row_padded(rows.row(i));
+                }
+            }
         }
     }
 
@@ -347,9 +380,8 @@ impl FlitSlab {
 
 /// Read access to a packet's flits as dense rows of `u64` words (wire
 /// `k` is bit `k % 64` of word `k / 64`), whether they sit in a
-/// [`FlitSlab`] or in [`PayloadBits`] images — so one kernel serves the
-/// streamed request path (slab rows) and the cycle engine's delivered
-/// images.
+/// [`FlitSlab`] (every engine's deliveries) or in [`PayloadBits`] images
+/// (the image-level adapters) — so one kernel serves both.
 pub trait FlitRows {
     /// Number of flits.
     fn flit_count(&self) -> usize;
@@ -470,6 +502,27 @@ pub fn row_transitions(a: &[u64], b: &[u64]) -> u32 {
     a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
 }
 
+/// Writes a `len`-bit field (`len <= 64`) starting at bit `offset` of a
+/// flit row, in place — [`PayloadBits::set_field`] on a row. Bits of
+/// `value` above `len` are ignored.
+///
+/// # Panics
+///
+/// Panics if `len` is not in `1..=64` or the field runs past the row.
+#[inline]
+pub fn set_row_field(row: &mut [u64], offset: u32, len: u32, value: u64) {
+    assert!(len > 0 && len <= 64, "field length must be in 1..=64");
+    let mask = u64::MAX >> (64 - len);
+    let value = value & mask;
+    let (word, bit) = ((offset / 64) as usize, offset % 64);
+    row[word] = (row[word] & !(mask << bit)) | (value << bit);
+    if bit + len > 64 {
+        // The field straddles a word boundary.
+        let low = 64 - bit;
+        row[word + 1] = (row[word + 1] & !(mask >> low)) | (value >> low);
+    }
+}
+
 /// Reads a `len`-bit field (`len <= 64`) starting at bit `offset` of a
 /// flit row (a [`FlitSlab::flit`] or [`PayloadBits::used_words`]).
 ///
@@ -580,7 +633,7 @@ mod tests {
         // narrower slab zero-extends its rows.
         slab.reset(136);
         assert!(slab.is_empty());
-        slab.extend_from(&FlitSlab::from_images(100, &images));
+        slab.extend_rows(&FlitSlab::from_images(100, &images));
         assert_eq!(slab.to_payloads(), wide);
         // Lane ORs address the rows back to back.
         let mut slab = FlitSlab::new(128);

@@ -17,7 +17,11 @@
 //!   [`CodecKind::seed_state`] seeds it, [`LinkCodecState::encode_step`]
 //!   advances the transmit side one flit, [`LinkCodecState::decode_step`]
 //!   is the mirrored inverse on the receive side, and
-//!   [`LinkCodecState::reset`] returns it to the seeded state.
+//!   [`LinkCodecState::reset`] returns it to the seeded state. The same
+//!   steps run on dense link-aligned `u64` rows
+//!   ([`LinkCodecState::encode_row_onto`], [`LinkCodecState::decode_row`],
+//!   [`LinkCodecState::encode_rows_onto`]), which is how the NoC's
+//!   per-link lanes drive them; the image steps wrap the row steps.
 //!
 //! *Where* the state lives is the [`CodecScope`] axis:
 //!
@@ -36,7 +40,7 @@
 //! losslessly.
 
 use btr_bits::payload::PayloadBits;
-use btr_bits::slab::{row_transitions, FlitSlab};
+use btr_bits::slab::{row_transitions, FlitRows, FlitSlab, MAX_ROW_WORDS};
 
 /// Which link-coding backend a transport session applies after ordering
 /// and flitization.
@@ -471,7 +475,7 @@ impl LinkCodecState {
 
     /// Advances the transmit side one flit: encodes `plain` against the
     /// wire memory and returns the `wire_width` image actually driven
-    /// onto the link.
+    /// onto the link — [`LinkCodecState::encode_row_onto`] on images.
     ///
     /// # Panics
     ///
@@ -480,113 +484,252 @@ impl LinkCodecState {
     #[must_use]
     pub fn encode_step(&mut self, plain: &PayloadBits) -> PayloadBits {
         let data = self.data_image(plain);
-        match self.kind {
-            CodecKind::Unencoded => data,
-            CodecKind::DeltaXor => {
-                let wire = match &self.prev {
-                    None => data,
-                    Some(prev) => data.xor(prev),
-                };
-                self.prev = Some(data);
-                wire
+        let (mut row, mut wire) = ([0u64; MAX_ROW_WORDS], [0u64; MAX_ROW_WORDS]);
+        let words = self.wire_words();
+        row[..self.data_words()].copy_from_slice(data.used_words());
+        self.encode_row_onto(&row[..words], &mut wire[..words]);
+        PayloadBits::from_row(self.wire_width(), &wire[..words])
+    }
+
+    /// Words of a `data_width` row.
+    fn data_words(&self) -> usize {
+        self.data_width.div_ceil(64) as usize
+    }
+
+    /// Words of a `wire_width` row.
+    fn wire_words(&self) -> usize {
+        self.wire_width().div_ceil(64) as usize
+    }
+
+    /// The data wires of a link-aligned plain row: its leading
+    /// `data_width` words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plain` is not the words `wire_width` covers, or a
+    /// side-channel wire is set — an already-coded wire row routed onto
+    /// coded wires, which truncating would silently corrupt.
+    #[inline]
+    fn data_row<'r>(&self, plain: &'r [u64]) -> &'r [u64] {
+        assert_eq!(
+            plain.len(),
+            self.wire_words(),
+            "a {}-bit lane encodes {}-word rows",
+            self.wire_width(),
+            self.wire_words()
+        );
+        assert!(
+            self.kind.extra_wires() == 0 || !row_bit(plain, self.data_width),
+            "plain row carries non-zero codec side-channel wires"
+        );
+        &plain[..self.data_words()]
+    }
+
+    /// Sets the wire memory to the `data_width` row `row`.
+    fn remember(&mut self, row: &[u64]) {
+        match &mut self.prev {
+            Some(prev) => prev.assign_row(self.data_width, row),
+            None => self.prev = Some(PayloadBits::from_row(self.data_width, row)),
+        }
+    }
+
+    /// Advances the transmit side one flit on dense rows, written onto
+    /// `wire`, the link's last wire row, in place: `plain` is the flit's
+    /// link-aligned plain row (`wire_width` words, side-channel wires
+    /// zero), `wire` becomes the new wire row, and the return value is
+    /// the number of wires that toggled. No image is built: a delta-XOR
+    /// or unencoded step is one XOR+popcount pass over the words, a
+    /// bus-invert step two.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plain` or `wire` is not the words `wire_width` covers,
+    /// or a side-channel wire of `plain` is set.
+    pub fn encode_row_onto(&mut self, plain: &[u64], wire: &mut [u64]) -> u32 {
+        let plain = self.data_row(plain);
+        let (width, words) = (self.data_width, plain.len());
+        assert_eq!(wire.len(), self.wire_words(), "wire row length");
+        match (self.kind, &self.prev) {
+            (CodecKind::DeltaXor, Some(prev)) => {
+                let toggled = xor_rows_onto(wire, plain, prev.used_words());
+                self.remember(plain);
+                toggled
             }
-            CodecKind::BusInvert => {
+            (CodecKind::BusInvert, Some(prev)) => {
                 // Invert exactly when that strictly reduces data-wire
-                // toggles against the previous wire image. Inverting every
-                // data wire flips every toggle, so the inverted image's
-                // distance is `data_width - t` — one XOR+popcount pass
-                // decides, and the inversion is materialized only when
-                // it wins.
-                let (wire_data, invert) = match &self.prev {
-                    None => (data, false),
+                // toggles against the previous wire data. Inverting every
+                // data wire flips every toggle, so the inverted row's
+                // distance is `data_width - t`: one XOR+popcount pass
+                // decides.
+                let t = row_transitions(plain, prev.used_words());
+                if width - t < t {
+                    let mut inverted = [0u64; MAX_ROW_WORDS];
+                    let inverted = invert_row(plain, width, &mut inverted[..words]);
+                    self.remember(inverted);
+                    bus_invert_wire_onto(wire, inverted, width, true)
+                } else {
+                    self.remember(plain);
+                    bus_invert_wire_onto(wire, plain, width, false)
+                }
+            }
+            // Unencoded wires carry the plain row; an unseeded lane sends
+            // its first flit verbatim (bus-invert uninverted) and seeds
+            // the memory with it.
+            (CodecKind::Unencoded, _) => copy_row_onto(wire, plain),
+            (CodecKind::DeltaXor, None) => {
+                self.remember(plain);
+                copy_row_onto(wire, plain)
+            }
+            (CodecKind::BusInvert, None) => {
+                self.remember(plain);
+                bus_invert_wire_onto(wire, plain, width, false)
+            }
+        }
+    }
+
+    /// Advances the transmit side over a whole uninterrupted run of
+    /// link-aligned plain rows, written onto `wire`, the link's last wire
+    /// row, in place: the lane ends where [`LinkCodecState::encode_row_onto`]
+    /// on each row would leave it, `wire` ends on the run's last wire
+    /// row, and the return value is `(boundary, intra, count)` — the wires
+    /// that toggled from `wire`'s old row to the run's first wire, the
+    /// intra-run transition sum and the flit count. `None` for an empty
+    /// run (nothing changes).
+    ///
+    /// The first flit is a row step; the rest write no wire:
+    ///
+    /// * **Delta-XOR telescopes.** Wires are `w_k = x_k ⊕ x_{k−1}`, so
+    ///   consecutive wires differ by the second difference
+    ///   `x_k ⊕ x_{k−2}` (`x1 ⊕ x0 ⊕ w0` for the second flit): one
+    ///   XOR+popcount per flit over the borrowed rows, a single pass over
+    ///   the words when the rows are stored densely.
+    /// * **Bus-invert keeps its sequential invert decision**, but the
+    ///   decision popcount `t` *is* the data-wire transition count
+    ///   (`data_width − t` when the inversion wins), so the intra sum
+    ///   needs no wire, and `t` follows from the plain rows and the
+    ///   previous invert bit alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the conditions of [`LinkCodecState::encode_row_onto`].
+    pub fn encode_rows_onto(
+        &mut self,
+        plains: &(impl FlitRows + ?Sized),
+        wire: &mut [u64],
+    ) -> Option<(u32, u64, u64)> {
+        let n = plains.flit_count();
+        if n == 0 {
+            return None;
+        }
+        let boundary = self.encode_row_onto(plains.row(0), wire);
+        let (width, words) = (self.data_width, self.data_words());
+        let mut intra = 0u64;
+        match self.kind {
+            CodecKind::Unencoded => {
+                for i in 1..n {
+                    intra += u64::from(self.encode_row_onto(plains.row(i), wire));
+                }
+            }
+            CodecKind::DeltaXor if n >= 2 => {
+                let x = |i: usize| self.data_row(plains.row(i));
+                let (x0, x1) = (x(0), x(1));
+                intra += wire
+                    .iter()
+                    .zip(x0)
+                    .zip(x1)
+                    .map(|((w, a), b)| u64::from((w ^ a ^ b).count_ones()))
+                    .sum::<u64>();
+                intra += match plains.dense(words) {
+                    Some(flat) => flat[2 * words..]
+                        .iter()
+                        .zip(flat)
+                        .map(|(a, b)| u64::from((a ^ b).count_ones()))
+                        .sum::<u64>(),
+                    None => (2..n)
+                        .map(|i| u64::from(row_transitions(x(i), x(i - 2))))
+                        .sum(),
+                };
+                let (last, before) = (x(n - 1), x(n - 2));
+                for ((w, a), b) in wire.iter_mut().zip(last).zip(before) {
+                    *w = a ^ b;
+                }
+                self.remember(last);
+            }
+            CodecKind::BusInvert if n >= 2 => {
+                // The wire data of flit `k − 1` is its plain row, inverted
+                // when its invert line is set, so the decision popcount
+                // against it is `d` or `data_width − d` for
+                // `d = popcount(x_k ⊕ x_{k−1})`: the popcounts read only
+                // the input rows, and the flit-to-flit dependency is the
+                // one invert bit.
+                let x = |i: usize| self.data_row(plains.row(i));
+                let (mut last, mut invert) = (x(0), row_bit(wire, width));
+                for i in 1..n {
+                    let plain = x(i);
+                    let d = row_transitions(plain, last);
+                    let t = if invert { width - d } else { d };
+                    let next = width - t < t;
+                    intra += u64::from(t.min(width - t)) + u64::from(next != invert);
+                    (last, invert) = (plain, next);
+                }
+                let mut data = [0u64; MAX_ROW_WORDS];
+                let data = if invert {
+                    invert_row(last, width, &mut data[..words])
+                } else {
+                    last
+                };
+                self.remember(data);
+                bus_invert_wire_onto(wire, data, width, invert);
+            }
+            CodecKind::DeltaXor | CodecKind::BusInvert => {}
+        }
+        Some((boundary, intra, n as u64))
+    }
+
+    /// Advances the receive side one flit on dense rows: decodes the
+    /// wire row `wire` against the mirrored wire memory into `plain`, a
+    /// link-aligned plain row (side-channel wires written zero) —
+    /// [`LinkCodecState::decode_step`] with no image built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wire` or `plain` is not the words `wire_width` covers.
+    pub fn decode_row(&mut self, wire: &[u64], plain: &mut [u64]) {
+        let (width, words) = (self.data_width, self.data_words());
+        assert!(
+            plain.len() == self.wire_words() && wire.len() == self.wire_words(),
+            "a {}-bit lane decodes {}-word rows",
+            self.wire_width(),
+            self.wire_words()
+        );
+        let (data, side) = plain.split_at_mut(words);
+        side.fill(0);
+        let top = u64::MAX >> ((64 - width % 64) % 64);
+        match self.kind {
+            CodecKind::Unencoded => data.copy_from_slice(wire),
+            CodecKind::DeltaXor => {
+                match &self.prev {
+                    None => data.copy_from_slice(wire),
                     Some(prev) => {
-                        let t = data.transitions_to(prev);
-                        if self.data_width - t < t {
-                            (data.invert(), true)
-                        } else {
-                            (data, false)
+                        for ((p, w), m) in data.iter_mut().zip(wire).zip(prev.used_words()) {
+                            *p = w ^ m;
                         }
                     }
-                };
-                self.prev = Some(wire_data);
-                let mut wire = wire_data.resized(self.data_width + 1);
-                wire.set_field(self.data_width, 1, u64::from(invert));
-                wire
-            }
-        }
-    }
-
-    /// [`LinkCodecState::encode_step`] written onto `wire`, the link's
-    /// last wire image, in place: `wire` becomes the new wire image and
-    /// the return value is the number of wires that toggled. A delta-XOR
-    /// lane whose plain images fill the wire runs one pass over the used
-    /// words with no intermediate image; other lanes encode a step and
-    /// copy the used words over.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the width conditions of
-    /// [`LinkCodecState::encode_step`], or if `wire` is not
-    /// [`LinkCodecState::wire_width`] bits wide.
-    pub fn encode_step_onto(&mut self, plain: &PayloadBits, wire: &mut PayloadBits) -> u32 {
-        if let (CodecKind::DeltaXor, Some(prev)) = (self.kind, self.prev.as_mut()) {
-            if plain.width() == self.data_width {
-                let toggled = wire.replace_with_xor(plain, prev);
-                prev.clone_used_from(plain);
-                return toggled;
-            }
-        }
-        let next = self.encode_step(plain);
-        let toggled = next.transitions_to(wire);
-        wire.clone_used_from(&next);
-        toggled
-    }
-
-    /// [`LinkCodecState::encode_run`] written onto `wire`, the link's last
-    /// wire image, in place: `wire` ends on the run's last wire image,
-    /// and the return value is `(boundary, intra, count)` — the wires that
-    /// toggled from `wire`'s old image to the run's first wire, the
-    /// intra-run transition sum and the flit count. A seeded delta-XOR
-    /// lane whose plain images fill the wire reads the run by reference
-    /// and stores only the two images it must; other lanes go through
-    /// [`LinkCodecState::encode_run`]. `None` for an empty run (nothing
-    /// changes).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the conditions of [`LinkCodecState::encode_run`], or
-    /// if `wire` is not [`LinkCodecState::wire_width`] bits wide.
-    pub fn encode_run_onto<'a>(
-        &mut self,
-        plains: impl IntoIterator<Item = &'a PayloadBits>,
-        wire: &mut PayloadBits,
-    ) -> Option<(u32, u64, u64)> {
-        let mut plains = plains.into_iter();
-        let first = plains.next()?;
-        if let (CodecKind::DeltaXor, Some(p0)) = (self.kind, &self.prev) {
-            if first.width() == self.data_width {
-                // The delta-XOR telescope of `encode_run`, with the wire
-                // register as the only image written besides the lane.
-                let boundary = wire.replace_with_xor(first, p0);
-                let (mut intra, mut count) = (0u64, 1u64);
-                let (mut back2, mut back1, mut last) = (p0, first, first);
-                for plain in plains {
-                    self.expect_data_width(plain);
-                    intra += u64::from(plain.transitions_to(back2));
-                    (back2, back1, last) = (back1, plain, plain);
-                    count += 1;
                 }
-                wire.replace_with_xor(back1, back2);
-                if let Some(prev) = &mut self.prev {
-                    prev.clone_used_from(last);
+                self.remember(data);
+            }
+            CodecKind::BusInvert => {
+                data.copy_from_slice(&wire[..words]);
+                data[words - 1] &= top;
+                self.remember(data);
+                if row_bit(wire, width) {
+                    for p in data.iter_mut() {
+                        *p = !*p;
+                    }
+                    data[words - 1] &= top;
                 }
-                return Some((boundary, intra, count));
             }
         }
-        let run = self.encode_run(std::iter::once(first).chain(plains))?;
-        let boundary = run.first.transitions_to(wire);
-        wire.clone_used_from(&run.last);
-        Some((boundary, run.intra, run.count))
     }
 
     /// Copies `other`'s wire memory into this state over the used words —
@@ -604,161 +747,42 @@ impl LinkCodecState {
     }
 
     /// Advances the transmit side over a whole uninterrupted run of plain
-    /// flits in one pass — the word-parallel bulk kernel behind the
-    /// analytic engine's per-link fast path. The state ends exactly where
-    /// flit-by-flit [`LinkCodecState::encode_step`] calls would, and the
-    /// returned [`WireRun`] summarizes the wire stream (first image, last
-    /// image, intra-run transition sum) without materializing the
-    /// intermediate wires:
-    ///
-    /// * **Delta-XOR telescopes.** With lane memory `p` and plains
-    ///   `x1..xn`, the wires are `x1⊕p, x2⊕x1, …`, so consecutive wires
-    ///   differ by the *second difference* `w_k ⊕ w_{k-1} = x_k ⊕ x_{k-2}`
-    ///   (with `x0 = p`) — one XOR+popcount per flit, and the end-of-run
-    ///   lane state is just the last plain image.
-    /// * **Bus-invert keeps its sequential invert decision** but runs
-    ///   branch-light: the decision popcount `t` *is* the data-wire
-    ///   transition count (`data_width − t` when the inversion wins), so
-    ///   the intra sum needs no second pass, and the inverted image is
-    ///   materialized only when it wins.
-    /// * **Unencoded degenerates** to a raw-wire run: wires are the
-    ///   plains.
-    ///
-    /// Returns `None` for an empty run (the state is untouched).
+    /// flits — [`LinkCodecState::encode_rows_onto`] on images. The state
+    /// ends exactly where flit-by-flit [`LinkCodecState::encode_step`]
+    /// calls would, and the returned [`WireRun`] summarizes the wire
+    /// stream (first image, last image, intra-run transition sum) without
+    /// materializing the intermediate wires. Returns `None` for an empty
+    /// run (the state is untouched).
     ///
     /// # Panics
     ///
     /// Panics under the same width conditions as
-    /// [`LinkCodecState::encode_step`], or if the run mixes widths.
+    /// [`LinkCodecState::encode_step`].
     pub fn encode_run<'a>(
         &mut self,
         plains: impl IntoIterator<Item = &'a PayloadBits>,
     ) -> Option<WireRun> {
-        let mut plains = plains.into_iter();
-        let first = plains.next()?;
-        match self.kind {
-            CodecKind::Unencoded => {
-                // Wires are the plains; the steady state is pure
-                // XOR+popcount over borrowed images, no copies at all.
-                self.expect_data_width(first);
-                let mut intra = 0u64;
-                let mut last = first;
-                let mut count = 1u64;
-                for plain in plains {
-                    self.expect_data_width(plain);
-                    intra += u64::from(plain.transitions_to(last));
-                    last = plain;
-                    count += 1;
-                }
-                Some(WireRun {
-                    first: *first,
-                    last: *last,
-                    intra,
-                    count,
-                })
-            }
-            CodecKind::DeltaXor => {
-                // `prev = None` is indistinguishable from `prev = zero`
-                // for delta-XOR (`x ⊕ 0 = x`), which closes the telescope:
-                // every wire-boundary XOR is a second difference of the
-                // plain stream extended by the lane memory. The sliding
-                // pair (x_{k-2}, x_{k-1}) is held by reference — the
-                // steady state copies nothing.
-                self.expect_data_width(first);
-                let p0 = self
-                    .prev
-                    .unwrap_or_else(|| PayloadBits::zero(self.data_width));
-                let first_wire = first.xor(&p0);
-                let mut intra = 0u64;
-                let mut count = 1u64;
-                let (mut back2, mut back1): (&PayloadBits, &PayloadBits) = (&p0, first);
-                for plain in plains {
-                    self.expect_data_width(plain);
-                    intra += u64::from(plain.transitions_to(back2));
-                    (back2, back1) = (back1, plain);
-                    count += 1;
-                }
-                self.prev = Some(*back1);
-                Some(WireRun {
-                    first: first_wire,
-                    last: back1.xor(back2),
-                    intra,
-                    count,
-                })
-            }
-            CodecKind::BusInvert => {
-                let wire_of = |wire_data: &PayloadBits, invert: bool| {
-                    let mut wire = wire_data.resized(self.data_width + 1);
-                    wire.set_field(self.data_width, 1, u64::from(invert));
-                    wire
-                };
-                // Seed step: against no memory the first flit travels
-                // uninverted; against memory it takes the normal decision.
-                let first_data = self.data_image(first);
-                let (wire_data, mut invert) = match &self.prev {
-                    None => (first_data, false),
-                    Some(prev) => {
-                        let t = first_data.transitions_to(prev);
-                        if self.data_width - t < t {
-                            (first_data.invert(), true)
-                        } else {
-                            (first_data, false)
-                        }
-                    }
-                };
-                let first_wire = wire_of(&wire_data, invert);
-                let mut intra = 0u64;
-                let mut count = 1u64;
-                // The previous wire-data image is a borrow of the input
-                // flit whenever the flit travels uninverted at data
-                // width; `owned` holds it only when an inversion (or a
-                // link-width narrowing) materialized a new image.
-                let mut owned = wire_data;
-                let mut prev_input: Option<&PayloadBits> = None;
-                for plain in plains {
-                    let prev = prev_input.unwrap_or(&owned);
-                    // `t` doubles as the data-wire transition count: the
-                    // codec transmits the side that toggles fewer wires,
-                    // so the intra sum is `min`-selected from the same
-                    // XOR+popcount that decides the inversion.
-                    if plain.width() == self.data_width {
-                        let t = plain.transitions_to(prev);
-                        let next_invert = self.data_width - t < t;
-                        intra += u64::from(if next_invert { self.data_width - t } else { t })
-                            + u64::from(next_invert != invert);
-                        if next_invert {
-                            owned = plain.invert();
-                            prev_input = None;
-                        } else {
-                            prev_input = Some(plain);
-                        }
-                        invert = next_invert;
-                    } else {
-                        let data = self.data_image(plain);
-                        let t = data.transitions_to(prev);
-                        let next_invert = self.data_width - t < t;
-                        intra += u64::from(if next_invert { self.data_width - t } else { t })
-                            + u64::from(next_invert != invert);
-                        owned = if next_invert { data.invert() } else { data };
-                        prev_input = None;
-                        invert = next_invert;
-                    }
-                    count += 1;
-                }
-                let last_data = match prev_input {
-                    Some(p) => *p,
-                    None => owned,
-                };
-                let last = wire_of(&last_data, invert);
-                self.prev = Some(last_data);
-                Some(WireRun {
-                    first: first_wire,
-                    last,
-                    intra,
-                    count,
-                })
-            }
+        let mut rows = FlitSlab::new(self.wire_width());
+        for plain in plains {
+            rows.push_row_padded(self.data_image(plain).used_words());
         }
+        let count = rows.len();
+        if count == 0 {
+            return None;
+        }
+        let mut wire = [0u64; MAX_ROW_WORDS];
+        let wire = &mut wire[..self.wire_words()];
+        self.encode_row_onto(rows.flit(0), wire);
+        let first = PayloadBits::from_row(self.wire_width(), wire);
+        let (boundary, intra, _) = self
+            .encode_rows_onto(&rows.rows(1..count), wire)
+            .unwrap_or_default();
+        Some(WireRun {
+            first,
+            last: PayloadBits::from_row(self.wire_width(), wire),
+            intra: u64::from(boundary) + intra,
+            count: count as u64,
+        })
     }
 
     /// A delta-XOR run summarized by [`DeltaXorRun::new`] driven onto a
@@ -778,8 +802,8 @@ impl LinkCodecState {
     pub fn encode_delta_xor_run_onto(
         &mut self,
         run: &DeltaXorRun<'_>,
-        head: &PayloadBits,
-        wire: &mut PayloadBits,
+        head: &[u64],
+        wire: &mut [u64],
     ) -> u64 {
         assert_eq!(
             self.kind,
@@ -788,20 +812,20 @@ impl LinkCodecState {
         );
         let (width, rows) = (self.data_width, run.plains);
         assert!(
-            rows.width() == width && head.width() == width,
-            "run or head width does not match the {width} data wires"
+            rows.width() == width
+                && head.len() == rows.words_per_flit()
+                && wire.len() == head.len(),
+            "run, head or wire does not match the {width} data wires"
         );
         let (x0, n) = (rows.flit(0), rows.len());
         // An unseeded lane is a zero memory (`x ⊕ 0 = x`).
-        const ZERO_ROW: [u64; (btr_bits::payload::MAX_WIDTH_BITS / 64) as usize] =
-            [0; (btr_bits::payload::MAX_WIDTH_BITS / 64) as usize];
+        const ZERO_ROW: [u64; MAX_ROW_WORDS] = [0; MAX_ROW_WORDS];
         let p0 = match &self.prev {
             Some(prev) => prev.used_words(),
             None => &ZERO_ROW[..x0.len()],
         };
         // The first wire `x0 ⊕ p0` against the head, then `x1 ⊕ p0`.
         let mut toggled = head
-            .used_words()
             .iter()
             .zip(x0)
             .zip(p0)
@@ -809,29 +833,12 @@ impl LinkCodecState {
             .sum::<u32>();
         if n >= 2 {
             toggled += row_transitions(rows.flit(1), p0);
-            wire.replace_with_row_xor(width, rows.flit(n - 1), rows.flit(n - 2));
+            xor_rows_onto(wire, rows.flit(n - 1), rows.flit(n - 2));
         } else {
-            wire.replace_with_row_xor(width, x0, p0);
+            xor_rows_onto(wire, x0, p0);
         }
-        let last = rows.flit(n - 1);
-        match &mut self.prev {
-            Some(prev) => prev.assign_row(width, last),
-            None => self.prev = Some(PayloadBits::from_row(width, last)),
-        }
+        self.remember(rows.flit(n - 1));
         u64::from(toggled) + run.tail
-    }
-
-    /// Width check for the equal-width run kernels (unencoded and
-    /// delta-XOR have `wire_width == data_width`, so [`Self::data_image`]
-    /// is the identity and the kernels can borrow the inputs directly).
-    fn expect_data_width(&self, plain: &PayloadBits) {
-        assert_eq!(
-            plain.width(),
-            self.data_width,
-            "plain image width {} does not match the {} data wires",
-            plain.width(),
-            self.data_width
-        );
     }
 
     /// The intra-run wire transition sum [`LinkCodecState::encode_run`]
@@ -864,28 +871,66 @@ impl LinkCodecState {
                 want: self.wire_width(),
             });
         }
-        Ok(match self.kind {
-            CodecKind::Unencoded => *wire,
-            CodecKind::DeltaXor => {
-                let plain = match &self.prev {
-                    None => *wire,
-                    Some(prev) => wire.xor(prev),
-                };
-                self.prev = Some(plain);
-                plain
-            }
-            CodecKind::BusInvert => {
-                let wire_data = wire.resized(self.data_width);
-                let invert = wire.bit(self.data_width);
-                self.prev = Some(wire_data);
-                if invert {
-                    wire_data.invert()
-                } else {
-                    wire_data
-                }
-            }
-        })
+        let mut plain = [0u64; MAX_ROW_WORDS];
+        self.decode_row(wire.used_words(), &mut plain[..self.wire_words()]);
+        Ok(PayloadBits::from_row(
+            self.data_width,
+            &plain[..self.data_words()],
+        ))
     }
+}
+
+/// Bit `index` of a row.
+fn row_bit(row: &[u64], index: u32) -> bool {
+    (row[(index / 64) as usize] >> (index % 64)) & 1 == 1
+}
+
+/// Writes the bitwise NOT of the `width`-bit row `row` into `out`
+/// (bits above the width stay zero) and returns it.
+fn invert_row<'o>(row: &[u64], width: u32, out: &'o mut [u64]) -> &'o [u64] {
+    for (o, &r) in out.iter_mut().zip(row) {
+        *o = !r;
+    }
+    if let Some(last) = out.last_mut() {
+        *last &= u64::MAX >> ((64 - width % 64) % 64);
+    }
+    out
+}
+
+/// Overwrites `wire` with `a ⊕ b` and returns the wires that toggled
+/// from its old row.
+fn xor_rows_onto(wire: &mut [u64], a: &[u64], b: &[u64]) -> u32 {
+    let mut toggled = 0;
+    for ((w, x), y) in wire.iter_mut().zip(a).zip(b) {
+        let next = x ^ y;
+        toggled += (next ^ *w).count_ones();
+        *w = next;
+    }
+    toggled
+}
+
+/// Overwrites `wire` with `row` and returns the wires that toggled.
+fn copy_row_onto(wire: &mut [u64], row: &[u64]) -> u32 {
+    let toggled = row_transitions(row, wire);
+    wire.copy_from_slice(row);
+    toggled
+}
+
+/// Overwrites the bus-invert `wire` (`width + 1` wires) with the wire
+/// data `data` (a `width`-bit row) and the invert line above it, and
+/// returns the wires that toggled.
+fn bus_invert_wire_onto(wire: &mut [u64], data: &[u64], width: u32, invert: bool) -> u32 {
+    let (line_word, line) = ((width / 64) as usize, u64::from(invert) << (width % 64));
+    let mut toggled = 0;
+    for (i, w) in wire.iter_mut().enumerate() {
+        let mut next = data.get(i).copied().unwrap_or(0);
+        if i == line_word {
+            next |= line;
+        }
+        toggled += (next ^ *w).count_ones();
+        *w = next;
+    }
+    toggled
 }
 
 #[cfg(test)]
@@ -1032,10 +1077,10 @@ mod tests {
                 let head = random_stream(1, 96, n as u64 + 90)[0];
                 let want = bulk.encode_run(&stream).unwrap();
                 let rows = FlitSlab::from_images(96, &stream);
-                let mut wire = PayloadBits::zero(96);
+                let mut wire = [0u64; 2];
                 let got = summarized.encode_delta_xor_run_onto(
                     &DeltaXorRun::new(&rows),
-                    &head,
+                    head.used_words(),
                     &mut wire,
                 );
                 let ctx = format!("n={n} warmup={warmup}");
@@ -1044,60 +1089,87 @@ mod tests {
                     u64::from(want.first.transitions_to(&head)) + want.intra,
                     "{ctx}"
                 );
-                assert_eq!(wire, want.last, "{ctx}: last wire");
+                assert_eq!(&wire, want.last.used_words(), "{ctx}: last wire");
                 assert_eq!(summarized, bulk, "{ctx}: end state");
             }
         }
     }
 
     #[test]
-    fn in_place_step_matches_encode_step() {
-        // The in-place hop leaves the lane, the wire register and the
-        // toggle count exactly where encode_step plus a Hamming distance
-        // does, and a mirrored lane follows it.
+    fn row_steps_match_the_image_steps() {
+        // The row hop leaves the lane, the wire row and the toggle count
+        // exactly where encode_step plus a Hamming distance does, the
+        // row decode recovers the link-aligned plain row on a mirrored
+        // lane, and mirror_from lands on the same state. Widths cover a
+        // row that ends mid-word, one whose invert line opens a word of
+        // its own, and one whose line shares the last word.
         for kind in CodecKind::ALL {
-            let stream = random_stream(5, 128, 21);
-            let mut stepped = kind.seed_state(128);
-            let mut in_place = kind.seed_state(128);
-            let mut mirror = kind.seed_state(128);
-            let mut wire = PayloadBits::zero(stepped.wire_width());
-            for plain in &stream {
-                let next = stepped.encode_step(plain);
-                let want = next.transitions_to(&wire);
-                assert_eq!(in_place.encode_step_onto(plain, &mut wire), want, "{kind}");
-                assert_eq!(wire, next, "{kind}");
-                assert_eq!(in_place, stepped, "{kind}");
-                mirror.mirror_from(&in_place);
-                assert_eq!(mirror, in_place, "{kind}");
+            for width in [100u32, 128, 127] {
+                let stream = random_stream(6, width, 21 + u64::from(width));
+                let mut stepped = kind.seed_state(width);
+                let mut rows = kind.seed_state(width);
+                let mut rx = kind.seed_state(width);
+                let mut mirror = kind.seed_state(width);
+                let wire_width = stepped.wire_width();
+                let mut wire = random_stream(1, wire_width, 5).remove(0);
+                let mut wire_row = wire.used_words().to_vec();
+                for plain in &stream {
+                    let aligned = plain.resized(wire_width);
+                    let next = stepped.encode_step(plain);
+                    let want = next.transitions_to(&wire);
+                    let got = rows.encode_row_onto(aligned.used_words(), &mut wire_row);
+                    assert_eq!(got, want, "{kind} {width}");
+                    assert_eq!(wire_row, next.used_words(), "{kind} {width}");
+                    assert_eq!(rows, stepped, "{kind} {width}");
+                    let mut decoded = vec![u64::MAX; wire_row.len()];
+                    rx.decode_row(&wire_row, &mut decoded);
+                    assert_eq!(decoded, aligned.used_words(), "{kind} {width}");
+                    assert_eq!(rx, rows, "{kind} {width}: mirrored decode");
+                    mirror.mirror_from(&rows);
+                    assert_eq!(mirror, rows, "{kind} {width}");
+                    wire = next;
+                }
             }
         }
     }
 
     #[test]
-    fn in_place_run_matches_encode_run() {
+    fn row_runs_match_encode_run() {
         // Seeded and unseeded lanes, runs of one to five flits: the wire
-        // register ends on the run's last wire, the boundary is charged
-        // against its old image, and the lane lands where encode_run's.
+        // row ends on the run's last wire, the boundary is charged
+        // against its old row, and the lane lands where encode_run's.
         for kind in CodecKind::ALL {
-            for n in 1..=5usize {
-                for seeded in [false, true] {
-                    let stream = random_stream(n + 1, 128, 40 + n as u64);
-                    let mut bulk = kind.seed_state(128);
-                    if seeded {
-                        let _ = bulk.encode_step(&stream[0]);
+            for width in [128u32, 100] {
+                for n in 1..=5usize {
+                    for seeded in [false, true] {
+                        let stream = random_stream(n + 1, width, 40 + n as u64);
+                        let mut bulk = kind.seed_state(width);
+                        if seeded {
+                            let _ = bulk.encode_step(&stream[0]);
+                        }
+                        let mut onto = bulk.clone();
+                        let run = bulk.encode_run(&stream[1..]).unwrap();
+                        let wire_width = bulk.wire_width();
+                        let old = random_stream(1, wire_width, 9).remove(0);
+                        let mut wire = old.used_words().to_vec();
+                        let aligned: Vec<PayloadBits> =
+                            stream[1..].iter().map(|p| p.resized(wire_width)).collect();
+                        let rows = FlitSlab::from_images(wire_width, &aligned);
+                        let got = onto.encode_rows_onto(&rows, &mut wire).unwrap();
+                        let want = (run.first.transitions_to(&old), run.intra, run.count);
+                        let ctx = format!("{kind} {width} n={n} seeded={seeded}");
+                        assert_eq!(got, want, "{ctx}");
+                        assert_eq!(wire, run.last.used_words(), "{ctx}");
+                        assert_eq!(onto, bulk, "{ctx}");
                     }
-                    let mut onto = bulk.clone();
-                    let run = bulk.encode_run(&stream[1..]).unwrap();
-                    let old = random_stream(1, bulk.wire_width(), 9).remove(0);
-                    let mut wire = old;
-                    let got = onto.encode_run_onto(&stream[1..], &mut wire).unwrap();
-                    let want = (run.first.transitions_to(&old), run.intra, run.count);
-                    assert_eq!(got, want, "{kind} n={n} seeded={seeded}");
-                    assert_eq!(wire, run.last, "{kind}");
-                    assert_eq!(onto, bulk, "{kind}");
                 }
             }
         }
+        let mut lane = CodecKind::DeltaXor.seed_state(64);
+        assert!(lane
+            .encode_rows_onto(&FlitSlab::new(64), &mut [7])
+            .is_none());
+        assert!(!lane.is_seeded());
     }
 
     #[test]

@@ -884,7 +884,7 @@ pub fn render_window(
         "window prepared for another template shape"
     );
     out.reset(template.rows.width());
-    out.extend_from(&template.rows);
+    out.extend_rows(&template.rows);
     pair_index.clear();
     if template.method == OrderingMethod::Affiliated {
         for (&bits, &lane) in table.words[index * n..][..n]

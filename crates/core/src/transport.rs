@@ -33,7 +33,7 @@ use crate::plan::LanePlan;
 use crate::stream::Placement;
 use crate::task::{NeuronTask, RecoveredTask};
 use btr_bits::payload::{PayloadBits, MAX_WIDTH_BITS};
-use btr_bits::slab::{row_field, FlitRows, FlitSlab};
+use btr_bits::slab::{row_field, FlitRows, FlitSlab, MAX_ROW_WORDS};
 use btr_bits::word::DataWord;
 
 /// Configuration of a transport session: how values are ordered, how many
@@ -144,8 +144,8 @@ pub struct TransportScratch {
     pub(crate) wperm: Vec<usize>,
     /// Input permutation (separated-ordering only).
     pub(crate) iperm: Vec<usize>,
-    /// Plain images decoded off per-packet-coded wire images.
-    pub(crate) plain_buf: Vec<PayloadBits>,
+    /// Plain frame rows decoded off per-packet-coded wire rows.
+    pub(crate) plain_buf: Option<FlitSlab>,
     /// The lane plan [`CodedTransport::decode_task_into`] decoded the
     /// last packet with; rebuilt only when a packet of another shape
     /// arrives.
@@ -364,12 +364,18 @@ impl CodedTransport {
     }
 
     /// Runs the per-packet link codec over `plain` into `wire` (reset
-    /// first): a fresh codec state, one encode step per frame.
+    /// first): a fresh codec state, one row step per frame, written
+    /// straight into the wire row.
     fn code_rows<W: DataWord>(&self, plain: &FlitSlab, wire: &mut FlitSlab) {
         wire.reset(self.config.link_width_bits::<W>());
+        wire.push_zeroed(plain.len());
         let mut state = self.config.codec.seed_state(plain.width());
+        // The frame rows zero-extended onto the wire width.
+        let mut aligned = [0u64; MAX_ROW_WORDS];
+        let aligned = &mut aligned[..wire.words_per_flit()];
         for i in 0..plain.len() {
-            wire.push_row(state.encode_step(&plain.image(i)).used_words());
+            aligned[..plain.words_per_flit()].copy_from_slice(plain.flit(i));
+            state.encode_row_onto(aligned, wire.flit_mut(i));
         }
     }
 
@@ -421,7 +427,7 @@ impl CodedTransport {
     pub fn decode_task<W: DataWord>(
         &self,
         meta: &TaskWireMeta,
-        flits: &[PayloadBits],
+        flits: &(impl FlitRows + ?Sized),
     ) -> Result<RecoveredTask<W>, TransportError> {
         let mut out = RecoveredTask {
             pairs: Vec::new(),
@@ -632,28 +638,43 @@ impl CodedTransport {
 
     /// Recovers the plain frames from what the mesh delivered, per the
     /// session's codec scope. Per-packet scope runs the codec inverse
-    /// into `buf` (cleared first; capacity is reused across packets,
+    /// row by row into `buf` (capacity is reused across packets,
     /// keeping the receiver path allocation-free in steady state).
     /// Per-link scope receives frames the links already decoded, possibly
     /// re-aligned onto the full link width with the side-channel wires
-    /// zeroed (the NoC widens narrower payload images at injection):
+    /// zeroed (the NoC widens narrower payload rows at injection):
     /// those are checked in place and read as delivered, like plain
     /// `frame_width` frames.
     fn plain_rows<'r, R: FlitRows + ?Sized>(
         &self,
         flits: &'r R,
         frame_width: u32,
-        buf: &'r mut Vec<PayloadBits>,
+        buf: &'r mut Option<FlitSlab>,
     ) -> Result<PlainRows<'r, R>, CodecError> {
         let n = flits.flit_count();
         if self.config.codes_in_transport() {
-            buf.clear();
-            buf.reserve(n);
             let mut state = self.config.codec.seed_state(frame_width);
+            let wire_width = state.wire_width();
+            let rows = buf.get_or_insert_with(|| FlitSlab::new(frame_width));
+            rows.reset(frame_width);
+            rows.push_zeroed(n);
+            // The decoded row on the wire width; its side channel is
+            // written zero, so its leading words are the frame row.
+            let mut plain = [0u64; MAX_ROW_WORDS];
+            let plain = &mut plain[..wire_width.div_ceil(64) as usize];
             for i in 0..n {
-                buf.push(state.decode_step(&flits.image(i))?);
+                let got = flits.flit_width(i);
+                if got != wire_width {
+                    return Err(CodecError::WireWidth {
+                        got,
+                        want: wire_width,
+                    });
+                }
+                state.decode_row(flits.row(i), plain);
+                let frame = rows.flit_mut(i);
+                frame.copy_from_slice(&plain[..frame.len()]);
             }
-            return Ok(PlainRows::Decoded(buf));
+            return Ok(PlainRows::Decoded(rows));
         }
         let extra = match self.config.scope {
             CodecScope::PerLink => self.config.codec.extra_wires(),
@@ -693,9 +714,14 @@ impl CodedTransport {
         flits: &[PayloadBits],
     ) -> Result<RecoveredTask<W>, TransportError> {
         let frame_width = self.config.frame_width_bits::<W>();
-        let mut buf = Vec::new();
+        let mut buf = None;
+        let decoded;
         let plain = match self.plain_rows(flits, frame_width, &mut buf)? {
-            PlainRows::Delivered(plain) | PlainRows::Decoded(plain) => plain,
+            PlainRows::Delivered(plain) => plain,
+            PlainRows::Decoded(rows) => {
+                decoded = rows.to_payloads();
+                &decoded
+            }
         };
         let ordered = OrderedTask::<W>::from_payload_flits(
             self.config.ordering,
@@ -719,7 +745,7 @@ impl CodedTransport {
     pub fn decode_task_into<W: DataWord>(
         &self,
         meta: &TaskWireMeta,
-        flits: &[PayloadBits],
+        flits: &(impl FlitRows + ?Sized),
         scratch: &mut TransportScratch,
         out: &mut RecoveredTask<W>,
     ) -> Result<(), TransportError> {
@@ -739,8 +765,7 @@ impl CodedTransport {
     }
 
     /// The PE's decode: recovers the plain frames off the delivered wire
-    /// rows ([`FlitSlab`] rows on the streamed path, [`PayloadBits`]
-    /// images off the cycle engine) and folds `f` over the task's
+    /// rows and folds `f` over the task's
     /// (input, weight) pairs in recovered rank order through the layer's
     /// [`LanePlan`] ([`LanePlan::fold`]), returning the fold and the
     /// bias. The accelerator folds straight into its MAC; nothing is
@@ -781,30 +806,15 @@ impl CodedTransport {
         }
     }
 
-    /// Decodes a delivered response packet's wire images back into the
-    /// 32-bit MAC response (inverse of [`CodedTransport::encode_response`])
-    /// — [`CodedTransport::decode_response_rows`] over the images.
-    ///
-    /// # Errors
-    ///
-    /// As [`CodedTransport::decode_response_rows`].
-    pub fn decode_response<W: DataWord>(
-        &self,
-        wire: &[PayloadBits],
-    ) -> Result<u64, TransportError> {
-        self.decode_response_rows::<W>(wire)
-    }
-
-    /// Decodes a delivered response packet's wire rows (a [`FlitSlab`]
-    /// row on the replayed response phase, [`PayloadBits`] images off the
-    /// cycle engine) back into the 32-bit MAC response.
+    /// Decodes a delivered response packet's wire rows back into the
+    /// 32-bit MAC response (inverse of [`CodedTransport::encode_response`]).
     ///
     /// # Errors
     ///
     /// Returns [`TransportError::Codec`] if the wire rows do not match
     /// the session's link width, or [`TransportError::EmptyResponse`] if
     /// the packet carried no payload flits.
-    pub fn decode_response_rows<W: DataWord>(
+    pub fn decode_response<W: DataWord>(
         &self,
         wire: &(impl FlitRows + ?Sized),
     ) -> Result<u64, TransportError> {
@@ -817,7 +827,14 @@ impl CodedTransport {
             // wire image against a fresh (per-packet) state is the whole
             // codec inverse.
             let mut state = self.config.codec.seed_state(frame_width);
-            return Ok(state.decode_step(&wire.image(0))?.field(0, 32));
+            let (got, want) = (wire.flit_width(0), state.wire_width());
+            if got != want {
+                return Err(CodecError::WireWidth { got, want }.into());
+            }
+            let mut plain = [0u64; MAX_ROW_WORDS];
+            let plain = &mut plain[..want.div_ceil(64) as usize];
+            state.decode_row(wire.row(0), plain);
+            return Ok(row_field(plain, 0, 32));
         }
         // Plain row (identity codec, or per-link scope where the links
         // already decoded the wire): read the 32-bit field in place —
@@ -896,10 +913,10 @@ impl CodedTransport {
 }
 
 /// The plain frames a decode reads: the delivered rows themselves, or
-/// the images a per-packet codec decoded into the scratch buffer.
+/// the rows a per-packet codec decoded into the scratch buffer.
 enum PlainRows<'r, R: ?Sized> {
     Delivered(&'r R),
-    Decoded(&'r [PayloadBits]),
+    Decoded(&'r FlitSlab),
 }
 
 /// Row-major occupancy of one packet of `len` values over
@@ -1149,7 +1166,7 @@ mod tests {
                         });
                         let enc = session.encode_task(&task).unwrap();
                         let rec = session
-                            .decode_task(&enc.wire_meta(), &enc.payload_flits())
+                            .decode_task(&enc.wire_meta(), enc.payload_flits().as_slice())
                             .unwrap();
                         assert_eq!(
                             rec.mac_i64(),
@@ -1177,10 +1194,13 @@ mod tests {
                     let reference = session.encode_task_reference::<Fx8Word>(&task).unwrap();
                     assert_eq!(fast, reference, "{ordering} {codec} n={n}");
                     let rec_fast: RecoveredTask<Fx8Word> = session
-                        .decode_task(&fast.wire_meta(), &fast.payload_flits())
+                        .decode_task(&fast.wire_meta(), fast.payload_flits().as_slice())
                         .unwrap();
                     let rec_ref: RecoveredTask<Fx8Word> = session
-                        .decode_task_reference(&reference.wire_meta(), &reference.payload_flits())
+                        .decode_task_reference(
+                            &reference.wire_meta(),
+                            reference.payload_flits().as_slice(),
+                        )
                         .unwrap();
                     assert_eq!(rec_fast.pairs, rec_ref.pairs, "{ordering} {codec} n={n}");
                     assert_eq!(rec_fast.bias, rec_ref.bias);
@@ -1246,7 +1266,7 @@ mod tests {
             assert_eq!(pl.index_overhead_bits(), pp.index_overhead_bits());
             // The plain images decode directly...
             let rec: RecoveredTask<Fx8Word> = per_link
-                .decode_task(&pl.wire_meta(), &pl.payload_flits())
+                .decode_task(&pl.wire_meta(), pl.payload_flits().as_slice())
                 .unwrap();
             assert_eq!(rec.mac_i64(), task.mac_i64(), "{codec}");
             // ...and so do the same images re-aligned onto the full link
@@ -1258,8 +1278,9 @@ mod tests {
                 .iter()
                 .map(|f| f.resized(link_width))
                 .collect();
-            let rec2: RecoveredTask<Fx8Word> =
-                per_link.decode_task(&pl.wire_meta(), &aligned).unwrap();
+            let rec2: RecoveredTask<Fx8Word> = per_link
+                .decode_task(&pl.wire_meta(), aligned.as_slice())
+                .unwrap();
             assert_eq!(rec2.pairs, rec.pairs, "{codec}");
             // Responses likewise travel plain and decode at either width.
             let resp = per_link.encode_response::<Fx8Word>(0xabcd);
@@ -1269,7 +1290,7 @@ mod tests {
                 .unwrap();
             assert_eq!(bits, 0xabcd);
             let bits = per_link
-                .decode_response::<Fx8Word>(&[resp.resized(link_width)])
+                .decode_response::<Fx8Word>(&[resp.resized(link_width)][..])
                 .unwrap();
             assert_eq!(bits, 0xabcd, "{codec}");
         }
@@ -1285,7 +1306,7 @@ mod tests {
         let enc = plain.encode_task(&task).unwrap();
         // Unencoded wire images (64-bit) into a bus-invert session (65-bit).
         let err = coded
-            .decode_task::<Fx8Word>(&enc.wire_meta(), &enc.payload_flits())
+            .decode_task::<Fx8Word>(&enc.wire_meta(), enc.payload_flits().as_slice())
             .unwrap_err();
         assert!(matches!(err, TransportError::Codec(_)));
         assert!(err.to_string().contains("link decode failed"));
@@ -1304,7 +1325,7 @@ mod tests {
                 .unwrap();
             assert_eq!(bits, 0xdead_beef, "{codec}");
             // A response with no payload flits is an error, not a 0 MAC.
-            let err = session.decode_response::<Fx8Word>(&[]).unwrap_err();
+            let err = session.decode_response::<Fx8Word>(&[][..]).unwrap_err();
             assert_eq!(err, TransportError::EmptyResponse);
             assert!(err.to_string().contains("no payload flits"));
         }
@@ -1355,7 +1376,7 @@ mod tests {
         let want = TransportError::Recover(RecoverError::BadPairIndex { len, num_pairs: 25 });
         let flits = enc.payload_flits();
         assert_eq!(
-            session.decode_task::<Fx8Word>(&meta, &flits),
+            session.decode_task::<Fx8Word>(&meta, flits.as_slice()),
             Err(want.clone())
         );
         assert_eq!(

@@ -40,6 +40,7 @@
 mod common;
 
 use btr_bits::payload::PayloadBits;
+use btr_bits::slab::FlitSlab;
 use btr_bits::word::DataFormat;
 use btr_core::codec::{CodecKind, CodecScope, ResyncPolicy};
 use btr_core::edc::EdcKind;
@@ -118,30 +119,31 @@ fn kernel_traffic(
         .collect()
 }
 
-/// Payload-flit runs in the two kernel shapes, as one `Vec` of flit
-/// images per packet: the inputs `LinkSlab::observe_payload` walks flit
+/// Payload-flit runs in the two kernel shapes, as one slab of
+/// link-aligned rows per packet (`data_width` data wires zero-extended
+/// onto `link_width`): the inputs `LinkSlab::observe_payload` walks flit
 /// by flit and `LinkSlab::observe_payload_run` consumes in one pass.
 fn lane_runs(
     data_width: u32,
+    link_width: u32,
     packets: usize,
     flits_per_packet: usize,
     seed: u64,
-) -> Vec<Vec<PayloadBits>> {
+) -> Vec<FlitSlab> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..packets)
         .map(|_| {
-            (0..flits_per_packet)
-                .map(|_| {
-                    let mut image = PayloadBits::zero(data_width);
-                    let mut off = 0;
-                    while off < data_width {
-                        let len = 64.min(data_width - off);
-                        image.set_field(off, len, rng.gen());
-                        off += len;
-                    }
-                    image
-                })
-                .collect()
+            let mut rows = FlitSlab::with_capacity(link_width, flits_per_packet);
+            rows.push_zeroed(flits_per_packet);
+            for flit in 0..flits_per_packet {
+                let mut off = 0;
+                while off < data_width {
+                    let len = 64.min(data_width - off);
+                    rows.set_lane(flit, off, len, rng.gen());
+                    off += len;
+                }
+            }
+            rows
         })
         .collect()
 }
@@ -149,10 +151,14 @@ fn lane_runs(
 /// The per-flit walk: every payload flit steps the persistent tx lane,
 /// advances the mirrored rx lane and charges the accumulator one flit
 /// at a time — the path contended per-link phases still pay.
-fn lane_perflit(mut slab: LinkSlab, runs: &[Vec<PayloadBits>]) -> u64 {
+fn lane_perflit(mut slab: LinkSlab, runs: &[FlitSlab]) -> u64 {
+    let mut row = Vec::new();
     for run in runs {
-        for flit in run {
-            black_box(slab.observe_payload(0, flit));
+        for flit in 0..run.len() {
+            row.clear();
+            row.extend_from_slice(run.flit(flit));
+            slab.observe_payload(0, &mut row);
+            black_box(&row);
         }
     }
     slab.transitions(0)
@@ -160,9 +166,9 @@ fn lane_perflit(mut slab: LinkSlab, runs: &[Vec<PayloadBits>]) -> u64 {
 
 /// The bulk lane kernel: each packet's whole flit run advances the lane
 /// and the accumulator in one XOR+popcount pass.
-fn lane_bulk(mut slab: LinkSlab, runs: &[Vec<PayloadBits>]) -> u64 {
+fn lane_bulk(mut slab: LinkSlab, runs: &[FlitSlab]) -> u64 {
     for run in runs {
-        slab.observe_payload_run(0, run.iter());
+        slab.observe_payload_run(0, run);
     }
     slab.transitions(0)
 }
@@ -308,8 +314,8 @@ fn main() {
         ("deltaxor", CodecKind::DeltaXor),
     ] {
         for (shape, packets, flits) in [("task", 1024, 4), ("stream", 256, 32)] {
-            let runs = lane_runs(128, packets, flits, seed);
             let slab_width = 128 + codec.extra_wires();
+            let runs = lane_runs(128, slab_width, packets, flits, seed);
             let ratio = group.pair(
                 &format!("perflit_{codec_name}_{shape}"),
                 iter_batched(

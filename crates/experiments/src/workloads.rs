@@ -8,7 +8,6 @@ use btr_dnn::train::{train, TrainConfig};
 use btr_dnn::{InferenceOp, Sequential};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::OnceLock;
 
 /// Which weights an experiment runs on (Table I: "random weights and
 /// trained weights").
@@ -93,14 +92,6 @@ pub fn lenet_trained(seed: u64, train_samples: usize, epochs: usize) -> Sequenti
         eprintln!("# warning: could not cache trained model: {e}");
     }
     model
-}
-
-/// Process-wide cached trained LeNet (seed 42), shared by binaries/benches
-/// that need trained weights without paying for training twice.
-#[must_use]
-pub fn lenet_trained_cached() -> &'static Sequential {
-    static MODEL: OnceLock<Sequential> = OnceLock::new();
-    MODEL.get_or_init(|| lenet_trained(42, DEFAULT_TRAIN_SAMPLES, DEFAULT_EPOCHS))
 }
 
 /// Default training-set size for the trained-weights configuration.

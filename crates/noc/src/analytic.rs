@@ -27,7 +27,7 @@
 //!   the NIs, source-major and FIFO per source, and delivers the decoded
 //!   payloads into the same per-node queues the cycle engine fills.
 //! * [`Simulator::stream_requests`] opens a [`RequestStream`] that takes
-//!   each packet as borrowed images and hands its delivery straight
+//!   each packet as borrowed rows and hands its delivery straight
 //!   back, with nothing queued or stored in the simulator — the
 //!   accelerator driver's request phase. On a contention-free phase it is
 //!   bit-exact with queueing the same packets and replaying them, which
@@ -79,12 +79,11 @@
 //! [`LinkCodecState`]: btr_core::codec::LinkCodecState
 
 use crate::config::{NocConfig, NodeId};
-use crate::packet::{decode_head_payload, encode_head_payload, write_head_fields, Packet};
+use crate::packet::{decode_head_row, write_head_row};
 use crate::routing::{route, route_between, Direction};
 use crate::sim::{Arbitration, DeliveredPacket, InjectError, Simulator, NUM_PORTS};
 use crate::stats::{LatencyTotals, PacketWires};
-use btr_bits::payload::PayloadBits;
-use btr_bits::slab::FlitSlab;
+use btr_bits::slab::{FlitSlab, MAX_ROW_WORDS};
 use std::cmp::Ordering;
 
 /// Which engine evaluates traffic phases.
@@ -331,34 +330,36 @@ impl Simulator {
         let _ = verified_eligible;
 
         let codec = self.out_links.link_codec();
+        let width = self.config.link_width_bits;
         let mut clock = PhaseClock::new(self);
+        let mut head = [0u64; MAX_ROW_WORDS];
+        let head = &mut head[..self.words];
         for src in 0..self.config.num_nodes() {
             while let Some(pending) = self.ni_pending[src].pop_front() {
                 assert_eq!(
                     pending.next, 0,
                     "analytic replay needs fully queued packets, not partially injected ones"
                 );
-                // Free the slot; its payload images move straight into
-                // the delivery. On perfect wires (faults force the cycle
-                // engine) the per-link decode-and-realign is the
-                // identity, so the delivered payloads are the queued
-                // images.
+                // Free the slot; its payload rows move straight into the
+                // delivery, walked in place on the way. On perfect wires
+                // (faults force the cycle engine) the per-link
+                // decode-and-realign is the identity, so the delivered
+                // payloads are the queued rows.
+                head.copy_from_slice(self.head(pending.slot));
                 let slot = &mut self.slots[pending.slot as usize];
-                let payload = std::mem::take(&mut slot.payload);
-                let (id, head, dst, inject_cycle) =
-                    (slot.id, slot.head, slot.dst, slot.inject_cycle);
+                let payload = std::mem::replace(&mut slot.payload, FlitSlab::new(width));
+                let (id, dst, inject_cycle) = (slot.id, slot.dst, slot.inject_cycle);
                 self.free_slots.push(pending.slot);
-                let rows = FlitSlab::from_images(head.width(), &payload);
                 let arrival = self.replay_packet(
                     &mut clock,
                     src,
                     dst,
                     inject_cycle,
-                    &PacketWires::new(&head, &rows, codec),
+                    &PacketWires::new(head, &payload, codec),
                 );
 
                 // Deliver: decode the head exactly like the receiving NI.
-                let (head_src, _dst, _len, tag) = decode_head_payload(&head);
+                let (head_src, _dst, _len, tag) = decode_head_row(head, width);
                 self.ni_delivered[dst].push_back(DeliveredPacket {
                     packet_id: id,
                     src: head_src,
@@ -389,7 +390,7 @@ impl Simulator {
     /// rows: [`RequestStream::deliver`] walks each packet through the
     /// same per-packet hop routine as
     /// [`Simulator::replay_queued_analytic`] the moment it is offered, and
-    /// hands back the delivered images with their closed-form arrival. No
+    /// hands back the delivered rows with their closed-form arrival. No
     /// packet is queued, stored or retained by the simulator.
     ///
     /// Every packet counts as offered at the phase's start cycle, and each
@@ -571,7 +572,7 @@ pub struct StreamedPacket<'a> {
 
 impl RequestStream<'_> {
     /// Sends one packet `src → dst` through the phase and delivers it:
-    /// the checks [`Simulator::inject`] makes, the head image and
+    /// the checks [`Simulator::inject`] makes, the head row and
     /// re-alignment of narrower rows onto the link width as
     /// [`Simulator::inject`] stores them, then the per-packet hop walk
     /// and the closed-form arrival.
@@ -609,10 +610,12 @@ impl RequestStream<'_> {
             payload
         } else {
             aligned.reset(link);
-            aligned.extend_from(payload);
+            aligned.extend_rows(payload);
             aligned
         };
-        let head = encode_head_payload(link, src, dst, payload.len() as u32, tag);
+        let mut head = [0u64; MAX_ROW_WORDS];
+        let head = &mut head[..sim.words];
+        write_head_row(head, link, src, dst, payload.len() as u32, tag);
         // Every packet of the phase is offered at its start cycle; the
         // clock cannot move while the stream borrows the simulator.
         let (codec, inject_cycle) = (sim.out_links.link_codec(), sim.cycle);
@@ -621,7 +624,7 @@ impl RequestStream<'_> {
             src,
             dst,
             inject_cycle,
-            &PacketWires::new(&head, payload, codec),
+            &PacketWires::new(head, payload, codec),
         );
         Ok(StreamedPacket {
             payload_flits: payload,
@@ -769,13 +772,14 @@ impl PhaseRecorder {
         }
     }
 
-    /// Books a packet queued at its source NI at `cycle`.
-    pub(crate) fn queued(&mut self, packet: &Packet, cycle: u64) {
-        let (src, dst) = (u16::try_from(packet.src), u16::try_from(packet.dst));
+    /// Books a packet `src → dst` of `payload_flits` payload flits queued
+    /// at its source NI at `cycle`.
+    pub(crate) fn queued(&mut self, src: NodeId, dst: NodeId, payload_flits: usize, cycle: u64) {
+        let (src, dst) = (u16::try_from(src), u16::try_from(dst));
         let recording = &mut self.recording;
         self.unfit |= src.is_err()
             || dst.is_err()
-            || packet.payload_flits.len() != 1
+            || payload_flits != 1
             || recording.endpoints.len() >= u32::MAX as usize;
         recording
             .endpoints
@@ -951,15 +955,16 @@ impl Simulator {
 
     /// Replays `recording` on new payloads: each link's recorded flit
     /// events walk through its [`crate::stats::LinkSlab`] in order —
-    /// [`LinkSlab::observe`] for heads, the per-link codec hop
-    /// [`LinkSlab::observe_payload_hop`] for payload flits — then the
+    /// [`LinkSlab::observe`] on a head row written in place, the per-link
+    /// codec hop [`LinkSlab::observe_payload_hop`] on the packet's
+    /// payload row — then the
     /// phase's latencies and delivered counters are booked, the clock
     /// advances by the phase length and the arbitration pointers take
     /// their recorded end values. No packet is queued, stored or
     /// delivered into the NI queues: packet `i` (schedule order) carries
-    /// tag `tag(i)` and the payload image in row `i` of `payload`
-    /// (zero-extended onto the link width when narrower). Each packet's
-    /// payload is rendered once, however many links it crosses.
+    /// tag `tag(i)` and row `i` of `payload` (zero-extended onto the
+    /// link width when narrower), read in place on every link it
+    /// crosses.
     ///
     /// Bit-exact with stepping the same schedule through the cycle engine
     /// whenever [`PhaseRecording::replays`] holds; debug builds step a
@@ -999,7 +1004,7 @@ impl Simulator {
             Ordering::Equal => payload,
             Ordering::Less => {
                 let mut rows = FlitSlab::with_capacity(width, payload.len());
-                rows.extend_from(payload);
+                rows.extend_rows(payload);
                 widened = rows;
                 &widened
             }
@@ -1013,8 +1018,8 @@ impl Simulator {
         #[cfg(debug_assertions)]
         let oracle = self.clone();
         let out_links = self.config.num_nodes() * NUM_PORTS;
-        let mut head = PayloadBits::zero(width);
-        let mut image = PayloadBits::zero(width);
+        let mut head = [0u64; MAX_ROW_WORDS];
+        let head = &mut head[..self.words];
         for (link, bytes) in recording.links.iter().enumerate() {
             let (slab, link) = match link.checked_sub(out_links) {
                 None => (&mut self.out_links, link),
@@ -1027,12 +1032,11 @@ impl Simulator {
                 if event & HEAD_EVENT != 0 {
                     let [src, dst] = recording.endpoints[index];
                     let (src, dst) = (NodeId::from(src), NodeId::from(dst));
-                    write_head_fields(&mut head, src, dst, 1, tag(index));
-                    slab.observe(link, &head);
+                    write_head_row(head, width, src, dst, 1, tag(index));
+                    slab.observe(link, head);
                 }
                 if event & PAYLOAD_EVENT != 0 {
-                    image.assign_row(width, payload.flit(index));
-                    slab.observe_payload_hop(link, &image);
+                    slab.observe_payload_hop(link, payload.flit(index));
                 }
             }
         }
@@ -1069,12 +1073,7 @@ impl Simulator {
                     break;
                 }
                 oracle
-                    .inject(Packet::new(
-                        p.src,
-                        p.dst,
-                        vec![PayloadBits::from_row(payload.width(), payload.flit(next))],
-                        tag(next),
-                    ))
+                    .inject_rows(p.src, p.dst, &payload.rows(next..next + 1), tag(next))
                     // btr-lint: allow(panic-in-hot-path, reason = "debug-assert oracle: the replay already accepted these packets; release builds compile this block out")
                     .expect("the replayed schedule injects");
                 next += 1;
@@ -1296,8 +1295,8 @@ mod tests {
         assert_eq!(got.len(), 8);
         for ((src, payload), d) in sent.iter().zip(&got) {
             assert_eq!(d.src, *src);
-            // Delivered images are link-width aligned; compare data bits.
-            for (sent_flit, got_flit) in payload.iter().zip(&d.payload_flits) {
+            // Delivered rows are link-width aligned; compare data bits.
+            for (sent_flit, got_flit) in payload.iter().zip(&d.payload_flits.to_payloads()) {
                 assert_eq!(got_flit.resized(sent_flit.width()), *sent_flit);
             }
         }

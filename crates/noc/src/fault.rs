@@ -223,23 +223,23 @@ impl FaultState {
         self.frame_wires
     }
 
-    /// Applies this link's error process to one payload flit image,
-    /// in place. Returns the number of bits flipped (0 almost always at
-    /// realistic BERs). The flit may be wider than the frame (link
-    /// alignment, codec side channel); upper wires are never touched.
+    /// Applies this link's error process to one payload flit's wire row
+    /// (wire `k` is bit `k % 64` of word `k / 64`), in place. Returns the
+    /// number of bits flipped (0 almost always at realistic BERs). The
+    /// row may reach past the frame (link alignment, codec side channel);
+    /// its words and bits above the frame are never touched.
     ///
     /// # Panics
     ///
-    /// Panics if `link` is out of range or the flit is narrower than the
+    /// Panics if `link` is out of range or the row is shorter than the
     /// frame.
-    pub fn corrupt(&mut self, link: usize, flit: &mut btr_bits::PayloadBits) -> u32 {
-        assert!(
-            flit.width() >= self.frame_wires,
-            "flit width {} below frame width {}",
-            flit.width(),
-            self.frame_wires
-        );
+    pub fn corrupt(&mut self, link: usize, row: &mut [u64]) -> u32 {
         let frame_wires = self.frame_wires;
+        assert!(
+            row.len() as u64 * 64 >= u64::from(frame_wires),
+            "a {}-word row is narrower than the {frame_wires}-wire frame",
+            row.len()
+        );
         let ber = self.model.ber;
         let mode = self.model.mode;
         let lane = &mut self.lanes[link];
@@ -248,26 +248,27 @@ impl FaultState {
             FaultMode::PerFlit => {
                 // One draw per frame wire, LSB-first, gathered into a
                 // flip mask per 64-wire word and XORed in once.
-                let mut offset = 0;
-                while offset < frame_wires {
+                for (word, offset) in row.iter_mut().zip((0..frame_wires).step_by(64)) {
                     let len = 64.min(frame_wires - offset);
                     let mut mask = 0u64;
                     for bit in 0..len {
                         mask |= u64::from(ber.hit(lane.rng.next_u64())) << bit;
                     }
-                    if mask != 0 {
-                        flit.set_field(offset, len, flit.field(offset, len) ^ mask);
-                        flipped += mask.count_ones();
-                    }
-                    offset += len;
+                    *word ^= mask;
+                    flipped += mask.count_ones();
                 }
             }
             FaultMode::Burst => {
                 if ber.hit(lane.rng.next_u64()) {
                     let len = (2 + (lane.rng.next_u64() % 7) as u32).min(frame_wires);
                     let start = (lane.rng.next_u64() % u64::from(frame_wires - len + 1)) as u32;
+                    let (word, bit) = ((start / 64) as usize, start % 64);
                     let mask = (1u64 << len) - 1;
-                    flit.set_field(start, len, !flit.field(start, len) & mask);
+                    row[word] ^= mask << bit;
+                    if bit + len > 64 {
+                        // The burst straddles a word boundary.
+                        row[word + 1] ^= mask >> (64 - bit);
+                    }
                     flipped = len;
                 }
             }
@@ -408,15 +409,21 @@ mod tests {
         assert!(!tiny.is_zero());
     }
 
+    /// A `width`-bit image's wire row.
+    fn row(image: &PayloadBits) -> Vec<u64> {
+        image.used_words().to_vec()
+    }
+
     #[test]
     fn zero_ber_never_touches_a_flit() {
         let model = ErrorModel::perfect(42);
         let mut state = FaultState::new(model, 0, 4, 96);
-        let flit = PayloadBits::zero(128);
+        let mut flit = PayloadBits::zero(128);
+        flit.set_field(40, 64, 0x0123_4567_89ab_cdef);
         for link in 0..4 {
-            let mut image = flit;
-            assert_eq!(state.corrupt(link, &mut image), 0);
-            assert_eq!(image, flit);
+            let mut wire = row(&flit);
+            assert_eq!(state.corrupt(link, &mut wire), 0);
+            assert_eq!(wire, flit.used_words());
         }
         assert_eq!(state.total_flipped_bits(), 0);
         assert_eq!(state.total_corrupted_flits(), 0);
@@ -437,8 +444,8 @@ mod tests {
             base.set_field(0, 64, round.wrapping_mul(0x9e37_79b9_7f4a_7c15));
             // Visit links in opposite orders: per-link streams make the
             // outcome identical.
-            let mut xs = [base, base];
-            let mut ys = [base, base];
+            let mut xs = [row(&base), row(&base)];
+            let mut ys = [row(&base), row(&base)];
             for (link, x) in xs.iter_mut().enumerate() {
                 a.corrupt(link, x);
             }
@@ -446,8 +453,9 @@ mod tests {
                 b.corrupt(link, y);
             }
             assert_eq!(xs, ys, "round {round}");
-            for image in xs {
+            for wire in xs {
                 // Wires at and above the frame boundary never flip.
+                let image = PayloadBits::from_row(128, &wire);
                 assert_eq!(image.field(frame, 32), base.field(frame, 32));
             }
         }
@@ -457,20 +465,32 @@ mod tests {
 
     #[test]
     fn per_flit_masks_match_the_per_bit_draw_loop() {
+        // Frames that end mid-word, on a word boundary and inside the
+        // last word of a 3-word row (136 frame wires): every draw lands
+        // where the per-bit oracle puts it, and the row's bits and words
+        // above the frame are never touched.
         for p in [1e-2, 0.5] {
             let model = ErrorModel {
                 ber: BitErrorRate::from_f64(p),
                 seed: 11,
                 mode: FaultMode::PerFlit,
             };
-            for frame in [1, 63, 64, 65, 104, 200] {
+            for (frame, width) in [
+                (1, 256),
+                (63, 256),
+                (64, 256),
+                (65, 256),
+                (104, 256),
+                (136, 192),
+                (200, 256),
+            ] {
                 let mut state = FaultState::new(model, 5, 2, frame);
                 let mut oracle = model.link_stream(5, 1);
                 let mut want_flipped = 0u64;
                 for round in 0..40u64 {
-                    let mut base = PayloadBits::zero(256);
+                    let mut base = PayloadBits::zero(width);
                     base.set_field(0, 64, round.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                    base.set_field(150, 64, !round);
+                    base.set_field(width - 64, 64, !round);
                     // Oracle: one draw and one single-bit write per frame
                     // wire.
                     let mut want = base;
@@ -480,15 +500,35 @@ mod tests {
                             want_flipped += 1;
                         }
                     }
-                    let mut got = base;
+                    let mut got = row(&base);
                     let flipped = state.corrupt(1, &mut got);
-                    assert_eq!(got, want, "ber {p}, frame {frame}, round {round}");
+                    assert_eq!(
+                        got,
+                        want.used_words(),
+                        "ber {p}, frame {frame}, round {round}"
+                    );
                     assert_eq!(flipped, want.transitions_to(&base));
+                    let got = PayloadBits::from_row(width, &got);
+                    assert!(
+                        (frame..width).all(|wire| got.bit(wire) == base.bit(wire)),
+                        "frame {frame}: wires above the frame"
+                    );
                 }
                 assert_eq!(state.total_flipped_bits(), want_flipped);
                 assert!(want_flipped > 0, "ber {p}, frame {frame}");
             }
         }
+        // The words a wider row holds past the frame stay untouched too.
+        let model = ErrorModel {
+            ber: BitErrorRate::from_f64(1.0),
+            seed: 2,
+            mode: FaultMode::PerFlit,
+        };
+        let mut state = FaultState::new(model, 0, 1, 136);
+        let mut wide = vec![0u64; 4];
+        wide[3] = 0xdead_beef;
+        assert_eq!(state.corrupt(0, &mut wide), 136);
+        assert_eq!(wide, [u64::MAX, u64::MAX, 0xff, 0xdead_beef]);
     }
 
     #[test]
@@ -501,9 +541,9 @@ mod tests {
         let frame = 64;
         let mut state = FaultState::new(model, 1, 1, frame);
         for _ in 0..200 {
-            let clean = PayloadBits::zero(96);
-            let mut image = clean;
-            let flipped = state.corrupt(0, &mut image);
+            let mut wire = vec![0u64; 2];
+            let flipped = state.corrupt(0, &mut wire);
+            let image = PayloadBits::from_row(96, &wire);
             assert!((2..=8).contains(&flipped), "burst length {flipped}");
             // All flipped bits form one contiguous run inside the frame.
             let mut first = None;

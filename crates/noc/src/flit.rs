@@ -7,7 +7,7 @@
 /// Position of a flit within its packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlitKind {
-    /// First flit; carries routing metadata in its payload image.
+    /// First flit; carries routing metadata in its head row.
     Head,
     /// Intermediate payload flit.
     Body,

@@ -5,20 +5,22 @@
 //! wormhole switching, 4 virtual channels with 4-flit buffers per VC and
 //! credit-based flow control (Sec. V-B). Every link — injection (NI →
 //! router), inter-router, and ejection (router → NI) — carries a
-//! bit-transition recorder implementing Fig. 8: the previous flit image is
-//! XORed with the current one and the popcount accumulates into the NoC BT
-//! sum.
+//! bit-transition recorder implementing Fig. 8: the previous flit's wire
+//! row is XORed with the current one and the popcount accumulates into
+//! the NoC BT sum. Inside the engines a flit is a dense row of the `u64`
+//! words the link width covers; [`packet::Packet`]'s
+//! [`btr_bits::PayloadBits`] images are copied into rows at injection.
 //!
 //! * [`analytic`] — the analytic fast-path engine: contention-free phase
 //!   classification and direct stream replay of queued phases or of
-//!   request phases streamed from borrowed images, with the cycle engine
+//!   request phases streamed from borrowed rows, with the cycle engine
 //!   as oracle;
 //! * [`config`] — mesh geometry, link width, VC parameters, MC placement;
 //! * [`fault`] — deterministic per-link wire-error injection (seed-split
 //!   RNG streams, per-flit or burst mode) behind the EDC + retransmission
 //!   recovery protocol in [`session`];
 //! * [`flit`] / [`packet`] — flit kinds, packets and their head-flit
-//!   addressing image;
+//!   addressing row;
 //! * [`routing`] — X-Y (and Y-X ablation) dimension-order routing;
 //! * [`session`] — task injection/decode through the shared
 //!   `btr_core::transport` pipeline;

@@ -1,7 +1,8 @@
-//! Packets and the head-flit image that carries their addressing.
+//! Packets and the head-flit row that carries their addressing.
 
 use crate::config::NodeId;
 use btr_bits::payload::PayloadBits;
+use btr_bits::slab::{row_field, set_row_field};
 
 /// A packet awaiting injection: a head flit (metadata) followed by the
 /// payload flits produced by the ordering/flitization layer.
@@ -14,7 +15,7 @@ pub struct Packet {
     /// Payload flit images, in transmission order.
     pub payload_flits: Vec<PayloadBits>,
     /// Caller-chosen correlation tag (e.g. task id); encoded into the head
-    /// flit image and reported back on delivery.
+    /// flit row and reported back on delivery.
     pub tag: u64,
 }
 
@@ -37,51 +38,42 @@ impl Packet {
     }
 }
 
-/// Encodes head-flit metadata into a link image: 16-bit src, 16-bit dst,
-/// 16-bit length, and as many tag bits as fit (LSB-first fields).
-#[must_use]
-pub fn encode_head_payload(
-    link_width_bits: u32,
-    src: NodeId,
-    dst: NodeId,
-    num_payload_flits: u32,
-    tag: u64,
-) -> PayloadBits {
-    let mut p = PayloadBits::zero(link_width_bits);
-    write_head_fields(&mut p, src, dst, num_payload_flits, tag);
-    p
-}
-
-/// Writes the head-flit metadata fields of [`encode_head_payload`] into
-/// `p`. Every field is overwritten in full, so on an image that is zero
-/// outside them (a previous head at the same width) the result is the
-/// encoded head, with no fresh image to zero.
-pub(crate) fn write_head_fields(
-    p: &mut PayloadBits,
+/// Writes head-flit metadata into `row`, the head's `width`-bit wire
+/// row: 16-bit src, 16-bit dst, 16-bit length, and as many tag bits as
+/// fit (LSB-first fields). Every field is overwritten in full, so on a
+/// row that is zero outside them (a blank row, or a previous head at the
+/// same width) the result is the encoded head.
+///
+/// # Panics
+///
+/// Panics if `width` is below 48 bits or `row` does not cover it.
+pub fn write_head_row(
+    row: &mut [u64],
+    width: u32,
     src: NodeId,
     dst: NodeId,
     num_payload_flits: u32,
     tag: u64,
 ) {
-    p.set_field(0, 16, src as u64);
-    p.set_field(16, 16, dst as u64);
-    p.set_field(32, 16, u64::from(num_payload_flits));
-    let tag_bits = 64.min(p.width().saturating_sub(48));
+    set_row_field(row, 0, 16, src as u64);
+    set_row_field(row, 16, 16, dst as u64);
+    set_row_field(row, 32, 16, u64::from(num_payload_flits));
+    let tag_bits = 64.min(width.saturating_sub(48));
     if tag_bits > 0 {
-        p.set_field(48, tag_bits, tag);
+        set_row_field(row, 48, tag_bits, tag);
     }
 }
 
-/// Decodes the head-flit metadata fields (inverse of
-/// [`encode_head_payload`]).
+/// Decodes the head-flit metadata fields of a `width`-bit head row
+/// (inverse of [`write_head_row`]).
 #[must_use]
-pub fn decode_head_payload(p: &PayloadBits) -> (NodeId, NodeId, u32, u64) {
-    let src = p.field(0, 16) as NodeId;
-    let dst = p.field(16, 16) as NodeId;
-    let len = p.field(32, 16) as u32;
-    let tag_bits = 64.min(p.width().saturating_sub(48));
+pub fn decode_head_row(row: &[u64], width: u32) -> (NodeId, NodeId, u32, u64) {
+    let src = row_field(row, 0, 16) as NodeId;
+    let dst = row_field(row, 16, 16) as NodeId;
+    let len = row_field(row, 32, 16) as u32;
+    let tag_bits = 64.min(width.saturating_sub(48));
     let tag = if tag_bits > 0 {
-        p.field(48, tag_bits)
+        row_field(row, 48, tag_bits)
     } else {
         0
     };
@@ -94,8 +86,13 @@ mod tests {
 
     #[test]
     fn head_metadata_roundtrips() {
-        let head = encode_head_payload(128, 12, 63, 51, 0xdead_beef);
-        let (src, dst, len, tag) = decode_head_payload(&head);
-        assert_eq!((src, dst, len, tag), (12, 63, 51, 0xdead_beef));
+        for width in [128u32, 100, 129] {
+            let mut row = vec![0; width.div_ceil(64) as usize];
+            write_head_row(&mut row, width, 12, 63, 51, 0xdead_beef);
+            assert_eq!(decode_head_row(&row, width), (12, 63, 51, 0xdead_beef));
+            // Rewriting the fields in place encodes the next head.
+            write_head_row(&mut row, width, 1, 2, 3, 4);
+            assert_eq!(decode_head_row(&row, width), (1, 2, 3, 4));
+        }
     }
 }

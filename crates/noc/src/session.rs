@@ -2,11 +2,12 @@
 //!
 //! [`TaskPort`] binds a [`CodedTransport`] (the MC-side ordering unit +
 //! link codec + PE-side recovery logic from `btr_core::transport`) to the
-//! mesh simulator: tasks are encoded once by the session, injected as
-//! [`Packet`]s carrying the *coded* wire images — so every per-link
+//! mesh simulator: tasks are encoded once by the session, and their
+//! *coded* wire rows are copied straight into the simulator's packet
+//! slots ([`Simulator::inject_rows`]) — so every per-link
 //! transition recorder in the simulator observes the coded wire,
 //! including any codec side-channel wires the link width covers — and
-//! decoded bit-exactly off the delivered images. The accelerator driver
+//! decoded bit-exactly off the delivered rows. The accelerator driver
 //! and the standalone NoC harnesses both go through this port, so
 //! flitization/codec/recovery logic exists exactly once.
 //!
@@ -38,10 +39,9 @@
 //! ```
 
 use crate::fault::FaultConfig;
-use crate::packet::Packet;
 use crate::sim::{DeliveredPacket, InjectError, Simulator};
 use btr_bits::payload::PayloadBits;
-use btr_bits::slab::FlitRows;
+use btr_bits::slab::{FlitRows, FlitSlab};
 use btr_bits::word::DataWord;
 use btr_core::codec::ResyncPolicy;
 use btr_core::flitize::FlitizeError;
@@ -88,7 +88,8 @@ impl From<InjectError> for SendError {
 /// protocol.
 #[derive(Debug, Clone)]
 struct RetainedPacket {
-    payload: Vec<PayloadBits>,
+    /// The payload rows at the link width.
+    payload: FlitSlab,
     retries: u32,
 }
 
@@ -197,9 +198,26 @@ impl<S> TaskPort<S> {
             })
     }
 
-    /// Retains a copy of an injected packet for possible replay.
-    fn retain(&self, src: usize, dst: usize, tag: u64, payload: &[PayloadBits]) {
+    /// Injects raw wire rows (e.g. a PE's encoded response flit) as a
+    /// packet `src → dst`, retaining a replay copy (at the link width)
+    /// when recovery is armed — so response packets ride the same
+    /// retransmission protocol as requests.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InjectError`] if the simulator rejects the packet.
+    pub fn send_rows(
+        &self,
+        sim: &mut Simulator,
+        src: usize,
+        dst: usize,
+        payload: &(impl FlitRows + ?Sized),
+        tag: u64,
+    ) -> Result<u64, InjectError> {
+        let id = sim.inject_rows(src, dst, payload, tag)?;
         if let Some(recovery) = &self.recovery {
+            let mut rows = FlitSlab::new(sim.config().link_width_bits);
+            rows.extend_rows(payload);
             let prior = recovery
                 .inner
                 .lock()
@@ -208,7 +226,7 @@ impl<S> TaskPort<S> {
                 .insert(
                     (src, dst, tag),
                     RetainedPacket {
-                        payload: payload.to_vec(),
+                        payload: rows,
                         retries: 0,
                     },
                 );
@@ -217,6 +235,7 @@ impl<S> TaskPort<S> {
                 "two in-flight packets share the replay-buffer key ({src}, {dst}, {tag})"
             );
         }
+        Ok(id)
     }
 }
 
@@ -258,12 +277,11 @@ impl TaskPort<CodedTransport> {
         tag: u64,
     ) -> Result<SentTask, InjectError> {
         let encoded = encoded.borrow();
-        // The packet's own images: the one copy of the task's rows the
-        // cycle engine carries, moved through to the delivery.
-        let payload = encoded.wire_rows().to_payloads();
+        // The task's wire rows are copied once, straight into the packet's
+        // slot, and move through to the delivery.
+        let payload = encoded.wire_rows();
+        self.send_rows(sim, src, dst, payload, tag)?;
         let flit_count = payload.len() + 1;
-        self.retain(src, dst, tag, &payload);
-        sim.inject(Packet::new(src, dst, payload, tag))?;
         Ok(SentTask {
             meta: encoded.wire_meta(),
             flit_count,
@@ -273,10 +291,7 @@ impl TaskPort<CodedTransport> {
         })
     }
 
-    /// Injects raw wire images (e.g. a PE's encoded response flit) as a
-    /// packet `src → dst`, retaining a replay copy when recovery is
-    /// armed — so response packets ride the same retransmission protocol
-    /// as requests.
+    /// [`TaskPort::send_rows`] on wire images.
     ///
     /// # Errors
     ///
@@ -289,8 +304,7 @@ impl TaskPort<CodedTransport> {
         payload: Vec<PayloadBits>,
         tag: u64,
     ) -> Result<u64, InjectError> {
-        self.retain(src, dst, tag, &payload);
-        sim.inject(Packet::new(src, dst, payload, tag))
+        self.send_rows(sim, src, dst, payload.as_slice(), tag)
     }
 
     /// The receiving NI's acceptance check: verifies every payload
@@ -309,7 +323,7 @@ impl TaskPort<CodedTransport> {
     /// # Errors
     ///
     /// [`TransportError::Unrecoverable`] on budget exhaustion; other
-    /// [`TransportError`]s if the delivered images do not match the
+    /// [`TransportError`]s if the delivered rows do not match the
     /// session's wire geometry at all.
     pub fn accept<W: DataWord>(
         &self,
@@ -318,7 +332,7 @@ impl TaskPort<CodedTransport> {
     ) -> Result<Option<u32>, TransportError> {
         let clean = self
             .session
-            .verify_delivered_frames::<W>(delivered.payload_flits.as_slice())?;
+            .verify_delivered_frames::<W>(&delivered.payload_flits)?;
         let Some(recovery) = &self.recovery else {
             debug_assert!(clean, "corrupted delivery with no recovery protocol armed");
             return Ok(Some(0));
@@ -332,25 +346,21 @@ impl TaskPort<CodedTransport> {
             }
             return Ok(Some(retries));
         }
-        let replay = {
-            let mut inner = recovery.inner.lock().expect("recovery lock");
-            let retained = inner
-                .retained
-                .get_mut(&key)
-                .expect("NACKed delivery must have a retained original");
-            if retained.retries >= recovery.max_retries {
-                let retries = retained.retries;
-                inner.retained.remove(&key);
-                inner.stats.failed_packets += 1;
-                return Err(TransportError::Unrecoverable { retries });
-            }
-            retained.retries += 1;
-            let flits = retained.payload.len() as u64;
-            let replay = retained.payload.clone();
-            inner.stats.retransmissions += 1;
-            inner.stats.retransmitted_flits += flits;
-            replay
-        };
+        let mut inner = recovery.inner.lock().expect("recovery lock");
+        let inner = &mut *inner;
+        let retained = inner
+            .retained
+            .get_mut(&key)
+            .expect("NACKed delivery must have a retained original");
+        if retained.retries >= recovery.max_retries {
+            let retries = retained.retries;
+            inner.retained.remove(&key);
+            inner.stats.failed_packets += 1;
+            return Err(TransportError::Unrecoverable { retries });
+        }
+        retained.retries += 1;
+        inner.stats.retransmissions += 1;
+        inner.stats.retransmitted_flits += retained.payload.len() as u64;
         if recovery.resync == ResyncPolicy::ReseedOnRetry {
             // The sideband sync pulse: every link's tx/rx lane pair
             // forgets its wire memory together, repairing any decoder
@@ -358,12 +368,12 @@ impl TaskPort<CodedTransport> {
             // losslessness is unaffected — only the BT cost moves).
             sim.reseed_codec_lanes();
         }
-        sim.inject(Packet::new(
+        sim.inject_rows(
             delivered.src,
             delivered.dst,
-            replay,
+            &retained.payload,
             delivered.tag,
-        ))
+        )
         .expect("replaying a packet the mesh already carried");
         Ok(None)
     }
@@ -396,11 +406,11 @@ impl TaskPort<CodedTransport> {
         }
     }
 
-    /// Decodes a delivered packet's wire images back into paired operands.
+    /// Decodes a delivered packet's wire rows back into paired operands.
     ///
     /// # Errors
     ///
-    /// Returns [`TransportError`] if the images do not match the layout
+    /// Returns [`TransportError`] if the rows do not match the layout
     /// implied by `meta` or recovery fails.
     pub fn receive_task<W: DataWord>(
         &self,
@@ -474,10 +484,7 @@ mod tests {
             let meta = port.send_task(&mut sim, 2, 13, &t, 9).unwrap();
             sim.run_until_idle(10_000).unwrap();
             let delivered = sim.drain_delivered(13).pop().expect("delivered");
-            assert!(delivered
-                .payload_flits
-                .iter()
-                .all(|f| f.width() == link_width));
+            assert_eq!(delivered.payload_flits.width(), link_width);
             let rec: btr_core::task::RecoveredTask<Fx8Word> =
                 port.receive_task(&meta, &delivered).unwrap();
             assert_eq!(rec.mac_i64(), t.mac_i64(), "{codec}");

@@ -25,21 +25,28 @@
 //! vectors instead of nested `Vec<Vec<_>>` / `VecDeque` / `HashMap`
 //! structures:
 //!
-//! * each packet in flight holds one recycled slot of the packet store:
-//!   its head image, the payload images moved in from the [`Packet`]
-//!   (narrower rows re-aligned in place), its destination, inject cycle
-//!   and id. At the tail the payload `Vec` moves out into the
-//!   [`DeliveredPacket`] and the slot returns to a free list, so the store
-//!   only ever holds the peak number of packets in flight. Packet ids stay
-//!   a monotonic per-simulator count kept in the slot, not the slot
-//!   index. What moves through rings and link pipelines is a 12-byte
-//!   `FlitRef` (slot, sequence number, flit kind), not the 136-byte
-//!   image;
+//! * every flit is a dense row of the `u64` words the link width covers
+//!   (wire `k` is bit `k % 64` of word `k / 64`): 16 bytes on a 128-bit
+//!   link, 64 on a 512-bit one. Each packet in flight holds one recycled
+//!   slot of the packet store: its payload rows in a [`FlitSlab`] buffer
+//!   (narrower rows re-aligned onto the link width as they are copied
+//!   in), its destination, inject cycle and id; its head row sits in a
+//!   dense per-slot column beside the store. At the tail the payload
+//!   buffer moves out into the [`DeliveredPacket`] and the slot returns
+//!   to a free list, so the store only ever holds the peak number of
+//!   packets in flight. The buffers come back through
+//!   [`Simulator::drain_all_delivered_into`], which keeps the
+//!   deliveries it is handed back in a pool the next injected packets
+//!   take their buffers from. Packet ids stay a monotonic per-simulator
+//!   count kept in the slot, not the slot index. What moves through
+//!   rings and link pipelines is a 12-byte `FlitRef` (slot, sequence
+//!   number, flit kind), never a row;
 //! * input VC FIFOs are fixed-capacity rings in one node-major buffer
 //!   (`(node, port, vc)` → ring of `vc_buffer_depth` ref slots);
 //! * route/output-VC decisions, output allocations and credits are dense
 //!   sentinel-coded vectors addressed by the same indices;
-//! * per-link transition totals live in [`LinkSlab`] columns;
+//! * per-link transition totals and last wire rows live in [`LinkSlab`]
+//!   columns, which charge a hop as one XOR+popcount pass over the row;
 //! * phase 2 visits only NIs with queued packets and phase 3 only routers
 //!   with buffered flits, through bitmasks walked in ascending node order
 //!   — the order of a full scan, so every link sees its flits in the same
@@ -54,10 +61,10 @@
 use crate::analytic::PhaseRecorder;
 use crate::config::{NocConfig, NodeId};
 use crate::flit::FlitKind;
-use crate::packet::{decode_head_payload, encode_head_payload, Packet};
+use crate::packet::{decode_head_row, write_head_row, Packet};
 use crate::routing::{route, Direction};
 use crate::stats::{LatencyTotals, LinkSlab, LinkStat, NocStats};
-use btr_bits::payload::PayloadBits;
+use btr_bits::slab::{FlitRows, FlitSlab};
 use std::collections::VecDeque;
 
 pub(crate) const LOCAL: usize = 0;
@@ -124,8 +131,11 @@ pub struct DeliveredPacket {
     pub dst: NodeId,
     /// Correlation tag from the injected packet.
     pub tag: u64,
-    /// Payload flit images (head flit excluded), in order.
-    pub payload_flits: Vec<PayloadBits>,
+    /// Payload flit rows (head flit excluded), in order, at the link
+    /// width: what the last link carried. Hand the delivery back through
+    /// [`Simulator::drain_all_delivered_into`] and the buffer carries a
+    /// later packet.
+    pub payload_flits: FlitSlab,
     /// Cycle the packet was injected (queued at the source NI).
     pub inject_cycle: u64,
     /// Cycle the tail flit was ejected.
@@ -161,9 +171,10 @@ struct LinkArrival {
     fref: FlitRef,
 }
 
-/// Slot of the packet store per packet in flight: the images it drives
-/// onto the wires, inject metadata and its id. Nothing persists past
-/// delivery: the payload `Vec` moves out into the [`DeliveredPacket`] at
+/// Slot of the packet store per packet in flight: the payload rows it
+/// drives onto the wires, inject metadata and its id (its head row sits
+/// in [`Simulator`]'s per-slot head column). Nothing persists past
+/// delivery: the payload buffer moves out into the [`DeliveredPacket`] at
 /// the tail and the slot is recycled for the next injected packet.
 #[derive(Debug, Clone)]
 pub(crate) struct PacketSlot {
@@ -172,13 +183,10 @@ pub(crate) struct PacketSlot {
     pub(crate) id: u64,
     pub(crate) inject_cycle: u64,
     pub(crate) dst: NodeId,
-    /// The head flit image: addressing, length and tag. The receiving NI
-    /// decodes source and tag from it.
-    pub(crate) head: PayloadBits,
-    /// Payload images at the link width, in wire order. Faulty wires
-    /// write each hop's received image back, so the tail delivers what
-    /// the last link carried.
-    pub(crate) payload: Vec<PayloadBits>,
+    /// Payload rows at the link width, in wire order. Faulty wires
+    /// write each hop's received row back in place, so the tail delivers
+    /// what the last link carried.
+    pub(crate) payload: FlitSlab,
 }
 
 /// A packet queued at its source NI, consumed flit by flit.
@@ -283,6 +291,14 @@ pub struct Simulator {
     /// The packet store: one slot per packet in flight, indexed by
     /// `FlitRef::slot` and recycled through `free_slots`.
     pub(crate) slots: Vec<PacketSlot>,
+    /// Head row of each slot's packet, `slot * words..`, back to back.
+    pub(crate) heads: Vec<u64>,
+    /// `u64` words of a link-width row.
+    pub(crate) words: usize,
+    /// Payload buffers handed back through
+    /// [`Simulator::drain_all_delivered_into`], taken by the next
+    /// injected packets.
+    pub(crate) row_pool: Vec<FlitSlab>,
     /// Slots whose packet was delivered, reused before the store grows.
     pub(crate) free_slots: Vec<u32>,
     /// Id of the next injected packet.
@@ -433,6 +449,9 @@ impl Simulator {
             out_links,
             inject_links,
             slots: Vec::new(),
+            heads: Vec::new(),
+            words: config.link_width_bits.div_ceil(64) as usize,
+            row_pool: Vec::new(),
             free_slots: Vec::new(),
             next_packet_id: 0,
             latencies: LatencyTotals::default(),
@@ -518,51 +537,68 @@ impl Simulator {
         self.inject_links.reseed_codec_lanes();
     }
 
-    /// Queues a packet at its source NI.
+    /// Queues a packet at its source NI — [`Simulator::inject_rows`] on
+    /// the packet's images.
     ///
     /// # Errors
     ///
     /// Returns [`InjectError`] if nodes are out of range or a payload flit
     /// exceeds the link width.
     pub fn inject(&mut self, packet: Packet) -> Result<u64, InjectError> {
+        self.inject_rows(
+            packet.src,
+            packet.dst,
+            packet.payload_flits.as_slice(),
+            packet.tag,
+        )
+    }
+
+    /// Queues a packet `src → dst` carrying `payload`'s rows, tagged
+    /// `tag`, at its source NI and returns its id. The rows are copied
+    /// once into the packet's slot buffer, re-aligned onto the link width
+    /// when narrower; the head row is written beside it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InjectError`] if nodes are out of range or a payload flit
+    /// exceeds the link width.
+    pub fn inject_rows(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        payload: &(impl FlitRows + ?Sized),
+        tag: u64,
+    ) -> Result<u64, InjectError> {
         let n = self.config.num_nodes();
-        if packet.src >= n {
-            return Err(InjectError::NodeOutOfRange(packet.src));
-        }
-        if packet.dst >= n {
-            return Err(InjectError::NodeOutOfRange(packet.dst));
-        }
-        for p in &packet.payload_flits {
-            if p.width() > self.config.link_width_bits {
-                return Err(InjectError::PayloadTooWide {
-                    width: p.width(),
-                    link: self.config.link_width_bits,
-                });
+        for node in [src, dst] {
+            if node >= n {
+                return Err(InjectError::NodeOutOfRange(node));
             }
+        }
+        let width = self.config.link_width_bits;
+        let flits = payload.flit_count();
+        if let Some(too_wide) = (0..flits)
+            .map(|i| payload.flit_width(i))
+            .find(|&w| w > width)
+        {
+            return Err(InjectError::PayloadTooWide {
+                width: too_wide,
+                link: width,
+            });
         }
         let id = self.next_packet_id;
         self.next_packet_id += 1;
         if let Some(recorder) = self.recorder.as_deref_mut() {
-            recorder.queued(&packet, self.cycle);
+            recorder.queued(src, dst, flits, self.cycle);
         }
-        let Packet {
-            src,
-            dst,
-            payload_flits: mut payload,
-            tag,
-        } = packet;
-        // Re-align narrower images onto the full link width, in place.
-        let width = self.config.link_width_bits;
-        for image in payload.iter_mut().filter(|image| image.width() != width) {
-            *image = image.resized(width);
-        }
-        let head = encode_head_payload(width, src, dst, payload.len() as u32, tag);
+        let mut rows = self.row_pool.pop().unwrap_or_else(|| FlitSlab::new(width));
+        rows.reset(width);
+        rows.extend_rows(payload);
         let slot = PacketSlot {
             id,
             inject_cycle: self.cycle,
             dst,
-            head,
-            payload,
+            payload: rows,
         };
         let slot = match self.free_slots.pop() {
             Some(free) => {
@@ -571,13 +607,29 @@ impl Simulator {
             }
             None => {
                 self.slots.push(slot);
+                self.heads.resize(self.heads.len() + self.words, 0);
                 (self.slots.len() - 1) as u32
             }
         };
+        // Every head field is rewritten in full, over the slot's previous
+        // head at the same width.
+        write_head_row(self.head_mut(slot), width, src, dst, flits as u32, tag);
         self.ni_pending[src].push_back(PendingPacket { slot, next: 0 });
         set_bit(&mut self.busy_nis, src);
         self.packets_in_flight += 1;
         Ok(id)
+    }
+
+    /// The head row of `slot`'s packet.
+    #[inline]
+    pub(crate) fn head(&self, slot: u32) -> &[u64] {
+        &self.heads[slot as usize * self.words..][..self.words]
+    }
+
+    /// The head row of `slot`'s packet, writable.
+    #[inline]
+    fn head_mut(&mut self, slot: u32) -> &mut [u64] {
+        &mut self.heads[slot as usize * self.words..][..self.words]
     }
 
     /// True when no packet is anywhere in the network.
@@ -653,11 +705,16 @@ impl Simulator {
         out
     }
 
-    /// [`Simulator::drain_all_delivered`] into a caller-owned buffer
-    /// (cleared first), so per-cycle polling loops reuse one allocation
-    /// for the lifetime of a run.
+    /// [`Simulator::drain_all_delivered`] into a caller-owned buffer, so
+    /// per-cycle polling loops reuse one allocation for the lifetime of a
+    /// run. The deliveries `out` still holds are handed back first: their
+    /// payload buffers carry the next injected packets' rows.
     pub fn drain_all_delivered_into(&mut self, out: &mut Vec<DeliveredPacket>) {
-        out.clear();
+        // One pooled buffer per free slot at most: the pool never holds
+        // more than the peak number of packets in flight.
+        self.row_pool
+            .extend(out.drain(..).map(|delivered| delivered.payload_flits));
+        self.row_pool.truncate(self.free_slots.len());
         if self.delivered_pending == 0 {
             return;
         }
@@ -797,18 +854,20 @@ impl Simulator {
             }
         }
         if fref.kind.is_head() {
-            self.inject_links.observe(node, &slot.head);
+            let head = &self.heads[fref.slot as usize * self.words..][..self.words];
+            self.inject_links.observe(node, head);
         } else {
-            let image = &mut slot.payload[fref.seq as usize - 1];
+            let row = slot.payload.flit_mut(fref.seq as usize - 1);
             if self.inject_links.faults_armed() {
-                // Error-injected wires: flips land in the image the
-                // downstream hop actually carries, so it is written back.
-                *image = self.inject_links.observe_payload(node, image);
+                // Error-injected wires: flips land in the row the
+                // downstream hop actually carries, so it is written back
+                // in place.
+                self.inject_links.observe_payload(node, row);
             } else {
                 // Perfect wires (per-link scope: encoded against the
-                // link's persistent wire memory) carry the plain image
+                // link's persistent wire memory) carry the plain row
                 // onward unchanged.
-                self.inject_links.observe_payload_hop(node, image);
+                self.inject_links.observe_payload_hop(node, row);
             }
         }
         if let Some(recorder) = self.recorder.as_deref_mut() {
@@ -994,20 +1053,21 @@ impl Simulator {
             let link = r * NUM_PORTS + op;
             let slot = &mut self.slots[fref.slot as usize];
             if fref.kind.is_head() {
-                self.out_links.observe(link, &slot.head);
+                let head = &self.heads[fref.slot as usize * self.words..][..self.words];
+                self.out_links.observe(link, head);
             } else {
-                let image = &mut slot.payload[fref.seq as usize - 1];
+                let row = slot.payload.flit_mut(fref.seq as usize - 1);
                 if self.out_links.faults_armed() {
                     // Error-injected wires: the receiving end's decode
                     // of the flipped wire is what travels onward
                     // (ejection links deliver it to the NI), so it is
-                    // written back.
-                    *image = self.out_links.observe_payload(link, image);
+                    // written back in place.
+                    self.out_links.observe_payload(link, row);
                 } else {
                     // Perfect wires (per-link scope: encoded against
                     // the link's persistent wire memory) carry the
-                    // plain image onward unchanged.
-                    self.out_links.observe_payload_hop(link, image);
+                    // plain row onward unchanged.
+                    self.out_links.observe_payload_hop(link, row);
                 }
             }
             if let Some(recorder) = self.recorder.as_deref_mut() {
@@ -1036,22 +1096,23 @@ impl Simulator {
     }
 
     /// Accepts a flit at the destination NI. At the tail the packet is
-    /// delivered: source and tag are decoded from the head image (like a
-    /// real NI would), the payload images move out of the slot — exactly
+    /// delivered: source and tag are decoded from the head row (like a
+    /// real NI would), the payload rows move out of the slot — exactly
     /// what traversed the wires — and the slot is recycled.
     fn receive_at_ni(&mut self, node: usize, fref: FlitRef) {
         self.flits_delivered += 1;
         if !fref.kind.is_tail() {
             return;
         }
+        let width = self.config.link_width_bits;
+        let (src, _dst, _len, tag) = decode_head_row(self.head(fref.slot), width);
         let slot = &mut self.slots[fref.slot as usize];
-        let (src, _dst, _len, tag) = decode_head_payload(&slot.head);
         let delivered = DeliveredPacket {
             packet_id: slot.id,
             src,
             dst: node,
             tag,
-            payload_flits: std::mem::take(&mut slot.payload),
+            payload_flits: std::mem::replace(&mut slot.payload, FlitSlab::new(width)),
             inject_cycle: slot.inject_cycle,
             arrival_cycle: self.cycle,
         };
@@ -1127,6 +1188,8 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btr_bits::payload::PayloadBits;
+    use btr_bits::slab::row_field;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
@@ -1153,8 +1216,8 @@ mod tests {
         assert_eq!(got[0].tag, 42);
         assert_eq!(got[0].src, 0);
         assert_eq!(got[0].payload_flits.len(), 2);
-        assert_eq!(got[0].payload_flits[0].field(0, 64), 0xdead);
-        assert_eq!(got[0].payload_flits[1].field(0, 64), 0xbeef);
+        assert_eq!(row_field(got[0].payload_flits.flit(0), 0, 64), 0xdead);
+        assert_eq!(row_field(got[0].payload_flits.flit(1), 0, 64), 0xbeef);
         assert!(got[0].latency() >= 6, "XY path 0->15 is 6 hops");
     }
 
@@ -1234,9 +1297,9 @@ mod tests {
         let got = sim.drain_delivered(5);
         assert_eq!(got.len(), 15);
         for d in got {
-            for (i, flit) in d.payload_flits.iter().enumerate() {
+            for i in 0..d.payload_flits.len() {
                 assert_eq!(
-                    flit.field(0, 64),
+                    row_field(d.payload_flits.flit(i), 0, 64),
                     (d.tag << 32) | i as u64,
                     "packet {}",
                     d.tag
@@ -1321,10 +1384,10 @@ mod tests {
         };
         let (got, stats) = run(narrow);
         let (want, want_stats) = run(widened.clone());
-        assert_eq!(got[0].payload_flits, widened);
+        assert_eq!(got[0].payload_flits.to_payloads(), widened);
         assert_eq!(got, want);
         assert_eq!(stats, want_stats);
-        assert!(got[0].payload_flits.iter().all(|p| p.width() == 128));
+        assert_eq!(got[0].payload_flits.width(), 128);
     }
 
     #[test]
@@ -1332,11 +1395,14 @@ mod tests {
         // A long seeded run that injects while it steps: the packet store
         // never holds more slots than the most packets ever in flight at
         // once, while ids count up across reused slots and each delivery
-        // reports the id its injection returned.
+        // reports the id its injection returned. Deliveries are handed
+        // back every cycle, so the pool of payload buffers never holds
+        // more than that peak either, and the buffers really are reused.
         let mut sim = small_sim();
         let mut rng = StdRng::seed_from_u64(41);
         let mut ids = Vec::new();
         let mut delivered = Vec::new();
+        let mut handed_back = Vec::new();
         let mut peak = 0;
         for _ in 0..6_000 {
             if rng.gen_range(0..3) == 0 {
@@ -1349,18 +1415,31 @@ mod tests {
             }
             peak = peak.max(sim.in_flight());
             sim.step();
-            delivered.extend(sim.drain_all_delivered());
+            sim.drain_all_delivered_into(&mut handed_back);
+            delivered.extend(handed_back.iter().map(|d| (d.packet_id, d.tag)));
             assert!(sim.slots.len() as u64 <= peak, "store outgrew the peak");
+            assert!(
+                sim.row_pool.len() <= sim.free_slots.len(),
+                "buffer pool outgrew the free slots"
+            );
         }
         sim.run_until_idle(100_000).unwrap();
-        delivered.extend(sim.drain_all_delivered());
+        sim.drain_all_delivered_into(&mut handed_back);
+        delivered.extend(handed_back.iter().map(|d| (d.packet_id, d.tag)));
+        // Handing the last deliveries back fills the pool up to the peak.
+        sim.drain_all_delivered_into(&mut handed_back);
+        assert_eq!(
+            sim.row_pool.len() as u64,
+            peak,
+            "one pooled buffer per slot"
+        );
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids are monotonic");
         assert_eq!(ids, (0..ids.len() as u64).collect::<Vec<_>>());
         assert_eq!(delivered.len(), ids.len());
-        for d in &delivered {
-            assert_eq!(d.packet_id, ids[d.tag as usize], "tag {}", d.tag);
+        for &(id, tag) in &delivered {
+            assert_eq!(id, ids[tag as usize], "tag {tag}");
         }
-        let mut seen: Vec<u64> = delivered.iter().map(|d| d.packet_id).collect();
+        let mut seen: Vec<u64> = delivered.iter().map(|&(id, _)| id).collect();
         seen.sort_unstable();
         assert_eq!(seen, ids, "every id delivered exactly once");
         // The slots really were reused.

@@ -2,8 +2,7 @@
 
 use crate::fault::{ErrorModel, FaultState};
 use crate::routing::Direction;
-use btr_bits::payload::PayloadBits;
-use btr_bits::slab::{row_transitions, FlitSlab};
+use btr_bits::slab::{row_transitions, FlitRows, FlitSlab, MAX_ROW_WORDS};
 use btr_core::codec::{CodecKind, DeltaXorRun, LinkCodecState};
 
 /// Persistent per-link codec endpoints for a slab of links
@@ -14,11 +13,13 @@ use btr_core::codec::{CodecKind, DeltaXorRun, LinkCodecState};
 struct CodecLanes {
     /// The scheme every lane runs.
     kind: CodecKind,
-    /// Transmit-side state per link (drives the wire images the slab
+    /// Data wires of every lane (the link width less the side channel).
+    data_width: u32,
+    /// Transmit-side state per link (drives the wire rows the slab
     /// records).
     tx: Vec<LinkCodecState>,
     /// Receive-side state per link (mirrors `tx`; recovers the plain
-    /// image the downstream hop consumes).
+    /// row the downstream hop consumes).
     rx: Vec<LinkCodecState>,
 }
 
@@ -27,22 +28,27 @@ struct CodecLanes {
 ///
 /// The flat-array simulator attaches one slab to all router output links
 /// and one to all injection links, instead of a recorder object per
-/// link: the previous-image, transition-total and flit-count
-/// columns live in contiguous index-addressed vectors, so the per-hop
-/// record (XOR + popcount + store, Fig. 8) touches three adjacent slots
-/// rather than chasing per-link allocations.
+/// link: the last-wire, transition-total and flit-count columns live in
+/// contiguous index-addressed vectors, so the per-hop record (XOR +
+/// popcount + store, Fig. 8) touches three adjacent slots rather than
+/// chasing per-link allocations. Each link's last wire image is a dense
+/// row of the `u64` words the link width covers (wire `k` is bit
+/// `k % 64` of word `k / 64`), and every flit is observed as such a row.
 ///
 /// With [`LinkSlab::with_link_codec`] the links additionally own
 /// persistent codec state: every payload flit is encoded against the
 /// link's wire memory at traversal time ([`LinkSlab::observe_payload`]),
 /// the accumulators record the **true coded wire**, and the receiving
-/// end's mirrored state decodes the plain image back — losslessly, with
-/// no per-packet reset.
+/// end's mirrored state decodes the plain row back — losslessly, with no
+/// per-packet reset.
 #[derive(Debug, Clone)]
 pub struct LinkSlab {
     width: u32,
-    /// Last image seen per link (valid where `flits > 0`).
-    prev: Vec<PayloadBits>,
+    /// `u64` words of a wire row.
+    words: usize,
+    /// Last wire row per link, `link * words..`, back to back (valid
+    /// where `flits > 0`).
+    prev: Vec<u64>,
     /// Accumulated transitions per link.
     transitions: Vec<u64>,
     /// Flits observed per link.
@@ -50,7 +56,7 @@ pub struct LinkSlab {
     /// Per-link codec endpoints; `None` models raw wires.
     lanes: Option<CodecLanes>,
     /// Armed error process; `None` models perfect wires. Flips are
-    /// applied to the coded wire image between the tx encode and the
+    /// applied to the coded wire row between the tx encode and the
     /// recorder/rx decode — exactly where a physical glitch lands.
     faults: Option<FaultState>,
 }
@@ -59,9 +65,11 @@ impl LinkSlab {
     /// Creates a slab of `links` raw-wire links, each `width` bits wide.
     #[must_use]
     pub fn new(width: u32, links: usize) -> Self {
+        let words = width.max(1).div_ceil(64) as usize;
         Self {
             width,
-            prev: vec![PayloadBits::zero(width.max(1)); links],
+            words,
+            prev: vec![0; links * words],
             transitions: vec![0; links],
             flits: vec![0; links],
             lanes: None,
@@ -93,6 +101,7 @@ impl LinkSlab {
         let mut slab = Self::new(width, links);
         slab.lanes = Some(CodecLanes {
             kind: codec,
+            data_width,
             tx: vec![codec.seed_state(data_width); links],
             rx: vec![codec.seed_state(data_width); links],
         });
@@ -126,11 +135,11 @@ impl LinkSlab {
             self.width
         );
         if let Some(lanes) = &self.lanes {
-            let data_width = lanes.tx.first().map_or(0, LinkCodecState::data_width);
             assert!(
-                frame_wires <= data_width || data_width == 0,
+                frame_wires <= lanes.data_width,
                 "fault frame of {frame_wires} wire(s) overlaps the codec side channel \
-                 above wire {data_width}"
+                 above wire {}",
+                lanes.data_width
             );
         }
         self.faults = Some(FaultState::new(model, salt, self.links(), frame_wires));
@@ -172,120 +181,130 @@ impl LinkSlab {
         self.flits.len()
     }
 
-    /// Records a flit traversing `link`, accumulating the Hamming distance
-    /// to the link's previous image (the first flit is free).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is out of range or the flit width differs from the
-    /// slab width.
+    /// `link`'s last wire row, writable.
     #[inline]
-    pub fn observe(&mut self, link: usize, flit: &PayloadBits) {
-        assert_eq!(
-            flit.width(),
-            self.width,
-            "flit width {} does not match link width {}",
-            flit.width(),
-            self.width
-        );
-        if self.flits[link] > 0 {
-            self.transitions[link] += u64::from(flit.transitions_to(&self.prev[link]));
-        }
-        self.prev[link].clone_used_from(flit);
-        self.flits[link] += 1;
+    fn wire_mut(&mut self, link: usize) -> &mut [u64] {
+        &mut self.prev[link * self.words..][..self.words]
     }
 
-    /// Records a *payload* flit traversing `link` through the link's
-    /// persistent codec state: the plain image is encoded against the
-    /// link's wire memory, the **coded** wire image is what the
-    /// accumulator observes, and the receiving end's mirrored state
-    /// decodes the plain image back, which is returned (re-aligned onto
-    /// the full link width with the side-channel wires zeroed) for the
-    /// downstream hop to carry.
-    ///
-    /// On a raw-wire slab this is exactly [`LinkSlab::observe`] and the
-    /// flit is returned unchanged. Head flits always take
-    /// [`LinkSlab::observe`]: addressing travels uncoded, on either
-    /// scope, so the coded-flit set is identical across scopes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is out of range, the flit width differs from the
-    /// slab width, or a codec lane's mirrored decode disagrees with the
-    /// transmitted plain image (a codec implementation bug).
-    #[must_use]
-    pub fn observe_payload(&mut self, link: usize, flit: &PayloadBits) -> PayloadBits {
-        let Some(faults) = self.faults.as_mut() else {
-            self.observe_payload_hop(link, flit);
-            return flit.resized(self.width);
-        };
-        let Some(lanes) = self.lanes.as_mut() else {
-            // Raw wires: a glitch corrupts the image itself; the recorder
-            // sees (and charges) the corrupted wire, and the downstream
-            // hop carries it onward.
-            let mut wire = *flit;
-            faults.corrupt(link, &mut wire);
-            self.observe(link, &wire);
-            return wire;
-        };
-        // Faulty wires keep the full walk: the flip lands between the tx
-        // encode and the rx decode, the decode really is corrupted (and
-        // on a stateful codec the rx lane is poisoned for later flits
-        // too), and detection belongs to the EDC at the receiving NI —
-        // so the mirrored decode must actually run.
-        let mut wire = lanes.tx[link].encode_step(flit);
-        faults.corrupt(link, &mut wire);
-        let plain = lanes.rx[link]
-            .decode_step(&wire)
-            // btr-lint: allow(panic-in-hot-path, reason = "tx/rx lanes are built as a mirrored pair over the same wire width; a decode failure here is codec-lane construction corruption, not a data condition")
-            .expect("mirrored decoder consumes the wire it was built for");
-        self.observe(link, &wire);
-        plain.resized(self.width)
-    }
-
-    /// The perfect-wire payload hop: exactly [`LinkSlab::observe_payload`]
-    /// on a slab without faults, minus the returned image — on perfect
-    /// wires the downstream hop carries the plain image unchanged. Raw
-    /// wires take [`LinkSlab::observe`]; codec lanes encode in place onto
-    /// the link's last wire image ([`LinkCodecState::encode_step_onto`])
-    /// and the rx lane follows the tx lane over the used words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slab has faults armed (a flip must land between
-    /// encode and decode, so faulty wires keep
-    /// [`LinkSlab::observe_payload`]), `link` is out of range, or the
-    /// widths do not fit the slab.
+    /// Adds `toggled` transitions and one flit to `link` (the first flit
+    /// a link carries is free).
     #[inline]
-    pub fn observe_payload_hop(&mut self, link: usize, flit: &PayloadBits) {
-        assert!(
-            self.faults.is_none(),
-            "error-injected wires take observe_payload"
-        );
-        let Some(lanes) = self.lanes.as_mut() else {
-            self.observe(link, flit);
-            return;
-        };
-        let toggled = lanes.tx[link].encode_step_onto(flit, &mut self.prev[link]);
+    fn charge(&mut self, link: usize, toggled: u32) {
         if self.flits[link] > 0 {
             self.transitions[link] += u64::from(toggled);
         }
         self.flits[link] += 1;
+    }
+
+    /// Records a flit traversing `link` as its wire row, accumulating the
+    /// Hamming distance to the link's previous row (the first flit is
+    /// free).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `link` is out of range or `row` does not cover exactly
+    /// the words of the slab width.
+    #[inline]
+    pub fn observe(&mut self, link: usize, row: &[u64]) {
+        assert_eq!(
+            row.len(),
+            self.words,
+            "a {}-word row does not match the {}-bit link",
+            row.len(),
+            self.width
+        );
+        let toggled = copy_row_onto(self.wire_mut(link), row);
+        self.charge(link, toggled);
+    }
+
+    /// Records a *payload* flit traversing `link` through the link's
+    /// persistent codec state and error process, in place: `row` is the
+    /// link-aligned plain row (side-channel wires zero); it is encoded
+    /// against the link's wire memory into the link's wire register,
+    /// flipped there on error-injected wires, charged as the **coded**
+    /// wire, and the receiving end's mirrored state decodes it back into
+    /// `row` (side-channel wires zeroed) for the downstream hop to carry.
+    ///
+    /// On a raw-wire slab this is [`LinkSlab::observe`] on the (possibly
+    /// flipped) row; on perfect wires it is
+    /// [`LinkSlab::observe_payload_hop`] and `row` comes back unchanged.
+    /// Head flits always take [`LinkSlab::observe`]: addressing travels
+    /// uncoded, on either scope, so the coded-flit set is identical
+    /// across scopes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `link` is out of range or `row` does not cover exactly
+    /// the words of the slab width.
+    pub fn observe_payload(&mut self, link: usize, row: &mut [u64]) {
+        let Some(faults) = self.faults.as_mut() else {
+            self.observe_payload_hop(link, row);
+            return;
+        };
+        let mut wire = [0u64; MAX_ROW_WORDS];
+        let wire = &mut wire[..self.words];
+        match self.lanes.as_mut() {
+            // Raw wires: a glitch corrupts the row itself; the recorder
+            // sees (and charges) the corrupted wire, and the downstream
+            // hop carries it onward.
+            None => {
+                faults.corrupt(link, row);
+                wire.copy_from_slice(row);
+            }
+            // Faulty coded wires keep the full walk: the flip lands
+            // between the tx encode and the rx decode, the decode really
+            // is corrupted (and on a stateful codec the rx lane is
+            // poisoned for later flits too), and detection belongs to the
+            // EDC at the receiving NI — so the mirrored decode must
+            // actually run.
+            Some(lanes) => {
+                lanes.tx[link].encode_row_onto(row, wire);
+                faults.corrupt(link, wire);
+                lanes.rx[link].decode_row(wire, row);
+            }
+        }
+        self.observe(link, wire);
+    }
+
+    /// The perfect-wire payload hop: [`LinkSlab::observe_payload`] on a
+    /// slab without faults, which leaves the row unchanged — on perfect
+    /// wires the downstream hop carries the plain row onward. Raw wires
+    /// take [`LinkSlab::observe`]; codec lanes encode in place onto the
+    /// link's last wire row ([`LinkCodecState::encode_row_onto`]) and
+    /// the rx lane follows the tx lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slab has faults armed (a flip must land between
+    /// encode and decode, so faulty wires take
+    /// [`LinkSlab::observe_payload`]), `link` is out of range, `row` does
+    /// not cover exactly the words of the slab width, or its codec
+    /// side-channel wires are not zero.
+    #[inline]
+    pub fn observe_payload_hop(&mut self, link: usize, row: &[u64]) {
+        assert!(
+            self.faults.is_none(),
+            "error-injected wires take observe_payload"
+        );
+        let words = self.words;
+        let Some(lanes) = self.lanes.as_mut() else {
+            self.observe(link, row);
+            return;
+        };
+        let wire = &mut self.prev[link * words..][..words];
+        let toggled = lanes.tx[link].encode_row_onto(row, wire);
         // The mirrored decode provably returns the transmitted plain
-        // image and leaves the rx lane equal to the tx lane (delta-XOR
-        // keeps the plain image on both ends, bus-invert the
+        // row and leaves the rx lane equal to the tx lane (delta-XOR
+        // keeps the plain row on both ends, bus-invert the
         // post-inversion wire data). Debug builds keep the full decode as
         // the per-flit oracle; release builds mirror the lane.
         #[cfg(debug_assertions)]
         {
-            let plain = lanes.rx[link]
-                .decode_step(&self.prev[link])
-                // btr-lint: allow(panic-in-hot-path, reason = "cfg(debug_assertions) oracle; its purpose is to abort loudly if the mirrored decode ever fails on perfect wires")
-                .expect("mirrored decoder consumes the wire it was built for");
-            debug_assert!(
-                plain == flit.resized(plain.width()),
-                "link {link} codec lane"
-            );
+            let mut plain = [0u64; MAX_ROW_WORDS];
+            let plain = &mut plain[..words];
+            lanes.rx[link].decode_row(wire, plain);
+            debug_assert!(plain == row, "link {link} codec lane");
             debug_assert!(
                 lanes.rx[link] == lanes.tx[link],
                 "link {link}: mirrored lanes diverged on perfect wires"
@@ -293,51 +312,42 @@ impl LinkSlab {
         }
         #[cfg(not(debug_assertions))]
         lanes.rx[link].mirror_from(&lanes.tx[link]);
+        self.charge(link, toggled);
     }
 
-    /// Records an uninterrupted run of *payload* flits traversing `link`
-    /// through the link's persistent codec lanes in one bulk pass —
-    /// exactly equivalent to calling [`LinkSlab::observe_payload`] on
-    /// each flit of the run in order, without materializing any
-    /// intermediate wire image: the tx lane advances through
-    /// [`LinkCodecState::encode_run_onto`] straight onto the link's last
-    /// wire image, the accumulator charges the run's boundary + intra
-    /// transitions, and the rx lane is mirrored from the
-    /// tx lane (on perfect wires the mirrored decode provably lands
-    /// there; debug builds re-derive it flit by flit as the oracle).
-    ///
-    /// The delivered plain images are the inputs themselves — on perfect
-    /// wires the per-flit walk's decode-and-realign is the identity — so
-    /// unlike [`LinkSlab::observe_payload`] nothing is returned.
-    ///
-    /// An empty run is a no-op.
+    /// Records an uninterrupted run of *payload* flits — link-aligned
+    /// plain rows — traversing `link` through the link's persistent codec
+    /// lanes in one pass: exactly [`LinkSlab::observe_payload`] on each
+    /// row of the run in order, without writing any intermediate wire
+    /// row on delta-XOR lanes ([`LinkCodecState::encode_rows_onto`]). The
+    /// accumulator charges the run's boundary + intra transitions, and
+    /// the rx lane is mirrored from the tx lane once (on perfect wires
+    /// the mirrored decode provably lands there; debug builds re-derive
+    /// it flit by flit as the oracle). The delivered plain rows are the
+    /// inputs themselves. An empty run is a no-op.
     ///
     /// # Panics
     ///
     /// Panics if the slab has no codec lanes (raw wires take
-    /// [`LinkSlab::observe`] per flit) or has faults armed (a flip must land between encode and decode,
-    /// so faulty wires keep the per-flit walk), if `link` is out of
-    /// range, or if a flit width matches neither the data wires nor the
-    /// link width.
-    pub fn observe_payload_run<'a>(
-        &mut self,
-        link: usize,
-        flits: impl IntoIterator<Item = &'a PayloadBits> + Clone,
-    ) {
+    /// [`LinkSlab::observe`] per flit) or has faults armed (a flip must
+    /// land between encode and decode, so faulty wires keep the per-flit
+    /// walk), if `link` is out of range, or under the row conditions of
+    /// [`LinkSlab::observe_payload_hop`].
+    pub fn observe_payload_run(&mut self, link: usize, rows: &(impl FlitRows + ?Sized)) {
         assert!(
             self.faults.is_none(),
             "bulk payload runs cannot traverse error-injected wires"
         );
         #[cfg(debug_assertions)]
-        let walk = self.walk_oracle(link, None, flits.clone());
+        let walk = self.walk_oracle(link, None, rows);
+        let words = self.words;
+        let wire = &mut self.prev[link * words..][..words];
         let lanes = self
             .lanes
             .as_mut()
             // btr-lint: allow(panic-in-hot-path, reason = "documented `# Panics` contract: callers route raw-wire slabs to observe; lanes are fixed at slab construction, not a data condition")
             .expect("bulk payload runs need per-link codec lanes; raw wires take observe");
-        let Some((boundary, intra, count)) =
-            lanes.tx[link].encode_run_onto(flits, &mut self.prev[link])
-        else {
+        let Some((boundary, intra, count)) = lanes.tx[link].encode_rows_onto(rows, wire) else {
             return;
         };
         lanes.rx[link].mirror_from(&lanes.tx[link]);
@@ -352,33 +362,36 @@ impl LinkSlab {
 
     /// Debug oracle of the bulk kernels: a one-link slab cloned from
     /// `link`'s lane and wire state walks `head` (if any) and the payload
-    /// `plains` flit by flit. Returns it with `link`'s transitions so far.
+    /// rows flit by flit. Returns it with `link`'s transitions so far.
     #[cfg(debug_assertions)]
-    fn walk_oracle<'a>(
+    fn walk_oracle(
         &self,
         link: usize,
-        head: Option<&PayloadBits>,
-        plains: impl IntoIterator<Item = &'a PayloadBits>,
+        head: Option<&[u64]>,
+        rows: &(impl FlitRows + ?Sized),
     ) -> (LinkSlab, u64) {
         let mut oracle = LinkSlab::new(self.width, 1);
         oracle.lanes = self.lanes.as_ref().map(|l| CodecLanes {
             kind: l.kind,
+            data_width: l.data_width,
             tx: vec![l.tx[link].clone()],
             rx: vec![l.rx[link].clone()],
         });
-        oracle.prev[0] = self.prev[link];
+        oracle
+            .prev
+            .copy_from_slice(&self.prev[link * self.words..][..self.words]);
         oracle.flits[0] = self.flits[link];
         if let Some(head) = head {
             oracle.observe(0, head);
         }
-        for flit in plains {
-            let _ = oracle.observe_payload(0, flit);
+        for i in 0..rows.flit_count() {
+            oracle.observe_payload(0, &mut rows.row(i).to_vec());
         }
         (oracle, self.transitions[link])
     }
 
     /// Debug oracle check: `link` landed on the same transitions, flit
-    /// count, lanes and last wire image as the flit-by-flit `walk`.
+    /// count, lanes and last wire row as the flit-by-flit `walk`.
     #[cfg(debug_assertions)]
     fn assert_matches_walk(&self, link: usize, walk: &(LinkSlab, u64), kernel: &str) {
         let (oracle, before) = walk;
@@ -389,30 +402,29 @@ impl LinkSlab {
         );
         debug_assert!(
             self.codec_lane_states(link) == oracle.codec_lane_states(0)
-                && self.prev[link] == oracle.prev[0],
+                && self.prev[link * self.words..][..self.words] == oracle.prev[..],
             "link {link}: {kernel} leaves different lane or wire state"
         );
     }
 
     /// Records one whole packet — head, then its payload rows — crossing
     /// `link` on perfect wires. Exactly equivalent to [`LinkSlab::observe`]
-    /// on the head followed by [`LinkSlab::observe_payload_run`] (coded
-    /// lanes) or [`LinkSlab::observe`] per payload flit (raw wires), at
-    /// the per-hop cost the slab's wires allow:
+    /// on the head followed by [`LinkSlab::observe_payload_run`], at the
+    /// per-hop cost the slab's wires allow:
     ///
     /// * raw wires: O(1), one boundary transition plus the packet's
     ///   precomputed intra sum;
     /// * delta-XOR lanes: O(1), three link-dependent terms plus the
     ///   packet's precomputed telescope tail
     ///   ([`LinkCodecState::encode_delta_xor_run_onto`]);
-    /// * bus-invert lanes: one bulk lane-kernel pass, since the invert
+    /// * bus-invert lanes: one row step per flit, since the invert
     ///   decision depends on the link's wire memory at every flit.
     ///
     /// # Panics
     ///
     /// Panics if `packet` was summarized for a different link codec than
     /// the slab runs, the slab has faults armed, `link` is out of range,
-    /// or the widths do not match the slab.
+    /// or the rows do not cover the slab width.
     pub fn observe_packet(&mut self, link: usize, packet: &PacketWires<'_>) {
         assert_eq!(
             packet.codec,
@@ -422,9 +434,9 @@ impl LinkSlab {
         match &packet.charge {
             Charge::Raw { intra } => self.observe_raw_packet(link, packet, *intra),
             Charge::DeltaXor(run) => self.observe_delta_xor_packet(link, packet.head, run),
-            Charge::Lanes(images) => {
+            Charge::Lanes => {
                 self.observe(link, packet.head);
-                self.observe_payload_run(link, images);
+                self.observe_payload_run(link, packet.payload);
             }
         }
     }
@@ -432,65 +444,47 @@ impl LinkSlab {
     /// The O(1) raw-wire hop behind [`LinkSlab::observe_packet`]: on raw
     /// wires a packet's flit sequence is the same on every link of its
     /// path, so the hop charges the head against the link's previous
-    /// image plus the packet's precomputed intra sum, and the last
-    /// payload row becomes the link's previous image — exactly
+    /// row plus the packet's precomputed intra sum, and the last payload
+    /// row becomes the link's previous row — exactly
     /// [`LinkSlab::observe`] on each flit in order.
     fn observe_raw_packet(&mut self, link: usize, packet: &PacketWires<'_>, intra: u64) {
         assert!(
             self.lanes.is_none() && self.faults.is_none(),
             "raw packet hops need perfect raw wires"
         );
-        let head = packet.head;
-        assert_eq!(
-            head.width(),
-            self.width,
-            "flit width {} does not match link width {}",
-            head.width(),
-            self.width
-        );
-        if self.flits[link] > 0 {
-            self.transitions[link] += u64::from(head.transitions_to(&self.prev[link]));
-        }
+        self.observe(link, packet.head);
         self.transitions[link] += intra;
-        match packet.payload.len() {
-            0 => self.prev[link].clone_used_from(head),
-            n => self.prev[link].assign_row(self.width, packet.payload.flit(n - 1)),
+        self.flits[link] += packet.payload.len() as u64;
+        if let Some(last) = packet.payload.len().checked_sub(1) {
+            self.wire_mut(link)
+                .copy_from_slice(packet.payload.flit(last));
         }
-        self.flits[link] += packet.flits();
     }
 
     /// The O(1) delta-XOR hop behind [`LinkSlab::observe_packet`]. Of the
     /// packet's wire transitions only three depend on the link: the head
-    /// against the link's previous wire image, `popcount(x0 ⊕ p0 ⊕ head)`
+    /// against the link's previous wire row, `popcount(x0 ⊕ p0 ⊕ head)`
     /// and `popcount(x1 ⊕ p0)`, where `p0` is the lane's last plain flit.
-    /// Both lanes end on `x_{n−1}`, the previous wire image on
+    /// Both lanes end on `x_{n−1}`, the previous wire row on
     /// `x_{n−1} ⊕ x_{n−2}` (`x0 ⊕ p0` when n = 1).
-    fn observe_delta_xor_packet(&mut self, link: usize, head: &PayloadBits, run: &DeltaXorRun<'_>) {
+    fn observe_delta_xor_packet(&mut self, link: usize, head: &[u64], run: &DeltaXorRun<'_>) {
         assert!(
             self.faults.is_none(),
             "bulk payload runs cannot traverse error-injected wires"
         );
         #[cfg(debug_assertions)]
-        let walk = self.walk_oracle(link, Some(head), &run.plains().to_payloads());
+        let walk = self.walk_oracle(link, Some(head), run.plains());
+        self.observe(link, head);
+        let words = self.words;
+        let wire = &mut self.prev[link * words..][..words];
         let lanes = self
             .lanes
             .as_mut()
             // btr-lint: allow(panic-in-hot-path, reason = "observe_packet only routes delta-XOR summaries to a slab whose lanes run delta-XOR; lanes are fixed at slab construction")
             .expect("delta-XOR packets need delta-XOR lanes");
-        assert_eq!(
-            head.width(),
-            self.width,
-            "flit width {} does not match link width {}",
-            head.width(),
-            self.width
-        );
-        if self.flits[link] > 0 {
-            self.transitions[link] += u64::from(head.transitions_to(&self.prev[link]));
-        }
-        self.transitions[link] +=
-            lanes.tx[link].encode_delta_xor_run_onto(run, head, &mut self.prev[link]);
+        self.transitions[link] += lanes.tx[link].encode_delta_xor_run_onto(run, head, wire);
         lanes.rx[link].mirror_from(&lanes.tx[link]);
-        self.flits[link] += 1 + run.plains().len() as u64;
+        self.flits[link] += run.plains().len() as u64;
         #[cfg(debug_assertions)]
         self.assert_matches_walk(link, &walk, "O(1) delta-XOR hop");
     }
@@ -517,13 +511,38 @@ impl LinkSlab {
     }
 }
 
-/// One whole packet's wire images — the head, then its payload rows, all
+/// Overwrites `wire` with `row` and returns the wires that toggled, in
+/// one pass. The paper's links are 128-bit (fx8) and 512-bit (f32)
+/// wide, so 2- and 8-word rows take fixed-length loops the compiler
+/// unrolls.
+#[inline]
+fn copy_row_onto(wire: &mut [u64], row: &[u64]) -> u32 {
+    #[inline(always)]
+    fn fused(wire: &mut [u64], row: &[u64]) -> u32 {
+        let mut toggled = 0;
+        for (w, &r) in wire.iter_mut().zip(row) {
+            toggled += (*w ^ r).count_ones();
+            *w = r;
+        }
+        toggled
+    }
+    match (wire.len(), row.len()) {
+        (2, 2) => fused(&mut wire[..2], &row[..2]),
+        (8, 8) => fused(&mut wire[..8], &row[..8]),
+        _ => {
+            assert_eq!(wire.len(), row.len(), "rows of different lengths");
+            fused(wire, row)
+        }
+    }
+}
+
+/// One whole packet's wire rows — the head, then its payload rows, all
 /// at the link width — summarized once for the link codec it will cross,
 /// so every hop of its route charges a link through
 /// [`LinkSlab::observe_packet`] without redoing the link-independent part.
 #[derive(Debug, Clone)]
 pub struct PacketWires<'a> {
-    head: &'a PayloadBits,
+    head: &'a [u64],
     payload: &'a FlitSlab,
     codec: Option<CodecKind>,
     charge: Charge<'a>,
@@ -538,39 +557,40 @@ enum Charge<'a> {
     /// Delta-XOR lanes: the link-independent tail of the telescope.
     DeltaXor(DeltaXorRun<'a>),
     /// Other lanes (and empty payloads): nothing is link-independent; the
-    /// payload as images for the per-flit lane kernels.
-    Lanes(Vec<PayloadBits>),
+    /// payload rows take the per-flit lane steps.
+    Lanes,
 }
 
 impl<'a> PacketWires<'a> {
-    /// Summarizes a packet for links running `codec` (`None` = raw
-    /// wires), in one XOR+popcount pass over its rows at most.
+    /// Summarizes a packet — its head row and payload rows — for links
+    /// running `codec` (`None` = raw wires), in one XOR+popcount pass
+    /// over its rows at most.
     ///
     /// # Panics
     ///
-    /// Panics if the payload is not empty and its width differs from the
-    /// head's.
+    /// Panics if the payload is not empty and its rows are not as long as
+    /// the head's.
     #[must_use]
-    pub fn new(head: &'a PayloadBits, payload: &'a FlitSlab, codec: Option<CodecKind>) -> Self {
+    pub fn new(head: &'a [u64], payload: &'a FlitSlab, codec: Option<CodecKind>) -> Self {
         assert!(
-            payload.is_empty() || payload.width() == head.width(),
-            "payload rows are {} bits wide, the head {}",
-            payload.width(),
-            head.width()
+            payload.is_empty() || payload.words_per_flit() == head.len(),
+            "payload rows are {} words long, the head {}",
+            payload.words_per_flit(),
+            head.len()
         );
         let charge = match codec {
             None => Charge::Raw {
                 intra: if payload.is_empty() {
                     0
                 } else {
-                    u64::from(row_transitions(head.used_words(), payload.flit(0)))
+                    u64::from(row_transitions(head, payload.flit(0)))
                         + payload.lagged_transitions(1)
                 },
             },
             Some(CodecKind::DeltaXor) if !payload.is_empty() => {
                 Charge::DeltaXor(DeltaXorRun::new(payload))
             }
-            Some(_) => Charge::Lanes(payload.to_payloads()),
+            Some(_) => Charge::Lanes,
         };
         Self {
             head,

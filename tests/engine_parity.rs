@@ -656,7 +656,7 @@ fn streamed_request_phase_matches_the_queued_replay() {
             let mut delivered: Vec<(u64, u64, Vec<PayloadBits>)> = queued
                 .drain_all_delivered()
                 .into_iter()
-                .map(|d| (d.tag, d.arrival_cycle, d.payload_flits))
+                .map(|d| (d.tag, d.arrival_cycle, d.payload_flits.to_payloads()))
                 .collect();
             delivered.sort_by_key(|d| d.0);
             assert_eq!(arrivals, delivered, "{what}: arrivals and payloads");
@@ -740,7 +740,7 @@ proptest! {
                 .find(|d| d.tag == tag as u64 && d.src == *src && d.dst == *dst)
                 .expect("packet delivered");
             prop_assert_eq!(got.payload_flits.len(), payload.len());
-            for (sent_flit, got_flit) in payload.iter().zip(&got.payload_flits) {
+            for (sent_flit, got_flit) in payload.iter().zip(&got.payload_flits.to_payloads()) {
                 prop_assert_eq!(&got_flit.resized(sent_flit.width()), sent_flit);
             }
         }

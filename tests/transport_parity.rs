@@ -65,7 +65,7 @@ fn transport_roundtrip_mac_equality_all_orderings_and_tiebreaks() {
                     });
                     let enc = session.encode_task(&task).unwrap();
                     let rec = session
-                        .decode_task(&enc.wire_meta(), &enc.payload_flits())
+                        .decode_task(&enc.wire_meta(), enc.payload_flits().as_slice())
                         .unwrap();
                     assert_eq!(
                         rec.mac_i64(),
@@ -102,7 +102,7 @@ fn transport_roundtrip_f32_within_reassociation_tolerance() {
                 });
                 let enc = session.encode_task(&task).unwrap();
                 let rec = session
-                    .decode_task(&enc.wire_meta(), &enc.payload_flits())
+                    .decode_task(&enc.wire_meta(), enc.payload_flits().as_slice())
                     .unwrap();
                 let want = task.mac_f64();
                 assert!(
@@ -265,7 +265,13 @@ fn run_flat(side: usize, workload: Workload) -> Golden {
                 d.payload_flits.len() as u64,
             ]
             .into_iter()
-            .chain(d.payload_flits.iter().flat_map(payload_words))
+            .chain(
+                d.payload_flits
+                    .to_payloads()
+                    .iter()
+                    .flat_map(payload_words)
+                    .collect::<Vec<_>>(),
+            )
         })
     }));
     let macs = matches!(workload, Workload::Tasks).then(|| {
@@ -677,7 +683,7 @@ fn coded_backends_are_lossless_at_the_pe() {
         delivered.sort_by_key(|d| d.tag);
         assert_eq!(delivered.len(), tasks.len());
         for d in delivered {
-            assert!(d.payload_flits.iter().all(|f| f.width() == link_width));
+            assert_eq!(d.payload_flits.width(), link_width);
             let (task, meta) = &tasks[d.tag as usize];
             let rec: noc_btr::core::task::RecoveredTask<Fx8Word> =
                 port.receive_task(meta, &d).unwrap();
