@@ -26,9 +26,22 @@
 //! counts, recovered MACs and overhead accounting (pinned by
 //! `tests/driver_parity.rs`). Batching ([`AccelConfig::batch_size`]) runs
 //! N inputs through each layer as one traffic phase on the same mesh.
+//!
+//! # One engine loop
+//!
+//! `cycle_loop` steps a layer: requests, PE compute and responses
+//! overlap on the mesh cycle by cycle. On perfect wires that run depends
+//! only on the layer's shape — MC prefetch depth, task count, flits per
+//! request and PE latency — and on the mesh it starts from, never on a
+//! payload bit. So under [`EngineMode::Auto`] the first layer of each
+//! shape records its stepped run ([`Simulator::record_phase`]) into a
+//! store shared by the whole process, and every later layer of that
+//! shape, started from the same arbitration pointers, replays it with
+//! its own payloads (`replay_layer`) — bit for bit what stepping it
+//! would report, clock included.
 
 use crate::config::{AccelConfig, DriverMode};
-use crate::report::{BatchInferenceResult, InferenceResult, LayerTrafficReport, ResponsePhase};
+use crate::report::{BatchInferenceResult, InferenceResult, LayerTrafficReport};
 use crate::tasks::{ConvGeometry, LayerQuantizers, LayerTasks, LayerWords};
 use btr_bits::word::{DataFormat, DataWord, F32Word, Fx8Word};
 use btr_bits::{FlitRows, FlitSlab, PayloadBits};
@@ -41,15 +54,12 @@ use btr_core::transport::{
 };
 use btr_dnn::model::InferenceOp;
 use btr_dnn::tensor::Tensor;
-use btr_noc::analytic::{
-    routes_contention_free, routes_link_disjoint, EngineMode, PhaseRecorder, PhaseRecording,
-    ScheduledPacket,
-};
+use btr_noc::analytic::{EngineMode, PhaseRecording, PhaseTraffic};
 use btr_noc::session::{SendError, TaskPort};
 use btr_noc::sim::{DeliveredPacket, InjectError, Simulator};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Errors from [`run_inference`].
 #[derive(Debug)]
@@ -288,8 +298,7 @@ pub struct InferenceSession<'a> {
     ops: &'a [InferenceOp],
     config: AccelConfig,
     /// One encode cache per op: the pre-rendered weight flit templates of
-    /// each conv/linear layer's kernel groups, and its recorded response
-    /// phases.
+    /// each conv/linear layer's kernel groups.
     /// Weights never change within a session, so templates built lazily
     /// by the first dispatch are shared across the batch dimension and
     /// across every subsequent [`run`](InferenceSession::run) call.
@@ -302,15 +311,10 @@ pub struct InferenceSession<'a> {
 /// per-dispatch [`WindowTable`] the [`EncodeStage`] prepares — and the
 /// layer's [`LanePlan`], which the PE decode folds through. Each entry is
 /// built by the first dispatch that needs it.
-///
-/// It also keeps the layer's last stepped response phase per batch size
-/// (keyed by the layer's task count), which [`hybrid_loop`] replays on
-/// later dispatches instead of stepping the mesh again.
 #[derive(Debug, Default)]
 struct LayerEncodeCache {
     templates: Vec<OnceLock<Result<EncodeTemplate, FlitizeError>>>,
     plan: OnceLock<Result<LanePlan, FlitizeError>>,
-    response_phases: Mutex<Vec<(usize, PhaseRecording)>>,
 }
 
 impl LayerEncodeCache {
@@ -318,29 +322,6 @@ impl LayerEncodeCache {
         Self {
             templates: (0..groups).map(|_| OnceLock::new()).collect(),
             plan: OnceLock::new(),
-            // Room for one batch size, so storing the first recording
-            // allocates nothing.
-            response_phases: Mutex::new(Vec::with_capacity(1)),
-        }
-    }
-
-    /// The recorded response phases, keyed by task count. A dispatch
-    /// that panicked while holding them left every entry whole (entries
-    /// are only read, or replaced in one move), so a poisoned lock is
-    /// recovered.
-    fn response_phases(&self) -> MutexGuard<'_, Vec<(usize, PhaseRecording)>> {
-        self.response_phases
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Keeps `recording` as the response phase of a `tasks`-task
-    /// dispatch, replacing an older one.
-    fn store_response_phase(&self, tasks: usize, recording: PhaseRecording) {
-        let mut phases = self.response_phases();
-        match phases.iter_mut().find(|(key, _)| *key == tasks) {
-            Some(entry) => entry.1 = recording,
-            None => phases.push((tasks, recording)),
         }
     }
 
@@ -442,7 +423,7 @@ impl<'a> InferenceSession<'a> {
             per_layer: Vec::new(),
             overhead: WireOverhead::default(),
             windows: WindowTable::default(),
-            responses: FlitSlab::new(self.config.noc.link_width_bits),
+            delivered: Vec::new(),
         };
         let mut xs: Vec<Tensor> = inputs.to_vec();
         for (op_index, op) in self.ops.iter().enumerate() {
@@ -580,14 +561,15 @@ struct WireOverhead {
 /// the whole inference, so link recorders accumulate every layer's bit
 /// transitions), the per-layer traffic reports and the side-channel
 /// overheads, plus the buffers each layer refills: its activation
-/// windows and its replayed responses' wire rows.
+/// windows and the cycle loop's deliveries (handed back to the
+/// simulator's buffer pool, so the pool survives layer boundaries).
 struct InferenceRun<'a> {
     config: &'a AccelConfig,
     sim: Simulator,
     per_layer: Vec<LayerTrafficReport>,
     overhead: WireOverhead,
     windows: WindowTable,
-    responses: FlitSlab,
+    delivered: Vec<DeliveredPacket>,
 }
 
 impl InferenceRun<'_> {
@@ -644,10 +626,15 @@ impl InferenceRun<'_> {
             .collect())
     }
 
-    /// Runs one conv/linear layer's batch of traffic to completion through
-    /// the engine [`LayerEngine::resolve`] picks, and books its report and
-    /// overheads. Returns the 32-bit response images indexed by global
-    /// task id (batch-major, then flat output index).
+    /// Runs one conv/linear layer's batch of traffic to completion and
+    /// books its report and overheads. Returns the 32-bit response images
+    /// indexed by global task id (batch-major, then flat output index).
+    ///
+    /// The cycle engine steps the layer ([`cycle_loop`]), except under
+    /// [`EngineMode::Auto`] on perfect wires: there a layer whose shape
+    /// and start state were recorded before replays the recording
+    /// ([`replay_layer`]), and any other layer records itself while it
+    /// steps.
     fn run_layer<W: AccelWord>(
         &mut self,
         op_index: usize,
@@ -662,13 +649,6 @@ impl InferenceRun<'_> {
             regions: partition_pes_by_mc(&config.noc),
             total,
         };
-        let engine = LayerEngine::resolve(config, tasks.dests());
-        // A hybrid layer without a recorded response phase records one:
-        // its storage is reserved before the layer's traffic state, which
-        // it outlives.
-        let recorded = || cache.response_phases().iter().any(|(key, _)| *key == total);
-        let recorder = (engine == LayerEngine::Hybrid && !recorded())
-            .then(|| PhaseRecorder::reserve(&config.noc, tasks.dests()));
 
         // The MC-side ordering unit, the link codec and PE-side recovery all
         // live in the shared transport session; the NoC port binds it to the
@@ -693,10 +673,24 @@ impl InferenceRun<'_> {
         let start_cycle = sim.cycle();
         let transitions_before = sim.stats().total_transitions;
         let mut feed = TaskFeed::new(&stage, config.driver);
-        let (run, response_phase) = match engine {
-            LayerEngine::Cycle => (cycle_loop(&layer, sim, &mut feed)?, ResponsePhase::Stepped),
-            LayerEngine::Hybrid => {
-                hybrid_loop(&layer, sim, &mut feed, cache, recorder, &mut self.responses)?
+        let shape = match (config.engine, stage.plan) {
+            (EngineMode::Auto, Ok(plan)) if !config.noc.injects_errors() => {
+                Some(LayerShape::of(config, source, plan))
+            }
+            _ => None,
+        };
+        let recording = shape.and_then(|shape| recorded_layer(&shape, sim));
+        let run = match &recording {
+            Some(recording) => replay_layer(&layer, sim, &mut feed, recording)?,
+            None => {
+                if shape.is_some() {
+                    sim.record_phase();
+                }
+                let run = cycle_loop(&layer, sim, &mut feed, &mut self.delivered)?;
+                if let (Some(shape), Some(recording)) = (shape, sim.finish_recording()) {
+                    store_layer(shape, recording);
+                }
+                run
             }
         };
 
@@ -709,8 +703,7 @@ impl InferenceRun<'_> {
             cycles: sim.cycle() - start_cycle,
             transitions: transitions_after - transitions_before,
             pairs_per_task: source.pairs_per_task(),
-            analytic: engine == LayerEngine::Hybrid,
-            response_phase,
+            replayed: recording.is_some(),
         });
         let overhead = &mut self.overhead;
         overhead.index_bits += run.index_bits;
@@ -825,8 +818,8 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
     }
 }
 
-/// Where the engine loops get their next wire-ready packet from, and how
-/// they decode a delivered one at its PE.
+/// Where a layer gets its next wire-ready packet from, and how it
+/// decodes a delivered one at its PE.
 ///
 /// With [`DriverMode::Pipelined`] a task is encoded from the session's
 /// weight templates and the dispatch's activation windows into
@@ -837,7 +830,7 @@ impl<'a, W: AccelWord> EncodeStage<'a, W> {
 struct TaskFeed<'a, W: AccelWord> {
     stage: &'a EncodeStage<'a, W>,
     reference: bool,
-    /// The last encoded task: what the engine loops send.
+    /// The last encoded task: what the layer sends next.
     encoded: EncodedTask<W>,
     /// The PE side.
     pe: PeDecoder<'a, W>,
@@ -903,9 +896,8 @@ impl<W: AccelWord> PeDecoder<'_, W> {
     }
 }
 
-/// One layer's fixed traffic inputs, borrowed by whichever engine loop
-/// [`LayerEngine::resolve`] picks. Both loops consume the same feed in the
-/// same per-MC order and hand back the same [`LayerRun`] accounting.
+/// One layer's fixed traffic inputs, borrowed by [`cycle_loop`] or
+/// [`replay_layer`]; both hand back the same [`LayerRun`] accounting.
 struct LayerTraffic<'a> {
     op_index: usize,
     config: &'a AccelConfig,
@@ -931,11 +923,6 @@ impl TaskAssignment<'_> {
         let mi = j % self.mcs.len();
         let region = &self.regions[mi];
         (region[(j / self.mcs.len()) % region.len()], self.mcs[mi])
-    }
-
-    /// Every task's `(pe, mc)` pair, in task order.
-    fn dests(&self) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
-        (0..self.total).map(|j| self.dest(j))
     }
 
     /// MC `mi`'s tasks, in feed order.
@@ -984,13 +971,24 @@ fn acceptance_error(e: TransportError, layer: usize) -> AccelError {
     }
 }
 
-/// What the engine loops accumulate for [`InferenceRun::run_layer`]: the
-/// request-side wire accounting, plus the response side both loops share
-/// (inject a computed response, decode it at its MC, collect it).
+/// What a layer accumulates for [`InferenceRun::run_layer`], whichever
+/// way it runs: the request-side wire accounting, the wire metadata of
+/// requests in flight, and the responses collected at the MCs. Both the
+/// cycle loop and the replay send and receive every packet through it.
 #[derive(Default)]
 struct LayerRun {
-    /// Per global task: its response bits once decoded at the MC.
-    responses: Vec<Option<u64>>,
+    /// Wire metadata of the requests in flight, in entries reused once
+    /// their request is decoded (with their O2 index buffers).
+    metas: Vec<TaskWireMeta>,
+    /// Entries of `metas` free for the next request.
+    free_metas: Vec<u32>,
+    /// Per global task: its entry in `metas` while its request is in
+    /// flight.
+    meta_of: Vec<u32>,
+    /// Per global task: its response bits once decoded at the MC. A
+    /// replayed layer also keeps the PE's MAC result here from the
+    /// request's delivery until its response is queued.
+    responses: Vec<u64>,
     /// Responses not yet collected.
     remaining: usize,
     request_flits: u64,
@@ -1002,10 +1000,51 @@ struct LayerRun {
 impl LayerRun {
     fn new(total: usize) -> Self {
         Self {
-            responses: vec![None; total],
+            meta_of: vec![0; total],
+            responses: vec![0; total],
             remaining: total,
             ..Self::default()
         }
+    }
+
+    /// MC side: encodes task `j` into `feed`'s buffer and books its
+    /// request's wire accounting and metadata.
+    fn encode_request<W: AccelWord>(
+        &mut self,
+        feed: &mut TaskFeed<'_, W>,
+        j: usize,
+    ) -> Result<(), AccelError> {
+        feed.encode(j)?;
+        let encoded = &feed.encoded;
+        self.index_bits += encoded.index_overhead_bits();
+        self.codec_bits += encoded.codec_overhead_bits();
+        self.edc_bits += encoded.edc_overhead_bits();
+        self.request_flits += encoded.wire_rows().len() as u64 + 1;
+        let entry = self.free_metas.pop().unwrap_or_else(|| {
+            self.metas.push(TaskWireMeta {
+                num_pairs: 0,
+                pair_index: None,
+            });
+            (self.metas.len() - 1) as u32
+        });
+        let (kept, meta) = (&mut self.metas[entry as usize], encoded.meta());
+        kept.num_pairs = meta.num_pairs;
+        kept.pair_index.clone_from(&meta.pair_index);
+        self.meta_of[j] = entry;
+        Ok(())
+    }
+
+    /// PE side: decodes task `j`'s request delivered off the wires,
+    /// recovers the pairing and returns the MAC response bits.
+    fn decode_request<W: AccelWord>(
+        &mut self,
+        feed: &mut TaskFeed<'_, W>,
+        j: usize,
+        flits: &(impl FlitRows + ?Sized),
+    ) -> Result<u64, AccelError> {
+        let entry = self.meta_of[j];
+        self.free_metas.push(entry);
+        feed.pe.decode(&self.metas[entry as usize], flits)
     }
 
     /// PE side: encodes a computed response onto the coded wire and
@@ -1014,23 +1053,6 @@ impl LayerRun {
         self.codec_bits += u64::from(layer.config.codec.extra_wires());
         self.edc_bits += u64::from(layer.config.edc.extra_wires());
         layer.port.session().encode_response::<W>(bits)
-    }
-
-    /// PE side: encodes task `j`'s computed response and injects it
-    /// toward its MC.
-    fn send_response<W: AccelWord>(
-        &mut self,
-        layer: &LayerTraffic,
-        sim: &mut Simulator,
-        j: usize,
-        bits: u64,
-    ) -> Result<(), AccelError> {
-        let image = self.encode_response::<W>(layer, bits);
-        let (pe, mc_node) = layer.tasks.dest(j);
-        layer
-            .port
-            .send_rows(sim, pe, mc_node, std::slice::from_ref(&image), j as u64)?;
-        Ok(())
     }
 
     /// MC side: decodes task `j`'s response delivered back at its MC off
@@ -1046,108 +1068,100 @@ impl LayerRun {
             .session()
             .decode_response::<W>(payload)
             .map_err(|e| AccelError::Decode(e.to_string()))?;
-        debug_assert!(
-            self.responses[j].is_none(),
-            "duplicate response for task {j}"
-        );
-        self.responses[j] = Some(bits);
+        self.responses[j] = bits;
         self.remaining -= 1;
         Ok(())
     }
 
     /// The collected 32-bit response images, indexed by global task id.
     fn into_responses(self) -> Vec<u64> {
+        debug_assert_eq!(self.remaining, 0, "all responses collected");
         self.responses
-            .into_iter()
-            .map(|bits| bits.expect("all responses collected"))
-            .collect()
     }
 }
 
-/// Which engine [`InferenceRun::run_layer`] resolved for one layer's traffic phase.
+/// The timing inputs of a layer's traffic besides the mesh and its start
+/// state. On perfect wires [`cycle_loop`] queues each packet at a cycle
+/// fixed by the MC prefetch depth, the task count, the flits of each
+/// request and the PE latency — never by a payload bit — so two layers
+/// of one shape started on the same mesh state step identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LayerEngine {
-    /// Step the mesh cycle by cycle ([`cycle_loop`]).
-    Cycle,
-    /// Split engine ([`hybrid_loop`]): the request phase — the bulk of a
-    /// layer's flits — streams through the analytic per-packet hop, the
-    /// response phase steps the mesh through the real cycle engine on
-    /// the closed-form response schedule, or replays the session's
-    /// recording of that very phase when its start pointers and schedule
-    /// are unchanged. Resolved only when the split is provably invisible
-    /// (see [`LayerEngine::resolve`]), so it is bit-identical to
-    /// [`cycle_loop`] on per-link BTs, codec-lane states, overheads and
-    /// delivered payloads.
-    Hybrid,
+struct LayerShape {
+    prefetch: usize,
+    tasks: usize,
+    /// Payload flits of every request (every task of a layer has the
+    /// same pair count, so the same lane plan).
+    request_flits: usize,
+    pe_latency: u64,
 }
 
-impl LayerEngine {
-    /// Resolves the engine for one layer from the configured mode and
-    /// the layer's static task→destination assignment.
-    ///
-    /// `Auto` takes the **hybrid split** when the request route set alone
-    /// is contention-free ([`routes_contention_free`], which admits
-    /// same-source FIFO-trailing sharing) *and* touches no directed link
-    /// any response route touches ([`routes_link_disjoint`]). Then
-    /// requests and responses cannot interact anywhere in the mesh — no
-    /// shared output port, and (since an input port is fed by exactly one
-    /// directed link) no shared input port — so the fully overlapped
-    /// cycle engine factors exactly into "requests as if alone" ×
-    /// "responses injected at their compute-ready cycles". The request
-    /// phase streams through the analytic per-packet hop, the converging
-    /// response phase runs the true cycle engine on the same relative
-    /// inject schedule, and every link's flit order is the overlapped
-    /// run's. This is the case that matters in practice: DNN response
-    /// traffic from many PEs converges on each MC's ejection link, which
-    /// no per-link order rule can serialize, while the heavyweight
-    /// request fan-out from each MC is naturally single-source per link.
-    /// A layer whose combined request+response route set is
-    /// contention-free always qualifies: PEs and MCs are disjoint node
-    /// sets, so a request and a response never share a source, and no
-    /// cross-source sharing in the union means neither within the
-    /// requests nor between the two phases.
-    ///
-    /// Error-injected wires (`ber > 0`) are categorically ineligible:
-    /// the analytic replay models a perfect stream, so `Auto` resolves
-    /// them to the cycle engine regardless of the route set.
-    fn resolve(config: &AccelConfig, dests: impl Iterator<Item = (usize, usize)> + Clone) -> Self {
-        let requests = || dests.clone().map(|(pe, mc)| (mc, pe));
-        let responses = || dests.clone();
-        match config.engine {
-            EngineMode::Auto
-                if !config.noc.injects_errors()
-                    && routes_contention_free(&config.noc, requests())
-                    && routes_link_disjoint(&config.noc, requests(), responses()) =>
-            {
-                LayerEngine::Hybrid
-            }
-            EngineMode::Cycle | EngineMode::Auto => LayerEngine::Cycle,
+impl LayerShape {
+    fn of<W: AccelWord>(config: &AccelConfig, source: &LayerTasks<W>, plan: &LanePlan) -> Self {
+        Self {
+            prefetch: config.mc_prefetch_packets,
+            tasks: source.total(),
+            request_flits: plan.num_flits(),
+            pe_latency: config.pe_latency(source.pairs_per_task()),
         }
     }
 }
 
-/// The per-cycle half of a layer: keep the MC prefetch buffers topped up
-/// from the feed, step the mesh, decode deliveries, inject PE responses.
-/// Allocation-free per cycle: deliveries drain into one reused buffer, and
-/// the pipelined feed ([`TaskFeed`]) encodes into a reused task buffer
-/// and decodes through the layer's lane plan; the packet a request
-/// becomes owns the one copy of its images.
+/// Every layer recorded in this process, by shape: sessions, serve pools
+/// and sweep cells all share it. A recording replays only on its own
+/// mesh configuration and start pointers, and a replay is bit-exact with
+/// stepping, so which of them recorded a layer cannot change a number.
+static RECORDINGS: Mutex<Vec<(LayerShape, Arc<PhaseRecording>)>> = Mutex::new(Vec::new());
+
+/// The recorded layers. Entries are only ever pushed whole, so a lock
+/// poisoned by a panicking dispatch is recovered.
+fn recordings() -> std::sync::MutexGuard<'static, Vec<(LayerShape, Arc<PhaseRecording>)>> {
+    RECORDINGS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The recording of a `shape` layer that replays on `sim` as it stands.
+fn recorded_layer(shape: &LayerShape, sim: &Simulator) -> Option<Arc<PhaseRecording>> {
+    recordings()
+        .iter()
+        .find(|(key, recording)| key == shape && recording.replays(sim))
+        .map(|(_, recording)| Arc::clone(recording))
+}
+
+/// Keeps `recording` for later layers of `shape`, unless another
+/// dispatch stored the same recording meanwhile.
+fn store_layer(shape: LayerShape, recording: PhaseRecording) {
+    let mut store = recordings();
+    if !store
+        .iter()
+        .any(|(key, known)| *key == shape && **known == recording)
+    {
+        store.push((shape, Arc::new(recording)));
+    }
+}
+
+/// The per-cycle engine loop of a layer: keep the MC prefetch buffers
+/// topped up from the feed, step the mesh, decode deliveries, inject PE
+/// responses. Allocation-free per cycle: deliveries drain into
+/// `delivered` (reused layer after layer, so the simulator's buffer pool
+/// takes their payload buffers back), and the pipelined feed
+/// ([`TaskFeed`]) encodes into a reused task buffer and decodes through
+/// the layer's lane plan; the packet a request becomes owns the one copy
+/// of its images.
 fn cycle_loop<W: AccelWord>(
     layer: &LayerTraffic,
     sim: &mut Simulator,
     feed: &mut TaskFeed<'_, W>,
+    delivered: &mut Vec<DeliveredPacket>,
 ) -> Result<LayerRun, AccelError> {
     let config = layer.config;
     let mcs = &config.noc.mc_nodes;
-    let total = layer.tasks.total;
     let mut feeds: Vec<_> = (0..mcs.len()).map(|mi| layer.tasks.mc_tasks(mi)).collect();
-    let mut wires: Vec<Option<TaskWireMeta>> = vec![None; total];
+    // Every task of a layer carries the same operand pairs.
+    let pe_latency = config.pe_latency(feed.stage.source.pairs_per_task());
     // (ready_cycle, tag, response_bits) min-heap for PE compute latency.
     let mut compute_queue: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-    let mut delivered: Vec<DeliveredPacket> = Vec::new();
 
     let start_cycle = sim.cycle();
-    let mut run = LayerRun::new(total);
+    let mut run = LayerRun::new(layer.tasks.total);
 
     while run.remaining > 0 {
         // MC-side: keep each prefetch buffer topped up with ordered
@@ -1157,16 +1171,11 @@ fn cycle_loop<W: AccelWord>(
                 let Some(j) = feeds[mi].next() else {
                     break;
                 };
-                feed.encode(j)?;
+                run.encode_request(feed, j)?;
                 let (pe, mc_node) = layer.tasks.dest(j);
-                let sent = layer
+                layer
                     .port
-                    .send_encoded(sim, mc_node, pe, &feed.encoded, j as u64)?;
-                run.index_bits += sent.index_overhead_bits;
-                run.codec_bits += sent.codec_overhead_bits;
-                run.edc_bits += sent.edc_overhead_bits;
-                run.request_flits += sent.flit_count as u64;
-                wires[j] = Some(sent.meta);
+                    .send_rows(sim, mc_node, pe, feed.encoded.wire_rows(), j as u64)?;
             }
         }
 
@@ -1175,22 +1184,19 @@ fn cycle_loop<W: AccelWord>(
         // Deliveries: requests at PEs, responses at MCs — each one runs
         // the NI acceptance check first; a NACKed delivery is skipped
         // here and arrives again after its retransmission.
-        sim.drain_all_delivered_into(&mut delivered);
-        for d in &delivered {
+        sim.drain_all_delivered_into(delivered);
+        for d in delivered.iter() {
             if !layer.accept::<W>(sim, d)? {
                 continue;
             }
+            let j = d.tag as usize;
             if config.noc.is_mc(d.dst) {
-                run.receive_response::<W>(layer, d.tag as usize, &d.payload_flits)?;
+                run.receive_response::<W>(layer, j, &d.payload_flits)?;
             } else {
                 // Request arrived at a PE: decode off the wires, recover
                 // pairing, schedule the MAC result.
-                // The wire metadata is done with once its request is
-                // decoded, so only in-flight requests hold an O2 index.
-                let j = d.tag as usize;
-                let wire = wires[j].take().expect("request was sent before delivery");
-                let bits = feed.pe.decode(&wire, &d.payload_flits)?;
-                let ready = sim.cycle() + config.pe_latency(wire.num_pairs);
+                let bits = run.decode_request(feed, j, &d.payload_flits)?;
+                let ready = sim.cycle() + pe_latency;
                 compute_queue.push(Reverse((ready, j, bits)));
             }
         }
@@ -1201,7 +1207,11 @@ fn cycle_loop<W: AccelWord>(
                 break;
             }
             compute_queue.pop();
-            run.send_response::<W>(layer, sim, j, bits)?;
+            let image = run.encode_response::<W>(layer, bits);
+            let (pe, mc_node) = layer.tasks.dest(j);
+            layer
+                .port
+                .send_rows(sim, pe, mc_node, std::slice::from_ref(&image), j as u64)?;
         }
 
         layer.check_stall(sim, start_cycle)?;
@@ -1209,218 +1219,84 @@ fn cycle_loop<W: AccelWord>(
     Ok(run)
 }
 
-/// One computed response staged for injection: `(task index, response
-/// bits, compute-ready cycle)`.
-type StagedResponse = (usize, u64, u64);
-
-/// The request half of [`hybrid_loop`], streamed task by task straight
-/// from the rendered images through [`Simulator::stream_requests`]: each
-/// request is encoded (same per-MC feed order as the cycle loop's
-/// prefetch top-up), walked over its injection link and every link of its
-/// route by the analytic per-packet hop — XOR+popcount passes over the
-/// ordered coded stream, O(1) per hop on raw wires and delta-XOR lanes —
-/// accepted at its PE, decoded and computed, before the next one is
-/// encoded. No packet is queued or stored in the simulator, and only
-/// one packet's images are live at a time. Returns the staged responses
-/// as `(task, response bits, compute-ready cycle)` sorted by `(ready,
-/// task)` — the exact order the cycle engine's compute heap would pop
-/// them, which is each PE's FIFO response-injection order.
-///
-/// This is bit-exact with queueing the phase and running
-/// [`Simulator::replay_queued_analytic`] (its oracle in the
-/// `engine_parity` tests): [`LayerEngine::resolve`] proved the request
-/// routes contention-free, so each request link carries one MC's packets
-/// in that MC's feed order.
-fn replay_request_phase<W: AccelWord>(
+/// The replayed twin of [`cycle_loop`]: `recording` — the cycle loop's
+/// own run of a layer of the same shape from the same start state —
+/// walks the layer's packets through the mesh with this dispatch's
+/// payloads ([`Simulator::replay_phase`]). Each request is encoded when
+/// its MC queued it, decoded at its PE on delivery, and its MAC result
+/// becomes the rows of its response; each response is decoded at its
+/// MC. Every delivery runs the NI's EDC check, as in the cycle loop.
+fn replay_layer<W: AccelWord>(
     layer: &LayerTraffic,
     sim: &mut Simulator,
     feed: &mut TaskFeed<'_, W>,
-) -> Result<(Vec<StagedResponse>, LayerRun), AccelError> {
-    let mut run = LayerRun::new(layer.tasks.total);
-    let mut staged: Vec<StagedResponse> = Vec::with_capacity(layer.tasks.total);
-    let mut stream = sim.stream_requests();
-    for mi in 0..layer.tasks.mcs.len() {
-        for j in layer.tasks.mc_tasks(mi) {
-            feed.encode(j)?;
-            let encoded = &feed.encoded;
-            run.index_bits += encoded.index_overhead_bits();
-            run.codec_bits += encoded.codec_overhead_bits();
-            run.edc_bits += encoded.edc_overhead_bits();
-            let payload = encoded.wire_rows();
-            run.request_flits += payload.len() as u64 + 1;
-            let (pe, mc_node) = layer.tasks.dest(j);
-            let delivered = stream.deliver(mc_node, pe, j as u64, payload)?;
-            // The wires are perfect here (error injection forces the
-            // cycle engine), so acceptance always passes — but it must
-            // run, so the EDC verify stays on this path too.
-            layer
-                .port
-                .accept_streamed::<W>(delivered.payload_flits)
-                .map_err(|e| acceptance_error(e, layer.op_index))?;
-            // PE side: decode off the wires, recover the pairing, compute
-            // the MAC (the same receiver path as the cycle loop).
-            let bits = feed.pe.decode(encoded.meta(), delivered.payload_flits)?;
-            staged.push((
-                j,
-                bits,
-                delivered.arrival_cycle + layer.config.pe_latency(encoded.meta().num_pairs),
-            ));
-        }
-    }
-    stream.finish();
-    // Completion order — ready cycle, then task id: exactly the order
-    // the cycle engine's compute min-heap pops, so each PE's responses
-    // inject in its true FIFO order even when a PE holds several tasks
-    // (closed-form arrivals are exact on stall-free request phases, and
-    // relative order is all the response phase needs).
-    staged.sort_unstable_by_key(|&(j, _, ready)| (ready, j));
-    Ok((staged, run))
-}
-
-/// The split engine behind [`LayerEngine::Hybrid`]: the request phase —
-/// the weight/activation fan-out carrying the bulk of a layer's flits —
-/// streams through the analytic per-packet hop task by task
-/// ([`replay_request_phase`]), then the response phase runs on the
-/// **real cycle engine's** dynamics, each PE's response injected at its
-/// closed-form compute-ready cycle (shifted by a constant, which cannot
-/// change any link's flit order: the cycle engine's dynamics depend only
-/// on relative inject times).
-///
-/// Bit-exactness with the fully overlapped [`cycle_loop`] rests on the
-/// split condition [`LayerEngine::resolve`] proved: request routes are
-/// contention-free (so the streamed replay *is* the request phase's true
-/// per-link order and the closed-form ready cycles are exact) and request and
-/// response routes are link-disjoint (so neither phase can stall, delay
-/// or reorder the other anywhere in the mesh, and the phase split is
-/// invisible on every link). Converging response traffic — many PEs
-/// funnelling into each MC's ejection link, which no per-link order rule
-/// can serialize — is handled by the one engine that resolves it
-/// faithfully: the cycle engine itself. Timing fields are the one
-/// deviation: the layer's cycle count composes the request makespan and
-/// the response phase instead of their overlap.
-///
-/// # Recorded response phases
-///
-/// The accelerator's dataflow is fixed, so every dispatch of a layer
-/// sends the same responses between the same PEs and MCs on the same
-/// schedule; only the payload bits change. A response phase starts on a
-/// drained mesh, and there its dynamics depend only on the round-robin
-/// arbitration pointers and the injection schedule — `(pe, mc, ready
-/// offset)` per response, in injection order — never on payload bits.
-/// The first dispatch of each batch size steps the phase and records it
-/// ([`Simulator::record_phase`]) in the session's [`LayerEncodeCache`].
-/// A later dispatch replays the recording ([`replay_response_phase`])
-/// only when the mesh is drained, the start pointers equal the recorded
-/// ones and the staged schedule equals the recorded one
-/// ([`PhaseRecording::replays`]); otherwise it steps the mesh and records
-/// the phase afresh. The guard compares exactly the phase's inputs, so a
-/// replay is bit-exact by construction, and the cycle engine stays the
-/// one implementation of the mesh (and, in debug builds, the replay's
-/// oracle).
-fn hybrid_loop<W: AccelWord>(
-    layer: &LayerTraffic,
-    sim: &mut Simulator,
-    feed: &mut TaskFeed<'_, W>,
-    cache: &LayerEncodeCache,
-    recorder: Option<PhaseRecorder>,
-    response_rows: &mut FlitSlab,
-) -> Result<(LayerRun, ResponsePhase), AccelError> {
-    let (staged, mut run) = replay_request_phase(layer, sim, feed)?;
-
-    // Response phase on the closed-form schedule. `base` anchors the
-    // first response at the current clock; offsets between responses are
-    // preserved exactly.
-    let base = sim.cycle();
-    let ready0 = staged.first().map_or(0, |&(.., ready)| ready);
-    let schedule = staged.iter().map(|&(j, _, ready)| {
-        let (pe, mc) = layer.tasks.dest(j);
-        ScheduledPacket {
-            src: pe,
-            dst: mc,
-            offset: ready - ready0,
-        }
-    });
-    let phases = cache.response_phases();
-    let recorded = phases
-        .iter()
-        .find(|(key, _)| *key == staged.len())
-        .filter(|(_, recording)| recording.replays(sim, schedule));
-    if let Some((_, recording)) = recorded {
-        replay_response_phase::<W>(layer, sim, &staged, recording, &mut run, response_rows)?;
-        return Ok((run, ResponsePhase::Replayed));
-    }
-    drop(phases);
-    sim.record_phase(
-        recorder.unwrap_or_else(|| PhaseRecorder::reserve(&layer.config.noc, layer.tasks.dests())),
-    );
-    let mut delivered: Vec<DeliveredPacket> = Vec::new();
-    let mut idx = 0;
-    while run.remaining > 0 {
-        while let Some(&(j, bits, ready)) = staged.get(idx) {
-            if base + (ready - ready0) > sim.cycle() {
-                break;
-            }
-            run.send_response::<W>(layer, sim, j, bits)?;
-            idx += 1;
-        }
-        sim.step();
-        sim.drain_all_delivered_into(&mut delivered);
-        for d in &delivered {
-            let accepted = layer.accept::<W>(sim, d)?;
-            debug_assert!(accepted, "hybrid wires are perfect");
-            debug_assert!(layer.config.noc.is_mc(d.dst), "responses terminate at MCs");
-            run.receive_response::<W>(layer, d.tag as usize, &d.payload_flits)?;
-        }
-        layer.check_stall(sim, base)?;
-    }
-    if let Some(recording) = sim.finish_recording() {
-        cache.store_response_phase(staged.len(), recording);
-    }
-    Ok((run, ResponsePhase::Stepped))
-}
-
-/// The replayed response phase of [`hybrid_loop`]: every staged
-/// response is encoded once at its PE, into one link-width row of `rows`
-/// (emptied first, its buffer reused layer after layer); the mesh side
-/// walks those rows through [`Simulator::replay_phase`] — each link's
-/// recorded flit order through its slab — and the MC's EDC acceptance
-/// and decode read the same rows, as the stepped phase runs them on
-/// delivery.
-fn replay_response_phase<W: AccelWord>(
-    layer: &LayerTraffic,
-    sim: &mut Simulator,
-    staged: &[StagedResponse],
     recording: &PhaseRecording,
-    run: &mut LayerRun,
-    rows: &mut FlitSlab,
-) -> Result<(), AccelError> {
-    let base = sim.cycle();
-    // Delivered rows sit on the full link width, like an injected
-    // packet's.
-    let link = layer.config.noc.link_width_bits;
-    rows.reset(link);
-    rows.reserve(staged.len());
-    for &(_, bits, _) in staged {
-        let image = run.encode_response::<W>(layer, bits);
-        if image.width() > link {
-            return Err(InjectError::PayloadTooWide {
-                width: image.width(),
-                link,
-            }
-            .into());
-        }
-        rows.push_row_padded(image.used_words());
+) -> Result<LayerRun, AccelError> {
+    // The cycle loop would have stopped at the first cycle over budget.
+    if recording.cycles() > layer.config.max_cycles_per_layer {
+        return Err(AccelError::Stall {
+            layer: layer.op_index,
+            cycles: layer.config.max_cycles_per_layer + 1,
+        });
     }
-    sim.replay_phase(recording, |i| staged[i].0 as u64, rows)?;
-    for (i, &(j, ..)) in staged.iter().enumerate() {
-        let delivered = rows.rows(i..i + 1);
+    let mut replay = LayerReplay {
+        layer,
+        feed,
+        run: LayerRun::new(layer.tasks.total),
+        response: FlitSlab::new(layer.config.noc.link_width_bits),
+    };
+    sim.replay_phase(recording, &mut replay)?;
+    Ok(replay.run)
+}
+
+/// The accelerator's side of a replayed layer ([`replay_layer`]).
+struct LayerReplay<'r, 'l, 'f, W: AccelWord> {
+    layer: &'r LayerTraffic<'l>,
+    feed: &'r mut TaskFeed<'f, W>,
+    run: LayerRun,
+    /// The response being queued, as one wire row.
+    response: FlitSlab,
+}
+
+impl<W: AccelWord> PhaseTraffic for LayerReplay<'_, '_, '_, W> {
+    type Error = AccelError;
+    type Rows = FlitSlab;
+
+    fn send(&mut self, src: usize, _dst: usize, tag: u64) -> Result<&FlitSlab, AccelError> {
+        let j = tag as usize;
+        if self.layer.config.noc.is_mc(src) {
+            self.run.encode_request(self.feed, j)?;
+            return Ok(self.feed.encoded.wire_rows());
+        }
+        // The PE's MAC result, kept since the request's delivery.
+        let image = self
+            .run
+            .encode_response::<W>(self.layer, self.run.responses[j]);
+        self.response.reset(image.width());
+        self.response.push_row_padded(image.used_words());
+        Ok(&self.response)
+    }
+
+    fn deliver(
+        &mut self,
+        _src: usize,
+        dst: usize,
+        tag: u64,
+        payload: &FlitSlab,
+    ) -> Result<(), AccelError> {
+        let layer = self.layer;
         layer
             .port
-            .accept_streamed::<W>(&delivered)
+            .accept_streamed::<W>(payload)
             .map_err(|e| acceptance_error(e, layer.op_index))?;
-        run.receive_response::<W>(layer, j, &delivered)?;
+        let j = tag as usize;
+        if layer.config.noc.is_mc(dst) {
+            self.run.receive_response::<W>(layer, j, payload)
+        } else {
+            self.run.responses[j] = self.run.decode_request(self.feed, j, payload)?;
+            Ok(())
+        }
     }
-    layer.check_stall(sim, base)
 }
 
 #[cfg(test)]
@@ -1845,10 +1721,13 @@ mod tests {
 
     #[test]
     fn a_recording_of_another_schedule_is_stepped_not_replayed() {
-        // Plant a batch-2 dispatch's recorded response phase under the
-        // batch-1 key: the guard sees another schedule, so the batch-1
-        // dispatch steps (and records its own) instead of replaying, and
-        // still equals a fresh session's.
+        // Recordings are process-wide, so this test uses prefetch depths
+        // no other test runs: no recording of its shapes exists before
+        // it records them. A dispatch whose layers differ from the
+        // recorded ones in one timing input — the batch size (task count)
+        // or the MC prefetch depth — steps every layer; one of a recorded
+        // shape replays every layer. Either way it equals the cycle
+        // engine on every reported number, clock included.
         use btr_core::codec::{CodecKind, CodecScope};
         let model = tiny_model(91);
         let ops = model.inference_ops();
@@ -1858,42 +1737,35 @@ mod tests {
             .with_codec_scope(CodecScope::PerLink);
         c.engine = EngineMode::Auto;
         c.batch_size = 2;
-        let session = InferenceSession::new(&ops, c.clone()).unwrap();
-        let pair = session.run(&inputs).unwrap();
-        let hybrid: Vec<usize> = pair
-            .per_layer
-            .iter()
-            .filter(|l| l.analytic)
-            .map(|l| l.op_index)
-            .collect();
-        assert!(!hybrid.is_empty());
-        for &op in &hybrid {
-            let cache = &session.caches[op];
-            let planted = {
-                let phases = cache.response_phases();
-                assert_eq!(phases.len(), 1, "one recording per batch size");
-                phases[0].clone()
-            };
-            cache.store_response_phase(planted.0 / 2, planted.1);
+        let run = |c: &AccelConfig, inputs: &[Tensor]| {
+            let auto = InferenceSession::new(&ops, c.clone())
+                .unwrap()
+                .run(inputs)
+                .unwrap();
+            let mut cycle = c.clone();
+            cycle.engine = EngineMode::Cycle;
+            let want = InferenceSession::new(&ops, cycle)
+                .unwrap()
+                .run(inputs)
+                .unwrap();
+            assert_eq!(auto.stats, want.stats);
+            assert_eq!(auto.total_cycles, want.total_cycles);
+            for (x, y) in auto.outputs.iter().zip(&want.outputs) {
+                assert_eq!(x.data(), y.data());
+            }
+            auto.per_layer
+                .iter()
+                .map(|l| l.replayed)
+                .collect::<Vec<_>>()
+        };
+        for (prefetch, batch) in [(7, 2), (7, 1), (5, 2)] {
+            c.mc_prefetch_packets = prefetch;
+            let what = format!("prefetch {prefetch}, batch {batch}");
+            let first = run(&c, &inputs[..batch]);
+            assert!(first.iter().all(|&r| !r), "{what} stepped: {first:?}");
+            let again = run(&c, &inputs[..batch]);
+            assert!(again.iter().all(|&r| r), "{what} replayed: {again:?}");
         }
-        let single = session.run(&inputs[..1]).unwrap();
-        let fresh = InferenceSession::new(&ops, c)
-            .unwrap()
-            .run(&inputs[..1])
-            .unwrap();
-        for layer in single.per_layer.iter().filter(|l| l.analytic) {
-            assert_eq!(layer.response_phase, ResponsePhase::Stepped);
-        }
-        assert_eq!(single.outputs[0].data(), fresh.outputs[0].data());
-        assert_eq!(single.stats, fresh.stats);
-        assert_eq!(single.total_cycles, fresh.total_cycles);
-        // The stepped dispatch replaced the planted recordings, so the
-        // next batch-1 dispatch replays.
-        let again = session.run(&inputs[..1]).unwrap();
-        for layer in again.per_layer.iter().filter(|l| l.analytic) {
-            assert_eq!(layer.response_phase, ResponsePhase::Replayed);
-        }
-        assert_eq!(again.stats, fresh.stats);
     }
 
     #[test]
@@ -1918,8 +1790,8 @@ mod tests {
             assert_eq!(r.total_request_flits(), cycle.total_request_flits());
             assert_eq!(r.index_overhead_bits, cycle.index_overhead_bits);
             assert_eq!(r.codec_overhead_bits, cycle.codec_overhead_bits);
-            // Auto falls back wherever eligibility can't be proven and
-            // must stay BT-identical to the cycle engine.
+            // Auto steps or replays each layer and must stay
+            // BT-identical to the cycle engine.
             assert_eq!(
                 r.stats.total_transitions, cycle.stats.total_transitions,
                 "{engine} must be bit-identical to cycle"
@@ -1990,8 +1862,7 @@ mod tests {
             ResyncPolicy::ReseedOnRetry,
             32,
         );
-        // Auto must classify every error-injected phase ineligible for
-        // the analytic fast path.
+        // Auto never records or replays error-injected layers.
         faulty.engine = EngineMode::Auto;
         faulty.validate().unwrap();
         let r = run_inference(&ops, &input, &faulty).unwrap();

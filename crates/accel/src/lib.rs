@@ -44,4 +44,4 @@ pub mod tasks;
 
 pub use config::AccelConfig;
 pub use driver::{run_inference, AccelError, InferenceSession};
-pub use report::{InferenceResult, LayerTrafficReport, ResponsePhase};
+pub use report::{InferenceResult, LayerTrafficReport};

@@ -20,29 +20,14 @@ pub struct LayerTrafficReport {
     pub transitions: u64,
     /// Operand pairs per task.
     pub pairs_per_task: usize,
-    /// True when the analytic stream replay evaluated this layer's
-    /// request phase (proven invisible under [`EngineMode::Auto`]);
-    /// false when the cycle engine ran the whole layer.
+    /// True when this layer replayed a recording of an earlier layer of
+    /// its shape instead of stepping the mesh ([`EngineMode::Auto`]);
+    /// false when the cycle engine stepped it. Which dispatch of a
+    /// process records a shape depends on which ran first, so this stays
+    /// out of the byte-stable sweep and serve fields.
     ///
     /// [`EngineMode::Auto`]: btr_noc::EngineMode::Auto
-    pub analytic: bool,
-    /// Whether the response phase was stepped or replayed from the
-    /// session's recording. Which dispatch of a pool records depends on
-    /// which worker won it, so this stays out of the sweep and serve
-    /// JSON.
-    pub response_phase: ResponsePhase,
-}
-
-/// How a NoC layer's response phase ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResponsePhase {
-    /// The cycle engine stepped it: every cycle-engine layer, and a
-    /// hybrid layer whose session held no matching recording (it is
-    /// recorded for the next dispatch).
-    Stepped,
-    /// Replayed from the session's recording of the same phase (same
-    /// start pointers and schedule), bit-exact with stepping it.
-    Replayed,
+    pub replayed: bool,
 }
 
 /// Result of a full accelerated inference.
@@ -73,15 +58,15 @@ pub struct InferenceResult {
     pub retried_packets: u64,
 }
 
-/// Fraction of NoC layers (traffic phases) the analytic engine
-/// evaluated: 0.0 under `EngineMode::Cycle` and the proven-eligible
-/// fraction under `EngineMode::Auto`. Zero when the inference had no NoC
-/// layers.
+/// Fraction of NoC layers that replayed a recording: 0.0 under
+/// `EngineMode::Cycle`, and under `EngineMode::Auto` the layers whose
+/// shape an earlier layer of the process had recorded. Zero when the
+/// inference had no NoC layers.
 fn analytic_fraction(per_layer: &[LayerTrafficReport]) -> f64 {
     if per_layer.is_empty() {
         return 0.0;
     }
-    per_layer.iter().filter(|l| l.analytic).count() as f64 / per_layer.len() as f64
+    per_layer.iter().filter(|l| l.replayed).count() as f64 / per_layer.len() as f64
 }
 
 impl InferenceResult {
@@ -97,7 +82,7 @@ impl InferenceResult {
         self.per_layer.iter().map(|l| l.request_flits).sum()
     }
 
-    /// Fraction of NoC layers the analytic engine evaluated.
+    /// Fraction of NoC layers that replayed a recording.
     #[must_use]
     pub fn analytic_phase_fraction(&self) -> f64 {
         analytic_fraction(&self.per_layer)
@@ -142,7 +127,7 @@ impl BatchInferenceResult {
         self.per_layer.iter().map(|l| l.request_flits).sum()
     }
 
-    /// Fraction of NoC layers the analytic engine evaluated.
+    /// Fraction of NoC layers that replayed a recording.
     #[must_use]
     pub fn analytic_phase_fraction(&self) -> f64 {
         analytic_fraction(&self.per_layer)

@@ -359,10 +359,29 @@ impl<'a> DeltaXorRun<'a> {
         }
     }
 
+    /// The summary of `plains` whose tail sum [`DeltaXorRun::tail`] was
+    /// taken before, without another pass over the rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run is empty; debug builds also check the tail.
+    #[must_use]
+    pub fn with_tail(plains: &'a FlitSlab, tail: u64) -> Self {
+        assert!(!plains.is_empty(), "a delta-XOR run cannot be empty");
+        debug_assert_eq!(tail, plains.lagged_transitions(2), "stale delta-XOR tail");
+        Self { plains, tail }
+    }
+
     /// The summarized plain rows.
     #[must_use]
     pub fn plains(&self) -> &'a FlitSlab {
         self.plains
+    }
+
+    /// `Σ_{k≥2} popcount(x_k ⊕ x_{k−2})`, the link-independent part.
+    #[must_use]
+    pub fn tail(&self) -> u64 {
+        self.tail
     }
 }
 

@@ -1,15 +1,17 @@
-//! Throughput of the analytic stream engine against the cycle-accurate
-//! NoC, measured at three levels:
+//! Throughput of `EngineMode::Auto`'s replays and of the analytic
+//! stream replay against the cycle-accurate NoC, measured at three
+//! levels:
 //!
 //! 1. **`engine`** — full sweep cells: the smoke-preset grid (LeNet
 //!    fixed-8, 4×4 MC2, O0/O2 × every codec) run once per `EngineMode`,
 //!    one bench iteration = one full grid pass. `cells/sec` is the sweep
 //!    runner's unit of progress, so the ratio between the modes is the
-//!    wall-clock win the analytic fast path buys a grid sweep
-//!    end-to-end. A sweep cell also pays for encode/flitize/codec,
-//!    PE MACs and output assembly — work both engines share — so the
-//!    end-to-end ratio is Amdahl-bound well below the engine-phase
-//!    ratio (EXPERIMENTS.md tabulates the composition).
+//!    wall-clock win `auto` buys a grid sweep end-to-end. Recordings are
+//!    shared by the whole process, so after the first pass records each
+//!    layer shape every `auto` cell replays all of its layers. A sweep
+//!    cell also pays for encode/flitize/codec, PE MACs and output
+//!    assembly — work both engines share — so the end-to-end ratio is
+//!    Amdahl-bound well below the engine-phase ratio.
 //!
 //! 2. **`engine_kernel`** — the engine phase alone: an identical
 //!    smoke-shaped packet set (2 MCs round-robin over the 14 PEs,
@@ -17,7 +19,7 @@
 //!    per-cycle mesh stepping vs `replay_queued_analytic`. Same
 //!    traffic, same per-link accounting — the only difference is
 //!    routers/VC allocation/credit stepping vs straight XOR+popcount
-//!    stream passes. This isolates the engine's own speedup.
+//!    stream passes. This isolates the analytic replay's own speedup.
 //!
 //! 3. **`lane_kernel`** — one persistent per-link codec lane fed the
 //!    same flit runs per flit (`observe_payload`) and in bulk
@@ -32,10 +34,7 @@
 //! paired A/B time ratios: analytic replay ≥ 5x cycle stepping on the
 //! stream-shaped kernel, an `auto` grid pass ≥ 1.15x the cycle grid
 //! pass, and the bulk lane kernel ≥ 1x the per-flit walk on all four
-//! points and ≥ 3x on both stream points. On the smoke grid `auto`
-//! resolves every LeNet layer to the hybrid split: each request phase,
-//! the bulk of a layer's flits, replays analytically, and only the
-//! converging responses step the mesh.
+//! points and ≥ 3x on both stream points.
 
 mod common;
 

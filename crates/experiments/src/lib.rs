@@ -17,3 +17,31 @@ pub mod json;
 pub mod serve_json;
 pub mod sweep;
 pub mod workloads;
+
+#[cfg(test)]
+mod tests {
+    //! The sweep's thread fan-out ([`crate::sweep::par_run`]).
+
+    use crate::sweep::par_run;
+
+    #[test]
+    fn map_preserves_order() {
+        for sequential in [false, true] {
+            let doubled = par_run((0..1000).collect(), sequential, |x: usize| x * 2);
+            assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn par_iter_over_refs() {
+        let v: Vec<u64> = (0..100).collect();
+        let plus_one = par_run(v.iter().collect(), false, |&x| x + 1);
+        assert_eq!(plus_one.iter().sum::<u64>(), (1..=100).sum::<u64>());
+    }
+
+    #[test]
+    fn empty_and_single() {
+        assert!(par_run(Vec::<u8>::new(), false, |x| x).is_empty());
+        assert_eq!(par_run(vec![7u8], false, |x| x + 1), vec![8]);
+    }
+}

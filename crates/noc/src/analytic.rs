@@ -1,90 +1,75 @@
-//! Analytic fast-path engine: per-link bit transitions computed directly
-//! from the ordered coded flit stream, with the cycle engine as oracle.
+//! Fast paths beside the cycle engine: recorded phases replayed on new
+//! payloads, and a direct stream replay of queued contention-free
+//! phases.
 //!
 //! The paper's metric — per-link BTs of the ordered, coded stream
 //! (Fig. 8) — depends only on the *order* in which flits traverse each
-//! directed link, never on the cycles between them. Whenever a traffic
-//! phase is **contention-free** (no two queued packets *from different
-//! sources* share a directed router-output link, ejection links
-//! included), every link carries packets of one source only, in that
-//! source's FIFO injection order — trailing same-source packets never
-//! catch each other on a stall-free phase — so the whole phase is a pure
-//! function of the stream: no routers, no VC allocation, no per-cycle
-//! stepping is needed to count XOR+popcounts.
+//! directed link, never on the cycles between them. On perfect wires
+//! that order is itself a pure function of the phase's timing inputs: a
+//! phase that starts on a drained mesh depends on the round-robin
+//! arbitration pointers and on when each packet of which length is
+//! queued where, never on the payload bits.
 //!
-//! [`Simulator::queued_phase_is_contention_free`] is the (conservative)
-//! classifier for that condition. Both entry points share one per-packet
-//! hop routine: it charges a whole packet on the injection link and on
-//! every router-output link of its dimension-order path
-//! ([`crate::stats::LinkSlab::observe_packet`], through the persistent
-//! per-link [`LinkCodecState`] tx/rx lanes when the config owns them)
-//! and books the packet's closed-form arrival. The per-packet part of
-//! each charge is computed once ([`crate::stats::PacketWires`]), so a
-//! hop is O(1) on raw wires and on delta-XOR lanes, and one bulk
-//! lane-kernel pass on bus-invert lanes.
+//! # Recorded phases
 //!
-//! * [`Simulator::replay_queued_analytic`] consumes the packets queued at
-//!   the NIs, source-major and FIFO per source, and delivers the decoded
-//!   payloads into the same per-node queues the cycle engine fills.
-//! * [`Simulator::stream_requests`] opens a [`RequestStream`] that takes
-//!   each packet as borrowed rows and hands its delivery straight
-//!   back, with nothing queued or stored in the simulator — the
-//!   accelerator driver's request phase. On a contention-free phase it is
-//!   bit-exact with queueing the same packets and replaying them, which
-//!   is its oracle in the `engine_parity` tests.
+//! [`Simulator::record_phase`] has the cycle engine record what it makes
+//! of a phase into a [`PhaseRecording`]: one stream of events in the
+//! order the engine produced them — each packet queued at its NI (its
+//! endpoints, tag, length and cycle) and each run of one packet's
+//! consecutive flits over one directed link — plus the phase's length,
+//! latencies and end pointers. Packets of any length record, requests
+//! and responses interleaved, however the mesh contends. Events are
+//! varints, about five bytes per queued packet and one per packet-link
+//! run: a batch-4 LeNet fx8 dispatch on the 4×4 MC2 mesh records in
+//! about 0.5 MB, its conv1 layer in 373 KB.
 //!
-//! Contended phases have a fast path too, when they repeat. A phase that
-//! starts on a drained mesh is a pure function of the round-robin
-//! arbitration pointers and its injection schedule, never of the payload
-//! bits. [`Simulator::record_phase`] has the cycle engine record what it
-//! made of them — each link's flit order, every arrival, the phase length
-//! and end pointers — into a [`PhaseRecording`]; while
-//! [`PhaseRecording::replays`] finds the pointers and schedule unchanged,
-//! [`Simulator::replay_phase`] walks each link's recorded order through
-//! its slab with new payloads, bit for bit (clock included) what stepping
-//! them would do. Debug builds step the phase alongside as the oracle.
-//! The accelerator driver records each layer's converging response phase
-//! once per session and batch size and replays it on later dispatches.
+//! [`Simulator::replay_phase`] walks that stream with new payloads from
+//! a [`PhaseTraffic`]: it asks for a packet's rows when the packet is
+//! queued, charges every run through the link's slab
+//! ([`crate::stats::LinkSlab`], codec lanes included) with the packet's
+//! consecutive flits as one run, and hands the rows back at delivery —
+//! where the accelerator decodes a request, computes its MAC and so
+//! produces the rows of the response the stream queues later. Only the
+//! rows of packets in flight are live. Per-link transitions, codec lanes,
+//! the clock, latencies and end pointers land bit for bit where stepping
+//! would leave them, whenever [`PhaseRecording::replays`] finds the
+//! start state unchanged; the caller keys the recording on the phase's
+//! timing inputs. Debug builds step a clone of the simulator alongside
+//! every replay as the oracle.
 //!
-//! Cycle and latency numbers are advanced from the closed-form
-//! uncontended wormhole latency (`hops + flits + 1`, plus the per-source
-//! serialization offset) so reports stay populated; they are exact for
-//! contention-free phases under the paper's router parameters (4 VCs ×
-//! depth-4 buffers) and estimates otherwise.
+//! [`EngineMode::Auto`] is how the accelerator driver uses it, with one
+//! engine loop: its cycle loop steps a layer and records it, and a later
+//! layer of the same shape — `NocConfig`, MC prefetch depth, task count,
+//! flits per request and PE latency, started on an idle mesh with the
+//! recorded arbitration pointers — replays the recording instead. The
+//! clock is exact, so `auto` reports what `cycle` reports. Recordings
+//! live in one process-wide store, shared by sessions, serve pools and
+//! sweep cells: stepping and recording a batch-4 LeNet dispatch costs
+//! about 63 ms on a 2-hart host, replaying it about 20 ms, so a store
+//! per session would make every new session's first dispatch pay the
+//! step.
+
+//! # Queued contention-free phases
 //!
-//! Why contention-freedom is required for bit-exactness: with virtual
-//! channels, two packets that temporally overlap on a shared directed
-//! link interleave their flits under round-robin switch arbitration, so
-//! the link's flit order — and therefore its BT sum and its codec-lane
-//! trajectory — is timing-dependent. Injection links are exempt from the
-//! rule: an NI injects strictly FIFO, one packet at a time, so the
-//! injection-link order is the queue order regardless of contention.
-//!
-//! When the caller asserts eligibility (`verified_eligible`), debug
-//! builds run the **cycle engine as oracle**: the simulator is cloned
-//! before the replay, the clone runs the ordinary cycle loop, and per-link
-//! transitions, flit counts, codec-lane states and delivered payloads are
-//! asserted identical. The `engine_parity` integration tests pin the same
-//! equivalence in release builds.
-//!
-//! Forcing the replay on a *contended* phase (`verified_eligible =
-//! false`) is also well-defined at this kernel level — it models the
-//! paper's pure per-packet stream metric, serializing packets
-//! (source-major, FIFO per source) instead of interleaving them. Payload
-//! delivery stays lossless; only the per-link interleaving (and thus the
-//! BT totals on shared links) deviates from the cycle engine. No public
-//! engine mode forces it: [`EngineMode::Auto`] only takes the fast path
-//! when the classifier proves it changes nothing.
-//!
-//! [`LinkCodecState`]: btr_core::codec::LinkCodecState
+//! [`Simulator::queued_phase_is_contention_free`] classifies the packets
+//! queued at the NIs: when no two from different sources share a
+//! directed router-output link, ejection links included, every link
+//! carries one source's packets in that source's FIFO order, and
+//! [`Simulator::replay_queued_analytic`] charges each packet on every
+//! link of its route in one hop ([`crate::stats::PacketWires`]: O(1) on
+//! raw wires and delta-XOR lanes) with no stepping. Its closed-form
+//! clock (`hops + flits + 1` past the source NI's previous packet) is
+//! exact on such phases under the paper's router parameters. Forcing
+//! the replay on a contended phase stays lossless but serializes packets
+//! (source-major, FIFO per source) instead of interleaving them, so the
+//! BTs of shared links deviate; no engine mode does that.
 
 use crate::config::{NocConfig, NodeId};
 use crate::packet::{decode_head_row, write_head_row};
 use crate::routing::{route, route_between, Direction};
-use crate::sim::{Arbitration, DeliveredPacket, InjectError, Simulator, NUM_PORTS};
+use crate::sim::{Arbitration, DeliveredPacket, InjectError, Simulator, LOCAL, NUM_PORTS};
 use crate::stats::{LatencyTotals, PacketWires};
-use btr_bits::slab::{FlitSlab, MAX_ROW_WORDS};
-use std::cmp::Ordering;
+use btr_bits::slab::{FlitRows, FlitSlab, MAX_ROW_WORDS};
 
 /// Which engine evaluates traffic phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -93,10 +78,9 @@ pub enum EngineMode {
     /// reference semantics).
     #[default]
     Cycle,
-    /// Classify each phase and take the analytic fast path only when
-    /// contention-freedom is proven, falling back to the cycle engine
-    /// otherwise — always bit-identical to `Cycle` on BTs, codec states
-    /// and delivered payloads.
+    /// Step each phase shape once, recording it, and replay the
+    /// recording on later phases of that shape — bit-identical to
+    /// `Cycle` on BTs, codec states, payloads and the clock.
     Auto,
 }
 
@@ -133,12 +117,6 @@ impl std::str::FromStr for EngineMode {
     }
 }
 
-/// The node one hop from `cur` in direction `dir`.
-fn neighbor(config: &NocConfig, cur: NodeId, dir: Direction) -> NodeId {
-    let (row, col) = step(config.position(cur), dir);
-    config.node_at(row, col)
-}
-
 /// The `(row, col)` position one hop from `(row, col)` toward `dir`.
 fn step((row, col): (usize, usize), dir: Direction) -> (usize, usize) {
     match dir {
@@ -150,147 +128,51 @@ fn step((row, col): (usize, usize), dir: Direction) -> (usize, usize) {
     }
 }
 
-/// Classifies an arbitrary `(src, dst)` route set: `true` when no two
-/// routes **from different sources** use the same directed router-output
-/// link (ejection links included) under the configured dimension-order
-/// routing.
-///
-/// Same-source sharing is allowed — the *FIFO-trailing* rule: an NI
-/// injects strictly FIFO, one packet at a time, so a trailing packet from
-/// the same source enters the mesh only after its predecessor's tail left
-/// the NI. On a phase whose only link sharing is same-source, every
-/// switch conflict (input-port or output-port) would have to be between
-/// such a trailing pair — which never coexists at a router while the
-/// phase is stall-free — so by induction no stall ever happens, packets
-/// stream at one hop per cycle, and every shared link's flit order is
-/// exactly the source's FIFO injection order, which is the order the
-/// analytic replay uses. Injection links are same-source by construction
-/// and were always exempt.
-///
-/// This is the planning-time form of
-/// [`Simulator::queued_phase_is_contention_free`]: a driver can prove a
-/// layer's request phase eligible before injecting anything, which is
-/// what [`EngineMode::Auto`] needs — paired with
-/// [`routes_link_disjoint`], since in the cycle engine requests and
-/// responses overlap in time.
-#[must_use]
-pub fn routes_contention_free(
-    config: &NocConfig,
-    routes: impl IntoIterator<Item = (NodeId, NodeId)>,
-) -> bool {
-    let mut used: Vec<Option<NodeId>> = vec![None; config.num_nodes() * NUM_PORTS];
-    for (src, dst) in routes {
-        let mut cur = src;
-        loop {
-            let dir = route(config, cur, dst);
-            let link = cur * NUM_PORTS + dir.index();
-            if used[link].is_some_and(|owner| owner != src) {
-                return false;
-            }
-            used[link] = Some(src);
-            if dir == Direction::Local {
-                break;
-            }
-            cur = neighbor(config, cur, dir);
-        }
-    }
-    true
-}
-
-/// `true` when the two route sets touch **disjoint** directed
-/// router-output links (ejection links included; injection links are
-/// per-source and cannot collide across sets with distinct sources).
-///
-/// Link-disjoint traffic sets cannot interact anywhere in the mesh: they
-/// share no output port, and — since a router input port is fed by
-/// exactly one directed link — no input port either, so neither set can
-/// stall, delay or reorder the other. This is what lets a driver split a
-/// layer into an analytically replayed request phase and a cycle-stepped
-/// response phase while staying bit-identical to the fully overlapped
-/// cycle engine on every link's flit order.
-#[must_use]
-pub fn routes_link_disjoint(
-    config: &NocConfig,
-    a: impl IntoIterator<Item = (NodeId, NodeId)>,
-    b: impl IntoIterator<Item = (NodeId, NodeId)>,
-) -> bool {
-    let mut used = vec![false; config.num_nodes() * NUM_PORTS];
-    for (src, dst) in a {
-        let mut cur = src;
-        loop {
-            let dir = route(config, cur, dst);
-            used[cur * NUM_PORTS + dir.index()] = true;
-            if dir == Direction::Local {
-                break;
-            }
-            cur = neighbor(config, cur, dir);
-        }
-    }
-    b.into_iter().all(|(src, dst)| {
-        let mut cur = src;
-        loop {
-            let dir = route(config, cur, dst);
-            if used[cur * NUM_PORTS + dir.index()] {
-                return false;
-            }
-            if dir == Direction::Local {
-                return true;
-            }
-            cur = neighbor(config, cur, dir);
-        }
-    })
-}
-
-/// The closed-form clock of one analytic phase.
-#[derive(Debug)]
-struct PhaseClock {
-    /// Per source NI: the first cycle its next packet may start
-    /// injecting (the NI serializes its queue, one packet at a time).
-    cursors: Vec<u64>,
-    /// Latest tail arrival booked so far.
-    max_arrival: u64,
-    /// True once any packet was booked.
-    replayed: bool,
-}
-
-impl PhaseClock {
-    fn new(sim: &Simulator) -> Self {
-        Self {
-            cursors: vec![sim.cycle; sim.config.num_nodes()],
-            max_arrival: 0,
-            replayed: false,
-        }
-    }
-}
-
 impl Simulator {
     /// Classifies the traffic phase currently queued at the NIs: `true`
-    /// when its route set is contention-free under the configured
-    /// dimension-order routing — no two queued packets **from different
-    /// sources** use the same directed router-output link, ejection links
-    /// included. Same-source sharing is safe under the FIFO-trailing rule
-    /// (see [`routes_contention_free`]): the NI serializes its queue, a
-    /// trailing packet never catches its predecessor on a stall-free
-    /// phase, and the shared link's flit order is the queue order — which
-    /// is the order the replay uses. Injection links are same-source by
-    /// construction.
+    /// when no two queued packets **from different sources** use the same
+    /// directed router-output link, ejection links included, under the
+    /// configured dimension-order routing.
+    ///
+    /// Same-source sharing is safe (the *FIFO-trailing* rule): an NI
+    /// injects strictly FIFO, one packet at a time, so a trailing packet
+    /// from the same source enters the mesh only after its predecessor's
+    /// tail left the NI. On a phase whose only link sharing is
+    /// same-source no switch conflict can arise, packets stream at one hop
+    /// per cycle, and every shared link's flit order is the source's queue
+    /// order — the order the replay uses. Injection links are same-source
+    /// by construction.
     ///
     /// A `true` verdict guarantees [`Simulator::replay_queued_analytic`]
     /// is bit-exact with the cycle engine on per-link BTs, codec-lane
-    /// states and delivered payloads. The rule is conservative: phases it
-    /// rejects may still happen to agree, but that cannot be proven from
-    /// the route set alone (temporal overlap on a shared link interleaves
-    /// flits under VC arbitration).
+    /// states, delivered payloads and the clock. The rule is
+    /// conservative: phases it rejects may still happen to agree, but
+    /// that cannot be proven from the route set alone (temporal overlap
+    /// on a shared link interleaves flits under VC arbitration).
     #[must_use]
     pub fn queued_phase_is_contention_free(&self) -> bool {
-        routes_contention_free(
-            &self.config,
-            self.ni_pending.iter().enumerate().flat_map(|(src, queue)| {
-                queue
-                    .iter()
-                    .map(move |p| (src, self.slots[p.slot as usize].dst))
-            }),
-        )
+        let config = &self.config;
+        let mut used: Vec<Option<NodeId>> = vec![None; config.num_nodes() * NUM_PORTS];
+        for (src, queue) in self.ni_pending.iter().enumerate() {
+            for pending in queue {
+                let dst = self.slots[pending.slot as usize].dst;
+                let (mut cur, mut at) = (src, config.position(src));
+                loop {
+                    let dir = route(config, cur, dst);
+                    let link = &mut used[cur * NUM_PORTS + dir.index()];
+                    if link.is_some_and(|owner| owner != src) {
+                        return false;
+                    }
+                    *link = Some(src);
+                    if dir == Direction::Local {
+                        break;
+                    }
+                    at = step(at, dir);
+                    cur = config.node_at(at.0, at.1);
+                }
+            }
+        }
+        true
     }
 
     /// Replays every packet queued at the NIs analytically — straight
@@ -299,9 +181,11 @@ impl Simulator {
     /// per-node queues the cycle engine fills. Packets are replayed
     /// source-major (ascending node id), FIFO within each source; on a
     /// contention-free phase that per-link order is provably the cycle
-    /// engine's. The simulator clock advances to the closed-form phase
-    /// makespan and per-packet latencies are recorded from the
-    /// uncontended wormhole latency.
+    /// engine's. Each packet arrives at the closed-form uncontended
+    /// wormhole latency — one cycle per injected flit, one per hop, one
+    /// to land in the router, one to eject — after its source NI's
+    /// previous packet fully left, and the clock advances to the cycle
+    /// after the last arrival.
     ///
     /// Set `verified_eligible` when
     /// [`Simulator::queued_phase_is_contention_free`] returned `true`:
@@ -312,8 +196,9 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if any flit is already buffered in a router or on a link
-    /// (the replay consumes whole queued packets only), or — in debug
-    /// builds with `verified_eligible` — if the cycle oracle disagrees.
+    /// (the replay consumes whole queued packets only), the wires have
+    /// faults armed, or — in debug builds with `verified_eligible` — the
+    /// cycle oracle disagrees.
     pub fn replay_queued_analytic(&mut self, verified_eligible: bool) {
         assert!(
             self.network_drained(),
@@ -331,10 +216,13 @@ impl Simulator {
 
         let codec = self.out_links.link_codec();
         let width = self.config.link_width_bits;
-        let mut clock = PhaseClock::new(self);
+        // Per source NI: the first cycle its next packet may start
+        // injecting (the NI serializes its queue, one packet at a time).
+        let mut cursors = vec![self.cycle; self.config.num_nodes()];
+        let mut last_arrival = None;
         let mut head = [0u64; MAX_ROW_WORDS];
         let head = &mut head[..self.words];
-        for src in 0..self.config.num_nodes() {
+        for (src, cursor) in cursors.iter_mut().enumerate() {
             while let Some(pending) = self.ni_pending[src].pop_front() {
                 assert_eq!(
                     pending.next, 0,
@@ -342,21 +230,41 @@ impl Simulator {
                 );
                 // Free the slot; its payload rows move straight into the
                 // delivery, walked in place on the way. On perfect wires
-                // (faults force the cycle engine) the per-link
-                // decode-and-realign is the identity, so the delivered
-                // payloads are the queued rows.
+                // the per-link decode-and-realign is the identity, so the
+                // delivered payloads are the queued rows.
                 head.copy_from_slice(self.head(pending.slot));
                 let slot = &mut self.slots[pending.slot as usize];
                 let payload = std::mem::replace(&mut slot.payload, FlitSlab::new(width));
                 let (id, dst, inject_cycle) = (slot.id, slot.dst, slot.inject_cycle);
                 self.free_slots.push(pending.slot);
-                let arrival = self.replay_packet(
-                    &mut clock,
-                    src,
-                    dst,
-                    inject_cycle,
-                    &PacketWires::new(head, &payload, codec),
-                );
+
+                // Charge the injection link, then every router output of
+                // the dimension-order path, ejection link last — walking
+                // (row, col) positions, with no division per hop.
+                let packet = PacketWires::new(head, &payload, codec);
+                self.inject_links.observe_packet(src, &packet);
+                let (mut cur, mut at) = (src, self.config.position(src));
+                let to = self.config.position(dst);
+                let mut hops = 0u64;
+                loop {
+                    let dir = route_between(self.config.routing, at, to);
+                    self.out_links
+                        .observe_packet(cur * NUM_PORTS + dir.index(), &packet);
+                    if dir == Direction::Local {
+                        break;
+                    }
+                    at = step(at, dir);
+                    cur = self.config.node_at(at.0, at.1);
+                    hops += 1;
+                }
+                let flits = packet.flits();
+                let start = (*cursor).max(inject_cycle);
+                let arrival = start + flits + hops + 1;
+                *cursor = start + flits;
+                last_arrival = last_arrival.max(Some(arrival));
+                self.latencies.record(arrival - inject_cycle);
+                self.flits_delivered += flits;
+                self.packets_delivered += 1;
 
                 // Deliver: decode the head exactly like the receiving NI.
                 let (head_src, _dst, _len, tag) = decode_head_row(head, width);
@@ -374,7 +282,10 @@ impl Simulator {
             }
         }
         self.busy_nis.fill(0);
-        self.close_phase(&clock);
+        // The cycle the `run_until_idle` loop would observe idleness at.
+        if let Some(arrival) = last_arrival {
+            self.cycle = self.cycle.max(arrival + 1);
+        }
 
         #[cfg(debug_assertions)]
         if let Some(mut oracle) = oracle {
@@ -386,100 +297,11 @@ impl Simulator {
         }
     }
 
-    /// Opens a request phase streamed straight from borrowed payload
-    /// rows: [`RequestStream::deliver`] walks each packet through the
-    /// same per-packet hop routine as
-    /// [`Simulator::replay_queued_analytic`] the moment it is offered, and
-    /// hands back the delivered rows with their closed-form arrival. No
-    /// packet is queued, stored or retained by the simulator.
-    ///
-    /// Every packet counts as offered at the phase's start cycle, and each
-    /// source NI serializes its own packets in the order they are
-    /// delivered. That is bit-exact with queueing the same packets and
-    /// calling [`Simulator::replay_queued_analytic`] whenever every link
-    /// the phase touches carries one source's packets only (a
-    /// contention-free phase, see [`routes_contention_free`]): then each
-    /// link sees its source's packets in that source's order, whatever
-    /// the interleaving across sources.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any packet is in flight (queued at an NI or in the
-    /// network) or the wires have faults armed.
-    pub fn stream_requests(&mut self) -> RequestStream<'_> {
-        assert!(
-            self.is_idle(),
-            "a streamed request phase needs an idle network"
-        );
-        assert!(
-            !self.faults_armed(),
-            "analytic replay cannot model error-injected wires; error-injected phases \
-             must run the cycle engine"
-        );
-        RequestStream {
-            clock: PhaseClock::new(self),
-            aligned: FlitSlab::new(self.config.link_width_bits),
-            sim: self,
-        }
-    }
-
-    /// The per-packet hop routine both analytic entry points share:
-    /// charges `packet` on the injection link at `src` and on every
-    /// router-output link of its dimension-order path, ejection link
-    /// (`Local` port at `dst`) last, then books the closed-form
-    /// uncontended wormhole arrival — one cycle per injected flit, one per
-    /// hop, one to land in the router, one to eject into the NI — after
-    /// the source NI's previous packet fully left. Returns the arrival
-    /// cycle.
-    fn replay_packet(
-        &mut self,
-        clock: &mut PhaseClock,
-        src: NodeId,
-        dst: NodeId,
-        inject_cycle: u64,
-        packet: &PacketWires<'_>,
-    ) -> u64 {
-        self.inject_links.observe_packet(src, packet);
-        // Walk the route on (row, col) positions: no division per hop.
-        let (mut cur, mut at) = (src, self.config.position(src));
-        let to = self.config.position(dst);
-        let mut hops = 0u64;
-        loop {
-            let dir = route_between(self.config.routing, at, to);
-            self.out_links
-                .observe_packet(cur * NUM_PORTS + dir.index(), packet);
-            if dir == Direction::Local {
-                break;
-            }
-            at = step(at, dir);
-            cur = self.config.node_at(at.0, at.1);
-            hops += 1;
-        }
-        let flits = packet.flits();
-        let start = clock.cursors[src].max(inject_cycle);
-        let arrival = start + flits + hops + 1;
-        clock.cursors[src] = start + flits;
-        clock.max_arrival = clock.max_arrival.max(arrival);
-        clock.replayed = true;
-        self.latencies.record(arrival - inject_cycle);
-        self.flits_delivered += flits;
-        self.packets_delivered += 1;
-        arrival
-    }
-
-    /// Advances the clock to the cycle the `run_until_idle` loop would
-    /// observe idleness after the phase `clock` booked.
-    fn close_phase(&mut self, clock: &PhaseClock) {
-        if clock.replayed {
-            self.cycle = self.cycle.max(clock.max_arrival + 1);
-        }
-    }
-
     /// Debug-oracle comparison: per-link transitions / flit counts /
     /// codec-lane states and delivered payload contents must match a
     /// simulator that ran the same phase through the cycle engine.
-    /// Cycle and latency numbers are deliberately *not* compared — the
-    /// analytic clock is a closed-form estimate.
+    /// Cycles and latencies are not compared here: a forced replay of a
+    /// contended phase keeps its closed-form clock.
     #[cfg(debug_assertions)]
     fn assert_matches_cycle_oracle(&self, oracle: &Simulator) {
         self.assert_links_match(oracle);
@@ -546,113 +368,6 @@ impl Simulator {
     }
 }
 
-/// A request phase streamed from borrowed dense rows, opened by
-/// [`Simulator::stream_requests`]. [`RequestStream::finish`] closes it
-/// and advances the clock past its last arrival.
-#[derive(Debug)]
-#[must_use = "finish the stream to advance the clock past the phase"]
-pub struct RequestStream<'s> {
-    sim: &'s mut Simulator,
-    clock: PhaseClock,
-    /// The current packet's rows re-aligned onto the link width, used
-    /// only when they arrive narrower.
-    aligned: FlitSlab,
-}
-
-/// A packet delivered by [`RequestStream::deliver`], borrowing the
-/// payload rows the receiving NI holds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamedPacket<'a> {
-    /// Payload flit rows, in order; at the link width unless the packet
-    /// carries none.
-    pub payload_flits: &'a FlitSlab,
-    /// Cycle the tail flit was ejected.
-    pub arrival_cycle: u64,
-}
-
-impl RequestStream<'_> {
-    /// Sends one packet `src → dst` through the phase and delivers it:
-    /// the checks [`Simulator::inject`] makes, the head row and
-    /// re-alignment of narrower rows onto the link width as
-    /// [`Simulator::inject`] stores them, then the per-packet hop walk
-    /// and the closed-form arrival.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InjectError`] if a node is out of range or the payload
-    /// rows are wider than the link.
-    pub fn deliver<'a>(
-        &'a mut self,
-        src: NodeId,
-        dst: NodeId,
-        tag: u64,
-        payload: &'a FlitSlab,
-    ) -> Result<StreamedPacket<'a>, InjectError> {
-        let Self {
-            sim,
-            clock,
-            aligned,
-        } = self;
-        let n = sim.config.num_nodes();
-        for node in [src, dst] {
-            if node >= n {
-                return Err(InjectError::NodeOutOfRange(node));
-            }
-        }
-        let link = sim.config.link_width_bits;
-        if !payload.is_empty() && payload.width() > link {
-            return Err(InjectError::PayloadTooWide {
-                width: payload.width(),
-                link,
-            });
-        }
-        let payload: &'a FlitSlab = if payload.is_empty() || payload.width() == link {
-            payload
-        } else {
-            aligned.reset(link);
-            aligned.extend_rows(payload);
-            aligned
-        };
-        let mut head = [0u64; MAX_ROW_WORDS];
-        let head = &mut head[..sim.words];
-        write_head_row(head, link, src, dst, payload.len() as u32, tag);
-        // Every packet of the phase is offered at its start cycle; the
-        // clock cannot move while the stream borrows the simulator.
-        let (codec, inject_cycle) = (sim.out_links.link_codec(), sim.cycle);
-        let arrival_cycle = sim.replay_packet(
-            clock,
-            src,
-            dst,
-            inject_cycle,
-            &PacketWires::new(head, payload, codec),
-        );
-        Ok(StreamedPacket {
-            payload_flits: payload,
-            arrival_cycle,
-        })
-    }
-
-    /// Closes the phase: the clock advances to the cycle after its last
-    /// arrival, as [`Simulator::replay_queued_analytic`] leaves it.
-    pub fn finish(self) {
-        self.sim.close_phase(&self.clock);
-    }
-}
-
-/// One packet of a scheduled phase of single-payload-flit packets, in
-/// injection order — what a [`PhaseRecording`] compares before it
-/// replays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduledPacket {
-    /// Source NI.
-    pub src: NodeId,
-    /// Destination NI.
-    pub dst: NodeId,
-    /// Cycles after the phase start at which the packet is queued at its
-    /// source NI.
-    pub offset: u64,
-}
-
 /// Appends `value` as a LEB128 varint (7 bits per byte, low first).
 fn push_varint(bytes: &mut Vec<u8>, mut value: u64) {
     while value >= 0x80 {
@@ -677,11 +392,6 @@ fn read_varint(bytes: &[u8], at: &mut usize) -> u64 {
     }
 }
 
-/// Kind bits of a recorded link event `index << 2 | kind`: the packet's
-/// head crossed the link, its payload flit did, or both back to back.
-const HEAD_EVENT: i64 = 1;
-const PAYLOAD_EVENT: i64 = 2;
-
 /// Maps a signed delta onto an unsigned varint (zigzag: 0, -1, 1, -2, …).
 fn zigzag(delta: i64) -> u64 {
     ((delta << 1) ^ (delta >> 63)) as u64
@@ -691,245 +401,330 @@ fn unzigzag(value: u64) -> i64 {
     (value >> 1) as i64 ^ -((value & 1) as i64)
 }
 
-/// Every directed link `(src, dst)`'s packet crosses, as recording link
-/// ids: its injection link (`nodes * 5 + src`), then each router output
-/// (`node * 5 + port`), ejection last.
-fn route_links(config: &NocConfig, src: NodeId, dst: NodeId) -> impl Iterator<Item = usize> + '_ {
-    let mut cur = Some(src);
-    std::iter::once(config.num_nodes() * NUM_PORTS + src).chain(std::iter::from_fn(move || {
-        let node = cur?;
-        let dir = route(config, node, dst);
-        cur = (dir != Direction::Local).then(|| neighbor(config, node, dir));
-        Some(node * NUM_PORTS + dir.index())
-    }))
+/// Kinds of a recorded event: the low two bits of its first varint, the
+/// packet's recording slot above them (the cycle delta for `QUEUED`).
+///
+/// * `QUEUED`: a packet was queued at its source NI; then its source,
+///   destination, zigzag tag delta and payload flit count. It takes the
+///   most recently freed recording slot, or a new one.
+/// * `WHOLE_RUN`: every flit of the slot's packet crossed the next link
+///   of its route back to back.
+/// * `TAIL_RUN`: flits `first..` of the slot's packet, through its tail,
+///   crossed the next link of its route back to back; then `first`.
+/// * `RUN`: flits `first..first + len` of the slot's packet crossed link
+///   `hop` of its route back to back, and another packet's flit took the
+///   link next; then `hop`, `first` and `len`.
+///
+/// A packet's tail crosses the links of its route in order, so the runs
+/// that end with it (`WHOLE_RUN`, `TAIL_RUN`) name no link: each is on
+/// the link after the previous one. The run through the ejection link
+/// delivers the packet and frees its slot.
+const QUEUED: u64 = 0;
+const WHOLE_RUN: u64 = 1;
+const TAIL_RUN: u64 = 2;
+const RUN: u64 = 3;
+
+/// Bytes of a chunk of recorded events. Chunks are filled in place and
+/// never moved, so a recording grows without copying what it holds.
+const CHUNK_BYTES: usize = 1 << 16;
+
+/// Room an event needs at most: five varints of up to ten bytes.
+const MAX_EVENT_BYTES: usize = 50;
+
+/// A run of one packet's consecutive flits over one link, not yet
+/// written because the packet's next flit may extend it.
+#[derive(Debug, Clone, Copy)]
+struct OpenRun {
+    slot: u32,
+    first: u32,
+    len: u32,
 }
 
 /// A [`PhaseRecording`] being written while the cycle engine steps the
 /// phase ([`Simulator::record_phase`]).
 ///
-/// [`PhaseRecorder::reserve`] allocates all of the recording up front,
-/// sized from the phase's routes, and finishing it allocates nothing. A
-/// recording outlives the dispatch that steps it, so allocating it before
-/// any of the phase's traffic state keeps it below that dispatch's
-/// short-lived buffers instead of pinning them in the heap.
+/// Packets are named by a recording slot, taken when the packet is
+/// queued and freed when its tail leaves the ejection link, so events
+/// name packets in flight with small numbers and the replay holds rows
+/// for exactly the packets in flight. A run is written once it is
+/// complete: when the packet's tail crossed the link, or another
+/// packet's flit took the link. So every run precedes its packet's
+/// delivery, and each link's runs follow its flit order.
 #[derive(Debug, Clone)]
-pub struct PhaseRecorder {
+pub(crate) struct PhaseRecorder {
     recording: PhaseRecording,
     start_cycle: u64,
-    /// Id of the phase's first packet: a packet's index in the recording
-    /// is its id less this one.
-    first_packet: u64,
     last_offset: u64,
-    /// Per link id: its last written event, and a head still waiting to
-    /// learn whether its payload flit follows right behind it.
-    tails: Vec<(i64, Option<u32>)>,
-    /// Set when the phase does not fit a recording: a packet without
-    /// exactly one payload flit, node ids beyond 16 bits, or more than
-    /// `u32::MAX` packets.
-    unfit: bool,
+    last_tag: u64,
+    /// Per simulator slot: the recording slot of the packet it holds.
+    slot_of: Vec<u32>,
+    /// Per recording slot: its packet's source.
+    sources: Vec<NodeId>,
+    /// Freed recording slots, reused last-freed first.
+    free: Vec<u32>,
+    /// Per link id (router outputs `node * 5 + port`, then injection
+    /// links `nodes * 5 + node`): its run in progress.
+    open: Vec<Option<OpenRun>>,
 }
 
 impl PhaseRecorder {
-    /// A recorder for a phase on a `config` mesh of one
-    /// single-payload-flit packet per `(src, dst)` of `routes`, with exact
-    /// room for the packets and an upper bound for each link's events.
-    /// Routes it was not sized for still record, growing the storage.
-    #[must_use]
-    pub fn reserve(config: &NocConfig, routes: impl IntoIterator<Item = (NodeId, NodeId)>) -> Self {
-        let links = config.num_nodes() * (NUM_PORTS + 1);
-        let mut packets = vec![0usize; links];
-        let mut total = 0usize;
-        for (src, dst) in routes {
-            total += 1;
-            for link in route_links(config, src, dst) {
-                packets[link] += 1;
+    /// The chunk the next event goes to, with room for it.
+    fn events(&mut self) -> &mut Vec<u8> {
+        let chunks = &mut self.recording.events;
+        if chunks
+            .last()
+            .is_none_or(|chunk| chunk.capacity() - chunk.len() < MAX_EVENT_BYTES)
+        {
+            chunks.push(Vec::with_capacity(CHUNK_BYTES));
+        }
+        let last = chunks.len() - 1;
+        &mut chunks[last]
+    }
+
+    /// Books a packet `src → dst` tagged `tag`, of `payload_flits`
+    /// payload flits, queued at its source NI at `cycle` into simulator
+    /// slot `sim_slot`.
+    pub(crate) fn queued(
+        &mut self,
+        sim_slot: u32,
+        (src, dst, tag): (NodeId, NodeId, u64),
+        payload_flits: usize,
+        cycle: u64,
+    ) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.sources[slot as usize] = src;
+                slot
+            }
+            None => {
+                self.sources.push(src);
+                self.recording.slots += 1;
+                self.recording.slots - 1
+            }
+        };
+        let sim_slot = sim_slot as usize;
+        if self.slot_of.len() <= sim_slot {
+            self.slot_of.resize(sim_slot + 1, 0);
+        }
+        self.slot_of[sim_slot] = slot;
+        let offset = cycle - self.start_cycle;
+        let tag_delta = zigzag(tag.wrapping_sub(self.last_tag) as i64);
+        let delay = offset - self.last_offset;
+        (self.last_offset, self.last_tag) = (offset, tag);
+        self.recording.packets += 1;
+        self.recording.flits += payload_flits as u64 + 1;
+        let events = self.events();
+        push_varint(events, delay << 2 | QUEUED);
+        push_varint(events, src as u64);
+        push_varint(events, dst as u64);
+        push_varint(events, tag_delta);
+        push_varint(events, payload_flits as u64);
+    }
+
+    /// Books flit `seq` of the packet in simulator slot `sim_slot`
+    /// crossing `link`; `tail` marks the packet's last flit.
+    pub(crate) fn hop(&mut self, link: usize, sim_slot: u32, seq: u32, tail: bool) {
+        let slot = self.slot_of[sim_slot as usize];
+        match self.open[link] {
+            // The packet's previous flit crossed this link last.
+            Some(ref mut run) if run.slot == slot && run.first + run.len == seq => run.len += 1,
+            open => {
+                if let Some(run) = open {
+                    self.write_interrupted(link, run);
+                }
+                self.open[link] = Some(OpenRun {
+                    slot,
+                    first: seq,
+                    len: 1,
+                });
             }
         }
-        // Event deltas on a link are below 4 * (total + 1) in magnitude;
-        // offsets mostly step by a few cycles.
-        let delta_bytes =
-            (u64::BITS - (8 * (total as u64 + 1)).leading_zeros()).div_ceil(7) as usize;
-        let pointers = Arbitration::new(config);
-        Self {
-            recording: PhaseRecording {
-                config: config.clone(),
-                start: pointers.clone(),
-                end: pointers,
-                endpoints: Vec::with_capacity(total),
-                offsets: Vec::with_capacity(2 * total),
-                links: packets
-                    .into_iter()
-                    .map(|n| Vec::with_capacity(2 * n * delta_bytes))
-                    .collect(),
-                latency_totals: LatencyTotals::default(),
-                length: 0,
-            },
-            start_cycle: 0,
-            first_packet: 0,
-            last_offset: 0,
-            tails: vec![(0, None); links],
-            unfit: false,
-        }
-    }
-
-    /// Books a packet `src → dst` of `payload_flits` payload flits queued
-    /// at its source NI at `cycle`.
-    pub(crate) fn queued(&mut self, src: NodeId, dst: NodeId, payload_flits: usize, cycle: u64) {
-        let (src, dst) = (u16::try_from(src), u16::try_from(dst));
-        let recording = &mut self.recording;
-        self.unfit |= src.is_err()
-            || dst.is_err()
-            || payload_flits != 1
-            || recording.endpoints.len() >= u32::MAX as usize;
-        recording
-            .endpoints
-            .push([src.unwrap_or_default(), dst.unwrap_or_default()]);
-        let offset = cycle - self.start_cycle;
-        push_varint(
-            &mut recording.offsets,
-            zigzag(offset as i64 - self.last_offset as i64),
-        );
-        self.last_offset = offset;
-    }
-
-    /// Books flit `seq` of packet `id` crossing `link`. Events are
-    /// written as zigzag varint deltas to the link's last event, and a
-    /// head the payload flit follows directly shares one event with it.
-    pub(crate) fn hop(&mut self, link: usize, id: u64, seq: u32) {
-        // A phase of more than `u32::MAX` packets is unfit and never
-        // finishes as a recording, so truncation cannot be observed.
-        let index = (id - self.first_packet) as u32;
-        let (last, pending) = &mut self.tails[link];
-        let events = &mut self.recording.links[link];
-        let mut push = |index: u32, kind: i64| {
-            let event = (i64::from(index) << 2) | kind;
-            push_varint(events, zigzag(event - *last));
-            *last = event;
-        };
-        if seq > 0 && *pending == Some(index) {
-            *pending = None;
-            push(index, HEAD_EVENT | PAYLOAD_EVENT);
+        if !tail {
             return;
         }
-        if let Some(head) = pending.take() {
-            push(head, HEAD_EVENT);
+        if let Some(run) = self.open[link].take() {
+            let events = self.events();
+            if run.first == 0 {
+                push_varint(events, u64::from(run.slot) << 2 | WHOLE_RUN);
+            } else {
+                push_varint(events, u64::from(run.slot) << 2 | TAIL_RUN);
+                push_varint(events, u64::from(run.first));
+            }
         }
-        if seq == 0 {
-            *pending = Some(index);
-        } else {
-            push(index, PAYLOAD_EVENT);
+        // The tail left the ejection link: the packet is delivered.
+        let out_links = self.open.len() / (NUM_PORTS + 1) * NUM_PORTS;
+        if link < out_links && link % NUM_PORTS == LOCAL {
+            self.free.push(slot);
         }
     }
 
-    /// Books a packet's tail ejected after `latency` cycles.
+    /// Writes `run`, cut short on `link` by another packet's flit.
+    fn write_interrupted(&mut self, link: usize, run: OpenRun) {
+        let config = &self.recording.config;
+        let out_links = config.num_nodes() * NUM_PORTS;
+        // The link's index on the packet's dimension-order route: the
+        // injection link first, then one router output per node passed.
+        let hop = match link.checked_sub(out_links) {
+            Some(_) => 0,
+            None => {
+                let (src, node) = (self.sources[run.slot as usize], link / NUM_PORTS);
+                let ((r0, c0), (r1, c1)) = (config.position(src), config.position(node));
+                1 + r0.abs_diff(r1) + c0.abs_diff(c1)
+            }
+        };
+        let events = self.events();
+        push_varint(events, u64::from(run.slot) << 2 | RUN);
+        push_varint(events, hop as u64);
+        push_varint(events, u64::from(run.first));
+        push_varint(events, u64::from(run.len));
+    }
+
+    /// Books a delivery `latency` cycles after its packet was queued.
     pub(crate) fn arrived(&mut self, latency: u64) {
         self.recording.latency_totals.record(latency);
     }
 }
 
-/// One traffic phase of single-payload-flit packets (the accelerator's
-/// responses) as the cycle engine stepped it, recorded for replay.
+/// One traffic phase as the cycle engine stepped it, recorded for
+/// replay ([`Simulator::record_phase`], [`Simulator::replay_phase`]).
 ///
-/// A phase that starts on a drained mesh is a pure function of the
-/// round-robin arbitration pointers and of its injection schedule —
-/// `(src, dst, offset)` per packet, in injection order — never of the
-/// payload bits. The recording keeps both, plus what the stepped run made
-/// of them: per directed link (injection links and router outputs) the
-/// order of its flit events as (packet, head, payload or both back to
-/// back), the packets' latency totals, the phase length and the end
-/// pointers.
-/// [`Simulator::replay_phase`] applies it to new payloads, bit for bit
-/// what stepping them would do, whenever [`PhaseRecording::replays`]
-/// finds those inputs unchanged.
-///
-/// Link events and offsets are stored as varints: on the accelerator's
-/// response phases about one byte per packet per link (half a byte per
-/// flit-hop) plus five per packet.
-#[derive(Debug, Clone)]
+/// Besides the event stream (see the module docs) it keeps the start
+/// state it was recorded from — the mesh configuration and arbitration
+/// pointers — and what the stepped run made of the phase: its length,
+/// latency totals, delivery counters and end pointers. Events are
+/// varints: a queued packet costs about five bytes, and a packet
+/// crossing a link in one run about one.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseRecording {
     config: NocConfig,
     start: Arbitration,
     end: Arbitration,
-    /// Per packet: `(src, dst)`.
-    endpoints: Vec<[u16; 2]>,
-    /// Per packet: the zigzag varint delta of its offset to the previous
-    /// packet's.
-    offsets: Vec<u8>,
-    /// Per link id (router outputs `node * 5 + port`, then injection
-    /// links `nodes * 5 + node`): its events (see [`PhaseRecorder::hop`]).
-    links: Vec<Vec<u8>>,
+    /// The events, in chunks that each end on a whole event.
+    events: Vec<Vec<u8>>,
+    /// Recording slots used: the peak number of packets in flight.
+    slots: u32,
+    packets: u64,
+    /// Flits of every packet, heads included.
+    flits: u64,
     latency_totals: LatencyTotals,
-    /// Cycles from the phase start to the cycle after its last arrival.
+    /// Cycles from the phase start to the cycle its last packet arrived.
     length: u64,
 }
 
 impl PhaseRecording {
-    /// The recorded injection schedule, in injection order.
-    pub fn schedule(&self) -> impl Iterator<Item = ScheduledPacket> + '_ {
-        let (mut at, mut offset) = (0, 0i64);
-        self.endpoints.iter().map(move |&[src, dst]| {
-            offset += unzigzag(read_varint(&self.offsets, &mut at));
-            ScheduledPacket {
-                src: NodeId::from(src),
-                dst: NodeId::from(dst),
-                offset: offset as u64,
-            }
-        })
-    }
-
-    /// True when stepping `schedule` on `sim` would repeat this
-    /// recording exactly, so [`Simulator::replay_phase`] may stand in for
-    /// it: the same mesh configuration, an idle mesh on perfect wires,
-    /// the recorded start pointers and the recorded schedule.
-    pub fn replays(
-        &self,
-        sim: &Simulator,
-        schedule: impl IntoIterator<Item = ScheduledPacket>,
-    ) -> bool {
-        self.admits(sim) && self.schedule().eq(schedule)
-    }
-
-    /// The simulator-state half of [`PhaseRecording::replays`].
-    fn admits(&self, sim: &Simulator) -> bool {
+    /// True when [`Simulator::replay_phase`] may stand in for stepping
+    /// the recorded phase on `sim`: the same mesh configuration, an idle
+    /// mesh on perfect wires with no recording in progress, and the
+    /// recorded start pointers. The phase's own inputs — which packet of
+    /// which length is queued where and when — are the caller's key.
+    #[must_use]
+    pub fn replays(&self, sim: &Simulator) -> bool {
         sim.config == self.config
             && sim.is_idle()
             && sim.recorder.is_none()
             && !sim.faults_armed()
             && sim.arbitration_is(&self.start)
     }
+
+    /// Cycles the phase took.
+    #[must_use]
+    pub fn cycles(&self) -> u64 {
+        self.length
+    }
+}
+
+/// The payloads of a replayed phase ([`Simulator::replay_phase`]): the
+/// rows each recorded packet carries this time, and what to do with them
+/// at delivery. Packets are identified by their recorded endpoints and
+/// tag.
+pub trait PhaseTraffic {
+    /// The caller's error type; replay errors convert into it.
+    type Error: From<InjectError>;
+    /// Where [`PhaseTraffic::send`] keeps a packet's rows.
+    type Rows: FlitRows + ?Sized;
+
+    /// The payload rows of packet `src → dst` tagged `tag`, queued now.
+    /// They are copied into the replay's buffer for the packet,
+    /// re-aligned onto the link width when narrower.
+    ///
+    /// # Errors
+    ///
+    /// Whatever producing the rows fails with.
+    fn send(&mut self, src: NodeId, dst: NodeId, tag: u64) -> Result<&Self::Rows, Self::Error>;
+
+    /// Packet `src → dst` tagged `tag` was delivered with `payload` — the
+    /// rows [`PhaseTraffic::send`] gave, at the link width.
+    ///
+    /// # Errors
+    ///
+    /// Whatever consuming the rows fails with.
+    fn deliver(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        tag: u64,
+        payload: &FlitSlab,
+    ) -> Result<(), Self::Error>;
+}
+
+/// A packet in flight during a replay.
+#[derive(Debug)]
+struct ReplayPacket {
+    src: NodeId,
+    dst: NodeId,
+    tag: u64,
+    head: [u64; MAX_ROW_WORDS],
+    payload: FlitSlab,
+    /// [`PacketWires::summary`] of the head and payload.
+    summary: u64,
+    /// Link ids of the route, injection link first.
+    route: Vec<usize>,
+    /// Links whose run through the tail has been charged.
+    closed: usize,
 }
 
 impl Simulator {
-    /// Starts recording the phase about to run into `recorder`: from now
-    /// on the cycle engine books every injected packet's schedule entry,
-    /// every flit it moves over a link and every arrival, until
-    /// [`Simulator::finish_recording`].
+    /// Starts recording the phase about to run: from now on the cycle
+    /// engine books every queued packet, every flit it moves over a link
+    /// and every delivery, until [`Simulator::finish_recording`].
     ///
     /// # Panics
     ///
     /// Panics if a packet is in flight (a recorded phase starts on a
-    /// drained mesh), the wires have faults armed, or `recorder` was
-    /// reserved for another mesh configuration.
-    pub fn record_phase(&mut self, mut recorder: PhaseRecorder) {
+    /// drained mesh) or the wires have faults armed.
+    pub fn record_phase(&mut self) {
         assert!(self.is_idle(), "a recorded phase starts on a drained mesh");
         assert!(
             !self.faults_armed(),
             "error-injected phases depend on their flips and cannot be replayed"
         );
-        assert!(
-            recorder.recording.config == self.config,
-            "recorder reserved for another mesh configuration"
-        );
-        recorder.start_cycle = self.cycle;
-        recorder.first_packet = self.next_packet_id;
-        self.save_arbitration(&mut recorder.recording.start);
-        self.recorder = Some(Box::new(recorder));
+        let links = self.config.num_nodes() * (NUM_PORTS + 1);
+        let mut start = Arbitration::new(&self.config);
+        self.save_arbitration(&mut start);
+        self.recorder = Some(Box::new(PhaseRecorder {
+            recording: PhaseRecording {
+                config: self.config.clone(),
+                end: start.clone(),
+                start,
+                events: Vec::new(),
+                slots: 0,
+                packets: 0,
+                flits: 0,
+                latency_totals: LatencyTotals::default(),
+                length: 0,
+            },
+            start_cycle: self.cycle,
+            last_offset: 0,
+            last_tag: 0,
+            slot_of: Vec::new(),
+            sources: Vec::new(),
+            free: Vec::new(),
+            open: vec![None; links],
+        }));
     }
 
-    /// Ends the recording [`Simulator::record_phase`] started. Returns
-    /// `None` when none was started, or when the phase does not fit a
-    /// recording: a packet without exactly one payload flit, node ids
-    /// beyond 16 bits, or more than `u32::MAX` packets.
+    /// Ends the recording [`Simulator::record_phase`] started, or returns
+    /// `None` when none was started.
     ///
     /// # Panics
     ///
@@ -937,162 +732,239 @@ impl Simulator {
     pub fn finish_recording(&mut self) -> Option<PhaseRecording> {
         let recorder = self.recorder.take()?;
         assert!(self.is_idle(), "a recorded phase ends on a drained mesh");
-        if recorder.unfit {
-            return None;
-        }
-        // Every head's payload flit crossed each link behind it.
-        debug_assert!(recorder.tails.iter().all(|(_, pending)| pending.is_none()));
+        // Every run ended with its packet's tail.
+        debug_assert!(recorder.open.iter().all(Option::is_none));
         let mut recording = recorder.recording;
-        // Shrinking in place only gives back the reserved tails.
-        recording.offsets.shrink_to_fit();
-        for events in &mut recording.links {
-            events.shrink_to_fit();
+        if let Some(last) = recording.events.last_mut() {
+            last.shrink_to_fit();
         }
         self.save_arbitration(&mut recording.end);
         recording.length = self.cycle - recorder.start_cycle;
         Some(recording)
     }
 
-    /// Replays `recording` on new payloads: each link's recorded flit
-    /// events walk through its [`crate::stats::LinkSlab`] in order —
-    /// [`LinkSlab::observe`] on a head row written in place, the per-link
-    /// codec hop [`LinkSlab::observe_payload_hop`] on the packet's
-    /// payload row — then the
-    /// phase's latencies and delivered counters are booked, the clock
-    /// advances by the phase length and the arbitration pointers take
-    /// their recorded end values. No packet is queued, stored or
-    /// delivered into the NI queues: packet `i` (schedule order) carries
-    /// tag `tag(i)` and row `i` of `payload` (zero-extended onto the
-    /// link width when narrower), read in place on every link it
-    /// crosses.
+    /// Replays `recording` with `traffic`'s payloads: walks its events in
+    /// order, asking `traffic` for each packet's rows as it is queued,
+    /// charging each recorded run of the packet's flits on its link —
+    /// [`crate::stats::LinkSlab::observe`] on the head row, written in
+    /// place, and the codec-lane run kernel on the payload rows; a whole
+    /// packet in one hop of [`crate::stats::LinkSlab::observe_packet`] —
+    /// and handing the rows back to `traffic` at delivery. Then the
+    /// phase's latencies, packet ids and delivery counters are booked,
+    /// the clock advances by the phase length and the arbitration
+    /// pointers take their recorded end values. Nothing is queued in the
+    /// simulator or delivered into its NI queues.
     ///
-    /// Bit-exact with stepping the same schedule through the cycle engine
-    /// whenever [`PhaseRecording::replays`] holds; debug builds step a
-    /// clone of the simulator and assert it.
+    /// Bit-exact with stepping the same traffic through the cycle engine
+    /// whenever [`PhaseRecording::replays`] holds and `traffic` queues
+    /// the recorded packets; debug builds step a clone of the simulator
+    /// alongside and assert it.
     ///
     /// # Errors
     ///
-    /// Returns [`InjectError::PayloadTooWide`], before touching the
-    /// simulator, if the payload rows are wider than the link.
+    /// [`InjectError::PayloadTooWide`] if a packet's rows are wider than
+    /// the link, or what `traffic` fails with; the simulator is then left
+    /// partway through the phase.
     ///
     /// # Panics
     ///
     /// Panics if the simulator is not in a state the recording replays
-    /// on (see [`PhaseRecording::replays`]), or `payload` does not hold
-    /// one row per packet.
-    ///
-    /// [`LinkSlab::observe`]: crate::stats::LinkSlab::observe
-    /// [`LinkSlab::observe_payload_hop`]: crate::stats::LinkSlab::observe_payload_hop
-    pub fn replay_phase(
+    /// on (see [`PhaseRecording::replays`]), or `traffic` gives a packet
+    /// another number of payload flits than the recorded one.
+    pub fn replay_phase<T: PhaseTraffic>(
         &mut self,
         recording: &PhaseRecording,
-        tag: impl Fn(usize) -> u64,
-        payload: &FlitSlab,
-    ) -> Result<(), InjectError> {
+        traffic: &mut T,
+    ) -> Result<(), T::Error> {
         assert!(
-            recording.admits(self),
+            recording.replays(self),
             "a phase replays only on the mesh state it was recorded from"
         );
-        assert_eq!(
-            payload.len(),
-            recording.endpoints.len(),
-            "one payload row per packet"
-        );
-        let width = self.config.link_width_bits;
-        let widened;
-        let payload = match payload.width().cmp(&width) {
-            Ordering::Equal => payload,
-            Ordering::Less => {
-                let mut rows = FlitSlab::with_capacity(width, payload.len());
-                rows.extend_rows(payload);
-                widened = rows;
-                &widened
-            }
-            Ordering::Greater => {
-                return Err(InjectError::PayloadTooWide {
-                    width: payload.width(),
-                    link: width,
-                })
-            }
-        };
         #[cfg(debug_assertions)]
-        let oracle = self.clone();
+        let mut oracle = SteppedPhase {
+            at: self.cycle,
+            sim: self.clone(),
+        };
+        let (width, words) = (self.config.link_width_bits, self.words);
+        let codec = self.out_links.link_codec();
         let out_links = self.config.num_nodes() * NUM_PORTS;
-        let mut head = [0u64; MAX_ROW_WORDS];
-        let head = &mut head[..self.words];
-        for (link, bytes) in recording.links.iter().enumerate() {
-            let (slab, link) = match link.checked_sub(out_links) {
-                None => (&mut self.out_links, link),
-                Some(node) => (&mut self.inject_links, node),
-            };
-            let (mut at, mut event) = (0, 0i64);
-            while at < bytes.len() {
-                event += unzigzag(read_varint(bytes, &mut at));
-                let index = (event >> 2) as usize;
-                if event & HEAD_EVENT != 0 {
-                    let [src, dst] = recording.endpoints[index];
-                    let (src, dst) = (NodeId::from(src), NodeId::from(dst));
-                    write_head_row(head, width, src, dst, 1, tag(index));
-                    slab.observe(link, head);
+        let mut packets: Vec<ReplayPacket> = Vec::with_capacity(recording.slots as usize);
+        let mut free: Vec<usize> = Vec::new();
+        let mut tag = 0u64;
+        for events in &recording.events {
+            let mut at = 0;
+            while at < events.len() {
+                let word = read_varint(events, &mut at);
+                let slot = (word >> 2) as usize;
+                let kind = word & 3;
+                if kind == QUEUED {
+                    let src = read_varint(events, &mut at) as NodeId;
+                    let dst = read_varint(events, &mut at) as NodeId;
+                    tag = tag.wrapping_add(unzigzag(read_varint(events, &mut at)) as u64);
+                    let flits = read_varint(events, &mut at) as usize;
+                    let rows = traffic.send(src, dst, tag)?;
+                    if let Some(too_wide) = (0..rows.flit_count())
+                        .map(|i| rows.flit_width(i))
+                        .find(|&w| w > width)
+                    {
+                        return Err(InjectError::PayloadTooWide {
+                            width: too_wide,
+                            link: width,
+                        }
+                        .into());
+                    }
+                    assert_eq!(
+                        rows.flit_count(),
+                        flits,
+                        "packet {src} -> {dst} tagged {tag} differs from the recorded one"
+                    );
+                    let slot = free.pop().unwrap_or_else(|| {
+                        packets.push(ReplayPacket {
+                            src,
+                            dst,
+                            tag,
+                            head: [0; MAX_ROW_WORDS],
+                            payload: FlitSlab::new(width),
+                            summary: 0,
+                            route: Vec::new(),
+                            closed: 0,
+                        });
+                        packets.len() - 1
+                    });
+                    let packet = &mut packets[slot];
+                    (packet.src, packet.dst, packet.tag, packet.closed) = (src, dst, tag, 0);
+                    packet.payload.reset(width);
+                    packet.payload.extend_rows(rows);
+                    let head = &mut packet.head[..words];
+                    write_head_row(head, width, src, dst, flits as u32, tag);
+                    packet.summary = PacketWires::new(head, &packet.payload, codec).summary();
+                    packet.route.clear();
+                    packet
+                        .route
+                        .extend(route_links(&self.config, src, dst, out_links));
+                    #[cfg(debug_assertions)]
+                    oracle.queue(word >> 2, packet);
+                    continue;
                 }
-                if event & PAYLOAD_EVENT != 0 {
-                    slab.observe_payload_hop(link, payload.flit(index));
+                let packet = &mut packets[slot];
+                // A run through the tail is on the packet's next link.
+                let mut read = || read_varint(events, &mut at) as usize;
+                let (hop, first, len) = match kind {
+                    WHOLE_RUN => (packet.closed, 0, None),
+                    TAIL_RUN => (packet.closed, read(), None),
+                    _ => (read(), read(), Some(read())),
+                };
+                packet.closed += usize::from(len.is_none());
+                let link = packet.route[hop];
+                let (slab, slab_link) = match link.checked_sub(out_links) {
+                    None => (&mut self.out_links, link),
+                    Some(node) => (&mut self.inject_links, node),
+                };
+                let head = &packet.head[..words];
+                let payload = &packet.payload;
+                match (first, len) {
+                    (0, None) => slab.observe_packet(
+                        slab_link,
+                        &PacketWires::with_summary(head, payload, codec, packet.summary),
+                    ),
+                    _ => {
+                        let end = len.map_or(payload.len(), |len| first + len - 1);
+                        let head = (first == 0).then_some(head);
+                        slab.observe_flits(slab_link, head, &payload.rows(first.max(1) - 1..end));
+                    }
+                }
+                if packet.closed == packet.route.len() {
+                    traffic.deliver(packet.src, packet.dst, packet.tag, &packet.payload)?;
+                    free.push(slot);
                 }
             }
         }
-        let packets = recording.endpoints.len() as u64;
         self.latencies.merge(&recording.latency_totals);
-        self.packets_delivered += packets;
-        self.flits_delivered += 2 * packets;
+        self.next_packet_id += recording.packets;
+        self.packets_delivered += recording.packets;
+        self.flits_delivered += recording.flits;
         self.cycle += recording.length;
         self.restore_arbitration(&recording.end);
         #[cfg(debug_assertions)]
-        self.assert_matches_stepped_phase(oracle, recording, &tag, payload);
+        self.assert_matches_stepped_phase(oracle);
         Ok(())
     }
 
-    /// Debug oracle of [`Simulator::replay_phase`]: `oracle`, the
-    /// simulator as it was before the replay, steps the recorded
-    /// schedule through the cycle engine and must land on the same
-    /// per-link accounting, codec lanes, clock, latencies, counters and
-    /// arbitration pointers.
+    /// Debug oracle of [`Simulator::replay_phase`]: the stepped clone must
+    /// land on the same per-link accounting, codec lanes, clock,
+    /// latencies, counters and arbitration pointers.
     #[cfg(debug_assertions)]
-    fn assert_matches_stepped_phase(
-        &self,
-        mut oracle: Simulator,
-        recording: &PhaseRecording,
-        tag: impl Fn(usize) -> u64,
-        payload: &FlitSlab,
-    ) {
-        let start = oracle.cycle;
-        let schedule: Vec<ScheduledPacket> = recording.schedule().collect();
-        let mut next = 0;
-        while next < schedule.len() || !oracle.is_idle() {
-            while let Some(p) = schedule.get(next) {
-                if start + p.offset > oracle.cycle {
-                    break;
-                }
-                oracle
-                    .inject_rows(p.src, p.dst, &payload.rows(next..next + 1), tag(next))
-                    // btr-lint: allow(panic-in-hot-path, reason = "debug-assert oracle: the replay already accepted these packets; release builds compile this block out")
-                    .expect("the replayed schedule injects");
-                next += 1;
-            }
+    fn assert_matches_stepped_phase(&self, oracle: SteppedPhase) {
+        let mut oracle = oracle.sim;
+        while !oracle.is_idle() {
             oracle.step();
         }
         oracle.drain_all_delivered();
         self.assert_links_match(&oracle);
         assert_eq!(self.cycle, oracle.cycle, "replayed phase length");
         assert_eq!(
-            (self.packets_delivered, self.flits_delivered),
-            (oracle.packets_delivered, oracle.flits_delivered),
-            "replayed delivery counters"
+            (
+                self.next_packet_id,
+                self.packets_delivered,
+                self.flits_delivered
+            ),
+            (
+                oracle.next_packet_id,
+                oracle.packets_delivered,
+                oracle.flits_delivered
+            ),
+            "replayed packet and delivery counters"
         );
         assert_eq!(self.latencies, oracle.latencies, "replayed latencies");
         assert!(
             self.arbitration_is(&oracle.arbitration()),
             "replayed end pointers"
         );
+    }
+}
+
+/// The link ids a packet `src → dst` crosses under dimension-order
+/// routing: its injection link (`out_links + src`), then each router
+/// output (`node * 5 + port`), ejection link last.
+fn route_links(
+    config: &NocConfig,
+    src: NodeId,
+    dst: NodeId,
+    out_links: usize,
+) -> impl Iterator<Item = usize> + '_ {
+    let (mut at, to) = (Some(config.position(src)), config.position(dst));
+    std::iter::once(out_links + src).chain(std::iter::from_fn(move || {
+        let here = at?;
+        let dir = route_between(config.routing, here, to);
+        at = (dir != Direction::Local).then(|| step(here, dir));
+        Some(config.node_at(here.0, here.1) * NUM_PORTS + dir.index())
+    }))
+}
+
+/// The debug oracle of a replay: a clone of the simulator stepping the
+/// replayed packets, each queued at its recorded cycle.
+#[cfg(debug_assertions)]
+struct SteppedPhase {
+    /// The cycle the last packet was queued at.
+    at: u64,
+    sim: Simulator,
+}
+
+#[cfg(debug_assertions)]
+impl SteppedPhase {
+    /// Steps `delay` cycles past the last queued packet and queues
+    /// `packet` there.
+    fn queue(&mut self, delay: u64, packet: &ReplayPacket) {
+        self.at += delay;
+        let mut delivered = Vec::new();
+        while self.sim.cycle < self.at {
+            self.sim.step();
+            self.sim.drain_all_delivered_into(&mut delivered);
+        }
+        self.sim
+            .inject_rows(packet.src, packet.dst, &packet.payload, packet.tag)
+            // btr-lint: allow(panic-in-hot-path, reason = "debug-assert oracle: the replay already accepted this packet; release builds compile this block out")
+            .expect("the replayed packet injects");
     }
 }
 
@@ -1177,29 +1049,6 @@ mod tests {
         sim.inject(Packet::new(4, 2, vec![image(128, 4)], 3))
             .unwrap();
         assert!(!sim.queued_phase_is_contention_free());
-    }
-
-    #[test]
-    fn routes_link_disjoint_detects_overlap_and_direction() {
-        let config = NocConfig::mesh(4, 4, 128);
-        // Opposite directions on the same row never share a directed link.
-        assert!(routes_link_disjoint(
-            &config,
-            [(0usize, 3usize)],
-            [(3usize, 0usize)]
-        ));
-        // Same directed east link out of router 1: overlap.
-        assert!(!routes_link_disjoint(
-            &config,
-            [(0usize, 3usize)],
-            [(1usize, 2usize)]
-        ));
-        // Shared ejection link counts too.
-        assert!(!routes_link_disjoint(
-            &config,
-            [(0usize, 5usize)],
-            [(6usize, 5usize)]
-        ));
     }
 
     #[test]
@@ -1324,108 +1173,174 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    #[test]
-    fn streamed_phase_checks_like_inject_and_carries_empty_packets() {
-        for codec in [None, Some(CodecKind::DeltaXor), Some(CodecKind::BusInvert)] {
-            let width = 128 + codec.map_or(0, CodecKind::extra_wires);
-            let config = NocConfig::mesh(4, 4, width).with_link_codec(codec);
-            let mut streamed = Simulator::new(config.clone());
-            let mut queued = Simulator::new(config);
-            let empty = FlitSlab::new(width);
-            let mut stream = streamed.stream_requests();
-            assert_eq!(
-                stream.deliver(99, 0, 0, &empty).unwrap_err(),
-                InjectError::NodeOutOfRange(99)
-            );
-            assert_eq!(
-                stream.deliver(0, 16, 0, &empty).unwrap_err(),
-                InjectError::NodeOutOfRange(16)
-            );
-            let wide = FlitSlab::from_images(width + 64, &[image(width + 64, 1)]);
-            assert!(matches!(
-                stream.deliver(0, 1, 0, &wide),
-                Err(InjectError::PayloadTooWide { .. })
-            ));
-            // A head-only packet, then a narrow one-flit packet that must
-            // be re-aligned onto the link, on the same route.
-            let narrow = [image(64, 2)];
-            for (tag, payload) in [(0u64, &[][..]), (1, &narrow[..])] {
-                let rows = FlitSlab::from_images(64, payload);
-                let d = stream.deliver(2, 13, tag, &rows).unwrap();
-                assert!(d.payload_flits.is_empty() || d.payload_flits.width() == width);
-                assert_eq!(d.payload_flits.len(), payload.len());
-                queued
-                    .inject(Packet::new(2, 13, payload.to_vec(), tag))
-                    .unwrap();
-            }
-            stream.finish();
-            queued.replay_queued_analytic(true);
-            assert_eq!(streamed.stats(), queued.stats(), "{codec:?}");
-        }
+    /// One packet of a scheduled phase: queued at `src` `offset` cycles
+    /// after the phase start, toward `dst`, with `flits` payload flits.
+    #[derive(Debug, Clone, Copy)]
+    struct Scheduled {
+        src: usize,
+        dst: usize,
+        offset: u64,
+        flits: usize,
     }
 
-    /// A converging phase: the other nodes send single-payload-flit
-    /// packets to nodes 5 and 10 at staggered offsets.
-    fn converging_schedule(seed: u64) -> Vec<ScheduledPacket> {
+    /// A converging phase: the other nodes send packets of 0 to 4 payload
+    /// flits to nodes 5 and 10 at staggered offsets, so the ejection
+    /// links interleave flits of several packets.
+    fn converging_schedule(seed: u64) -> Vec<Scheduled> {
         let mut rng = StdRng::seed_from_u64(seed);
         let sources: Vec<usize> = (0..16).filter(|n| ![5, 10].contains(n)).collect();
         let mut offset = 0;
         (0..60)
             .map(|_| {
                 offset += rng.gen_range(0..3);
-                ScheduledPacket {
+                Scheduled {
                     src: sources[rng.gen_range(0..sources.len())],
                     dst: [5, 10][rng.gen_range(0..2)],
                     offset,
+                    flits: rng.gen_range(0..5),
                 }
             })
             .collect()
     }
 
-    /// Packet `i`'s payload image in payload set `set` (data width 128,
-    /// so bus-invert links re-align it).
-    fn phase_image(set: u64, i: usize) -> PayloadBits {
-        image(128, set * 10_000 + i as u64)
+    /// Packet `i`'s payload rows in payload set `set` (data width 128,
+    /// so bus-invert links re-align them).
+    fn phase_rows(set: u64, i: usize, flits: usize) -> FlitSlab {
+        let images: Vec<PayloadBits> = (0..flits)
+            .map(|k| image(128, set * 10_000 + i as u64 * 10 + k as u64))
+            .collect();
+        FlitSlab::from_images(128, &images)
     }
 
-    /// Steps `schedule` through the cycle engine the way the accelerator
-    /// driver steps a response phase.
-    fn step_schedule(sim: &mut Simulator, schedule: &[ScheduledPacket], set: u64) {
+    /// A delivery as `(tag, src, dst, payload)`.
+    type Delivery = (u64, usize, usize, FlitSlab);
+
+    /// Steps `schedule` through the cycle engine with payload set `set`,
+    /// packet `i` tagged `i`, and returns the deliveries by tag.
+    fn step_schedule(sim: &mut Simulator, schedule: &[Scheduled], set: u64) -> Vec<Delivery> {
         let start = sim.cycle();
         let mut next = 0;
-        let mut arrived = 0;
-        while arrived < schedule.len() {
+        let mut delivered = Vec::new();
+        while next < schedule.len() || !sim.is_idle() {
             while let Some(p) = schedule.get(next) {
                 if start + p.offset > sim.cycle() {
                     break;
                 }
-                let images = vec![phase_image(set, next)];
-                sim.inject(Packet::new(p.src, p.dst, images, 100 + next as u64))
-                    .unwrap();
+                let rows = phase_rows(set, next, p.flits);
+                sim.inject_rows(p.src, p.dst, &rows, next as u64).unwrap();
                 next += 1;
             }
             sim.step();
-            arrived += sim.drain_all_delivered().len();
+            for d in sim.drain_all_delivered() {
+                delivered.push((d.tag, d.src, d.dst, d.payload_flits));
+            }
+        }
+        delivered.sort_by_key(|d| d.0);
+        delivered
+    }
+
+    /// [`PhaseTraffic`] over payload set `set` of a schedule.
+    struct SetTraffic<'a> {
+        schedule: &'a [Scheduled],
+        set: u64,
+        rows: FlitSlab,
+        delivered: Vec<Delivery>,
+    }
+
+    impl PhaseTraffic for SetTraffic<'_> {
+        type Error = InjectError;
+        type Rows = FlitSlab;
+
+        fn send(&mut self, src: NodeId, dst: NodeId, tag: u64) -> Result<&FlitSlab, InjectError> {
+            let p = self.schedule[tag as usize];
+            assert_eq!((src, dst), (p.src, p.dst));
+            self.rows = phase_rows(self.set, tag as usize, p.flits);
+            Ok(&self.rows)
+        }
+
+        fn deliver(
+            &mut self,
+            src: NodeId,
+            dst: NodeId,
+            tag: u64,
+            payload: &FlitSlab,
+        ) -> Result<(), InjectError> {
+            self.delivered.push((tag, src, dst, payload.clone()));
+            Ok(())
         }
     }
 
-    /// Replays `recording` with payload set `set`.
-    fn replay_schedule(sim: &mut Simulator, recording: &PhaseRecording, set: u64) {
-        let images: Vec<PayloadBits> = (0..recording.schedule().count())
-            .map(|i| phase_image(set, i))
-            .collect();
-        let rows = FlitSlab::from_images(128, &images);
-        sim.replay_phase(recording, |i| 100 + i as u64, &rows)
-            .unwrap();
+    /// Replays `recording` with payload set `set` and returns the
+    /// deliveries by tag.
+    fn replay_schedule(
+        sim: &mut Simulator,
+        recording: &PhaseRecording,
+        schedule: &[Scheduled],
+        set: u64,
+    ) -> Vec<Delivery> {
+        let mut traffic = SetTraffic {
+            schedule,
+            set,
+            rows: FlitSlab::new(128),
+            delivered: Vec::new(),
+        };
+        sim.replay_phase(recording, &mut traffic).unwrap();
+        traffic.delivered.sort_by_key(|d| d.0);
+        traffic.delivered
+    }
+
+    /// Records `schedule` stepped with payload set 1 on `sim`.
+    fn record_schedule(sim: &mut Simulator, schedule: &[Scheduled]) -> PhaseRecording {
+        sim.record_phase();
+        step_schedule(sim, schedule, 1);
+        sim.finish_recording().unwrap()
+    }
+
+    /// Counts a recording's events by kind.
+    fn event_kinds(recording: &PhaseRecording) -> [usize; 4] {
+        let mut kinds = [0; 4];
+        for events in &recording.events {
+            let mut at = 0;
+            while at < events.len() {
+                let kind = read_varint(events, &mut at) & 3;
+                kinds[kind as usize] += 1;
+                for _ in 0..[4, 0, 1, 3][kind as usize] {
+                    read_varint(events, &mut at);
+                }
+            }
+        }
+        kinds
+    }
+
+    /// Asserts two simulators report the same stats (clock and latency
+    /// included), arbitration pointers and codec lanes.
+    fn assert_same_mesh(replayed: &Simulator, stepped: &Simulator, what: &str) {
+        assert_eq!(replayed.stats(), stepped.stats(), "{what}");
+        assert!(replayed.arbitration_is(&stepped.arbitration()), "{what}");
+        for link in 0..16 * NUM_PORTS {
+            assert_eq!(
+                replayed.out_link_codec_lanes(link),
+                stepped.out_link_codec_lanes(link),
+                "{what}: out-link {link}"
+            );
+        }
+        for node in 0..16 {
+            assert_eq!(
+                replayed.inject_link_codec_lanes(node),
+                stepped.inject_link_codec_lanes(node),
+                "{what}: injection link {node}"
+            );
+        }
     }
 
     #[test]
     fn recorded_phases_replay_bit_exactly_on_new_payloads() {
-        // Two consecutive converging phases are recorded while stepping
-        // payload set 1, then replayed on a fresh mesh with payload set
-        // 2: every reported number — stats with cycles and latency,
-        // per-link BTs and flits, both lane families and end pointers —
-        // must equal stepping set 2 from scratch.
+        // Two consecutive converging phases of packets of every length
+        // are recorded while stepping payload set 1, then replayed on a
+        // fresh mesh with payload set 2: every reported number — stats
+        // with cycles and latency, per-link BTs and flits, both lane
+        // families, end pointers — and every delivered payload must equal
+        // stepping set 2 from scratch.
         for codec in [None, Some(CodecKind::DeltaXor), Some(CodecKind::BusInvert)] {
             let width = 128 + codec.map_or(0, CodecKind::extra_wires);
             let config = NocConfig::mesh(4, 4, width).with_link_codec(codec);
@@ -1433,35 +1348,23 @@ mod tests {
             let mut recorder = Simulator::new(config.clone());
             let recordings: Vec<PhaseRecording> = phases
                 .iter()
-                .map(|schedule| {
-                    let routes = schedule.iter().map(|p| (p.src, p.dst));
-                    recorder.record_phase(PhaseRecorder::reserve(recorder.config(), routes));
-                    step_schedule(&mut recorder, schedule, 1);
-                    let recording = recorder.finish_recording().unwrap();
-                    assert!(recording.schedule().eq(schedule.iter().copied()));
-                    recording
-                })
+                .map(|schedule| record_schedule(&mut recorder, schedule))
                 .collect();
+            // Contention split some packets into several runs per link.
+            let kinds = event_kinds(&recordings[0]);
+            assert!(
+                kinds[RUN as usize] > 0 && kinds[TAIL_RUN as usize] > 0,
+                "{kinds:?}"
+            );
+            assert_eq!(kinds[QUEUED as usize], 60);
             let mut stepped = Simulator::new(config.clone());
             let mut replayed = Simulator::new(config);
             for (schedule, recording) in phases.iter().zip(&recordings) {
-                assert!(recording.replays(&replayed, schedule.iter().copied()));
-                step_schedule(&mut stepped, schedule, 2);
-                replay_schedule(&mut replayed, recording, 2);
-                assert_eq!(replayed.stats(), stepped.stats(), "{codec:?}");
-                assert!(replayed.arbitration_is(&stepped.arbitration()), "{codec:?}");
-                for link in 0..16 * NUM_PORTS {
-                    assert_eq!(
-                        replayed.out_link_codec_lanes(link),
-                        stepped.out_link_codec_lanes(link)
-                    );
-                }
-                for node in 0..16 {
-                    assert_eq!(
-                        replayed.inject_link_codec_lanes(node),
-                        stepped.inject_link_codec_lanes(node)
-                    );
-                }
+                assert!(recording.replays(&replayed));
+                let want = step_schedule(&mut stepped, schedule, 2);
+                let got = replay_schedule(&mut replayed, recording, schedule, 2);
+                assert_eq!(got, want, "{codec:?}: deliveries");
+                assert_same_mesh(&replayed, &stepped, &format!("{codec:?}"));
             }
             assert!(replayed.is_idle() && replayed.slots.is_empty());
         }
@@ -1471,9 +1374,9 @@ mod tests {
     fn a_phase_recorded_after_reused_slots_replays_bit_exactly() {
         // Seeded warm-up traffic runs hundreds of packets through a
         // handful of recycled slots before the phase is recorded, so the
-        // recording indexes packets by id less the phase's first id, not
-        // by slot. Replayed with new payloads after the same warm-up, it
-        // must equal stepping them.
+        // recording names packets by its own slots, not the simulator's.
+        // Replayed with new payloads after the same warm-up, it must equal
+        // stepping them.
         let warm_up = |sim: &mut Simulator| {
             let mut rng = StdRng::seed_from_u64(77);
             for tag in 0..400u64 {
@@ -1496,33 +1399,17 @@ mod tests {
             let mut recorder = Simulator::new(config.clone());
             warm_up(&mut recorder);
             assert!(recorder.slots.len() < 100 && recorder.next_packet_id == 400);
-            let routes = schedule.iter().map(|p| (p.src, p.dst));
-            recorder.record_phase(PhaseRecorder::reserve(recorder.config(), routes));
-            step_schedule(&mut recorder, &schedule, 1);
-            let recording = recorder.finish_recording().unwrap();
-            assert!(recording.schedule().eq(schedule.iter().copied()));
+            let recording = record_schedule(&mut recorder, &schedule);
 
             let mut stepped = Simulator::new(config.clone());
             let mut replayed = Simulator::new(config);
             warm_up(&mut stepped);
             warm_up(&mut replayed);
-            assert!(recording.replays(&replayed, schedule.iter().copied()));
-            step_schedule(&mut stepped, &schedule, 2);
-            replay_schedule(&mut replayed, &recording, 2);
-            assert_eq!(replayed.stats(), stepped.stats(), "{codec:?}");
-            assert!(replayed.arbitration_is(&stepped.arbitration()), "{codec:?}");
-            for link in 0..16 * NUM_PORTS {
-                assert_eq!(
-                    replayed.out_link_codec_lanes(link),
-                    stepped.out_link_codec_lanes(link)
-                );
-            }
-            for node in 0..16 {
-                assert_eq!(
-                    replayed.inject_link_codec_lanes(node),
-                    stepped.inject_link_codec_lanes(node)
-                );
-            }
+            assert!(recording.replays(&replayed));
+            let want = step_schedule(&mut stepped, &schedule, 2);
+            let got = replay_schedule(&mut replayed, &recording, &schedule, 2);
+            assert_eq!(got, want, "{codec:?}: deliveries");
+            assert_same_mesh(&replayed, &stepped, &format!("{codec:?}"));
         }
     }
 
@@ -1530,36 +1417,55 @@ mod tests {
     fn a_changed_schedule_or_start_state_refuses_the_replay() {
         let schedule = converging_schedule(3);
         let mut sim = Simulator::new(NocConfig::mesh(4, 4, 128));
-        sim.record_phase(PhaseRecorder::reserve(sim.config(), []));
-        step_schedule(&mut sim, &schedule, 1);
-        let recording = sim.finish_recording().unwrap();
+        let recording = record_schedule(&mut sim, &schedule);
         let fresh = Simulator::new(NocConfig::mesh(4, 4, 128));
-        assert!(recording.replays(&fresh, schedule.iter().copied()));
-        // One packet one cycle later, or one packet fewer.
-        let mut later = schedule.clone();
-        later[7].offset += 1;
-        assert!(!recording.replays(&fresh, later));
-        assert!(!recording.replays(&fresh, schedule[1..].iter().copied()));
+        assert!(recording.replays(&fresh));
         // The recording mesh ends with moved pointers.
         assert!(!sim.arbitration_is(&fresh.arbitration()));
-        assert!(!recording.replays(&sim, schedule.iter().copied()));
+        assert!(!recording.replays(&sim));
         // A packet in flight, or another mesh configuration.
         let mut busy = fresh.clone();
         busy.inject(Packet::new(0, 1, vec![image(128, 1)], 0))
             .unwrap();
-        assert!(!recording.replays(&busy, schedule.iter().copied()));
+        assert!(!recording.replays(&busy));
         let coded = NocConfig::mesh(4, 4, 128).with_link_codec(Some(CodecKind::DeltaXor));
-        assert!(!recording.replays(&Simulator::new(coded), schedule.iter().copied()));
+        assert!(!recording.replays(&Simulator::new(coded)));
+        // Traffic whose packets are longer than the recorded ones.
+        let mut longer = schedule.clone();
+        for p in &mut longer {
+            p.flits += 1;
+        }
+        let refused = std::panic::catch_unwind(move || {
+            let mut sim = fresh;
+            replay_schedule(&mut sim, &recording, &longer, 2)
+        });
+        assert!(refused.is_err());
     }
 
     #[test]
-    fn only_single_payload_flit_phases_record() {
-        for payload in [vec![], vec![image(128, 1), image(128, 2)]] {
+    fn phases_of_any_packet_length_record() {
+        for flits in [0, 2] {
+            let schedule = [Scheduled {
+                src: 0,
+                dst: 5,
+                offset: 0,
+                flits,
+            }];
             let mut sim = Simulator::new(NocConfig::mesh(4, 4, 128));
-            sim.record_phase(PhaseRecorder::reserve(sim.config(), [(0, 5)]));
-            sim.inject(Packet::new(0, 5, payload, 0)).unwrap();
-            sim.run_until_idle(1_000).unwrap();
-            assert!(sim.finish_recording().is_none());
+            let recording = record_schedule(&mut sim, &schedule);
+            assert_eq!(
+                event_kinds(&recording),
+                [1, 4, 0, 0],
+                "{flits} payload flits"
+            );
+            let mut stepped = Simulator::new(NocConfig::mesh(4, 4, 128));
+            let mut replayed = Simulator::new(NocConfig::mesh(4, 4, 128));
+            let want = step_schedule(&mut stepped, &schedule, 2);
+            assert_eq!(
+                replay_schedule(&mut replayed, &recording, &schedule, 2),
+                want
+            );
+            assert_same_mesh(&replayed, &stepped, &format!("{flits} payload flits"));
         }
         // Without a recording in progress there is nothing to finish.
         assert!(Simulator::new(NocConfig::mesh(4, 4, 128))

@@ -11,10 +11,10 @@
 //! words the link width covers; [`packet::Packet`]'s
 //! [`btr_bits::PayloadBits`] images are copied into rows at injection.
 //!
-//! * [`analytic`] — the analytic fast-path engine: contention-free phase
-//!   classification and direct stream replay of queued phases or of
-//!   request phases streamed from borrowed rows, with the cycle engine
-//!   as oracle;
+//! * [`analytic`] — fast paths beside the cycle engine: phases recorded
+//!   as the cycle engine steps them and replayed bit-exactly on new
+//!   payloads, and the direct stream replay of queued contention-free
+//!   phases, with the cycle engine as oracle;
 //! * [`config`] — mesh geometry, link width, VC parameters, MC placement;
 //! * [`fault`] — deterministic per-link wire-error injection (seed-split
 //!   RNG streams, per-flit or burst mode) behind the EDC + retransmission

@@ -137,6 +137,8 @@ struct RecoveryInner {
     /// Replay buffer keyed by `(src, dst, tag)` — requests (`mc → pe`)
     /// and their responses (`pe → mc`) share a tag but never a key.
     retained: HashMap<(usize, usize, u64), RetainedPacket>,
+    /// Copies released by clean deliveries, reused by the next sends.
+    spare: Vec<FlitSlab>,
     stats: PortFaultStats,
 }
 
@@ -216,20 +218,18 @@ impl<S> TaskPort<S> {
     ) -> Result<u64, InjectError> {
         let id = sim.inject_rows(src, dst, payload, tag)?;
         if let Some(recovery) = &self.recovery {
-            let mut rows = FlitSlab::new(sim.config().link_width_bits);
+            let width = sim.config().link_width_bits;
+            let mut inner = recovery.inner.lock().expect("recovery lock");
+            let mut rows = inner.spare.pop().unwrap_or_else(|| FlitSlab::new(width));
+            rows.reset(width);
             rows.extend_rows(payload);
-            let prior = recovery
-                .inner
-                .lock()
-                .expect("recovery lock")
-                .retained
-                .insert(
-                    (src, dst, tag),
-                    RetainedPacket {
-                        payload: rows,
-                        retries: 0,
-                    },
-                );
+            let prior = inner.retained.insert(
+                (src, dst, tag),
+                RetainedPacket {
+                    payload: rows,
+                    retries: 0,
+                },
+            );
             debug_assert!(
                 prior.is_none(),
                 "two in-flight packets share the replay-buffer key ({src}, {dst}, {tag})"
@@ -340,11 +340,14 @@ impl TaskPort<CodedTransport> {
         let key = (delivered.src, delivered.dst, delivered.tag);
         if clean {
             let mut inner = recovery.inner.lock().expect("recovery lock");
-            let retries = inner.retained.remove(&key).map_or(0, |r| r.retries);
-            if retries > 0 {
+            let Some(released) = inner.retained.remove(&key) else {
+                return Ok(Some(0));
+            };
+            if released.retries > 0 {
                 inner.stats.recovered_packets += 1;
             }
-            return Ok(Some(retries));
+            inner.spare.push(released.payload);
+            return Ok(Some(released.retries));
         }
         let mut inner = recovery.inner.lock().expect("recovery lock");
         let inner = &mut *inner;
@@ -378,15 +381,12 @@ impl TaskPort<CodedTransport> {
         Ok(None)
     }
 
-    /// The receiving NI's acceptance check for a packet the analytic
-    /// engine delivered without queueing it — a streamed request
-    /// ([`Simulator::stream_requests`]) or a replayed response
-    /// ([`Simulator::replay_phase`]) — given its delivered payload rows:
-    /// the EDC verify of [`TaskPort::accept`]. Such a packet is delivered
-    /// in the same call that sends it, so the sender never needs a replay
-    /// copy: nothing was retained, and there is nothing to release. The
-    /// analytic engine runs on perfect wires only, so every frame
-    /// verifies clean.
+    /// The receiving NI's acceptance check for a packet a replayed phase
+    /// delivered ([`Simulator::replay_phase`]) without queueing it, given
+    /// its delivered payload rows: the EDC verify of
+    /// [`TaskPort::accept`]. A replay never sends through the port, so
+    /// nothing was retained and there is nothing to release. Replays run
+    /// on perfect wires only, so every frame verifies clean.
     ///
     /// # Errors
     ///

@@ -588,9 +588,6 @@ impl Simulator {
         }
         let id = self.next_packet_id;
         self.next_packet_id += 1;
-        if let Some(recorder) = self.recorder.as_deref_mut() {
-            recorder.queued(src, dst, flits, self.cycle);
-        }
         let mut rows = self.row_pool.pop().unwrap_or_else(|| FlitSlab::new(width));
         rows.reset(width);
         rows.extend_rows(payload);
@@ -614,6 +611,9 @@ impl Simulator {
         // Every head field is rewritten in full, over the slot's previous
         // head at the same width.
         write_head_row(self.head_mut(slot), width, src, dst, flits as u32, tag);
+        if let Some(recorder) = self.recorder.as_deref_mut() {
+            recorder.queued(slot, (src, dst, tag), flits, self.cycle);
+        }
         self.ni_pending[src].push_back(PendingPacket { slot, next: 0 });
         set_bit(&mut self.busy_nis, src);
         self.packets_in_flight += 1;
@@ -873,8 +873,9 @@ impl Simulator {
         if let Some(recorder) = self.recorder.as_deref_mut() {
             recorder.hop(
                 self.config.num_nodes() * NUM_PORTS + node,
-                slot.id,
+                fref.slot,
                 fref.seq,
+                fref.kind.is_tail(),
             );
         }
         self.link_inflight.push(LinkArrival {
@@ -1071,7 +1072,7 @@ impl Simulator {
                 }
             }
             if let Some(recorder) = self.recorder.as_deref_mut() {
-                recorder.hop(link, slot.id, fref.seq);
+                recorder.hop(link, fref.slot, fref.seq, fref.kind.is_tail());
             }
             if op == LOCAL {
                 self.eject_inflight.push((r as u32, fref));

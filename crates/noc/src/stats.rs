@@ -407,6 +407,34 @@ impl LinkSlab {
         );
     }
 
+    /// Records a run of one packet's consecutive flits crossing `link` on
+    /// perfect wires: `head` when the run starts with the head flit, then
+    /// the payload rows — [`LinkSlab::observe`] on the head and on raw
+    /// payload rows, the codec-lane run kernel
+    /// ([`LinkSlab::observe_payload_run`]) on coded links.
+    ///
+    /// # Panics
+    ///
+    /// Under the conditions of [`LinkSlab::observe`] and
+    /// [`LinkSlab::observe_payload_run`].
+    pub(crate) fn observe_flits(
+        &mut self,
+        link: usize,
+        head: Option<&[u64]>,
+        payload: &(impl FlitRows + ?Sized),
+    ) {
+        if let Some(head) = head {
+            self.observe(link, head);
+        }
+        if self.lanes.is_some() {
+            self.observe_payload_run(link, payload);
+        } else {
+            for i in 0..payload.flit_count() {
+                self.observe(link, payload.row(i));
+            }
+        }
+    }
+
     /// Records one whole packet — head, then its payload rows — crossing
     /// `link` on perfect wires. Exactly equivalent to [`LinkSlab::observe`]
     /// on the head followed by [`LinkSlab::observe_payload_run`], at the
@@ -578,17 +606,28 @@ impl<'a> PacketWires<'a> {
             payload.words_per_flit(),
             head.len()
         );
+        let summary = match codec {
+            None if !payload.is_empty() => {
+                u64::from(row_transitions(head, payload.flit(0))) + payload.lagged_transitions(1)
+            }
+            Some(CodecKind::DeltaXor) if !payload.is_empty() => payload.lagged_transitions(2),
+            _ => 0,
+        };
+        Self::summarized(head, payload, codec, summary)
+    }
+
+    /// The packet whose link-independent sum ([`PacketWires::summary`])
+    /// is `summary`.
+    fn summarized(
+        head: &'a [u64],
+        payload: &'a FlitSlab,
+        codec: Option<CodecKind>,
+        summary: u64,
+    ) -> Self {
         let charge = match codec {
-            None => Charge::Raw {
-                intra: if payload.is_empty() {
-                    0
-                } else {
-                    u64::from(row_transitions(head, payload.flit(0)))
-                        + payload.lagged_transitions(1)
-                },
-            },
+            None => Charge::Raw { intra: summary },
             Some(CodecKind::DeltaXor) if !payload.is_empty() => {
-                Charge::DeltaXor(DeltaXorRun::new(payload))
+                Charge::DeltaXor(DeltaXorRun::with_tail(payload, summary))
             }
             Some(_) => Charge::Lanes,
         };
@@ -604,6 +643,35 @@ impl<'a> PacketWires<'a> {
     #[must_use]
     pub(crate) fn flits(&self) -> u64 {
         1 + self.payload.len() as u64
+    }
+
+    /// The link-independent sum [`PacketWires::new`] took over the rows,
+    /// to summarize the same rows again with
+    /// [`PacketWires::with_summary`].
+    #[must_use]
+    pub(crate) fn summary(&self) -> u64 {
+        match &self.charge {
+            Charge::Raw { intra } => *intra,
+            Charge::DeltaXor(run) => run.tail(),
+            Charge::Lanes => 0,
+        }
+    }
+
+    /// [`PacketWires::new`] on rows whose [`PacketWires::summary`] was
+    /// taken before, without another pass over them.
+    #[must_use]
+    pub(crate) fn with_summary(
+        head: &'a [u64],
+        payload: &'a FlitSlab,
+        codec: Option<CodecKind>,
+        summary: u64,
+    ) -> Self {
+        debug_assert_eq!(
+            summary,
+            Self::new(head, payload, codec).summary(),
+            "stale packet summary"
+        );
+        Self::summarized(head, payload, codec, summary)
     }
 }
 

@@ -14,7 +14,7 @@
 //!   error model changes nothing — outputs, transitions and cycles are
 //!   bit-identical to the plain path, with no EDC wires and no retries.
 //! * **Auto-engine fallback**: with errors injected, `EngineMode::Auto`
-//!   classifies every phase ineligible for the analytic replay and
+//!   steps every layer (a recording cannot model the flips) and
 //!   reproduces the cycle engine's run exactly.
 
 use noc_btr::accel::config::AccelConfig;
@@ -146,9 +146,8 @@ proptest! {
         prop_assert_eq!(armed.retried_packets, 0);
     }
 
-    /// `EngineMode::Auto` beside injected errors: every phase falls back
-    /// to the cycle engine (the analytic replay cannot model dirty
-    /// wires), and the whole run — recovery or typed failure — is
+    /// `EngineMode::Auto` beside injected errors: every layer steps (a
+    /// recording cannot model dirty wires), and the whole run — recovery or typed failure — is
     /// indistinguishable from forcing `EngineMode::Cycle`.
     #[test]
     fn auto_engine_falls_back_to_cycle_on_error_injected_phases(
@@ -175,7 +174,7 @@ proptest! {
         match (with_engine(EngineMode::Auto), with_engine(EngineMode::Cycle)) {
             (Ok(auto), Ok(cycle)) => {
                 prop_assert_eq!(auto.analytic_phase_fraction(), 0.0);
-                prop_assert!(auto.per_layer.iter().all(|l| !l.analytic));
+                prop_assert!(auto.per_layer.iter().all(|l| !l.replayed));
                 prop_assert_eq!(auto.output.data(), cycle.output.data());
                 prop_assert_eq!(auto.stats.total_transitions, cycle.stats.total_transitions);
                 prop_assert_eq!(auto.total_cycles, cycle.total_cycles);
