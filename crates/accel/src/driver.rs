@@ -55,7 +55,7 @@ use btr_core::transport::{
 use btr_dnn::model::InferenceOp;
 use btr_dnn::tensor::Tensor;
 use btr_noc::analytic::{EngineMode, PhaseRecording, PhaseTraffic};
-use btr_noc::session::{SendError, TaskPort};
+use btr_noc::session::TaskPort;
 use btr_noc::sim::{DeliveredPacket, InjectError, Simulator};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -126,15 +126,6 @@ impl From<FlitizeError> for AccelError {
 impl From<InjectError> for AccelError {
     fn from(e: InjectError) -> Self {
         AccelError::Inject(e)
-    }
-}
-
-impl From<SendError> for AccelError {
-    fn from(e: SendError) -> Self {
-        match e {
-            SendError::Encode(e) => AccelError::Flitize(e),
-            SendError::Inject(e) => AccelError::Inject(e),
-        }
     }
 }
 
@@ -460,6 +451,7 @@ impl<'a> InferenceSession<'a> {
 ///
 /// Returns [`AccelError`] on invalid configuration, flitization failure,
 /// a stalled layer, or a receiver-side decode failure.
+// btr-lint: allow(test-only-pub, reason = "the crate's single-input entry point; tests/end_to_end.rs checks its outputs against the software model")
 pub fn run_inference(
     ops: &[InferenceOp],
     input: &Tensor,
@@ -881,10 +873,8 @@ impl<W: AccelWord> PeDecoder<'_, W> {
         let decode_err = |e: TransportError| AccelError::Decode(e.to_string());
         let session = &self.stage.session;
         if self.reference {
-            let images: Vec<PayloadBits> =
-                (0..flits.flit_count()).map(|i| flits.image(i)).collect();
             let recovered = session
-                .decode_task_reference::<W>(wire, &images)
+                .decode_task_reference::<W>(wire, flits)
                 .map_err(decode_err)?;
             return Ok(W::response_bits(&recovered));
         }

@@ -12,15 +12,6 @@ use btr_bits::Quantizer;
 use btr_core::task::NeuronTask;
 use btr_dnn::tensor::Tensor;
 
-/// A task plus the flat index of the output element it produces.
-#[derive(Debug, Clone)]
-pub struct IndexedTask<W> {
-    /// The neuron computation.
-    pub task: NeuronTask<W>,
-    /// Flat index into the layer's output tensor.
-    pub out_index: usize,
-}
-
 /// Per-layer quantization scales used by the fixed-8 path.
 #[derive(Debug, Clone, Copy)]
 pub struct LayerQuantizers {
@@ -262,9 +253,7 @@ enum LayerInputs<W> {
 /// inputs — the MC-side half of the driver's encode stage.
 ///
 /// Global task id `j` enumerates `batch × tasks-per-input` tasks,
-/// batch-major, in exactly the order [`conv_tasks`]/[`linear_tasks`]
-/// produce for each input; `j % per_input` equals the task's flat output
-/// index. Weight kernels and bias words are materialized **once per
+/// batch-major; `j % per_input` equals the task's flat output index. Weight kernels and bias words are materialized **once per
 /// layer** at construction (they are shared by every output pixel and
 /// every batch element), so [`LayerTasks::build`] only extracts the
 /// per-task inputs.
@@ -525,67 +514,34 @@ impl<W: DataWord> LayerTasks<W> {
     }
 }
 
-/// Builds every task of a convolution layer using the given word mappers.
-///
-/// `out_index` is the flat index into the `[out_c, out_h, out_w]` output
-/// (equal to the task's position in the returned list). Thin eager
-/// wrapper over [`LayerTasks`] for single-input callers and tests.
-pub fn conv_tasks<'a, W: DataWord>(
-    input: &'a Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
-    geo: &ConvGeometry,
-    to_input: impl Fn(f32) -> W + Send + Sync + 'a,
-    to_weight: impl Fn(f32) -> W,
-    to_bias: impl Fn(f32) -> W,
-) -> Vec<IndexedTask<W>> {
-    let source = LayerTasks::conv(
-        std::slice::from_ref(input),
-        weight,
-        bias,
-        *geo,
-        vec![Box::new(to_input)],
-        to_weight,
-        to_bias,
-    );
-    (0..source.total())
-        .map(|j| IndexedTask {
-            task: source.build(j),
-            out_index: j,
-        })
-        .collect()
-}
-
-/// Builds every task of a linear layer.
-pub fn linear_tasks<'a, W: DataWord>(
-    input: &'a Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
-    to_input: impl Fn(f32) -> W + Send + Sync + 'a,
-    to_weight: impl Fn(f32) -> W,
-    to_bias: impl Fn(f32) -> W,
-) -> Vec<IndexedTask<W>> {
-    let source = LayerTasks::linear(
-        std::slice::from_ref(input),
-        weight,
-        bias,
-        vec![Box::new(to_input)],
-        to_weight,
-        to_bias,
-    );
-    (0..source.total())
-        .map(|j| IndexedTask {
-            task: source.build(j),
-            out_index: j,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use btr_bits::word::{F32Word, Fx8Word};
     use btr_dnn::model::conv_forward;
+
+    /// Every task of a one-input layer, in output-index order.
+    fn all_tasks<W: DataWord>(source: &LayerTasks<W>) -> Vec<NeuronTask<W>> {
+        (0..source.total()).map(|j| source.build(j)).collect()
+    }
+
+    /// The f32 conv tasks of one input.
+    fn f32_conv_tasks(
+        input: &Tensor,
+        weight: &Tensor,
+        bias: &Tensor,
+        geo: ConvGeometry,
+    ) -> Vec<NeuronTask<F32Word>> {
+        all_tasks(&LayerTasks::conv(
+            std::slice::from_ref(input),
+            weight,
+            bias,
+            geo,
+            vec![Box::new(F32Word::new)],
+            F32Word::new,
+            F32Word::new,
+        ))
+    }
 
     fn sample_conv() -> (Tensor, Tensor, Tensor, ConvGeometry) {
         let input = Tensor::from_vec(
@@ -616,32 +572,15 @@ mod tests {
     fn f32_conv_tasks_reproduce_conv_forward() {
         let (input, weight, bias, geo) = sample_conv();
         let reference = conv_forward(&input, &weight, &bias, 1, 1);
-        let tasks = conv_tasks(
-            &input,
-            &weight,
-            &bias,
-            &geo,
-            F32Word::new,
-            F32Word::new,
-            F32Word::new,
-        );
+        let tasks = f32_conv_tasks(&input, &weight, &bias, geo);
+        // One task per output element, in output-index order.
         assert_eq!(tasks.len(), geo.task_count());
-        for t in &tasks {
-            let got = t.task.mac_f64() as f32;
-            let want = reference.data()[t.out_index];
-            assert!(
-                (got - want).abs() < 1e-4,
-                "idx {}: {got} vs {want}",
-                t.out_index
-            );
+        assert_eq!(tasks.len(), reference.len());
+        for (idx, t) in tasks.iter().enumerate() {
+            let got = t.mac_f64() as f32;
+            let want = reference.data()[idx];
+            assert!((got - want).abs() < 1e-4, "idx {idx}: {got} vs {want}");
         }
-        // Every output index covered exactly once.
-        let mut seen = vec![false; reference.len()];
-        for t in &tasks {
-            assert!(!seen[t.out_index]);
-            seen[t.out_index] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]
@@ -654,17 +593,17 @@ mod tests {
         .unwrap();
         let bias = Tensor::from_vec(&[2], vec![1.0, -1.0]).unwrap();
         let reference = btr_dnn::model::linear_forward(&input, &weight, &bias);
-        let tasks = linear_tasks(
-            &input,
+        let tasks = all_tasks(&LayerTasks::linear(
+            std::slice::from_ref(&input),
             &weight,
             &bias,
+            vec![Box::new(F32Word::new)],
             F32Word::new,
             F32Word::new,
-            F32Word::new,
-        );
+        ));
         assert_eq!(tasks.len(), 2);
-        for t in &tasks {
-            assert!((t.task.mac_f64() as f32 - reference.data()[t.out_index]).abs() < 1e-5);
+        for (idx, t) in tasks.iter().enumerate() {
+            assert!((t.mac_f64() as f32 - reference.data()[idx]).abs() < 1e-5);
         }
     }
 
@@ -675,35 +614,31 @@ mod tests {
         let words =
             LayerWords::<Fx8Word>::derive(std::slice::from_ref(&input), &weight, &bias, false);
         let (mut inputs, tw, tb) = words.mappers();
-        let tasks = conv_tasks(&input, &weight, &bias, &geo, inputs.remove(0), tw, tb);
-        for t in &tasks {
-            let bits = u64::from(t.task.mac_i64() as i32 as u32);
-            let got = words.output(0, bits, t.task.bias());
-            let want = reference.data()[t.out_index];
+        let tasks = all_tasks(&LayerTasks::conv(
+            std::slice::from_ref(&input),
+            &weight,
+            &bias,
+            geo,
+            vec![inputs.remove(0)],
+            tw,
+            tb,
+        ));
+        for (idx, t) in tasks.iter().enumerate() {
+            let bits = u64::from(t.mac_i64() as i32 as u32);
+            let got = words.output(0, bits, t.bias());
+            let want = reference.data()[idx];
             // 8-bit quantization error over an 18-element dot product.
-            assert!(
-                (got - want).abs() < 0.12,
-                "idx {}: {got} vs {want}",
-                t.out_index
-            );
+            assert!((got - want).abs() < 0.12, "idx {idx}: {got} vs {want}");
         }
     }
 
     #[test]
     fn padding_produces_zero_words() {
         let (input, weight, bias, geo) = sample_conv();
-        let tasks = conv_tasks(
-            &input,
-            &weight,
-            &bias,
-            &geo,
-            F32Word::new,
-            F32Word::new,
-            F32Word::new,
-        );
+        let tasks = f32_conv_tasks(&input, &weight, &bias, geo);
         // Corner task (0,0) with padding 1: the first window element is
         // out of bounds -> 0.0.
         let corner = &tasks[0];
-        assert_eq!(corner.task.inputs()[0].value(), 0.0);
+        assert_eq!(corner.inputs()[0].value(), 0.0);
     }
 }

@@ -11,6 +11,7 @@ pub mod hot_loop;
 pub mod panic_path;
 pub mod schema;
 pub mod sweep_axes;
+pub mod test_only_pub;
 pub mod vendor;
 
 use crate::report::{Finding, Report, Suppressed};
@@ -24,6 +25,7 @@ pub const RULES: &[&str] = &[
     "sweep-axis-completeness",
     "determinism",
     "vendor-hygiene",
+    "test-only-pub",
     "lint-directive",
 ];
 
@@ -35,6 +37,7 @@ pub fn run_all(ws: &Workspace, report: &mut Report) {
     sweep_axes::check(ws, report);
     determinism::check(ws, report);
     vendor::check(ws, report);
+    test_only_pub::check(ws, report);
     audit_directives(ws, report);
 }
 

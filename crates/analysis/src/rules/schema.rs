@@ -24,7 +24,7 @@ pub const FAMILIES: &[(&str, &str, &str)] = &[
     (
         "btr-bench-v",
         "BENCH_SCHEMA",
-        "crates/experiments/src/json.rs",
+        "crates/experiments/benches/common/mod.rs",
     ),
     ("btr-lint-v", "LINT_SCHEMA", "crates/analysis/src/report.rs"),
 ];

@@ -288,6 +288,93 @@ fn directive_audit_catches_rot() {
     assert_eq!(lines, vec![1, 3, 4], "unused, unknown rule, missing reason");
 }
 
+/// A library file declaring `dead`, plus the given extra files.
+fn with_lib(extra: &[(&'static str, &'static str)]) -> Workspace {
+    let mut files = vec![(
+        "crates/core/src/lib.rs",
+        "pub mod codec;\n\
+         /// Only tests call this.\n\
+         pub fn dead(x: u32) -> u32 {\n    x + 1\n}\n\
+         #[cfg(test)]\n\
+         mod tests {\n    #[test]\n    fn t() { assert_eq!(super::dead(1), 2); }\n}\n",
+    )];
+    files.extend_from_slice(extra);
+    Workspace::from_memory(&files)
+}
+
+#[test]
+fn test_only_pub_fires_when_only_tests_examples_and_perfbench_call() {
+    let ws = with_lib(&[
+        ("tests/it.rs", "fn t() { btr_core::dead(2); }\n"),
+        (
+            "crates/core/benches/b.rs",
+            "fn b() { btr_core::dead(3); }\n",
+        ),
+        ("examples/demo.rs", "fn main() { btr_core::dead(4); }\n"),
+        (
+            "perfbench/src/main.rs",
+            "fn main() { btr_core::dead(5); }\n",
+        ),
+    ]);
+    assert_eq!(
+        findings_of(&ws, "test-only-pub"),
+        vec![("crates/core/src/lib.rs".to_string(), 3)]
+    );
+}
+
+#[test]
+fn test_only_pub_does_not_count_a_use_path() {
+    let ws = with_lib(&[(
+        "src/lib.rs",
+        "pub use btr_core::dead;\npub use btr_core::{dead as alive};\n",
+    )]);
+    assert_eq!(
+        findings_of(&ws, "test-only-pub"),
+        vec![("crates/core/src/lib.rs".to_string(), 3)]
+    );
+}
+
+#[test]
+fn test_only_pub_is_quiet_with_a_shipping_caller() {
+    let ws = with_lib(&[(
+        "crates/experiments/src/bin/sweep.rs",
+        "use btr_core::dead;\nfn main() { let _ = dead(7); }\n",
+    )]);
+    assert!(findings_of(&ws, "test-only-pub").is_empty());
+}
+
+#[test]
+fn test_only_pub_is_quiet_under_a_reasoned_allow() {
+    let ws = Workspace::from_memory(&[(
+        "crates/core/src/theory.rs",
+        "// btr-lint: allow(test-only-pub, reason = \"the oracle tests/properties.rs compares against\")\n\
+         pub fn brute_force(x: u32) -> u32 {\n    x\n}\n",
+    )]);
+    let report = run(&ws);
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    assert_eq!(report.suppressed.len(), 1);
+    assert_eq!(
+        report.suppressed[0].reason,
+        "the oracle tests/properties.rs compares against"
+    );
+}
+
+#[test]
+fn test_only_pub_allow_without_a_reason_fires() {
+    let ws = Workspace::from_memory(&[(
+        "crates/core/src/theory.rs",
+        "// btr-lint: allow(test-only-pub)\npub fn brute_force(x: u32) -> u32 {\n    x\n}\n",
+    )]);
+    assert_eq!(
+        findings_of(&ws, "test-only-pub"),
+        vec![("crates/core/src/theory.rs".to_string(), 2)]
+    );
+    assert_eq!(
+        findings_of(&ws, "lint-directive"),
+        vec![("crates/core/src/theory.rs".to_string(), 1)]
+    );
+}
+
 #[test]
 fn binary_exits_nonzero_on_a_seeded_violation_and_zero_when_clean() {
     let dir = std::env::temp_dir().join(format!("btr-lint-fixture-{}", std::process::id()));

@@ -11,7 +11,7 @@
 //! order-independent (`i32` accumulator), which the integration tests rely
 //! on to verify that ordering does not change inference outputs.
 
-use crate::word::{Fx16Word, Fx8Word};
+use crate::word::Fx8Word;
 
 /// Error produced when constructing a [`Quantizer`] with an invalid scale.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,40 +134,9 @@ impl Quantizer {
         Fx8Word::new(self.quantize_i32(x) as i8)
     }
 
-    /// Dequantizes an 8-bit word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the quantizer was not constructed with `bits == 8`.
-    #[must_use]
-    pub fn dequantize_fx8(&self, w: Fx8Word) -> f32 {
-        assert_eq!(self.bits, 8, "quantizer is {}-bit, not 8-bit", self.bits);
-        self.dequantize_i32(i32::from(w.code()))
-    }
-
-    /// Quantizes to a 16-bit word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the quantizer was not constructed with `bits == 16`.
-    #[must_use]
-    pub fn quantize_fx16(&self, x: f32) -> Fx16Word {
-        assert_eq!(self.bits, 16, "quantizer is {}-bit, not 16-bit", self.bits);
-        Fx16Word::new(self.quantize_i32(x) as i16)
-    }
-
-    /// Quantizes a whole slice into 8-bit words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the quantizer was not constructed with `bits == 8`.
-    #[must_use]
-    pub fn quantize_slice_fx8(&self, data: &[f32]) -> Vec<Fx8Word> {
-        data.iter().map(|&x| self.quantize_fx8(x)).collect()
-    }
-
     /// Worst-case absolute quantization error (half a step).
     #[must_use]
+    // btr-lint: allow(test-only-pub, reason = "tests/properties.rs quantization_error_bound bounds the round trip by it")
     pub fn max_abs_error(&self) -> f32 {
         self.scale / self.q_max() as f32 / 2.0
     }
@@ -239,14 +208,13 @@ mod tests {
         let q = Quantizer::new(1.0, 8).unwrap();
         let w = q.quantize_fx8(-0.5);
         assert_eq!(w.code(), -64);
-        assert!((q.dequantize_fx8(w) + 0.5).abs() < 0.01);
+        assert!((q.dequantize_i32(i32::from(w.code())) + 0.5).abs() < 0.01);
     }
 
     #[test]
     fn fx16_words() {
         let q = Quantizer::new(1.0, 16).unwrap();
-        let w = q.quantize_fx16(0.5);
-        assert_eq!(w.code(), 16384);
+        assert_eq!(q.quantize_i32(0.5) as i16, 16384);
     }
 
     #[test]
@@ -268,7 +236,7 @@ mod tests {
     #[test]
     fn quantize_slice() {
         let q = Quantizer::new(1.0, 8).unwrap();
-        let words = q.quantize_slice_fx8(&[0.0, 1.0, -1.0]);
+        let words: Vec<Fx8Word> = [0.0, 1.0, -1.0].map(|x| q.quantize_fx8(x)).into();
         assert_eq!(words.len(), 3);
         assert_eq!(words[1].code(), 127);
         assert_eq!(words[2].code(), -127);

@@ -6,8 +6,8 @@
 //!
 //! * [`word`] — typed data words ([`word::DataWord`]) in the paper's two
 //!   formats, 32-bit IEEE-754 float ([`word::F32Word`]) and 8-bit
-//!   two's-complement fixed point ([`word::Fx8Word`]), plus a 16-bit
-//!   extension format, all exposing their `'1'`-bit counts;
+//!   two's-complement fixed point ([`word::Fx8Word`]), both exposing
+//!   their `'1'`-bit counts;
 //! * [`fixed`] — symmetric per-tensor fixed-point quantization;
 //! * [`payload`] — [`payload::PayloadBits`], a fixed-capacity bit container
 //!   representing the image of a flit on the physical link wires;
@@ -26,14 +26,14 @@
 //!
 //! ```
 //! use btr_bits::word::{DataWord, F32Word};
-//! use btr_bits::transition::bit_transitions_u64;
+//! use btr_bits::slab::row_transitions;
 //!
 //! let a = F32Word::new(1.5f32);
 //! let b = F32Word::new(-0.25f32);
 //! // '1'-bit counts drive the ordering rule of the paper.
 //! assert_eq!(a.popcount(), a.bits().count_ones());
 //! // Bit transitions between two link words = Hamming distance.
-//! let bt = bit_transitions_u64(a.bits() as u64, b.bits() as u64);
+//! let bt = row_transitions(&[u64::from(a.bits())], &[u64::from(b.bits())]);
 //! assert_eq!(bt, (a.bits() ^ b.bits()).count_ones());
 //! ```
 
@@ -52,5 +52,4 @@ pub use fixed::{QuantError, Quantizer};
 pub use payload::PayloadBits;
 pub use slab::{FlitRows, FlitSlab, SlabRows};
 pub use stats::{BitPositionStats, PopcountHistogram};
-pub use transition::{bit_transitions, bit_transitions_u64};
-pub use word::{DataFormat, DataWord, F32Word, Fx16Word, Fx8Word};
+pub use word::{DataFormat, DataWord, F32Word, Fx8Word};

@@ -270,28 +270,6 @@ impl PayloadBits {
         }
     }
 
-    /// XOR of two images (the set of toggling wires).
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ.
-    #[inline]
-    #[must_use]
-    pub fn xor(&self, other: &PayloadBits) -> PayloadBits {
-        assert_eq!(
-            self.width, other.width,
-            "cannot XOR payloads of different widths"
-        );
-        // Words at or above the width are zero in both operands, so only
-        // the covered words can toggle.
-        let mut out = *self;
-        let used = self.words_used();
-        for (w, o) in out.words[..used].iter_mut().zip(other.words[..used].iter()) {
-            *w ^= o;
-        }
-        out
-    }
-
     /// Bitwise NOT within the payload width (used by bus-invert coding).
     #[inline]
     #[must_use]
@@ -309,11 +287,6 @@ impl PayloadBits {
             out.words[used - 1] &= (1u64 << rem) - 1;
         }
         out
-    }
-
-    /// Iterator over the `'1'`/`'0'` value of every wire, LSB-first.
-    pub fn iter_bits(&self) -> impl Iterator<Item = bool> + '_ {
-        (0..self.width).map(move |i| self.bit(i))
     }
 
     /// The same bit pattern on a link of a different width: widening adds
@@ -447,7 +420,7 @@ mod tests {
         p.set_field(65, 1, 1);
         assert!(p.bit(65));
         assert!(!p.bit(64));
-        assert_eq!(p.iter_bits().filter(|&b| b).count(), 1);
+        assert_eq!(p.popcount(), 1);
     }
 
     #[test]

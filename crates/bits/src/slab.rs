@@ -381,7 +381,8 @@ impl FlitSlab {
 /// Read access to a packet's flits as dense rows of `u64` words (wire
 /// `k` is bit `k % 64` of word `k / 64`), whether they sit in a
 /// [`FlitSlab`] (every engine's deliveries) or in [`PayloadBits`] images
-/// (the image-level adapters) — so one kernel serves both.
+/// (the slot-level oracles and image-level callers) — so one kernel
+/// serves both.
 pub trait FlitRows {
     /// Number of flits.
     fn flit_count(&self) -> usize;
@@ -409,12 +410,6 @@ pub trait FlitRows {
     fn dense(&self, row_words: usize) -> Option<&[u64]> {
         let _ = row_words;
         None
-    }
-
-    /// Flit `flit` as a [`PayloadBits`] image (for the per-image codec
-    /// and EDC paths).
-    fn image(&self, flit: usize) -> PayloadBits {
-        PayloadBits::from_row(self.flit_width(flit), self.row(flit))
     }
 }
 
@@ -482,10 +477,6 @@ impl FlitRows for [PayloadBits] {
     #[inline]
     fn row(&self, flit: usize) -> &[u64] {
         self[flit].used_words()
-    }
-
-    fn image(&self, flit: usize) -> PayloadBits {
-        self[flit]
     }
 }
 

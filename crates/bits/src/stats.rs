@@ -107,15 +107,6 @@ impl BitPositionStats {
         self.transitions.iter().map(|&c| c as f64 / pairs).collect()
     }
 
-    /// Mean popcount of the observed words.
-    #[must_use]
-    pub fn mean_popcount(&self) -> f64 {
-        if self.words_observed == 0 {
-            return 0.0;
-        }
-        self.ones.iter().sum::<u64>() as f64 / self.words_observed as f64
-    }
-
     /// Width of the observed words in bits.
     #[must_use]
     pub fn width(&self) -> u32 {
@@ -125,6 +116,7 @@ impl BitPositionStats {
 
 /// Histogram of word popcounts (0..=width ones).
 #[derive(Debug, Clone)]
+// btr-lint: allow(test-only-pub, reason = "stats::tests::mean_popcount_matches_histogram checks the per-wire statistics against it")
 pub struct PopcountHistogram {
     width: u32,
     counts: Vec<u64>,
@@ -143,18 +135,12 @@ impl PopcountHistogram {
     }
 
     /// Records one word's popcount.
-    pub fn observe<W: DataWord>(&mut self, word: W) {
-        debug_assert_eq!(W::WIDTH, self.width);
-        self.counts[word.popcount() as usize] += 1;
-        self.total += 1;
-    }
-
-    /// Records a raw popcount value.
     ///
     /// # Panics
     ///
-    /// Panics if `popcount > width`.
-    pub fn observe_popcount(&mut self, popcount: u32) {
+    /// Panics if the word's popcount exceeds the histogram width.
+    pub fn observe<W: DataWord>(&mut self, word: W) {
+        let popcount = word.popcount();
         assert!(
             popcount <= self.width,
             "popcount {popcount} exceeds width {}",
@@ -189,22 +175,6 @@ impl PopcountHistogram {
             .map(|(pc, &c)| pc as u64 * c)
             .sum();
         sum as f64 / self.total as f64
-    }
-
-    /// Population variance of the popcount.
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let sq_sum: f64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(pc, &c)| (pc as f64 - mean).powi(2) * c as f64)
-            .sum();
-        sq_sum / self.total as f64
     }
 }
 
@@ -243,7 +213,7 @@ mod tests {
         let s = BitPositionStats::new(32);
         assert!(s.one_probability().is_empty());
         assert!(s.transition_probability().is_empty());
-        assert_eq!(s.mean_popcount(), 0.0);
+        assert_eq!(s.count(), 0);
     }
 
     #[test]
@@ -267,7 +237,6 @@ mod tests {
         h.observe(Fx8Word::new(-1)); // pc 8
         assert_eq!(h.total(), 2);
         assert!((h.mean() - 4.0).abs() < 1e-12);
-        assert!((h.variance() - 16.0).abs() < 1e-12);
         assert_eq!(h.counts()[0], 1);
         assert_eq!(h.counts()[8], 1);
     }
@@ -275,8 +244,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds width")]
     fn histogram_rejects_out_of_range() {
-        let mut h = PopcountHistogram::new(8);
-        h.observe_popcount(9);
+        let mut h = PopcountHistogram::new(4);
+        h.observe(Fx8Word::new(-1));
     }
 
     #[test]
@@ -293,6 +262,8 @@ mod tests {
             s.observe(w);
             h.observe(w);
         }
-        assert!((s.mean_popcount() - h.mean()).abs() < 1e-12);
+        // The mean popcount is the sum of the per-wire '1' probabilities.
+        let mean_popcount: f64 = s.one_probability().iter().sum();
+        assert!((mean_popcount - h.mean()).abs() < 1e-12);
     }
 }

@@ -19,16 +19,6 @@ pub const fn popcount_u8(x: u8) -> u32 {
     x as u32
 }
 
-/// SWAR popcount of a 16-bit word (4 masked-add stages).
-#[must_use]
-pub const fn popcount_u16(x: u16) -> u32 {
-    let x = (x & 0x5555) + ((x >> 1) & 0x5555);
-    let x = (x & 0x3333) + ((x >> 2) & 0x3333);
-    let x = (x & 0x0f0f) + ((x >> 4) & 0x0f0f);
-    let x = (x & 0x00ff) + ((x >> 8) & 0x00ff);
-    x as u32
-}
-
 /// SWAR popcount of a 32-bit word (5 masked-add stages).
 #[must_use]
 pub const fn popcount_u32(x: u32) -> u32 {
@@ -39,35 +29,6 @@ pub const fn popcount_u32(x: u32) -> u32 {
     (x & 0x0000_ffff) + ((x >> 16) & 0x0000_ffff)
 }
 
-/// SWAR popcount of a 64-bit word (6 masked-add stages).
-#[must_use]
-pub const fn popcount_u64(x: u64) -> u32 {
-    let x = (x & 0x5555_5555_5555_5555) + ((x >> 1) & 0x5555_5555_5555_5555);
-    let x = (x & 0x3333_3333_3333_3333) + ((x >> 2) & 0x3333_3333_3333_3333);
-    let x = (x & 0x0f0f_0f0f_0f0f_0f0f) + ((x >> 4) & 0x0f0f_0f0f_0f0f_0f0f);
-    let x = (x & 0x00ff_00ff_00ff_00ff) + ((x >> 8) & 0x00ff_00ff_00ff_00ff);
-    let x = (x & 0x0000_ffff_0000_ffff) + ((x >> 16) & 0x0000_ffff_0000_ffff);
-    let x = (x & 0x0000_0000_ffff_ffff) + ((x >> 32) & 0x0000_0000_ffff_ffff);
-    x as u32
-}
-
-/// Number of masked-add stages the SWAR circuit needs for a `width`-bit word.
-///
-/// Used by the hardware area/latency model: each stage is one layer of
-/// adders in the popcount tree.
-///
-/// # Panics
-///
-/// Panics if `width` is not a power of two in `1..=64`.
-#[must_use]
-pub fn swar_stages(width: u32) -> u32 {
-    assert!(
-        width.is_power_of_two() && (1..=64).contains(&width),
-        "SWAR width must be a power of two in 1..=64, got {width}"
-    );
-    width.trailing_zeros()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,13 +37,6 @@ mod tests {
     fn u8_matches_native_exhaustive() {
         for x in 0..=u8::MAX {
             assert_eq!(popcount_u8(x), x.count_ones(), "x={x:#010b}");
-        }
-    }
-
-    #[test]
-    fn u16_matches_native_exhaustive() {
-        for x in 0..=u16::MAX {
-            assert_eq!(popcount_u16(x), x.count_ones());
         }
     }
 
@@ -106,35 +60,5 @@ mod tests {
             assert_eq!(popcount_u32(1 << i), 1);
             assert_eq!(popcount_u32(u32::MAX ^ (1 << i)), 31);
         }
-    }
-
-    #[test]
-    fn u64_matches_native_sampled() {
-        for x in [
-            0u64,
-            1,
-            u64::MAX,
-            0x5555_5555_5555_5555,
-            0x0123_4567_89ab_cdef,
-        ] {
-            assert_eq!(popcount_u64(x), x.count_ones());
-        }
-        for i in 0..64 {
-            assert_eq!(popcount_u64(1 << i), 1);
-        }
-    }
-
-    #[test]
-    fn stage_counts() {
-        assert_eq!(swar_stages(8), 3);
-        assert_eq!(swar_stages(16), 4);
-        assert_eq!(swar_stages(32), 5);
-        assert_eq!(swar_stages(64), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn stage_count_rejects_non_power_of_two() {
-        let _ = swar_stages(24);
     }
 }

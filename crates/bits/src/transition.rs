@@ -8,27 +8,12 @@
 
 use crate::payload::PayloadBits;
 
-/// Bit transitions between two link words given as raw `u64` images.
-#[must_use]
-pub fn bit_transitions_u64(previous: u64, current: u64) -> u32 {
-    (previous ^ current).count_ones()
-}
-
-/// Bit transitions between two flit images (Hamming distance).
-///
-/// # Panics
-///
-/// Panics if the images have different widths.
-#[must_use]
-pub fn bit_transitions(previous: &PayloadBits, current: &PayloadBits) -> u32 {
-    current.transitions_to(previous)
-}
-
 /// Total bit transitions over a stream of flit images sent back-to-back on
 /// one link, i.e. the sum of Hamming distances of consecutive pairs.
 ///
 /// An empty or single-flit stream has zero transitions.
 #[must_use]
+// btr-lint: allow(test-only-pub, reason = "the image-level oracle tests/models_and_streams.rs measure_flits_consecutive_matches_unencoded_count compares measure_flits against")
 pub fn stream_transitions(flits: &[PayloadBits]) -> u64 {
     flits
         .windows(2)
@@ -53,6 +38,7 @@ pub fn reduction_rate(baseline: u64, optimized: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slab::row_transitions;
 
     fn payload_from(width: u32, lo: u64) -> PayloadBits {
         let mut p = PayloadBits::zero(width);
@@ -62,9 +48,9 @@ mod tests {
 
     #[test]
     fn scalar_transitions() {
-        assert_eq!(bit_transitions_u64(0, 0), 0);
-        assert_eq!(bit_transitions_u64(0, u64::MAX), 64);
-        assert_eq!(bit_transitions_u64(0b1010, 0b0101), 4);
+        assert_eq!(row_transitions(&[0], &[0]), 0);
+        assert_eq!(row_transitions(&[0], &[u64::MAX]), 64);
+        assert_eq!(row_transitions(&[0b1010], &[0b0101]), 4);
     }
 
     #[test]

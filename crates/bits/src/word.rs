@@ -214,56 +214,6 @@ impl From<i8> for Fx8Word {
     }
 }
 
-/// A 16-bit two's-complement fixed-point word (extension format).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Fx16Word(i16);
-
-impl Fx16Word {
-    /// Wraps a signed 16-bit code.
-    #[must_use]
-    pub fn new(code: i16) -> Self {
-        Self(code)
-    }
-
-    /// The signed integer code.
-    #[must_use]
-    pub fn code(self) -> i16 {
-        self.0
-    }
-
-    /// Raw two's-complement bit image.
-    #[must_use]
-    pub fn bits(self) -> u16 {
-        self.0 as u16
-    }
-}
-
-impl DataWord for Fx16Word {
-    const WIDTH: u32 = 16;
-
-    fn bits_u64(self) -> u64 {
-        u64::from(self.0 as u16)
-    }
-
-    fn from_bits_u64(bits: u64) -> Self {
-        Self::new(bits as u16 as i16)
-    }
-
-    fn popcount(self) -> u32 {
-        swar::popcount_u16(self.0 as u16)
-    }
-
-    fn zero() -> Self {
-        Self(0)
-    }
-}
-
-impl From<i16> for Fx16Word {
-    fn from(v: i16) -> Self {
-        Self::new(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,13 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn fx16_popcount_matches_native() {
-        for code in [-32768i16, -1, 0, 1, 255, 256, 32767, -12345] {
-            assert_eq!(Fx16Word::new(code).popcount(), (code as u16).count_ones());
-        }
-    }
-
-    #[test]
     fn format_widths() {
         assert_eq!(DataFormat::Float32.bits_per_value(), 32);
         assert_eq!(DataFormat::Fixed8.bits_per_value(), 8);
@@ -325,8 +268,6 @@ mod tests {
         assert_eq!(F32Word::from_bits_u64(f.bits_u64()), f);
         let x = Fx8Word::new(-77);
         assert_eq!(Fx8Word::from_bits_u64(x.bits_u64()), x);
-        let y = Fx16Word::new(-12345);
-        assert_eq!(Fx16Word::from_bits_u64(y.bits_u64()), y);
         // Upper bits are ignored.
         assert_eq!(Fx8Word::from_bits_u64(0xffff_ff01), Fx8Word::new(1));
     }
@@ -337,7 +278,5 @@ mod tests {
         assert!(w.bits_u64() < (1u64 << F32Word::WIDTH));
         let w = Fx8Word::new(-1);
         assert!(w.bits_u64() < (1u64 << Fx8Word::WIDTH));
-        let w = Fx16Word::new(-1);
-        assert!(w.bits_u64() < (1u64 << Fx16Word::WIDTH));
     }
 }

@@ -9,19 +9,15 @@
 //! of those schemes, split into two halves:
 //!
 //! * [`CodecKind`] — the **stateless scheme**: which transform runs on the
-//!   wires, how many side-channel wires it adds, and the per-packet stream
-//!   conveniences ([`CodecKind::encode_stream`] /
-//!   [`CodecKind::decode_stream`]) that seed a fresh state per call;
+//!   wires and how many side-channel wires it adds;
 //! * [`LinkCodecState`] — the **explicit state object** (seed / step /
 //!   inverse): the running wire memory a real encoder flip-flop holds.
-//!   [`CodecKind::seed_state`] seeds it, [`LinkCodecState::encode_step`]
-//!   advances the transmit side one flit, [`LinkCodecState::decode_step`]
-//!   is the mirrored inverse on the receive side, and
-//!   [`LinkCodecState::reset`] returns it to the seeded state. The same
-//!   steps run on dense link-aligned `u64` rows
-//!   ([`LinkCodecState::encode_row_onto`], [`LinkCodecState::decode_row`],
-//!   [`LinkCodecState::encode_rows_onto`]), which is how the NoC's
-//!   per-link lanes drive them; the image steps wrap the row steps.
+//!   [`CodecKind::seed_state`] seeds it,
+//!   [`LinkCodecState::encode_row_onto`] advances the transmit side one
+//!   flit, [`LinkCodecState::decode_row`] is the mirrored inverse on the
+//!   receive side, and [`LinkCodecState::reset`] returns it to the seeded
+//!   state. The steps run on dense link-aligned `u64` rows;
+//!   [`LinkCodecState::encode_rows_onto`] advances over a whole run.
 //!
 //! *Where* the state lives is the [`CodecScope`] axis:
 //!
@@ -103,41 +99,6 @@ impl CodecKind {
     #[must_use]
     pub fn seed_state(self, data_width: u32) -> LinkCodecState {
         LinkCodecState::new(self, data_width)
-    }
-
-    /// Encodes a plain flit stream (every image `data_width` bits) into
-    /// wire images of `data_width + extra_wires` bits, in order, with
-    /// **per-packet** state: a fresh [`LinkCodecState`] is seeded for the
-    /// call, so the first flit re-seeds the scheme.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widened wire image would exceed
-    /// [`btr_bits::payload::MAX_WIDTH_BITS`] or the stream mixes widths.
-    #[must_use]
-    pub fn encode_stream(self, plain: &[PayloadBits]) -> Vec<PayloadBits> {
-        let Some(first) = plain.first() else {
-            return Vec::new();
-        };
-        let mut state = self.seed_state(first.width());
-        plain.iter().map(|p| state.encode_step(p)).collect()
-    }
-
-    /// Decodes a packet's wire images back into the plain flit stream of
-    /// `data_width`-bit images (**per-packet** state, the inverse of
-    /// [`CodecKind::encode_stream`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError`] if a wire image's width is not
-    /// `data_width + extra_wires`.
-    pub fn decode_stream(
-        self,
-        wire: &[PayloadBits],
-        data_width: u32,
-    ) -> Result<Vec<PayloadBits>, CodecError> {
-        let mut state = self.seed_state(data_width);
-        wire.iter().map(|w| state.decode_step(w)).collect()
     }
 }
 
@@ -389,14 +350,14 @@ impl<'a> DeltaXorRun<'a> {
 /// encoder (or its mirrored decoder) holds between flits.
 ///
 /// One instance per *directed physical link* models [`CodecScope::PerLink`]
-/// (the state lives for the link's lifetime); one instance per packet —
-/// what [`CodecKind::encode_stream`] seeds internally — models
-/// [`CodecScope::PerPacket`].
+/// (the state lives for the link's lifetime); one instance per packet
+/// models [`CodecScope::PerPacket`].
 ///
 /// The transmit and receive ends of a link hold separate instances that
-/// evolve through the identical sequence of images, so
-/// `rx.decode_step(tx.encode_step(p)) == p` for every flit, at any point
-/// in the stream, with no packet-boundary reset required.
+/// evolve through the identical sequence of rows: decoding with
+/// [`LinkCodecState::decode_row`] what [`LinkCodecState::encode_row_onto`]
+/// drove returns the plain row for every flit, at any point in the
+/// stream, with no packet-boundary reset required.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkCodecState {
     kind: CodecKind,
@@ -450,12 +411,6 @@ impl LinkCodecState {
         self.data_width + self.kind.extra_wires()
     }
 
-    /// True once a flit has seeded the wire memory.
-    #[must_use]
-    pub fn is_seeded(&self) -> bool {
-        self.prev.is_some()
-    }
-
     /// Returns the state to its seeded (packet-boundary) condition — the
     /// step a per-packet scope takes between packets and a per-link scope
     /// deliberately does not.
@@ -490,24 +445,6 @@ impl LinkCodecState {
             );
             plain.resized(self.data_width)
         }
-    }
-
-    /// Advances the transmit side one flit: encodes `plain` against the
-    /// wire memory and returns the `wire_width` image actually driven
-    /// onto the link — [`LinkCodecState::encode_row_onto`] on images.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plain` is neither `data_width` nor `wire_width` bits
-    /// wide (the latter with zeroed side-channel wires).
-    #[must_use]
-    pub fn encode_step(&mut self, plain: &PayloadBits) -> PayloadBits {
-        let data = self.data_image(plain);
-        let (mut row, mut wire) = ([0u64; MAX_ROW_WORDS], [0u64; MAX_ROW_WORDS]);
-        let words = self.wire_words();
-        row[..self.data_words()].copy_from_slice(data.used_words());
-        self.encode_row_onto(&row[..words], &mut wire[..words]);
-        PayloadBits::from_row(self.wire_width(), &wire[..words])
     }
 
     /// Words of a `data_width` row.
@@ -707,8 +644,7 @@ impl LinkCodecState {
 
     /// Advances the receive side one flit on dense rows: decodes the
     /// wire row `wire` against the mirrored wire memory into `plain`, a
-    /// link-aligned plain row (side-channel wires written zero) —
-    /// [`LinkCodecState::decode_step`] with no image built.
+    /// link-aligned plain row (side-channel wires written zero).
     ///
     /// # Panics
     ///
@@ -767,7 +703,7 @@ impl LinkCodecState {
 
     /// Advances the transmit side over a whole uninterrupted run of plain
     /// flits — [`LinkCodecState::encode_rows_onto`] on images. The state
-    /// ends exactly where flit-by-flit [`LinkCodecState::encode_step`]
+    /// ends exactly where flit-by-flit [`LinkCodecState::encode_row_onto`]
     /// calls would, and the returned [`WireRun`] summarizes the wire
     /// stream (first image, last image, intra-run transition sum) without
     /// materializing the intermediate wires. Returns `None` for an empty
@@ -775,8 +711,9 @@ impl LinkCodecState {
     ///
     /// # Panics
     ///
-    /// Panics under the same width conditions as
-    /// [`LinkCodecState::encode_step`].
+    /// Panics if a plain image is neither `data_width` nor `wire_width`
+    /// bits wide (the latter with zeroed side-channel wires).
+    // btr-lint: allow(test-only-pub, reason = "perfbench times it as core.lane_run")
     pub fn encode_run<'a>(
         &mut self,
         plains: impl IntoIterator<Item = &'a PayloadBits>,
@@ -859,44 +796,6 @@ impl LinkCodecState {
         self.remember(rows.flit(n - 1));
         u64::from(toggled) + run.tail
     }
-
-    /// The intra-run wire transition sum [`LinkCodecState::encode_run`]
-    /// would report for `plains` from the current state, without
-    /// advancing it — the pure counting form of the bulk kernel (what a
-    /// BT-only evaluation of a run costs: one XOR+popcount per flit, no
-    /// materialized wires at all).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`LinkCodecState::encode_run`].
-    #[must_use]
-    pub fn transitions_of_run<'a>(&self, plains: impl IntoIterator<Item = &'a PayloadBits>) -> u64 {
-        let mut probe = self.clone();
-        probe.encode_run(plains).map_or(0, |run| run.intra)
-    }
-
-    /// Advances the receive side one flit: decodes a `wire_width` image
-    /// against the mirrored wire memory and returns the `data_width`
-    /// plain image.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::WireWidth`] if `wire` is not `wire_width`
-    /// bits wide.
-    pub fn decode_step(&mut self, wire: &PayloadBits) -> Result<PayloadBits, CodecError> {
-        if wire.width() != self.wire_width() {
-            return Err(CodecError::WireWidth {
-                got: wire.width(),
-                want: self.wire_width(),
-            });
-        }
-        let mut plain = [0u64; MAX_ROW_WORDS];
-        self.decode_row(wire.used_words(), &mut plain[..self.wire_words()]);
-        Ok(PayloadBits::from_row(
-            self.data_width,
-            &plain[..self.data_words()],
-        ))
-    }
 }
 
 /// Bit `index` of a row.
@@ -973,17 +872,44 @@ mod tests {
             .collect()
     }
 
+    /// One transmit row step on images: `plain` zero-extended onto the
+    /// wire, through [`LinkCodecState::encode_row_onto`].
+    fn step(state: &mut LinkCodecState, plain: &PayloadBits) -> PayloadBits {
+        let aligned = plain.resized(state.wire_width());
+        let mut wire = vec![0; aligned.used_words().len()];
+        state.encode_row_onto(aligned.used_words(), &mut wire);
+        PayloadBits::from_row(state.wire_width(), &wire)
+    }
+
+    /// One receive row step on images, back to the data width.
+    fn unstep(state: &mut LinkCodecState, wire: &PayloadBits) -> PayloadBits {
+        let mut plain = vec![u64::MAX; wire.used_words().len()];
+        state.decode_row(wire.used_words(), &mut plain);
+        PayloadBits::from_row(state.wire_width(), &plain).resized(state.data_width())
+    }
+
+    /// A packet through a fresh state, flit by flit (per-packet scope).
+    fn encode(kind: CodecKind, plain: &[PayloadBits]) -> Vec<PayloadBits> {
+        let mut state = kind.seed_state(plain[0].width());
+        plain.iter().map(|p| step(&mut state, p)).collect()
+    }
+
+    fn decode(kind: CodecKind, wire: &[PayloadBits], width: u32) -> Vec<PayloadBits> {
+        let mut state = kind.seed_state(width);
+        wire.iter().map(|w| unstep(&mut state, w)).collect()
+    }
+
     #[test]
     fn all_codecs_round_trip() {
         for kind in CodecKind::ALL {
             for (n, width, seed) in [(1usize, 8u32, 1u64), (7, 64, 2), (40, 128, 3), (13, 96, 4)] {
                 let stream = random_stream(n, width, seed);
-                let wire = kind.encode_stream(&stream);
+                let wire = encode(kind, &stream);
                 assert_eq!(wire.len(), stream.len());
                 for w in &wire {
                     assert_eq!(w.width(), width + kind.extra_wires());
                 }
-                let back = kind.decode_stream(&wire, width).unwrap();
+                let back = decode(kind, &wire, width);
                 assert_eq!(back, stream, "{kind} n={n} w={width}");
             }
         }
@@ -991,36 +917,74 @@ mod tests {
 
     #[test]
     fn empty_streams_encode_and_decode() {
+        // An empty run leaves the lane and the wire row untouched.
         for kind in CodecKind::ALL {
-            assert!(kind.encode_stream(&[]).is_empty());
-            assert!(kind.decode_stream(&[], 64).unwrap().is_empty());
+            for seeded in [false, true] {
+                let mut lane = kind.seed_state(64);
+                if seeded {
+                    let _ = step(&mut lane, &random_stream(1, 64, 3)[0]);
+                }
+                let before = lane.clone();
+                let mut wire = vec![7; lane.wire_width().div_ceil(64) as usize];
+                let empty = FlitSlab::new(lane.wire_width());
+                assert!(lane.encode_rows_onto(&empty, &mut wire).is_none());
+                assert_eq!(lane, before, "{kind}");
+                assert!(wire.iter().all(|&w| w == 7), "{kind}");
+            }
         }
     }
 
     #[test]
     fn decode_rejects_wrong_wire_width() {
-        let stream = random_stream(4, 64, 9);
+        // A row of the wrong width never decodes; the transport turns the
+        // mismatch into this error before it reaches the lane.
         for kind in CodecKind::ALL {
-            let wire = kind.encode_stream(&stream);
-            let err = kind.decode_stream(&wire, 32).unwrap_err();
-            assert!(matches!(err, CodecError::WireWidth { .. }));
-            assert!(err.to_string().contains("codec expects"));
+            let mut rx = kind.seed_state(96);
+            let refused = std::panic::catch_unwind(move || {
+                let mut plain = [0u64; 1];
+                rx.decode_row(&[0; 1], &mut plain);
+            });
+            assert!(refused.is_err(), "{kind}");
         }
+        let err = CodecError::WireWidth { got: 64, want: 33 };
+        assert!(err.to_string().contains("codec expects"));
     }
 
     #[test]
     fn state_steps_match_the_stream_functions() {
-        // encode_stream/decode_stream are exactly a fresh state folded
-        // over the packet — the per-packet scope in state-object form.
+        // The per-flit row walk is the oracle of the run kernel: the same
+        // boundary and intra-run toggles, the same last wire and the same
+        // end state; the mirrored decode walk recovers the packet.
         for kind in CodecKind::ALL {
-            let stream = random_stream(23, 96, 17);
-            let mut tx = kind.seed_state(96);
-            let stepped: Vec<PayloadBits> = stream.iter().map(|p| tx.encode_step(p)).collect();
-            assert_eq!(stepped, kind.encode_stream(&stream), "{kind}");
-            let mut rx = kind.seed_state(96);
-            let decoded: Vec<PayloadBits> =
-                stepped.iter().map(|w| rx.decode_step(w).unwrap()).collect();
-            assert_eq!(decoded, stream, "{kind}");
+            for width in [96u32, 128] {
+                let stream = random_stream(23, width, 17);
+                let mut tx = kind.seed_state(width);
+                let wire_width = tx.wire_width();
+                let old = random_stream(1, wire_width, 8).remove(0);
+                let mut walked = old;
+                let mut toggles = Vec::new();
+                let stepped: Vec<PayloadBits> = stream
+                    .iter()
+                    .map(|p| {
+                        let next = step(&mut tx, p);
+                        toggles.push(u64::from(next.transitions_to(&walked)));
+                        walked = next;
+                        next
+                    })
+                    .collect();
+                let aligned: Vec<PayloadBits> =
+                    stream.iter().map(|p| p.resized(wire_width)).collect();
+                let mut run = kind.seed_state(width);
+                let mut wire = old.used_words().to_vec();
+                let got = run
+                    .encode_rows_onto(&FlitSlab::from_images(wire_width, &aligned), &mut wire)
+                    .unwrap();
+                let want = (toggles[0] as u32, toggles[1..].iter().sum(), 23);
+                assert_eq!(got, want, "{kind} {width}");
+                assert_eq!(wire, walked.used_words(), "{kind} {width}");
+                assert_eq!(run, tx, "{kind} {width}");
+                assert_eq!(decode(kind, &stepped, width), stream, "{kind} {width}");
+            }
         }
     }
 
@@ -1036,18 +1000,18 @@ mod tests {
             let mut rx = kind.seed_state(64);
             for packet in &packets {
                 for plain in packet {
-                    let wire = tx.encode_step(plain);
-                    assert_eq!(&rx.decode_step(&wire).unwrap(), plain, "{kind}");
+                    let wire = step(&mut tx, plain);
+                    assert_eq!(&unstep(&mut rx, &wire), plain, "{kind}");
                 }
             }
-            assert_eq!(tx.is_seeded(), kind.is_stateful());
+            assert_eq!(tx != kind.seed_state(64), kind.is_stateful());
             // Resetting both ends at every boundary reproduces the
-            // per-packet stream encode exactly.
+            // per-packet encode exactly.
             let mut tx = kind.seed_state(64);
             for packet in &packets {
                 tx.reset();
-                let stepped: Vec<PayloadBits> = packet.iter().map(|p| tx.encode_step(p)).collect();
-                assert_eq!(stepped, kind.encode_stream(packet), "{kind}");
+                let stepped: Vec<PayloadBits> = packet.iter().map(|p| step(&mut tx, p)).collect();
+                assert_eq!(stepped, encode(kind, packet), "{kind}");
             }
         }
     }
@@ -1055,7 +1019,7 @@ mod tests {
     #[test]
     fn encode_run_matches_step_loop() {
         // The bulk kernel must be indistinguishable from flit-by-flit
-        // encode_step: same wire boundaries, same intra transition sum,
+        // row steps: same wire boundaries, same intra transition sum,
         // same end-of-run state — from a fresh lane and mid-stream.
         for kind in CodecKind::ALL {
             for (n, width, seed) in [(1usize, 8u32, 1u64), (2, 64, 2), (9, 96, 3), (32, 128, 4)] {
@@ -1064,13 +1028,12 @@ mod tests {
                     let stream = random_stream(n, width, seed);
                     let mut stepped = kind.seed_state(width);
                     for p in &history {
-                        let _ = stepped.encode_step(p);
+                        let _ = step(&mut stepped, p);
                     }
                     let mut bulk = stepped.clone();
                     let wires: Vec<PayloadBits> =
-                        stream.iter().map(|p| stepped.encode_step(p)).collect();
+                        stream.iter().map(|p| step(&mut stepped, p)).collect();
                     let intra = stream_transitions(&wires);
-                    assert_eq!(bulk.transitions_of_run(&stream), intra, "{kind}");
                     let run = bulk.encode_run(&stream).unwrap();
                     assert_eq!(run.first, wires[0], "{kind} n={n} warmup={warmup}");
                     assert_eq!(run.last, *wires.last().unwrap(), "{kind}");
@@ -1090,7 +1053,7 @@ mod tests {
                 let stream = random_stream(n, 96, n as u64);
                 let mut bulk = CodecKind::DeltaXor.seed_state(96);
                 for p in &history {
-                    let _ = bulk.encode_step(p);
+                    let _ = step(&mut bulk, p);
                 }
                 let mut summarized = bulk.clone();
                 let head = random_stream(1, 96, n as u64 + 90)[0];
@@ -1117,11 +1080,11 @@ mod tests {
     #[test]
     fn row_steps_match_the_image_steps() {
         // The row hop leaves the lane, the wire row and the toggle count
-        // exactly where encode_step plus a Hamming distance does, the
-        // row decode recovers the link-aligned plain row on a mirrored
-        // lane, and mirror_from lands on the same state. Widths cover a
-        // row that ends mid-word, one whose invert line opens a word of
-        // its own, and one whose line shares the last word.
+        // exactly where a one-flit image run plus a Hamming distance
+        // does, the row decode recovers the link-aligned plain row on a
+        // mirrored lane, and mirror_from lands on the same state. Widths
+        // cover a row that ends mid-word, one whose invert line opens a
+        // word of its own, and one whose line shares the last word.
         for kind in CodecKind::ALL {
             for width in [100u32, 128, 127] {
                 let stream = random_stream(6, width, 21 + u64::from(width));
@@ -1134,7 +1097,7 @@ mod tests {
                 let mut wire_row = wire.used_words().to_vec();
                 for plain in &stream {
                     let aligned = plain.resized(wire_width);
-                    let next = stepped.encode_step(plain);
+                    let next = stepped.encode_run(std::iter::once(plain)).unwrap().first;
                     let want = next.transitions_to(&wire);
                     let got = rows.encode_row_onto(aligned.used_words(), &mut wire_row);
                     assert_eq!(got, want, "{kind} {width}");
@@ -1164,7 +1127,7 @@ mod tests {
                         let stream = random_stream(n + 1, width, 40 + n as u64);
                         let mut bulk = kind.seed_state(width);
                         if seeded {
-                            let _ = bulk.encode_step(&stream[0]);
+                            let _ = step(&mut bulk, &stream[0]);
                         }
                         let mut onto = bulk.clone();
                         let run = bulk.encode_run(&stream[1..]).unwrap();
@@ -1184,22 +1147,16 @@ mod tests {
                 }
             }
         }
-        let mut lane = CodecKind::DeltaXor.seed_state(64);
-        assert!(lane
-            .encode_rows_onto(&FlitSlab::new(64), &mut [7])
-            .is_none());
-        assert!(!lane.is_seeded());
     }
 
     #[test]
     fn encode_run_empty_is_identity() {
         for kind in CodecKind::ALL {
             let mut state = kind.seed_state(64);
-            let _ = state.encode_step(&random_stream(1, 64, 7)[0]);
+            let _ = step(&mut state, &random_stream(1, 64, 7)[0]);
             let before = state.clone();
             assert!(state.encode_run(std::iter::empty()).is_none());
             assert_eq!(state, before);
-            assert_eq!(state.transitions_of_run(std::iter::empty()), 0);
         }
     }
 
@@ -1209,12 +1166,10 @@ mod tests {
         // width; the state must accept the wire-width image with zeroed
         // side-channel wires and produce the identical wire.
         let stream = random_stream(9, 64, 33);
+        let aligned: Vec<PayloadBits> = stream.iter().map(|p| p.resized(65)).collect();
         let mut narrow = CodecKind::BusInvert.seed_state(64);
         let mut wide = CodecKind::BusInvert.seed_state(64);
-        for plain in &stream {
-            let aligned = plain.resized(65);
-            assert_eq!(narrow.encode_step(plain), wide.encode_step(&aligned));
-        }
+        assert_eq!(narrow.encode_run(&stream), wide.encode_run(&aligned));
     }
 
     #[test]
@@ -1231,16 +1186,13 @@ mod tests {
                 }
             })
             .collect();
-        let wire = CodecKind::BusInvert.encode_stream(&stream);
+        let wire = encode(CodecKind::BusInvert, &stream);
         assert_eq!(
             stream_transitions(&wire),
             9,
             "one invert-line toggle per boundary"
         );
-        assert_eq!(
-            CodecKind::BusInvert.decode_stream(&wire, 64).unwrap(),
-            stream
-        );
+        assert_eq!(decode(CodecKind::BusInvert, &wire, 64), stream);
     }
 
     #[test]
@@ -1255,7 +1207,7 @@ mod tests {
             })
             .collect();
         let raw = stream_transitions(&stream);
-        let delta = stream_transitions(&CodecKind::DeltaXor.encode_stream(&stream));
+        let delta = stream_transitions(&encode(CodecKind::DeltaXor, &stream));
         assert!(delta < raw, "delta {delta} vs raw {raw}");
     }
 

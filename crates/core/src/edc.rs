@@ -23,7 +23,7 @@
 //! control signals and modeled as protected, as in real routers where
 //! control carries separate ECC.
 
-use btr_bits::payload::PayloadBits;
+use btr_bits::slab::{row_field, set_row_field};
 
 /// CRC-8 generator polynomial `x^8 + x^2 + x + 1` without its `x^8` term.
 const CRC8_POLY: u8 = 0x07;
@@ -93,27 +93,26 @@ impl EdcKind {
         }
     }
 
-    /// Computes the check value over the low `data_width` bits of `image`.
+    /// Computes the check value over the low `data_width` bits of a flit
+    /// row (wire `k` is bit `k % 64` of word `k / 64`).
     ///
     /// # Panics
     ///
-    /// Panics if `image` is narrower than `data_width`.
+    /// Panics if `row` holds fewer than `data_width` bits.
     #[must_use]
-    pub fn compute(self, image: &PayloadBits, data_width: u32) -> u64 {
+    pub fn compute(self, row: &[u64], data_width: u32) -> u64 {
         assert!(
-            image.width() >= data_width,
-            "image width {} below data width {data_width}",
-            image.width()
+            row.len() * 64 >= data_width as usize,
+            "a {}-word row holds fewer than {data_width} data bits",
+            row.len()
         );
+        let (full, rem) = ((data_width / 64) as usize, data_width % 64);
         match self {
             EdcKind::None => 0,
             EdcKind::Parity => {
-                let mut ones = 0u32;
-                let mut off = 0;
-                while off < data_width {
-                    let len = 64.min(data_width - off);
-                    ones += image.field(off, len).count_ones();
-                    off += len;
+                let mut ones: u32 = row[..full].iter().map(|w| w.count_ones()).sum();
+                if rem > 0 {
+                    ones += (row[full] & ((1u64 << rem) - 1)).count_ones();
                 }
                 u64::from(ones & 1)
             }
@@ -123,14 +122,14 @@ impl EdcKind {
                 // fed bit-reversed (its lowest wire enters first). A tail
                 // shorter than a byte goes bit by bit.
                 let mut crc = 0u8;
-                let words = image.used_words();
                 let bytes = data_width / 8;
                 for k in 0..bytes {
-                    let byte = (words[(k / 8) as usize] >> (8 * (k % 8))) as u8;
+                    let byte = (row[(k / 8) as usize] >> (8 * (k % 8))) as u8;
                     crc = CRC8_TABLE[usize::from(crc ^ byte.reverse_bits())];
                 }
                 for i in bytes * 8..data_width {
-                    crc = crc8_step(crc, u8::from(image.bit(i)));
+                    let bit = (row[(i / 64) as usize] >> (i % 64)) & 1;
+                    crc = crc8_step(crc, bit as u8);
                 }
                 // Store the remainder bit-reversed: frame position
                 // data_width + k then carries remainder coefficient
@@ -142,48 +141,32 @@ impl EdcKind {
         }
     }
 
-    /// Widens a `data_width` plain image into a frame and writes the check
-    /// field at `[data_width, data_width + extra_wires)`. Returns the
-    /// image unchanged for [`EdcKind::None`].
+    /// Writes the check value of a row's `data_width` data bits into its
+    /// field at `[data_width, data_width + extra_wires)`, in place. The
+    /// row must already cover the frame. No-op for [`EdcKind::None`].
     ///
     /// # Panics
     ///
-    /// Panics if `image` is narrower than `data_width`.
-    #[must_use]
-    pub fn stamp(self, image: &PayloadBits, data_width: u32) -> PayloadBits {
-        if self == EdcKind::None {
-            return *image;
+    /// Panics if `row` does not cover `data_width + extra_wires` bits.
+    pub fn stamp(self, row: &mut [u64], data_width: u32) {
+        if self != EdcKind::None {
+            let check = self.compute(row, data_width);
+            set_row_field(row, data_width, self.extra_wires(), check);
         }
-        let mut frame = image.resized(data_width + self.extra_wires());
-        frame.set_field(
-            data_width,
-            self.extra_wires(),
-            self.compute(image, data_width),
-        );
-        frame
     }
 
-    /// Checks a delivered frame: recomputes the EDC over the data bits and
-    /// compares it to the carried field. Always `true` for
-    /// [`EdcKind::None`]. The frame may be wider than
-    /// `data_width + extra_wires` (link-aligned images); upper wires are
+    /// Checks a delivered frame row: recomputes the EDC over the data bits
+    /// and compares it to the carried field. Always `true` for
+    /// [`EdcKind::None`]. Wires above the frame (link-aligned rows) are
     /// ignored.
     ///
     /// # Panics
     ///
-    /// Panics if `frame` is narrower than the frame width.
+    /// Panics if `row` does not cover `data_width + extra_wires` bits.
     #[must_use]
-    pub fn verify(self, frame: &PayloadBits, data_width: u32) -> bool {
-        if self == EdcKind::None {
-            return true;
-        }
-        assert!(
-            frame.width() >= data_width + self.extra_wires(),
-            "frame width {} below data + EDC width {}",
-            frame.width(),
-            data_width + self.extra_wires()
-        );
-        frame.field(data_width, self.extra_wires()) == self.compute(frame, data_width)
+    pub fn verify(self, row: &[u64], data_width: u32) -> bool {
+        self == EdcKind::None
+            || row_field(row, data_width, self.extra_wires()) == self.compute(row, data_width)
     }
 }
 
@@ -213,28 +196,39 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_image(width: u32, seed: u64) -> PayloadBits {
+    /// A random `width`-bit data row with room for the widest check
+    /// field and three link-alignment wires above it.
+    fn random_row(width: u32, seed: u64) -> Vec<u64> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut p = PayloadBits::zero(width);
-        let mut off = 0;
-        while off < width {
-            let len = 64.min(width - off);
-            p.set_field(off, len, rng.gen());
-            off += len;
+        let mut row: Vec<u64> = (0..(width + 11).div_ceil(64)).map(|_| rng.gen()).collect();
+        for (k, w) in row.iter_mut().enumerate() {
+            let low = 64 * k as u32;
+            if low >= width {
+                *w = 0;
+            } else if width - low < 64 {
+                *w &= (1u64 << (width - low)) - 1;
+            }
         }
-        p
+        row
+    }
+
+    fn bit(row: &[u64], i: u32) -> u64 {
+        row_field(row, i, 1)
+    }
+
+    fn flip(row: &mut [u64], i: u32) {
+        row[(i / 64) as usize] ^= 1 << (i % 64);
     }
 
     /// Bit-serial CRC-8, the oracle for the table-driven kernel: data
     /// bits LSB-first through the MSB-first register, remainder stored
     /// bit-reversed.
-    fn crc8_bitwise(image: &PayloadBits, data_width: u32) -> u64 {
+    fn crc8_bitwise(row: &[u64], data_width: u32) -> u64 {
         let mut crc = 0u8;
         for i in 0..data_width {
-            let bit = u8::from(image.bit(i));
             let top = crc >> 7;
             crc <<= 1;
-            if top ^ bit != 0 {
+            if top ^ bit(row, i) as u8 != 0 {
                 crc ^= 0x07;
             }
         }
@@ -245,11 +239,11 @@ mod tests {
     fn crc8_table_matches_the_bitwise_oracle() {
         for width in [1, 7, 8, 9, 63, 64, 65, 104, 128, 200, 256, 512, 1024] {
             for seed in 0..16 {
-                let image = random_image(width, seed * 1000 + u64::from(width));
+                let row = random_row(width, seed * 1000 + u64::from(width));
                 for data_width in [width, width / 2, width.saturating_sub(3)] {
                     assert_eq!(
-                        EdcKind::Crc8.compute(&image, data_width),
-                        crc8_bitwise(&image, data_width),
+                        EdcKind::Crc8.compute(&row, data_width),
+                        crc8_bitwise(&row, data_width),
                         "width {width}, data width {data_width}, seed {seed}"
                     );
                 }
@@ -262,14 +256,22 @@ mod tests {
         for kind in EdcKind::ALL {
             for width in [8u32, 64, 128, 130] {
                 for seed in 0..20 {
-                    let image = random_image(width, seed);
-                    let frame = kind.stamp(&image, width);
-                    assert_eq!(frame.width(), width + kind.extra_wires());
+                    let data = random_row(width, seed);
+                    let mut frame = data.clone();
+                    kind.stamp(&mut frame, width);
                     assert!(kind.verify(&frame, width), "{kind} w={width} s={seed}");
-                    // Link-aligned (wider) frames verify identically.
-                    assert!(kind.verify(&frame.resized(frame.width() + 3), width));
-                    // The data bits are untouched.
-                    assert_eq!(frame.resized(width), image);
+                    // The data bits are untouched, and nothing lands above
+                    // the frame.
+                    let frame_width = width + kind.extra_wires();
+                    for i in 0..64 * frame.len() as u32 {
+                        if i < width || i >= frame_width {
+                            assert_eq!(bit(&frame, i), bit(&data, i), "{kind} bit {i}");
+                        }
+                    }
+                    // Link-aligned frames (set wires above the frame)
+                    // verify identically.
+                    flip(&mut frame, frame_width + 2);
+                    assert!(kind.verify(&frame, width));
                 }
             }
         }
@@ -279,12 +281,12 @@ mod tests {
     fn single_flips_are_always_detected() {
         for kind in [EdcKind::Parity, EdcKind::Crc8] {
             let width = 96;
-            let image = random_image(width, 7);
-            let frame = kind.stamp(&image, width);
-            for bit in 0..frame.width() {
-                let mut bad = frame;
-                bad.set_field(bit, 1, u64::from(!frame.bit(bit)));
-                assert!(!kind.verify(&bad, width), "{kind} flip at {bit}");
+            let mut frame = random_row(width, 7);
+            kind.stamp(&mut frame, width);
+            for i in 0..width + kind.extra_wires() {
+                let mut bad = frame.clone();
+                flip(&mut bad, i);
+                assert!(!kind.verify(&bad, width), "{kind} flip at {i}");
             }
         }
     }
@@ -294,13 +296,14 @@ mod tests {
         // The degree-8 burst guarantee: any contiguous run of ≤ 8 flipped
         // frame bits (data or check field) is detected.
         let width = 128;
-        let image = random_image(width, 13);
-        let frame = EdcKind::Crc8.stamp(&image, width);
+        let mut frame = random_row(width, 13);
+        EdcKind::Crc8.stamp(&mut frame, width);
         for len in 1..=8u32 {
-            for start in 0..=(frame.width() - len) {
-                let mut bad = frame;
-                let mask = (1u64 << len) - 1;
-                bad.set_field(start, len, !frame.field(start, len) & mask);
+            for start in 0..=(width + 8 - len) {
+                let mut bad = frame.clone();
+                for i in start..start + len {
+                    flip(&mut bad, i);
+                }
                 assert!(
                     !EdcKind::Crc8.verify(&bad, width),
                     "burst len={len} at {start} aliased"
@@ -312,17 +315,16 @@ mod tests {
     #[test]
     fn parity_misses_double_flips_crc_catches_them() {
         let width = 64;
-        let image = random_image(width, 5);
-        let pframe = EdcKind::Parity.stamp(&image, width);
-        let cframe = EdcKind::Crc8.stamp(&image, width);
-        let flip2 = |f: &PayloadBits, a: u32, b: u32| {
-            let mut bad = *f;
-            bad.set_field(a, 1, u64::from(!f.bit(a)));
-            bad.set_field(b, 1, u64::from(!bad.bit(b)));
+        let data = random_row(width, 5);
+        let flip2 = |kind: EdcKind| {
+            let mut bad = data.clone();
+            kind.stamp(&mut bad, width);
+            flip(&mut bad, 3);
+            flip(&mut bad, 40);
             bad
         };
-        assert!(EdcKind::Parity.verify(&flip2(&pframe, 3, 40), width));
-        assert!(!EdcKind::Crc8.verify(&flip2(&cframe, 3, 40), width));
+        assert!(EdcKind::Parity.verify(&flip2(EdcKind::Parity), width));
+        assert!(!EdcKind::Crc8.verify(&flip2(EdcKind::Crc8), width));
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl<W: DataWord> FlitRow<W> {
     }
 }
 
-/// Errors from [`order_task`].
+/// Errors from [`order_task_with`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlitizeError {
     /// `values_per_flit` must be an even number ≥ 2 for half-half layout.
@@ -213,7 +213,7 @@ pub fn half_half_layout(n: usize, values_per_flit: usize) -> HalfHalfLayout {
 
 /// A task serialized into ordered flits, ready for transmission.
 ///
-/// Produced by [`order_task`]; consumed by the NoC layer (via
+/// Produced by [`order_task_with`]; consumed by the NoC layer (via
 /// [`OrderedTask::payload_flits`]) and by the receiving PE (via
 /// [`OrderedTask::recover`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -408,7 +408,9 @@ impl<W: DataWord> OrderedTask<W> {
     }
 }
 
-/// Serializes a task into ordered half-half flits.
+/// Serializes a task into ordered half-half flits, breaking popcount
+/// ties by `tiebreak` (see [`TieBreak`]; `Stable` is the paper's
+/// popcount-only comparator).
 ///
 /// * `Baseline` (O0): natural row-major order.
 /// * `Affiliated` (O1): *(weight, input)* pairs placed by descending weight
@@ -416,30 +418,16 @@ impl<W: DataWord> OrderedTask<W> {
 /// * `Separated` (O2): weights and inputs placed independently by their own
 ///   popcounts (Fig. 3b); the returned packet carries the re-pairing index.
 ///
-/// # Errors
-///
-/// Returns [`FlitizeError`] if `values_per_flit` is odd/too small, the link
-/// would be wider than [`MAX_WIDTH_BITS`], or the task has more pairs than
-/// the u16 index can address.
-pub fn order_task<W: DataWord>(
-    task: &NeuronTask<W>,
-    method: OrderingMethod,
-    values_per_flit: usize,
-) -> Result<OrderedTask<W>, FlitizeError> {
-    order_task_with(task, method, values_per_flit, TieBreak::Stable)
-}
-
-/// [`order_task`] with an explicit popcount-tie rule (see
-/// [`TieBreak`]; `Stable` is the paper's popcount-only comparator).
-///
 /// This is the slot-level oracle for the template encode path
-/// ([`build_encode_template`] + [`render_with_template`]): it sorts
+/// ([`build_encode_template`] + [`render_window`]): it sorts
 /// the task's own weights and materializes every slot, so the two share
 /// no code beyond the layout and the ordering kernel.
 ///
 /// # Errors
 ///
-/// Same conditions as [`order_task`].
+/// Returns [`FlitizeError`] if `values_per_flit` is odd/too small, the link
+/// would be wider than [`MAX_WIDTH_BITS`], or the task has more pairs than
+/// the u16 index can address.
 pub fn order_task_with<W: DataWord>(
     task: &NeuronTask<W>,
     method: OrderingMethod,
@@ -906,31 +894,6 @@ pub fn render_window(
     }
 }
 
-/// Encodes one task's ordered flit rows off a pre-rendered
-/// [`EncodeTemplate`] into `out`: prepares `inputs` as a one-window
-/// [`WindowTable`] held in `scratch` (for O2, sorting them with
-/// `tiebreak`), then combines it with the template ([`render_window`]),
-/// writing the O2 re-pairing index into `pair_index`. Nothing is
-/// allocated once the scratch, `out` and `pair_index` have grown to a
-/// task's size. Bit-identical to [`order_task_with`] over the template's
-/// weights.
-///
-/// # Panics
-///
-/// Panics if `inputs` does not pair up with the template's weights or the
-/// word type differs from the one the template was built for.
-pub fn render_with_template<W: DataWord>(
-    template: &EncodeTemplate,
-    inputs: &[W],
-    tiebreak: TieBreak,
-    scratch: &mut TransportScratch,
-    out: &mut FlitSlab,
-    pair_index: &mut Vec<u16>,
-) {
-    let window = scratch.prepare_window(template, inputs, tiebreak);
-    render_window(template, window, out, pair_index);
-}
-
 /// Flitizes a flat value stream (weights-only packets, as in the "without
 /// NoC" experiments of Sec. V-A): `values_per_flit` lanes per flit, zero
 /// padding at the tail.
@@ -944,6 +907,7 @@ pub fn render_with_template<W: DataWord>(
 /// Panics if `values_per_flit == 0` or the link would exceed
 /// [`MAX_WIDTH_BITS`].
 #[must_use]
+// btr-lint: allow(test-only-pub, reason = "the stream-packing oracle tests/transport_parity.rs stream_and_transport_packing_agree compares against")
 pub fn flitize_values<W: DataWord>(
     values: &[W],
     values_per_flit: usize,
@@ -1013,7 +977,7 @@ mod tests {
     #[test]
     fn baseline_keeps_natural_order() {
         let task = fx_task(5);
-        let ot = order_task(&task, OrderingMethod::Baseline, 4).unwrap();
+        let ot = order_task_with(&task, OrderingMethod::Baseline, 4, TieBreak::Stable).unwrap();
         // half = 2: inputs [i0 i1 | i2 i3 | i4 -], weights likewise.
         assert_eq!(ot.flits().len(), 3);
         match ot.flits()[0].slots()[0] {
@@ -1030,7 +994,7 @@ mod tests {
     fn ordered_weight_columns_descend() {
         let task = fx_task(25);
         for method in [OrderingMethod::Affiliated, OrderingMethod::Separated] {
-            let ot = order_task(&task, method, 16).unwrap();
+            let ot = order_task_with(&task, method, 16, TieBreak::Stable).unwrap();
             let half = 8;
             // Column-wise weight popcounts never increase across flits.
             for s in 0..half {
@@ -1048,7 +1012,7 @@ mod tests {
     #[test]
     fn separated_input_columns_descend_too() {
         let task = fx_task(25);
-        let ot = order_task(&task, OrderingMethod::Separated, 16).unwrap();
+        let ot = order_task_with(&task, OrderingMethod::Separated, 16, TieBreak::Stable).unwrap();
         for s in 0..8 {
             let mut prev = u32::MAX;
             for row in ot.flits() {
@@ -1064,7 +1028,7 @@ mod tests {
     fn all_methods_preserve_value_multisets() {
         let task = fx_task(25);
         for method in OrderingMethod::ALL {
-            let ot = order_task(&task, method, 16).unwrap();
+            let ot = order_task_with(&task, method, 16, TieBreak::Stable).unwrap();
             let mut inputs = Vec::new();
             let mut weights = Vec::new();
             let mut biases = Vec::new();
@@ -1095,7 +1059,7 @@ mod tests {
         for n in [1usize, 2, 7, 8, 25, 150] {
             let task = fx_task(n);
             for method in OrderingMethod::ALL {
-                let ot = order_task(&task, method, 16).unwrap();
+                let ot = order_task_with(&task, method, 16, TieBreak::Stable).unwrap();
                 let rec = ot.recover().unwrap();
                 assert_eq!(rec.mac_i64(), task.mac_i64(), "{method:?} n={n}");
                 assert_eq!(rec.pairs.len(), n);
@@ -1113,7 +1077,7 @@ mod tests {
             .collect();
         let task = NeuronTask::new(inputs, weights, F32Word::new(0.5)).unwrap();
         for method in OrderingMethod::ALL {
-            let ot = order_task(&task, method, 16).unwrap();
+            let ot = order_task_with(&task, method, 16, TieBreak::Stable).unwrap();
             let rec = ot.recover().unwrap();
             assert!((rec.mac_f64() - task.mac_f64()).abs() < 1e-9, "{method:?}");
         }
@@ -1122,9 +1086,9 @@ mod tests {
     #[test]
     fn separated_carries_index_others_do_not() {
         let task = fx_task(9);
-        let o0 = order_task(&task, OrderingMethod::Baseline, 8).unwrap();
-        let o1 = order_task(&task, OrderingMethod::Affiliated, 8).unwrap();
-        let o2 = order_task(&task, OrderingMethod::Separated, 8).unwrap();
+        let o0 = order_task_with(&task, OrderingMethod::Baseline, 8, TieBreak::Stable).unwrap();
+        let o1 = order_task_with(&task, OrderingMethod::Affiliated, 8, TieBreak::Stable).unwrap();
+        let o2 = order_task_with(&task, OrderingMethod::Separated, 8, TieBreak::Stable).unwrap();
         assert!(o0.pair_index().is_none());
         assert!(o1.pair_index().is_none());
         assert_eq!(o2.pair_index().unwrap().len(), 9);
@@ -1137,7 +1101,8 @@ mod tests {
     #[test]
     fn missing_index_is_detected() {
         let task = fx_task(4);
-        let mut ot = order_task(&task, OrderingMethod::Separated, 8).unwrap();
+        let mut ot =
+            order_task_with(&task, OrderingMethod::Separated, 8, TieBreak::Stable).unwrap();
         ot.pair_index = None;
         assert_eq!(ot.recover().unwrap_err(), RecoverError::MissingPairIndex);
     }
@@ -1146,11 +1111,11 @@ mod tests {
     fn rejects_odd_values_per_flit() {
         let task = fx_task(4);
         assert_eq!(
-            order_task(&task, OrderingMethod::Baseline, 7).unwrap_err(),
+            order_task_with(&task, OrderingMethod::Baseline, 7, TieBreak::Stable).unwrap_err(),
             FlitizeError::OddValuesPerFlit(7)
         );
         assert_eq!(
-            order_task(&task, OrderingMethod::Baseline, 0).unwrap_err(),
+            order_task_with(&task, OrderingMethod::Baseline, 0, TieBreak::Stable).unwrap_err(),
             FlitizeError::OddValuesPerFlit(0)
         );
     }
@@ -1160,7 +1125,8 @@ mod tests {
         let inputs: Vec<F32Word> = vec![F32Word::new(1.0); 4];
         let weights = inputs.clone();
         let task = NeuronTask::new(inputs, weights, F32Word::new(0.0)).unwrap();
-        let err = order_task(&task, OrderingMethod::Baseline, 64).unwrap_err();
+        let err =
+            order_task_with(&task, OrderingMethod::Baseline, 64, TieBreak::Stable).unwrap_err();
         assert_eq!(err, FlitizeError::LinkTooWide { requested: 2048 });
         assert!(err.to_string().contains("exceeds"));
     }
@@ -1168,7 +1134,7 @@ mod tests {
     #[test]
     fn payload_flits_have_link_width() {
         let task = fx_task(25);
-        let ot = order_task(&task, OrderingMethod::Affiliated, 16).unwrap();
+        let ot = order_task_with(&task, OrderingMethod::Affiliated, 16, TieBreak::Stable).unwrap();
         let flits = ot.payload_flits();
         assert_eq!(flits.len(), 4);
         assert!(flits.iter().all(|f| f.width() == 128));
@@ -1184,7 +1150,7 @@ mod tests {
             Fx8Word::new(0x33),
         )
         .unwrap();
-        let ot = order_task(&task, OrderingMethod::Baseline, 2).unwrap();
+        let ot = order_task_with(&task, OrderingMethod::Baseline, 2, TieBreak::Stable).unwrap();
         let flits = ot.payload_flits();
         assert_eq!(flits.len(), 2);
         assert_eq!(flits[0].field(0, 8), 0x11);
@@ -1257,14 +1223,8 @@ mod tests {
                         .unwrap();
                         let mut rows = FlitSlab::new(64);
                         let mut pair_index = Vec::new();
-                        render_with_template(
-                            &template,
-                            task.inputs(),
-                            tiebreak,
-                            &mut scratch,
-                            &mut rows,
-                            &mut pair_index,
-                        );
+                        let window = scratch.prepare_window(&template, task.inputs(), tiebreak);
+                        render_window(&template, window, &mut rows, &mut pair_index);
                         let ctx = format!(
                             "{method:?} {tiebreak:?} n={n} given perm {}",
                             perm.is_some()
@@ -1290,7 +1250,7 @@ mod tests {
         for n in [1usize, 7, 25, 150] {
             let task = fx_task(n);
             for method in OrderingMethod::ALL {
-                let sent = order_task(&task, method, 16).unwrap();
+                let sent = order_task_with(&task, method, 16, TieBreak::Stable).unwrap();
                 let images = sent.payload_flits();
                 let decoded = OrderedTask::<Fx8Word>::from_payload_flits(
                     method,
@@ -1309,7 +1269,7 @@ mod tests {
     #[test]
     fn wire_decode_validates_geometry() {
         let task = fx_task(9);
-        let sent = order_task(&task, OrderingMethod::Baseline, 8).unwrap();
+        let sent = order_task_with(&task, OrderingMethod::Baseline, 8, TieBreak::Stable).unwrap();
         let images = sent.payload_flits();
         assert!(OrderedTask::<Fx8Word>::from_payload_flits(
             OrderingMethod::Baseline,
@@ -1335,7 +1295,7 @@ mod tests {
         let inputs: Vec<F32Word> = (0..25).map(|i| F32Word::new(i as f32)).collect();
         let weights: Vec<F32Word> = (0..25).map(|i| F32Word::new(-(i as f32))).collect();
         let task = NeuronTask::new(inputs, weights, F32Word::new(1.0)).unwrap();
-        let ot = order_task(&task, OrderingMethod::Separated, 16).unwrap();
+        let ot = order_task_with(&task, OrderingMethod::Separated, 16, TieBreak::Stable).unwrap();
         assert!(ot.payload_flits().iter().all(|f| f.width() == 512));
     }
 }

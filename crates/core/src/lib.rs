@@ -44,7 +44,8 @@
 //!
 //! ```
 //! use btr_bits::word::Fx8Word;
-//! use btr_core::ordering::OrderingMethod;
+//! use btr_core::flitize::order_task_with;
+//! use btr_core::ordering::{OrderingMethod, TieBreak};
 //! use btr_core::task::NeuronTask;
 //!
 //! // A 3x3 convolution task: 9 inputs, 9 weights, 1 bias.
@@ -53,7 +54,7 @@
 //! let task = NeuronTask::new(inputs, weights, Fx8Word::new(1)).unwrap();
 //!
 //! // Order it for transmission with 8 values per flit (4 inputs + 4 weights).
-//! let ordered = btr_core::flitize::order_task(&task, OrderingMethod::Separated, 8).unwrap();
+//! let ordered = order_task_with(&task, OrderingMethod::Separated, 8, TieBreak::Stable).unwrap();
 //!
 //! // The receiver recovers the exact same multiply-accumulate result.
 //! let recovered = ordered.recover().unwrap();
@@ -76,7 +77,7 @@ pub mod unit;
 
 pub use codec::{CodecKind, CodecScope, DeltaXorRun, LinkCodecState, ResyncPolicy};
 pub use edc::EdcKind;
-pub use flitize::{order_task, EncodeTemplate, FlitRow, OrderedTask, RecoverError, Slot};
+pub use flitize::{EncodeTemplate, FlitRow, OrderedTask, RecoverError, Slot};
 pub use ordering::OrderingMethod;
 pub use plan::LanePlan;
 pub use task::NeuronTask;

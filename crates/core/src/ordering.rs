@@ -198,6 +198,7 @@ impl TieBreak {
     /// produce the identical permutation for every input and both tie
     /// rules; `tests/properties.rs` pins the equivalence and
     /// `bench_encode` measures the kernel against it.
+    // btr-lint: allow(test-only-pub, reason = "the oracle tests/properties.rs counting_sort_matches_comparison_sort compares against")
     pub fn descending_order_comparison_into<W: DataWord>(
         self,
         values: &[W],
@@ -325,6 +326,7 @@ pub fn descending_popcount_value_order<W: DataWord>(values: &[W]) -> Vec<usize> 
 /// preserves adjacent-rank distances) but behaves differently at packet
 /// boundaries.
 #[must_use]
+// btr-lint: allow(test-only-pub, reason = "an ablation row of examples/ordering_lab.rs, whose output tests/golden/ordering_lab.txt pins")
 pub fn ascending_popcount_order<W: DataWord>(values: &[W]) -> Vec<usize> {
     let mut perm: Vec<usize> = (0..values.len()).collect();
     perm.sort_by_key(|&i| values[i].popcount());
@@ -337,6 +339,7 @@ pub fn ascending_popcount_order<W: DataWord>(values: &[W]) -> Vec<usize> {
 /// sort provably dominates for the two-flit objective, included to probe
 /// whether the simple sort leaves anything on the table in streams.
 #[must_use]
+// btr-lint: allow(test-only-pub, reason = "an ablation row of examples/ordering_lab.rs, whose output tests/golden/ordering_lab.txt pins")
 pub fn greedy_nearest_order<W: DataWord>(values: &[W]) -> Vec<usize> {
     if values.is_empty() {
         return Vec::new();

@@ -26,7 +26,7 @@ pub use crate::ordering::TieBreak;
 use crate::transport::{lane_link_width, WindowPacker};
 use btr_bits::payload::PayloadBits;
 use btr_bits::slab::{row_field, FlitSlab};
-use btr_bits::stats::{BitPositionStats, PopcountHistogram};
+use btr_bits::stats::BitPositionStats;
 use btr_bits::transition::reduction_rate;
 use btr_bits::word::DataWord;
 use rand::rngs::StdRng;
@@ -161,6 +161,7 @@ pub fn build_stream_slab<W: DataWord>(
 ///
 /// Panics under the same conditions as [`build_stream_slab`].
 #[must_use]
+// btr-lint: allow(test-only-pub, reason = "perfbench times it as core.build_stream")
 pub fn build_stream_flits<W: DataWord>(
     packets: &[Vec<W>],
     config: &WindowConfig,
@@ -225,6 +226,7 @@ pub fn measure_slab<W: DataWord>(
 /// Panics if a measured flit is not `values_per_flit × W::WIDTH` bits
 /// wide.
 #[must_use]
+// btr-lint: allow(test-only-pub, reason = "perfbench times it as the Table I pair measurement")
 pub fn measure_flits<W: DataWord>(
     flits: &[PayloadBits],
     values_per_flit: usize,
@@ -461,35 +463,6 @@ pub fn compare_windowed<W: DataWord>(
     }
 }
 
-/// Streams `packets` over one link and measures consecutive-flit BT with
-/// per-packet ordering (window of 1, round-robin placement) — the simplest
-/// configuration, kept for the library's quickstart path.
-///
-/// # Panics
-///
-/// Panics if `values_per_flit == 0`.
-#[must_use]
-pub fn evaluate_stream<W: DataWord>(
-    packets: &[Vec<W>],
-    values_per_flit: usize,
-    ordered: bool,
-    grid_rows: usize,
-) -> StreamReport {
-    let config = WindowConfig {
-        values_per_flit,
-        window_packets: 1,
-        placement: Placement::RoundRobin,
-        tiebreak: TieBreak::Stable,
-    };
-    evaluate_windowed(
-        packets,
-        &config,
-        ordered,
-        Comparison::Consecutive,
-        grid_rows,
-    )
-}
-
 /// Popcount of each value lane in a flit row.
 fn lane_popcounts<W: DataWord>(row: &[u64], values_per_flit: usize) -> Vec<u32> {
     (0..values_per_flit)
@@ -526,23 +499,6 @@ pub struct StreamComparison {
     pub reduction_rate: f64,
 }
 
-/// Runs both configurations over the same packets (Table I rows).
-#[must_use]
-pub fn compare_streams<W: DataWord>(
-    packets: &[Vec<W>],
-    values_per_flit: usize,
-    grid_rows: usize,
-) -> StreamComparison {
-    let baseline = evaluate_stream(packets, values_per_flit, false, grid_rows);
-    let ordered = evaluate_stream(packets, values_per_flit, true, grid_rows);
-    let rate = reduction_rate(baseline.transitions, ordered.transitions);
-    StreamComparison {
-        baseline,
-        ordered,
-        reduction_rate: rate,
-    }
-}
-
 /// Per-bit-position `'1'` statistics of a word stream (top rows of
 /// Figs. 10/11). Order-independent, so it is computed once per dataset.
 #[must_use]
@@ -552,23 +508,53 @@ pub fn word_bit_statistics<W: DataWord>(words: &[W]) -> BitPositionStats {
     stats
 }
 
-/// Popcount histogram of a word stream (for Fig. 9-style summaries and the
-/// bimodality analysis of trained fixed-8 weights).
-#[must_use]
-pub fn word_popcount_histogram<W: DataWord>(words: &[W]) -> PopcountHistogram {
-    let mut hist = PopcountHistogram::new(W::WIDTH);
-    for &w in words {
-        hist.observe(w);
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btr_bits::stats::PopcountHistogram;
     use btr_bits::word::Fx8Word;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Streams `packets` over one link with per-packet ordering (window
+    /// of 1, round-robin placement) and measures consecutive-flit BT.
+    fn evaluate_stream<W: DataWord>(
+        packets: &[Vec<W>],
+        values_per_flit: usize,
+        ordered: bool,
+        grid_rows: usize,
+    ) -> StreamReport {
+        evaluate_windowed(
+            packets,
+            &window_of_one(values_per_flit),
+            ordered,
+            Comparison::Consecutive,
+            grid_rows,
+        )
+    }
+
+    /// Both streams of [`evaluate_stream`] over the same packets.
+    fn compare_streams<W: DataWord>(
+        packets: &[Vec<W>],
+        values_per_flit: usize,
+        grid_rows: usize,
+    ) -> StreamComparison {
+        compare_windowed(
+            packets,
+            &window_of_one(values_per_flit),
+            Comparison::Consecutive,
+            grid_rows,
+        )
+    }
+
+    fn window_of_one(values_per_flit: usize) -> WindowConfig {
+        WindowConfig {
+            values_per_flit,
+            window_packets: 1,
+            placement: Placement::RoundRobin,
+            tiebreak: TieBreak::Stable,
+        }
+    }
 
     fn random_packets(count: usize, len: usize, seed: u64) -> Vec<Vec<Fx8Word>> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -661,8 +647,11 @@ mod tests {
         let words: Vec<Fx8Word> = vec![Fx8Word::new(-1), Fx8Word::new(0)];
         let stats = word_bit_statistics(&words);
         assert_eq!(stats.count(), 2);
-        assert!((stats.mean_popcount() - 4.0).abs() < 1e-12);
-        let hist = word_popcount_histogram(&words);
+        assert!((stats.one_probability().iter().sum::<f64>() - 4.0).abs() < 1e-12);
+        let mut hist = PopcountHistogram::new(8);
+        for &w in &words {
+            hist.observe(w);
+        }
         assert_eq!(hist.counts()[8], 1);
         assert_eq!(hist.counts()[0], 1);
     }

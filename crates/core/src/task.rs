@@ -101,12 +101,6 @@ impl<W: DataWord> NeuronTask<W> {
     pub fn bias(&self) -> W {
         self.bias
     }
-
-    /// Total number of values the task transmits (inputs + weights + bias).
-    #[must_use]
-    pub fn value_count(&self) -> usize {
-        2 * self.inputs.len() + 1
-    }
 }
 
 impl NeuronTask<F32Word> {
@@ -211,7 +205,6 @@ mod tests {
         .unwrap();
         assert_eq!(t.mac_i64(), 3 * 10 + (-2) * 5 + 7);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.value_count(), 5);
     }
 
     #[test]

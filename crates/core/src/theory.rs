@@ -66,6 +66,7 @@ pub fn expected_bt_32(x: u32, y: u32) -> f64 {
 ///
 /// Panics if the series lengths differ.
 #[must_use]
+// btr-lint: allow(test-only-pub, reason = "Eq. 3; the total_bt_decomposes_into_constant_minus_objective test checks Eq. 4 against it")
 pub fn expected_total_bt(xs: &[u32], ys: &[u32], width: u32) -> f64 {
     assert_eq!(
         xs.len(),
@@ -103,6 +104,7 @@ pub fn pair_product_objective(xs: &[u32], ys: &[u32]) -> u64 {
 ///
 /// Panics if `popcounts.len()` is odd.
 #[must_use]
+// btr-lint: allow(test-only-pub, reason = "tests/properties.rs descending_interleave_is_globally_optimal compares it with the brute force")
 pub fn optimal_two_flit_split(popcounts: &[u32]) -> (Vec<u32>, Vec<u32>) {
     assert!(
         popcounts.len().is_multiple_of(2),
@@ -134,6 +136,7 @@ pub fn optimal_two_flit_split(popcounts: &[u32]) -> (Vec<u32>, Vec<u32>) {
 ///
 /// Panics if `popcounts.len()` is odd or greater than 16.
 #[must_use]
+// btr-lint: allow(test-only-pub, reason = "the brute-force oracle tests/properties.rs descending_interleave_is_globally_optimal compares against")
 pub fn brute_force_max_objective(popcounts: &[u32]) -> u64 {
     let n2 = popcounts.len();
     assert!(n2.is_multiple_of(2), "need an even number of values");

@@ -33,7 +33,7 @@ use crate::plan::LanePlan;
 use crate::stream::Placement;
 use crate::task::{NeuronTask, RecoveredTask};
 use btr_bits::payload::{PayloadBits, MAX_WIDTH_BITS};
-use btr_bits::slab::{row_field, FlitRows, FlitSlab, MAX_ROW_WORDS};
+use btr_bits::slab::{row_field, set_row_field, FlitRows, FlitSlab, MAX_ROW_WORDS};
 use btr_bits::word::DataWord;
 
 /// Configuration of a transport session: how values are ordered, how many
@@ -81,13 +81,6 @@ impl TransportConfig {
     #[must_use]
     pub fn with_codec(mut self, codec: CodecKind) -> Self {
         self.codec = codec;
-        self
-    }
-
-    /// The same configuration with a different codec scope.
-    #[must_use]
-    pub fn with_scope(mut self, scope: CodecScope) -> Self {
-        self.scope = scope;
         self
     }
 
@@ -223,6 +216,7 @@ impl<W: DataWord> EncodedTask<W> {
 
     /// The ordered flit images *before* link coding (the codec input).
     #[must_use]
+    // btr-lint: allow(test-only-pub, reason = "perfbench's core.lane_run stage codes these images")
     pub fn plain_flits(&self) -> Vec<PayloadBits> {
         self.plain.to_payloads()
     }
@@ -333,23 +327,9 @@ impl CodedTransport {
         Self { config }
     }
 
-    /// Widens a stream of plain `data_width` images into EDC-stamped
-    /// frames, in place (the reference encode's image-level stamp). No-op
-    /// (and no width change) without an EDC, so the perfect-wire pipeline
-    /// is untouched.
-    fn stamp_frames<W: DataWord>(&self, plain: &mut [PayloadBits]) {
-        if self.config.edc == EdcKind::None {
-            return;
-        }
-        let data_width = self.config.data_width_bits::<W>();
-        for image in plain {
-            *image = self.config.edc.stamp(image, data_width);
-        }
-    }
-
     /// Widens the plain `data_width` rows into frames and writes their
-    /// EDC field, in place — the fast encode's stamp. No-op (and no width
-    /// change) without an EDC.
+    /// EDC field, in place. No-op (and no width change) without an EDC,
+    /// so the perfect-wire pipeline is untouched.
     fn stamp_rows<W: DataWord>(&self, rows: &mut FlitSlab) {
         let edc = self.config.edc;
         if edc == EdcKind::None {
@@ -358,8 +338,7 @@ impl CodedTransport {
         rows.widen(self.config.frame_width_bits::<W>());
         let data_width = self.config.data_width_bits::<W>();
         for i in 0..rows.len() {
-            let check = edc.compute(&rows.image(i), data_width);
-            rows.set_lane(i, data_width, edc.extra_wires(), check);
+            edc.stamp(rows.flit_mut(i), data_width);
         }
     }
 
@@ -409,6 +388,7 @@ impl CodedTransport {
     ///
     /// Returns [`FlitizeError`] for invalid geometry (odd lane count, link
     /// too wide, oversized task).
+    // btr-lint: allow(test-only-pub, reason = "tests/transport_parity.rs coded_unencoded_matches_pre_refactor_ordered_path compares it with the slot-level order")
     pub fn encode_task<W: DataWord>(
         &self,
         task: &NeuronTask<W>,
@@ -424,6 +404,7 @@ impl CodedTransport {
     ///
     /// Returns [`TransportError`] if the flit images do not match the
     /// layout implied by `meta` or recovery fails.
+    // btr-lint: allow(test-only-pub, reason = "tests/transport_parity.rs transport_roundtrip_mac_equality_all_orderings_and_tiebreaks checks its pairs against the task MAC")
     pub fn decode_task<W: DataWord>(
         &self,
         meta: &TaskWireMeta,
@@ -568,28 +549,24 @@ impl CodedTransport {
     /// bus-invert still carries its invert line as an extra wire).
     #[must_use]
     pub fn encode_response<W: DataWord>(&self, bits: u64) -> PayloadBits {
-        let mut image = PayloadBits::zero(self.config.data_width_bits::<W>());
-        image.set_field(0, 32, bits);
-        if self.config.edc != EdcKind::None {
-            // Responses are payload flits too: they traverse the same
-            // unreliable wires, so they carry the same check field.
-            image = self
-                .config
-                .edc
-                .stamp(&image, self.config.data_width_bits::<W>());
-        }
-        if self.config.codes_in_transport() {
-            self.config
-                .codec
-                .encode_stream(std::slice::from_ref(&image))
-                .pop()
-                // btr-lint: allow(panic-in-hot-path, reason = "encode_stream is length-preserving by contract (pinned by the codec_properties tests); one input flit always yields one wire image")
-                .expect("one flit in, one wire image out")
-        } else {
+        let frame_width = self.config.frame_width_bits::<W>();
+        let mut frame = [0u64; MAX_ROW_WORDS];
+        set_row_field(&mut frame, 0, 32, bits);
+        // Responses are payload flits too: they traverse the same
+        // unreliable wires, so they carry the same check field.
+        self.config
+            .edc
+            .stamp(&mut frame, self.config.data_width_bits::<W>());
+        if !self.config.codes_in_transport() {
             // Identity codec (hot path — one response per task), or
             // per-link scope where the links code the wire themselves.
-            image
+            return PayloadBits::from_row(frame_width, &frame[..frame_width.div_ceil(64) as usize]);
         }
+        let mut state = self.config.codec.seed_state(frame_width);
+        let words = state.wire_width().div_ceil(64) as usize;
+        let mut wire = [0u64; MAX_ROW_WORDS];
+        state.encode_row_onto(&frame[..words], &mut wire[..words]);
+        PayloadBits::from_row(state.wire_width(), &wire[..words])
     }
 
     /// The pre-pipeline encode path, preserved verbatim as a bit-exact
@@ -614,13 +591,13 @@ impl CodedTransport {
             self.config.values_per_flit,
             self.config.tiebreak,
         )?;
-        let mut plain = ordered.payload_flits();
-        self.stamp_frames::<W>(&mut plain);
+        let mut plain =
+            FlitSlab::from_images(self.config.data_width_bits::<W>(), &ordered.payload_flits());
+        self.stamp_rows::<W>(&mut plain);
         let wire = self.config.codes_in_transport().then(|| {
-            FlitSlab::from_images(
-                self.config.link_width_bits::<W>(),
-                &self.config.codec.encode_stream(&plain),
-            )
+            let mut wire = FlitSlab::new(self.config.link_width_bits::<W>());
+            self.code_rows::<W>(&plain, &mut wire);
+            wire
         });
         Ok(EncodedTask {
             meta: TaskWireMeta {
@@ -628,7 +605,7 @@ impl CodedTransport {
                 pair_index: ordered.pair_index().map(<[u16]>::to_vec),
             },
             index_overhead_bits: ordered.index_overhead_bits(),
-            plain: FlitSlab::from_images(self.config.frame_width_bits::<W>(), &plain),
+            plain,
             wire,
             codec: self.config.codec,
             edc: self.config.edc,
@@ -711,24 +688,25 @@ impl CodedTransport {
     pub fn decode_task_reference<W: DataWord>(
         &self,
         meta: &TaskWireMeta,
-        flits: &[PayloadBits],
+        flits: &(impl FlitRows + ?Sized),
     ) -> Result<RecoveredTask<W>, TransportError> {
+        fn images(rows: &(impl FlitRows + ?Sized)) -> Vec<PayloadBits> {
+            (0..rows.flit_count())
+                .map(|i| PayloadBits::from_row(rows.flit_width(i), rows.row(i)))
+                .collect()
+        }
         let frame_width = self.config.frame_width_bits::<W>();
         let mut buf = None;
-        let decoded;
         let plain = match self.plain_rows(flits, frame_width, &mut buf)? {
-            PlainRows::Delivered(plain) => plain,
-            PlainRows::Decoded(rows) => {
-                decoded = rows.to_payloads();
-                &decoded
-            }
+            PlainRows::Delivered(rows) => images(rows),
+            PlainRows::Decoded(rows) => images(rows),
         };
         let ordered = OrderedTask::<W>::from_payload_flits(
             self.config.ordering,
             meta.num_pairs,
             self.config.values_per_flit,
             meta.pair_index.clone(),
-            plain,
+            &plain,
         )?;
         Ok(ordered.recover()?)
     }
@@ -887,9 +865,16 @@ impl CodedTransport {
         let frame_width = self.config.frame_width_bits::<W>();
         if self.config.codes_in_transport() {
             let mut state = self.config.codec.seed_state(frame_width);
+            let want = state.wire_width();
+            let mut frame = [0u64; MAX_ROW_WORDS];
+            let frame = &mut frame[..want.div_ceil(64) as usize];
             for i in 0..flits.flit_count() {
-                let frame = state.decode_step(&flits.image(i))?;
-                if !edc.verify(&frame, data_width) {
+                let got = flits.flit_width(i);
+                if got != want {
+                    return Err(CodecError::WireWidth { got, want }.into());
+                }
+                state.decode_row(flits.row(i), frame);
+                if !edc.verify(frame, data_width) {
                     return Ok(false);
                 }
             }
@@ -904,7 +889,7 @@ impl CodedTransport {
                 }
                 .into());
             }
-            if !edc.verify(&flits.image(i), data_width) {
+            if !edc.verify(flits.row(i), data_width) {
                 return Ok(false);
             }
         }
@@ -966,6 +951,7 @@ pub fn row_major_assignment(occupancy: &[usize]) -> Vec<(usize, usize)> {
 /// Panics if `values_per_flit == 0`, `out` is not
 /// `values_per_flit × W::WIDTH` bits wide, or `order` returns a
 /// permutation of the wrong length.
+// btr-lint: allow(test-only-pub, reason = "tests/transport_parity.rs stream_and_transport_packing_agree compares flitize_values against it")
 pub fn pack_window_with_order<W: DataWord>(
     packets: &[Vec<W>],
     values_per_flit: usize,
@@ -1252,8 +1238,10 @@ mod tests {
         let config = TransportConfig::new(OrderingMethod::Separated, 16);
         for codec in CodecKind::ALL {
             let per_packet = CodedTransport::new(config.with_codec(codec));
-            let per_link =
-                CodedTransport::new(config.with_codec(codec).with_scope(CodecScope::PerLink));
+            let per_link = CodedTransport::new(TransportConfig {
+                scope: CodecScope::PerLink,
+                ..config.with_codec(codec)
+            });
             let pp = per_packet.encode_task(&task).unwrap();
             let pl = per_link.encode_task(&task).unwrap();
             // Per-link sessions put the plain ordered images on the wire
@@ -1380,7 +1368,7 @@ mod tests {
             Err(want.clone())
         );
         assert_eq!(
-            session.decode_task_reference::<Fx8Word>(&meta, &flits),
+            session.decode_task_reference::<Fx8Word>(&meta, flits.as_slice()),
             Err(want)
         );
     }

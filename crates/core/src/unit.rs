@@ -68,6 +68,7 @@ pub struct UnitReport {
 /// One unit sits next to each memory controller ("near off-chip memory
 /// placement", Sec. IV-C-2); `btr-accel` instantiates one per MC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// btr-lint: allow(test-only-pub, reason = "the behavioral hardware model tests/properties.rs sorter_networks_agree compares with the software sort")
 pub struct OrderingUnit {
     sorter: SorterKind,
 }
@@ -98,6 +99,7 @@ impl OrderingUnit {
     /// follow); separated-ordering runs it twice ("this unit can be used for
     /// separated-ordering with double time consumption", Sec. V-C).
     #[must_use]
+    // btr-lint: allow(test-only-pub, reason = "the sorting-network oracle tests/properties.rs sorter_networks_agree compares against")
     pub fn sort_descending<W: DataWord>(&self, values: &[W]) -> (Vec<W>, UnitReport) {
         // Popcount stage: one SWAR tree per lane, log2(width) levels.
         let popcount_stages = W::WIDTH.next_power_of_two().trailing_zeros();

@@ -61,17 +61,6 @@ impl QuantizedTensor {
         })
     }
 
-    /// Dequantizes back to a float tensor.
-    #[must_use]
-    pub fn dequantize(&self) -> Tensor {
-        let data = self
-            .codes
-            .iter()
-            .map(|&c| self.quantizer.dequantize_fx8(c))
-            .collect();
-        Tensor::from_vec(&self.shape, data).expect("shape preserved")
-    }
-
     /// Number of codes.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -83,24 +72,6 @@ impl QuantizedTensor {
     pub fn is_empty(&self) -> bool {
         self.codes.is_empty()
     }
-}
-
-/// Collects every conv/linear weight value of an inference graph into one
-/// flat vector — the weight pool the "without NoC" experiments draw
-/// packets from.
-#[must_use]
-pub fn weight_pool(ops: &[crate::model::InferenceOp]) -> Vec<f32> {
-    use crate::model::InferenceOp;
-    let mut pool = Vec::new();
-    for op in ops {
-        match op {
-            InferenceOp::Conv { weight, .. } | InferenceOp::Linear { weight, .. } => {
-                pool.extend_from_slice(weight.data());
-            }
-            _ => {}
-        }
-    }
-    pool
 }
 
 /// Groups an inference graph's conv kernels into packets: one packet per
@@ -149,8 +120,8 @@ mod tests {
         let q = QuantizedTensor::quantize(&t, 8).unwrap();
         assert_eq!(q.len(), 4);
         assert!(!q.is_empty());
-        let back = q.dequantize();
-        for (a, b) in t.data().iter().zip(back.data().iter()) {
+        for (a, &c) in t.data().iter().zip(&q.codes) {
+            let b = q.quantizer.dequantize_i32(i32::from(c.code()));
             assert!((a - b).abs() <= q.quantizer.max_abs_error() + 1e-6);
         }
     }
@@ -158,10 +129,10 @@ mod tests {
     #[test]
     fn weight_pool_covers_all_noc_layers() {
         let ops = lenet::build(0).inference_ops();
-        let pool = weight_pool(&ops);
+        // Every packet back to back is the whole weight pool:
         // conv1 150 + conv2 2400 + fc 48000 + 10080 + 840 = 61470 weights
         // (biases excluded).
-        assert_eq!(pool.len(), 61_470);
+        assert_eq!(kernel_packets(&ops, 25).concat().len(), 61_470);
     }
 
     #[test]

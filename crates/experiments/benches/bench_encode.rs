@@ -315,7 +315,7 @@ impl DecodeFixture {
         self.tasks.iter().fold(0, |acc, (meta, images, _)| {
             let rec = self
                 .session
-                .decode_task_reference::<Fx8Word>(meta, images)
+                .decode_task_reference::<Fx8Word>(meta, images.as_slice())
                 .expect("reference decode");
             acc ^ Fx8Word::response_bits(&rec)
         })

@@ -22,10 +22,13 @@
 // Each bench compiles its own copy of this module and uses a subset.
 #![allow(dead_code)]
 
-use experiments::json::{write_file, Json, BENCH_SCHEMA};
+use experiments::json::{write_file, Json};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
+
+/// Schema tag of the `BENCH_<group>.json` documents this harness writes.
+pub const BENCH_SCHEMA: &str = "btr-bench-v1";
 
 /// Timed work one sample aims for; iterations are batched to reach it.
 pub const SAMPLE_NS: f64 = 10e6;

@@ -3,16 +3,13 @@
 //!
 //! The sweep runner ([`crate::sweep`], schema [`crate::sweep::SWEEP_SCHEMA`]),
 //! the serve reporter ([`crate::serve_json::SERVE_SCHEMA`]), and the
-//! bench harness ([`BENCH_SCHEMA`]) all emit this format, so
+//! bench harness (`BENCH_SCHEMA` in `benches/common`) all emit this
+//! format, so
 //! downstream tooling can diff experiment results and bench trajectories
 //! across commits without parsing human-oriented tables. [`Json::parse`]
 //! reads the files back for the sweep-merge mode.
 
 use std::fmt::Write as _;
-
-/// Schema tag of the `BENCH_<group>.json` documents the benches'
-/// paired-ratio harness (`crates/experiments/benches/common`) writes.
-pub const BENCH_SCHEMA: &str = "btr-bench-v1";
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The writers nest
 /// at most a handful of levels (sweep and bench documents 3, `btr-serve-v2`

@@ -55,6 +55,7 @@ pub const TIMING_FIELDS: [&str; 3] = ["wall_ms", "engine", "analytic_phase_fract
 
 /// `doc` without any [`TIMING_FIELDS`] entry, in objects at any depth.
 #[must_use]
+// btr-lint: allow(test-only-pub, reason = "tests/sweep_engine_parity.rs diffs its sweep documents through it")
 pub fn strip_timing(doc: &Json) -> Json {
     match doc {
         Json::Obj(fields) => Json::Obj(
@@ -527,6 +528,7 @@ pub fn run_cells(
 
 /// [`run_cells`] with an explicit driver mode.
 #[must_use]
+// btr-lint: allow(test-only-pub, reason = "perfbench's paper-grid workload runs its cells through it")
 pub fn run_cells_with(
     workloads: &[Workload],
     cells: Vec<SweepCell>,
@@ -570,17 +572,6 @@ pub fn reduction_vs_baseline(
     index
         .get(&baseline_cell_of(&outcome.cell))
         .map(|&base| 1.0 - outcome.transitions as f64 / base as f64)
-}
-
-/// Finds the baseline (O0, same codec) outcome matching a cell's other
-/// coordinates, for normalization/reduction reporting — so
-/// `reduction_vs_baseline` answers "what does ordering buy on this
-/// (possibly coded) link". Linear scan; for whole-list serialization use
-/// [`baseline_index`] / [`outcomes_json`], which index once.
-#[must_use]
-pub fn baseline_of<'a>(outcomes: &'a [CellOutcome], cell: &SweepCell) -> Option<&'a CellOutcome> {
-    let key = baseline_cell_of(cell);
-    outcomes.iter().find(|o| o.cell == key)
 }
 
 /// Serializes outcomes to the sweep schema. Baselines are resolved
@@ -786,7 +777,7 @@ fn baseline_key(cell: &Json) -> String {
 
 /// Recomputes every cell's `reduction_vs_baseline` against the O0 cell
 /// with the same coordinates anywhere in `cells` (the merged-document
-/// equivalent of [`baseline_of`]). Cells without an `ordering`/
+/// equivalent of [`baseline_index`]). Cells without an `ordering`/
 /// `transitions` field are left untouched.
 fn recompute_reductions(cells: &mut [Json]) {
     let mut baselines: std::collections::HashMap<String, u64> = std::collections::HashMap::new();
@@ -823,6 +814,13 @@ fn recompute_reductions(cells: &mut [Json]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The baseline (O0, same codec) outcome matching a cell's other
+    /// coordinates, by linear scan — the oracle of [`baseline_index`].
+    fn baseline_of<'a>(outcomes: &'a [CellOutcome], cell: &SweepCell) -> Option<&'a CellOutcome> {
+        let key = baseline_cell_of(cell);
+        outcomes.iter().find(|o| o.cell == key)
+    }
     use btr_dnn::layer::{ActKind, Activation, Conv2d, Flatten, Linear, MaxPool2d};
     use btr_dnn::model::{Layer, Sequential};
     use rand::rngs::StdRng;

@@ -150,6 +150,7 @@ impl Simulator {
     /// that cannot be proven from the route set alone (temporal overlap
     /// on a shared link interleaves flits under VC arbitration).
     #[must_use]
+    // btr-lint: allow(test-only-pub, reason = "perfbench's replay workload classifies its phases with it")
     pub fn queued_phase_is_contention_free(&self) -> bool {
         let config = &self.config;
         let mut used: Vec<Option<NodeId>> = vec![None; config.num_nodes() * NUM_PORTS];
@@ -199,6 +200,7 @@ impl Simulator {
     /// (the replay consumes whole queued packets only), the wires have
     /// faults armed, or — in debug builds with `verified_eligible` — the
     /// cycle oracle disagrees.
+    // btr-lint: allow(test-only-pub, reason = "perfbench's replay workload times it as noc.replay")
     pub fn replay_queued_analytic(&mut self, verified_eligible: bool) {
         assert!(
             self.network_drained(),
@@ -1074,9 +1076,7 @@ mod tests {
             // no contention).
             assert_eq!(fs.cycles, ss.cycles, "{codec:?}");
             assert_eq!(fs.latency, ss.latency, "{codec:?}");
-            for node in 0..16 {
-                assert_eq!(fast.drain_delivered(node), slow.drain_delivered(node));
-            }
+            assert_eq!(fast.drain_all_delivered(), slow.drain_all_delivered());
         }
     }
 
@@ -1116,9 +1116,7 @@ mod tests {
             assert_eq!(fs.per_link, ss.per_link, "{codec:?}");
             assert_eq!(fs.cycles, ss.cycles, "cycles {codec:?}");
             assert_eq!(fs.latency, ss.latency, "latency {codec:?}");
-            for node in 0..16 {
-                assert_eq!(fast.drain_delivered(node), slow.drain_delivered(node));
-            }
+            assert_eq!(fast.drain_all_delivered(), slow.drain_all_delivered());
         }
     }
 
@@ -1139,7 +1137,7 @@ mod tests {
         assert!(!sim.queued_phase_is_contention_free());
         sim.replay_queued_analytic(false);
         assert!(sim.is_idle());
-        let mut got = sim.drain_delivered(10);
+        let mut got = sim.drain_all_delivered();
         got.sort_by_key(|d| d.tag);
         assert_eq!(got.len(), 8);
         for ((src, payload), d) in sent.iter().zip(&got) {
@@ -1319,15 +1317,15 @@ mod tests {
         assert!(replayed.arbitration_is(&stepped.arbitration()), "{what}");
         for link in 0..16 * NUM_PORTS {
             assert_eq!(
-                replayed.out_link_codec_lanes(link),
-                stepped.out_link_codec_lanes(link),
+                replayed.out_links.codec_lane_states(link),
+                stepped.out_links.codec_lane_states(link),
                 "{what}: out-link {link}"
             );
         }
         for node in 0..16 {
             assert_eq!(
-                replayed.inject_link_codec_lanes(node),
-                stepped.inject_link_codec_lanes(node),
+                replayed.inject_links.codec_lane_states(node),
+                stepped.inject_links.codec_lane_states(node),
                 "{what}: injection link {node}"
             );
         }

@@ -160,14 +160,6 @@ impl NocConfig {
         (0..self.num_nodes()).filter(|n| !self.is_mc(*n)).collect()
     }
 
-    /// Number of directed inter-router links in the mesh
-    /// (`2·(2·W·H − W − H)`; an 8×8 mesh has 224 directed = 112
-    /// bidirectional links, the figure used in Sec. V-C).
-    #[must_use]
-    pub fn inter_router_links(&self) -> usize {
-        2 * (2 * self.width * self.height - self.width - self.height)
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -255,9 +247,15 @@ mod tests {
     #[test]
     fn link_count_matches_sec_vc() {
         // "112 inter-router links" for an 8×8 NoC (bidirectional pairs).
+        // Directed links join the node pairs one hop apart:
+        // 2·(2·W·H − W − H).
         let c = NocConfig::mesh(8, 8, 128);
-        assert_eq!(c.inter_router_links(), 224);
-        assert_eq!(c.inter_router_links() / 2, 112);
+        let n = c.num_nodes();
+        let links = (0..n * n)
+            .filter(|&k| crate::routing::hop_count(&c, k / n, k % n) == 1)
+            .count();
+        assert_eq!(links, 224);
+        assert_eq!(links / 2, 112);
     }
 
     #[test]

@@ -143,6 +143,7 @@ impl ErrorModel {
     /// A model drawing nothing — the perfect-wire limit of the faulty
     /// code path.
     #[must_use]
+    // btr-lint: allow(test-only-pub, reason = "tests/engine_parity.rs zero_ber_armed_replays_equal_plain arms the fault path with it")
     pub fn perfect(seed: u64) -> Self {
         Self {
             ber: BitErrorRate::ZERO,

@@ -43,7 +43,7 @@
 //! sim.inject(Packet::new(0, 15, payload, 7)).unwrap();
 //! let cycles = sim.run_until_idle(10_000).unwrap();
 //! assert!(cycles > 0);
-//! let delivered = sim.drain_delivered(15);
+//! let delivered = sim.drain_all_delivered();
 //! assert_eq!(delivered.len(), 1);
 //! assert_eq!(delivered[0].tag, 7);
 //! ```

@@ -31,10 +31,14 @@
 //! let weights: Vec<Fx8Word> = (-4..=4).map(Fx8Word::new).collect();
 //! let task = NeuronTask::new(inputs, weights, Fx8Word::new(1)).unwrap();
 //!
-//! let meta = port.send_task(&mut sim, 0, 15, &task, 7).unwrap();
+//! let encoded = port.session().encode_task(&task).unwrap();
+//! let meta = port.send_encoded(&mut sim, 0, 15, encoded, 7).unwrap().meta;
 //! sim.run_until_idle(10_000).unwrap();
-//! let delivered = sim.drain_delivered(15).pop().unwrap();
-//! let recovered = port.receive_task(&meta, &delivered).unwrap();
+//! let delivered = sim.drain_all_delivered().pop().unwrap();
+//! let recovered = port
+//!     .session()
+//!     .decode_task::<Fx8Word>(&meta, &delivered.payload_flits)
+//!     .unwrap();
 //! assert_eq!(recovered.mac_i64(), task.mac_i64());
 //! ```
 
@@ -44,44 +48,10 @@ use btr_bits::payload::PayloadBits;
 use btr_bits::slab::{FlitRows, FlitSlab};
 use btr_bits::word::DataWord;
 use btr_core::codec::ResyncPolicy;
-use btr_core::flitize::FlitizeError;
-use btr_core::task::{NeuronTask, RecoveredTask};
 use btr_core::transport::{CodedTransport, EncodedTask, TaskWireMeta, TransportError};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Mutex;
-
-/// Errors from [`TaskPort::send_task`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SendError {
-    /// Ordering / flitization failed (geometry).
-    Encode(FlitizeError),
-    /// The simulator rejected the packet.
-    Inject(InjectError),
-}
-
-impl std::fmt::Display for SendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SendError::Encode(e) => write!(f, "task encode failed: {e}"),
-            SendError::Inject(e) => write!(f, "injection failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SendError {}
-
-impl From<FlitizeError> for SendError {
-    fn from(e: FlitizeError) -> Self {
-        SendError::Encode(e)
-    }
-}
-
-impl From<InjectError> for SendError {
-    fn from(e: InjectError) -> Self {
-        SendError::Inject(e)
-    }
-}
 
 /// One in-flight packet the sending NI keeps a copy of until the
 /// receiver acknowledges it — the replay buffer of the retransmission
@@ -240,26 +210,6 @@ impl<S> TaskPort<S> {
 }
 
 impl TaskPort<CodedTransport> {
-    /// Encodes `task` with the session's ordering and injects it as a
-    /// packet `src → dst` through [`TaskPort::send_encoded`], returning
-    /// the wire metadata the receiver needs (conceptually: the extended
-    /// head-flit fields plus the O2 index side channel).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SendError`] if encoding or injection fails.
-    pub fn send_task<W: DataWord>(
-        &self,
-        sim: &mut Simulator,
-        src: usize,
-        dst: usize,
-        task: &NeuronTask<W>,
-        tag: u64,
-    ) -> Result<TaskWireMeta, SendError> {
-        let encoded = self.session.encode_task(task)?;
-        Ok(self.send_encoded(sim, src, dst, encoded, tag)?.meta)
-    }
-
     /// Injects an already-encoded task (owned, or a borrowed buffer the
     /// caller re-encodes into) as a packet `src → dst`, and reports the
     /// packet's flit count (head + payload), wire metadata and
@@ -268,6 +218,7 @@ impl TaskPort<CodedTransport> {
     /// # Errors
     ///
     /// Returns [`InjectError`] if the simulator rejects the packet.
+    // btr-lint: allow(test-only-pub, reason = "perfbench's replay workload injects its requests through it")
     pub fn send_encoded<W: DataWord>(
         &self,
         sim: &mut Simulator,
@@ -296,6 +247,7 @@ impl TaskPort<CodedTransport> {
     /// # Errors
     ///
     /// Returns [`InjectError`] if the simulator rejects the packet.
+    // btr-lint: allow(test-only-pub, reason = "perfbench's replay workload sends its responses through it")
     pub fn send_flits(
         &self,
         sim: &mut Simulator,
@@ -405,20 +357,6 @@ impl TaskPort<CodedTransport> {
             Err(TransportError::Unrecoverable { retries: 0 })
         }
     }
-
-    /// Decodes a delivered packet's wire rows back into paired operands.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError`] if the rows do not match the layout
-    /// implied by `meta` or recovery fails.
-    pub fn receive_task<W: DataWord>(
-        &self,
-        meta: &TaskWireMeta,
-        delivered: &DeliveredPacket,
-    ) -> Result<RecoveredTask<W>, TransportError> {
-        self.session.decode_task(meta, &delivered.payload_flits)
-    }
 }
 
 /// Accounting record returned by [`TaskPort::send_encoded`].
@@ -445,6 +383,7 @@ mod tests {
     use btr_bits::word::Fx8Word;
     use btr_core::codec::CodecKind;
     use btr_core::ordering::OrderingMethod;
+    use btr_core::task::NeuronTask;
     use btr_core::transport::TransportConfig;
 
     fn task(n: usize) -> NeuronTask<Fx8Word> {
@@ -453,18 +392,34 @@ mod tests {
         NeuronTask::new(inputs, weights, Fx8Word::new(3)).unwrap()
     }
 
+    /// Encodes `t` and injects it `src → dst`, returning its wire
+    /// metadata.
+    fn send(
+        port: &TaskPort<CodedTransport>,
+        sim: &mut Simulator,
+        src: usize,
+        dst: usize,
+        t: &NeuronTask<Fx8Word>,
+        tag: u64,
+    ) -> TaskWireMeta {
+        let encoded = port.session().encode_task(t).unwrap();
+        port.send_encoded(sim, src, dst, encoded, tag).unwrap().meta
+    }
+
     #[test]
     fn roundtrip_over_the_mesh_for_all_orderings() {
         for ordering in OrderingMethod::ALL {
             let mut sim = Simulator::new(NocConfig::mesh(4, 4, 128));
             let port = TaskPort::new(CodedTransport::new(TransportConfig::new(ordering, 16)));
             let t = task(25);
-            let meta = port.send_task(&mut sim, 2, 13, &t, 9).unwrap();
+            let meta = send(&port, &mut sim, 2, 13, &t, 9);
             sim.run_until_idle(10_000).unwrap();
-            let delivered = sim.drain_delivered(13).pop().expect("delivered");
+            let delivered = sim.drain_all_delivered().pop().expect("delivered");
             assert_eq!(delivered.tag, 9);
-            let rec: btr_core::task::RecoveredTask<Fx8Word> =
-                port.receive_task(&meta, &delivered).unwrap();
+            let rec: btr_core::task::RecoveredTask<Fx8Word> = port
+                .session()
+                .decode_task(&meta, &delivered.payload_flits)
+                .unwrap();
             assert_eq!(rec.mac_i64(), t.mac_i64(), "{ordering}");
         }
     }
@@ -481,12 +436,14 @@ mod tests {
             let mut sim = Simulator::new(NocConfig::mesh(4, 4, link_width));
             let port = TaskPort::new(CodedTransport::new(config.with_codec(codec)));
             let t = task(25);
-            let meta = port.send_task(&mut sim, 2, 13, &t, 9).unwrap();
+            let meta = send(&port, &mut sim, 2, 13, &t, 9);
             sim.run_until_idle(10_000).unwrap();
-            let delivered = sim.drain_delivered(13).pop().expect("delivered");
+            let delivered = sim.drain_all_delivered().pop().expect("delivered");
             assert_eq!(delivered.payload_flits.width(), link_width);
-            let rec: btr_core::task::RecoveredTask<Fx8Word> =
-                port.receive_task(&meta, &delivered).unwrap();
+            let rec: btr_core::task::RecoveredTask<Fx8Word> = port
+                .session()
+                .decode_task(&meta, &delivered.payload_flits)
+                .unwrap();
             assert_eq!(rec.mac_i64(), t.mac_i64(), "{codec}");
             totals.push(sim.stats().total_transitions);
         }
@@ -551,14 +508,14 @@ mod tests {
             noc.validate().unwrap();
             let mut sim = Simulator::new(noc);
             let port = TaskPort::with_recovery(CodedTransport::new(config), &fault);
-            let meta = port.send_task(&mut sim, 2, 13, &t, 9).unwrap();
+            let meta = send(&port, &mut sim, 2, 13, &t, 9);
             loop {
                 sim.run_until_idle(100_000).unwrap();
-                let d = sim.drain_delivered(13).pop().expect("packet arrives");
+                let d = sim.drain_all_delivered().pop().expect("packet arrives");
                 match port.accept::<Fx8Word>(&mut sim, &d) {
                     Ok(Some(retries)) => {
                         let rec: btr_core::task::RecoveredTask<Fx8Word> =
-                            port.receive_task(&meta, &d).unwrap();
+                            port.session().decode_task(&meta, &d.payload_flits).unwrap();
                         assert_eq!(rec.mac_i64(), t.mac_i64());
                         return Ok((retries, port.take_fault_stats()));
                     }
@@ -588,10 +545,12 @@ mod tests {
         use btr_core::transport::TransportError;
 
         let t = task(25);
-        let config = TransportConfig::new(OrderingMethod::Separated, 16)
-            .with_codec(CodecKind::DeltaXor)
-            .with_scope(CodecScope::PerLink)
-            .with_edc(EdcKind::Crc8);
+        let config = TransportConfig {
+            scope: CodecScope::PerLink,
+            ..TransportConfig::new(OrderingMethod::Separated, 16)
+                .with_codec(CodecKind::DeltaXor)
+                .with_edc(EdcKind::Crc8)
+        };
         let link_width = config.link_width_bits::<Fx8Word>();
         let frame = config.frame_width_bits::<Fx8Word>();
         let run = |seed: u64, resync: btr_core::codec::ResyncPolicy| {
@@ -611,14 +570,14 @@ mod tests {
             noc.validate().unwrap();
             let mut sim = Simulator::new(noc);
             let port = TaskPort::with_recovery(CodedTransport::new(config), &fault);
-            let meta = port.send_task(&mut sim, 2, 13, &t, 9).unwrap();
+            let meta = send(&port, &mut sim, 2, 13, &t, 9);
             loop {
                 sim.run_until_idle(100_000).unwrap();
-                let d = sim.drain_delivered(13).pop().expect("packet arrives");
+                let d = sim.drain_all_delivered().pop().expect("packet arrives");
                 match port.accept::<Fx8Word>(&mut sim, &d) {
                     Ok(Some(retries)) => {
                         let rec: btr_core::task::RecoveredTask<Fx8Word> =
-                            port.receive_task(&meta, &d).unwrap();
+                            port.session().decode_task(&meta, &d.payload_flits).unwrap();
                         assert_eq!(rec.mac_i64(), t.mac_i64());
                         return Ok(retries);
                     }
@@ -653,10 +612,8 @@ mod tests {
             16,
         )));
         // 16 fx8 lanes = 128-bit payload on a 64-bit link.
-        let err = port.send_task(&mut sim, 0, 1, &task(4), 0).unwrap_err();
-        assert!(matches!(
-            err,
-            SendError::Inject(InjectError::PayloadTooWide { .. })
-        ));
+        let encoded = port.session().encode_task(&task(4)).unwrap();
+        let err = port.send_encoded(&mut sim, 0, 1, encoded, 0).unwrap_err();
+        assert!(matches!(err, InjectError::PayloadTooWide { .. }));
     }
 }

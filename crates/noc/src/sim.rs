@@ -483,33 +483,13 @@ impl Simulator {
         self.cycle
     }
 
-    /// The persistent tx/rx codec-lane state pair of the router-output
-    /// link `node * NUM_PORTS + port`, or `None` on raw wires (no
-    /// per-link codec configured). Engine-parity harnesses compare these
-    /// to pin that the analytic replay leaves every wire's memory exactly
-    /// where the cycle engine does.
+    /// The router-output link slab (link `node * NUM_PORTS + port`) and
+    /// the NI→router injection link slab (link `node`): per-link BTs,
+    /// flit counts and codec lanes.
     #[must_use]
-    pub fn out_link_codec_lanes(
-        &self,
-        link: usize,
-    ) -> Option<(
-        &btr_core::codec::LinkCodecState,
-        &btr_core::codec::LinkCodecState,
-    )> {
-        self.out_links.codec_lane_states(link)
-    }
-
-    /// The persistent tx/rx codec-lane state pair of `node`'s NI→router
-    /// injection link, or `None` on raw wires.
-    #[must_use]
-    pub fn inject_link_codec_lanes(
-        &self,
-        node: NodeId,
-    ) -> Option<(
-        &btr_core::codec::LinkCodecState,
-        &btr_core::codec::LinkCodecState,
-    )> {
-        self.inject_links.codec_lane_states(node)
+    // btr-lint: allow(test-only-pub, reason = "tests/engine_parity.rs compares both engines' codec lanes through it")
+    pub fn link_slabs(&self) -> (&LinkSlab, &LinkSlab) {
+        (&self.out_links, &self.inject_links)
     }
 
     /// True when the mesh's wires draw errors (fault model armed with
@@ -544,6 +524,7 @@ impl Simulator {
     ///
     /// Returns [`InjectError`] if nodes are out of range or a payload flit
     /// exceeds the link width.
+    // btr-lint: allow(test-only-pub, reason = "tests/transport_parity.rs flat_engine_matches_golden_digests injects its seeded traffic through it")
     pub fn inject(&mut self, packet: Packet) -> Result<u64, InjectError> {
         self.inject_rows(
             packet.src,
@@ -685,20 +666,8 @@ impl Simulator {
         self.packets_in_flight
     }
 
-    /// Takes all packets delivered to `node` so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn drain_delivered(&mut self, node: NodeId) -> Vec<DeliveredPacket> {
-        let out: Vec<DeliveredPacket> = self.ni_delivered[node].drain(..).collect();
-        self.delivered_pending -= out.len() as u64;
-        out
-    }
-
     /// Takes every delivered packet across all nodes (ordered by node,
-    /// then delivery order). Cheaper than per-node draining for callers
-    /// that poll every cycle.
+    /// then delivery order).
     pub fn drain_all_delivered(&mut self) -> Vec<DeliveredPacket> {
         let mut out = Vec::new();
         self.drain_all_delivered_into(&mut out);
@@ -1195,6 +1164,13 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
 
+    /// Takes the packets delivered to `node` so far.
+    fn drained(sim: &mut Simulator, node: NodeId) -> Vec<DeliveredPacket> {
+        let out: Vec<DeliveredPacket> = sim.ni_delivered[node].drain(..).collect();
+        sim.delivered_pending -= out.len() as u64;
+        out
+    }
+
     fn image(width: u32, fill: u64) -> PayloadBits {
         let mut p = PayloadBits::zero(width);
         p.set_field(0, 64.min(width), fill);
@@ -1212,7 +1188,7 @@ mod tests {
         sim.inject(Packet::new(0, 15, payload.clone(), 42)).unwrap();
         let cycles = sim.run_until_idle(1000).unwrap();
         assert!(cycles > 0);
-        let got = sim.drain_delivered(15);
+        let got = drained(&mut sim, 15);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].tag, 42);
         assert_eq!(got[0].src, 0);
@@ -1228,7 +1204,7 @@ mod tests {
         sim.inject(Packet::new(5, 5, vec![image(128, 7)], 1))
             .unwrap();
         sim.run_until_idle(100).unwrap();
-        let got = sim.drain_delivered(5);
+        let got = drained(&mut sim, 5);
         assert_eq!(got.len(), 1);
     }
 
@@ -1238,12 +1214,12 @@ mod tests {
         sim.inject(Packet::new(0, 1, vec![image(128, 1)], 0))
             .unwrap();
         sim.run_until_idle(100).unwrap();
-        let near = sim.drain_delivered(1)[0].latency();
+        let near = drained(&mut sim, 1)[0].latency();
         let mut sim2 = small_sim();
         sim2.inject(Packet::new(0, 15, vec![image(128, 1)], 0))
             .unwrap();
         sim2.run_until_idle(100).unwrap();
-        let far = sim2.drain_delivered(15)[0].latency();
+        let far = drained(&mut sim2, 15)[0].latency();
         assert!(far > near, "far {far} vs near {near}");
     }
 
@@ -1263,7 +1239,7 @@ mod tests {
         sim.run_until_idle(100_000).unwrap();
         let mut got_total = 0;
         for node in 0..16 {
-            let got = sim.drain_delivered(node);
+            let got = drained(&mut sim, node);
             assert_eq!(got.len(), *expected.get(&node).unwrap_or(&0), "node {node}");
             got_total += got.len();
         }
@@ -1295,7 +1271,7 @@ mod tests {
                 .unwrap();
         }
         sim.run_until_idle(10_000).unwrap();
-        let got = sim.drain_delivered(5);
+        let got = drained(&mut sim, 5);
         assert_eq!(got.len(), 15);
         for d in got {
             for i in 0..d.payload_flits.len() {
@@ -1326,7 +1302,7 @@ mod tests {
             stats.total_transitions
         );
         assert!(stats.flit_hops >= 15);
-        assert!(stats.transitions_per_flit_hop() > 0.0);
+        assert!(stats.total_transitions > 0 && stats.flit_hops > 0);
     }
 
     #[test]
@@ -1334,7 +1310,7 @@ mod tests {
         let mut sim = small_sim();
         sim.inject(Packet::new(0, 3, Vec::new(), 11)).unwrap();
         sim.run_until_idle(100).unwrap();
-        let got = sim.drain_delivered(3);
+        let got = drained(&mut sim, 3);
         assert_eq!(got.len(), 1);
         assert_eq!((got[0].src, got[0].tag), (0, 11));
         assert!(got[0].payload_flits.is_empty());
@@ -1381,7 +1357,7 @@ mod tests {
             let mut sim = small_sim();
             sim.inject(Packet::new(1, 14, payload, 3)).unwrap();
             sim.run_until_idle(1000).unwrap();
-            (sim.drain_delivered(14), sim.stats())
+            (drained(&mut sim, 14), sim.stats())
         };
         let (got, stats) = run(narrow);
         let (want, want_stats) = run(widened.clone());
@@ -1562,8 +1538,8 @@ mod tests {
             );
             for node in 0..16 {
                 assert_eq!(
-                    raw.drain_delivered(node),
-                    coded.drain_delivered(node),
+                    drained(&mut raw, node),
+                    drained(&mut coded, node),
                     "{codec}: delivered payloads at node {node}"
                 );
             }
@@ -1614,7 +1590,7 @@ mod tests {
                 inert.stats().total_transitions
             );
             for node in 0..16 {
-                assert_eq!(plain.drain_delivered(node), inert.drain_delivered(node));
+                assert_eq!(drained(&mut plain, node), drained(&mut inert, node));
             }
             // ber > 0 flips deterministically: two runs agree bit-for-bit.
             let mut a = Simulator::new(armed(0.01));
@@ -1626,7 +1602,7 @@ mod tests {
             assert_eq!(a.fault_totals(), b.fault_totals());
             assert!(a.fault_totals().0 > 0, "1% BER over this traffic must flip");
             for node in 0..16 {
-                assert_eq!(a.drain_delivered(node), b.drain_delivered(node));
+                assert_eq!(drained(&mut a, node), drained(&mut b, node));
             }
         }
     }

@@ -703,18 +703,6 @@ pub struct LatencyStats {
     pub mean: f64,
 }
 
-impl LatencyStats {
-    /// Builds a summary from raw samples.
-    #[must_use]
-    pub fn from_samples(samples: &[u64]) -> Self {
-        let mut totals = LatencyTotals::default();
-        for &s in samples {
-            totals.record(s);
-        }
-        totals.stats()
-    }
-}
-
 /// Running latency totals — everything [`LatencyStats`] summarizes,
 /// without keeping the samples.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -793,25 +781,17 @@ pub struct NocStats {
     pub per_link: Vec<LinkStat>,
 }
 
-impl NocStats {
-    /// Mean transitions per flit-hop.
-    #[must_use]
-    pub fn transitions_per_flit_hop(&self) -> f64 {
-        if self.flit_hops == 0 {
-            0.0
-        } else {
-            self.total_transitions as f64 / self.flit_hops as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn latency_from_samples() {
-        let l = LatencyStats::from_samples(&[10, 20, 30]);
+        let mut totals = LatencyTotals::default();
+        for s in [10, 20, 30] {
+            totals.record(s);
+        }
+        let l = totals.stats();
         assert_eq!(l.count, 3);
         assert_eq!(l.min, 10);
         assert_eq!(l.max, 30);
@@ -820,25 +800,8 @@ mod tests {
 
     #[test]
     fn latency_empty() {
-        let l = LatencyStats::from_samples(&[]);
+        let l = LatencyTotals::default().stats();
         assert_eq!(l.count, 0);
         assert_eq!(l.mean, 0.0);
-    }
-
-    #[test]
-    fn transitions_per_hop() {
-        let stats = NocStats {
-            cycles: 10,
-            total_transitions: 100,
-            inter_router_transitions: 80,
-            injection_transitions: 10,
-            ejection_transitions: 10,
-            flit_hops: 50,
-            packets_delivered: 2,
-            flits_delivered: 10,
-            latency: LatencyStats::from_samples(&[]),
-            per_link: Vec::new(),
-        };
-        assert!((stats.transitions_per_flit_hop() - 2.0).abs() < 1e-12);
     }
 }

@@ -36,7 +36,7 @@ fn main() {
             name,
             cycles,
             stats.total_transitions,
-            stats.transitions_per_flit_hop(),
+            stats.total_transitions as f64 / stats.flit_hops.max(1) as f64,
             stats.latency.mean,
             stats.latency.max
         );

@@ -3,7 +3,6 @@
 //!
 //! Run with: `cargo run --release --example ordering_lab`
 
-use noc_btr::bits::transition::stream_transitions;
 use noc_btr::bits::word::{DataWord, Fx8Word};
 use noc_btr::bits::FlitSlab;
 use noc_btr::core::codec::CodecKind;
@@ -99,9 +98,15 @@ fn main() {
 
     // Classic link encodings over the *unordered* stream. Transitions are
     // counted on the full wire image, so bus-invert's extra invert line
-    // (the wire's top bit) is charged too.
+    // (the wire's top bit) is charged too: the run kernel sums the
+    // transitions between consecutive wires.
     let coded = |kind: CodecKind, flits: &FlitSlab| {
-        stream_transitions(&kind.encode_stream(&flits.to_payloads()))
+        let mut lane = kind.seed_state(flits.width());
+        let mut rows = flits.clone();
+        rows.widen(lane.wire_width());
+        let mut wire = vec![0; rows.words_per_flit()];
+        lane.encode_rows_onto(&rows, &mut wire)
+            .map_or(0, |(_, intra, _)| intra)
     };
     show(
         "bus-invert coding [Stan & Burleson]",

@@ -8,9 +8,9 @@
 
 use noc_btr::bits::transition::stream_transitions;
 use noc_btr::bits::word::Fx8Word;
-use noc_btr::core::flitize::order_task;
+use noc_btr::core::flitize::order_task_with;
+use noc_btr::core::ordering::{OrderingMethod, TieBreak};
 use noc_btr::core::task::NeuronTask;
-use noc_btr::core::OrderingMethod;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,7 +32,7 @@ fn main() {
         "method", "flits", "transitions", "MAC correct"
     );
     for method in OrderingMethod::ALL {
-        let ordered = order_task(&task, method, 16).expect("flitizes");
+        let ordered = order_task_with(&task, method, 16, TieBreak::Stable).expect("flitizes");
         let flits = ordered.payload_flits();
         let transitions = stream_transitions(&flits);
         let recovered = ordered.recover().expect("recovers");

@@ -11,7 +11,7 @@ use noc_btr::bits::stats::{BitPositionStats, PopcountHistogram};
 use noc_btr::bits::word::{DataWord, F32Word, Fx8Word};
 use noc_btr::bits::Quantizer;
 use noc_btr::dnn::models::lenet;
-use noc_btr::dnn::quant::weight_pool;
+use noc_btr::dnn::quant::kernel_packets;
 
 fn bar(p: f64, scale: usize) -> String {
     "#".repeat((p * scale as f64).round() as usize)
@@ -19,7 +19,7 @@ fn bar(p: f64, scale: usize) -> String {
 
 fn main() {
     let model = lenet::build(42);
-    let weights = weight_pool(&model.inference_ops());
+    let weights = kernel_packets(&model.inference_ops(), 25).concat();
     println!("{} weights from LeNet (random init)\n", weights.len());
 
     // float-32 view.

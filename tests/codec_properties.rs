@@ -2,8 +2,9 @@
 //!
 //! Pinned here:
 //!
-//! * **Round-trip losslessness** for all three codecs:
-//!   `decode_stream(encode_stream(s), w) == s` across random widths and
+//! * **Round-trip losslessness** for all three codecs: the
+//!   `decode_row` walk of a fresh state over the `encode_row_onto` walk
+//!   of a fresh state returns the stream, across random widths and
 //!   streams.
 //! * **Bus-invert's bound**: on the wire (data wires + the invert line),
 //!   no flit boundary ever toggles more than `⌈w/2⌉ + 1` wires.
@@ -16,9 +17,31 @@
 //!   always identical across scopes — and resetting the state at each
 //!   boundary reproduces the per-packet stream for every codec).
 
-use noc_btr::bits::PayloadBits;
-use noc_btr::core::codec::CodecKind;
+use noc_btr::bits::{FlitSlab, PayloadBits};
+use noc_btr::core::codec::{CodecKind, LinkCodecState};
 use proptest::prelude::*;
+
+/// One transmit row step on images: `plain` zero-extended onto the wire,
+/// through `encode_row_onto`.
+fn step(tx: &mut LinkCodecState, plain: &PayloadBits) -> PayloadBits {
+    let aligned = plain.resized(tx.wire_width());
+    let mut wire = vec![0; aligned.used_words().len()];
+    tx.encode_row_onto(aligned.used_words(), &mut wire);
+    PayloadBits::from_row(tx.wire_width(), &wire)
+}
+
+/// One receive row step on images, back to the data width.
+fn unstep(rx: &mut LinkCodecState, wire: &PayloadBits) -> PayloadBits {
+    let mut plain = vec![u64::MAX; wire.used_words().len()];
+    rx.decode_row(wire.used_words(), &mut plain);
+    PayloadBits::from_row(rx.wire_width(), &plain).resized(rx.data_width())
+}
+
+/// A packet through a fresh state: the per-packet scope.
+fn encode_packet(kind: CodecKind, width: u32, packet: &[PayloadBits]) -> Vec<PayloadBits> {
+    let mut tx = kind.seed_state(width);
+    packet.iter().map(|p| step(&mut tx, p)).collect()
+}
 
 /// Builds a `width`-bit image from up to two raw words.
 fn image(width: u32, lo: u64, hi: u64) -> PayloadBits {
@@ -52,17 +75,16 @@ fn packets_of(raw: &[(u64, u64)], width: u32, lens: &[usize]) -> Vec<Vec<Payload
 /// every packet.
 fn per_link_wire(kind: CodecKind, packets: &[Vec<PayloadBits>], width: u32) -> Vec<PayloadBits> {
     let mut tx = kind.seed_state(width);
-    packets
-        .iter()
-        .flatten()
-        .map(|p| tx.encode_step(p))
-        .collect()
+    packets.iter().flatten().map(|p| step(&mut tx, p)).collect()
 }
 
 /// The wire stream a per-packet scope drives: state re-seeded at every
-/// packet boundary (exactly `encode_stream` per packet, concatenated).
-fn per_packet_wire(kind: CodecKind, packets: &[Vec<PayloadBits>]) -> Vec<PayloadBits> {
-    packets.iter().flat_map(|p| kind.encode_stream(p)).collect()
+/// packet boundary.
+fn per_packet_wire(kind: CodecKind, packets: &[Vec<PayloadBits>], width: u32) -> Vec<PayloadBits> {
+    packets
+        .iter()
+        .flat_map(|p| encode_packet(kind, width, p))
+        .collect()
 }
 
 /// Flat indices of the first flit of every packet after the first — the
@@ -91,12 +113,12 @@ proptest! {
     ) {
         let kind = CodecKind::ALL[codec_idx];
         let stream: Vec<PayloadBits> = raw.iter().map(|&(lo, hi)| image(width, lo, hi)).collect();
-        let wire = kind.encode_stream(&stream);
-        prop_assert_eq!(wire.len(), stream.len());
+        let wire = encode_packet(kind, width, &stream);
         for w in &wire {
             prop_assert_eq!(w.width(), width + kind.extra_wires());
         }
-        let back = kind.decode_stream(&wire, width).unwrap();
+        let mut rx = kind.seed_state(width);
+        let back: Vec<PayloadBits> = wire.iter().map(|w| unstep(&mut rx, w)).collect();
         prop_assert_eq!(back, stream);
     }
 
@@ -109,7 +131,7 @@ proptest! {
         raw in prop::collection::vec((any::<u64>(), any::<u64>()), 2..=40),
     ) {
         let stream: Vec<PayloadBits> = raw.iter().map(|&(lo, hi)| image(width, lo, hi)).collect();
-        let wire = CodecKind::BusInvert.encode_stream(&stream);
+        let wire = encode_packet(CodecKind::BusInvert, width, &stream);
         let bound = width.div_ceil(2) + 1;
         for pair in wire.windows(2) {
             let toggles = pair[1].transitions_to(&pair[0]);
@@ -122,7 +144,7 @@ proptest! {
 
     /// The codec stage preserves flit counts: no codec adds or removes
     /// flits, so packet shapes (and cycle counts for equal widths) are
-    /// codec-independent.
+    /// codec-independent. The run kernel reports one wire per plain row.
     #[test]
     fn codecs_preserve_flit_counts(
         width in 1u32..=96,
@@ -130,8 +152,13 @@ proptest! {
         codec_idx in 0usize..3,
     ) {
         let kind = CodecKind::ALL[codec_idx];
-        let stream: Vec<PayloadBits> = raw.iter().map(|&lo| image(width, lo, 0)).collect();
-        prop_assert_eq!(kind.encode_stream(&stream).len(), stream.len());
+        let mut tx = kind.seed_state(width);
+        let aligned: Vec<PayloadBits> =
+            raw.iter().map(|&lo| image(width, lo, 0).resized(tx.wire_width())).collect();
+        let rows = FlitSlab::from_images(tx.wire_width(), &aligned);
+        let mut wire = vec![0; tx.wire_width().div_ceil(64) as usize];
+        let count = tx.encode_rows_onto(&rows, &mut wire).map_or(0, |(_, _, n)| n);
+        prop_assert_eq!(count, raw.len() as u64);
     }
 
     /// Per-link scope is lossless at the PE over multi-packet streams: a
@@ -152,9 +179,9 @@ proptest! {
         let mut rx = kind.seed_state(width);
         for packet in &packets {
             for plain in packet {
-                let wire = tx.encode_step(plain);
+                let wire = step(&mut tx, plain);
                 prop_assert_eq!(wire.width(), width + kind.extra_wires());
-                prop_assert_eq!(&rx.decode_step(&wire).unwrap(), plain);
+                prop_assert_eq!(&unstep(&mut rx, &wire), plain);
             }
         }
     }
@@ -182,7 +209,7 @@ proptest! {
         let kind = CodecKind::ALL[codec_idx];
         let packets = packets_of(&raw, width, &lens);
         let pl = per_link_wire(kind, &packets, width);
-        let pp = per_packet_wire(kind, &packets);
+        let pp = per_packet_wire(kind, &packets, width);
         prop_assert_eq!(pl.len(), pp.len());
 
         // First packet: identical across scopes (nothing to remember).
@@ -212,7 +239,7 @@ proptest! {
         let mut reseeded = Vec::new();
         for packet in &packets {
             tx.reset();
-            reseeded.extend(packet.iter().map(|p| tx.encode_step(p)));
+            reseeded.extend(packet.iter().map(|p| step(&mut tx, p)));
         }
         prop_assert_eq!(reseeded, pp);
     }

@@ -394,32 +394,35 @@ fn assert_sims_agree(fast: &mut Simulator, slow: &mut Simulator, what: &str) {
     );
     assert_eq!(fs.flit_hops, ss.flit_hops, "{what}: flit-hops");
     let nodes = fast.config().num_nodes();
+    let ((fast_out, fast_in), (slow_out, slow_in)) = (fast.link_slabs(), slow.link_slabs());
     for link in 0..nodes * Direction::ALL.len() {
         assert_eq!(
-            fast.out_link_codec_lanes(link),
-            slow.out_link_codec_lanes(link),
+            fast_out.codec_lane_states(link),
+            slow_out.codec_lane_states(link),
             "{what}: out-link {link} codec lanes"
         );
     }
     for node in 0..nodes {
         assert_eq!(
-            fast.inject_link_codec_lanes(node),
-            slow.inject_link_codec_lanes(node),
+            fast_in.codec_lane_states(node),
+            slow_in.codec_lane_states(node),
             "{what}: injection-link {node} codec lanes"
         );
-        let key = |d: &DeliveredPacket| (d.tag, d.src, d.packet_id);
-        let mut mine = fast.drain_delivered(node);
-        let mut theirs = slow.drain_delivered(node);
-        mine.sort_by_key(key);
-        theirs.sort_by_key(key);
-        assert_eq!(mine.len(), theirs.len(), "{what}: deliveries at {node}");
-        for (m, t) in mine.iter().zip(&theirs) {
-            assert_eq!(
-                (m.src, m.dst, m.tag, &m.payload_flits),
-                (t.src, t.dst, t.tag, &t.payload_flits),
-                "{what}: delivered payload at {node}"
-            );
-        }
+    }
+    // Deliveries come out node by node; sort each side the same way.
+    let key = |d: &DeliveredPacket| (d.dst, d.tag, d.src, d.packet_id);
+    let mut mine = fast.drain_all_delivered();
+    let mut theirs = slow.drain_all_delivered();
+    mine.sort_by_key(key);
+    theirs.sort_by_key(key);
+    assert_eq!(mine.len(), theirs.len(), "{what}: deliveries");
+    for (m, t) in mine.iter().zip(&theirs) {
+        assert_eq!(
+            (m.src, m.dst, m.tag, &m.payload_flits),
+            (t.src, t.dst, t.tag, &t.payload_flits),
+            "{what}: delivered payload at {}",
+            m.dst
+        );
     }
 }
 
@@ -509,10 +512,11 @@ proptest! {
             prop_assert_eq!(fs.cycles, ss.cycles, "closed-form clock (seed {})", seed);
             prop_assert_eq!(fs.latency, ss.latency);
             let nodes = fast.config().num_nodes();
+            let (fast_out, slow_out) = (fast.link_slabs().0, slow.link_slabs().0);
             for link in 0..nodes * Direction::ALL.len() {
                 prop_assert_eq!(
-                    fast.out_link_codec_lanes(link),
-                    slow.out_link_codec_lanes(link),
+                    fast_out.codec_lane_states(link),
+                    slow_out.codec_lane_states(link),
                     "out-link {} lanes (seed {})", link, seed
                 );
             }

@@ -5,8 +5,8 @@ use noc_btr::bits::transition::stream_transitions;
 use noc_btr::bits::word::Fx8Word;
 use noc_btr::core::codec::CodecKind;
 use noc_btr::core::stream::{
-    build_stream_flits, compare_windowed, measure_flits, Comparison, Placement, TieBreak,
-    WindowConfig,
+    build_stream_flits, build_stream_slab, compare_windowed, measure_flits, Comparison, Placement,
+    TieBreak, WindowConfig,
 };
 use noc_btr::hw::area::{OrderingUnitDesign, RouterDesign, SorterNetwork, Technology};
 use noc_btr::hw::link_energy::LinkPowerModel;
@@ -74,12 +74,16 @@ fn value_tiebreak_dominates_stable_on_concentrated_data() {
 fn ordering_composes_with_bus_invert() {
     let packets = trained_like_packets(200, 4);
     let config = WindowConfig::table1();
-    let baseline = build_stream_flits(&packets, &config, false);
-    let ordered = build_stream_flits(&packets, &config, true);
-    let raw = stream_transitions(&baseline);
-    let ord = stream_transitions(&ordered);
-    // The invert line is the wire's top bit: data plus control toggles.
-    let ord_bi = stream_transitions(&CodecKind::BusInvert.encode_stream(&ordered));
+    let baseline = build_stream_slab(&packets, &config, false);
+    let mut ordered = build_stream_slab(&packets, &config, true);
+    let raw = baseline.lagged_transitions(1);
+    let ord = ordered.lagged_transitions(1);
+    // The invert line is the wire's top bit: data plus control toggles,
+    // summed between consecutive wires of the run.
+    let mut lane = CodecKind::BusInvert.seed_state(ordered.width());
+    ordered.widen(lane.wire_width());
+    let mut wire = vec![0; ordered.words_per_flit()];
+    let (_, ord_bi, _) = lane.encode_rows_onto(&ordered, &mut wire).unwrap();
     assert!(ord < raw);
     // Bus-invert on top never hurts by more than its invert-line cost.
     assert!(ord_bi <= ord + ordered.len() as u64);
@@ -92,13 +96,18 @@ fn delta_encoding_roundtrips_ordered_streams() {
         placement: Placement::RowMajor,
         ..WindowConfig::table1()
     };
-    let ordered = build_stream_flits(&packets, &config, true);
-    let wire = CodecKind::DeltaXor.encode_stream(&ordered);
-    let width = ordered[0].width();
-    assert_eq!(
-        CodecKind::DeltaXor.decode_stream(&wire, width).unwrap(),
-        ordered
+    let ordered = build_stream_slab(&packets, &config, true);
+    let mut tx = CodecKind::DeltaXor.seed_state(ordered.width());
+    let mut rx = CodecKind::DeltaXor.seed_state(ordered.width());
+    let (mut wire, mut plain) = (
+        vec![0; ordered.words_per_flit()],
+        vec![0; ordered.words_per_flit()],
     );
+    for i in 0..ordered.len() {
+        tx.encode_row_onto(ordered.flit(i), &mut wire);
+        rx.decode_row(&wire, &mut plain);
+        assert_eq!(plain, ordered.flit(i), "flit {i}");
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 use noc_btr::bits::transition::stream_transitions;
 use noc_btr::bits::word::{DataWord, F32Word, Fx8Word};
 use noc_btr::bits::{PayloadBits, Quantizer};
-use noc_btr::core::flitize::{flitize_values, order_task};
+use noc_btr::core::flitize::{flitize_values, order_task_with};
 use noc_btr::core::ordering::{SortScratch, TieBreak};
 use noc_btr::core::task::NeuronTask;
 use noc_btr::core::theory::{
@@ -57,7 +57,7 @@ proptest! {
         let task = NeuronTask::new(inputs, ws, Fx8Word::new(bias)).unwrap();
         let method = OrderingMethod::ALL[method_idx];
         let vpf = vpf_half * 2;
-        let sent = order_task(&task, method, vpf).unwrap();
+        let sent = order_task_with(&task, method, vpf, TieBreak::Stable).unwrap();
         // In-memory recovery.
         prop_assert_eq!(sent.recover().unwrap().mac_i64(), task.mac_i64());
         // Wire-level decode recovery.
@@ -146,7 +146,7 @@ proptest! {
         let inputs: Vec<F32Word> = raw.iter().map(|&(i, _)| F32Word::new(i)).collect();
         let weights: Vec<F32Word> = raw.iter().map(|&(_, w)| F32Word::new(w)).collect();
         let task = NeuronTask::new(inputs, weights, F32Word::new(1.0)).unwrap();
-        let sent = order_task(&task, OrderingMethod::Affiliated, 8).unwrap();
+        let sent = order_task_with(&task, OrderingMethod::Affiliated, 8, TieBreak::Stable).unwrap();
         let rec = sent.recover().unwrap();
         let reference = task.mac_f64();
         prop_assert!((rec.mac_f64() - reference).abs() < 1e-3 * (1.0 + reference.abs()));

@@ -1,5 +1,9 @@
-//! Auto ≡ Cycle on whole sweep presets: the `smoke` and `ablation_scopes`
-//! grids (LeNet with random weights on the 4×4 MC2 mesh, fixed-8, O0/O2
+//! The sweep-level equivalence contracts, each on whole presets run
+//! in-process and diffed with the timing fields (`TIMING_FIELDS`)
+//! stripped: Auto ≡ Cycle, zero-BER armed ≡ plain, and parallel cells ≡
+//! sequential cells.
+//!
+//! Auto ≡ Cycle: the `smoke` and `ablation_scopes` grids (LeNet with random weights on the 4×4 MC2 mesh, fixed-8, O0/O2
 //! × every codec, per-packet and per-link scopes) run in-process under
 //! `--engine cycle` and `--engine auto`, and their result documents must
 //! be byte-identical once the timing fields (`TIMING_FIELDS`) are
@@ -43,6 +47,30 @@ fn lenet_workload() -> Workload {
 /// The cells of the `smoke` preset (per-packet scope only) or of
 /// `ablation_scopes` (both scopes), under one engine mode.
 fn preset_cells(scopes: &[CodecScope], engine: EngineMode) -> Vec<SweepCell> {
+    grid(&CodecKind::ALL, scopes, engine, &[0.0], EdcKind::None)
+}
+
+/// The `ablation_faults` cells: per-link {none, delta-XOR} × BER
+/// {0, 1e-7, 1e-6} with CRC-8 frames.
+fn ablation_faults_cells() -> Vec<SweepCell> {
+    grid(
+        &[CodecKind::Unencoded, CodecKind::DeltaXor],
+        &[CodecScope::PerLink],
+        EngineMode::Cycle,
+        &[0.0, 1e-7, 1e-6],
+        EdcKind::Crc8,
+    )
+}
+
+/// O0/O2 fixed-8 LeNet cells on the 4×4 MC2 mesh over the given axes.
+fn grid(
+    codecs: &[CodecKind],
+    scopes: &[CodecScope],
+    engine: EngineMode,
+    bers: &[f64],
+    edc: EdcKind,
+) -> Vec<SweepCell> {
+    let bers: Vec<BitErrorRate> = bers.iter().map(|&b| BitErrorRate::from_f64(b)).collect();
     expand_grid(
         1,
         &[MeshSpec {
@@ -54,12 +82,12 @@ fn preset_cells(scopes: &[CodecScope], engine: EngineMode) -> Vec<SweepCell> {
         &[OrderingMethod::Baseline, OrderingMethod::Separated],
         &[TieBreak::Stable],
         &[false],
-        &CodecKind::ALL,
+        codecs,
         scopes,
         &[1],
         &[engine],
-        &[BitErrorRate::default()],
-        &[EdcKind::None],
+        &bers,
+        &[edc],
         &[ResyncPolicy::ReseedOnRetry],
         &[FaultMode::PerFlit],
     )
@@ -116,5 +144,57 @@ fn presets_are_byte_identical_across_engines_modulo_timing() {
             }
             seen.push(wires);
         }
+    }
+}
+
+/// The sweep document of `cells`, timing fields stripped.
+fn stripped_doc(workloads: &[Workload], cells: Vec<SweepCell>, sequential: bool) -> String {
+    let outcomes = run_cells(workloads, cells, sequential);
+    assert!(outcomes.iter().all(|o| o.error.is_none()));
+    strip_timing(&outcomes_json(workloads, &outcomes)).to_string_compact()
+}
+
+/// Zero-BER armed ≡ plain: the `smoke` cells with the whole fault
+/// protocol armed at BER zero (per-link error streams, receive-side
+/// checks, the retry loop) give the plain document, number for number.
+#[test]
+fn zero_ber_armed_smoke_equals_plain() {
+    let workloads = [lenet_workload()];
+    let plain = preset_cells(&[CodecScope::PerPacket], EngineMode::Cycle);
+    let armed: Vec<SweepCell> = plain
+        .iter()
+        .map(|&cell| SweepCell {
+            fault_armed: true,
+            ..cell
+        })
+        .collect();
+    assert_eq!(
+        stripped_doc(&workloads, plain, true),
+        stripped_doc(&workloads, armed, true),
+        "the armed fault path changed a number at BER zero"
+    );
+}
+
+/// Host matrix: cells fanned out over the host's harts give the same
+/// document as cells run one after another, on the `smoke` cells and the
+/// `ablation_faults` cells (random weights; real retransmissions at BER
+/// 1e-7 and 1e-6). On a 1-hart host `run_cells` falls back to running
+/// the cells sequentially, so both sides run the same way there; CI's
+/// `taskset -c 0` leg covers the one-hart case against a parallel run.
+#[test]
+fn parallel_cells_equal_sequential_cells() {
+    let workloads = [lenet_workload()];
+    for (preset, cells) in [
+        (
+            "smoke",
+            preset_cells(&[CodecScope::PerPacket], EngineMode::Cycle),
+        ),
+        ("ablation_faults", ablation_faults_cells()),
+    ] {
+        assert_eq!(
+            stripped_doc(&workloads, cells.clone(), false),
+            stripped_doc(&workloads, cells, true),
+            "{preset}: parallel and sequential documents differ"
+        );
     }
 }

@@ -30,7 +30,9 @@ use noc_btr::core::flitize::{order_task_with, WindowTable};
 use noc_btr::core::ordering::{OrderingMethod, SortScratch, TieBreak};
 use noc_btr::core::plan::LanePlan;
 use noc_btr::core::task::{NeuronTask, RecoveredTask};
-use noc_btr::core::transport::{CodedTransport, EncodedTask, TransportConfig, TransportScratch};
+use noc_btr::core::transport::{
+    CodedTransport, EncodedTask, TaskWireMeta, TransportConfig, TransportScratch,
+};
 use noc_btr::noc::config::NocConfig;
 use noc_btr::noc::packet::Packet;
 use noc_btr::noc::session::TaskPort;
@@ -197,6 +199,20 @@ fn seeded_packets(seed: u64, packets: u64, flits: (usize, usize), words: u32) ->
         .collect()
 }
 
+/// Encodes `task` and injects it `src → dst`, returning its wire
+/// metadata.
+fn send_task(
+    port: &TaskPort<CodedTransport>,
+    sim: &mut Simulator,
+    src: usize,
+    dst: usize,
+    task: &NeuronTask<Fx8Word>,
+    tag: u64,
+) -> TaskWireMeta {
+    let encoded = port.session().encode_task(task).unwrap();
+    port.send_encoded(sim, src, dst, encoded, tag).unwrap().meta
+}
+
 /// Runs `workload` on a fresh `side × side` flat engine and reduces the
 /// drained run to its golden fields. The task row also decodes every MAC
 /// off the delivered images and checks it against the software MAC.
@@ -231,7 +247,7 @@ fn run_flat(side: usize, workload: Workload) -> Golden {
                 let task = random_fx8_task(&mut rng, 25);
                 let src = rng.gen_range(0..16);
                 let dst = rng.gen_range(0..16);
-                let meta = port.send_task(&mut sim, src, dst, &task, tag).unwrap();
+                let meta = send_task(&port, &mut sim, src, dst, &task, tag);
                 tasks.push((task, dst, meta));
             }
         }
@@ -239,9 +255,11 @@ fn run_flat(side: usize, workload: Workload) -> Golden {
     let cycles = sim.run_until_idle(1_000_000).unwrap();
     let stats = sim.stats();
     assert_eq!(cycles, stats.cycles);
-    let delivered: Vec<Vec<DeliveredPacket>> = (0..config.num_nodes())
-        .map(|node| sim.drain_delivered(node))
-        .collect();
+    let mut delivered: Vec<Vec<DeliveredPacket>> =
+        (0..config.num_nodes()).map(|_| Vec::new()).collect();
+    for d in sim.drain_all_delivered() {
+        delivered[d.dst].push(d);
+    }
 
     let per_link = fnv1a(stats.per_link.iter().flat_map(|l| {
         [
@@ -281,7 +299,8 @@ fn run_flat(side: usize, workload: Workload) -> Golden {
         fnv1a(all.into_iter().map(|d| {
             let (task, dst, meta) = &tasks[d.tag as usize];
             assert_eq!(d.dst, *dst);
-            let rec: RecoveredTask<Fx8Word> = port.receive_task(meta, d).unwrap();
+            let rec: RecoveredTask<Fx8Word> =
+                port.session().decode_task(meta, &d.payload_flits).unwrap();
             assert_eq!(rec.mac_i64(), task.mac_i64(), "task {}", d.tag);
             rec.mac_i64() as u64
         }))
@@ -493,9 +512,7 @@ fn coded_unencoded_matches_pre_refactor_ordered_path() {
             .payload_flits();
         assert_eq!(enc.payload_flits(), pre, "wire images must be identical");
         assert_eq!(enc.codec_overhead_bits(), 0);
-        let meta = port
-            .send_task(&mut coded_sim, src, dst, &task, tag)
-            .unwrap();
+        let meta = send_task(&port, &mut coded_sim, src, dst, &task, tag);
         plain_sim.inject(Packet::new(src, dst, pre, tag)).unwrap();
         tasks.push((task, meta));
     }
@@ -515,7 +532,8 @@ fn coded_unencoded_matches_pre_refactor_ordered_path() {
     assert_eq!(delivered.len(), tasks.len());
     for d in delivered {
         let (task, meta) = &tasks[d.tag as usize];
-        let rec: noc_btr::core::task::RecoveredTask<Fx8Word> = port.receive_task(meta, &d).unwrap();
+        let rec: noc_btr::core::task::RecoveredTask<Fx8Word> =
+            port.session().decode_task(meta, &d.payload_flits).unwrap();
         assert_eq!(rec.mac_i64(), task.mac_i64(), "task {}", d.tag);
     }
 }
@@ -612,7 +630,10 @@ fn template_encode_matches_reference_encode_f32() {
 fn per_link_wires_are_lossless_at_the_pe_and_remember_packets() {
     for codec in [CodecKind::BusInvert, CodecKind::DeltaXor] {
         let per_packet_cfg = TransportConfig::new(OrderingMethod::Separated, 16).with_codec(codec);
-        let per_link_cfg = per_packet_cfg.with_scope(CodecScope::PerLink);
+        let per_link_cfg = TransportConfig {
+            scope: CodecScope::PerLink,
+            ..per_packet_cfg
+        };
         let link_width = per_link_cfg.link_width_bits::<Fx8Word>();
         let run = |tconfig: TransportConfig, link_codec: Option<CodecKind>| {
             let port = TaskPort::new(CodedTransport::new(tconfig));
@@ -625,7 +646,7 @@ fn per_link_wires_are_lossless_at_the_pe_and_remember_packets() {
                 let task = random_fx8_task(&mut rng, n);
                 let src = rng.gen_range(0..16);
                 let dst = rng.gen_range(0..16);
-                let meta = port.send_task(&mut sim, src, dst, &task, tag).unwrap();
+                let meta = send_task(&port, &mut sim, src, dst, &task, tag);
                 tasks.push((task, meta));
             }
             sim.run_until_idle(1_000_000).unwrap();
@@ -636,7 +657,7 @@ fn per_link_wires_are_lossless_at_the_pe_and_remember_packets() {
             for d in delivered {
                 let (task, meta) = &tasks[d.tag as usize];
                 let rec: noc_btr::core::task::RecoveredTask<Fx8Word> =
-                    port.receive_task(meta, &d).unwrap();
+                    port.session().decode_task(meta, &d.payload_flits).unwrap();
                 assert_eq!(rec.mac_i64(), task.mac_i64(), "{codec} task {}", d.tag);
             }
             stats
@@ -673,7 +694,7 @@ fn coded_backends_are_lossless_at_the_pe() {
             let task = random_fx8_task(&mut rng, n);
             let src = rng.gen_range(0..16);
             let dst = rng.gen_range(0..16);
-            let meta = port.send_task(&mut sim, src, dst, &task, tag).unwrap();
+            let meta = send_task(&port, &mut sim, src, dst, &task, tag);
             tasks.push((task, meta));
         }
         sim.run_until_idle(1_000_000).unwrap();
@@ -686,7 +707,7 @@ fn coded_backends_are_lossless_at_the_pe() {
             assert_eq!(d.payload_flits.width(), link_width);
             let (task, meta) = &tasks[d.tag as usize];
             let rec: noc_btr::core::task::RecoveredTask<Fx8Word> =
-                port.receive_task(meta, &d).unwrap();
+                port.session().decode_task(meta, &d.payload_flits).unwrap();
             assert_eq!(rec.mac_i64(), task.mac_i64(), "{codec} task {}", d.tag);
         }
     }
@@ -750,10 +771,12 @@ fn assert_plan_decode_parity<W: AccelWord + PartialEq>(
             for codec in CodecKind::ALL {
                 for scope in [CodecScope::PerPacket, CodecScope::PerLink] {
                     for edc in [EdcKind::None, EdcKind::Crc8] {
-                        let tc = TransportConfig::new(ordering, 16)
-                            .with_codec(codec)
-                            .with_scope(scope)
-                            .with_edc(edc);
+                        let tc = TransportConfig {
+                            scope,
+                            ..TransportConfig::new(ordering, 16)
+                                .with_codec(codec)
+                                .with_edc(edc)
+                        };
                         let session = CodedTransport::new(tc);
                         let ctx = format!("n={n} {ordering} {codec} {scope:?} {edc}");
                         let enc = session.encode_task_reference(&task).unwrap();
