@@ -82,23 +82,17 @@ pub struct AccelConfig {
     pub global_fx8_weights: bool,
     /// Word lanes per flit (the paper uses 16: 8 inputs + 8 weights).
     pub values_per_flit: usize,
-    /// Fixed PE pipeline latency before MACs start.
-    pub pe_base_latency: u64,
-    /// MAC lanes per PE cycle (task latency adds
-    /// `ceil(pairs / pe_mac_lanes)` cycles).
-    pub pe_mac_lanes: usize,
-    /// Per-MC injection-queue cap in packets (models the prefetch buffer).
-    pub mc_prefetch_packets: usize,
     /// Abort threshold per layer (simulation-stall guard).
     pub max_cycles_per_layer: u64,
     /// How MC-side encoding is scheduled against the cycle loop.
     pub driver: DriverMode,
-    /// Which engine evaluates each layer's traffic phases:
+    /// Which engine evaluates each layer's traffic:
     /// [`EngineMode::Cycle`] steps the full cycle-accurate mesh (the
-    /// reference), [`EngineMode::Auto`] streams a layer's request phase
-    /// through the analytic engine only when that is provably invisible
-    /// and is always bit-identical to `Cycle` on BTs, codec states and
-    /// outputs (see [`btr_noc::analytic`]).
+    /// reference); [`EngineMode::Auto`] steps and records the first layer
+    /// of each shape on perfect wires once, then replays that recording
+    /// with the payloads of every later layer of the shape started from
+    /// the same mesh state. Both report the same numbers, clock included
+    /// (see [`btr_noc::analytic`]).
     pub engine: EngineMode,
     /// Inputs per traffic phase: every conv/linear layer runs the whole
     /// batch's tasks as one phase, so weights are ordered once per kernel
@@ -130,9 +124,6 @@ impl AccelConfig {
             tiebreak: TieBreak::Stable,
             global_fx8_weights: false,
             values_per_flit,
-            pe_base_latency: 4,
-            pe_mac_lanes: 16,
-            mc_prefetch_packets: 16,
             max_cycles_per_layer: 50_000_000,
             driver: DriverMode::Pipelined,
             engine: EngineMode::Cycle,
@@ -297,23 +288,26 @@ impl AccelConfig {
                 self.noc.mc_nodes[mi]
             ));
         }
-        if self.pe_mac_lanes == 0 {
-            return Err("pe_mac_lanes must be positive".into());
-        }
-        if self.mc_prefetch_packets == 0 {
-            return Err("mc_prefetch_packets must be positive".into());
-        }
         if self.batch_size == 0 {
             return Err("batch_size must be positive".into());
         }
         Ok(())
     }
+}
 
-    /// PE compute latency for a task of `pairs` operand pairs.
-    #[must_use]
-    pub fn pe_latency(&self, pairs: usize) -> u64 {
-        self.pe_base_latency + pairs.div_ceil(self.pe_mac_lanes) as u64
-    }
+/// Fixed PE pipeline latency before MACs start, in cycles.
+const PE_BASE_LATENCY: u64 = 4;
+
+/// MAC lanes per PE cycle.
+const PE_MAC_LANES: usize = 16;
+
+/// Per-MC injection-queue cap in packets: the MC prefetch buffer.
+pub(crate) const MC_PREFETCH_PACKETS: usize = 16;
+
+/// PE compute latency for a task of `pairs` operand pairs: the fixed
+/// pipeline latency plus `ceil(pairs / PE_MAC_LANES)` MAC cycles.
+pub(crate) fn pe_latency(pairs: usize) -> u64 {
+    PE_BASE_LATENCY + pairs.div_ceil(PE_MAC_LANES) as u64
 }
 
 #[cfg(test)]
@@ -380,9 +374,8 @@ mod tests {
 
     #[test]
     fn pe_latency_model() {
-        let c = AccelConfig::paper(4, 4, 2, DataFormat::Fixed8, OrderingMethod::Baseline);
-        assert_eq!(c.pe_latency(25), 4 + 2); // ceil(25/16) = 2
-        assert_eq!(c.pe_latency(400), 4 + 25);
-        assert_eq!(c.pe_latency(1), 5);
+        assert_eq!(pe_latency(25), 4 + 2); // ceil(25/16) = 2
+        assert_eq!(pe_latency(400), 4 + 25);
+        assert_eq!(pe_latency(1), 5);
     }
 }

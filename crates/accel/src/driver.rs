@@ -31,17 +31,17 @@
 //!
 //! `cycle_loop` steps a layer: requests, PE compute and responses
 //! overlap on the mesh cycle by cycle. On perfect wires that run depends
-//! only on the layer's shape — MC prefetch depth, task count, flits per
-//! request and PE latency — and on the mesh it starts from, never on a
-//! payload bit. So under [`EngineMode::Auto`] the first layer of each
-//! shape records its stepped run ([`Simulator::record_phase`]) into a
-//! store shared by the whole process, and every later layer of that
-//! shape, started from the same arbitration pointers, replays it with
-//! its own payloads (`replay_layer`) — bit for bit what stepping it
-//! would report, clock included.
+//! only on the layer's shape — task count, flits per request and PE
+//! latency — and on the mesh it starts from, never on a payload bit. So
+//! under [`EngineMode::Auto`] the first layer of each shape records its
+//! stepped run ([`Simulator::record_phase`]) into a store shared by the
+//! whole process, and every later layer of that shape, started from the
+//! same arbitration pointers, replays it with its own payloads
+//! (`replay_layer`) — bit for bit what stepping it would report, clock
+//! included.
 
-use crate::config::{AccelConfig, DriverMode};
-use crate::report::{BatchInferenceResult, InferenceResult, LayerTrafficReport};
+use crate::config::{pe_latency, AccelConfig, DriverMode, MC_PREFETCH_PACKETS};
+use crate::report::{BatchInferenceResult, LayerTrafficReport};
 use crate::tasks::{ConvGeometry, LayerQuantizers, LayerTasks, LayerWords};
 use btr_bits::word::{DataFormat, DataWord, F32Word, Fx8Word};
 use btr_bits::{FlitRows, FlitSlab, PayloadBits};
@@ -61,7 +61,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// Errors from [`run_inference`].
+/// Errors from an inference run ([`InferenceSession::run`],
+/// [`run_inference_batch`]).
 #[derive(Debug)]
 pub enum AccelError {
     /// Invalid configuration.
@@ -79,8 +80,6 @@ pub enum AccelError {
         /// Cycles spent in the layer before giving up.
         cycles: u64,
     },
-    /// The fixed-16 extension format is not wired into the accelerator.
-    UnsupportedFormat(DataFormat),
     /// A packet kept failing its EDC check until the NI's retry budget
     /// ran out (unreliable-link model).
     Unrecoverable {
@@ -100,9 +99,6 @@ impl std::fmt::Display for AccelError {
             AccelError::Decode(msg) => write!(f, "receiver decode failed: {msg}"),
             AccelError::Stall { layer, cycles } => {
                 write!(f, "layer {layer} stalled after {cycles} cycles")
-            }
-            AccelError::UnsupportedFormat(fmt) => {
-                write!(f, "format {fmt} is not supported by the accelerator")
             }
             AccelError::Unrecoverable { layer, retries } => {
                 write!(
@@ -389,8 +385,8 @@ impl<'a> InferenceSession<'a> {
     /// # Errors
     ///
     /// Returns [`AccelError`] on an empty or oversized batch, mismatched
-    /// input shapes, an unsupported data format, flitization failure, a
-    /// stalled layer, or a decode failure.
+    /// input shapes, flitization failure, a stalled layer, or a decode
+    /// failure.
     pub fn run(&self, inputs: &[Tensor]) -> Result<BatchInferenceResult, AccelError> {
         if inputs.is_empty() || inputs.len() > self.config.batch_size {
             return Err(AccelError::Config(format!(
@@ -424,7 +420,6 @@ impl<'a> InferenceSession<'a> {
                 _ if !op.is_noc_op() => xs.iter().map(|x| op.execute(x)).collect(),
                 DataFormat::Float32 => run.run_noc_layer::<F32Word>(op_index, op, &xs, cache)?,
                 DataFormat::Fixed8 => run.run_noc_layer::<Fx8Word>(op_index, op, &xs, cache)?,
-                other => return Err(AccelError::UnsupportedFormat(other)),
             };
         }
         let overhead = run.overhead;
@@ -442,42 +437,17 @@ impl<'a> InferenceSession<'a> {
     }
 }
 
-/// Runs a complete single-input inference over the NoC.
-///
-/// Requires `config.batch_size == 1`; use [`run_inference_batch`] to run
-/// several inputs as one traffic phase per layer.
-///
-/// # Errors
-///
-/// Returns [`AccelError`] on invalid configuration, flitization failure,
-/// a stalled layer, or a receiver-side decode failure.
-// btr-lint: allow(test-only-pub, reason = "the crate's single-input entry point; tests/end_to_end.rs checks its outputs against the software model")
-pub fn run_inference(
-    ops: &[InferenceOp],
-    input: &Tensor,
-    config: &AccelConfig,
-) -> Result<InferenceResult, AccelError> {
-    if config.batch_size != 1 {
-        return Err(AccelError::Config(format!(
-            "run_inference requires batch_size 1 (got {}); use run_inference_batch",
-            config.batch_size
-        )));
-    }
-    Ok(run_inference_batch(ops, std::slice::from_ref(input), config)?.into_single())
-}
-
 /// Runs a batch of inputs through the network, each conv/linear layer
 /// transmitting the whole batch's tasks as **one traffic phase**: weight
 /// kernels are materialized and sorted once per layer instead of once per
 /// input, and the mesh stays busy across inputs instead of draining at
 /// every per-input layer boundary.
 ///
-/// `inputs.len()` must equal `config.batch_size`. With `batch_size == 1`
-/// this is exactly the single-input driver (pinned by
-/// `tests/driver_parity.rs`), and each batched output is bit-identical to
-/// the output of a sequential single-input run: every task's MAC depends
-/// only on its own operands, never on how the batch's packets interleave
-/// in the mesh.
+/// `inputs.len()` must equal `config.batch_size`; a single input runs at
+/// `batch_size == 1`. Each batched output is bit-identical to the output
+/// of a sequential single-input run (pinned by `tests/driver_parity.rs`):
+/// every task's MAC depends only on its own operands, never on how the
+/// batch's packets interleave in the mesh.
 ///
 /// # Errors
 ///
@@ -667,7 +637,7 @@ impl InferenceRun<'_> {
         let mut feed = TaskFeed::new(&stage, config.driver);
         let shape = match (config.engine, stage.plan) {
             (EngineMode::Auto, Ok(plan)) if !config.noc.injects_errors() => {
-                Some(LayerShape::of(config, source, plan))
+                Some(LayerShape::of(source, plan))
             }
             _ => None,
         };
@@ -1072,12 +1042,12 @@ impl LayerRun {
 
 /// The timing inputs of a layer's traffic besides the mesh and its start
 /// state. On perfect wires [`cycle_loop`] queues each packet at a cycle
-/// fixed by the MC prefetch depth, the task count, the flits of each
-/// request and the PE latency — never by a payload bit — so two layers
-/// of one shape started on the same mesh state step identically.
+/// fixed by the task count, the flits of each request and the PE latency
+/// (the MC prefetch depth is a constant) — never by a payload bit — so
+/// two layers of one shape started on the same mesh state step
+/// identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LayerShape {
-    prefetch: usize,
     tasks: usize,
     /// Payload flits of every request (every task of a layer has the
     /// same pair count, so the same lane plan).
@@ -1086,12 +1056,11 @@ struct LayerShape {
 }
 
 impl LayerShape {
-    fn of<W: AccelWord>(config: &AccelConfig, source: &LayerTasks<W>, plan: &LanePlan) -> Self {
+    fn of<W: AccelWord>(source: &LayerTasks<W>, plan: &LanePlan) -> Self {
         Self {
-            prefetch: config.mc_prefetch_packets,
             tasks: source.total(),
             request_flits: plan.num_flits(),
-            pe_latency: config.pe_latency(source.pairs_per_task()),
+            pe_latency: pe_latency(source.pairs_per_task()),
         }
     }
 }
@@ -1146,7 +1115,7 @@ fn cycle_loop<W: AccelWord>(
     let mcs = &config.noc.mc_nodes;
     let mut feeds: Vec<_> = (0..mcs.len()).map(|mi| layer.tasks.mc_tasks(mi)).collect();
     // Every task of a layer carries the same operand pairs.
-    let pe_latency = config.pe_latency(feed.stage.source.pairs_per_task());
+    let pe_latency = pe_latency(feed.stage.source.pairs_per_task());
     // (ready_cycle, tag, response_bits) min-heap for PE compute latency.
     let mut compute_queue: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
 
@@ -1157,7 +1126,7 @@ fn cycle_loop<W: AccelWord>(
         // MC-side: keep each prefetch buffer topped up with ordered
         // packets from the feed.
         for (mi, &mc) in mcs.iter().enumerate() {
-            while sim.pending_at(mc) < config.mc_prefetch_packets {
+            while sim.pending_at(mc) < MC_PREFETCH_PACKETS {
                 let Some(j) = feeds[mi].next() else {
                     break;
                 };
@@ -1324,6 +1293,15 @@ mod tests {
         AccelConfig::paper(4, 4, 2, format, ordering)
     }
 
+    /// One input through the batch entry point (`batch_size` 1).
+    fn infer_one(
+        ops: &[InferenceOp],
+        input: &Tensor,
+        config: &AccelConfig,
+    ) -> Result<BatchInferenceResult, AccelError> {
+        run_inference_batch(ops, std::slice::from_ref(input), config)
+    }
+
     #[test]
     fn f32_inference_matches_reference() {
         let model = tiny_model(1);
@@ -1331,10 +1309,9 @@ mod tests {
         let input = tiny_input(2);
         let reference = model.infer(&input);
         for ordering in OrderingMethod::ALL {
-            let result =
-                run_inference(&ops, &input, &config(DataFormat::Float32, ordering)).unwrap();
-            assert_eq!(result.output.shape(), reference.shape());
-            for (got, want) in result.output.data().iter().zip(reference.data().iter()) {
+            let result = infer_one(&ops, &input, &config(DataFormat::Float32, ordering)).unwrap();
+            assert_eq!(result.outputs[0].shape(), reference.shape());
+            for (got, want) in result.outputs[0].data().iter().zip(reference.data().iter()) {
                 assert!(
                     (got - want).abs() < 1e-3 * (1.0 + want.abs()),
                     "{ordering}: {got} vs {want}"
@@ -1352,18 +1329,17 @@ mod tests {
         let model = tiny_model(3);
         let ops = model.inference_ops();
         let input = tiny_input(4);
-        let baseline = run_inference(
+        let baseline = infer_one(
             &ops,
             &input,
             &config(DataFormat::Fixed8, OrderingMethod::Baseline),
         )
         .unwrap();
         for ordering in [OrderingMethod::Affiliated, OrderingMethod::Separated] {
-            let result =
-                run_inference(&ops, &input, &config(DataFormat::Fixed8, ordering)).unwrap();
+            let result = infer_one(&ops, &input, &config(DataFormat::Fixed8, ordering)).unwrap();
             assert_eq!(
-                result.output.data(),
-                baseline.output.data(),
+                result.outputs[0].data(),
+                baseline.outputs[0].data(),
                 "{ordering} changed fixed-8 outputs"
             );
         }
@@ -1376,8 +1352,7 @@ mod tests {
         let input = tiny_input(6);
         let mut totals = Vec::new();
         for ordering in OrderingMethod::ALL {
-            let result =
-                run_inference(&ops, &input, &config(DataFormat::Fixed8, ordering)).unwrap();
+            let result = infer_one(&ops, &input, &config(DataFormat::Fixed8, ordering)).unwrap();
             totals.push(result.stats.total_transitions);
         }
         let (o0, o1, o2) = (totals[0], totals[1], totals[2]);
@@ -1397,7 +1372,7 @@ mod tests {
         let model = tiny_model(31);
         let ops = model.inference_ops();
         let input = tiny_input(32);
-        let plain = run_inference(
+        let plain = infer_one(
             &ops,
             &input,
             &config(DataFormat::Fixed8, OrderingMethod::Separated),
@@ -1405,10 +1380,10 @@ mod tests {
         .unwrap();
         for codec in [CodecKind::BusInvert, CodecKind::DeltaXor] {
             let c = config(DataFormat::Fixed8, OrderingMethod::Separated).with_codec(codec);
-            let r = run_inference(&ops, &input, &c).unwrap();
+            let r = infer_one(&ops, &input, &c).unwrap();
             assert_eq!(
-                r.output.data(),
-                plain.output.data(),
+                r.outputs[0].data(),
+                plain.outputs[0].data(),
                 "{codec} changed fixed-8 outputs"
             );
             // Same packets and flit counts; only the wire images (and for
@@ -1431,8 +1406,8 @@ mod tests {
         let reference = model.infer(&input);
         for codec in CodecKind::ALL {
             let c = config(DataFormat::Float32, OrderingMethod::Affiliated).with_codec(codec);
-            let result = run_inference(&ops, &input, &c).unwrap();
-            for (got, want) in result.output.data().iter().zip(reference.data().iter()) {
+            let result = infer_one(&ops, &input, &c).unwrap();
+            for (got, want) in result.outputs[0].data().iter().zip(reference.data().iter()) {
                 assert!(
                     (got - want).abs() < 1e-3 * (1.0 + want.abs()),
                     "{codec}: {got} vs {want}"
@@ -1448,7 +1423,7 @@ mod tests {
         let ops = model.inference_ops();
         let input = tiny_input(36);
         let run = |codec| {
-            run_inference(
+            infer_one(
                 &ops,
                 &input,
                 &config(DataFormat::Fixed8, OrderingMethod::Separated).with_codec(codec),
@@ -1481,7 +1456,7 @@ mod tests {
         let mut packet_counts = Vec::new();
         let mut flit_counts = Vec::new();
         for ordering in OrderingMethod::ALL {
-            let r = run_inference(&ops, &input, &config(DataFormat::Fixed8, ordering)).unwrap();
+            let r = infer_one(&ops, &input, &config(DataFormat::Fixed8, ordering)).unwrap();
             packet_counts.push(r.total_request_packets());
             flit_counts.push(r.total_request_flits());
         }
@@ -1494,13 +1469,13 @@ mod tests {
         let model = tiny_model(9);
         let ops = model.inference_ops();
         let input = tiny_input(10);
-        let o1 = run_inference(
+        let o1 = infer_one(
             &ops,
             &input,
             &config(DataFormat::Fixed8, OrderingMethod::Affiliated),
         )
         .unwrap();
-        let o2 = run_inference(
+        let o2 = infer_one(
             &ops,
             &input,
             &config(DataFormat::Fixed8, OrderingMethod::Separated),
@@ -1515,7 +1490,7 @@ mod tests {
         let model = tiny_model(11);
         let ops = model.inference_ops();
         let input = tiny_input(12);
-        let r = run_inference(
+        let r = infer_one(
             &ops,
             &input,
             &config(DataFormat::Float32, OrderingMethod::Baseline),
@@ -1528,21 +1503,6 @@ mod tests {
         assert_eq!(r.per_layer[0].request_packets, 192);
         assert_eq!(r.per_layer[1].request_packets, 5);
         assert!(r.per_layer.iter().all(|l| l.transitions > 0));
-    }
-
-    #[test]
-    fn rejects_fixed16() {
-        let model = tiny_model(13);
-        let ops = model.inference_ops();
-        let input = tiny_input(14);
-        let mut c = config(DataFormat::Fixed8, OrderingMethod::Baseline);
-        c.format = DataFormat::Fixed16;
-        c.noc.link_width_bits = 256;
-        let err = run_inference(&ops, &input, &c).unwrap_err();
-        assert!(matches!(
-            err,
-            AccelError::UnsupportedFormat(DataFormat::Fixed16)
-        ));
     }
 
     #[test]
@@ -1562,22 +1522,19 @@ mod tests {
             ("linear-first", linear_first),
         ] {
             let ops = model.inference_ops();
-            for format in [DataFormat::Float32, DataFormat::Fixed8, DataFormat::Fixed16] {
+            for format in [DataFormat::Float32, DataFormat::Fixed8] {
                 let run = |driver| {
                     let mut c = config(format, OrderingMethod::Separated);
                     c.driver = driver;
-                    if format == DataFormat::Fixed16 {
-                        c.noc.link_width_bits = 256; // 16 fixed-16 lanes
-                    }
-                    run_inference(&ops, &input, &c)
+                    infer_one(&ops, &input, &c).unwrap()
                 };
                 let sync = run(DriverMode::Synchronous);
                 let piped = run(DriverMode::Pipelined);
                 match format {
                     DataFormat::Float32 => {
                         let want = model.infer(&input);
-                        for result in [sync.unwrap(), piped.unwrap()] {
-                            let got = result.output;
+                        for result in [sync, piped] {
+                            let got = &result.outputs[0];
                             assert_eq!(got.shape(), want.shape(), "{name}");
                             for (g, w) in got.data().iter().zip(want.data()) {
                                 assert!(
@@ -1588,18 +1545,10 @@ mod tests {
                         }
                     }
                     DataFormat::Fixed8 => {
-                        let bits = |r: InferenceResult| -> Vec<u32> {
-                            r.output.data().iter().map(|v| v.to_bits()).collect()
+                        let bits = |r: BatchInferenceResult| -> Vec<u32> {
+                            r.outputs[0].data().iter().map(|v| v.to_bits()).collect()
                         };
-                        assert_eq!(bits(sync.unwrap()), bits(piped.unwrap()), "{name}");
-                    }
-                    _ => {
-                        for err in [sync.unwrap_err(), piped.unwrap_err()] {
-                            assert!(
-                                matches!(err, AccelError::UnsupportedFormat(DataFormat::Fixed16)),
-                                "{name}: {err}"
-                            );
-                        }
+                        assert_eq!(bits(sync), bits(piped), "{name}");
                     }
                 }
             }
@@ -1620,12 +1569,7 @@ mod tests {
                 let mut c = config(DataFormat::Fixed8, ordering);
                 c.tiebreak = tiebreak;
                 c.global_fx8_weights = global;
-                totals.push(
-                    run_inference(&ops, &input, &c)
-                        .unwrap()
-                        .stats
-                        .total_transitions,
-                );
+                totals.push(infer_one(&ops, &input, &c).unwrap().stats.total_transitions);
             }
             1.0 - totals[1] as f64 / totals[0] as f64
         };
@@ -1711,30 +1655,40 @@ mod tests {
 
     #[test]
     fn a_recording_of_another_schedule_is_stepped_not_replayed() {
-        // Recordings are process-wide, so this test uses prefetch depths
-        // no other test runs: no recording of its shapes exists before
-        // it records them. A dispatch whose layers differ from the
-        // recorded ones in one timing input — the batch size (task count)
-        // or the MC prefetch depth — steps every layer; one of a recorded
-        // shape replays every layer. Either way it equals the cycle
-        // engine on every reported number, clock included.
+        // Recordings are process-wide, so this test runs conv geometries
+        // no other test runs (kernels 5 and 7, padded to an 8×8 output):
+        // no recording of its shapes exists before it records them. A
+        // dispatch whose layers differ from the recorded ones in one
+        // timing input — the batch size (task count), or the kernel
+        // (flits per request and PE latency) — steps every layer; one of
+        // a recorded shape replays every layer. Either way it equals the
+        // cycle engine on every reported number, clock included.
         use btr_core::codec::{CodecKind, CodecScope};
-        let model = tiny_model(91);
-        let ops = model.inference_ops();
+        let model = |kernel: usize, classes: usize| {
+            let mut rng = StdRng::seed_from_u64(91);
+            Sequential::new(vec![
+                Layer::Conv2d(Conv2d::new(1, 2, kernel, 1, kernel / 2, &mut rng)),
+                Layer::Activation(Activation::new(ActKind::ReLU)),
+                Layer::MaxPool2d(MaxPool2d::new(2, 2)),
+                Layer::Flatten(Flatten::new()),
+                Layer::Linear(Linear::new(2 * 4 * 4, classes, &mut rng)),
+            ])
+            .inference_ops()
+        };
         let inputs = [tiny_input(92), tiny_input(93)];
         let mut c = config(DataFormat::Fixed8, OrderingMethod::Separated)
             .with_codec(CodecKind::DeltaXor)
             .with_codec_scope(CodecScope::PerLink);
         c.engine = EngineMode::Auto;
         c.batch_size = 2;
-        let run = |c: &AccelConfig, inputs: &[Tensor]| {
-            let auto = InferenceSession::new(&ops, c.clone())
+        let run = |ops: &[InferenceOp], inputs: &[Tensor]| {
+            let auto = InferenceSession::new(ops, c.clone())
                 .unwrap()
                 .run(inputs)
                 .unwrap();
             let mut cycle = c.clone();
             cycle.engine = EngineMode::Cycle;
-            let want = InferenceSession::new(&ops, cycle)
+            let want = InferenceSession::new(ops, cycle)
                 .unwrap()
                 .run(inputs)
                 .unwrap();
@@ -1748,12 +1702,12 @@ mod tests {
                 .map(|l| l.replayed)
                 .collect::<Vec<_>>()
         };
-        for (prefetch, batch) in [(7, 2), (7, 1), (5, 2)] {
-            c.mc_prefetch_packets = prefetch;
-            let what = format!("prefetch {prefetch}, batch {batch}");
-            let first = run(&c, &inputs[..batch]);
+        for (kernel, classes, batch) in [(5, 4, 2), (5, 4, 1), (7, 5, 2)] {
+            let ops = model(kernel, classes);
+            let what = format!("kernel {kernel}, batch {batch}");
+            let first = run(&ops, &inputs[..batch]);
             assert!(first.iter().all(|&r| !r), "{what} stepped: {first:?}");
-            let again = run(&c, &inputs[..batch]);
+            let again = run(&ops, &inputs[..batch]);
             assert!(again.iter().all(|&r| r), "{what} replayed: {again:?}");
         }
     }
@@ -1767,15 +1721,15 @@ mod tests {
         let mut base =
             config(DataFormat::Fixed8, OrderingMethod::Separated).with_codec(CodecKind::BusInvert);
         base.engine = EngineMode::Cycle;
-        let cycle = run_inference(&ops, &input, &base).unwrap();
+        let cycle = infer_one(&ops, &input, &base).unwrap();
         assert_eq!(cycle.analytic_phase_fraction(), 0.0);
         for engine in EngineMode::ALL {
             let mut c = base.clone();
             c.engine = engine;
-            let r = run_inference(&ops, &input, &c).unwrap();
+            let r = infer_one(&ops, &input, &c).unwrap();
             // Fixed-8 MACs are bit-exact regardless of engine: payload
             // delivery is lossless on both paths.
-            assert_eq!(r.output.data(), cycle.output.data(), "{engine}");
+            assert_eq!(r.outputs[0].data(), cycle.outputs[0].data(), "{engine}");
             assert_eq!(r.total_request_packets(), cycle.total_request_packets());
             assert_eq!(r.total_request_flits(), cycle.total_request_flits());
             assert_eq!(r.index_overhead_bits, cycle.index_overhead_bits);
@@ -1799,7 +1753,7 @@ mod tests {
         let ops = model.inference_ops();
         let input = tiny_input(52);
         let base = config(DataFormat::Fixed8, OrderingMethod::Separated);
-        let plain = run_inference(&ops, &input, &base).unwrap();
+        let plain = infer_one(&ops, &input, &base).unwrap();
         // Arming the full recovery machinery (packet retention, NI
         // acceptance, recovery counters) over perfect wires with no EDC
         // leaves the run bit-identical: same geometry, wires and clock.
@@ -1807,8 +1761,8 @@ mod tests {
             .clone()
             .with_fault(ErrorModel::perfect(9), ResyncPolicy::ReseedOnRetry, 8);
         armed.validate().unwrap();
-        let r = run_inference(&ops, &input, &armed).unwrap();
-        assert_eq!(r.output.data(), plain.output.data());
+        let r = infer_one(&ops, &input, &armed).unwrap();
+        assert_eq!(r.outputs[0].data(), plain.outputs[0].data());
         assert_eq!(r.stats.total_transitions, plain.stats.total_transitions);
         assert_eq!(r.stats.per_link, plain.stats.per_link);
         assert_eq!(r.total_cycles, plain.total_cycles);
@@ -1822,8 +1776,8 @@ mod tests {
             .with_edc(btr_core::edc::EdcKind::Crc8)
             .with_fault(ErrorModel::perfect(9), ResyncPolicy::ReseedOnRetry, 8);
         checked.validate().unwrap();
-        let r = run_inference(&ops, &input, &checked).unwrap();
-        assert_eq!(r.output.data(), plain.output.data());
+        let r = infer_one(&ops, &input, &checked).unwrap();
+        assert_eq!(r.outputs[0].data(), plain.outputs[0].data());
         assert!(r.edc_overhead_bits > 0);
         // Eight check bits per payload flit: request payload flits
         // (flits minus one head per packet) plus one single-flit
@@ -1842,7 +1796,7 @@ mod tests {
         let ops = model.inference_ops();
         let input = tiny_input(54);
         let base = config(DataFormat::Fixed8, OrderingMethod::Separated);
-        let plain = run_inference(&ops, &input, &base).unwrap();
+        let plain = infer_one(&ops, &input, &base).unwrap();
         let mut faulty = base.clone().with_fault(
             ErrorModel {
                 ber: BitErrorRate::from_f64(1e-5),
@@ -1855,10 +1809,10 @@ mod tests {
         // Auto never records or replays error-injected layers.
         faulty.engine = EngineMode::Auto;
         faulty.validate().unwrap();
-        let r = run_inference(&ops, &input, &faulty).unwrap();
+        let r = infer_one(&ops, &input, &faulty).unwrap();
         assert_eq!(
-            r.output.data(),
-            plain.output.data(),
+            r.outputs[0].data(),
+            plain.outputs[0].data(),
             "retransmission recovers every corrupted packet bit-exactly"
         );
         assert!(r.retransmitted_flits > 0, "this seed corrupts packets");
@@ -1877,7 +1831,7 @@ mod tests {
         let input = tiny_input(16);
         let mut c = config(DataFormat::Fixed8, OrderingMethod::Baseline);
         c.max_cycles_per_layer = 2;
-        let err = run_inference(&ops, &input, &c).unwrap_err();
+        let err = infer_one(&ops, &input, &c).unwrap_err();
         assert!(matches!(err, AccelError::Stall { layer: 0, .. }));
     }
 }

@@ -21,7 +21,7 @@
 //!
 //! ```no_run
 //! use btr_accel::config::AccelConfig;
-//! use btr_accel::driver::run_inference;
+//! use btr_accel::driver::run_inference_batch;
 //! use btr_bits::word::DataFormat;
 //! use btr_core::OrderingMethod;
 //! use btr_dnn::models::lenet;
@@ -30,7 +30,7 @@
 //! let config = AccelConfig::paper(4, 4, 2, DataFormat::Fixed8, OrderingMethod::Separated);
 //! let ops = lenet::build(42).inference_ops();
 //! let input = Tensor::zeros(&[1, 32, 32]);
-//! let result = run_inference(&ops, &input, &config).unwrap();
+//! let result = run_inference_batch(&ops, &[input], &config).unwrap();
 //! println!("total BTs: {}", result.stats.total_transitions);
 //! ```
 
@@ -43,5 +43,5 @@ pub mod report;
 pub mod tasks;
 
 pub use config::AccelConfig;
-pub use driver::{run_inference, AccelError, InferenceSession};
-pub use report::{InferenceResult, LayerTrafficReport};
+pub use driver::{run_inference_batch, AccelError, InferenceSession};
+pub use report::{BatchInferenceResult, LayerTrafficReport};

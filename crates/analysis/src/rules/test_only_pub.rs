@@ -8,9 +8,13 @@
 //! nowhere).
 //!
 //! What is not a reference: a `use` path (a re-export is not a caller),
-//! the item's own body, and, for a type, the `impl` blocks of that
-//! type. Names that two public items share (`new`, `len`, trait-like
-//! method names) are skipped: the lexer cannot tell which one a mention
+//! the item's own body, for a type the `impl` blocks of that type, and
+//! the trait `impl` blocks whose header names it as a trait argument
+//! (`SendError` in `impl From<SendError> for AccelError`: a conversion
+//! nothing calls does not keep its source type alive). A name that
+//! several public items share (`new`, `len`, trait-like method names)
+//! fires on every one of them when no shipping code names it at all,
+//! and not at all otherwise: the lexer cannot tell which one a mention
 //! means. Oracles that a test compares against, and items that only a
 //! benchmark binds, carry a reasoned allow naming that test or bench.
 
@@ -64,22 +68,23 @@ pub fn check(ws: &Workspace, report: &mut Report) {
         scan_file(file, &mut scan);
     }
     for (name, decls) in &scan.decls {
-        let [decl] = decls.as_slice() else { continue };
         if scan.refs.get(name).copied().unwrap_or(0) > 0 {
             continue;
         }
-        emit(
-            report,
-            decl.file,
-            "test-only-pub",
-            decl.line,
-            format!(
-                "`pub {} {name}` has no caller in shipping code (only tests, benches, \
-                 examples or perfbench name it) — delete it, move it to its tests, or add \
-                 an allow naming the test or bench that needs it",
-                decl.kind
-            ),
-        );
+        for decl in decls {
+            emit(
+                report,
+                decl.file,
+                "test-only-pub",
+                decl.line,
+                format!(
+                    "`pub {} {name}` has no caller in shipping code (only tests, benches, \
+                     examples or perfbench name it) — delete it, move it to its tests, or \
+                     add an allow naming the test or bench that needs it",
+                    decl.kind
+                ),
+            );
+        }
     }
 }
 
@@ -91,7 +96,8 @@ fn scan_file<'a>(file: &'a SourceFile, scan: &mut Scan<'a>) {
         .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
         .collect();
     // Token ranges whose mentions of a name do not count for it: the
-    // name's own declaration and body, and the impl blocks of a type.
+    // name's own declaration and body, the impl blocks of a type, and
+    // the trait impl blocks that name it as a trait argument.
     let mut own: Vec<(String, usize, usize)> = Vec::new();
     let mut uses: Vec<(usize, usize)> = Vec::new();
     let mut i = 0;
@@ -110,8 +116,11 @@ fn scan_file<'a>(file: &'a SourceFile, scan: &mut Scan<'a>) {
             continue;
         }
         if tok.is_ident("impl") {
-            if let Some((name, end)) = impl_self_type(&code, i) {
-                own.push((name, i, end));
+            if let Some(header) = impl_header(&code, i) {
+                for name in header.trait_args {
+                    own.push((name, i, header.end));
+                }
+                own.push((header.self_type, i, header.end));
             }
         } else if let Some((kw, at, public)) = item_at(&code, i) {
             let name = &code[at].text;
@@ -201,20 +210,40 @@ fn item_end(code: &[&Tok], start: usize) -> usize {
     code.len().saturating_sub(1)
 }
 
-/// The self type of the `impl` at `code[i]` and the end of its block:
-/// the last path segment before generics, `where` or the body, after
-/// `for` when the impl is of a trait.
-fn impl_self_type(code: &[&Tok], i: usize) -> Option<(String, usize)> {
+/// The header of an `impl` block.
+struct ImplHeader {
+    /// The last path segment before generics, `where` or the body, after
+    /// `for` when the impl is of a trait.
+    self_type: String,
+    /// The identifiers inside the implemented trait's generic arguments
+    /// (`SendError` in `impl From<SendError> for AccelError`); empty for
+    /// an inherent impl.
+    trait_args: Vec<String>,
+    /// The last token of the block.
+    end: usize,
+}
+
+/// The header of the `impl` at `code[i]`.
+fn impl_header(code: &[&Tok], i: usize) -> Option<ImplHeader> {
     let body = (i..code.len()).find(|&j| code[j].is_punct('{'))?;
     let mut angle = 0i32;
     let mut start = i + 1;
+    // The impl's own parameters (`impl<T: Bound>`) are not trait
+    // arguments.
+    let mut params = code.get(i + 1).is_some_and(|t| t.is_punct('<'));
+    let mut args = Vec::new();
+    let mut trait_args = Vec::new();
     for (j, tok) in code.iter().enumerate().take(body).skip(i + 1) {
         if tok.is_punct('<') {
             angle += 1;
         } else if tok.is_punct('>') && !code[j - 1].is_punct('-') {
             angle -= 1;
+            params &= angle > 0;
         } else if angle == 0 && tok.is_ident("for") {
             start = j + 1;
+            trait_args = std::mem::take(&mut args);
+        } else if angle > 0 && !params && tok.kind == TokKind::Ident {
+            args.push(tok.text.clone());
         }
     }
     let mut name = None;
@@ -234,7 +263,11 @@ fn impl_self_type(code: &[&Tok], i: usize) -> Option<(String, usize)> {
             }
         }
     }
-    Some((name?, item_end(code, body)))
+    Some(ImplHeader {
+        self_type: name?,
+        trait_args,
+        end: item_end(code, body),
+    })
 }
 
 #[cfg(test)]
@@ -270,13 +303,15 @@ mod tests {
         assert_eq!(kw("pub field: u8,"), None);
     }
 
+    fn header(src: &str) -> Option<ImplHeader> {
+        let toks = lex(src);
+        let code: Vec<&Tok> = toks.iter().collect();
+        impl_header(&code, 0)
+    }
+
     #[test]
     fn impl_self_type_skips_generics_paths_and_traits() {
-        let name = |src: &str| {
-            let toks = lex(src);
-            let code: Vec<&Tok> = toks.iter().collect();
-            impl_self_type(&code, 0).map(|(n, _)| n)
-        };
+        let name = |src: &str| header(src).map(|h| h.self_type);
         assert_eq!(name("impl Foo { }").as_deref(), Some("Foo"));
         assert_eq!(name("impl<T: Bar> Foo<T> { }").as_deref(), Some("Foo"));
         assert_eq!(
@@ -287,5 +322,20 @@ mod tests {
             name("impl<W> Tr<W> for Foo<W> where W: Fn() -> u8 { }").as_deref(),
             Some("Foo")
         );
+    }
+
+    #[test]
+    fn trait_args_are_the_trait_generics_only() {
+        let args = |src: &str| header(src).map(|h| h.trait_args);
+        assert_eq!(
+            args("impl From<SendError> for AccelError { }"),
+            Some(vec!["SendError".to_string()])
+        );
+        assert_eq!(
+            args("impl<T: Bound> Tr<io::Error, T> for Foo<Bar> { }"),
+            Some(vec!["io".to_string(), "Error".to_string(), "T".to_string()])
+        );
+        assert_eq!(args("impl<T: Bound> Foo<Bar, T> { }"), Some(Vec::new()));
+        assert_eq!(args("impl Display for Foo { }"), Some(Vec::new()));
     }
 }

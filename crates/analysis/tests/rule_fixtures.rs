@@ -344,6 +344,75 @@ fn test_only_pub_is_quiet_with_a_shipping_caller() {
 }
 
 #[test]
+fn test_only_pub_fires_on_every_item_of_a_shared_name_nothing_ships() {
+    let ws = Workspace::from_memory(&[
+        (
+            "crates/dnn/src/model.rs",
+            "pub struct Layer;\nimpl Layer {\n    pub fn step(&mut self) {}\n}\n\
+             pub struct Model;\nimpl Model {\n    pub fn step(&mut self) {}\n}\n\
+             pub fn build() -> (Layer, Model) {\n    (Layer, Model)\n}\n",
+        ),
+        (
+            "crates/experiments/src/bin/train.rs",
+            "fn main() { let _ = btr_dnn::model::build(); }\n",
+        ),
+        ("tests/it.rs", "fn t() { model.step(); layer.step(); }\n"),
+    ]);
+    assert_eq!(
+        findings_of(&ws, "test-only-pub"),
+        vec![
+            ("crates/dnn/src/model.rs".to_string(), 3),
+            ("crates/dnn/src/model.rs".to_string(), 7),
+        ]
+    );
+    // One shipping mention of the shared name keeps both quiet: the
+    // lexer cannot tell which item it means.
+    let ws = Workspace::from_memory(&[
+        (
+            "crates/dnn/src/model.rs",
+            "pub struct Layer;\nimpl Layer {\n    pub fn step(&mut self) {}\n}\n\
+             pub struct Model;\nimpl Model {\n    pub fn step(&mut self) {}\n}\n",
+        ),
+        (
+            "crates/dnn/src/train.rs",
+            "pub fn train(m: &mut Model) {\n    m.step();\n}\n",
+        ),
+        (
+            "crates/experiments/src/bin/train.rs",
+            "fn main() { btr_dnn::train::train(&mut Model); let _ = Layer; }\n",
+        ),
+    ]);
+    assert!(findings_of(&ws, "test-only-pub").is_empty());
+}
+
+#[test]
+fn test_only_pub_does_not_count_a_trait_impl_header_of_another_type() {
+    let ws = Workspace::from_memory(&[
+        (
+            "crates/noc/src/session.rs",
+            "/// Only a conversion names it.\npub struct SendError;\n",
+        ),
+        (
+            "crates/accel/src/driver.rs",
+            "pub enum AccelError {\n    Send,\n}\n\
+             impl From<SendError> for AccelError {\n    fn from(_: SendError) -> Self {\n        AccelError::Send\n    }\n}\n",
+        ),
+        (
+            "crates/serve/src/service.rs",
+            "pub fn fail(e: AccelError) {\n    drop(e);\n}\n",
+        ),
+        (
+            "crates/experiments/src/bin/serve.rs",
+            "fn main() { btr_serve::service::fail(AccelError::Send); }\n",
+        ),
+    ]);
+    assert_eq!(
+        findings_of(&ws, "test-only-pub"),
+        vec![("crates/noc/src/session.rs".to_string(), 2)]
+    );
+}
+
+#[test]
 fn test_only_pub_is_quiet_under_a_reasoned_allow() {
     let ws = Workspace::from_memory(&[(
         "crates/core/src/theory.rs",

@@ -5,8 +5,9 @@
 //! mantissa structure of float-32 and the near-zero clustering of trained
 //! fixed-8 weights) and (b) the probability of a transition at each bit
 //! position between consecutive words aligned on the same wires (bottom
-//! halves). [`BitPositionStats`] accumulates both; [`PopcountHistogram`]
-//! supports the popcount-distribution views used in Fig. 9 and the theory
+//! halves). [`BitPositionStats`] accumulates (a); the stream reports of
+//! `btr-core` fold (b) off the flit stream. [`PopcountHistogram`] supports
+//! the popcount-distribution views used in Fig. 9 and the theory
 //! validation.
 
 use crate::word::DataWord;
@@ -21,9 +22,7 @@ use crate::word::DataWord;
 pub struct BitPositionStats {
     width: u32,
     ones: Vec<u64>,
-    transitions: Vec<u64>,
     words_observed: u64,
-    previous: Option<u64>,
 }
 
 impl BitPositionStats {
@@ -41,9 +40,7 @@ impl BitPositionStats {
         Self {
             width,
             ones: vec![0; width as usize],
-            transitions: vec![0; width as usize],
             words_observed: 0,
-            previous: None,
         }
     }
 
@@ -53,14 +50,6 @@ impl BitPositionStats {
         for i in 0..self.width {
             self.ones[i as usize] += (bits >> i) & 1;
         }
-        if let Some(prev) = self.previous {
-            let diff = prev ^ bits;
-            // btr-lint: allow(per-bit-hot-loop, reason = "per-bit-position histogram: the output is indexed by wire, so there is no word-parallel form; feeds fig10/fig11, not the sweep hot path")
-            for i in 0..self.width {
-                self.transitions[i as usize] += (diff >> i) & 1;
-            }
-        }
-        self.previous = Some(bits);
         self.words_observed += 1;
     }
 
@@ -70,8 +59,7 @@ impl BitPositionStats {
         self.observe_bits(word.bits_u64());
     }
 
-    /// Observes every word in a slice, in order (order matters for the
-    /// transition statistics).
+    /// Observes every word in a slice.
     pub fn observe_all<W: DataWord>(&mut self, words: &[W]) {
         for &w in words {
             self.observe(w);
@@ -94,17 +82,6 @@ impl BitPositionStats {
         }
         let n = self.words_observed as f64;
         self.ones.iter().map(|&c| c as f64 / n).collect()
-    }
-
-    /// Probability of a transition at each bit position between consecutive
-    /// observed words (LSB-first). Empty if fewer than two words observed.
-    #[must_use]
-    pub fn transition_probability(&self) -> Vec<f64> {
-        if self.words_observed < 2 {
-            return Vec::new();
-        }
-        let pairs = (self.words_observed - 1) as f64;
-        self.transitions.iter().map(|&c| c as f64 / pairs).collect()
     }
 
     /// Width of the observed words in bits.
@@ -196,23 +173,9 @@ mod tests {
     }
 
     #[test]
-    fn transition_probability_simple() {
-        let mut s = BitPositionStats::new(8);
-        s.observe_bits(0b01);
-        s.observe_bits(0b10);
-        s.observe_bits(0b10);
-        let t = s.transition_probability();
-        // bit0: 1->0->0 = 1 transition over 2 pairs.
-        assert!((t[0] - 0.5).abs() < 1e-12);
-        assert!((t[1] - 0.5).abs() < 1e-12);
-        assert!(t[2].abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_stats_are_empty() {
         let s = BitPositionStats::new(32);
         assert!(s.one_probability().is_empty());
-        assert!(s.transition_probability().is_empty());
         assert_eq!(s.count(), 0);
     }
 

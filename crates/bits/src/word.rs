@@ -20,9 +20,6 @@ pub enum DataFormat {
     Float32,
     /// 8-bit two's-complement fixed point (`fixed-8` in the paper).
     Fixed8,
-    /// 16-bit two's-complement fixed point (extension format; not in the
-    /// paper's evaluation, used for ablations).
-    Fixed16,
 }
 
 impl DataFormat {
@@ -32,7 +29,6 @@ impl DataFormat {
         match self {
             DataFormat::Float32 => 32,
             DataFormat::Fixed8 => 8,
-            DataFormat::Fixed16 => 16,
         }
     }
 
@@ -42,7 +38,6 @@ impl DataFormat {
         match self {
             DataFormat::Float32 => "float-32",
             DataFormat::Fixed8 => "fixed-8",
-            DataFormat::Fixed16 => "fixed-16",
         }
     }
 }
@@ -56,14 +51,12 @@ impl std::fmt::Display for DataFormat {
 impl std::str::FromStr for DataFormat {
     type Err = String;
 
-    /// Parses `"f32"`/`"float-32"`, `"fx8"`/`"fixed-8"`,
-    /// `"fx16"`/`"fixed-16"`.
+    /// Parses `"f32"`/`"float-32"` and `"fx8"`/`"fixed-8"`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "f32" | "float32" | "float-32" => Ok(DataFormat::Float32),
             "fx8" | "fixed8" | "fixed-8" => Ok(DataFormat::Fixed8),
-            "fx16" | "fixed16" | "fixed-16" => Ok(DataFormat::Fixed16),
-            other => Err(format!("unknown data format {other:?}; use f32|fx8|fx16")),
+            other => Err(format!("unknown data format {other:?}; use f32|fx8")),
         }
     }
 }
@@ -258,7 +251,6 @@ mod tests {
     fn format_widths() {
         assert_eq!(DataFormat::Float32.bits_per_value(), 32);
         assert_eq!(DataFormat::Fixed8.bits_per_value(), 8);
-        assert_eq!(DataFormat::Fixed16.bits_per_value(), 16);
         assert_eq!(DataFormat::Float32.to_string(), "float-32");
     }
 

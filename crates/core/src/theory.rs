@@ -30,6 +30,7 @@
 ///
 /// Panics if `x` or `y` exceeds `width`, or `width == 0`.
 #[must_use]
+// btr-lint: allow(test-only-pub, reason = "Eq. 1; the expectation_is_width_times_probability test checks Eq. 2 against it")
 pub fn transition_probability(x: u32, y: u32, width: u32) -> f64 {
     assert!(width > 0, "width must be positive");
     assert!(x <= width && y <= width, "popcounts must be <= width");

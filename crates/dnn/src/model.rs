@@ -86,13 +86,8 @@ impl Layer {
         }
     }
 
-    /// Applies one SGD step and clears gradients.
-    pub fn sgd_step(&mut self, lr: f32) {
-        self.sgd_step_decayed(lr, 0.0);
-    }
-
-    /// SGD step with L2 weight decay on weights (not biases/BN params):
-    /// `w ← w·(1 − lr·wd) − lr·∇w`.
+    /// Applies one SGD step and clears gradients, with L2 weight decay on
+    /// weights (not biases/BN params): `w ← w·(1 − lr·wd) − lr·∇w`.
     pub fn sgd_step_decayed(&mut self, lr: f32, weight_decay: f32) {
         let shrink = 1.0 - lr * weight_decay;
         match self {
@@ -121,17 +116,6 @@ impl Layer {
                 l.grad_beta.fill_zero();
             }
             _ => {}
-        }
-    }
-
-    /// Number of trainable parameters.
-    #[must_use]
-    pub fn param_count(&self) -> usize {
-        match self {
-            Layer::Conv2d(l) => l.weight.len() + l.bias.len(),
-            Layer::Linear(l) => l.weight.len() + l.bias.len(),
-            Layer::BatchNorm2d(l) => l.gamma.len() + l.beta.len(),
-            _ => 0,
         }
     }
 }
@@ -187,14 +171,8 @@ impl Sequential {
         }
     }
 
-    /// SGD update on every trainable layer, clearing gradients.
-    pub fn sgd_step(&mut self, lr: f32) {
-        for layer in &mut self.layers {
-            layer.sgd_step(lr);
-        }
-    }
-
-    /// SGD update with L2 weight decay (see [`Layer::sgd_step_decayed`]).
+    /// SGD update with L2 weight decay on every trainable layer,
+    /// clearing gradients (see [`Layer::sgd_step_decayed`]).
     pub fn sgd_step_decayed(&mut self, lr: f32, weight_decay: f32) {
         for layer in &mut self.layers {
             layer.sgd_step_decayed(lr, weight_decay);
@@ -202,9 +180,15 @@ impl Sequential {
     }
 
     /// Total trainable parameter count.
-    #[must_use]
-    pub fn param_count(&self) -> usize {
-        self.layers.iter().map(Layer::param_count).sum()
+    #[cfg(test)]
+    pub(crate) fn param_count(&self) -> usize {
+        let count = |layer: &Layer| match layer {
+            Layer::Conv2d(l) => l.weight.len() + l.bias.len(),
+            Layer::Linear(l) => l.weight.len() + l.bias.len(),
+            Layer::BatchNorm2d(l) => l.gamma.len() + l.beta.len(),
+            _ => 0,
+        };
+        self.layers.iter().map(count).sum()
     }
 
     /// Lowers the model to the accelerator's inference graph, folding each
@@ -448,7 +432,7 @@ mod tests {
         };
         let out = m.forward(&input);
         m.backward(&out);
-        m.sgd_step(0.1);
+        m.sgd_step_decayed(0.1, 0.0);
         let after: Vec<f32> = match &m.layers()[0] {
             Layer::Conv2d(c) => c.weight.data().to_vec(),
             _ => unreachable!(),

@@ -14,8 +14,6 @@ use crate::model::{Layer, Sequential};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Input spatial size (the paper's reduced DarkNet input).
-pub const INPUT_SIZE: usize = 64;
 /// Input channel count (RGB).
 pub const INPUT_CHANNELS: usize = 3;
 /// Number of classes.
@@ -74,6 +72,9 @@ pub fn build_with_width(seed: u64, width: usize) -> Sequential {
 mod tests {
     use super::*;
     use crate::tensor::Tensor;
+
+    /// Input spatial size (the paper's reduced DarkNet input).
+    const INPUT_SIZE: usize = 64;
 
     #[test]
     fn shapes_flow_through() {

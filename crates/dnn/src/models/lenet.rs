@@ -16,8 +16,6 @@ use crate::model::{Layer, Sequential};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Input spatial size.
-pub const INPUT_SIZE: usize = 32;
 /// Input channel count.
 pub const INPUT_CHANNELS: usize = 1;
 /// Number of classes.
@@ -48,6 +46,9 @@ pub fn build(seed: u64) -> Sequential {
 mod tests {
     use super::*;
     use crate::tensor::Tensor;
+
+    /// Input spatial size.
+    const INPUT_SIZE: usize = 32;
 
     #[test]
     fn shapes_flow_through() {

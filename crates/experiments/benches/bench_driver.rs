@@ -34,9 +34,9 @@ use rand::SeedableRng;
 use std::hint::black_box;
 
 /// The benchmarked configurations, in reporting order. The engine
-/// column contrasts the cycle-accurate NoC against auto classification
-/// (the analytic fast path where it is proven exact) on the same
-/// driver/batch point.
+/// column contrasts the cycle-accurate NoC against record once, replay
+/// (each layer shape steps and records once per process, later layers
+/// of that shape replay the recording) on the same driver/batch point.
 const POINTS: [(&str, DriverMode, usize, EngineMode); 6] = [
     ("sync_b1", DriverMode::Synchronous, 1, EngineMode::Cycle),
     ("sync_b4", DriverMode::Synchronous, 4, EngineMode::Cycle),

@@ -35,8 +35,9 @@ use std::hint::black_box;
 
 /// The benchmarked configurations: `sessions == 0` marks the sequential
 /// single-synchronous-session reference. The engine column contrasts
-/// the cycle-accurate NoC against auto classification (the analytic
-/// fast path where it is proven exact) on the same pool shape.
+/// the cycle-accurate NoC against record once, replay (each layer shape
+/// steps and records once per process, later layers of that shape
+/// replay the recording) on the same pool shape.
 const POINTS: [(&str, usize, usize, OrderingMethod, EngineMode); 7] = [
     (
         "seq_sync_b1",

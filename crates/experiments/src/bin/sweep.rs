@@ -50,8 +50,7 @@ use btr_noc::EngineMode;
 use experiments::cli;
 use experiments::json::Json;
 use experiments::sweep::{
-    baseline_index, expand_grid, merge_sweep_json, outcomes_json, reduction_vs_baseline, run_cells,
-    MeshSpec, Shard, Workload,
+    expand_grid, merge_sweep_json, outcomes_json, run_cells, MeshSpec, Shard, Workload,
 };
 use experiments::workloads::{lenet, WeightSource};
 use rand::rngs::StdRng;
@@ -420,7 +419,11 @@ fn main() {
         }
     );
     let outcomes = run_cells(&workloads, cells, sequential);
-    let baselines = baseline_index(&outcomes);
+    let json = outcomes_json(&workloads, &outcomes);
+    let documented = match json.get("cells") {
+        Some(Json::Arr(cells)) => cells.as_slice(),
+        _ => &[],
+    };
 
     println!(
         "{:<24} {:<9} {:<9} {:>4} {:>7} {:>11} {:>10} {:>5} {:>9} {:>7} {:>6} {:>16} {:>10} {:>11} {:>8} {:>7} {:>10} {:>8}",
@@ -443,7 +446,7 @@ fn main() {
         "cycles",
         "wall"
     );
-    for o in &outcomes {
+    for (o, cell) in outcomes.iter().zip(documented) {
         if let Some(e) = &o.error {
             eprintln!(
                 "error: {} {} {} {} {} {} b{}: {e}",
@@ -457,7 +460,10 @@ fn main() {
             );
             continue;
         }
-        let reduction = reduction_vs_baseline(&baselines, o).map_or(0.0, |r| r * 100.0);
+        let reduction = match cell.get("reduction_vs_baseline") {
+            Some(&Json::F64(r)) => r * 100.0,
+            _ => 0.0,
+        };
         println!(
             "{:<24} {:<9} {:<9} {:>4} {:>7} {:>11} {:>10} {:>5} {:>9} {:>7} {:>6} {:>16} {:>9.2}% {:>11.4} {:>8} {:>6.2}% {:>10} {:>6}ms",
             workloads[o.cell.workload].name,
@@ -482,7 +488,6 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let json = outcomes_json(&workloads, &outcomes);
         if let Err(e) = experiments::json::write_file(std::path::Path::new(&path), &json) {
             eprintln!("error: could not write {path}: {e}");
             std::process::exit(1);

@@ -220,9 +220,10 @@ pub struct SweepCell {
     pub scope: CodecScope,
     /// Inputs run through each layer as one traffic phase.
     pub batch: usize,
-    /// Which engine evaluates the cell's traffic phases: the
-    /// cycle-accurate mesh, or per-layer classification with cycle
-    /// fallback.
+    /// Which engine evaluates the cell's traffic: the cycle-accurate
+    /// mesh, or record once, replay — each layer shape steps and records
+    /// once per process, and later layers of that shape replay the
+    /// recording.
     pub engine: EngineMode,
     /// Per-directed-link bit-error rate (zero = perfect wires). Stored
     /// as the exact [`BitErrorRate`] threshold so cells stay `Eq`/`Hash`.
@@ -540,40 +541,6 @@ pub fn run_cells_with(
     })
 }
 
-/// The cell's coordinates with the ordering axis normalized to O0 — the
-/// key under which its baseline row lives.
-fn baseline_cell_of(cell: &SweepCell) -> SweepCell {
-    SweepCell {
-        ordering: OrderingMethod::Baseline,
-        ..*cell
-    }
-}
-
-/// Indexes every baseline (O0) outcome's transitions by the non-ordering
-/// coordinates, in one pass — the in-memory counterpart of the merge
-/// path's baseline map, shared by [`outcomes_json`] consumers that need
-/// reductions without re-scanning the outcome list per cell.
-#[must_use]
-pub fn baseline_index(outcomes: &[CellOutcome]) -> std::collections::HashMap<SweepCell, u64> {
-    outcomes
-        .iter()
-        .filter(|o| o.cell.ordering == OrderingMethod::Baseline && o.transitions > 0)
-        .map(|o| (o.cell, o.transitions))
-        .collect()
-}
-
-/// `reduction_vs_baseline` for one outcome against a prebuilt
-/// [`baseline_index`].
-#[must_use]
-pub fn reduction_vs_baseline(
-    index: &std::collections::HashMap<SweepCell, u64>,
-    outcome: &CellOutcome,
-) -> Option<f64> {
-    index
-        .get(&baseline_cell_of(&outcome.cell))
-        .map(|&base| 1.0 - outcome.transitions as f64 / base as f64)
-}
-
 /// Serializes outcomes to the sweep schema. Baselines are resolved
 /// through the same single-pass recompute the shard merge uses
 /// ([`merge_sweep_json`]), so serialization is O(cells), not O(cells²),
@@ -776,9 +743,8 @@ fn baseline_key(cell: &Json) -> String {
 }
 
 /// Recomputes every cell's `reduction_vs_baseline` against the O0 cell
-/// with the same coordinates anywhere in `cells` (the merged-document
-/// equivalent of [`baseline_index`]). Cells without an `ordering`/
-/// `transitions` field are left untouched.
+/// with the same coordinates anywhere in `cells`. Cells without an
+/// `ordering`/`transitions` field are left untouched.
 fn recompute_reductions(cells: &mut [Json]) {
     let mut baselines: std::collections::HashMap<String, u64> = std::collections::HashMap::new();
     for cell in cells.iter() {
@@ -816,9 +782,12 @@ mod tests {
     use super::*;
 
     /// The baseline (O0, same codec) outcome matching a cell's other
-    /// coordinates, by linear scan — the oracle of [`baseline_index`].
+    /// coordinates, by linear scan.
     fn baseline_of<'a>(outcomes: &'a [CellOutcome], cell: &SweepCell) -> Option<&'a CellOutcome> {
-        let key = baseline_cell_of(cell);
+        let key = SweepCell {
+            ordering: OrderingMethod::Baseline,
+            ..*cell
+        };
         outcomes.iter().find(|o| o.cell == key)
     }
     use btr_dnn::layer::{ActKind, Activation, Conv2d, Flatten, Linear, MaxPool2d};
@@ -1399,41 +1368,6 @@ mod tests {
     }
 
     #[test]
-    fn baseline_index_matches_linear_scan() {
-        let workloads = vec![tiny_workload()];
-        let cells = expand_grid(
-            1,
-            &[MeshSpec {
-                width: 4,
-                height: 4,
-                mc_count: 2,
-            }],
-            &[DataFormat::Fixed8],
-            &[OrderingMethod::Baseline, OrderingMethod::Separated],
-            &[TieBreak::Stable],
-            &[false],
-            &CodecKind::ALL,
-            &[CodecScope::PerPacket],
-            &[1],
-            &[EngineMode::Cycle],
-            &[BitErrorRate::default()],
-            &[EdcKind::None],
-            &[ResyncPolicy::ReseedOnRetry],
-            &[FaultMode::PerFlit],
-        );
-        let outcomes = run_cells(&workloads, cells, true);
-        let index = baseline_index(&outcomes);
-        assert_eq!(index.len(), CodecKind::ALL.len());
-        for o in &outcomes {
-            let via_index = reduction_vs_baseline(&index, o);
-            let via_scan = baseline_of(&outcomes, &o.cell)
-                .filter(|b| b.transitions > 0)
-                .map(|b| 1.0 - o.transitions as f64 / b.transitions as f64);
-            assert_eq!(via_index, via_scan, "{:?}", o.cell);
-        }
-    }
-
-    #[test]
     fn engine_axis_runs_and_auto_matches_cycle() {
         let workloads = vec![tiny_workload()];
         let cells = expand_grid(
@@ -1563,15 +1497,15 @@ mod tests {
     #[test]
     fn failed_cells_report_errors() {
         let workloads = vec![tiny_workload()];
-        // fixed-16 is not wired into the accelerator -> cell error.
+        // 3x1 MC2: the second MC's region has no PE -> config error.
         let cells = vec![SweepCell {
             workload: 0,
             mesh: MeshSpec {
-                width: 4,
-                height: 4,
+                width: 3,
+                height: 1,
                 mc_count: 2,
             },
-            format: DataFormat::Fixed16,
+            format: DataFormat::Fixed8,
             ordering: OrderingMethod::Baseline,
             tiebreak: TieBreak::Stable,
             fx8_global: false,

@@ -161,34 +161,14 @@ impl ErrorModel {
     }
 }
 
-/// One directed link's live fault state: its private RNG stream plus
-/// flip accounting.
-#[derive(Debug, Clone)]
-pub struct LinkFaultLane {
-    rng: SplitMix64,
-    /// Total wire bits flipped on this link so far.
-    pub flipped_bits: u64,
-    /// Payload flits that took at least one flip on this link.
-    pub corrupted_flits: u64,
-}
-
-impl LinkFaultLane {
-    fn new(rng: SplitMix64) -> Self {
-        Self {
-            rng,
-            flipped_bits: 0,
-            corrupted_flits: 0,
-        }
-    }
-}
-
 /// The armed error process over one family of directed links, ready to
 /// corrupt payload flits at traversal time.
 #[derive(Debug, Clone)]
 pub struct FaultState {
     model: ErrorModel,
     frame_wires: u32,
-    lanes: Vec<LinkFaultLane>,
+    /// One private RNG stream per directed link.
+    lanes: Vec<SplitMix64>,
 }
 
 impl FaultState {
@@ -203,7 +183,7 @@ impl FaultState {
     pub fn new(model: ErrorModel, salt: u64, links: usize, frame_wires: u32) -> Self {
         assert!(frame_wires > 0, "frame must have at least one wire");
         let lanes = (0..links)
-            .map(|link| LinkFaultLane::new(model.link_stream(salt, link)))
+            .map(|link| model.link_stream(salt, link))
             .collect();
         Self {
             model,
@@ -243,7 +223,7 @@ impl FaultState {
         );
         let ber = self.model.ber;
         let mode = self.model.mode;
-        let lane = &mut self.lanes[link];
+        let rng = &mut self.lanes[link];
         let mut flipped = 0u32;
         match mode {
             FaultMode::PerFlit => {
@@ -253,16 +233,16 @@ impl FaultState {
                     let len = 64.min(frame_wires - offset);
                     let mut mask = 0u64;
                     for bit in 0..len {
-                        mask |= u64::from(ber.hit(lane.rng.next_u64())) << bit;
+                        mask |= u64::from(ber.hit(rng.next_u64())) << bit;
                     }
                     *word ^= mask;
                     flipped += mask.count_ones();
                 }
             }
             FaultMode::Burst => {
-                if ber.hit(lane.rng.next_u64()) {
-                    let len = (2 + (lane.rng.next_u64() % 7) as u32).min(frame_wires);
-                    let start = (lane.rng.next_u64() % u64::from(frame_wires - len + 1)) as u32;
+                if ber.hit(rng.next_u64()) {
+                    let len = (2 + (rng.next_u64() % 7) as u32).min(frame_wires);
+                    let start = (rng.next_u64() % u64::from(frame_wires - len + 1)) as u32;
                     let (word, bit) = ((start / 64) as usize, start % 64);
                     let mask = (1u64 << len) - 1;
                     row[word] ^= mask << bit;
@@ -274,23 +254,7 @@ impl FaultState {
                 }
             }
         }
-        if flipped > 0 {
-            lane.flipped_bits += u64::from(flipped);
-            lane.corrupted_flits += 1;
-        }
         flipped
-    }
-
-    /// Total bits flipped across all lanes.
-    #[must_use]
-    pub fn total_flipped_bits(&self) -> u64 {
-        self.lanes.iter().map(|l| l.flipped_bits).sum()
-    }
-
-    /// Total payload flits corrupted across all lanes.
-    #[must_use]
-    pub fn total_corrupted_flits(&self) -> u64 {
-        self.lanes.iter().map(|l| l.corrupted_flits).sum()
     }
 }
 
@@ -426,8 +390,6 @@ mod tests {
             assert_eq!(state.corrupt(link, &mut wire), 0);
             assert_eq!(wire, flit.used_words());
         }
-        assert_eq!(state.total_flipped_bits(), 0);
-        assert_eq!(state.total_corrupted_flits(), 0);
     }
 
     #[test]
@@ -440,6 +402,7 @@ mod tests {
         let frame = 96;
         let mut a = FaultState::new(model, 0, 2, frame);
         let mut b = FaultState::new(model, 0, 2, frame);
+        let (mut a_flipped, mut b_flipped) = (0u32, 0u32);
         for round in 0..50u64 {
             let mut base = PayloadBits::zero(128);
             base.set_field(0, 64, round.wrapping_mul(0x9e37_79b9_7f4a_7c15));
@@ -448,10 +411,10 @@ mod tests {
             let mut xs = [row(&base), row(&base)];
             let mut ys = [row(&base), row(&base)];
             for (link, x) in xs.iter_mut().enumerate() {
-                a.corrupt(link, x);
+                a_flipped += a.corrupt(link, x);
             }
             for (link, y) in ys.iter_mut().enumerate().rev() {
-                b.corrupt(link, y);
+                b_flipped += b.corrupt(link, y);
             }
             assert_eq!(xs, ys, "round {round}");
             for wire in xs {
@@ -460,8 +423,8 @@ mod tests {
                 assert_eq!(image.field(frame, 32), base.field(frame, 32));
             }
         }
-        assert!(a.total_flipped_bits() > 0, "5% BER over 9600 draws");
-        assert_eq!(a.total_flipped_bits(), b.total_flipped_bits());
+        assert!(a_flipped > 0, "5% BER over 9600 draws");
+        assert_eq!(a_flipped, b_flipped);
     }
 
     #[test]
@@ -487,7 +450,7 @@ mod tests {
             ] {
                 let mut state = FaultState::new(model, 5, 2, frame);
                 let mut oracle = model.link_stream(5, 1);
-                let mut want_flipped = 0u64;
+                let (mut want_flipped, mut total_flipped) = (0u32, 0u32);
                 for round in 0..40u64 {
                     let mut base = PayloadBits::zero(width);
                     base.set_field(0, 64, round.wrapping_mul(0x9e37_79b9_7f4a_7c15));
@@ -509,13 +472,14 @@ mod tests {
                         "ber {p}, frame {frame}, round {round}"
                     );
                     assert_eq!(flipped, want.transitions_to(&base));
+                    total_flipped += flipped;
                     let got = PayloadBits::from_row(width, &got);
                     assert!(
                         (frame..width).all(|wire| got.bit(wire) == base.bit(wire)),
                         "frame {frame}: wires above the frame"
                     );
                 }
-                assert_eq!(state.total_flipped_bits(), want_flipped);
+                assert_eq!(total_flipped, want_flipped);
                 assert!(want_flipped > 0, "ber {p}, frame {frame}");
             }
         }

@@ -151,15 +151,6 @@ impl LinkSlab {
         self.faults.is_some()
     }
 
-    /// `(flipped_bits, corrupted_flits)` totals across the slab, both
-    /// zero when un-armed.
-    #[must_use]
-    pub fn fault_totals(&self) -> (u64, u64) {
-        self.faults.as_ref().map_or((0, 0), |f| {
-            (f.total_flipped_bits(), f.total_corrupted_flits())
-        })
-    }
-
     /// Reseeds every link's tx/rx codec lane pair together — the
     /// [`ResyncPolicy::ReseedOnRetry`] sideband pulse. Lanes stay
     /// mirrored (both forget their wire memory at the same instant), so

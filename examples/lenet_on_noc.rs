@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example lenet_on_noc`
 
 use noc_btr::accel::config::AccelConfig;
-use noc_btr::accel::driver::run_inference;
+use noc_btr::accel::driver::run_inference_batch;
 use noc_btr::bits::word::DataFormat;
 use noc_btr::core::OrderingMethod;
 use noc_btr::dnn::data::SyntheticDigits;
@@ -33,7 +33,8 @@ fn main() {
     let mut baseline_bts = None;
     for method in OrderingMethod::ALL {
         let config = AccelConfig::paper(4, 4, 2, DataFormat::Fixed8, method);
-        let result = run_inference(&ops, &sample.input, &config).expect("inference runs");
+        let inputs = std::slice::from_ref(&sample.input);
+        let result = run_inference_batch(&ops, inputs, &config).expect("inference runs");
         let bts = result.stats.total_transitions;
         let base = *baseline_bts.get_or_insert(bts);
         println!(
@@ -46,7 +47,7 @@ fn main() {
         );
         // The accelerator's answer matches the plain software model.
         assert_eq!(
-            result.output.argmax(),
+            result.outputs[0].argmax(),
             reference.argmax(),
             "accelerated inference changed the prediction"
         );

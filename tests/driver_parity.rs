@@ -1,21 +1,20 @@
 //! Parity tests for the pipelined batch-inference driver.
 //!
-//! Three guarantees are pinned here:
+//! Two guarantees are pinned here:
 //!
 //! 1. **Driver-mode parity**: the pipelined driver (cached inline
 //!    encode) is bit-exact with the legacy-faithful synchronous reference
 //!    across every `OrderingMethod × CodecKind` combination — identical
 //!    per-link bit transitions, total cycles, outputs, and index/codec
 //!    side-channel accounting.
-//! 2. **Batch-1 parity**: `run_inference_batch` with one input is the
-//!    single-input driver, bit for bit.
-//! 3. **Batch decomposition**: a batched run's per-element outputs equal
+//! 2. **Batch decomposition**: a batched run's per-element outputs equal
 //!    the outputs of sequential single-input runs — each task's MAC
 //!    depends only on its own operands, never on how the batch's packets
 //!    interleave in the mesh (property-tested over random models).
 
 use noc_btr::accel::config::{AccelConfig, DriverMode};
-use noc_btr::accel::driver::{run_inference, run_inference_batch, InferenceSession};
+use noc_btr::accel::driver::{run_inference_batch, AccelError, InferenceSession};
+use noc_btr::accel::report::BatchInferenceResult;
 use noc_btr::accel::tasks::LayerQuantizers;
 use noc_btr::bits::word::DataFormat;
 use noc_btr::core::codec::{CodecKind, CodecScope};
@@ -59,14 +58,19 @@ fn config(
     c
 }
 
+/// One input through the batch entry point (`batch_size` 1).
+fn infer_one(
+    ops: &[InferenceOp],
+    input: &Tensor,
+    config: &AccelConfig,
+) -> Result<BatchInferenceResult, AccelError> {
+    run_inference_batch(ops, std::slice::from_ref(input), config)
+}
+
 /// Asserts two inference results are indistinguishable down to the
 /// per-link transition totals.
-fn assert_bit_exact(
-    a: &noc_btr::accel::report::InferenceResult,
-    b: &noc_btr::accel::report::InferenceResult,
-    what: &str,
-) {
-    assert_eq!(a.output.data(), b.output.data(), "{what}: outputs");
+fn assert_bit_exact(a: &BatchInferenceResult, b: &BatchInferenceResult, what: &str) {
+    assert_eq!(a.outputs, b.outputs, "{what}: outputs");
     assert_eq!(a.total_cycles, b.total_cycles, "{what}: cycles");
     assert_eq!(
         a.stats.total_transitions, b.stats.total_transitions,
@@ -95,13 +99,13 @@ fn pipelined_matches_synchronous_across_orderings_and_codecs() {
     let input = tiny_input(12);
     for ordering in OrderingMethod::ALL {
         for codec in CodecKind::ALL {
-            let sync = run_inference(
+            let sync = infer_one(
                 &ops,
                 &input,
                 &config(DataFormat::Fixed8, ordering, codec, DriverMode::Synchronous),
             )
             .unwrap();
-            let pipelined = run_inference(
+            let pipelined = infer_one(
                 &ops,
                 &input,
                 &config(DataFormat::Fixed8, ordering, codec, DriverMode::Pipelined),
@@ -111,7 +115,7 @@ fn pipelined_matches_synchronous_across_orderings_and_codecs() {
         }
     }
     // Float-32 exercises the other response-encoding path.
-    let sync = run_inference(
+    let sync = infer_one(
         &ops,
         &input,
         &config(
@@ -122,7 +126,7 @@ fn pipelined_matches_synchronous_across_orderings_and_codecs() {
         ),
     )
     .unwrap();
-    let pipelined = run_inference(
+    let pipelined = infer_one(
         &ops,
         &input,
         &config(
@@ -157,11 +161,11 @@ fn per_packet_scope_is_bit_identical_to_the_pre_refactor_path() {
             let legacy_construction =
                 config(DataFormat::Fixed8, ordering, codec, DriverMode::Synchronous);
             assert_eq!(legacy_construction.codec_scope, CodecScope::PerPacket);
-            let reference = run_inference(&ops, &input, &legacy_construction).unwrap();
+            let reference = infer_one(&ops, &input, &legacy_construction).unwrap();
             for driver in [DriverMode::Synchronous, DriverMode::Pipelined] {
                 let explicit = config(DataFormat::Fixed8, ordering, codec, driver)
                     .with_codec_scope(CodecScope::PerPacket);
-                let run = run_inference(&ops, &input, &explicit).unwrap();
+                let run = infer_one(&ops, &input, &explicit).unwrap();
                 assert_bit_exact(
                     &reference,
                     &run,
@@ -185,7 +189,7 @@ fn per_link_scope_is_lossless_and_bit_exact_across_drivers() {
     let input = tiny_input(82);
     for ordering in OrderingMethod::ALL {
         for codec in CodecKind::ALL {
-            let per_packet = run_inference(
+            let per_packet = infer_one(
                 &ops,
                 &input,
                 &config(DataFormat::Fixed8, ordering, codec, DriverMode::Pipelined),
@@ -195,9 +199,9 @@ fn per_link_scope_is_lossless_and_bit_exact_across_drivers() {
                 config(DataFormat::Fixed8, ordering, codec, driver)
                     .with_codec_scope(CodecScope::PerLink)
             };
-            let per_link = run_inference(&ops, &input, &pl_config(DriverMode::Pipelined)).unwrap();
+            let per_link = infer_one(&ops, &input, &pl_config(DriverMode::Pipelined)).unwrap();
             let per_link_sync =
-                run_inference(&ops, &input, &pl_config(DriverMode::Synchronous)).unwrap();
+                infer_one(&ops, &input, &pl_config(DriverMode::Synchronous)).unwrap();
             assert_bit_exact(
                 &per_link,
                 &per_link_sync,
@@ -205,8 +209,8 @@ fn per_link_scope_is_lossless_and_bit_exact_across_drivers() {
             );
             // Lossless at the PEs and MCs: fixed-8 outputs bit-equal.
             assert_eq!(
-                per_link.output.data(),
-                per_packet.output.data(),
+                per_link.outputs[0].data(),
+                per_packet.outputs[0].data(),
                 "{ordering} {codec}: per-link scope changed the outputs"
             );
             // Traffic shape and side-channel accounting are
@@ -237,32 +241,6 @@ fn per_link_scope_is_lossless_and_bit_exact_across_drivers() {
 }
 
 #[test]
-fn batch_one_equals_single_input_driver() {
-    let model = tiny_model(31);
-    let ops = model.inference_ops();
-    let input = tiny_input(32);
-    for driver in [DriverMode::Synchronous, DriverMode::Pipelined] {
-        let c = config(
-            DataFormat::Fixed8,
-            OrderingMethod::Separated,
-            CodecKind::Unencoded,
-            driver,
-        );
-        let single = run_inference(&ops, &input, &c).unwrap();
-        let batch = run_inference_batch(&ops, std::slice::from_ref(&input), &c).unwrap();
-        assert_eq!(batch.outputs.len(), 1);
-        assert_eq!(batch.outputs[0].data(), single.output.data());
-        assert_eq!(batch.total_cycles, single.total_cycles);
-        assert_eq!(
-            batch.stats.total_transitions,
-            single.stats.total_transitions
-        );
-        assert_eq!(batch.stats.per_link, single.stats.per_link);
-        assert_eq!(batch.index_overhead_bits, single.index_overhead_bits);
-    }
-}
-
-#[test]
 fn batched_runs_match_sequential_outputs_fx8() {
     let model = tiny_model(41);
     let ops = model.inference_ops();
@@ -278,12 +256,12 @@ fn batched_runs_match_sequential_outputs_fx8() {
     let mut single_config = c.clone();
     single_config.batch_size = 1;
     for (b, input) in inputs.iter().enumerate() {
-        let single = run_inference(&ops, input, &single_config).unwrap();
+        let single = infer_one(&ops, input, &single_config).unwrap();
         // Fixed-8 MACs are integer-exact: batched outputs are bit-equal
         // to sequential per-input runs.
         assert_eq!(
             batched.outputs[b].data(),
-            single.output.data(),
+            single.outputs[0].data(),
             "batch element {b}"
         );
     }
@@ -292,7 +270,7 @@ fn batched_runs_match_sequential_outputs_fx8() {
     let singles_packets: u64 = inputs
         .iter()
         .map(|i| {
-            run_inference(&ops, i, &single_config)
+            infer_one(&ops, i, &single_config)
                 .unwrap()
                 .total_request_packets()
         })
@@ -390,8 +368,6 @@ fn batch_size_must_match_inputs() {
     c.batch_size = 3;
     let err = run_inference_batch(&ops, std::slice::from_ref(&input), &c).unwrap_err();
     assert!(err.to_string().contains("batch_size 3"));
-    let err = run_inference(&ops, &input, &c).unwrap_err();
-    assert!(err.to_string().contains("batch_size 1"));
     // Mismatched batch shapes are rejected, not silently mis-windowed:
     // layer geometry derives from element 0 alone.
     c.batch_size = 2;
@@ -426,8 +402,8 @@ proptest! {
         let mut single_config = c.clone();
         single_config.batch_size = 1;
         for (b, input) in inputs.iter().enumerate() {
-            let single = run_inference(&ops, input, &single_config).unwrap();
-            prop_assert_eq!(batched.outputs[b].data(), single.output.data(), "element {}", b);
+            let single = infer_one(&ops, input, &single_config).unwrap();
+            prop_assert_eq!(batched.outputs[b].data(), single.outputs[0].data(), "element {}", b);
         }
     }
 }

@@ -2,11 +2,12 @@
 //! accelerator, verified against direct software execution.
 
 use noc_btr::accel::config::AccelConfig;
-use noc_btr::accel::driver::run_inference;
+use noc_btr::accel::driver::{run_inference_batch, AccelError};
+use noc_btr::accel::report::BatchInferenceResult;
 use noc_btr::bits::word::DataFormat;
 use noc_btr::core::OrderingMethod;
 use noc_btr::dnn::layer::{ActKind, Activation, Conv2d, Flatten, Linear, MaxPool2d};
-use noc_btr::dnn::model::{Layer, Sequential};
+use noc_btr::dnn::model::{InferenceOp, Layer, Sequential};
 use noc_btr::dnn::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,6 +27,15 @@ fn small_net(seed: u64) -> Sequential {
     ])
 }
 
+/// One input through the batch entry point (`batch_size` 1).
+fn infer_one(
+    ops: &[InferenceOp],
+    input: &Tensor,
+    config: &AccelConfig,
+) -> Result<BatchInferenceResult, AccelError> {
+    run_inference_batch(ops, std::slice::from_ref(input), config)
+}
+
 fn input(seed: u64) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
     Tensor::from_vec(
@@ -43,8 +53,8 @@ fn f32_accelerated_inference_matches_software_for_all_orderings() {
     let reference = model.infer(&x);
     for ordering in OrderingMethod::ALL {
         let config = AccelConfig::paper(4, 4, 2, DataFormat::Float32, ordering);
-        let result = run_inference(&ops, &x, &config).unwrap();
-        for (got, want) in result.output.data().iter().zip(reference.data().iter()) {
+        let result = infer_one(&ops, &x, &config).unwrap();
+        for (got, want) in result.outputs[0].data().iter().zip(reference.data().iter()) {
             assert!(
                 (got - want).abs() < 1e-3 * (1.0 + want.abs()),
                 "{ordering}: {got} vs {want}"
@@ -58,7 +68,7 @@ fn fx8_outputs_bit_exact_across_orderings_and_mesh_sizes() {
     let model = small_net(12);
     let ops = model.inference_ops();
     let x = input(13);
-    let reference = run_inference(
+    let reference = infer_one(
         &ops,
         &x,
         &AccelConfig::paper(4, 4, 2, DataFormat::Fixed8, OrderingMethod::Baseline),
@@ -67,10 +77,10 @@ fn fx8_outputs_bit_exact_across_orderings_and_mesh_sizes() {
     for (w, h, mc) in [(4usize, 4usize, 2usize), (8, 8, 4)] {
         for ordering in OrderingMethod::ALL {
             let config = AccelConfig::paper(w, h, mc, DataFormat::Fixed8, ordering);
-            let result = run_inference(&ops, &x, &config).unwrap();
+            let result = infer_one(&ops, &x, &config).unwrap();
             assert_eq!(
-                result.output.data(),
-                reference.output.data(),
+                result.outputs[0].data(),
+                reference.outputs[0].data(),
                 "{w}x{h} MC{mc} {ordering}: fixed-8 outputs must be identical"
             );
         }
@@ -87,7 +97,7 @@ fn ordering_strictly_reduces_transitions_in_both_formats() {
         for ordering in OrderingMethod::ALL {
             let config = AccelConfig::paper(4, 4, 2, format, ordering);
             totals.push(
-                run_inference(&ops, &x, &config)
+                infer_one(&ops, &x, &config)
                     .unwrap()
                     .stats
                     .total_transitions,
@@ -126,7 +136,7 @@ fn latency_and_traffic_invariant_across_orderings() {
     let mut cycles = Vec::new();
     for ordering in OrderingMethod::ALL {
         let config = AccelConfig::paper(4, 4, 2, DataFormat::Fixed8, ordering);
-        let r = run_inference(&ops, &x, &config).unwrap();
+        let r = infer_one(&ops, &x, &config).unwrap();
         packets.push(r.total_request_packets());
         flits.push(r.total_request_flits());
         cycles.push(r.total_cycles);
@@ -142,11 +152,11 @@ fn full_inference_is_deterministic() {
     let ops = model.inference_ops();
     let x = input(19);
     let config = AccelConfig::paper(4, 4, 2, DataFormat::Fixed8, OrderingMethod::Separated);
-    let a = run_inference(&ops, &x, &config).unwrap();
-    let b = run_inference(&ops, &x, &config).unwrap();
+    let a = infer_one(&ops, &x, &config).unwrap();
+    let b = infer_one(&ops, &x, &config).unwrap();
     assert_eq!(a.stats.total_transitions, b.stats.total_transitions);
     assert_eq!(a.total_cycles, b.total_cycles);
-    assert_eq!(a.output.data(), b.output.data());
+    assert_eq!(a.outputs[0].data(), b.outputs[0].data());
 }
 
 #[test]
@@ -156,13 +166,13 @@ fn more_memory_controllers_reduce_inference_cycles() {
     let model = small_net(20);
     let ops = model.inference_ops();
     let x = input(21);
-    let mc4 = run_inference(
+    let mc4 = infer_one(
         &ops,
         &x,
         &AccelConfig::paper(8, 8, 4, DataFormat::Fixed8, OrderingMethod::Baseline),
     )
     .unwrap();
-    let mc8 = run_inference(
+    let mc8 = infer_one(
         &ops,
         &x,
         &AccelConfig::paper(8, 8, 8, DataFormat::Fixed8, OrderingMethod::Baseline),

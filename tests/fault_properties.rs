@@ -18,12 +18,13 @@
 //!   reproduces the cycle engine's run exactly.
 
 use noc_btr::accel::config::AccelConfig;
-use noc_btr::accel::driver::{run_inference, AccelError};
+use noc_btr::accel::driver::{run_inference_batch, AccelError};
+use noc_btr::accel::report::BatchInferenceResult;
 use noc_btr::bits::word::DataFormat;
 use noc_btr::core::codec::{CodecKind, CodecScope, ResyncPolicy};
 use noc_btr::core::OrderingMethod;
 use noc_btr::dnn::layer::{ActKind, Activation, Conv2d, Flatten, Linear, MaxPool2d};
-use noc_btr::dnn::model::{Layer, Sequential};
+use noc_btr::dnn::model::{InferenceOp, Layer, Sequential};
 use noc_btr::dnn::tensor::Tensor;
 use noc_btr::noc::fault::{BitErrorRate, ErrorModel, FaultMode};
 use noc_btr::noc::EngineMode;
@@ -49,6 +50,15 @@ fn tiny_input(seed: u64) -> Tensor {
         (0..64).map(|_| rng.gen_range(-1.0..1.0)).collect(),
     )
     .unwrap()
+}
+
+/// One input through the batch entry point (`batch_size` 1).
+fn infer_one(
+    ops: &[InferenceOp],
+    input: &Tensor,
+    config: &AccelConfig,
+) -> Result<BatchInferenceResult, AccelError> {
+    run_inference_batch(ops, std::slice::from_ref(input), config)
 }
 
 fn base_config(codec: CodecKind, scope: CodecScope) -> AccelConfig {
@@ -78,7 +88,7 @@ proptest! {
         let ops = model.inference_ops();
         let input = tiny_input(31);
 
-        let clean = run_inference(&ops, &input, &base_config(codec, scope)).unwrap();
+        let clean = infer_one(&ops, &input, &base_config(codec, scope)).unwrap();
         let faulty_config = base_config(codec, scope).with_fault(
             ErrorModel {
                 ber: BitErrorRate::from_f64(10f64.powf(-ber_exp)),
@@ -88,11 +98,11 @@ proptest! {
             resync,
             8,
         );
-        match run_inference(&ops, &input, &faulty_config) {
+        match infer_one(&ops, &input, &faulty_config) {
             Ok(faulty) => {
                 prop_assert_eq!(
-                    faulty.output.data(),
-                    clean.output.data(),
+                    faulty.outputs[0].data(),
+                    clean.outputs[0].data(),
                     "recovered run must match clean wires: {codec} {scope:?} {resync:?} \
                      ber 1e-{ber_exp:.2} seed {seed}"
                 );
@@ -130,14 +140,14 @@ proptest! {
         let ops = model.inference_ops();
         let input = tiny_input(41);
 
-        let plain = run_inference(&ops, &input, &base_config(codec, scope)).unwrap();
+        let plain = infer_one(&ops, &input, &base_config(codec, scope)).unwrap();
         let armed_config = base_config(codec, scope).with_fault(
             ErrorModel::perfect(seed),
             ResyncPolicy::ALL[resync_idx],
             8,
         );
-        let armed = run_inference(&ops, &input, &armed_config).unwrap();
-        prop_assert_eq!(armed.output.data(), plain.output.data());
+        let armed = infer_one(&ops, &input, &armed_config).unwrap();
+        prop_assert_eq!(armed.outputs[0].data(), plain.outputs[0].data());
         prop_assert_eq!(armed.stats.total_transitions, plain.stats.total_transitions);
         prop_assert_eq!(armed.stats.per_link, plain.stats.per_link);
         prop_assert_eq!(armed.total_cycles, plain.total_cycles);
@@ -169,13 +179,13 @@ proptest! {
                 8,
             );
             config.engine = engine;
-            run_inference(&ops, &input, &config)
+            infer_one(&ops, &input, &config)
         };
         match (with_engine(EngineMode::Auto), with_engine(EngineMode::Cycle)) {
             (Ok(auto), Ok(cycle)) => {
                 prop_assert_eq!(auto.analytic_phase_fraction(), 0.0);
                 prop_assert!(auto.per_layer.iter().all(|l| !l.replayed));
-                prop_assert_eq!(auto.output.data(), cycle.output.data());
+                prop_assert_eq!(auto.outputs[0].data(), cycle.outputs[0].data());
                 prop_assert_eq!(auto.stats.total_transitions, cycle.stats.total_transitions);
                 prop_assert_eq!(auto.total_cycles, cycle.total_cycles);
                 prop_assert_eq!(auto.retransmitted_flits, cycle.retransmitted_flits);
@@ -190,8 +200,8 @@ proptest! {
             (auto, cycle) => {
                 panic!(
                     "engines diverged under faults: auto {:?}, cycle {:?}",
-                    auto.map(|r| r.output),
-                    cycle.map(|r| r.output)
+                    auto.map(|r| r.outputs),
+                    cycle.map(|r| r.outputs)
                 );
             }
         }

@@ -10,7 +10,7 @@
 
 use btr_serve::{serve, synthetic_requests, ServeConfig, ServeError};
 use noc_btr::accel::config::{AccelConfig, DriverMode};
-use noc_btr::accel::driver::run_inference;
+use noc_btr::accel::driver::run_inference_batch;
 use noc_btr::bits::word::DataFormat;
 use noc_btr::core::OrderingMethod;
 use noc_btr::dnn::layer::{ActKind, Activation, Conv2d, Flatten, Linear, MaxPool2d};
@@ -56,9 +56,9 @@ fn serve_outputs_match_sequential_inference() {
     sequential.driver = DriverMode::Synchronous;
     let expected: Vec<Tensor> = (0..requests)
         .map(|i| {
-            run_inference(&ops, &pool[i % pool.len()], &sequential)
-                .unwrap()
-                .output
+            let input = std::slice::from_ref(&pool[i % pool.len()]);
+            let mut result = run_inference_batch(&ops, input, &sequential).unwrap();
+            result.outputs.remove(0)
         })
         .collect();
 
@@ -138,9 +138,9 @@ fn serve_recovers_bit_exact_outputs_on_unreliable_links() {
     sequential.driver = DriverMode::Synchronous;
     let expected: Vec<Tensor> = (0..requests)
         .map(|i| {
-            run_inference(&ops, &pool[i % pool.len()], &sequential)
-                .unwrap()
-                .output
+            let input = std::slice::from_ref(&pool[i % pool.len()]);
+            let mut result = run_inference_batch(&ops, input, &sequential).unwrap();
+            result.outputs.remove(0)
         })
         .collect();
 
@@ -251,12 +251,11 @@ fn serve_propagates_session_failures() {
     let model = tiny_model(13);
     let ops = model.inference_ops();
     let pool = vec![tiny_input(70)];
-    // Fixed-16 passes config validation (with a matching link width) but
-    // is not wired into the accelerator: the first dispatch fails and
-    // the run aborts instead of hanging.
+    // A two-cycle layer budget passes config validation, but the first
+    // layer stalls: the first dispatch fails and the run aborts instead
+    // of hanging.
     let mut accel = accel_config(2);
-    accel.format = DataFormat::Fixed16;
-    accel.noc.link_width_bits = 256;
+    accel.max_cycles_per_layer = 2;
     let config = ServeConfig {
         accel,
         sessions: 2,
@@ -266,7 +265,7 @@ fn serve_propagates_session_failures() {
     let err = serve(&ops, &config, synthetic_requests(&pool, 4)).unwrap_err();
     match err {
         ServeError::Session { error, .. } => {
-            assert!(error.to_string().contains("not supported"), "{error}");
+            assert!(error.to_string().contains("stalled"), "{error}");
         }
         other => panic!("expected a session error, got {other}"),
     }
